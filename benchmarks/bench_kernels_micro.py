@@ -7,17 +7,14 @@ encodings the kernels accept: lexicographically sorted string tuples
 integer fast path, today's default).
 
 ``test_bench_kernel_baseline`` additionally runs the end-to-end
-``ssjoin_self`` before/after comparison (seed ``ForkParallelCluster``
-vs the persistent executor), the batch-columnar vs scalar
-verification micro (stdlib path), the shm-vs-disk shuffle transport
-comparison, and emits
+``ssjoin_self`` on the persistent executor, the bitmap, tracing and
+skew-adaptive comparisons, and emits
 ``benchmarks/results/BENCH_kernel.json`` so future PRs have a perf
 trajectory to compare against.  It times manually (interleaved rounds,
 best-of), so the JSON is produced even under ``--benchmark-disable``.
 """
 
 import json
-import os
 import statistics
 import time
 from functools import lru_cache
@@ -27,7 +24,6 @@ import pytest
 
 from repro.bench import dblp_times, skewed_times
 from repro.core.allpairs import allpairs_self_join
-from repro.core.batch import TokenBatch, verify_batch_pairs
 from repro.core.bitmaps import signature as bitmap_signature
 from repro.core.naive import naive_self_join
 from repro.core.ordering import TokenOrder, count_token_frequencies
@@ -35,7 +31,6 @@ from repro.core.ppjoin import ppjoin_self_join
 from repro.core.prefixes import Projection
 from repro.core.similarity import Jaccard
 from repro.core.tokenizers import WordTokenizer
-from repro.core.verification import verify_pair
 from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_self
 from repro.join.records import RecordSchema, join_value, rid_of
@@ -45,7 +40,6 @@ from repro.mapreduce import (
     PersistentParallelCluster,
     SimulatedCluster,
 )
-from repro.mapreduce.parallel import ForkParallelCluster
 
 NUM_RECORDS = 600  # brute force is O(n^2); keep the oracle affordable
 E2E_FACTOR = 5  # DBLP x5, per the perf acceptance criterion
@@ -166,28 +160,19 @@ def test_bench_kernel_baseline(record_result):
     # kernel/encoding micro rows (best-of-3 wall clock)
     micro = {name: _best_of(fn) for name, fn in ENCODINGS.items()}
 
-    # end-to-end before/after: seed per-phase-fork cluster vs the
-    # persistent engine, interleaved rounds so host noise hits both.
-    make = {
-        "fork": lambda: ForkParallelCluster(
-            ClusterConfig(), InMemoryDFS(), workers=2
-        ),
-        "persistent": lambda: PersistentParallelCluster(
-            ClusterConfig(), InMemoryDFS(), workers=2
-        ),
-    }
+    # end-to-end on the persistent engine, output checked against the
+    # sequential cluster.
+    make_persistent = lambda: PersistentParallelCluster(
+        ClusterConfig(), InMemoryDFS(), workers=2
+    )
     _, reference, _ = _run_e2e(lambda: SimulatedCluster(ClusterConfig(), InMemoryDFS()), lines)
-    walls = {name: [] for name in make}
+    persistent_walls = []
     pools_seen = None
     for _ in range(E2E_ROUNDS):
-        for name, mk in make.items():
-            wall, output, pools = _run_e2e(mk, lines)
-            assert output == reference, f"{name} output diverged from SimulatedCluster"
-            walls[name].append(wall)
-            if name == "persistent":
-                pools_seen = pools
-    before, after = min(walls["fork"]), min(walls["persistent"])
-    improvement = 100.0 * (1.0 - after / before)
+        wall, output, pools_seen = _run_e2e(make_persistent, lines)
+        assert output == reference, "persistent output diverged from SimulatedCluster"
+        persistent_walls.append(wall)
+    persistent_best = min(persistent_walls)
 
     # bitmap filter, micro: the PK kernel at dblp x5 with the bitmap
     # bound replacing the suffix filter (the shipped configuration) vs
@@ -224,68 +209,6 @@ def test_bench_kernel_baseline(record_result):
         "bitmap filter changed the end-to-end join output"
     )
     e2e_off, e2e_on = min(e2e_walls["off"]), min(e2e_walls["on"])
-
-    # batch-columnar verification, micro: the same candidate pairs
-    # verified pair-at-a-time (the scalar merge loop) vs through one
-    # columnar TokenBatch (cached-frozenset C intersections).  Forced
-    # onto the stdlib path so the speedup claim holds without the
-    # optional [speed] extra; results must be bit-identical.
-    vtokens = [p.tokens for p in PROJS]
-    vbatch = TokenBatch.from_token_arrays(vtokens)
-    vpairs = [
-        (i, j) for i in range(len(vtokens)) for j in range(i + 1, len(vtokens))
-    ]
-
-    def scalar_verify():
-        out = []
-        for i, j in vpairs:
-            s = verify_pair(vtokens[i], vtokens[j], SIM, 0.8, presorted=True)
-            if s is not None:
-                out.append((i, j, s))
-        return out
-
-    def batch_verify():
-        return verify_batch_pairs(vbatch, vpairs, SIM, 0.8)
-
-    numpy_override = os.environ.get("REPRO_NO_NUMPY")
-    os.environ["REPRO_NO_NUMPY"] = "1"
-    try:
-        assert batch_verify() == scalar_verify(), (
-            "batch verification diverged from the scalar merge"
-        )
-        scalar_times, batch_times = [], []
-        for _ in range(E2E_ROUNDS):  # interleaved so host noise hits both
-            scalar_times.append(_best_of(scalar_verify, rounds=1))
-            batch_times.append(_best_of(batch_verify, rounds=1))
-    finally:
-        if numpy_override is None:
-            del os.environ["REPRO_NO_NUMPY"]
-        else:
-            os.environ["REPRO_NO_NUMPY"] = numpy_override
-    v_scalar, v_batch = min(scalar_times), min(batch_times)
-    batch_speedup = v_scalar / v_batch
-
-    # shuffle transport, end-to-end: the persistent engine routing map
-    # output through shared-memory segments (default) vs the disk
-    # spill path — same join, workers=2, interleaved best-of rounds,
-    # both outputs byte-identical to the sequential oracle.
-    mk_transport = {
-        "shm": lambda: PersistentParallelCluster(
-            ClusterConfig(), InMemoryDFS(), workers=2, transport="shm"
-        ),
-        "disk": lambda: PersistentParallelCluster(
-            ClusterConfig(), InMemoryDFS(), workers=2, transport="disk"
-        ),
-    }
-    shuffle_walls = {name: [] for name in mk_transport}
-    for _ in range(E2E_ROUNDS):
-        for name, mk in mk_transport.items():
-            wall, output, _ = _run_e2e(mk, lines)
-            assert output == reference, (
-                f"{name} transport output diverged from SimulatedCluster"
-            )
-            shuffle_walls[name].append(wall)
-    shm_best, disk_best = min(shuffle_walls["shm"]), min(shuffle_walls["disk"])
 
     # tracing overhead, end-to-end: the same join with a span tracer
     # attached vs without — bit-identical output (the observe-only
@@ -372,11 +295,8 @@ def test_bench_kernel_baseline(record_result):
         "e2e_ssjoin_self": {
             "workload": f"dblp x{E2E_FACTOR}, bto-pk-brj, workers=2",
             "rounds": E2E_ROUNDS,
-            "before_fork_best_s": round(before, 3),
-            "after_persistent_best_s": round(after, 3),
-            "improvement_pct": round(improvement, 1),
-            "fork_all_s": [round(t, 3) for t in walls["fork"]],
-            "persistent_all_s": [round(t, 3) for t in walls["persistent"]],
+            "persistent_best_s": round(persistent_best, 3),
+            "persistent_all_s": [round(t, 3) for t in persistent_walls],
             "output_identical_to_simulated": True,
             "persistent_pools_created": pools_seen,
         },
@@ -395,32 +315,6 @@ def test_bench_kernel_baseline(record_result):
             "e2e_on_best_s": round(e2e_on, 3),
             "e2e_speedup": round(e2e_off / e2e_on, 3),
             "output_identical_on_vs_off": True,
-        },
-        "batch_verification": {
-            "workload": (
-                f"dblp x1[:{NUM_RECORDS}], all-pairs verify, jaccard>=0.8, "
-                "stdlib path (REPRO_NO_NUMPY=1)"
-            ),
-            "pairs": len(vpairs),
-            "rounds": E2E_ROUNDS,
-            "scalar_best_s": round(v_scalar, 4),
-            "batch_best_s": round(v_batch, 4),
-            "speedup": round(batch_speedup, 3),
-            "scalar_all_s": [round(t, 4) for t in scalar_times],
-            "batch_all_s": [round(t, 4) for t in batch_times],
-            "identical_results": True,
-        },
-        "shuffle_transport": {
-            "workload": (
-                f"dblp x{E2E_FACTOR}, bto-pk-brj, persistent engine, workers=2"
-            ),
-            "rounds": E2E_ROUNDS,
-            "shm_best_s": round(shm_best, 3),
-            "disk_best_s": round(disk_best, 3),
-            "speedup": round(disk_best / shm_best, 3),
-            "shm_all_s": [round(t, 3) for t in shuffle_walls["shm"]],
-            "disk_all_s": [round(t, 3) for t in shuffle_walls["disk"]],
-            "output_identical_to_simulated": True,
         },
         "tracing": {
             "workload": f"dblp x{E2E_FACTOR}, bto-pk-brj, sequential cluster",
@@ -462,14 +356,9 @@ def test_bench_kernel_baseline(record_result):
         "BENCH_kernel baseline\n"
         f"  encoding micro: string={micro['string']:.4f}s rank={micro['rank']:.4f}s "
         f"(x{micro['string'] / micro['rank']:.2f})\n"
-        f"  e2e ssjoin_self dblp x{E2E_FACTOR}: fork={before:.3f}s "
-        f"persistent={after:.3f}s improvement={improvement:.1f}%\n"
+        f"  e2e ssjoin_self dblp x{E2E_FACTOR}: persistent={persistent_best:.3f}s\n"
         f"  bitmap filter micro dblp x{E2E_FACTOR}: off={b_off:.4f}s on={b_on:.4f}s "
         f"(x{bitmap_speedup:.2f}); e2e off={e2e_off:.3f}s on={e2e_on:.3f}s\n"
-        f"  batch verify micro ({len(vpairs)} pairs, stdlib): "
-        f"scalar={v_scalar:.4f}s batch={v_batch:.4f}s (x{batch_speedup:.2f})\n"
-        f"  shuffle e2e dblp x{E2E_FACTOR}: shm={shm_best:.3f}s "
-        f"disk={disk_best:.3f}s (x{disk_best / shm_best:.2f})\n"
         f"  tracing e2e dblp x{E2E_FACTOR}: untraced={t_plain:.3f}s "
         f"traced={t_traced:.3f}s overhead={trace_overhead:+.1f}%\n"
         f"  skew-adaptive skewed x2 (simulated): static={sim_static:.1f}s "

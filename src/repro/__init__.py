@@ -52,7 +52,6 @@ from repro.join.blocks import BlockPolicy
 from repro.core.lsh import MinHasher, minhash_lsh_self_join
 from repro.mapreduce import (
     ClusterConfig,
-    ForkParallelCluster,
     InMemoryDFS,
     InsufficientMemoryError,
     LocalDiskDFS,
@@ -68,7 +67,6 @@ __all__ = [
     "Cosine",
     "Dice",
     "EditDistanceQGrams",
-    "ForkParallelCluster",
     "InMemoryDFS",
     "InsufficientMemoryError",
     "Jaccard",

@@ -24,7 +24,6 @@ KNOWN_COUNTER_NAMES: frozenset[str] = frozenset(
         'memory.escalations',
         'memory.peak_bytes',
         'memory.replans',
-        'plan.batch_size',
         'plan.num_groups',
         'plan.routing_grouped',
         'plan.sampled_records',
@@ -41,7 +40,6 @@ KNOWN_COUNTER_NAMES: frozenset[str] = frozenset(
         'sanitize.violations',
         'shuffle.partition_bytes',
         'stage1.token_frequency',
-        'stage2.batches',
         'stage2.candidate_pairs',
         'stage2.group_candidates',
         'stage2.group_records',

@@ -27,10 +27,6 @@ MR104    a counter/metric name at an ``increment``/``observe``/
          ``counters[...]`` site is not in the generated registry
          (:mod:`repro.analysis.counter_names`) — a typo'd name merges
          into nothing and the counter silently reads zero
-MR105    a ``multiprocessing.shared_memory`` segment is created but not
-         closed/unlinked on every path: no release at all, or an
-         exception between create and release would leak the segment
-         and the module has no orphan-sweep backstop
 MR106    simulated task memory charged via ``reserve_memory_for`` (the
          charged byte count captured into a variable) is not
          ``release_memory``-ed on every exception edge — an exception
@@ -95,7 +91,6 @@ FLOW_RULES: dict[str, str] = {
     "MR102": "reducer destructures a value-tuple arity no mapper emits",
     "MR103": "key selector indexes beyond every emitted key shape (or split key lost its components)",
     "MR104": "counter/metric name not in the generated registry",
-    "MR105": "shared-memory segment not released on every path (leak on exception)",
     "MR106": "charged task memory not released on every exception edge",
 }
 
@@ -936,58 +931,8 @@ def render_counter_registry(names: frozenset[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# MR105: shared-memory segment lifecycle
+# MR106: charged-memory release discipline
 # ---------------------------------------------------------------------------
-
-
-def _is_shm_create(call: ast.Call, mod: _Module) -> bool:
-    func = call.func
-    dotted = mod.bindings.resolve(func)
-    if dotted is not None:
-        if dotted.split(".")[-1] != "SharedMemory":
-            return False
-    elif not (
-        (isinstance(func, ast.Name) and func.id == "SharedMemory")
-        or (isinstance(func, ast.Attribute) and func.attr == "SharedMemory")
-    ):
-        return False
-    for kw in call.keywords:
-        if (
-            kw.arg == "create"
-            and isinstance(kw.value, ast.Constant)
-            and kw.value.value is True
-        ):
-            return True
-    return False
-
-
-def _creator_fids(program: _Program) -> set[str]:
-    """Functions that return a freshly created segment (one-hop helpers
-    like ``_create_shm``) — a call to one of these is a create site."""
-    creators: set[str] = set()
-    for fid, (mod, fn) in program.functions.items():
-        for node in shallow_nodes(fn.node):
-            if not (isinstance(node, ast.Return) and node.value is not None):
-                continue
-            for inner in ast.walk(node.value):
-                if isinstance(inner, ast.Call) and _is_shm_create(inner, mod):
-                    creators.add(fid)
-                    break
-    return creators
-
-
-def _has_sweeper(mod: _Module) -> bool:
-    """Whether the module ships an orphan-sweep backstop: a function
-    whose name mentions sweeping and whose body unlinks segments."""
-    for qualname, fn in mod.functions.items():
-        leaf = qualname.rsplit(".", 1)[-1].lower()
-        if "sweep" not in leaf:
-            continue
-        for node in shallow_nodes(fn.node):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr == "unlink":
-                    return True
-    return False
 
 
 def _ancestors(
@@ -1005,140 +950,6 @@ def _contains(haystack: Iterable[ast.stmt], needle: ast.AST) -> bool:
             if node is needle:
                 return True
     return False
-
-
-def _creates_segment(
-    expr: ast.expr,
-    mod: _Module,
-    fn: FunctionInfo,
-    program: _Program,
-    shadowed: set[str],
-    creators: set[str],
-) -> bool:
-    for inner in ast.walk(expr):
-        if isinstance(inner, ast.Call):
-            if _is_shm_create(inner, mod):
-                return True
-            if _resolve_call(inner, mod, fn, program, shadowed) in creators:
-                return True
-    return False
-
-
-def _check_mr105(
-    mod: _Module,
-    program: _Program,
-    creators: set[str],
-    findings: list[Finding],
-) -> None:
-    module_swept = _has_sweeper(mod)
-    for fn in sorted(mod.functions.values(), key=lambda f: f.qualname):
-        fid = f"{mod.name}::{fn.qualname}"
-        if fid in creators:  # the helper's create escapes by design
-            continue
-        shadowed = _value_locals(fn)
-        parents: dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(fn.node):
-            for child in ast.iter_child_nodes(parent):
-                parents[child] = parent
-
-        for node in shallow_nodes(fn.node):
-            if not (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and _creates_segment(
-                    node.value, mod, fn, program, shadowed, creators
-                )
-            ):
-                continue
-            var = node.targets[0].id
-            releases: list[ast.AST] = []
-            escapes = False
-            for use in ast.walk(fn.node):
-                if isinstance(use, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if use is not fn.node and any(
-                        isinstance(n, ast.Name) and n.id == var
-                        for n in ast.walk(use)
-                    ):
-                        escapes = True  # captured by a closure: ownership unclear
-                if not (
-                    isinstance(use, ast.Name)
-                    and use.id == var
-                    and isinstance(use.ctx, ast.Load)
-                ):
-                    continue
-                holder = parents.get(use)
-                if isinstance(holder, ast.Attribute):
-                    grand = parents.get(holder)
-                    if (
-                        holder.attr in ("close", "unlink")
-                        and isinstance(grand, ast.Call)
-                        and grand.func is holder
-                    ):
-                        releases.append(grand)
-                    continue  # attribute reads (.buf, .name) do not escape
-                escapes = True
-            if escapes:
-                continue
-            if not releases:
-                findings.append(
-                    Finding(
-                        "MR105",
-                        mod.path,
-                        node.lineno,
-                        node.col_offset,
-                        fn.qualname,
-                        f"shared-memory segment {var!r} is created but never "
-                        "closed/unlinked in this function — the segment "
-                        "outlives the process in /dev/shm",
-                    )
-                )
-                continue
-            protected = False
-            for release in releases:
-                for ancestor in _ancestors(release, parents):
-                    if not isinstance(ancestor, ast.Try):
-                        continue
-                    in_final = _contains(ancestor.finalbody, release)
-                    in_handler = any(
-                        _contains(handler.body, release)
-                        for handler in ancestor.handlers
-                    )
-                    if (in_final or in_handler) and _contains(ancestor.body, node):
-                        protected = True
-                        break
-                if protected:
-                    break
-            if not protected:
-                # adjacent create/release leaves no raising statement in
-                # between; treat as safe
-                holder = parents.get(node)
-                body = getattr(holder, "body", None)
-                if isinstance(body, list) and node in body:
-                    index = body.index(node)
-                    if index + 1 < len(body) and any(
-                        release in ast.walk(body[index + 1]) for release in releases
-                    ):
-                        protected = True
-            if not protected and not module_swept:
-                findings.append(
-                    Finding(
-                        "MR105",
-                        mod.path,
-                        node.lineno,
-                        node.col_offset,
-                        fn.qualname,
-                        f"shared-memory segment {var!r} leaks if an exception "
-                        "is raised between create and close/unlink — release "
-                        "it in a finally block, or give the module an orphan "
-                        "sweep (a *sweep* function that unlinks by prefix)",
-                    )
-                )
-
-
-# ---------------------------------------------------------------------------
-# MR106: charged-memory release discipline
-# ---------------------------------------------------------------------------
 
 
 def _charge_sites(fn: FunctionInfo) -> dict[str, list[ast.stmt]]:
@@ -1315,14 +1126,12 @@ def analyze_paths(
     findings: list[Finding] = []
     edges = _call_graph(program)
     _check_mr101(program, edges, findings)
-    creators = _creator_fids(program)
     for mod in program.modules:
         shapes = _emit_shapes(mod)
         if shapes.sites:
             _check_mr102(mod, shapes, findings)
             _check_mr103(mod, shapes, findings)
         _check_mr104(mod, program, registry, findings)
-        _check_mr105(mod, program, creators, findings)
         _check_mr106(mod, findings)
     by_path: dict[str, list[Finding]] = {}
     for finding in findings:

@@ -38,11 +38,6 @@ MR007    silent exception swallowing in MR/kernel code (bare
          ``except:`` or ``except Exception: pass``) — a swallowed task
          failure looks like success, defeating the retry layer and
          corrupting output silently
-MR008    per-record work inside a loop of a *batch-path* module
-         (``batch``/``stage2`` files): ``pickle.dumps`` per record or a
-         scalar ``verify_pair`` call in a loop — the batch layer exists
-         to amortize exactly these; serialize once per bucket
-         (protocol 5) and verify via ``TokenBatch``/``verify_rows``
 MR009    unused ``# mrlint: disable=...`` suppression pragma (the
          pragma silenced nothing on its line; remove it)
 =======  ==============================================================
@@ -103,7 +98,6 @@ RULES: dict[str, str] = {
     "MR005": "Stage-2 emit key is not a composite (group, length, ...) tuple",
     "MR006": "MR function declares a mutable default argument",
     "MR007": "MR/kernel code silently swallows exceptions (defeats retry layer)",
-    "MR008": "per-record pickle.dumps / scalar verify_pair loop in a batch-path module",
     "MR009": "unused mrlint suppression pragma (silenced nothing on its line)",
 }
 
@@ -482,54 +476,6 @@ def _check_mr007(fn: FunctionInfo, emit: list[Finding], path: str) -> None:
         )
 
 
-def _check_mr008(fn: FunctionInfo, emit: list[Finding], path: str) -> None:
-    """Per-record serialization or scalar verification inside loops of
-    batch-path modules.
-
-    The columnar batch layer (``core.batch``, the stage2 reducers)
-    exists to amortize serialization and verification over whole
-    blocks; a ``pickle.dumps`` per record or a scalar ``verify_pair``
-    call inside a loop quietly reintroduces the per-record cost the
-    layer removed.  Deliberately scoped to ``batch``/``stage2`` module
-    names: the executor's one-``dumps``-per-bucket shuffle is the
-    sanctioned batch form of the same call.
-    """
-    seen: set[tuple[int, int]] = set()
-    for node in shallow_nodes(fn.node):
-        if not isinstance(node, (ast.For, ast.While)):
-            continue
-        for inner in ast.walk(node):
-            if not isinstance(inner, ast.Call):
-                continue
-            func = inner.func
-            if isinstance(func, ast.Name) and func.id == "verify_pair":
-                what = "scalar verify_pair() in a loop"
-            elif (
-                isinstance(func, ast.Attribute)
-                and func.attr == "dumps"
-                and root_name(func) == "pickle"
-            ):
-                what = "per-record pickle.dumps() in a loop"
-            else:
-                continue
-            where = (inner.lineno, inner.col_offset)
-            if where in seen:
-                continue
-            seen.add(where)
-            emit.append(
-                Finding(
-                    "MR008",
-                    path,
-                    inner.lineno,
-                    inner.col_offset,
-                    fn.qualname,
-                    f"{what} defeats the columnar batch layer — serialize "
-                    "once per bucket (protocol 5) or verify through "
-                    "TokenBatch/verify_rows",
-                )
-            )
-
-
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
@@ -560,7 +506,6 @@ def lint_source(source: str, path: str = "<string>") -> list[Finding]:
     bindings = ImportBindings.collect(tree)
     basename = os.path.basename(path)
     is_stage2 = "stage2" in basename
-    is_batch_path = "batch" in basename or "stage2" in basename
     findings: list[Finding] = []
     for fn in discover_functions(tree):
         if not (fn.is_mr or fn.is_kernel):
@@ -579,8 +524,6 @@ def lint_source(source: str, path: str = "<string>") -> list[Finding]:
         if fn.is_mr or fn.is_kernel:
             _check_mr003(fn, bindings, local_names, findings, path)
             _check_mr007(fn, findings, path)
-            if is_batch_path:
-                _check_mr008(fn, findings, path)
         if fn.is_kernel and not fn.is_mr:
             _check_mr002(fn, findings, path)
     suppressions = Suppressions.parse(source)

@@ -47,8 +47,7 @@ def format_executor_summary(summary: dict, title: str = "executor") -> str:
         util = summary["busy_s"] / (summary["pool_wall_s"] or 1.0)
     headers = [
         "pools", "pooled", "inline", "tasks", "chunks",
-        "to_workers_kb", "from_workers_kb", "spill_kb", "shm_kb",
-        "fallbacks", "util",
+        "to_workers_kb", "from_workers_kb", "spill_kb", "util",
     ]
     row = [
         summary.get("pools_created", 0),
@@ -59,8 +58,6 @@ def format_executor_summary(summary: dict, title: str = "executor") -> str:
         summary.get("bytes_to_workers", 0) / 1024.0,
         summary.get("bytes_from_workers", 0) / 1024.0,
         summary.get("spill_bytes_written", 0) / 1024.0,
-        summary.get("shm_bytes", 0) / 1024.0,
-        summary.get("shm_fallbacks", 0),
         util,
     ]
     return format_table(headers, [row], title=title)
@@ -84,20 +81,17 @@ def format_filter_counters(pruned: dict, title: str = "stage2 filters") -> str:
 
 def format_plan_counters(counters: dict, title: str = "adaptive plan") -> str:
     """Render the ``plan.*`` counters of a skew-adaptive run as one
-    table row: chosen routing, token groups, batch size, hot groups
-    split (and their shard factor) and the records sampled by the
-    planner.  Returns ``""`` when the run was not adaptive (no
+    table row: chosen routing, token groups, hot groups split (and
+    their shard factor) and the records sampled by the planner.  Returns ``""`` when the run was not adaptive (no
     ``plan.sampled_records`` counter)."""
     if "plan.sampled_records" not in counters:
         return ""
     routing = "grouped" if counters.get("plan.routing_grouped") else "individual"
     groups = counters.get("plan.num_groups", 0) or "-"
-    batch = counters.get("plan.batch_size", 0) or "scalar"
-    headers = ["routing", "groups", "batch", "splits", "factor", "sampled"]
+    headers = ["routing", "groups", "splits", "factor", "sampled"]
     row = [
         routing,
         groups,
-        batch,
         counters.get("plan.splits", 0),
         counters.get("plan.split_factor", 0) or "-",
         counters.get("plan.sampled_records", 0),

@@ -46,8 +46,8 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                         help="token groups for --routing grouped")
     parser.add_argument("--adaptive", action="store_true",
                         help="skew-adaptive planning: sample the input, "
-                             "choose routing/num-groups/batch-size from a "
-                             "cost model, and split hot Stage-2 token "
+                             "choose routing/num-groups from a cost "
+                             "model, and split hot Stage-2 token "
                              "groups across reducers; output is identical "
                              "to the static plan")
     parser.add_argument("--split-threshold", type=float, default=2.0,
@@ -83,18 +83,6 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                              "(on by default; output is identical either way)")
     parser.add_argument("--bitmap-width", type=int, default=64,
                         help="bitmap signature width in bits (default: 64)")
-    parser.add_argument("--batch-size", type=int, default=64, metavar="N",
-                        help="columnar batch size for the Stage-2 kernels "
-                             "(default: 64); 0 selects the scalar "
-                             "pair-at-a-time path — output is identical "
-                             "either way")
-    parser.add_argument("--shuffle-transport", default="shm",
-                        choices=["shm", "disk"],
-                        help="intermediate-data transport of --parallel runs: "
-                             "zero-copy shared-memory segments (default) or "
-                             "disk spill files; shm falls back to disk "
-                             "automatically when /dev/shm is unavailable; "
-                             "output is byte-identical either way")
     parser.add_argument("--dfs-dir", default=None, metavar="PATH",
                         help="back the DFS with this directory instead of RAM")
     parser.add_argument("--sanitize", action="store_true",
@@ -106,14 +94,14 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                         metavar="MB",
                         help="per-task memory budget for plan-time admission: "
                              "estimate Stage-2 reducer footprints from the "
-                             "prefix sample and pre-select routing, Section-5 "
-                             "blocks and batch size to fit; pairs are "
-                             "identical with or without a budget")
+                             "prefix sample and pre-select routing and "
+                             "Section-5 blocks to fit; pairs are identical "
+                             "with or without a budget")
     parser.add_argument("--no-auto-degrade", action="store_true",
                         help="fail fast on Stage-2 memory exhaustion instead "
                              "of degrading the plan down the escalation "
-                             "ladder (finer routing -> BK kernel -> blocks -> "
-                             "scalar) and re-running the stage")
+                             "ladder (finer routing -> BK kernel -> blocks) "
+                             "and re-running the stage")
     parser.add_argument("--max-replan-retries", type=int, default=6,
                         metavar="N",
                         help="escalation-ladder rungs allowed before a "
@@ -185,8 +173,6 @@ def _build_config(args: argparse.Namespace) -> JoinConfig:
         token_encoding=args.token_encoding,
         bitmap_filter=not args.no_bitmap_filter,
         bitmap_width=args.bitmap_width,
-        batch_size=args.batch_size or None,
-        shuffle_transport=args.shuffle_transport,
         sanitize=args.sanitize,
         adaptive=args.adaptive,
         split_threshold=args.split_threshold,
@@ -229,7 +215,7 @@ def _make_cluster(args: argparse.Namespace) -> SimulatedCluster:
 
         return PersistentParallelCluster(
             ClusterConfig(num_nodes=num_nodes), dfs, workers=args.parallel,
-            transport=args.shuffle_transport, **faults,
+            **faults,
         )
     return SimulatedCluster(ClusterConfig(num_nodes=num_nodes), dfs, **faults)
 
@@ -707,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="finding output format (default: text)")
     p_lint.add_argument("--flow", action="store_true",
                         help="also run the interprocedural mrflow analysis "
-                             "(MR101-MR105) over the same paths")
+                             "(MR1xx) over the same paths")
     p_lint.set_defaults(func=_cmd_lint)
 
     p_flow = sub.add_parser(

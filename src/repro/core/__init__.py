@@ -25,8 +25,7 @@ from repro.core.similarity import (
     get_similarity_function,
 )
 from repro.core.ordering import TokenOrder, count_token_frequencies
-from repro.core.verification import intersection_size, overlap, verify_pair
-from repro.core.batch import TokenBatch, batch_spans, verify_rows
+from repro.core.verification import overlap, verify_pair
 from repro.core.bitmaps import overlap_upper_bound, signature as bitmap_signature
 from repro.core.filters import (
     length_bounds,
@@ -53,19 +52,16 @@ __all__ = [
     "PPJoinIndex",
     "QGramTokenizer",
     "SimilarityFunction",
-    "TokenBatch",
     "TokenOrder",
     "Tokenizer",
     "WordTokenizer",
     "allpairs_self_join",
-    "batch_spans",
     "bitmap_signature",
     "candidate_probability",
     "clean_text",
     "count_token_frequencies",
     "edit_distance_self_join",
     "get_similarity_function",
-    "intersection_size",
     "length_bounds",
     "levenshtein",
     "minhash_lsh_self_join",
@@ -78,5 +74,4 @@ __all__ = [
     "ppjoin_self_join",
     "suffix_filter_passes",
     "verify_pair",
-    "verify_rows",
 ]

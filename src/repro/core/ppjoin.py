@@ -37,13 +37,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis -> core)
     from repro.analysis.sanitize import Sanitizer
-    from repro.core.batch import TokenBatch
 
-from repro.core.batch import REL_R
 from repro.core.bitmaps import signature as bitmap_signature
 from repro.core.filters import (
     positional_filter_passes,
@@ -93,7 +91,10 @@ class PPJoinIndex:
 
     ``filter_stats`` counts candidates pruned per filter stage
     (``length`` at posting-hit granularity, ``bitmap``/``positional``/
-    ``suffix`` once per candidate pair).
+    ``suffix`` once per candidate pair) and, under ``candidates``, the
+    distinct entries per probe that survived the length filter — each
+    of which ends either pruned by one of the three later filters or
+    handed to verification.
 
     ``sanitizer`` (see :mod:`repro.analysis.sanitize`) attaches the
     runtime admissibility oracle: a deterministic sample of pruned
@@ -145,8 +146,10 @@ class PPJoinIndex:
         self.peak_live_entries = 0
         #: approximate bytes of live (non-evicted) entries, for memory metering
         self.live_bytes = 0
-        #: candidates pruned per filter stage
-        self.filter_stats = {"length": 0, "bitmap": 0, "positional": 0, "suffix": 0}
+        #: post-length-filter candidates, and prunes per filter stage
+        self.filter_stats = {
+            "candidates": 0, "length": 0, "bitmap": 0, "positional": 0, "suffix": 0,
+        }
 
     # -- size / memory accounting -------------------------------------
 
@@ -195,13 +198,10 @@ class PPJoinIndex:
             return
         entry_id = len(self._rids)
         self._rids.append(rid)
-        # tuples, array('i') and flat-batch memoryviews are kept as-is
-        # (all slice cheaply without copying the payload); only mutable
-        # lists are defensively copied
+        # tuples and array('i') are kept as-is (both slice cheaply);
+        # only mutable lists are defensively copied
         self._tokens.append(
-            tokens
-            if isinstance(tokens, (tuple, array, memoryview))
-            else tuple(tokens)
+            tokens if isinstance(tokens, (tuple, array)) else tuple(tokens)
         )
         self._sizes.append(n)
         if self.mode == "self":
@@ -360,8 +360,9 @@ class PPJoinIndex:
                     state[0] = current + 1
                     state[1] = i
                     state[2] = j
-        if p_length or p_bitmap or p_positional or p_suffix:
+        if p_length or pruned or candidates:
             stats = self.filter_stats
+            stats["candidates"] += len(pruned) + len(candidates)
             stats["length"] += p_length
             stats["bitmap"] += p_bitmap
             stats["positional"] += p_positional
@@ -407,61 +408,6 @@ class PPJoinIndex:
                 similarity = sim.similarity_from_overlap(n_true, ny, total)
                 results.append((self._rids[entry_id], similarity))
         return results
-
-    # -- batch driving -------------------------------------------------
-
-    def probe_batch(
-        self,
-        batch: "TokenBatch",
-        start: int,
-        stop: int,
-        emit: "Callable[[int, int, float], None]",
-        meter: "Callable[[], None] | None" = None,
-        tagged: bool = False,
-    ) -> None:
-        """Drive the index with rows ``[start, stop)`` of a columnar
-        :class:`~repro.core.batch.TokenBatch`.
-
-        Rows are processed in batch order against zero-copy views of
-        the flat token array — no per-record tuple is materialized on
-        either the probe or the index side.  Semantics per row follow
-        the index mode exactly:
-
-        * ``self`` — probe then add (the record joins the index for
-          every later row, matching the scalar probe/add loop);
-        * ``self`` with ``tagged=True`` — the split-group variant: each
-          row performs exactly one role by its relation tag (``REL_R``
-          rows add, others probe), because a split shard carries every
-          record twice — a replicated add copy and an at-home probe
-          copy — instead of one dual-role copy;
-        * ``rs`` — rows tagged ``REL_R`` are added, others probe with
-          their recorded true set size (S-side token dropping).
-
-        ``emit(row, other_rid, similarity)`` receives each match;
-        ``meter()`` (if given) runs after every row so callers can keep
-        the scalar kernels' per-record memory accounting and OOM
-        timing.  Results, filter stats and eviction behavior are
-        bit-identical to calling :meth:`probe`/:meth:`add` row by row —
-        this method *is* that loop, minus the per-record allocation.
-        """
-        rels = batch.rels
-        rids = batch.rids
-        true_sizes = batch.true_sizes
-        sigs = batch.sigs
-        self_mode = self.mode == "self" and not tagged
-        for row in range(start, stop):
-            tokens = batch.view(row)
-            rid = rids[row]
-            sig = sigs[row]
-            if self_mode or rels[row] != REL_R:
-                for other_rid, similarity in self.probe(
-                    rid, tokens, true_size=true_sizes[row], signature=sig
-                ):
-                    emit(row, other_rid, similarity)
-            if self_mode or rels[row] == REL_R:
-                self.add(rid, tokens, signature=sig)
-            if meter is not None:
-                meter()
 
 
 def _sorted_by_size(projections: Iterable[Projection]) -> list[Projection]:

@@ -15,15 +15,6 @@ order works, so verification sorts by token text when called with
 unsorted sets.  The merge is element-type generic: rank-encoded
 ``array('i')`` / ``tuple[int]`` (integer compares, the fast path) and
 lexicographically sorted ``tuple[str]`` behave identically.
-
-The batch-columnar layer (:mod:`repro.core.batch`) replaces the
-per-pair Python merge with one C-level set intersection per pair
-(:func:`intersection_size`).  Because :func:`overlap` early-aborts
-*only* when the result is provably below ``required`` and is exact
-otherwise, any consumer that compares the result against ``required``
-and then derives a similarity behaves bit-for-bit identically with the
-exact cardinality — which is how the batch kernels stay a drop-in
-replacement for this module.
 """
 
 from __future__ import annotations
@@ -55,18 +46,6 @@ def overlap(x: Sequence, y: Sequence, required: int = 1) -> int:
         else:
             j += 1
     return count
-
-
-def intersection_size(x: Sequence, y: Sequence) -> int:
-    """Exact ``|x ∩ y|`` via one C-level set intersection.
-
-    Token sequences are duplicate-free (tokenizer contract), so this
-    equals the merge-based :func:`overlap` with ``required=1`` — but
-    without the per-element Python loop.  The batch kernels use it
-    (via cached frozensets) wherever :func:`overlap`'s early abort
-    cannot change the outcome.
-    """
-    return len(frozenset(x) & frozenset(y))
 
 
 def verify_pair(

@@ -35,7 +35,6 @@ KERNELS = ("bk", "pk")
 ROUTINGS = ("individual", "grouped")
 STAGE3_ALGORITHMS = ("brj", "oprj")
 TOKEN_ENCODINGS = ("rank", "string")
-SHUFFLE_TRANSPORTS = ("shm", "disk")
 
 
 @dataclass
@@ -82,30 +81,12 @@ class JoinConfig:
     #: signature width in bits for ``bitmap_filter`` (wider = fewer
     #: collisions = more pruning, slightly larger shuffle records)
     bitmap_width: int = 64
-    #: columnar batch size for the Stage-2 kernels: the main BK/PK
-    #: reducers pack this many projections into one contiguous
-    #: :class:`repro.core.batch.TokenBatch` block and verify against
-    #: zero-copy views of the flat token array.  ``None`` selects the
-    #: scalar pair-at-a-time path, which produces bit-identical pairs
-    #: and filter counters (differential-tested) and serves as the
-    #: oracle.  Section-5 block/length-class reducers always run scalar.
-    batch_size: int | None = 64
-    #: transport of map->reduce intermediate data on the persistent
-    #: parallel engine: ``"shm"`` routes partition buckets through
-    #: ``multiprocessing.shared_memory`` segments (serialized once in
-    #: the map worker, attached read-only by reduce workers — the
-    #: parent only moves segment names and offsets), ``"disk"`` keeps
-    #: the spill-file shuffle.  shm automatically falls back to disk
-    #: per task when ``/dev/shm`` is unavailable or segment creation
-    #: fails, and engine-wide after fault degradation; outputs are
-    #: byte-identical either way.  Ignored by the other engines.
-    shuffle_transport: str = "shm"
     #: skew-adaptive planning (arXiv:1804.05615): before any job runs,
     #: the driver draws a deterministic seeded sample of the input,
     #: estimates the prefix-token frequency distribution
     #: (:func:`repro.join.estimate.sample_prefix_frequencies`) and lets
-    #: :func:`repro.join.planner.plan_stage2` pick routing, group count
-    #: and batch size for this workload — and mark hot token groups for
+    #: :func:`repro.join.planner.plan_stage2` pick routing and group
+    #: count for this workload — and mark hot token groups for
     #: run-time splitting.  Emitted pairs and filter counters are
     #: bit-identical to the static plan (differential-tested).
     adaptive: bool = False
@@ -126,16 +107,16 @@ class JoinConfig:
     #: plan-time memory admission (see :mod:`repro.join.memory`): budget
     #: in megabytes the Stage-2 plan must fit under.  The driver
     #: estimates per-group reducer footprints from the prefix sample and
-    #: pre-selects routing granularity, a Section-5 :class:`BlockPolicy`
-    #: and batch size so the estimated peak stays below the budget.
+    #: pre-selects routing granularity and a Section-5
+    #: :class:`BlockPolicy` so the estimated peak stays below the budget.
     #: ``None`` (default) skips admission; runtime degradation still
     #: applies.  Pairs are identical with or without a budget.
     memory_budget_mb: float | None = None
     #: runtime degradation: when ``True`` (default) the driver treats a
     #: Stage-2 :class:`repro.mapreduce.types.InsufficientMemoryError` as
     #: a plan fault and retries the stage down an escalation ladder
-    #: (finer routing → BK kernel → engage/double blocks → shrink batch
-    #: → scalar); ``False`` restores the raw fail-fast behaviour.
+    #: (finer routing → BK kernel → engage/double blocks); ``False``
+    #: restores the raw fail-fast behaviour.
     auto_degrade: bool = True
     #: bound on driver-level stage replans (escalation-ladder steps)
     #: before the memory error is re-raised to the caller
@@ -168,15 +149,6 @@ class JoinConfig:
         if self.length_class_width is not None and self.length_class_width < 1:
             raise ValueError(
                 f"length_class_width must be >= 1, got {self.length_class_width}"
-            )
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1 or None, got {self.batch_size}"
-            )
-        if self.shuffle_transport not in SHUFFLE_TRANSPORTS:
-            raise ValueError(
-                f"shuffle_transport must be one of {SHUFFLE_TRANSPORTS}, "
-                f"got {self.shuffle_transport!r}"
             )
         if self.split_threshold <= 0:
             raise ValueError(

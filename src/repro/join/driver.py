@@ -22,7 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dataclass_replace
 
-from repro.join.checkpoint import JoinCheckpoint, checkpoint_identity
+from repro.join.checkpoint import (
+    CheckpointMismatchError,
+    JoinCheckpoint,
+    checkpoint_identity,
+)
 from repro.join.config import JoinConfig
 from repro.join.estimate import sample_prefix_frequencies
 from repro.join.memory import (
@@ -63,7 +67,7 @@ class JoinReport:
     #: driver-level counters with no owning job:
     #: ``resume.stages_skipped`` (bumped once per stage restored from a
     #: checkpoint instead of re-run), the ``plan.*`` counters of an
-    #: adaptive run (chosen routing/groups/batch, splits, sample size)
+    #: adaptive run (chosen routing/groups, splits, sample size)
     #: and the ``memory.*`` admission/replan bookkeeping
     extra_counters: dict[str, int] = field(default_factory=dict)
     #: runtime degradation-ladder steps applied after Stage-2 memory
@@ -98,7 +102,11 @@ class JoinReport:
         """Stage-2 filter-effectiveness tallies: candidates pruned by
         each filter stage (``length``/``bitmap``/``positional``/
         ``suffix``) plus the ``candidates`` examined and ``pairs``
-        output.  Zeros for stages that never pruned (e.g. ``bitmap``
+        output.  ``candidates`` counts every cross-product pair for BK
+        (before its length filter) and, for PK, the distinct index
+        entries per probe that survived the length filter — so there
+        ``candidates - bitmap - positional - suffix`` is what reached
+        verification.  Zeros for stages that never pruned (e.g. ``bitmap``
         with ``bitmap_filter=False``, ``suffix`` in PK runs where the
         bitmap bound replaces it).  Sanitizer runs (``sanitize=True`` /
         ``REPRO_SANITIZE=1``) add their check/violation tallies under
@@ -149,13 +157,6 @@ class JoinReport:
             {k: float(v) for k, v in summary.items()},
             prefix="executor.",
         )
-        # shuffle-transport health under stable names (gauges, not job
-        # counters: physical-execution figures differ across engines by
-        # design, while job counters must merge identically everywhere)
-        registry.gauge("shuffle.shm_bytes", float(summary.get("shm_bytes", 0)))
-        registry.gauge(
-            "shuffle.fallback_disk", float(summary.get("shm_fallbacks", 0))
-        )
         return registry
 
     def format_summary(self) -> str:
@@ -180,7 +181,6 @@ class JoinReport:
             lines.append(
                 f"  plan: routing={routing}, "
                 f"groups={counters.get('plan.num_groups', 0) or 'per-token'}, "
-                f"batch={counters.get('plan.batch_size', 0) or 'scalar'}, "
                 f"splits={counters.get('plan.splits', 0)}"
                 f"x{counters.get('plan.split_factor', 0)}, "
                 f"sampled={counters.get('plan.sampled_records', 0):,}"
@@ -225,8 +225,8 @@ def _adaptive_plan(
     With ``config.adaptive`` the raw input is sampled *before any job
     runs* (:func:`sample_prefix_frequencies`) and
     :func:`repro.join.planner.plan_stage2` chooses routing, group
-    count, batch size and hot-group splits; the returned config carries
-    the choices so every stage sees them.  With
+    count and hot-group splits; the returned config carries the
+    choices so every stage sees them.  With
     ``config.memory_budget_mb`` the same sample feeds plan-time memory
     admission (:func:`repro.join.memory.plan_admission`), which may
     further degrade the plan until its estimated Stage-2 peak fits the
@@ -246,28 +246,19 @@ def _adaptive_plan(
             config.blocks is not None or config.length_class_width is not None
         ):
             # Section-5 block/length-class routing has its own key shapes;
-            # keep the plan's routing/batch choices but run unsplit
+            # keep the plan's routing choice but run unsplit
             plan = dataclass_replace(plan, splits=())
         config = config.with_options(
-            routing=plan.routing,
-            num_groups=plan.num_groups,
-            batch_size=plan.batch_size,
+            routing=plan.routing, num_groups=plan.num_groups
         )
     config, plan, admission = plan_admission(sample, config, plan)
     return config, plan, admission
 
 
-def _prepare(cluster: SimulatedCluster, config: JoinConfig, jobs: list) -> None:
-    """Register a whole join's jobs with a persistent-pool cluster and
-    apply the join-level shuffle transport to its executor.
-
-    ``JoinConfig.shuffle_transport`` wins over whatever the cluster was
-    constructed with — the join is the unit benchmarks configure — and
-    is a no-op on engines without an executor (sequential, per-phase
-    fork)."""
-    executor = getattr(cluster, "executor", None)
-    if executor is not None and hasattr(executor, "transport"):
-        executor.transport = config.shuffle_transport
+def _prepare(cluster: SimulatedCluster, stages: list) -> None:
+    """Register a whole join's jobs with a persistent-pool cluster (a
+    no-op on the sequential engine)."""
+    jobs = [job for _, stage_jobs, _, _ in stages for job in stage_jobs]
     prepare = getattr(cluster, "prepare_jobs", None)
     if prepare is not None:
         prepare(jobs)
@@ -310,7 +301,13 @@ def _run_stages(
     if checkpoint is not None:
         steps = checkpoint.memory_steps()
         if steps:
-            config, plan = apply_degradations(config, plan, steps)
+            try:
+                config, plan = apply_degradations(config, plan, steps)
+            except ValueError as exc:
+                raise CheckpointMismatchError(
+                    "checkpoint manifest records a memory step this "
+                    f"version cannot replay: {exc}"
+                ) from exc
             report.memory_steps.extend(steps)
             report.extra_counters[MEMORY_REPLANS] = len(steps)
             report.extra_counters[MEMORY_ESCALATIONS] = len(steps)
@@ -320,9 +317,7 @@ def _run_stages(
                 )
     if steps:
         stages = build(config, plan)
-        _prepare(
-            cluster, config, [job for _, jobs, _, _ in stages for job in jobs]
-        )
+        _prepare(cluster, stages)
     index = 0
     while index < len(stages):
         name, jobs, outputs, span_args = stages[index]
@@ -365,10 +360,7 @@ def _run_stages(
             if checkpoint is not None:
                 checkpoint.save_memory_steps(report.memory_steps)
             stages = build(config, plan)
-            _prepare(
-                cluster, config,
-                [job for _, js, _, _ in stages for job in js],
-            )
+            _prepare(cluster, stages)
             continue
         if checkpoint is not None:
             checkpoint.save_stage(name, cluster.dfs, outputs)
@@ -446,9 +438,7 @@ def ssjoin_self(
         ]
 
     stages = build(config, plan)
-    _prepare(
-        cluster, config, [job for _, jobs, _, _ in stages for job in jobs]
-    )
+    _prepare(cluster, stages)
 
     done: list[str] = []
     if checkpoint is not None:
@@ -535,9 +525,7 @@ def ssjoin_rs(
         ]
 
     stages = build(config, plan)
-    _prepare(
-        cluster, config, [job for _, jobs, _, _ in stages for job in jobs]
-    )
+    _prepare(cluster, stages)
 
     done: list[str] = []
     if checkpoint is not None:

@@ -13,8 +13,8 @@ until the estimated peak fits under the budget: grouped routing is
 refined to individual tokens, the PK kernel falls back to BK (blocks
 are BK-only), a Section-5 :class:`~repro.join.blocks.BlockPolicy` is
 engaged with a block count derived from the budget and a strategy
-chosen by comparing replication cost against local spill I/O, and
-finally the columnar batch is clamped.  The footprint model reuses
+chosen by comparing replication cost against local spill I/O.  The
+footprint model reuses
 :func:`repro.join.blocks.projection_spill_bytes` — the same per-record
 byte model the reduce-based spill path charges — scaled by the sample
 rate.
@@ -31,8 +31,6 @@ from cheapest to most drastic::
     kernel:bk               PK -> BK (unlocks Section-5 blocks)
     blocks:reduce:2         engage block processing
     blocks:<strategy>:<2n>  double the block count (halve block size)
-    batch:<n//2>            shrink the columnar batch
-    batch:none              scalar kernel
     (None)                  ladder exhausted -> re-raise
 
 Every rung preserves bit-identical join output (each is an existing
@@ -97,10 +95,6 @@ _MAX_BLOCKS = 4096
 #: blocks resident in one reduce call: the loaded (indexed) block plus
 #: the probe-side block/stream being joined against it
 _BLOCK_RESIDENCY = 2
-#: smallest batch the ladder halves down to before going scalar
-_MIN_BATCH = 8
-#: batch staging buffer allowance as a fraction of the budget
-_BATCH_BUDGET_FRACTION = 0.25
 #: simulated cost per byte *replicated through the shuffle* by
 #: map-based block processing (network; matches the planner's
 #: ``_SHUFFLE_COST_WEIGHT``)
@@ -144,24 +138,12 @@ def estimate_group_footprints(
     return {route: total * scale for route, total in footprints.items()}
 
 
-def _mean_projection_bytes(sample: "PrefixSample", config: "JoinConfig") -> float:
-    if not sample.token_rank_lists:
-        return 0.0
-    total = sum(
-        projection_spill_bytes(len(ranks), config.bitmap_filter)
-        for ranks in sample.token_rank_lists
-    )
-    return total / len(sample.token_rank_lists)
-
-
 def estimate_peak_bytes(sample: "PrefixSample", config: "JoinConfig") -> int:
     """Estimated per-task Stage-2 reducer memory peak under *config*.
 
     The peak is the largest group footprint — divided across blocks
     when a :class:`BlockPolicy` is engaged (two blocks resident per
-    call) — plus the columnar staging buffer when the batched kernel
-    path is active (Section-5 block reducers always run scalar, so the
-    buffer term drops out once blocks are engaged).
+    call).
     """
     footprints = estimate_group_footprints(sample, config)
     if not footprints:
@@ -169,8 +151,6 @@ def estimate_peak_bytes(sample: "PrefixSample", config: "JoinConfig") -> int:
     peak = max(footprints.values())
     if config.blocks is not None:
         peak = _BLOCK_RESIDENCY * peak / config.blocks.num_blocks
-    if config.batch_size is not None and config.blocks is None:
-        peak += config.batch_size * _mean_projection_bytes(sample, config)
     return int(math.ceil(peak))
 
 
@@ -213,8 +193,7 @@ def apply_step(
     * ``kernel:bk`` — PK -> BK kernel fallback;
     * ``blocks:<map|reduce>:<n>`` — engage / resize Section-5 block
       processing (clears ``length_class_width``, the alternative
-      Section-5 strategy, and hot-group splits);
-    * ``batch:<n>`` / ``batch:none`` — clamp the columnar batch.
+      Section-5 strategy, and hot-group splits).
 
     Returns a new pair; the inputs are never mutated.
     """
@@ -242,12 +221,6 @@ def apply_step(
         )
         if plan is not None and plan.splits:
             plan = dataclass_replace(plan, splits=())
-        return config, plan
-    if kind == "batch":
-        batch = None if arg == "none" else int(arg)
-        config = config.with_options(batch_size=batch)
-        if plan is not None:
-            plan = dataclass_replace(plan, batch_size=batch)
         return config, plan
     raise ValueError(f"unknown degradation step {step!r}")
 
@@ -277,10 +250,6 @@ def next_escalation(config: "JoinConfig") -> str | None:
         return f"blocks:{REDUCE_BASED}:2"
     if config.blocks.num_blocks < _MAX_BLOCKS:
         return f"blocks:{config.blocks.strategy}:{config.blocks.num_blocks * 2}"
-    if config.batch_size is not None and config.batch_size > _MIN_BATCH:
-        return f"batch:{config.batch_size // 2}"
-    if config.batch_size is not None:
-        return "batch:none"
     return None
 
 
@@ -293,8 +262,8 @@ def _admission_step(
     """The next *static* degradation for an over-budget estimate.
 
     Unlike the runtime ladder, admission sees the footprint estimate,
-    so block count and batch clamp are computed in one shot instead of
-    searched by doubling/halving.
+    so the block count is computed in one shot instead of searched by
+    doubling.
     """
     if config.routing == "grouped" and config.num_groups is not None:
         return "routing:individual"
@@ -310,15 +279,6 @@ def _admission_step(
         if config.blocks is None or config.blocks.num_blocks < num_blocks:
             strategy = choose_block_strategy(sum(footprints.values()), num_blocks)
             return f"blocks:{strategy}:{num_blocks}"
-    if config.batch_size is not None and config.blocks is None:
-        mean = _mean_projection_bytes(sample, config)
-        fit = (
-            int(_BATCH_BUDGET_FRACTION * allowance / mean) if mean > 0 else 0
-        )
-        if fit >= 1 and fit < config.batch_size:
-            return f"batch:{fit}"
-        if fit < 1:
-            return "batch:none"
     return None
 
 

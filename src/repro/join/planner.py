@@ -19,7 +19,7 @@ task memory, in which case OPRJ's map-side join is suggested.
 :func:`plan_stage2` is the skew-adaptive layer on top
 (arXiv:1804.05615): given a :class:`repro.join.estimate.PrefixSample`
 it estimates per-routing-key reduce loads, chooses routing mode /
-group count / batch size by a makespan + shuffle cost model, and marks
+group count by a makespan + shuffle cost model, and marks
 token groups whose load dominates a reduce wave for run-time splitting
 across ``split_factor`` reducer shards — the point where extra
 replication buys a shorter critical path in the Afrati/Ullman
@@ -106,10 +106,6 @@ _SHUFFLE_COST_WEIGHT = 0.5
 #: the critical path at roughly the cost of a few candidate scans each
 _MAP_EMIT_COST = 1.5
 
-#: below this mean route load the columnar batch path's block-assembly
-#: overhead outweighs its verification speedup
-_BATCH_MIN_MEAN_ROUTE_LOAD = 8.0
-
 #: cost of one verification that survives the filters, relative to one
 #: shuffled/inserted record — verify walks both token arrays and emits,
 #: an insert appends to a few posting lists
@@ -141,7 +137,6 @@ class Stage2Plan:
 
     routing: str
     num_groups: int | None
-    batch_size: int | None
     #: ``(token, shard_count)`` per hot group, deterministic order
     splits: tuple[tuple[str, int], ...] = field(default=())
     sampled_records: int = 0
@@ -149,7 +144,6 @@ class Stage2Plan:
     def counters(self) -> dict[str, int]:
         """The ``plan.*`` counters surfaced through JoinReport."""
         return {
-            "plan.batch_size": self.batch_size or 0,
             "plan.num_groups": self.num_groups or 0,
             "plan.routing_grouped": 1 if self.routing == "grouped" else 0,
             "plan.sampled_records": self.sampled_records,
@@ -330,13 +324,12 @@ def plan_stage2(
         return Stage2Plan(
             routing=config.routing,
             num_groups=config.num_groups,
-            batch_size=config.batch_size,
             splits=(),
             sampled_records=sample.records_sampled,
         )
     ind_profile = _route_profiles(sample, None, config)
 
-    candidates: list[tuple[float, str, int | None, list[int], _RouteProfile]] = []
+    candidates: list[tuple[float, str, int | None, list[int]]] = []
     ind_hot = _pick_splits(
         ind_profile.work, ind_profile.records,
         num_reducers, config.split_threshold, config.split_factor,
@@ -344,7 +337,7 @@ def plan_stage2(
     ind_splits, ind_cost = _admit_splits(
         ind_profile, ind_hot, num_reducers, config.split_factor
     )
-    candidates.append((ind_cost, "individual", None, ind_splits, ind_profile))
+    candidates.append((ind_cost, "individual", None, ind_splits))
     for factor in _GROUPED_CANDIDATE_FACTORS:
         num_groups = max(1, num_reducers * factor)
         if num_groups >= len(sample.order):
@@ -357,10 +350,10 @@ def plan_stage2(
         splits, cost = _admit_splits(
             profile, hot, num_reducers, config.split_factor
         )
-        candidates.append((cost, "grouped", num_groups, splits, profile))
+        candidates.append((cost, "grouped", num_groups, splits))
 
     best = min(candidates, key=lambda c: c[0])
-    _cost, routing, num_groups, split_routes, profile = best
+    _cost, routing, num_groups, split_routes = best
 
     # resolve split routes to token names the runtime can re-anchor on
     # the real Stage-1 order
@@ -381,17 +374,9 @@ def plan_stage2(
             heaviest[g][1] for g in split_routes if g in heaviest
         ]
 
-    total_load = sum(profile.records.values())
-    mean_route_load = total_load / max(1, len(profile.records))
-    if mean_route_load < _BATCH_MIN_MEAN_ROUTE_LOAD:
-        batch_size: int | None = None
-    else:
-        batch_size = config.batch_size or 64
-
     return Stage2Plan(
         routing=routing,
         num_groups=num_groups,
-        batch_size=batch_size,
         splits=tuple((token, config.split_factor) for token in split_tokens),
         sampled_records=sample.records_sampled,
     )

@@ -14,6 +14,10 @@ from dataclasses import dataclass
 
 FIELD_SEP = "\t"
 
+#: Relation tags inside Stage-2 keys and wire values (R sorts before S).
+REL_R = 0
+REL_S = 1
+
 
 @dataclass(frozen=True)
 class RecordSchema:

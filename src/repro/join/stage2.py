@@ -61,7 +61,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.analysis.sanitize import Sanitizer, make_sanitizer
-from repro.core.batch import REL_R, REL_S, TokenBatch, batch_spans
 from repro.core.bitmaps import overlap_upper_bound, signature as bitmap_signature
 from repro.core.ordering import TokenOrder
 from repro.core.ppjoin import PPJoinIndex
@@ -77,7 +76,7 @@ from repro.join.blocks import (
     projection_spill_bytes,
 )
 from repro.join.config import JoinConfig
-from repro.join.records import join_value, rid_of
+from repro.join.records import REL_R, REL_S, join_value, rid_of
 from repro.mapreduce.hashing import shard_of, shard_partition
 from repro.mapreduce.job import Context, MapReduceJob
 
@@ -87,10 +86,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: user counters
 CANDIDATE_PAIRS = "stage2.candidate_pairs"
 PAIRS_OUTPUT = "stage2.pairs_output"
-#: columnar blocks packed by the batched reducers (a pure function of
-#: the group sizes and ``batch_size``, so it merges identically on
-#: every engine — safe to compare cross-engine like the other counters)
-STAGE2_BATCHES = "stage2.batches"
 #: candidates pruned per filter stage (filter-effectiveness counters)
 PRUNED_LENGTH = "stage2.pruned_length"
 PRUNED_BITMAP = "stage2.pruned_bitmap"
@@ -99,6 +94,7 @@ PRUNED_SUFFIX = "stage2.pruned_suffix"
 
 #: PPJoinIndex.filter_stats key -> counter name
 FILTER_COUNTERS = {
+    "candidates": CANDIDATE_PAIRS,
     "length": PRUNED_LENGTH,
     "bitmap": PRUNED_BITMAP,
     "positional": PRUNED_POSITIONAL,
@@ -107,7 +103,8 @@ FILTER_COUNTERS = {
 
 
 def merge_index_filter_stats(ctx: Context, index: PPJoinIndex) -> None:
-    """Fold a PK index's per-filter prune tallies into the job counters."""
+    """Fold a PK index's candidate and per-filter prune tallies into the
+    job counters."""
     for stage, count in index.filter_stats.items():
         if count:
             ctx.counters.increment(FILTER_COUNTERS[stage], count)
@@ -143,11 +140,6 @@ def _projection_size(value: tuple) -> int:
 
 def _projection_rel(value: tuple) -> int:
     return value[0]
-
-# Relation tags inside keys/values (R sorts before S); canonical
-# definitions live in repro.core.batch, re-exported here because the
-# Stage-2 modules are their historical home.
-assert REL_R == 0 and REL_S == 1
 
 
 # ---------------------------------------------------------------------------
@@ -368,52 +360,6 @@ def bk_verify(
     return similarity if similarity >= threshold else None
 
 
-def bk_verify_block(
-    b1: TokenBatch,
-    i1: int,
-    b2: TokenBatch,
-    i2: int,
-    config: JoinConfig,
-    counters=None,
-    sanitizer: Sanitizer | None = None,
-) -> float | None:
-    """:func:`bk_verify` over columnar block rows.
-
-    Filter order, counter increments and sanitizer probes mirror the
-    scalar function exactly; the O(n) Python merge is replaced by one
-    exact C-level intersection (:meth:`TokenBatch.overlap`).  Because
-    :func:`repro.core.verification.overlap` early-aborts only when the
-    result is provably below ``alpha``, branching on the exact
-    cardinality takes the same path every time — decisions, similarity
-    values and counters are bit-identical (differential-tested).
-    """
-    sim, threshold = config.sim, config.threshold
-    n1 = b1.true_sizes[i1]
-    n2 = b2.true_sizes[i2]
-    lo, hi = sim.length_bounds(n1, threshold)
-    if not lo <= n2 <= hi:
-        if counters is not None:
-            counters.increment(PRUNED_LENGTH)
-        if sanitizer is not None:
-            sanitizer.check_prune("length", b1.view(i1), n1, b2.view(i2), n2)
-        return None
-    alpha = sim.overlap_threshold(n1, n2, threshold)
-    sig1 = b1.sigs[i1]
-    sig2 = b2.sigs[i2]
-    if sig1 is not None and sig2 is not None:
-        if overlap_upper_bound(b1.size(i1), b2.size(i2), sig1, sig2) < alpha:
-            if counters is not None:
-                counters.increment(PRUNED_BITMAP)
-            if sanitizer is not None:
-                sanitizer.check_prune("bitmap", b1.view(i1), n1, b2.view(i2), n2)
-            return None
-    common = b1.overlap(i1, b2, i2)
-    if common < alpha:
-        return None
-    similarity = sim.similarity_from_overlap(n1, n2, common)
-    return similarity if similarity >= threshold else None
-
-
 def _write_self_pair(ctx: Context, rid1: int, rid2: int, similarity: float) -> None:
     low, high = (rid1, rid2) if rid1 < rid2 else (rid2, rid1)
     ctx.write((low, high, similarity))
@@ -426,16 +372,7 @@ def _write_self_pair(ctx: Context, rid1: int, rid2: int, similarity: float) -> N
 
 
 def make_bk_self_reducer(config: JoinConfig) -> Callable:
-    """Basic Kernel: nested-loop verification of the whole group.
-
-    With ``config.batch_size`` set (the default) the group is packed
-    into columnar :class:`TokenBatch` blocks and the cross product runs
-    over block rows (:func:`bk_verify_block`); ``batch_size=None``
-    keeps the scalar pair-at-a-time loop, which doubles as the
-    differential oracle.  Candidate order, emitted pairs and every
-    counter except ``stage2.batches`` are identical between the two.
-    """
-    batch_size = config.batch_size
+    """Basic Kernel: nested-loop verification of the whole group."""
 
     def reducer(route: int, values: Iterator, ctx: Context) -> None:
         sanitizer = make_sanitizer(config, ctx.counters)
@@ -451,41 +388,12 @@ def make_bk_self_reducer(config: JoinConfig) -> Callable:
             ctx.observe("stage2.group_records", total)
             ctx.observe("stage2.group_candidates", total * (total - 1) // 2)
             counters = ctx.counters
-            if batch_size is None:
-                for i, p1 in enumerate(projections):
-                    for p2 in projections[i + 1 :]:
-                        counters.increment(CANDIDATE_PAIRS)
-                        similarity = bk_verify(p1, p2, config, counters, sanitizer)
-                        if similarity is not None:
-                            _write_self_pair(ctx, p1[1], p2[1], similarity)
-                return
-            batches = [
-                TokenBatch.from_projections(projections[start:stop])
-                for start, stop in batch_spans(total, batch_size)
-            ]
-            if batches:
-                counters.increment(STAGE2_BATCHES, len(batches))
-            del projections  # the packed blocks now own the token payloads
-            for bi, b1 in enumerate(batches):
-                for i1 in range(b1.count):
-                    rid1 = b1.rids[i1]
-                    for i2 in range(i1 + 1, b1.count):
-                        counters.increment(CANDIDATE_PAIRS)
-                        similarity = bk_verify_block(
-                            b1, i1, b1, i2, config, counters, sanitizer
-                        )
-                        if similarity is not None:
-                            _write_self_pair(ctx, rid1, b1.rids[i2], similarity)
-                    for b2 in batches[bi + 1 :]:
-                        for i2 in range(b2.count):
-                            counters.increment(CANDIDATE_PAIRS)
-                            similarity = bk_verify_block(
-                                b1, i1, b2, i2, config, counters, sanitizer
-                            )
-                            if similarity is not None:
-                                _write_self_pair(
-                                    ctx, rid1, b2.rids[i2], similarity
-                                )
+            for i, p1 in enumerate(projections):
+                for p2 in projections[i + 1 :]:
+                    counters.increment(CANDIDATE_PAIRS)
+                    similarity = bk_verify(p1, p2, config, counters, sanitizer)
+                    if similarity is not None:
+                        _write_self_pair(ctx, p1[1], p2[1], similarity)
         finally:
             ctx.release_memory(charged)
 
@@ -493,16 +401,7 @@ def make_bk_self_reducer(config: JoinConfig) -> Callable:
 
 
 def make_pk_self_reducer(config: JoinConfig) -> Callable:
-    """PPJoin+ Kernel over the length-sorted value stream.
-
-    With ``config.batch_size`` set the stream is packed into columnar
-    :class:`TokenBatch` blocks and driven through
-    :meth:`PPJoinIndex.probe_batch` — the index holds zero-copy views
-    into the flat arrays instead of per-record tuples.  Per-record
-    memory metering (and therefore OOM timing) matches the scalar loop
-    via the ``meter`` callback.
-    """
-    batch_size = config.batch_size
+    """PPJoin+ Kernel over the length-sorted value stream."""
 
     def reducer(route: int, values: Iterator, ctx: Context) -> None:
         sanitizer = make_sanitizer(config, ctx.counters)
@@ -510,51 +409,18 @@ def make_pk_self_reducer(config: JoinConfig) -> Callable:
         if sanitizer is not None:
             values = sanitizer.sorted_values(values, _projection_size)
         group_records = 0
-        if batch_size is None:
-            charged = 0
-            for _rel, rid, _n, sig, ranks in values:
-                group_records += 1
-                for other_rid, similarity in index.probe(rid, ranks, signature=sig):
-                    _write_self_pair(ctx, rid, other_rid, similarity)
-                index.add(rid, ranks, signature=sig)
-                delta = index.live_bytes - charged
-                if delta >= 0:
-                    ctx.reserve_memory(delta, "PK index")
-                else:
-                    ctx.release_memory(-delta)
-                charged = index.live_bytes
-        else:
-            state = {"charged": 0}
-
-            def meter() -> None:
-                delta = index.live_bytes - state["charged"]
-                if delta >= 0:
-                    ctx.reserve_memory(delta, "PK index")
-                else:
-                    ctx.release_memory(-delta)
-                state["charged"] = index.live_bytes
-
-            buffered: list[tuple] = []
-
-            def flush() -> None:
-                if not buffered:
-                    return
-                block = TokenBatch.from_projections(buffered)
-                buffered.clear()
-                ctx.counters.increment(STAGE2_BATCHES)
-
-                def emit(row: int, other_rid: int, similarity: float) -> None:
-                    _write_self_pair(ctx, block.rids[row], other_rid, similarity)
-
-                index.probe_batch(block, 0, block.count, emit, meter=meter)
-
-            for value in values:
-                group_records += 1
-                buffered.append(value)
-                if len(buffered) >= batch_size:
-                    flush()
-            flush()
-            charged = state["charged"]
+        charged = 0
+        for _rel, rid, _n, sig, ranks in values:
+            group_records += 1
+            for other_rid, similarity in index.probe(rid, ranks, signature=sig):
+                _write_self_pair(ctx, rid, other_rid, similarity)
+            index.add(rid, ranks, signature=sig)
+            delta = index.live_bytes - charged
+            if delta >= 0:
+                ctx.reserve_memory(delta, "PK index")
+            else:
+                ctx.release_memory(-delta)
+            charged = index.live_bytes
         ctx.observe("stage2.group_records", group_records)
         if sanitizer is not None:
             sanitizer.check_index_accounting(index)
@@ -583,8 +449,6 @@ def make_bk_split_self_reducer(config: JoinConfig) -> Callable:
     Stores the replicated add copies; each probe copy verifies against
     every add stored so far — precisely the ``j < i`` half-loop of the
     unsplit nested loop, restricted to the probes homed on this shard.
-    Runs scalar always: probe/add copies interleave at the record
-    grain, so columnar blocks would degenerate to single rows.
     """
 
     def reducer(route, values: Iterator, ctx: Context) -> None:
@@ -624,7 +488,6 @@ def make_pk_split_self_reducer(config: JoinConfig) -> Callable:
     own dual-role copy would, the index state at each probe — eviction
     frontier included — matches the unsplit run's bit for bit.
     """
-    batch_size = config.batch_size
 
     def reducer(route, values: Iterator, ctx: Context) -> None:
         sanitizer = make_sanitizer(config, ctx.counters)
@@ -632,53 +495,20 @@ def make_pk_split_self_reducer(config: JoinConfig) -> Callable:
         if sanitizer is not None:
             values = sanitizer.sorted_values(values, _projection_size)
         group_records = 0
-        if batch_size is None:
-            charged = 0
-            for rel, rid, _n, sig, ranks in values:
-                group_records += 1
-                if rel == REL_R:
-                    index.add(rid, ranks, signature=sig)
-                else:
-                    for other_rid, similarity in index.probe(rid, ranks, signature=sig):
-                        _write_self_pair(ctx, rid, other_rid, similarity)
-                delta = index.live_bytes - charged
-                if delta >= 0:
-                    ctx.reserve_memory(delta, "PK index")
-                else:
-                    ctx.release_memory(-delta)
-                charged = index.live_bytes
-        else:
-            state = {"charged": 0}
-
-            def meter() -> None:
-                delta = index.live_bytes - state["charged"]
-                if delta >= 0:
-                    ctx.reserve_memory(delta, "PK index")
-                else:
-                    ctx.release_memory(-delta)
-                state["charged"] = index.live_bytes
-
-            buffered: list[tuple] = []
-
-            def flush() -> None:
-                if not buffered:
-                    return
-                block = TokenBatch.from_projections(buffered)
-                buffered.clear()
-                ctx.counters.increment(STAGE2_BATCHES)
-
-                def emit(row: int, other_rid: int, similarity: float) -> None:
-                    _write_self_pair(ctx, block.rids[row], other_rid, similarity)
-
-                index.probe_batch(block, 0, block.count, emit, meter=meter, tagged=True)
-
-            for value in values:
-                group_records += 1
-                buffered.append(value)
-                if len(buffered) >= batch_size:
-                    flush()
-            flush()
-            charged = state["charged"]
+        charged = 0
+        for rel, rid, _n, sig, ranks in values:
+            group_records += 1
+            if rel == REL_R:
+                index.add(rid, ranks, signature=sig)
+            else:
+                for other_rid, similarity in index.probe(rid, ranks, signature=sig):
+                    _write_self_pair(ctx, rid, other_rid, similarity)
+            delta = index.live_bytes - charged
+            if delta >= 0:
+                ctx.reserve_memory(delta, "PK index")
+            else:
+                ctx.release_memory(-delta)
+            charged = index.live_bytes
         ctx.observe("stage2.group_records", group_records)
         if sanitizer is not None:
             sanitizer.check_index_accounting(index)

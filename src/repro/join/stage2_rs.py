@@ -44,18 +44,14 @@ from repro.join.blocks import (
     projection_spill_bytes,
 )
 from repro.analysis.sanitize import make_sanitizer
-from repro.core.batch import TokenBatch
 from repro.join.config import JoinConfig
+from repro.join.records import REL_R, REL_S
 from repro.join.stage2 import (
     CANDIDATE_PAIRS,
     PAIRS_OUTPUT,
-    REL_R,
-    REL_S,
-    STAGE2_BATCHES,
     _projection_rel,
     _projection_size,
     bk_verify,
-    bk_verify_block,
     load_token_order,
     make_pk_index,
     make_router,
@@ -178,18 +174,7 @@ def _write_rs_pair(
 
 def make_bk_rs_reducer(config: JoinConfig) -> Callable:
     """Basic Kernel, R-S: store the R projections (they sort first),
-    stream S against them.
-
-    The batched path (``config.batch_size`` set) packs *runs* of
-    same-relation records into columnar :class:`TokenBatch` blocks.
-    R and S interleave across length classes inside one group, and the
-    scalar loop verifies each S against exactly the R records that
-    arrived before it — so a pending S buffer is flushed whenever an R
-    record arrives (and vice versa), keeping candidate order, emitted
-    pairs and all counters except ``stage2.batches`` bit-identical to
-    the scalar loop.
-    """
-    batch_size = config.batch_size
+    stream S against them."""
 
     def reducer(route: int, values: Iterator, ctx: Context) -> None:
         sanitizer = make_sanitizer(config, ctx.counters)
@@ -197,88 +182,25 @@ def make_bk_rs_reducer(config: JoinConfig) -> Callable:
             values = sanitizer.sorted_values(
                 values, _projection_size, group_of=_projection_rel
             )
-        if batch_size is None:
-            stored_r: list[tuple] = []
-            charged = 0
-            group_records = 0
-            group_candidates = 0
-            try:
-                for value in values:
-                    group_records += 1
-                    if value[0] == REL_R:
-                        charged += ctx.reserve_memory_for(
-                            value, "BK stored R partition"
-                        )
-                        stored_r.append(value)
-                        continue
-                    group_candidates += len(stored_r)
-                    for r_proj in stored_r:
-                        ctx.counters.increment(CANDIDATE_PAIRS)
-                        similarity = bk_verify(
-                            r_proj, value, config, ctx.counters, sanitizer
-                        )
-                        if similarity is not None:
-                            _write_rs_pair(ctx, r_proj, value, similarity)
-                ctx.observe("stage2.group_records", group_records)
-                ctx.observe("stage2.group_candidates", group_candidates)
-            finally:
-                ctx.release_memory(charged)
-            return
-
-        counters = ctx.counters
-        r_blocks: list[TokenBatch] = []
-        stored_count = 0
-        r_buf: list[tuple] = []
-        s_buf: list[tuple] = []
+        stored_r: list[tuple] = []
         charged = 0
         group_records = 0
         group_candidates = 0
-
-        def flush_r() -> None:
-            nonlocal stored_count
-            if not r_buf:
-                return
-            block = TokenBatch.from_projections(r_buf)
-            r_buf.clear()
-            counters.increment(STAGE2_BATCHES)
-            r_blocks.append(block)
-            stored_count += block.count
-
-        def flush_s() -> None:
-            if not s_buf:
-                return
-            block = TokenBatch.from_projections(s_buf)
-            s_buf.clear()
-            counters.increment(STAGE2_BATCHES)
-            for si in range(block.count):
-                for r_block in r_blocks:
-                    for ri in range(r_block.count):
-                        counters.increment(CANDIDATE_PAIRS)
-                        similarity = bk_verify_block(
-                            r_block, ri, block, si, config, counters, sanitizer
-                        )
-                        if similarity is not None:
-                            ctx.write(
-                                (r_block.rids[ri], block.rids[si], similarity)
-                            )
-                            counters.increment(PAIRS_OUTPUT)
-
         try:
             for value in values:
                 group_records += 1
                 if value[0] == REL_R:
-                    flush_s()
                     charged += ctx.reserve_memory_for(value, "BK stored R partition")
-                    r_buf.append(value)
-                    if len(r_buf) >= batch_size:
-                        flush_r()
-                else:
-                    flush_r()
-                    group_candidates += stored_count
-                    s_buf.append(value)
-                    if len(s_buf) >= batch_size:
-                        flush_s()
-            flush_s()
+                    stored_r.append(value)
+                    continue
+                group_candidates += len(stored_r)
+                for r_proj in stored_r:
+                    ctx.counters.increment(CANDIDATE_PAIRS)
+                    similarity = bk_verify(
+                        r_proj, value, config, ctx.counters, sanitizer
+                    )
+                    if similarity is not None:
+                        _write_rs_pair(ctx, r_proj, value, similarity)
             ctx.observe("stage2.group_records", group_records)
             ctx.observe("stage2.group_candidates", group_candidates)
         finally:
@@ -289,15 +211,7 @@ def make_bk_rs_reducer(config: JoinConfig) -> Callable:
 
 def make_pk_rs_reducer(config: JoinConfig) -> Callable:
     """PPJoin+ Kernel, R-S: index R, probe S, with the length-class
-    stream enabling eviction of too-short R entries.
-
-    The batched path packs the mixed R/S stream into columnar
-    :class:`TokenBatch` blocks in arrival order and drives them through
-    :meth:`PPJoinIndex.probe_batch` (rs mode: R rows add, S rows probe
-    with their true size) — row order inside a block preserves the
-    R-before-S causality the length-class keys establish.
-    """
-    batch_size = config.batch_size
+    stream enabling eviction of too-short R entries."""
 
     def reducer(route: int, values: Iterator, ctx: Context) -> None:
         sanitizer = make_sanitizer(config, ctx.counters)
@@ -307,57 +221,23 @@ def make_pk_rs_reducer(config: JoinConfig) -> Callable:
                 values, _projection_size, group_of=_projection_rel
             )
         group_records = 0
-        if batch_size is None:
-            charged = 0
-            for rel, rid, true_size, sig, ranks in values:
-                group_records += 1
-                if rel == REL_R:
-                    index.add(rid, ranks, signature=sig)
-                else:
-                    for r_rid, similarity in index.probe(
-                        rid, ranks, true_size=true_size, signature=sig
-                    ):
-                        ctx.write((r_rid, rid, similarity))
-                        ctx.counters.increment(PAIRS_OUTPUT)
-                delta = index.live_bytes - charged
-                if delta >= 0:
-                    ctx.reserve_memory(delta, "PK index (R partition)")
-                else:
-                    ctx.release_memory(-delta)
-                charged = index.live_bytes
-        else:
-            state = {"charged": 0}
-
-            def meter() -> None:
-                delta = index.live_bytes - state["charged"]
-                if delta >= 0:
-                    ctx.reserve_memory(delta, "PK index (R partition)")
-                else:
-                    ctx.release_memory(-delta)
-                state["charged"] = index.live_bytes
-
-            buffered: list[tuple] = []
-
-            def flush() -> None:
-                if not buffered:
-                    return
-                block = TokenBatch.from_projections(buffered)
-                buffered.clear()
-                ctx.counters.increment(STAGE2_BATCHES)
-
-                def emit(row: int, r_rid: int, similarity: float) -> None:
-                    ctx.write((r_rid, block.rids[row], similarity))
+        charged = 0
+        for rel, rid, true_size, sig, ranks in values:
+            group_records += 1
+            if rel == REL_R:
+                index.add(rid, ranks, signature=sig)
+            else:
+                for r_rid, similarity in index.probe(
+                    rid, ranks, true_size=true_size, signature=sig
+                ):
+                    ctx.write((r_rid, rid, similarity))
                     ctx.counters.increment(PAIRS_OUTPUT)
-
-                index.probe_batch(block, 0, block.count, emit, meter=meter)
-
-            for value in values:
-                group_records += 1
-                buffered.append(value)
-                if len(buffered) >= batch_size:
-                    flush()
-            flush()
-            charged = state["charged"]
+            delta = index.live_bytes - charged
+            if delta >= 0:
+                ctx.reserve_memory(delta, "PK index (R partition)")
+            else:
+                ctx.release_memory(-delta)
+            charged = index.live_bytes
         ctx.observe("stage2.group_records", group_records)
         if sanitizer is not None:
             sanitizer.check_index_accounting(index)

@@ -33,7 +33,6 @@ from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.diskdfs import LocalDiskDFS
 from repro.mapreduce.job import Context, MapReduceJob
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
-from repro.mapreduce.parallel import ForkParallelCluster
 from repro.mapreduce.executor import (
     ExecutorStats,
     PersistentExecutor,
@@ -49,7 +48,6 @@ __all__ = [
     "ExecutorStats",
     "FaultPlan",
     "FaultSpec",
-    "ForkParallelCluster",
     "InMemoryDFS",
     "InsufficientMemoryError",
     "JobStats",

@@ -20,8 +20,8 @@ per-task constant overheads (OPRJ's broadcast load), reducer skew
 Task execution itself lives in the module-level functions
 :func:`execute_map_task` / :func:`execute_reduce_task`, which are pure
 with respect to the cluster (they take everything they need and return
-results); :class:`repro.mapreduce.parallel.ForkParallelCluster` reuses
-them across worker processes for real multi-core execution.
+results); :class:`repro.mapreduce.executor.PersistentParallelCluster`
+reuses them across worker processes for real multi-core execution.
 
 The paper's Hadoop configuration maps onto :class:`ClusterConfig`:
 10 nodes, 4 map + 4 reduce slots per node, 128 MB blocks (scaled

@@ -1,10 +1,9 @@
 """Persistent multi-core execution engine.
 
-The legacy :class:`~repro.mapreduce.parallel.ForkParallelCluster` forks
-a brand-new process pool for *every* map and reduce phase, so a
-three-stage BTO-PK-BRJ pipeline (five MapReduce jobs) pays pool
-startup up to ten times, and every intermediate ``(key, value)`` pair
-crosses two pickle boundaries: worker → parent after the map phase and
+Forking a fresh process pool for every map and reduce phase makes a
+three-stage BTO-PK-BRJ pipeline (five MapReduce jobs) pay pool startup
+up to ten times, and sends every intermediate ``(key, value)`` pair
+across two pickle boundaries: worker → parent after the map phase and
 parent → worker again for the reduce phase.
 
 This module removes both costs:
@@ -22,28 +21,17 @@ This module removes both costs:
   or corrupt parent-side state.  Registering new jobs after the pool
   forked marks it stale; the next phase transparently re-forks.
 
-* A **zero-repickle, zero-copy shuffle path**: map workers serialize
-  their partition buckets exactly once (pickle protocol 5 with
-  out-of-band buffers) into a ``multiprocessing.shared_memory``
-  segment and return only small summaries (stats, counters,
-  per-partition segment offsets and byte counts).  Reduce workers
-  attach the segments read-only and unpickle their partition's bytes
-  straight out of the mapped pages — no file round-trip, no extra
-  copy in the parent, which only routes ``(segment, offset, length)``
-  references.  When ``/dev/shm`` is unavailable, segment creation
-  fails (memory budget), or the engine has degraded to inline
-  execution, the per-task **disk spill fallback** transparently takes
-  over with the same reference format — outputs are byte-identical
-  under either transport (``transport="disk"`` forces the fallback).
-
-Shared-memory lifecycle: the *creating worker* writes and closes; the
-*parent* owns unlinking — segments are removed by the shuffle handle's
-``cleanup()`` (also on phase failure), and a prefix sweep over
-``/dev/shm`` covers segments orphaned by crashed attempts (chaos
-faults, real segfaults).  Python's ``resource_tracker`` would
-double-manage (and noisily "leak-warn") segments that cross the
-worker/parent boundary, so every handle is unregistered immediately
-after creation/attach; ownership is the parent's alone.
+* A **zero-repickle shuffle path**: map workers serialize their
+  partition buckets exactly once (pickle protocol 5 with out-of-band
+  buffers) into one spill file per task attempt and return only small
+  summaries (stats, counters, per-partition offsets and byte counts).
+  Reduce workers read their partition's bytes straight from those
+  files; the parent only routes ``(path, offset, length)`` references.
+  The spill directory is created under ``/dev/shm`` when that is
+  writable, so the files are RAM-backed tmpfs pages with an ordinary
+  file lifecycle: each phase's directory is removed by the shuffle
+  handle's ``cleanup()`` (also on phase failure), and the executor's
+  ``close()`` / finalizer removes the whole spill root.
 
 Scheduling uses chunked ``imap_unordered``: contiguous task chunks are
 dispatched to whichever worker is free, and results are reassembled in
@@ -61,7 +49,6 @@ exactly one pool (asserted via :class:`ExecutorStats` in the tests).
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import pickle
@@ -71,7 +58,6 @@ import tempfile
 import time
 import weakref
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
 from multiprocessing.pool import AsyncResult
 from typing import Callable, Iterable, Sequence
 
@@ -115,59 +101,9 @@ from repro.obs.trace import Tracer, trace_span
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
 
-#: where POSIX shared memory appears as a filesystem; segment names are
-#: plain entries here, which is what makes the orphan sweep possible
+#: RAM-backed (tmpfs) directory preferred for the transient shuffle
+#: spill files; the system temp directory serves when it is missing
 _SHM_DIR = "/dev/shm"
-
-#: per-process source of unique executor tokens for segment names; two
-#: executors in one parent (tests build several) must never collide
-_SHM_TOKENS = itertools.count()
-
-
-def _untracked(shm: shared_memory.SharedMemory) -> shared_memory.SharedMemory:
-    """Detach *shm* from Python's resource tracker.
-
-    The tracker registers every handle (create *and* attach on 3.11)
-    and would unlink segments when the first worker process exits —
-    while the parent still routes references to them — then warn about
-    "leaked" segments it no longer owns.  Lifecycle here is explicit:
-    the parent unlinks via :meth:`MapShuffle.cleanup` / the prefix
-    sweep, so every handle opts out of tracking immediately."""
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-    return shm
-
-
-def _create_shm(name: str, size: int) -> shared_memory.SharedMemory:
-    return _untracked(shared_memory.SharedMemory(name=name, create=True, size=size))
-
-
-def _attach_shm(name: str) -> shared_memory.SharedMemory:
-    return _untracked(shared_memory.SharedMemory(name=name))
-
-
-def _unlink_shm(name: str) -> None:
-    try:
-        os.unlink(os.path.join(_SHM_DIR, name))
-    except OSError:
-        pass
-
-
-def _sweep_shm(prefix: str) -> None:
-    """Unlink every segment under *prefix* — the backstop that catches
-    segments orphaned by attempts that crashed after creating them."""
-    try:
-        entries = os.listdir(_SHM_DIR)
-    except OSError:
-        return
-    for entry in entries:
-        if entry.startswith(prefix):
-            try:
-                os.unlink(os.path.join(_SHM_DIR, entry))
-            except OSError:
-                pass
 
 
 def _effective_cores() -> int:
@@ -192,10 +128,6 @@ def _effective_cores() -> int:
 _W_JOBS: Sequence[MapReduceJob] = ()
 _W_DFS: InMemoryDFS | None = None
 _W_BCAST_CACHE: dict[str, dict] = {}
-#: True only in a degraded parent: after the respawn budget is spent
-#: the engine stops trusting shared memory for the rest of its life and
-#: every spill takes the disk path regardless of the transport setting
-_W_FORCE_DISK = False
 #: heartbeat side channel back to the parent's TelemetryHub (None when
 #: telemetry is off; inherited through the fork like the job registry)
 _W_HB_QUEUE = None
@@ -208,11 +140,6 @@ def _set_worker_globals(jobs: Sequence[MapReduceJob], dfs: InMemoryDFS | None) -
     _W_BCAST_CACHE.clear()
 
 
-def _force_disk_spill(flag: bool) -> None:
-    global _W_FORCE_DISK
-    _W_FORCE_DISK = flag
-
-
 def _worker_init(
     jobs: Sequence[MapReduceJob],
     dfs: InMemoryDFS | None,
@@ -221,10 +148,6 @@ def _worker_init(
     global _W_HB_QUEUE
     _W_HB_QUEUE = hb_queue
     _set_worker_globals(jobs, dfs)
-    # a freshly forked worker may inherit the degraded-parent disk
-    # override from a sibling executor in the same process; pool
-    # workers always honour the transport the parent dispatched
-    _force_disk_spill(False)
     # lets 'crash' faults really kill the process; the parent uses
     # _set_worker_globals directly for degraded inline execution, where
     # a crash fault must raise instead
@@ -277,26 +200,22 @@ def _worker_heartbeat(
     return HeartbeatEmitter(_W_HB_QUEUE.put, job_name, phase, task_id, hb_interval)
 
 
-#: one map task's shuffle output location: ``("shm", segment_name)``,
-#: ``("disk", spill_path)`` or ``("none", "")`` for an empty task
-Locator = tuple[str, str]
 #: partition -> (offset, pickle blob length, out-of-band buffer lengths)
 Segments = dict[int, tuple[int, int, tuple[int, ...]]]
-#: one reduce-side segment reference: (kind, locator, offset, blob_len,
+#: one reduce-side segment reference: (spill path, offset, blob_len,
 #: buf_lens) — the only thing the parent ever routes
-SegmentRef = tuple[str, str, int, int, tuple[int, ...]]
+SegmentRef = tuple[str, int, int, tuple[int, ...]]
 
 
 def _serialize_buckets(
     partitioned: list, num_reducers: int
-) -> tuple[Segments, dict[int, int], list, int]:
+) -> tuple[Segments, dict[int, int], list]:
     """Partition and serialize one map task's output exactly once.
 
     Each non-empty bucket becomes one protocol-5 pickle blob followed by
     its out-of-band buffers (``buffer_callback``), laid out back to back.
-    Returns ``(segments, part_bytes, pieces, total)`` where ``pieces``
-    is the flat byte-chunk sequence to copy into a segment or file and
-    ``total`` its length.
+    Returns ``(segments, part_bytes, pieces)`` where ``pieces`` is the
+    flat byte-chunk sequence to write to the spill file.
     """
     buckets: list[list] = [[] for _ in range(num_reducers)]
     part_bytes: dict[int, int] = {}
@@ -318,96 +237,40 @@ def _serialize_buckets(
         pieces.extend(raw_bufs)
         segments[p] = (offset, len(blob), buf_lens)
         offset += len(blob) + sum(buf_lens)
-    return segments, part_bytes, pieces, offset
+    return segments, part_bytes, pieces
 
 
 def _spill_map_output(
-    phase_dir: str,
-    stem: str,
-    partitioned: list,
-    num_reducers: int,
-    transport: str = "disk",
-    shm_prefix: str = "",
-) -> tuple[Locator, Segments, dict[int, int]]:
-    """Materialize one map task's partitioned output for the shuffle.
+    phase_dir: str, stem: str, partitioned: list, num_reducers: int
+) -> tuple[str, Segments, dict[int, int]]:
+    """Write one map task's partitioned output to its spill file.
 
     ``stem`` names the attempt (``m<task>a<attempt>``) so concurrent
     attempts of the same task — speculation, retries racing a straggler
-    — never collide on a segment or file.  Under ``transport="shm"``
-    the bytes land in one ``shared_memory`` segment named
-    ``shm_prefix + stem`` (written once, closed immediately; the parent
-    owns the unlink); segment creation failing for any reason — no
-    ``/dev/shm``, memory budget, degraded parent — falls back to the
-    disk spill file with identical layout, so readers never care which
-    transport produced a reference.
+    — never collide on a file.  Returns ``(path, segments, part_bytes)``;
+    the path is ``""`` for a task that emitted nothing.
     """
-    segments, part_bytes, pieces, total = _serialize_buckets(partitioned, num_reducers)
+    segments, part_bytes, pieces = _serialize_buckets(partitioned, num_reducers)
     if not segments:
-        return ("none", ""), segments, part_bytes
-    if transport == "shm" and not _W_FORCE_DISK and os.path.isdir(_SHM_DIR):
-        name = shm_prefix + stem
-        try:
-            shm = _create_shm(name, total)
-        except OSError:
-            pass
-        else:
-            view = shm.buf
-            position = 0
-            for piece in pieces:
-                view[position : position + len(piece)] = piece
-                position += len(piece)
-            del view
-            shm.close()
-            return ("shm", name), segments, part_bytes
+        return "", segments, part_bytes
     os.makedirs(phase_dir, exist_ok=True)
     path = os.path.join(phase_dir, f"{stem}.spill")
     with open(path, "wb") as handle:
         for piece in pieces:
             handle.write(piece)
-    return ("disk", path), segments, part_bytes
+    return path, segments, part_bytes
 
 
 def _read_segments(refs: list[SegmentRef]) -> list:
     """Concatenate shuffle segments (given in map-task order) into one
-    reduce bucket.
-
-    shm references unpickle straight out of the mapped pages — the blob
-    and its out-of-band buffers are zero-copy memoryview slices.  All
-    values on the wire are stdlib containers (``array('i')`` serializes
-    in-band), so nothing in the loaded bucket aliases the segment and it
-    is safe to release the views and close the handle before returning.
-    """
+    reduce bucket."""
     bucket: list = []
-    for kind, locator, offset, blob_len, buf_lens in refs:
-        if kind == "shm":
-            shm = _attach_shm(locator)
-            try:
-                base = shm.buf
-                views: list = []
-                try:
-                    blob_view = base[offset : offset + blob_len]
-                    views.append(blob_view)
-                    position = offset + blob_len
-                    buffers: list = []
-                    for length in buf_lens:
-                        buf_view = base[position : position + length]
-                        views.append(buf_view)
-                        buffers.append(buf_view)
-                        position += length
-                    loaded = pickle.loads(blob_view, buffers=buffers)
-                finally:
-                    for view in views:
-                        view.release()
-                    del base
-            finally:
-                shm.close()
-            bucket.extend(loaded)
-        else:
-            with open(locator, "rb") as handle:
-                handle.seek(offset)
-                blob = handle.read(blob_len)
-                buffers = [handle.read(length) for length in buf_lens]
-            bucket.extend(pickle.loads(blob, buffers=buffers))
+    for path, offset, blob_len, buf_lens in refs:
+        with open(path, "rb") as handle:
+            handle.seek(offset)
+            blob = handle.read(blob_len)
+            buffers = [handle.read(length) for length in buf_lens]
+        bucket.extend(pickle.loads(blob, buffers=buffers))
     return bucket
 
 
@@ -429,8 +292,6 @@ def _run_map_chunk(args: tuple) -> tuple:
         memory_limit,
         map_slots,
         num_reducers,
-        transport,
-        shm_prefix,
         trace,
         plan,
         hb_interval,
@@ -468,16 +329,11 @@ def _run_map_chunk(args: tuple) -> tuple:
             )
             if fault is not None and fault.kind == "corrupt":
                 raise CorruptOutputError(job.name, "map", task_id, attempt)
-            locator, segments, part_bytes = _spill_map_output(
-                phase_dir,
-                f"m{task_id}a{attempt}",
-                partitioned,
-                num_reducers,
-                transport,
-                shm_prefix,
+            path, segments, part_bytes = _spill_map_output(
+                phase_dir, f"m{task_id}a{attempt}", partitioned, num_reducers
             )
             oks.append(
-                (task_id, attempt, (stats, counters, locator, segments, part_bytes))
+                (task_id, attempt, (stats, counters, path, segments, part_bytes))
             )
         except NON_RETRYABLE as exc:
             annotate_memory_error(exc, job.name, "map", task_id, attempt)
@@ -569,10 +425,6 @@ class ExecutorStats:
     bytes_from_workers: int = 0
     spill_bytes_written: int = 0
     spill_bytes_read: int = 0
-    #: intermediate bytes routed through shared-memory segments
-    shm_bytes_written: int = 0
-    #: map attempts that wanted shm but fell back to the disk spill
-    shm_fallbacks: int = 0
     #: task attempts re-dispatched after a retryable failure
     tasks_retried: int = 0
     #: speculative duplicate attempts launched against stragglers
@@ -589,53 +441,34 @@ class MapShuffle:
     """Parent-side handle to one map phase's shuffle output.
 
     Holds only segment references and byte counts — never the
-    intermediate data itself.  Owns the lifetime of the phase's shared
-    memory: every segment name absorbed from a winning map attempt is
-    unlinked by :meth:`cleanup`, and the phase-prefix sweep reclaims
-    segments written by attempts whose results never came back (lost to
-    a crashed worker, or losers of a speculation race).
+    intermediate data itself.  Owns the phase's spill directory:
+    :meth:`cleanup` removes it whole, which also reclaims files written
+    by attempts whose results never came back (lost to a crashed
+    worker, or losers of a speculation race).
     """
 
     def __init__(
-        self,
-        num_reducers: int,
-        phase_dir: str,
-        bcast_path: str | None,
-        shm_prefix: str | None = None,
+        self, num_reducers: int, phase_dir: str, bcast_path: str | None
     ) -> None:
         self.num_reducers = num_reducers
         self._phase_dir = phase_dir
         self._bcast_path = bcast_path
-        self._shm_prefix = shm_prefix
-        #: (locator, segments) per map task, in task order
-        self._tasks: list[tuple[Locator, Segments]] = []
+        #: (spill path, segments) per map task, in task order
+        self._tasks: list[tuple[str, Segments]] = []
         self._part_bytes: dict[int, int] = {}
-        #: shm segment names owned (and unlinked) by this handle
-        self._shm_names: list[str] = []
         #: total approx shuffle volume (= SimulatedCluster's shuffle_bytes)
         self.total_bytes = 0
-        #: real bytes written to disk spill files (fallback path only)
+        #: real bytes written to spill files
         self.spilled_bytes = 0
-        #: real bytes placed in shared-memory segments
-        self.shm_bytes = 0
 
     def add_task(
-        self,
-        locator: Locator,
-        segments: Segments,
-        part_bytes: dict[int, int],
+        self, path: str, segments: Segments, part_bytes: dict[int, int]
     ) -> None:
-        kind, where = locator
-        self._tasks.append((locator, segments))
-        segment_total = sum(
+        self._tasks.append((path, segments))
+        self.spilled_bytes += sum(
             blob_len + sum(buf_lens)
             for _off, blob_len, buf_lens in segments.values()
         )
-        if kind == "shm":
-            self.shm_bytes += segment_total
-            self._shm_names.append(where)
-        elif kind == "disk":
-            self.spilled_bytes += segment_total
         for p, num_bytes in part_bytes.items():
             self._part_bytes[p] = self._part_bytes.get(p, 0) + num_bytes
             self.total_bytes += num_bytes
@@ -649,25 +482,17 @@ class MapShuffle:
         """Shuffle segment references of one partition, in map-task
         order."""
         refs: list[SegmentRef] = []
-        for (kind, where), segments in self._tasks:
+        for path, segments in self._tasks:
             segment = segments.get(partition)
             if segment is not None:
-                refs.append((kind, where, segment[0], segment[1], segment[2]))
+                refs.append((path, *segment))
         return refs
 
     def segment_bytes(self, partition: int) -> int:
+        """Spill-file bytes of *partition* (what loading it reads)."""
         return sum(
             blob_len + sum(buf_lens)
-            for _kind, _where, _off, blob_len, buf_lens in self.refs_for(partition)
-        )
-
-    def disk_bytes(self, partition: int) -> int:
-        """Bytes of *partition* that live in disk spill files (the
-        component that counts as ``spill_bytes_read`` when loaded)."""
-        return sum(
-            blob_len + sum(buf_lens)
-            for kind, _where, _off, blob_len, buf_lens in self.refs_for(partition)
-            if kind == "disk"
+            for _path, _off, blob_len, buf_lens in self.refs_for(partition)
         )
 
     def load(self, partition: int) -> list:
@@ -675,11 +500,6 @@ class MapShuffle:
         return _read_segments(self.refs_for(partition))
 
     def cleanup(self) -> None:
-        for name in self._shm_names:
-            _unlink_shm(name)
-        self._shm_names.clear()
-        if self._shm_prefix:
-            _sweep_shm(self._shm_prefix)
         shutil.rmtree(self._phase_dir, ignore_errors=True)
         if self._bcast_path:
             try:
@@ -695,9 +515,6 @@ def _final_cleanup(holder: dict) -> None:
     spill = holder.get("spill")
     if spill:
         shutil.rmtree(spill, ignore_errors=True)
-    shm_prefix = holder.get("shm")
-    if shm_prefix:
-        _sweep_shm(shm_prefix)
 
 
 class PersistentExecutor:
@@ -716,7 +533,6 @@ class PersistentExecutor:
         workers: int | None = None,
         chunks_per_worker: int = 2,
         dfs: InMemoryDFS | None = None,
-        transport: str = "shm",
     ) -> None:
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
@@ -727,15 +543,8 @@ class PersistentExecutor:
             raise ValueError(
                 f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
             )
-        if transport not in ("shm", "disk"):
-            raise ValueError(
-                f"transport must be 'shm' or 'disk', got {transport!r}"
-            )
         self.workers = workers or os.cpu_count() or 2
         self.chunks_per_worker = chunks_per_worker
-        #: shuffle transport: "shm" (zero-copy segments with automatic
-        #: per-task disk fallback) or "disk" (spill files only)
-        self.transport = transport
         self.stats = ExecutorStats()
         #: attach a :class:`repro.obs.trace.Tracer` to collect worker
         #: task spans (set by the owning cluster; observe-only)
@@ -767,11 +576,7 @@ class PersistentExecutor:
         self._stale = False
         self._spill_root: str | None = None
         self._phase_seq = 0
-        # unique per executor instance within this parent process, so
-        # concurrent executors (and their finalizer sweeps) never touch
-        # each other's segments
-        self._shm_token = f"{os.getpid()}x{next(_SHM_TOKENS)}"
-        self._holder: dict = {"shm": f"repro-shm-{self._shm_token}-"}
+        self._holder: dict = {}
         self._finalizer = weakref.finalize(self, _final_cleanup, self._holder)
 
     # -- registry ---------------------------------------------------------
@@ -838,8 +643,8 @@ class PersistentExecutor:
         if self._spill_root is None:
             # prefer a RAM-backed directory for the shuffle spills;
             # they are transient and re-read within the same phase pair
-            base = "/dev/shm"
-            spill_dir = base if os.path.isdir(base) and os.access(base, os.W_OK) else None
+            writable = os.path.isdir(_SHM_DIR) and os.access(_SHM_DIR, os.W_OK)
+            spill_dir = _SHM_DIR if writable else None
             self._spill_root = tempfile.mkdtemp(prefix="repro-shuffle-", dir=spill_dir)
             self._holder["spill"] = self._spill_root
         self._block_refs = {}
@@ -894,14 +699,12 @@ class PersistentExecutor:
         return {pid for pid in self._worker_pids if pid not in alive}
 
     def close(self) -> None:
-        """Terminate the pool and remove all spill files and shared
-        memory segments (idempotent)."""
+        """Terminate the pool and remove all spill files (idempotent)."""
         self._teardown_pool()
         if self._spill_root is not None:
             shutil.rmtree(self._spill_root, ignore_errors=True)
             self._spill_root = None
             self._holder["spill"] = None
-        _sweep_shm(f"repro-shm-{self._shm_token}-")
 
     # -- phases -----------------------------------------------------------
 
@@ -1117,9 +920,6 @@ class PersistentExecutor:
                         phase=phase, respawns=self.stats.pool_respawns,
                     )
                 _set_worker_globals(tuple(self._jobs), self._dfs)
-                # a degraded engine stops trusting shared memory: every
-                # later spill (this phase and all following) goes to disk
-                _force_disk_spill(True)
             else:
                 self._ensure_pool()
             for chunk in self._chunk(unsatisfied):
@@ -1127,7 +927,6 @@ class PersistentExecutor:
 
         if inline_mode:
             _set_worker_globals(tuple(self._jobs), self._dfs)
-            _force_disk_spill(True)
         if dispatch_order is not None:
             # deal the size-sorted tasks round-robin over the chunk
             # budget: contiguous chunking would put every heavy task in
@@ -1293,9 +1092,6 @@ class PersistentExecutor:
                 handle.write(blob)
             ex.bytes_to_workers += len(blob)
 
-        # one namespace per (executor, phase): map attempts derive their
-        # segment names from it, and the shuffle handle sweeps it
-        shm_prefix = f"repro-shm-{self._shm_token}-p{self._phase_seq}-"
         common = (
             phase_dir,
             bcast_path,
@@ -1304,8 +1100,6 @@ class PersistentExecutor:
             memory_limit,
             map_slots,
             num_reducers,
-            self.transport,
-            shm_prefix,
             self.tracer is not None,
             self.fault_plan,
             self.telemetry.interval_s if self.telemetry is not None else None,
@@ -1325,7 +1119,7 @@ class PersistentExecutor:
             order.append(task_id)
             task_payloads[task_id] = (input_name, spec)
 
-        shuffle = MapShuffle(num_reducers, phase_dir, bcast_path, shm_prefix=shm_prefix)
+        shuffle = MapShuffle(num_reducers, phase_dir, bcast_path)
         task_results = []
         try:
             span = trace_span(
@@ -1337,10 +1131,8 @@ class PersistentExecutor:
                     _run_map_chunk, jid, common, order, task_payloads,
                     job=job, phase="map", counters_index=1,
                 )
-                for stats, counters, locator, segments, part_bytes in cores:
-                    shuffle.add_task(locator, segments, part_bytes)
-                    if self.transport == "shm" and locator[0] == "disk":
-                        ex.shm_fallbacks += 1
+                for stats, counters, path, segments, part_bytes in cores:
+                    shuffle.add_task(path, segments, part_bytes)
                     ex.busy_s += stats.cpu_seconds
                     ex.bytes_from_workers += approx_bytes(counters) + 96
                     task_results.append((stats, counters))
@@ -1349,15 +1141,14 @@ class PersistentExecutor:
                 span.close()
         except BaseException:
             # leak fix: a failing phase must not orphan the spill files
-            # or shm segments of its completed attempts, nor leave
-            # workers (possibly mid-straggler-sleep) holding the fork
-            # pool.  Teardown first: no writer may outlive the sweep,
-            # or it could re-create a segment after its unlink.
+            # of its completed attempts, nor leave workers (possibly
+            # mid-straggler-sleep) holding the fork pool.  Teardown
+            # first: no writer may outlive the directory removal, or it
+            # could re-create a file after it.
             self._teardown_pool()
             shuffle.cleanup()
             raise
         ex.spill_bytes_written = shuffle.spilled_bytes
-        ex.shm_bytes = shuffle.shm_bytes
         ex.wall_s = time.perf_counter() - t0
         self._account(ex)
         return task_results, shuffle, ex
@@ -1371,10 +1162,9 @@ class PersistentExecutor:
         """Execute one reduce phase on the pool.
 
         ``reduce_tasks`` is ``[(partition_index, segment_refs), ...]``:
-        each reduce worker attaches its partition's shm segments (or
-        reads its spill-file segments on the fallback path) straight
-        from the map output — the zero-repickle path; the parent only
-        routes the references.  Returns
+        each reduce worker reads its partition's spill-file segments
+        straight from the map output — the zero-repickle path; the
+        parent only routes the references.  Returns
         ``([(TaskStats, written, counters), ...], phase_stats)`` in
         partition order.
         """
@@ -1386,15 +1176,12 @@ class PersistentExecutor:
         ex.pool_created = self._ensure_pool()
         ex.pool_generation = self.stats.pool_generation
 
-        for _p, refs in reduce_tasks:
-            # only the disk-fallback component is a spill read; shm
-            # segments are attached, not re-read from a file
-            ex.spill_bytes_read += sum(
-                blob_len + sum(buf_lens)
-                for kind, _w, _o, blob_len, buf_lens in refs
-                if kind == "disk"
-            )
-            ex.bytes_to_workers += 24 * len(refs)
+        bucket_bytes = {
+            p: sum(blob_len + sum(buf_lens) for _w, _o, blob_len, buf_lens in refs)
+            for p, refs in reduce_tasks
+        }
+        ex.spill_bytes_read = sum(bucket_bytes.values())
+        ex.bytes_to_workers += 24 * sum(len(refs) for _p, refs in reduce_tasks)
         common = (
             memory_limit,
             self.tracer is not None,
@@ -1408,10 +1195,6 @@ class PersistentExecutor:
         # of small ones.  Only the submission order changes — results
         # are reassembled in partition order, so output bytes are
         # unaffected.
-        bucket_bytes = {
-            p: sum(blob_len + sum(buf_lens) for _k, _w, _o, blob_len, buf_lens in refs)
-            for p, refs in reduce_tasks
-        }
         dispatch_order = sorted(order, key=lambda p: (-bucket_bytes[p], p))
 
         task_results = []
@@ -1454,8 +1237,6 @@ class PersistentExecutor:
         s.bytes_from_workers += ex.bytes_from_workers
         s.spill_bytes_written += ex.spill_bytes_written
         s.spill_bytes_read += ex.spill_bytes_read
-        s.shm_bytes_written += ex.shm_bytes
-        s.shm_fallbacks += ex.shm_fallbacks
 
 
 # ---------------------------------------------------------------------------
@@ -1493,7 +1274,6 @@ class PersistentParallelCluster(SimulatedCluster):
         assume_cores: int | None = None,
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
-        transport: str = "shm",
     ) -> None:
         super().__init__(
             config, dfs, fault_plan=fault_plan, retry_policy=retry_policy
@@ -1502,7 +1282,6 @@ class PersistentParallelCluster(SimulatedCluster):
             workers=workers,
             chunks_per_worker=chunks_per_worker,
             dfs=self.dfs,
-            transport=transport,
         )
         self.workers = self.executor.workers
         self.min_tasks_for_pool = min_tasks_for_pool
@@ -1674,7 +1453,7 @@ class PersistentParallelCluster(SimulatedCluster):
                 for p in nonempty:
                     if shuffle is not None:
                         bucket = shuffle.load(p)
-                        reduce_ex.spill_bytes_read += shuffle.disk_bytes(p)
+                        reduce_ex.spill_bytes_read += shuffle.segment_bytes(p)
                     else:
                         assert partitions is not None
                         bucket = partitions[p]

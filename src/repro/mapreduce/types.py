@@ -114,9 +114,9 @@ class TaskStats:
 class ExecutorPhaseStats:
     """How one map or reduce phase was physically executed.
 
-    Produced by the real-core executors (``repro.mapreduce.executor``,
-    ``repro.mapreduce.parallel``); ``None`` on :class:`PhaseStats` means
-    the phase ran on the plain sequential engine.  All byte figures use
+    Produced by the real-core executor (``repro.mapreduce.executor``);
+    ``None`` on :class:`PhaseStats` means the phase ran on the plain
+    sequential engine.  All byte figures use
     :func:`approx_bytes` accounting except the spill figures, which are
     real on-disk bytes.
     """
@@ -139,10 +139,6 @@ class ExecutorPhaseStats:
     spill_bytes_written: int = 0
     #: real bytes of spill data read back on the reduce side
     spill_bytes_read: int = 0
-    #: real bytes of intermediate data placed in shared-memory segments
-    shm_bytes: int = 0
-    #: map attempts that wanted shm but fell back to the disk spill
-    shm_fallbacks: int = 0
     #: wall-clock of the dispatch loop (parent perspective)
     wall_s: float = 0.0
     #: summed task CPU seconds (worker perspective)
@@ -174,8 +170,6 @@ _EXECUTOR_SUM_FIELDS = (
     "bytes_from_workers",
     "spill_bytes_written",
     "spill_bytes_read",
-    "shm_bytes",
-    "shm_fallbacks",
 )
 
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.core.ppjoin import PPJoinIndex
 from repro.core.prefixes import Projection
 from repro.core.tokenizers import WordTokenizer
 from repro.join.records import RecordSchema, join_value, make_line, rid_of
@@ -64,6 +65,33 @@ def oracle_projections(records: list[str], schema: RecordSchema = SCHEMA_1) -> l
         )
         for line in records
     ]
+
+
+def tally_verified(monkeypatch) -> list[int]:
+    """Count the candidates ``PPJoinIndex.probe`` hands to ``_verify``
+    from here on (in-process engines only); the one-element list is
+    updated in place."""
+    handed = [0]
+    original = PPJoinIndex._verify
+
+    def counting(self, rid, tokens, n_true, probe_len, candidates):
+        handed[0] += len(candidates)
+        return original(self, rid, tokens, n_true, probe_len, candidates)
+
+    monkeypatch.setattr(PPJoinIndex, "_verify", counting)
+    return handed
+
+
+def assert_pk_funnel_closes(counters: dict, handed: int) -> None:
+    """Every post-length-filter PK candidate is pruned by exactly one of
+    the three later filters or handed to verification."""
+    assert counters.get("stage2.candidate_pairs", 0) > 0
+    assert counters["stage2.candidate_pairs"] == (
+        counters.get("stage2.pruned_bitmap", 0)
+        + counters.get("stage2.pruned_positional", 0)
+        + counters.get("stage2.pruned_suffix", 0)
+        + handed
+    )
 
 
 def pair_keys(pairs) -> list[tuple[int, int]]:

@@ -1,7 +1,7 @@
 """Tests for skew-adaptive Stage-2 planning and hot-group splitting.
 
 The adaptive layer (ISSUE 7) must be *plan-transparent*: whatever
-routing, batch size or hot-group splits the planner picks, the join's
+routing or hot-group splits the planner picks, the join's
 output pairs and filter counters are bit-identical to the static plan
 — splitting only moves work between reducer partitions.  The
 differential suite here forces hand-built plans (including degenerate
@@ -62,7 +62,7 @@ def _run_rs(r, s, config, cluster=None, **kwargs):
 def _force_plan(plan):
     """Patch the driver's planner to return *plan* regardless of the
     sample — the differential tests' way of steering the adaptive path
-    into every corner (scalar batches, absurd split factors, …)."""
+    into every corner (absurd split factors, unknown tokens, …)."""
     return mock.patch(
         "repro.join.driver.plan_stage2", lambda sample, config, reducers: plan
     )
@@ -150,8 +150,7 @@ class TestPlanner:
         sample = _sample_for([])
         plan = plan_stage2(sample, config, 8)
         assert plan == Stage2Plan(
-            routing="grouped", num_groups=7, batch_size=config.batch_size,
-            splits=(), sampled_records=0,
+            routing="grouped", num_groups=7, splits=(), sampled_records=0,
         )
 
     def test_uniform_workload_does_not_split(self, rng):
@@ -191,19 +190,12 @@ class TestPlanner:
         assert len(hot) == 16  # _MAX_SPLIT_TOKENS
         assert hot[0] == 39  # heaviest first
 
-    def test_tiny_routes_pick_scalar_batches(self, rng):
-        # 1-2 records per route or group: block assembly cannot pay off
-        records = random_records(rng, 60, vocab_size=500, dup_rate=0.0, max_words=3)
-        plan = plan_stage2(_sample_for(records), JoinConfig(**CONFIG), 40)
-        assert plan.batch_size is None
-
     def test_counters_shape(self):
         plan = Stage2Plan(
-            routing="grouped", num_groups=12, batch_size=None,
+            routing="grouped", num_groups=12,
             splits=(("a", 4), ("b", 2)), sampled_records=77,
         )
         assert plan.counters() == {
-            "plan.batch_size": 0,
             "plan.num_groups": 12,
             "plan.routing_grouped": 1,
             "plan.sampled_records": 77,
@@ -221,24 +213,24 @@ class TestResolveSplits:
     ORDER = TokenOrder(["rare", "mid", "hot"])
 
     def test_rank_encoding_resolves_to_rank(self):
-        plan = Stage2Plan("individual", None, 64, splits=(("hot", 4),))
+        plan = Stage2Plan("individual", None, splits=(("hot", 4),))
         config = JoinConfig(**CONFIG)
         assert resolve_splits(plan, config, self.ORDER) == {self.ORDER.rank("hot"): 4}
 
     def test_string_encoding_resolves_to_token(self):
-        plan = Stage2Plan("individual", None, 64, splits=(("hot", 4),))
+        plan = Stage2Plan("individual", None, splits=(("hot", 4),))
         config = JoinConfig(token_encoding="string", **CONFIG)
         assert resolve_splits(plan, config, self.ORDER) == {"hot": 4}
 
     def test_grouped_collapses_to_group_with_max_factor(self):
-        plan = Stage2Plan("grouped", 2, 64, splits=(("rare", 2), ("hot", 5)))
+        plan = Stage2Plan("grouped", 2, splits=(("rare", 2), ("hot", 5)))
         config = JoinConfig(routing="grouped", num_groups=2, **CONFIG)
         # ranks 0 and 2 both land in group 0: larger shard count wins
         assert resolve_splits(plan, config, self.ORDER) == {0: 5}
 
     def test_unknown_tokens_and_trivial_factors_dropped(self):
         plan = Stage2Plan(
-            "individual", None, 64, splits=(("never-seen", 4), ("hot", 1))
+            "individual", None, splits=(("never-seen", 4), ("hot", 1))
         )
         assert resolve_splits(plan, JoinConfig(**CONFIG), self.ORDER) == {}
         assert resolve_splits(None, JoinConfig(**CONFIG), self.ORDER) == {}
@@ -302,15 +294,14 @@ class TestForcedPlanDifferential:
         pairs, report = _run_self(records, static)
         base = pairs, report.filter_counters()
         for splits in SPLIT_SETS:
-            for batch_size in (None, 7):
-                plan = Stage2Plan(routing, num_groups, batch_size, splits=splits)
-                with _force_plan(plan):
-                    apairs, areport = _run_self(
-                        records, static.with_options(adaptive=True)
-                    )
-                assert (apairs, areport.filter_counters()) == base, (
-                    kernel, routing, splits, batch_size,
+            plan = Stage2Plan(routing, num_groups, splits=splits)
+            with _force_plan(plan):
+                apairs, areport = _run_self(
+                    records, static.with_options(adaptive=True)
                 )
+            assert (apairs, areport.filter_counters()) == base, (
+                kernel, routing, splits,
+            )
 
     @pytest.mark.parametrize("kernel", ["bk", "pk"])
     @pytest.mark.parametrize("encoding", ["rank", "string"])
@@ -321,7 +312,7 @@ class TestForcedPlanDifferential:
         pairs, report = _run_rs(r, s, static)
         base = pairs, report.filter_counters()
         for splits in SPLIT_SETS:
-            plan = Stage2Plan("individual", None, 64, splits=splits)
+            plan = Stage2Plan("individual", None, splits=splits)
             with _force_plan(plan):
                 apairs, areport = _run_rs(r, s, static.with_options(adaptive=True))
             assert (apairs, areport.filter_counters()) == base, (kernel, encoding, splits)
@@ -331,7 +322,7 @@ class TestForcedPlanDifferential:
         s = random_records(rng, 50, rid_base=1000)
         static = JoinConfig(routing="grouped", num_groups=6, **CONFIG)
         pairs, report = _run_rs(r, s, static)
-        plan = Stage2Plan("grouped", 6, None, splits=(("w0", 3), ("w3", 2)))
+        plan = Stage2Plan("grouped", 6, splits=(("w0", 3), ("w3", 2)))
         with _force_plan(plan):
             apairs, areport = _run_rs(r, s, static.with_options(adaptive=True))
         assert apairs == pairs
@@ -341,7 +332,7 @@ class TestForcedPlanDifferential:
         records = random_records(rng, 80)
         static = JoinConfig(**CONFIG)
         pairs, report = _run_self(records, static)
-        plan = Stage2Plan("individual", None, 7, splits=SPLIT_SETS[1])
+        plan = Stage2Plan("individual", None, splits=SPLIT_SETS[1])
         for make in (
             lambda: make_cluster(),
             lambda: PersistentParallelCluster(
@@ -359,7 +350,7 @@ class TestForcedPlanDifferential:
         records = random_records(rng, 60)
         static = JoinConfig(**CONFIG)
         pairs, report = _run_self(records, static)
-        plan = Stage2Plan("individual", None, None, splits=SPLIT_SETS[2])
+        plan = Stage2Plan("individual", None, splits=SPLIT_SETS[2])
         cluster = make_cluster()
         cluster.fault_plan = FaultPlan.parse("crash:stage2-*:reduce:0:0")
         cluster.retry_policy = RetryPolicy(max_attempts=4, backoff_s=0.0)
@@ -384,7 +375,7 @@ class TestForcedPlanDifferential:
         static = JoinConfig(kernel=kernel, **CONFIG)
         pairs, report = _run_self(records, static)
         splits = tuple((f"w{i}", factor) for i in range(split_count))
-        plan = Stage2Plan("individual", None, 64, splits=splits)
+        plan = Stage2Plan("individual", None, splits=splits)
         with _force_plan(plan):
             apairs, areport = _run_self(records, static.with_options(adaptive=True))
         assert apairs == pairs

@@ -3,9 +3,8 @@
 Covers the tentpole guarantees: byte-identical output to
 :class:`SimulatedCluster` across every stage combo for self- and R-S
 joins, one pool per end-to-end join, `InsufficientMemoryError`
-propagating out of pool workers, the early-exit-safe job registry of
-the per-phase fork cluster, `ClusterConfig.with_nodes` preserving new
-fields, and the rank-vs-string encoding differential.
+propagating out of pool workers, `ClusterConfig.with_nodes` preserving
+new fields, and the rank-vs-string encoding differential.
 
 ``assume_cores`` is pinned > 1 so the pooled spill path is exercised
 regardless of the host's core count (the engine would otherwise run
@@ -26,6 +25,7 @@ from repro.join.driver import ssjoin_rs, ssjoin_self
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.executor import PersistentParallelCluster
+from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import InsufficientMemoryError
 
 from tests.conftest import SCHEMA_1, random_records
@@ -66,7 +66,39 @@ def make_pair(workers=2, assume_cores=4, **cfg):
     return sequential, persistent
 
 
+def word_count_job():
+    def mapper(record, ctx):
+        for token in record.split():
+            ctx.emit(token, 1)
+
+    def combiner(key, values, ctx):
+        ctx.emit(key, sum(values))
+
+    def reducer(key, values, ctx):
+        ctx.write((key, sum(values)))
+
+    return MapReduceJob(
+        name="wc", inputs=["docs"], output="counts",
+        mapper=mapper, reducer=reducer, combiner=combiner, num_reducers=4,
+    )
+
+
 class TestDeterminism:
+    def test_word_count_identical(self):
+        """A plain combiner job (no join driver) through the pool."""
+        sequential, persistent = make_pair()
+        docs = [f"w{i % 17} w{i % 5} w{i % 3}" for i in range(300)]
+        with persistent:
+            sequential.dfs.write("docs", docs)
+            persistent.dfs.write("docs", docs)
+            seq_stats = sequential.run_job(word_count_job())
+            per_stats = persistent.run_job(word_count_job())
+            assert per_stats.map_executor.mode == "pool"
+            assert sequential.dfs.read_all("counts") == persistent.dfs.read_all(
+                "counts"
+            )
+            assert seq_stats.counters == per_stats.counters
+
     @pytest.mark.parametrize("stage1,kernel,stage3", COMBOS)
     def test_selfjoin_identical(self, rng, stage1, kernel, stage3):
         records = random_records(rng, 70)
@@ -179,41 +211,6 @@ class TestPoolLifecycle:
             assert exc_info.value.limit_bytes > 0  # fields survived pickling
             # the engine stays usable after a failed phase
             persistent.dfs.write("more", records)
-
-
-class TestForkClusterRegistry:
-    """Regression: the seed's `_WORKER_JOB` module global leaked when a
-    caller abandoned a task generator mid-iteration.  The registry is
-    now a local dict handed to one pool, so there is nothing to leak."""
-
-    def test_abandoned_generator_leaves_no_state(self):
-        from repro.mapreduce import parallel
-        from tests.test_parallel import make_pair as fork_pair, word_count_job
-
-        _sequential, fork = fork_pair()
-        docs = [f"w{i % 7} w{i % 3}" for i in range(200)]
-        fork.dfs.write("docs", docs)
-        job = word_count_job()
-        inputs = fork._collect_map_inputs(job)
-        gen = fork._execute_map_tasks(job, inputs, None, 0, 0.0)
-        next(gen)  # start the pool, consume one result ...
-        del gen  # ... and abandon the generator mid-iteration
-        # parent-side module state must be untouched
-        assert parallel._POOL_REGISTRY == {}
-        # and a fresh job still runs correctly end to end
-        fork.run_job(word_count_job())
-        assert sorted(fork.dfs.read_all("counts"))[0] == ("w0", 96)
-
-    def test_exception_in_phase_leaves_no_state(self, rng):
-        from repro.mapreduce import parallel
-        from tests.test_parallel import make_pair as fork_pair
-
-        records = random_records(rng, 80, dup_rate=0.6)
-        _sequential, fork = fork_pair(memory_per_task_mb=0.0001)
-        fork.dfs.write("records", records)
-        with pytest.raises(InsufficientMemoryError):
-            ssjoin_self(fork, "records", JoinConfig(threshold=0.5, schema=SCHEMA_1))
-        assert parallel._POOL_REGISTRY == {}
 
 
 class TestWithNodes:

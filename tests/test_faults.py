@@ -19,6 +19,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -379,20 +380,24 @@ class TestExecutorChaos:
         assert pairs == clean_pairs
 
 
-def _shm_segments() -> set[str]:
-    """Names of this repo's shared-memory shuffle segments in /dev/shm."""
-    try:
-        entries = os.listdir("/dev/shm")
-    except OSError:
-        return set()
-    return {e for e in entries if e.startswith("repro-shm-")}
+def _spill_roots(base: str | None = None) -> set[str]:
+    """The executors' shuffle spill roots currently present under *base*
+    (default: where the executor puts them on this host)."""
+    if base is None:
+        base = "/dev/shm" if os.path.isdir("/dev/shm") else tempfile.gettempdir()
+    return {
+        os.path.join(base, e)
+        for e in os.listdir(base)
+        if e.startswith("repro-shuffle-")
+    }
 
 
 @fork_only
 class TestShmChaos:
-    """The shared-memory transport under fault injection: every chaos
-    scenario must end with zero leaked segments, and a degraded engine
-    must stop using shm entirely."""
+    """``/dev/shm`` hygiene of the spill shuffle: every scenario — clean,
+    chaos, failed phase, degraded engine — must leave no shuffle segment
+    file behind while the engine lives and no spill root after
+    ``close()``."""
 
     CHAOS_SPECS = [
         "crash:stage2-*:map:1:0",
@@ -401,25 +406,44 @@ class TestShmChaos:
         "raise:stage1-*:map:*:0",
     ]
 
+    @staticmethod
+    def _assert_roots_empty(before: set[str]) -> None:
+        # segment files live only within a job: once the join returns,
+        # every per-job shuffle handle has removed its phase directory
+        for root in _spill_roots() - before:
+            assert os.listdir(root) == []
+
+    def test_clean_run_and_close_leave_no_segments(self, rng):
+        records = random_records(rng, 70)
+        clean_pairs, _ = run_self(make_seq(), records)
+        before = _spill_roots()
+        persistent = make_persistent()
+        with persistent:
+            pairs, report = run_self(persistent, records)
+            assert len(_spill_roots() - before) == 1
+            self._assert_roots_empty(before)
+        assert _spill_roots() - before == set()
+        assert pairs == clean_pairs
+        assert report.executor_summary()["spill_bytes_written"] > 0
+        persistent.close()  # idempotent
+
     @pytest.mark.parametrize("spec", CHAOS_SPECS)
     def test_chaos_run_leaks_no_segments(self, rng, spec):
         records = random_records(rng, 70)
         clean_pairs, _ = run_self(make_seq(), records)
-        before = _shm_segments()
+        before = _spill_roots()
         persistent = make_persistent(fault_plan=FaultPlan.parse(spec))
         with persistent:
             pairs, report = run_self(persistent, records)
-            # segments live only within a job: after the join returns,
-            # every per-job shuffle handle has already unlinked its phase
-            assert _shm_segments() - before == set()
-        assert _shm_segments() - before == set()
+            self._assert_roots_empty(before)
+        assert _spill_roots() - before == set()
         assert pairs == clean_pairs
-        # the transport really ran through shared memory
-        assert report.executor_summary()["shm_bytes"] > 0
+        # the shuffle really ran through spill files
+        assert report.executor_summary()["spill_bytes_written"] > 0
 
     def test_failed_phase_sweeps_its_segments(self, rng):
         records = random_records(rng, 70)
-        before = _shm_segments()
+        before = _spill_roots()
         persistent = make_persistent(
             fault_plan=FaultPlan.parse("raise:stage2-*:map:*:*"),
             retry_policy=RetryPolicy(max_attempts=2),
@@ -427,56 +451,43 @@ class TestShmChaos:
         with persistent:
             with pytest.raises(TaskError):
                 run_self(persistent, records)
-            assert _shm_segments() - before == set()
+            self._assert_roots_empty(before)
+        assert _spill_roots() - before == set()
 
-    def test_degraded_engine_falls_back_to_disk(self, rng):
+    def test_degraded_engine_leaks_no_segments(self, rng):
         records = random_records(rng, 70)
         clean_pairs, _ = run_self(make_seq(), records)
-        before = _shm_segments()
+        before = _spill_roots()
         persistent = make_persistent(
             fault_plan=FaultPlan.parse("crash:*:map:*:0"),
             retry_policy=RetryPolicy(max_pool_respawns=0),
         )
         with persistent:
-            pairs, report = run_self(persistent, records)
+            pairs, _report = run_self(persistent, records)
             assert persistent.executor.degraded
+            self._assert_roots_empty(before)
         assert pairs == clean_pairs
-        summary = report.executor_summary()
-        # after degradation every spill goes to disk, reported as
-        # shm fallbacks; the metrics gauge mirrors the tally
-        assert summary["shm_fallbacks"] > 0
-        gauges = report.metrics().snapshot()["gauges"]
-        assert gauges["shuffle.fallback_disk"] == summary["shm_fallbacks"]
-        assert _shm_segments() - before == set()
+        assert _spill_roots() - before == set()
 
-    def test_spill_falls_back_when_shm_dir_missing(self, tmp_path, monkeypatch):
-        from repro.mapreduce import executor as ex_mod
-
-        monkeypatch.setattr(ex_mod, "_SHM_DIR", str(tmp_path / "no-shm"))
-        locator, segments, _pb = ex_mod._spill_map_output(
-            str(tmp_path / "phase"), "m0a0", [(0, "k", "v")], 2, "shm", "pfx-"
-        )
-        assert locator[0] == "disk"
-        assert ex_mod._read_segments(
-            [(locator[0], locator[1], *segments[0])]
-        ) == [("k", "v")]
-
-    def test_spill_falls_back_when_segment_creation_fails(
-        self, tmp_path, monkeypatch
+    def test_spill_falls_back_when_shm_dir_missing(
+        self, rng, tmp_path, monkeypatch
     ):
         from repro.mapreduce import executor as ex_mod
 
-        def boom(name, size):
-            raise OSError("no space on /dev/shm")
-
-        monkeypatch.setattr(ex_mod, "_create_shm", boom)
-        locator, segments, _pb = ex_mod._spill_map_output(
-            str(tmp_path / "phase"), "m0a0", [(1, "k", "v")], 2, "shm", "pfx-"
-        )
-        assert locator[0] == "disk"
-        assert ex_mod._read_segments(
-            [(locator[0], locator[1], *segments[1])]
-        ) == [("k", "v")]
+        monkeypatch.setattr(ex_mod, "_SHM_DIR", str(tmp_path / "no-shm"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        records = random_records(rng, 70)
+        clean_pairs, _ = run_self(make_seq(), records)
+        shm_before = _spill_roots()
+        persistent = make_persistent()
+        with persistent:
+            pairs, report = run_self(persistent, records)
+            # the spill root landed in the temp directory, not /dev/shm
+            assert len(_spill_roots(str(tmp_path))) == 1
+            assert _spill_roots() == shm_before
+        assert _spill_roots(str(tmp_path)) == set()
+        assert pairs == clean_pairs
+        assert report.executor_summary()["spill_bytes_written"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ bit-identical output on both engines — including through a kill +
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import random
 
@@ -22,7 +23,7 @@ from repro.join.blocks import (
     BlockPolicy,
     projection_spill_bytes,
 )
-from repro.join.checkpoint import JoinCheckpoint
+from repro.join.checkpoint import CheckpointMismatchError, JoinCheckpoint
 from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_rs, ssjoin_self
 from repro.join.estimate import PrefixSample
@@ -249,7 +250,7 @@ class TestFootprintModel:
             prefix_lists=[(0,), (0,), (1,)],
             token_lists=[(0, 1), (0, 2), (1, 3)],
         )
-        config = JoinConfig(**CONFIG, kernel="bk", batch_size=None)
+        config = JoinConfig(**CONFIG, kernel="bk")
         per_record = projection_spill_bytes(2, config.bitmap_filter)
         footprints = estimate_group_footprints(sample, config)
         assert footprints == {0: 2 * per_record, 1: per_record}
@@ -263,8 +264,7 @@ class TestFootprintModel:
             total=8,  # scale 4x
         )
         config = JoinConfig(
-            **CONFIG, kernel="bk", batch_size=None,
-            routing="grouped", num_groups=2,
+            **CONFIG, kernel="bk", routing="grouped", num_groups=2,
         )
         footprints = estimate_group_footprints(sample, config)
         # ranks 0 and 2 collapse onto group 0; rank 1 routes to group 1
@@ -272,24 +272,22 @@ class TestFootprintModel:
         assert footprints[0] == 4 * projection_spill_bytes(3, sig)
         assert footprints[1] == 4 * projection_spill_bytes(2, sig)
 
-    def test_blocks_divide_and_batch_adds_buffer(self):
+    def test_blocks_divide_peak(self):
         sample = make_sample(
             prefix_lists=[(0,)] * 8,
             token_lists=[(0, 1, 2)] * 8,
         )
-        base = JoinConfig(**CONFIG, kernel="bk", batch_size=None)
+        base = JoinConfig(**CONFIG, kernel="bk")
         peak = estimate_peak_bytes(sample, base)
         blocked = base.with_options(
             blocks=BlockPolicy(strategy=REDUCE_BASED, num_blocks=4)
         )
         # two resident blocks out of four: half the unblocked peak
         assert estimate_peak_bytes(sample, blocked) == -(-peak // 2)
-        batched = base.with_options(batch_size=4)
-        assert estimate_peak_bytes(sample, batched) > peak
 
     def test_empty_sample_estimates_zero(self):
         sample = make_sample([], [])
-        config = JoinConfig(**CONFIG, kernel="bk", batch_size=None)
+        config = JoinConfig(**CONFIG, kernel="bk")
         assert estimate_peak_bytes(sample, config) == 0
 
     def test_block_strategy_cost_crossover(self):
@@ -354,7 +352,7 @@ class TestAdmission:
 class TestLadder:
     def test_escalation_order(self):
         config = JoinConfig(
-            **CONFIG, kernel="pk", routing="grouped", num_groups=8, batch_size=64,
+            **CONFIG, kernel="pk", routing="grouped", num_groups=8,
         )
         steps = []
         while (step := next_escalation(config)) is not None:
@@ -367,21 +365,19 @@ class TestLadder:
             "blocks:reduce:2",
             "blocks:reduce:4",
         ]
-        assert "blocks:reduce:4096" in steps
-        assert steps[-4:] == ["batch:32", "batch:16", "batch:8", "batch:none"]
+        assert steps[-1] == "blocks:reduce:4096"
         assert next_escalation(config) is None
 
     def test_apply_step_rejects_unknown(self):
         config = JoinConfig(**CONFIG)
         for bad in ("routing:grouped", "kernel:gpu", "blocks:weird:3",
-                    "blocks:reduce:x", "frobnicate"):
+                    "blocks:reduce:x", "batch:32", "batch:none", "frobnicate"):
             with pytest.raises(ValueError):
                 apply_step(config, None, bad)
 
     def test_routing_step_clears_plan_splits(self):
         plan = Stage2Plan(
-            routing="grouped", num_groups=4, batch_size=64,
-            splits=(("common", 2),),
+            routing="grouped", num_groups=4, splits=(("common", 2),),
         )
         config = JoinConfig(**CONFIG, routing="grouped", num_groups=4)
         config, plan = apply_step(config, plan, "routing:individual")
@@ -391,8 +387,7 @@ class TestLadder:
     def test_blocks_step_clears_length_classes_and_splits(self):
         config = JoinConfig(**CONFIG, kernel="bk", length_class_width=4)
         plan = Stage2Plan(
-            routing="individual", num_groups=None, batch_size=None,
-            splits=(("common", 2),),
+            routing="individual", num_groups=None, splits=(("common", 2),),
         )
         config, plan = apply_step(config, plan, "blocks:map:4")
         assert config.blocks == BlockPolicy(strategy=MAP_BASED, num_blocks=4)
@@ -400,21 +395,12 @@ class TestLadder:
         assert plan.splits == ()
 
     def test_apply_degradations_folds_in_order(self):
-        config = JoinConfig(**CONFIG, kernel="pk", batch_size=64)
+        config = JoinConfig(**CONFIG, kernel="pk")
         config, _ = apply_degradations(
             config, None, ["kernel:bk", "blocks:reduce:2", "blocks:reduce:4"]
         )
         assert config.kernel == "bk"
         assert config.blocks.num_blocks == 4
-        assert config.batch_size == 64
-
-    def test_batch_step_syncs_plan(self):
-        plan = Stage2Plan(routing="individual", num_groups=None, batch_size=64)
-        config = JoinConfig(**CONFIG, batch_size=64)
-        config, plan = apply_step(config, plan, "batch:32")
-        assert config.batch_size == 32 and plan.batch_size == 32
-        config, plan = apply_step(config, plan, "batch:none")
-        assert config.batch_size is None and plan.batch_size is None
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +488,22 @@ class TestSqueezeRecoverySimulated:
         assert report.memory_steps
         assert report.counters()["memory.replans"] == len(report.memory_steps)
 
+    def test_resume_refuses_retired_batch_step(self, tmp_path):
+        """A manifest written before the batch rungs were retired is
+        refused by name instead of failing deep inside the ladder."""
+        records = skewed_records()
+        config = JoinConfig(**CONFIG, kernel="pk")
+        run_self(make_sim(), records, config, checkpoint=JoinCheckpoint(tmp_path))
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["memory_steps"] = ["kernel:bk", "batch:32"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointMismatchError, match="batch:32"):
+            run_self(
+                make_sim(), records, config,
+                checkpoint=JoinCheckpoint(tmp_path, resume=True),
+            )
+
 
 @fork_only
 class TestSqueezeRecoveryPersistent:
@@ -537,7 +539,8 @@ class TestBudgetEndToEnd:
         records = skewed_records()
         base = JoinConfig(**CONFIG, kernel="pk")
         clean_pairs, _ = run_self(make_sim(), records, base)
-        budgeted = JoinConfig(**CONFIG, kernel="pk", memory_budget_mb=0.01)
+        # the hot group's estimated footprint is ~6 KB; 80% of 5 KB is not
+        budgeted = JoinConfig(**CONFIG, kernel="pk", memory_budget_mb=0.005)
         pairs, report = run_self(make_sim(), records, budgeted)
         counters = report.counters()
         assert counters["memory.admitted"] == 1

@@ -65,22 +65,6 @@ class TestRuleFixtures:
         assert findings[0].function == "mapper"
         assert "except Exception" in findings[0].message
 
-    def test_mr008_per_record_work_in_batch_module(self):
-        findings = lint_file(FIXTURES / "mr008_batch_bad.py")
-        assert rules_fired(findings) == ["MR008", "MR008"]
-        assert "pickle.dumps" in findings[0].message
-        assert "verify_pair" in findings[1].message
-        # the bucket-level dumps outside the loops stays clean
-        assert all(f.function == "reducer" for f in findings)
-
-    def test_mr008_only_arms_in_batch_path_modules(self):
-        source = (FIXTURES / "mr008_batch_bad.py").read_text()
-        assert lint_source(source, "kernels.py") == []
-        assert rules_fired(lint_source(source, "stage2_thing.py")) == [
-            "MR008",
-            "MR008",
-        ]
-
     def test_mr007_bare_except_fires_even_with_a_body(self):
         source = textwrap.dedent(
             """

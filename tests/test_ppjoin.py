@@ -11,6 +11,8 @@ from repro.core.ppjoin import PPJoinIndex, ppjoin_rs_join, ppjoin_self_join
 from repro.core.prefixes import Projection
 from repro.core.similarity import Cosine, Dice, Jaccard
 
+from tests.conftest import tally_verified
+
 
 def projections(list_of_sets, base=0):
     return [
@@ -200,7 +202,7 @@ class TestBitmapIndex:
     def test_filter_stats_keys_and_bitmap_prunes(self):
         index = PPJoinIndex(Jaccard(), 0.5, bitmap_width=64, use_suffix=False)
         assert set(index.filter_stats) == {
-            "length", "bitmap", "positional", "suffix",
+            "candidates", "length", "bitmap", "positional", "suffix",
         }
         # same prefix token, disjoint suffixes: survives the length
         # filter, dies on the bitmap bound before verification
@@ -208,6 +210,35 @@ class TestBitmapIndex:
         index.probe(2, (0, 10, 11, 12))
         assert index.filter_stats["bitmap"] == 1
         assert index.filter_stats["suffix"] == 0
+
+    @pytest.mark.parametrize("bitmap_width", [None, 64])
+    @pytest.mark.parametrize("mode", ["self", "rs"])
+    def test_candidate_funnel_closes(self, monkeypatch, bitmap_width, mode):
+        """candidates == bitmap + positional + suffix prunes + the
+        candidates handed to verification, whichever filters are on."""
+        rng = random.Random(13)
+        sets = [set(rng.sample(range(40), rng.randint(1, 12))) for _ in range(120)]
+        projs = sorted(projections(sets), key=lambda p: (p.size, p.rid))
+        handed = tally_verified(monkeypatch)
+        index = PPJoinIndex(
+            Jaccard(), 0.5, mode=mode, evict=mode == "self",
+            use_suffix=bitmap_width is None, bitmap_width=bitmap_width,
+        )
+        if mode == "rs":
+            for proj in projs[::2]:
+                index.add(proj.rid, proj.tokens)
+            for proj in projs[1::2]:
+                index.probe(proj.rid, proj.tokens)
+        else:
+            for proj in projs:
+                index.probe(proj.rid, proj.tokens)
+                index.add(proj.rid, proj.tokens)
+        stats = index.filter_stats
+        assert handed[0] > 0
+        assert stats["bitmap"] + stats["positional"] + stats["suffix"] > 0
+        assert stats["candidates"] == (
+            stats["bitmap"] + stats["positional"] + stats["suffix"] + handed[0]
+        )
 
     def test_bitmap_never_prunes_true_pair(self):
         rng = random.Random(12)

@@ -65,29 +65,11 @@ def test_format_executor_summary_golden():
     assert format_executor_summary(summary) == (
         "executor\n"
         "pools  pooled  inline  tasks  chunks  to_workers_kb  from_workers_kb  "
-        "spill_kb  shm_kb  fallbacks  util\n"
+        "spill_kb  util\n"
         "-----  ------  ------  -----  ------  -------------  ---------------  "
-        "--------  ------  ---------  ----\n"
+        "--------  ----\n"
         "1      4       2       24     8       2.00           1.00             "
-        "0.50      0.00    0          1.50"
-    )
-
-
-def test_format_executor_summary_shm_golden():
-    summary = dict(
-        pools_created=1, pooled_phases=4, inline_phases=2, tasks=24,
-        chunks=8, bytes_to_workers=2048, bytes_from_workers=1024,
-        spill_bytes_written=0, shm_bytes=4096, shm_fallbacks=1,
-        busy_s=6.0, pool_wall_s=4.0,
-    )
-    assert format_executor_summary(summary) == (
-        "executor\n"
-        "pools  pooled  inline  tasks  chunks  to_workers_kb  from_workers_kb  "
-        "spill_kb  shm_kb  fallbacks  util\n"
-        "-----  ------  ------  -----  ------  -------------  ---------------  "
-        "--------  ------  ---------  ----\n"
-        "1      4       2       24     8       2.00           1.00             "
-        "0.00      4.00    1          1.50"
+        "0.50      1.50"
     )
 
 
@@ -126,29 +108,29 @@ def test_format_speedup_series_golden():
 
 def test_format_plan_counters_golden():
     counters = {
-        "plan.batch_size": 64, "plan.num_groups": 0,
+        "plan.num_groups": 0,
         "plan.routing_grouped": 0, "plan.sampled_records": 125,
         "plan.split_factor": 4, "plan.splits": 10,
     }
     assert format_plan_counters(counters) == (
         "adaptive plan\n"
-        "routing     groups  batch  splits  factor  sampled\n"
-        "----------  ------  -----  ------  ------  -------\n"
-        "individual  -       64     10      4       125    "
+        "routing     groups  splits  factor  sampled\n"
+        "----------  ------  ------  ------  -------\n"
+        "individual  -       10      4       125    "
     )
 
 
 def test_format_plan_counters_grouped_scalar_golden():
     counters = {
-        "plan.batch_size": 0, "plan.num_groups": 32,
+        "plan.num_groups": 32,
         "plan.routing_grouped": 1, "plan.sampled_records": 64,
         "plan.split_factor": 0, "plan.splits": 0,
     }
     assert format_plan_counters(counters) == (
         "adaptive plan\n"
-        "routing  groups  batch   splits  factor  sampled\n"
-        "-------  ------  ------  ------  ------  -------\n"
-        "grouped  32      scalar  0       -       64     "
+        "routing  groups  splits  factor  sampled\n"
+        "-------  ------  ------  ------  -------\n"
+        "grouped  32      0       -       64     "
     )
 
 

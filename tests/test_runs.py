@@ -111,6 +111,45 @@ def test_diff_runs(rng):
     assert diff["counter_rows"], "different runs must change counters"
 
 
+def _registry_with_pre_retirement_run(tmp_path, rng):
+    """A registry holding one current manifest and one written before
+    the batch kernels and the shm transport were retired (it still
+    carries their counters and gauges)."""
+    config, report = _join_report(rng)
+    current = build_run_manifest(
+        kind="selfjoin", workload="records", config=config, report=report
+    )
+    old = json.loads(json.dumps(current))
+    old["id"] = "20250101-000000-" + current["config_digest"][:8]
+    old["counters"].update({"plan.batch_size": 64, "stage2.batches": 12})
+    old["metrics"]["gauges"].update(
+        {"shuffle.shm_bytes": 4096.0, "shuffle.fallback_disk": 1.0}
+    )
+    directory = str(tmp_path / "reg")
+    write_run_manifest(directory, old)
+    write_run_manifest(directory, current)
+    return directory, old["id"], current["id"]
+
+
+def test_cli_runs_show_tolerates_retired_counters(tmp_path, capsys, rng):
+    directory, old_id, _ = _registry_with_pre_retirement_run(tmp_path, rng)
+    assert main(["runs", "show", old_id, "--runs-dir", directory]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert shown["counters"]["plan.batch_size"] == 64
+    assert shown["metrics"]["gauges"]["shuffle.shm_bytes"] == 4096.0
+
+
+def test_cli_runs_diff_tolerates_retired_counters(tmp_path, capsys, rng):
+    directory, old_id, new_id = _registry_with_pre_retirement_run(tmp_path, rng)
+    assert main(["runs", "diff", old_id, new_id, "--runs-dir", directory]) == 0
+    text = capsys.readouterr().out
+    assert "config: identical" in text
+    # the retired counters read 0 on the new side instead of crashing
+    rows = {line.split()[0]: line.split()[1:3] for line in text.splitlines()
+            if line.startswith(("plan.batch_size", "stage2.batches"))}
+    assert rows == {"plan.batch_size": ["64", "0"], "stage2.batches": ["12", "0"]}
+
+
 # ---------------------------------------------------------------------------
 # regression checker
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ from repro.mapreduce.pipeline import run_pipeline
 
 from tests.conftest import (
     SCHEMA_1,
+    assert_pk_funnel_closes,
     make_cluster,
     oracle_projections,
     pair_keys,
     random_records,
+    tally_verified,
 )
 
 
@@ -34,7 +36,7 @@ def oracle_pairs(records, config):
 @pytest.mark.parametrize("kernel", ["bk", "pk"])
 @pytest.mark.parametrize("routing", ["individual", "grouped"])
 class TestKernelsMatchOracle:
-    def test_random_corpus(self, rng, kernel, routing):
+    def test_random_corpus(self, rng, kernel, routing, monkeypatch):
         records = random_records(rng, 70)
         config = JoinConfig(
             threshold=0.5,
@@ -43,8 +45,11 @@ class TestKernelsMatchOracle:
             routing=routing,
             num_groups=5 if routing == "grouped" else None,
         )
-        pairs, _ = run_stage2(records, config)
+        handed = tally_verified(monkeypatch)
+        pairs, stats = run_stage2(records, config)
         assert pair_keys(pairs) == pair_keys(oracle_pairs(records, config))
+        if kernel == "pk":
+            assert_pk_funnel_closes(stats.counters, handed[0])
 
     def test_high_threshold(self, rng, kernel, routing):
         records = random_records(rng, 60)

@@ -8,15 +8,17 @@ from repro.join.config import JoinConfig
 from repro.join.records import make_line
 from repro.join.stage1 import stage1_jobs
 from repro.join.stage2_rs import _length_class, stage2_rs_job
-from repro.join.stage2 import REL_R, REL_S
+from repro.join.records import REL_R, REL_S
 from repro.mapreduce.pipeline import run_pipeline
 
 from tests.conftest import (
     SCHEMA_1,
+    assert_pk_funnel_closes,
     make_cluster,
     oracle_projections,
     pair_keys,
     random_records,
+    tally_verified,
 )
 
 
@@ -42,14 +44,17 @@ def oracle(r_records, s_records, config):
 
 @pytest.mark.parametrize("kernel", ["bk", "pk"])
 class TestRSKernels:
-    def test_matches_oracle(self, rng, kernel):
+    def test_matches_oracle(self, rng, kernel, monkeypatch):
         r = random_records(rng, 40)
         s = random_records(rng, 40, rid_base=1000)
         config = JoinConfig(threshold=0.5, schema=SCHEMA_1, kernel=kernel)
-        pairs, _ = run_stage2_rs(r, s, config)
+        handed = tally_verified(monkeypatch)
+        pairs, stats = run_stage2_rs(r, s, config)
         assert sorted(set(p[:2] for p in pairs)) == sorted(
             p[:2] for p in oracle(r, s, config)
         )
+        if kernel == "pk":
+            assert_pk_funnel_closes(stats.counters, handed[0])
 
     def test_overlapping_rid_spaces(self, rng, kernel):
         """R and S may reuse RIDs; pairs must keep direction (r, s)."""
