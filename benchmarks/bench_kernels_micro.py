@@ -15,7 +15,6 @@ best-of), so the JSON is produced even under ``--benchmark-disable``.
 """
 
 import json
-import statistics
 import time
 from functools import lru_cache
 from pathlib import Path

@@ -3,7 +3,7 @@
 :mod:`repro.analysis.mrlint` checks each mapper/reducer/kernel function
 in isolation; this module checks the contracts *between* them.  It
 parses a whole source tree at once (stdlib :mod:`ast` only), builds a
-module-level call graph, and enforces four whole-program invariants the
+module-level call graph, and enforces five whole-program invariants the
 runtime never sees until output silently diverges:
 
 =======  ==============================================================

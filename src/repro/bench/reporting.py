@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from repro.mapreduce.types import utilization
+
 
 def _format_cell(value: object) -> str:
     if isinstance(value, float):
@@ -40,11 +42,13 @@ def format_executor_summary(summary: dict, title: str = "executor") -> str:
     """Render a :meth:`JoinReport.executor_summary` dict as one table row.
 
     All-zero summaries (sequential runs) render too — the row then just
-    shows zero pooled phases.
+    shows zero pooled phases.  ``util`` is summed task CPU over summed
+    pool capacity (workers x wall), the same definition as
+    :attr:`ExecutorPhaseStats.utilization`.
     """
-    util = 0.0
-    if summary.get("pool_wall_s"):
-        util = summary["busy_s"] / (summary["pool_wall_s"] or 1.0)
+    util = utilization(
+        summary.get("busy_s", 0.0), summary.get("pool_capacity_s", 0.0)
+    )
     headers = [
         "pools", "pooled", "inline", "tasks", "chunks",
         "to_workers_kb", "from_workers_kb", "spill_kb", "util",

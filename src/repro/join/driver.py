@@ -381,47 +381,38 @@ def _merge_telemetry(cluster: SimulatedCluster, report: JoinReport) -> None:
         report.extra_counters[name] = report.extra_counters.get(name, 0) + value
 
 
-def ssjoin_self(
+def _ssjoin(
     cluster: SimulatedCluster,
-    records_file: str,
-    config: JoinConfig | None = None,
-    prefix: str | None = None,
-    checkpoint: JoinCheckpoint | None = None,
+    files: list[str],
+    is_rs: bool,
+    config: JoinConfig | None,
+    prefix: str | None,
+    checkpoint: JoinCheckpoint | None,
 ) -> JoinReport:
-    """Run the three-stage self-join on a DFS file.
-
-    Returns a :class:`JoinReport`; the joined record pairs are in
-    ``report.output_file`` as ``(line1, line2, similarity)`` records.
-    With a :class:`~repro.join.checkpoint.JoinCheckpoint`, completed
-    stage outputs are persisted as the join progresses; a checkpoint
-    opened with ``resume=True`` restores them and re-runs only the
-    remaining stages (identity-checked — see the checkpoint module).
-    """
+    """The three-stage join over *files* — one DFS file for a self-join,
+    ``[r_file, s_file]`` for an R-S join (the token ordering is built on
+    the first file either way)."""
+    kind = "rs" if is_rs else "self"
     config = config or JoinConfig()
-    prefix = prefix or f"{records_file}.selfjoin"
+    prefix = prefix or f"{files[0]}.{kind}join"
     reducers = _num_reducers(config, cluster)
-    config, plan, admission = _adaptive_plan(
-        cluster, config, reducers, records_file
-    )
+    config, plan, admission = _adaptive_plan(cluster, config, reducers, *files)
 
     token_order_file = f"{prefix}.tokens"
     pairs_file = f"{prefix}.ridpairs"
     output_file = f"{prefix}.joined"
+    stage2_job = stage2_rs_job if is_rs else stage2_self_job
 
     # Every stage's jobs are constructible from DFS file names alone, so
     # build them all before anything runs: clusters with a persistent
     # worker pool then fork exactly once for the whole join.  The
     # builder is re-invoked whenever a memory fault degrades the plan.
     def build(cfg: JoinConfig, pln: Stage2Plan | None) -> list:
-        s1 = stage1_jobs(cfg, [records_file], token_order_file, reducers)
-        s2 = [
-            stage2_self_job(
-                cfg, records_file, token_order_file, pairs_file, reducers, pln
-            )
-        ]
+        s1 = stage1_jobs(cfg, files[:1], token_order_file, reducers)
+        s2 = [stage2_job(cfg, *files, token_order_file, pairs_file, reducers, pln)]
         s3 = stage3_jobs(
-            cfg, {records_file: 0}, pairs_file, output_file, reducers,
-            is_rs=False,
+            cfg, {name: tag for tag, name in enumerate(files)}, pairs_file,
+            output_file, reducers, is_rs=is_rs,
         )
         return [
             ("stage1", s1, [token_order_file], {"algorithm": cfg.stage1}),
@@ -446,9 +437,7 @@ def ssjoin_self(
         # admission is deterministic, so a resumed run recomputes it and
         # then replays the persisted degradation steps on top
         done = checkpoint.begin(
-            checkpoint_identity(
-                "self", config, prefix, cluster.dfs, [records_file], reducers
-            )
+            checkpoint_identity(kind, config, prefix, cluster.dfs, files, reducers)
         )
 
     report = JoinReport(combo=config.combo_name, output_file=output_file)
@@ -457,7 +446,7 @@ def ssjoin_self(
     report.extra_counters.update(admission)
     tracer = getattr(cluster, "tracer", None)
     with trace_span(
-        tracer, f"ssjoin_self:{records_file}", "join",
+        tracer, f"ssjoin_{kind}:" + ":".join(files), "join",
         combo=config.combo_name, threshold=config.threshold,
         routing=config.routing, kernel=config.kernel,
     ):
@@ -467,6 +456,25 @@ def ssjoin_self(
         )
     _merge_telemetry(cluster, report)
     return report
+
+
+def ssjoin_self(
+    cluster: SimulatedCluster,
+    records_file: str,
+    config: JoinConfig | None = None,
+    prefix: str | None = None,
+    checkpoint: JoinCheckpoint | None = None,
+) -> JoinReport:
+    """Run the three-stage self-join on a DFS file.
+
+    Returns a :class:`JoinReport`; the joined record pairs are in
+    ``report.output_file`` as ``(line1, line2, similarity)`` records.
+    With a :class:`~repro.join.checkpoint.JoinCheckpoint`, completed
+    stage outputs are persisted as the join progresses; a checkpoint
+    opened with ``resume=True`` restores them and re-runs only the
+    remaining stages (identity-checked — see the checkpoint module).
+    """
+    return _ssjoin(cluster, [records_file], False, config, prefix, checkpoint)
 
 
 def ssjoin_rs(
@@ -481,76 +489,10 @@ def ssjoin_rs(
 
     The token ordering is built on ``r_file``; pass the smaller
     relation as R (Section 4).  Output records are
-    ``(r_line, s_line, similarity)``.
+    ``(r_line, s_line, similarity)``.  Checkpointing as for
+    :func:`ssjoin_self`.
     """
-    config = config or JoinConfig()
-    prefix = prefix or f"{r_file}.rsjoin"
-    reducers = _num_reducers(config, cluster)
-    config, plan, admission = _adaptive_plan(
-        cluster, config, reducers, r_file, s_file
-    )
-
-    token_order_file = f"{prefix}.tokens"
-    pairs_file = f"{prefix}.ridpairs"
-    output_file = f"{prefix}.joined"
-
-    def build(cfg: JoinConfig, pln: Stage2Plan | None) -> list:
-        s1 = stage1_jobs(cfg, [r_file], token_order_file, reducers)
-        s2 = [
-            stage2_rs_job(
-                cfg, r_file, s_file, token_order_file, pairs_file, reducers,
-                pln,
-            )
-        ]
-        s3 = stage3_jobs(
-            cfg,
-            {r_file: 0, s_file: 1},
-            pairs_file,
-            output_file,
-            reducers,
-            is_rs=True,
-        )
-        return [
-            ("stage1", s1, [token_order_file], {"algorithm": cfg.stage1}),
-            (
-                "stage2", s2, [pairs_file],
-                {
-                    "kernel": cfg.kernel,
-                    "routing": cfg.routing,
-                    "num_groups": cfg.num_groups or "per-token",
-                    "splits": len(pln.splits) if pln is not None else 0,
-                },
-            ),
-            ("stage3", s3, [output_file], {"algorithm": cfg.stage3}),
-        ]
-
-    stages = build(config, plan)
-    _prepare(cluster, stages)
-
-    done: list[str] = []
-    if checkpoint is not None:
-        done = checkpoint.begin(
-            checkpoint_identity(
-                "rs", config, prefix, cluster.dfs, [r_file, s_file], reducers
-            )
-        )
-
-    report = JoinReport(combo=config.combo_name, output_file=output_file)
-    if plan is not None:
-        report.extra_counters.update(plan.counters())
-    report.extra_counters.update(admission)
-    tracer = getattr(cluster, "tracer", None)
-    with trace_span(
-        tracer, f"ssjoin_rs:{r_file}:{s_file}", "join",
-        combo=config.combo_name, threshold=config.threshold,
-        routing=config.routing, kernel=config.kernel,
-    ):
-        _run_stages(
-            cluster, report, tracer, checkpoint, done, config, plan, build,
-            stages,
-        )
-    _merge_telemetry(cluster, report)
-    return report
+    return _ssjoin(cluster, [r_file, s_file], True, config, prefix, checkpoint)
 
 
 def _default_cluster() -> SimulatedCluster:

@@ -17,23 +17,24 @@ lets the PK kernel evict index entries below the length-filter lower
 bound (Section 3.2.2) and the R-S kernel stream R before S
 (Section 4).  The relation component is 0 for self-joins.
 
-Reducers:
+Reducers — two, shared with the R-S module (a self-join is the R-S
+join in which every record both probes and is stored):
 
-* **BK** (Basic Kernel) — materializes the group (memory-metered) and
-  verifies its cross product pairwise with the length filter plus
-  merge-based verification.
-* **PK** (PPJoin+ Kernel) — runs :class:`repro.core.ppjoin.PPJoinIndex`
-  over the length-sorted stream.
+* **BK** (Basic Kernel, :func:`make_bk_reducer`) — stores the group
+  (memory-metered) and verifies each probing record against every
+  stored one with the length filter plus merge-based verification.
+* **PK** (PPJoin+ Kernel, :func:`make_pk_reducer`) — runs
+  :class:`repro.core.ppjoin.PPJoinIndex` over the length-sorted stream.
 
 Both may emit the same RID pair from different groups; duplicates are
 eliminated in Stage 3, per the paper.  Output records are
 ``(rid1, rid2, similarity)`` with ``rid1 < rid2``.
 
-Section 5 plugs into the BK path in two forms: block processing
-(see :mod:`repro.join.blocks` and the ``*_blocks_*`` reducers here)
-and the length filter as a *secondary routing criterion*
-(``JoinConfig.length_class_width`` — reducer keys become
-``(token, length-class)`` so each reduce step holds one class).
+Section 5 plugs into the BK loop as a *block policy* in two forms:
+block processing (see :mod:`repro.join.blocks`) and the length filter
+as a *secondary routing criterion* (``JoinConfig.length_class_width``
+— reducer keys become ``(token, length-class)`` so each reduce step
+holds one class).
 
 **Hot-group splitting** (the skew-adaptive layer, see
 :mod:`repro.join.planner`): when an adaptive :class:`Stage2Plan`
@@ -310,7 +311,7 @@ def make_self_mapper(
 
 
 # ---------------------------------------------------------------------------
-# pairwise verification used by the BK reducers
+# pairwise verification used by the BK reducer
 # ---------------------------------------------------------------------------
 
 
@@ -366,267 +367,215 @@ def _write_self_pair(ctx: Context, rid1: int, rid2: int, similarity: float) -> N
     ctx.counters.increment(PAIRS_OUTPUT)
 
 
-# ---------------------------------------------------------------------------
-# self-join reducers
-# ---------------------------------------------------------------------------
-
-
-def make_bk_self_reducer(config: JoinConfig) -> Callable:
-    """Basic Kernel: nested-loop verification of the whole group."""
-
-    def reducer(route: int, values: Iterator, ctx: Context) -> None:
-        sanitizer = make_sanitizer(config, ctx.counters)
-        if sanitizer is not None:
-            values = sanitizer.sorted_values(values, _projection_size)
-        projections: list[tuple] = []
-        charged = 0
-        try:
-            for value in values:
-                charged += ctx.reserve_memory_for(value, "BK candidate list")
-                projections.append(value)
-            total = len(projections)
-            ctx.observe("stage2.group_records", total)
-            ctx.observe("stage2.group_candidates", total * (total - 1) // 2)
-            counters = ctx.counters
-            for i, p1 in enumerate(projections):
-                for p2 in projections[i + 1 :]:
-                    counters.increment(CANDIDATE_PAIRS)
-                    similarity = bk_verify(p1, p2, config, counters, sanitizer)
-                    if similarity is not None:
-                        _write_self_pair(ctx, p1[1], p2[1], similarity)
-        finally:
-            ctx.release_memory(charged)
-
-    return reducer
-
-
-def make_pk_self_reducer(config: JoinConfig) -> Callable:
-    """PPJoin+ Kernel over the length-sorted value stream."""
-
-    def reducer(route: int, values: Iterator, ctx: Context) -> None:
-        sanitizer = make_sanitizer(config, ctx.counters)
-        index = make_pk_index(config, mode="self", evict=True, sanitizer=sanitizer)
-        if sanitizer is not None:
-            values = sanitizer.sorted_values(values, _projection_size)
-        group_records = 0
-        charged = 0
-        for _rel, rid, _n, sig, ranks in values:
-            group_records += 1
-            for other_rid, similarity in index.probe(rid, ranks, signature=sig):
-                _write_self_pair(ctx, rid, other_rid, similarity)
-            index.add(rid, ranks, signature=sig)
-            delta = index.live_bytes - charged
-            if delta >= 0:
-                ctx.reserve_memory(delta, "PK index")
-            else:
-                ctx.release_memory(-delta)
-            charged = index.live_bytes
-        ctx.observe("stage2.group_records", group_records)
-        if sanitizer is not None:
-            sanitizer.check_index_accounting(index)
-        merge_index_filter_stats(ctx, index)
-        ctx.release_memory(charged)
-
-    return reducer
+def _write_rs_pair(ctx: Context, r_rid: int, s_rid: int, similarity: float) -> None:
+    ctx.write((r_rid, s_rid, similarity))
+    ctx.counters.increment(PAIRS_OUTPUT)
 
 
 # ---------------------------------------------------------------------------
-# self-join reducers for split (sharded) hot groups
+# the two reducers
 # ---------------------------------------------------------------------------
 #
-# A split shard's value stream carries two copies per group record: an
-# add copy (REL_R, replicated to every shard) and — for the 1/k of the
-# records homed here — a probe copy (REL_S) sorted immediately before
-# its own add copy.  Each role is performed exactly once per record
-# across the shards, against the same arrival-ordered add sequence the
-# unsplit reducer sees, so pairs and filter counters sum to exactly the
-# unsplit run's (the admissibility argument in DESIGN.md §5g).
+# Both kernels are one loop over one group's value stream in which each
+# record *probes* the records stored so far, *is stored*, or both.  A
+# self-join is the R-S join in which every record does both; everything
+# else the paper does "through key manipulation" only decides, per
+# record, which of the two happens:
+#
+# * **relation policy** — an *untagged* stream (plain self-join group):
+#   every record probes, then is stored.  A *tagged* stream (R-S groups,
+#   and split shards ``key[1] >= 0`` of a self-join): ``REL_R`` records
+#   are stored, ``REL_S`` records probe.
+# * **shard policy** — none, or probe-partitioned: a split shard holds
+#   the whole store side and a ``1/k`` slice of the probes, which is
+#   already the tagged rule (see the module docstring and DESIGN.md §5g).
+# * **block policy** (BK only, Section 5) — which of the records the
+#   relation policy would store are held *now*; see the three stream
+#   functions below.
 
 
-def make_bk_split_self_reducer(config: JoinConfig) -> Callable:
-    """Basic Kernel over one shard of a split group.
+#: stream event that empties the stored set (a new block step begins)
+_RESTART = (None, False, False)
 
-    Stores the replicated add copies; each probe copy verifies against
-    every add stored so far — precisely the ``j < i`` half-loop of the
-    unsplit nested loop, restricted to the probes homed on this shard.
+
+def _whole_group(values: Iterator, tagged: bool, ctx: Context) -> Iterator[tuple]:
+    """No block policy: the relation policy alone assigns the roles."""
+    for projection in values:
+        rel = projection[0]
+        yield projection, not tagged or rel == REL_S, not tagged or rel == REL_R
+
+
+def _stepped_blocks(values: Iterator, tagged: bool, ctx: Context) -> Iterator[tuple]:
+    """Map-based blocks and length-class routing: values arrive as
+    ``(step, role) + projection``; each step holds only its load-role
+    records (one R/self block, one length class) and the stored set
+    restarts when the step changes."""
+    current_step = None
+    for value in values:
+        step, role, projection = value[0], value[1], value[2:]
+        if step != current_step:
+            current_step = step
+            yield _RESTART
+        yield projection, not tagged or projection[0] == REL_S, role == ROLE_LOAD
+
+
+def _spilled_blocks(values: Iterator, tagged: bool, ctx: Context) -> Iterator[tuple]:
+    """Reduce-based blocks (Figure 7(b)): values arrive as ``(block,) +
+    projection``.  The first block of the store side is held; later
+    blocks — and, in a tagged stream, the probe side, once anything was
+    spilled — go to local disk and are replayed, one stored block at a
+    time, through the same probe/store pair."""
+    first_block = None
+    spilled: dict[int, list[tuple]] = {}
+    spilled_probes: list[tuple] = []
+    for value in values:
+        block, projection = value[0], value[1:]
+        probes = not tagged or projection[0] == REL_S
+        storable = not tagged or projection[0] == REL_R
+        if storable and first_block is None:
+            first_block = block
+        held = storable and block == first_block
+        yield projection, probes, held
+        if storable and not held:
+            spilled.setdefault(block, []).append(projection)
+        elif tagged and probes and spilled:
+            spilled_probes.append(projection)
+        else:
+            continue
+        ctx.counters.increment(SPILL_WRITTEN, _spill_bytes(projection))
+    remaining = sorted(spilled)
+    for idx, block in enumerate(remaining):
+        yield _RESTART
+        for projection in spilled[block]:
+            ctx.counters.increment(SPILL_READ, _spill_bytes(projection))
+            yield projection, not tagged, True
+        later = (
+            spilled_probes
+            if tagged
+            else (p for b in remaining[idx + 1 :] for p in spilled[b])
+        )
+        for projection in later:
+            ctx.counters.increment(SPILL_READ, _spill_bytes(projection))
+            yield projection, True, False
+
+
+def _spill_bytes(projection: tuple) -> int:
+    return projection_spill_bytes(len(projection[4]), projection[3] is not None)
+
+
+def make_bk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callable:
+    """Basic Kernel: every probing record is verified against every
+    stored record (length filter, bitmap filter, merge).
+
+    *rs* selects the relation policy of unsplit groups and the output
+    orientation (``(r_rid, s_rid)`` instead of ``rid1 < rid2``); *split*
+    says the job groups on ``(route, shard)``, so shards are recognised
+    by ``key[1] >= 0``.  The block policy comes from *config*.
     """
+    blocks = config.blocks
+    if blocks is not None and blocks.strategy != MAP_BASED:
+        stream_of = _spilled_blocks
+    elif blocks is not None or (config.length_class_width is not None and not rs):
+        # map-based blocks and length classes share one value shape
+        stream_of = _stepped_blocks
+    else:
+        stream_of = _whole_group
+    if stream_of is _whole_group:
+        what = "BK stored R partition" if rs else "BK candidate list"
+    else:
+        what = "BK loaded R block" if rs else "BK loaded block"
+    write_pair = _write_rs_pair if rs else _write_self_pair
+    group_of = _projection_rel if rs else None
 
-    def reducer(route, values: Iterator, ctx: Context) -> None:
+    def reducer(key, values: Iterator, ctx: Context) -> None:
+        tagged = rs or (split and key[1] >= 0)
         sanitizer = make_sanitizer(config, ctx.counters)
-        if sanitizer is not None:
-            values = sanitizer.sorted_values(values, _projection_size)
+        if sanitizer is not None and stream_of is _whole_group:
+            # block streams are ordered by step/block, not by size
+            values = sanitizer.sorted_values(
+                values, _projection_size, group_of=group_of
+            )
         counters = ctx.counters
         stored: list[tuple] = []
         charged = 0
         group_records = 0
+        group_candidates = 0
         try:
-            for value in values:
-                group_records += 1
-                if value[0] == REL_R:
-                    charged += ctx.reserve_memory_for(value, "BK candidate list")
-                    stored.append(value)
-                    continue
-                for other in stored:
-                    counters.increment(CANDIDATE_PAIRS)
-                    similarity = bk_verify(other, value, config, counters, sanitizer)
-                    if similarity is not None:
-                        _write_self_pair(ctx, other[1], value[1], similarity)
-            ctx.observe("stage2.group_records", group_records)
-        finally:
-            ctx.release_memory(charged)
-
-    return reducer
-
-
-def make_pk_split_self_reducer(config: JoinConfig) -> Callable:
-    """PPJoin+ Kernel over one shard of a split group.
-
-    The index is the *self-mode* index (same prefixes, filters and
-    eviction as the unsplit reducer) driven in tagged mode: add copies
-    only insert, probe copies only probe.  Because every shard indexes
-    the full add sequence and a probe sorts exactly where the record's
-    own dual-role copy would, the index state at each probe — eviction
-    frontier included — matches the unsplit run's bit for bit.
-    """
-
-    def reducer(route, values: Iterator, ctx: Context) -> None:
-        sanitizer = make_sanitizer(config, ctx.counters)
-        index = make_pk_index(config, mode="self", evict=True, sanitizer=sanitizer)
-        if sanitizer is not None:
-            values = sanitizer.sorted_values(values, _projection_size)
-        group_records = 0
-        charged = 0
-        for rel, rid, _n, sig, ranks in values:
-            group_records += 1
-            if rel == REL_R:
-                index.add(rid, ranks, signature=sig)
-            else:
-                for other_rid, similarity in index.probe(rid, ranks, signature=sig):
-                    _write_self_pair(ctx, rid, other_rid, similarity)
-            delta = index.live_bytes - charged
-            if delta >= 0:
-                ctx.reserve_memory(delta, "PK index")
-            else:
-                ctx.release_memory(-delta)
-            charged = index.live_bytes
-        ctx.observe("stage2.group_records", group_records)
-        if sanitizer is not None:
-            sanitizer.check_index_accounting(index)
-        merge_index_filter_stats(ctx, index)
-        ctx.release_memory(charged)
-
-    return reducer
-
-
-# ---------------------------------------------------------------------------
-# self-join reducers with Section 5 block processing (BK only)
-# ---------------------------------------------------------------------------
-
-
-def make_bk_self_map_blocks_reducer(config: JoinConfig) -> Callable:
-    """Map-based block processing: the mapper interleaved load/stream
-    copies; only the currently loaded block is held in memory."""
-
-    def reducer(route: int, values: Iterator, ctx: Context) -> None:
-        loaded: list[tuple] = []
-        charged = 0
-        current_step = -1
-        try:
-            for step, role, rel, rid, n, sig, ranks in values:
-                if step != current_step:
+            for projection, probes, stores in stream_of(values, tagged, ctx):
+                if projection is None:
                     ctx.release_memory(charged)
                     charged = 0
-                    loaded = []
-                    current_step = step
-                projection = (rel, rid, n, sig, ranks)
-                for other in loaded:
-                    ctx.counters.increment(CANDIDATE_PAIRS)
-                    similarity = bk_verify(other, projection, config, ctx.counters)
-                    if similarity is not None:
-                        _write_self_pair(ctx, other[1], rid, similarity)
-                if role == ROLE_LOAD:
-                    charged += ctx.reserve_memory_for(projection, "BK loaded block")
-                    loaded.append(projection)
+                    stored = []
+                    continue
+                group_records += 1
+                if probes:
+                    group_candidates += len(stored)
+                    for other in stored:
+                        counters.increment(CANDIDATE_PAIRS)
+                        similarity = bk_verify(
+                            other, projection, config, counters, sanitizer
+                        )
+                        if similarity is not None:
+                            write_pair(ctx, other[1], projection[1], similarity)
+                if stores:
+                    charged += ctx.reserve_memory_for(projection, what)
+                    stored.append(projection)
+            ctx.observe("stage2.group_records", group_records)
+            ctx.observe("stage2.group_candidates", group_candidates)
         finally:
             ctx.release_memory(charged)
 
     return reducer
 
 
-def make_bk_self_reduce_blocks_reducer(config: JoinConfig) -> Callable:
-    """Reduce-based block processing: spill later blocks to local disk
-    and re-read them for the remaining steps (Figure 7(b))."""
+def make_pk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callable:
+    """PPJoin+ Kernel over the length-sorted value stream: probing
+    records query the index, stored records are inserted, and the index
+    evicts entries the stream's length lower bound has passed.
 
-    def reducer(route: int, values: Iterator, ctx: Context) -> None:
-        loaded: list[tuple] = []
+    Parameters as for :func:`make_bk_reducer`.  A split shard drives the
+    same self-mode index in tagged mode: every shard indexes the full
+    add sequence and a probe sorts exactly where the record's own
+    dual-role copy would, so the index state at each probe — eviction
+    frontier included — matches the unsplit run's bit for bit.
+    """
+    mode = "rs" if rs else "self"
+    what = "PK index (R partition)" if rs else "PK index"
+    write_pair = _write_rs_pair if rs else _write_self_pair
+    group_of = _projection_rel if rs else None
+
+    def reducer(key, values: Iterator, ctx: Context) -> None:
+        tagged = rs or (split and key[1] >= 0)
+        sanitizer = make_sanitizer(config, ctx.counters)
+        index = make_pk_index(config, mode=mode, evict=True, sanitizer=sanitizer)
+        if sanitizer is not None:
+            values = sanitizer.sorted_values(
+                values, _projection_size, group_of=group_of
+            )
+        group_records = 0
         charged = 0
-        loaded_block = None
-        spilled: dict[int, list[tuple]] = {}
         try:
-            for block, rel, rid, n, sig, ranks in values:
-                projection = (rel, rid, n, sig, ranks)
-                if loaded_block is None:
-                    loaded_block = block
-                if block == loaded_block:
-                    for other in loaded:
-                        ctx.counters.increment(CANDIDATE_PAIRS)
-                        similarity = bk_verify(other, projection, config, ctx.counters)
-                        if similarity is not None:
-                            _write_self_pair(ctx, other[1], rid, similarity)
-                    charged += ctx.reserve_memory_for(projection, "BK loaded block")
-                    loaded.append(projection)
+            for rel, rid, true_size, sig, ranks in values:
+                group_records += 1
+                if not tagged or rel == REL_S:
+                    for other_rid, similarity in index.probe(
+                        rid, ranks, true_size=true_size, signature=sig
+                    ):
+                        write_pair(ctx, other_rid, rid, similarity)
+                if not tagged or rel == REL_R:
+                    index.add(rid, ranks, signature=sig)
+                delta = index.live_bytes - charged
+                if delta >= 0:
+                    ctx.reserve_memory(delta, what)
                 else:
-                    for other in loaded:
-                        ctx.counters.increment(CANDIDATE_PAIRS)
-                        similarity = bk_verify(other, projection, config, ctx.counters)
-                        if similarity is not None:
-                            _write_self_pair(ctx, other[1], rid, similarity)
-                    spilled.setdefault(block, []).append(projection)
-                    ctx.counters.increment(
-                        SPILL_WRITTEN,
-                        projection_spill_bytes(len(ranks), sig is not None),
-                    )
+                    ctx.release_memory(-delta)
+                charged = index.live_bytes
+            ctx.observe("stage2.group_records", group_records)
+            if sanitizer is not None:
+                sanitizer.check_index_accounting(index)
+            merge_index_filter_stats(ctx, index)
         finally:
             ctx.release_memory(charged)
-
-        remaining = sorted(spilled)
-        for idx, block in enumerate(remaining):
-            loaded = []
-            charged = 0
-            try:
-                for projection in spilled[block]:
-                    ctx.counters.increment(
-                        SPILL_READ,
-                        projection_spill_bytes(
-                            len(projection[4]), projection[3] is not None
-                        ),
-                    )
-                    for other in loaded:
-                        ctx.counters.increment(CANDIDATE_PAIRS)
-                        similarity = bk_verify(other, projection, config, ctx.counters)
-                        if similarity is not None:
-                            _write_self_pair(ctx, other[1], projection[1], similarity)
-                    charged += ctx.reserve_memory_for(projection, "BK loaded block")
-                    loaded.append(projection)
-                for later in remaining[idx + 1 :]:
-                    for projection in spilled[later]:
-                        ctx.counters.increment(
-                            SPILL_READ,
-                            projection_spill_bytes(
-                                len(projection[4]), projection[3] is not None
-                            ),
-                        )
-                        for other in loaded:
-                            ctx.counters.increment(CANDIDATE_PAIRS)
-                            similarity = bk_verify(
-                                other, projection, config, ctx.counters
-                            )
-                            if similarity is not None:
-                                _write_self_pair(
-                                    ctx, other[1], projection[1], similarity
-                                )
-            finally:
-                ctx.release_memory(charged)
 
     return reducer
 
@@ -649,8 +598,8 @@ def stage2_self_job(
     A split-carrying *plan* switches the job to the extended
     ``(route, shard, length, relation)`` key shape: partitioning goes
     through :func:`shard_partition` (unsplit routes keep their classic
-    placement), grouping is on ``(route, shard)``, and split-shard
-    groups (``shard >= 0``) dispatch to the split reducers.
+    placement) and grouping is on ``(route, shard)``; the reducer is the
+    same one, told that shards (``shard >= 0``) are tagged streams.
     """
     blocks = config.blocks
     if blocks is not None and config.kernel != "bk":
@@ -672,60 +621,21 @@ def stage2_self_job(
             "drop blocks/length_class_width or run without splits"
         )
     map_setup, mapper = make_self_mapper(config, blocks, token_order_file, plan)
-    if blocks is None and config.length_class_width is None:
-        reducer = (
-            make_pk_self_reducer(config)
-            if config.kernel == "pk"
-            else make_bk_self_reducer(config)
-        )
-    elif blocks is not None and blocks.strategy != MAP_BASED:
-        reducer = make_bk_self_reduce_blocks_reducer(config)
-    else:
-        # Map-based Section-5 blocks and length-class routing share one
-        # reduce shape: values arrive as (step/class, role, projection),
-        # load-role records are held (and self-joined), stream-role
-        # records verify against the loaded set only.
-        reducer = make_bk_self_map_blocks_reducer(config)
-
-    if split_mode:
-        split_reducer = (
-            make_pk_split_self_reducer(config)
-            if config.kernel == "pk"
-            else make_bk_split_self_reducer(config)
-        )
-        plain_reducer = reducer
-
-        def dispatch_reducer(key, values: Iterator, ctx: Context) -> None:
-            if key[1] >= 0:
-                split_reducer(key, values, ctx)
-            else:
-                plain_reducer(key, values, ctx)
-
-        return MapReduceJob(
-            name=f"stage2-{config.kernel}-self",
-            inputs=[records_file],
-            output=output,
-            mapper=mapper,
-            reducer=dispatch_reducer,
-            num_reducers=num_reducers,
-            partition=lambda key: key[0],
-            partitioner=lambda key, n: shard_partition(key[0], key[1], n),
-            sort_key=lambda key: key,
-            group_key=lambda key: (key[0], key[1]),
-            broadcast=[token_order_file],
-            map_setup=map_setup,
-        )
-
+    make_reducer = make_pk_reducer if config.kernel == "pk" else make_bk_reducer
     return MapReduceJob(
         name=f"stage2-{config.kernel}-self",
         inputs=[records_file],
         output=output,
         mapper=mapper,
-        reducer=reducer,
+        reducer=make_reducer(config, rs=False, split=split_mode),
         num_reducers=num_reducers,
         partition=lambda key: key[0],
+        partitioner=(
+            (lambda key, n: shard_partition(key[0], key[1], n)) if split_mode else None
+        ),
         sort_key=lambda key: key,
-        group_key=lambda key: key[0],
+        group_key=(lambda key: (key[0], key[1])) if split_mode else (lambda key: key[0]),
         broadcast=[token_order_file],
         map_setup=map_setup,
     )
+

@@ -22,8 +22,8 @@ manipulation:
 self-join module) extends keys to ``(route, shard, class, relation,
 length)``: a split route replicates its R records to every shard and
 partitions its S records by home shard — the textbook
-fragment-replicate split, which the *unmodified* R-S reducers already
-handle because their roles are purely tag-driven.  Every shard streams
+fragment-replicate split, which the R-S relation policy already
+handles because its roles are purely tag-driven.  Every shard streams
 the complete R side before its ``1/k`` slice of S, so pairs and filter
 counters sum to exactly the unsplit run's.
 
@@ -32,30 +32,17 @@ Output records are ``(r_rid, s_rid, similarity)``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING
 
 from repro.core.bitmaps import signature as bitmap_signature
-from repro.join.blocks import (
-    MAP_BASED,
-    ROLE_LOAD,
-    SPILL_READ,
-    SPILL_WRITTEN,
-    BlockPolicy,
-    projection_spill_bytes,
-)
-from repro.analysis.sanitize import make_sanitizer
+from repro.join.blocks import MAP_BASED, ROLE_LOAD, BlockPolicy
 from repro.join.config import JoinConfig
 from repro.join.records import REL_R, REL_S
 from repro.join.stage2 import (
-    CANDIDATE_PAIRS,
-    PAIRS_OUTPUT,
-    _projection_rel,
-    _projection_size,
-    bk_verify,
     load_token_order,
-    make_pk_index,
+    make_bk_reducer,
+    make_pk_reducer,
     make_router,
-    merge_index_filter_stats,
     project_record,
     resolve_splits,
 )
@@ -160,196 +147,6 @@ def make_rs_mapper(
     return map_setup, mapper
 
 
-def _write_rs_pair(
-    ctx: Context, r_proj: tuple, s_proj: tuple, similarity: float
-) -> None:
-    ctx.write((r_proj[1], s_proj[1], similarity))
-    ctx.counters.increment(PAIRS_OUTPUT)
-
-
-# ---------------------------------------------------------------------------
-# reducers
-# ---------------------------------------------------------------------------
-
-
-def make_bk_rs_reducer(config: JoinConfig) -> Callable:
-    """Basic Kernel, R-S: store the R projections (they sort first),
-    stream S against them."""
-
-    def reducer(route: int, values: Iterator, ctx: Context) -> None:
-        sanitizer = make_sanitizer(config, ctx.counters)
-        if sanitizer is not None:
-            values = sanitizer.sorted_values(
-                values, _projection_size, group_of=_projection_rel
-            )
-        stored_r: list[tuple] = []
-        charged = 0
-        group_records = 0
-        group_candidates = 0
-        try:
-            for value in values:
-                group_records += 1
-                if value[0] == REL_R:
-                    charged += ctx.reserve_memory_for(value, "BK stored R partition")
-                    stored_r.append(value)
-                    continue
-                group_candidates += len(stored_r)
-                for r_proj in stored_r:
-                    ctx.counters.increment(CANDIDATE_PAIRS)
-                    similarity = bk_verify(
-                        r_proj, value, config, ctx.counters, sanitizer
-                    )
-                    if similarity is not None:
-                        _write_rs_pair(ctx, r_proj, value, similarity)
-            ctx.observe("stage2.group_records", group_records)
-            ctx.observe("stage2.group_candidates", group_candidates)
-        finally:
-            ctx.release_memory(charged)
-
-    return reducer
-
-
-def make_pk_rs_reducer(config: JoinConfig) -> Callable:
-    """PPJoin+ Kernel, R-S: index R, probe S, with the length-class
-    stream enabling eviction of too-short R entries."""
-
-    def reducer(route: int, values: Iterator, ctx: Context) -> None:
-        sanitizer = make_sanitizer(config, ctx.counters)
-        index = make_pk_index(config, mode="rs", evict=True, sanitizer=sanitizer)
-        if sanitizer is not None:
-            values = sanitizer.sorted_values(
-                values, _projection_size, group_of=_projection_rel
-            )
-        group_records = 0
-        charged = 0
-        for rel, rid, true_size, sig, ranks in values:
-            group_records += 1
-            if rel == REL_R:
-                index.add(rid, ranks, signature=sig)
-            else:
-                for r_rid, similarity in index.probe(
-                    rid, ranks, true_size=true_size, signature=sig
-                ):
-                    ctx.write((r_rid, rid, similarity))
-                    ctx.counters.increment(PAIRS_OUTPUT)
-            delta = index.live_bytes - charged
-            if delta >= 0:
-                ctx.reserve_memory(delta, "PK index (R partition)")
-            else:
-                ctx.release_memory(-delta)
-            charged = index.live_bytes
-        ctx.observe("stage2.group_records", group_records)
-        if sanitizer is not None:
-            sanitizer.check_index_accounting(index)
-        merge_index_filter_stats(ctx, index)
-        ctx.release_memory(charged)
-
-    return reducer
-
-
-def make_bk_rs_map_blocks_reducer(config: JoinConfig) -> Callable:
-    """Map-based block processing, R-S: R blocks are loaded one per
-    step; the S stream is replicated against every step."""
-
-    def reducer(route: int, values: Iterator, ctx: Context) -> None:
-        loaded: list[tuple] = []
-        charged = 0
-        current_step = -1
-        try:
-            for step, role, rel, rid, true_size, sig, ranks in values:
-                if step != current_step:
-                    ctx.release_memory(charged)
-                    charged = 0
-                    loaded = []
-                    current_step = step
-                projection = (rel, rid, true_size, sig, ranks)
-                if role == ROLE_LOAD:
-                    charged += ctx.reserve_memory_for(projection, "BK loaded R block")
-                    loaded.append(projection)
-                    continue
-                for r_proj in loaded:
-                    ctx.counters.increment(CANDIDATE_PAIRS)
-                    similarity = bk_verify(r_proj, projection, config, ctx.counters)
-                    if similarity is not None:
-                        _write_rs_pair(ctx, r_proj, projection, similarity)
-        finally:
-            ctx.release_memory(charged)
-
-    return reducer
-
-
-def make_bk_rs_reduce_blocks_reducer(config: JoinConfig) -> Callable:
-    """Reduce-based block processing, R-S: load the first R block,
-    spill the other R blocks and the whole S stream to local disk,
-    then re-read the S stream once per remaining R block."""
-
-    def reducer(route: int, values: Iterator, ctx: Context) -> None:
-        loaded: list[tuple] = []
-        charged = 0
-        loaded_block = None
-        spilled_r: dict[int, list[tuple]] = {}
-        spilled_s: list[tuple] = []
-        try:
-            for block, rel, rid, true_size, sig, ranks in values:
-                projection = (rel, rid, true_size, sig, ranks)
-                if rel == REL_R:
-                    if loaded_block is None:
-                        loaded_block = block
-                    if block == loaded_block:
-                        charged += ctx.reserve_memory_for(
-                            projection, "BK loaded R block"
-                        )
-                        loaded.append(projection)
-                    else:
-                        spilled_r.setdefault(block, []).append(projection)
-                        ctx.counters.increment(
-                            SPILL_WRITTEN,
-                            projection_spill_bytes(len(ranks), sig is not None),
-                        )
-                    continue
-                for r_proj in loaded:
-                    ctx.counters.increment(CANDIDATE_PAIRS)
-                    similarity = bk_verify(r_proj, projection, config, ctx.counters)
-                    if similarity is not None:
-                        _write_rs_pair(ctx, r_proj, projection, similarity)
-                if spilled_r:
-                    spilled_s.append(projection)
-                    ctx.counters.increment(
-                        SPILL_WRITTEN,
-                        projection_spill_bytes(len(ranks), sig is not None),
-                    )
-        finally:
-            ctx.release_memory(charged)
-
-        for block in sorted(spilled_r):
-            loaded = []
-            charged = 0
-            try:
-                for projection in spilled_r[block]:
-                    ctx.counters.increment(
-                        SPILL_READ,
-                        projection_spill_bytes(
-                            len(projection[4]), projection[3] is not None
-                        ),
-                    )
-                    charged += ctx.reserve_memory_for(projection, "BK loaded R block")
-                    loaded.append(projection)
-                for s_proj in spilled_s:
-                    ctx.counters.increment(
-                        SPILL_READ,
-                        projection_spill_bytes(len(s_proj[4]), s_proj[3] is not None),
-                    )
-                    for r_proj in loaded:
-                        ctx.counters.increment(CANDIDATE_PAIRS)
-                        similarity = bk_verify(r_proj, s_proj, config, ctx.counters)
-                        if similarity is not None:
-                            _write_rs_pair(ctx, r_proj, s_proj, similarity)
-            finally:
-                ctx.release_memory(charged)
-
-    return reducer
-
-
 # ---------------------------------------------------------------------------
 # job assembly
 # ---------------------------------------------------------------------------
@@ -369,8 +166,8 @@ def stage2_rs_job(
     A split-carrying *plan* switches to the extended ``(route, shard,
     class, relation, length)`` key shape with
     :func:`shard_partition` placement and ``(route, shard)`` grouping;
-    the reducers are unchanged — a split shard is just an ordinary R-S
-    group holding all of R and a slice of S.
+    the reducer needs no telling — a split shard is just an ordinary
+    R-S group holding all of R and a slice of S.
     """
     blocks = config.blocks
     if blocks is not None and config.kernel != "bk":
@@ -387,43 +184,20 @@ def stage2_rs_job(
     map_setup, mapper = make_rs_mapper(
         config, blocks, token_order_file, r_file, s_file, plan
     )
-    if blocks is None:
-        reducer = (
-            make_pk_rs_reducer(config)
-            if config.kernel == "pk"
-            else make_bk_rs_reducer(config)
-        )
-    elif blocks.strategy == MAP_BASED:
-        reducer = make_bk_rs_map_blocks_reducer(config)
-    else:
-        reducer = make_bk_rs_reduce_blocks_reducer(config)
-
-    if split_mode:
-        return MapReduceJob(
-            name=f"stage2-{config.kernel}-rs",
-            inputs=[r_file, s_file],
-            output=output,
-            mapper=mapper,
-            reducer=reducer,
-            num_reducers=num_reducers,
-            partition=lambda key: key[0],
-            partitioner=lambda key, n: shard_partition(key[0], key[1], n),
-            sort_key=lambda key: key,
-            group_key=lambda key: (key[0], key[1]),
-            broadcast=[token_order_file],
-            map_setup=map_setup,
-        )
-
+    make_reducer = make_pk_reducer if config.kernel == "pk" else make_bk_reducer
     return MapReduceJob(
         name=f"stage2-{config.kernel}-rs",
         inputs=[r_file, s_file],
         output=output,
         mapper=mapper,
-        reducer=reducer,
+        reducer=make_reducer(config, rs=True),
         num_reducers=num_reducers,
         partition=lambda key: key[0],
+        partitioner=(
+            (lambda key, n: shard_partition(key[0], key[1], n)) if split_mode else None
+        ),
         sort_key=lambda key: key,
-        group_key=lambda key: key[0],
+        group_key=(lambda key: (key[0], key[1])) if split_mode else (lambda key: key[0]),
         broadcast=[token_order_file],
         map_setup=map_setup,
     )

@@ -66,6 +66,7 @@ from repro.mapreduce.faults import (
 from repro.mapreduce.hashing import stable_hash
 from repro.mapreduce.job import Context, MapReduceJob
 from repro.mapreduce.types import (
+    ExecutorPhaseStats,
     InsufficientMemoryError,
     PhaseStats,
     TaskStats,
@@ -131,6 +132,11 @@ class ClusterConfig:
         field — including ones added after this method was written —
         survives the copy."""
         return replace(self, num_nodes=num_nodes)
+
+
+def _mode(executor_stats: ExecutorPhaseStats | None) -> dict[str, str]:
+    """Phase-span attribute naming how the phase physically ran."""
+    return {} if executor_stats is None else {"mode": executor_stats.mode}
 
 
 def list_schedule(durations: list[float], num_slots: int) -> float:
@@ -227,28 +233,20 @@ def execute_map_task(
     last_value_bytes = 0
     num_reducers = job.num_reducers
     append = partitioned.append
-    if job.partitioner is not None:
-        partitioner = job.partitioner
-        for key, value in pairs:
-            p = partition_cache.get(key)
-            if p is None:
-                p = partition_cache[key] = partitioner(key, num_reducers)
-            append((p, key, value))
-            if id(value) != last_value_id:
-                last_value_bytes = approx_bytes(value)
-                last_value_id = id(value)
-            output_bytes += approx_bytes(key) + last_value_bytes
-    else:
-        partition = job.partition
-        for key, value in pairs:
-            p = partition_cache.get(key)
-            if p is None:
-                p = partition_cache[key] = stable_hash(partition(key)) % num_reducers
-            append((p, key, value))
-            if id(value) != last_value_id:
-                last_value_bytes = approx_bytes(value)
-                last_value_id = id(value)
-            output_bytes += approx_bytes(key) + last_value_bytes
+    partitioner, partition = job.partitioner, job.partition
+    for key, value in pairs:
+        p = partition_cache.get(key)
+        if p is None:
+            if partitioner is not None:
+                p = partitioner(key, num_reducers)
+            else:
+                p = stable_hash(partition(key)) % num_reducers
+            partition_cache[key] = p
+        append((p, key, value))
+        if id(value) != last_value_id:
+            last_value_bytes = approx_bytes(value)
+            last_value_id = id(value)
+        output_bytes += approx_bytes(key) + last_value_bytes
     cpu = time.perf_counter() - t0
     # JVM reuse: the distributed-cache read and map_setup run once per
     # slot, not once per task (see SimulatedCluster._load_broadcast).
@@ -416,6 +414,61 @@ def _value_iterator(ctx: Context, group: Iterator[tuple]) -> Iterator:
 # ---------------------------------------------------------------------------
 
 
+class DriverShuffle:
+    """One map phase's output held in driver memory, a list of ``(key,
+    value)`` pairs per partition — the sequential engine's shuffle
+    handle.  The job loop only ever sees the five methods below;
+    :class:`repro.mapreduce.executor.MapShuffle` offers the same five
+    over spill files."""
+
+    def __init__(self, num_reducers: int) -> None:
+        self._partitions: list[list[tuple]] = [[] for _ in range(num_reducers)]
+
+    def add_task(self, partitioned: list[tuple[int, tuple, tuple]]) -> None:
+        """Route one map task's ``(partition, key, value)`` triples."""
+        for p, key, value in partitioned:
+            self._partitions[p].append((key, value))
+
+    def partition_bytes(self) -> list[int]:
+        """Approx shuffled bytes of every partition, empty ones included."""
+        return [
+            sum(approx_bytes(pair) for pair in bucket) for bucket in self._partitions
+        ]
+
+    def nonempty_partitions(self) -> list[int]:
+        """The reduce task set, in index order."""
+        return [p for p, bucket in enumerate(self._partitions) if bucket]
+
+    def load(self, partition: int) -> list[tuple]:
+        """One partition's bucket, pairs in map-task order."""
+        return self._partitions[partition]
+
+    def cleanup(self) -> None:
+        """Nothing outlives the object."""
+
+
+def check_rss_pressure(
+    hub: TelemetryHub | None,
+    job: MapReduceJob,
+    phase: str,
+    task_id: int = -1,
+    attempt: int = 0,
+) -> None:
+    """Surface a latched real-RSS watchdog trip as the simulated memory
+    signal (see :class:`repro.obs.telemetry.TelemetryHub`), before real
+    RSS runs further past the cap; a no-op without telemetry or below
+    the cap.  Both engines poll it: per attempt here, per dispatch-loop
+    turn (no single task to blame) in the executor."""
+    if hub is None:
+        return
+    pressure = hub.consume_pressure()
+    if pressure is not None:
+        observed_kb, cap_kb = pressure
+        raise InsufficientMemoryError(
+            "real RSS watchdog", observed_kb * 1024, cap_kb * 1024
+        ).with_context(job.name, phase, task_id, attempt)
+
+
 class SimulatedCluster:
     """Executes MapReduce jobs against a DFS under a cost model."""
 
@@ -443,81 +496,79 @@ class SimulatedCluster:
     # -- public API ---------------------------------------------------------
 
     def run_job(self, job: MapReduceJob) -> PhaseStats:
-        """Run one job; writes ``job.output`` to the DFS and returns stats."""
-        cfg = self.config
+        """Run one job; writes ``job.output`` to the DFS and returns stats.
+
+        The only job loop: spans, telemetry phase events, shuffle
+        accounting, the output write and the cost model happen here for
+        every engine.  *How* a phase's tasks execute is asked of
+        :meth:`_run_map_phase` / :meth:`_run_reduce_phase`, and where
+        the map output sits in between is hidden behind the shuffle
+        handle the map phase returns.
+        """
         stats = PhaseStats(job_name=job.name)
-        stats.startup_s = cfg.job_startup_s
+        stats.startup_s = self.config.job_startup_s
         job_counters = Counters()
+        hub = self.telemetry
+        tracer = self.tracer
 
-        with trace_span(
-            self.tracer, job.name, "job", reducers=job.num_reducers
-        ) as job_span:
-            broadcast_data, broadcast_bytes, broadcast_cpu = self._load_broadcast(job)
+        with trace_span(tracer, job.name, "job", reducers=job.num_reducers) as job_span:
+            broadcast = self._load_broadcast(job)
             map_inputs = self._collect_map_inputs(job)
-
-            hub = self.telemetry
-            partitions: list[list[tuple]] = [[] for _ in range(job.num_reducers)]
-            with trace_span(self.tracer, "map", "phase", job=job.name) as phase_span:
-                if hub is not None:
-                    hub.phase_started(job.name, "map", len(map_inputs))
-                for task_stats, partitioned, counters in self._execute_map_tasks(
-                    job, map_inputs, broadcast_data, broadcast_bytes, broadcast_cpu
-                ):
-                    stats.map_tasks.append(task_stats)
-                    for p, key, value in partitioned:
-                        partitions[p].append((key, value))
-                    job_counters.merge_dict(counters)
+            shuffle = None
+            try:
+                with trace_span(tracer, "map", "phase", job=job.name) as phase_span:
                     if hub is not None:
-                        hub.task_finished(
-                            job.name, "map", task_stats.task_id,
-                            task_stats.input_records,
-                        )
-                if hub is not None:
-                    hub.phase_finished(job.name, "map")
-                phase_span.set(tasks=len(stats.map_tasks))
-
-            with trace_span(
-                self.tracer, "shuffle", "phase", job=job.name
-            ) as phase_span:
-                for bucket in partitions:
-                    bucket_bytes = sum(approx_bytes(pair) for pair in bucket)
-                    stats.shuffle_bytes += bucket_bytes
-                    observe_into(
-                        job_counters.increment, "shuffle.partition_bytes",
-                        bucket_bytes,
+                        hub.phase_started(job.name, "map", len(map_inputs))
+                    results, shuffle, stats.map_executor = self._run_map_phase(
+                        job, map_inputs, broadcast
                     )
-                job_counters.increment(SHUFFLE_BYTES, stats.shuffle_bytes)
-                phase_span.set(
-                    shuffle_bytes=stats.shuffle_bytes, partitions=len(partitions)
-                )
-
-            reduce_inputs = [
-                (p, bucket) for p, bucket in enumerate(partitions) if bucket
-            ]
-            output_records: list = []
-            with trace_span(
-                self.tracer, "reduce", "phase", job=job.name
-            ) as phase_span:
-                if hub is not None:
-                    hub.phase_started(job.name, "reduce", len(reduce_inputs))
-                for task_stats, written, counters in self._execute_reduce_tasks(
-                    job, reduce_inputs
-                ):
-                    stats.reduce_tasks.append(task_stats)
-                    output_records.extend(written)
-                    job_counters.merge_dict(counters)
+                    for task_stats, counters in results:
+                        stats.map_tasks.append(task_stats)
+                        job_counters.merge_dict(counters)
                     if hub is not None:
-                        hub.task_finished(
-                            job.name, "reduce", task_stats.task_id,
-                            task_stats.input_records,
-                        )
-                if hub is not None:
-                    hub.phase_finished(job.name, "reduce")
-                phase_span.set(
-                    tasks=len(stats.reduce_tasks), partitions=job.num_reducers
-                )
+                        hub.phase_finished(job.name, "map")
+                    phase_span.set(
+                        tasks=len(stats.map_tasks), **_mode(stats.map_executor)
+                    )
 
-            self.dfs.write(job.output, output_records)
+                with trace_span(tracer, "shuffle", "phase", job=job.name) as phase_span:
+                    partition_bytes = shuffle.partition_bytes()
+                    for bucket_bytes in partition_bytes:
+                        stats.shuffle_bytes += bucket_bytes
+                        observe_into(
+                            job_counters.increment, "shuffle.partition_bytes",
+                            bucket_bytes,
+                        )
+                    job_counters.increment(SHUFFLE_BYTES, stats.shuffle_bytes)
+                    phase_span.set(
+                        shuffle_bytes=stats.shuffle_bytes,
+                        partitions=len(partition_bytes),
+                    )
+
+                partitions = shuffle.nonempty_partitions()
+                output_records: list = []
+                with trace_span(tracer, "reduce", "phase", job=job.name) as phase_span:
+                    if hub is not None:
+                        hub.phase_started(job.name, "reduce", len(partitions))
+                    results, stats.reduce_executor = self._run_reduce_phase(
+                        job, shuffle, partitions
+                    )
+                    for task_stats, written, counters in results:
+                        stats.reduce_tasks.append(task_stats)
+                        output_records.extend(written)
+                        job_counters.merge_dict(counters)
+                    if hub is not None:
+                        hub.phase_finished(job.name, "reduce")
+                    phase_span.set(
+                        tasks=len(stats.reduce_tasks),
+                        partitions=job.num_reducers,
+                        **_mode(stats.reduce_executor),
+                    )
+
+                self.dfs.write(job.output, output_records)
+            finally:
+                if shuffle is not None:
+                    shuffle.cleanup()
             stats.counters = job_counters.as_dict()
             self._simulate_times(stats)
             job_span.set(
@@ -538,47 +589,95 @@ class SimulatedCluster:
                 task_id += 1
         return map_inputs
 
-    # -- execution hooks (overridden by the parallel executor) -----------
+    # -- phase runners (overridden by the parallel executor) --------------
 
-    def _check_rss_pressure(
-        self, job: MapReduceJob, phase: str, task_id: int, attempt: int
-    ) -> None:
-        """Surface a latched real-RSS watchdog trip as the simulated
-        memory signal (see :class:`repro.obs.telemetry.TelemetryHub`);
-        a no-op without telemetry or below the cap."""
-        hub = self.telemetry
-        if hub is None:
-            return
-        pressure = hub.consume_pressure()
-        if pressure is not None:
-            observed_kb, cap_kb = pressure
-            raise InsufficientMemoryError(
-                "real RSS watchdog", observed_kb * 1024, cap_kb * 1024
-            ).with_context(job.name, phase, task_id, attempt)
+    def _run_map_phase(
+        self,
+        job: MapReduceJob,
+        map_inputs: list[tuple[int, str, list]],
+        broadcast: tuple[dict[str, list], int, float],
+    ) -> tuple[list[tuple[TaskStats, dict[str, int]]], DriverShuffle, None]:
+        """Run every map task in the driver, in task order.
+
+        Returns ``(task_results, shuffle, executor_stats)``:
+        ``[(TaskStats, counters), ...]`` in task order, the handle now
+        holding the partitioned output, and how the phase was physically
+        executed (``None`` = this plain sequential engine).
+        """
+        slots = self.config.map_slots
+        shuffle = DriverShuffle(job.num_reducers)
+        results = []
+        for task_id, input_name, records in map_inputs:
+
+            def run(
+                limit: int | None,
+                heartbeat: HeartbeatEmitter | None,
+                task_id: int = task_id,
+                input_name: str = input_name,
+                records: list = records,
+            ) -> tuple:
+                return execute_map_task(
+                    job, task_id, input_name, records, *broadcast, limit, slots,
+                    tracer=self.tracer, heartbeat=heartbeat,
+                )
+
+            task_stats, partitioned, counters = self._attempt_task(
+                job, "map", task_id, run
+            )
+            shuffle.add_task(partitioned)
+            results.append((task_stats, counters))
+        return results, shuffle, None
+
+    def _run_reduce_phase(
+        self, job: MapReduceJob, shuffle: DriverShuffle, partitions: list[int]
+    ) -> tuple[list[tuple[TaskStats, list, dict[str, int]]], None]:
+        """Run one reduce task per entry of *partitions* in the driver,
+        loading each bucket from *shuffle*.  Returns ``([(TaskStats,
+        written, counters), ...], executor_stats)`` in partition order."""
+        results = []
+        for partition in partitions:
+            bucket = shuffle.load(partition)
+
+            def run(
+                limit: int | None,
+                heartbeat: HeartbeatEmitter | None,
+                partition: int = partition,
+                bucket: list = bucket,
+            ) -> tuple:
+                return execute_reduce_task(
+                    job, partition, bucket, limit,
+                    tracer=self.tracer, heartbeat=heartbeat,
+                )
+
+            results.append(self._attempt_task(job, "reduce", partition, run))
+        return results, None
 
     def _attempt_task(
         self,
         job: MapReduceJob,
         phase: str,
         task_id: int,
-        run_once: Callable[..., _TaskResult],
+        run: Callable[[int | None, HeartbeatEmitter | None], _TaskResult],
     ) -> _TaskResult:
         """Run one task under the cluster's fault plan and retry policy.
 
-        Injected faults and genuine failures are retried up to the
-        policy's attempt budget with deterministic backoff; fault and
-        retry tallies are merged into the winning attempt's counter
-        dict (index 2 of every task-result tuple), so they ride the
+        ``run(memory_limit, heartbeat)`` executes one attempt.  Injected
+        faults and genuine failures are retried up to the policy's
+        attempt budget with deterministic backoff; fault and retry
+        tallies are merged into the winning attempt's counter dict (the
+        last element of every task-result tuple), so they ride the
         existing counter path.  Non-retryable errors (the simulated
         memory budget) propagate raw; an exhausted budget raises the
         last attempt's :class:`TaskError`.
         """
         plan = self.fault_plan
         policy = self.retry_policy or DEFAULT_RETRY_POLICY
+        hub = self.telemetry
+        limit = self.config.memory_per_task_bytes
         extra: dict[str, int] = {}
         attempt = 0
         while True:
-            self._check_rss_pressure(job, phase, task_id, attempt)
+            check_rss_pressure(hub, job, phase, task_id, attempt)
             spec = (
                 None
                 if plan is None
@@ -594,9 +693,9 @@ class SimulatedCluster:
                             kind=spec.kind,
                         )
                     apply_fault(spec, job.name, phase, task_id, attempt)
-                result = run_once(
-                    squeeze=spec if spec is not None and spec.kind == "squeeze"
-                    else None
+                result = run(
+                    squeezed_limit(spec, limit),
+                    None if hub is None else hub.emitter_for(job.name, phase, task_id),
                 )
                 if spec is not None and spec.kind == "corrupt":
                     raise CorruptOutputError(job.name, phase, task_id, attempt)
@@ -630,68 +729,12 @@ class SimulatedCluster:
                     "task.attempts",
                     attempt + 1,
                 )
-            if extra:
-                counters = result[2]
-                for name, value in extra.items():
-                    counters[name] = counters.get(name, 0) + value
+            counters = result[-1]
+            for name, value in extra.items():
+                counters[name] = counters.get(name, 0) + value
+            if hub is not None:
+                hub.task_finished(job.name, phase, task_id, result[0].input_records)
             return result
-
-    def _execute_map_tasks(
-        self,
-        job: MapReduceJob,
-        map_inputs: list[tuple[int, str, list]],
-        broadcast_data: dict[str, list],
-        broadcast_bytes: int,
-        broadcast_cpu: float,
-    ) -> Iterator[tuple[TaskStats, list[tuple[int, tuple, tuple]], dict[str, int]]]:
-        limit = self.config.memory_per_task_bytes
-        slots = self.config.map_slots
-        for task_id, input_name, records in map_inputs:
-
-            def run_once(
-                squeeze=None,
-                task_id: int = task_id,
-                input_name: str = input_name,
-                records: list = records,
-            ) -> tuple[TaskStats, list[tuple[int, tuple, tuple]], dict[str, int]]:
-                hub = self.telemetry
-                return execute_map_task(
-                    job, task_id, input_name, records,
-                    broadcast_data, broadcast_bytes, broadcast_cpu,
-                    squeezed_limit(squeeze, limit), slots,
-                    tracer=self.tracer,
-                    heartbeat=(
-                        None
-                        if hub is None
-                        else hub.emitter_for(job.name, "map", task_id)
-                    ),
-                )
-
-            yield self._attempt_task(job, "map", task_id, run_once)
-
-    def _execute_reduce_tasks(
-        self, job: MapReduceJob, reduce_inputs: list[tuple[int, list]]
-    ) -> Iterator[tuple[TaskStats, list, dict[str, int]]]:
-        limit = self.config.memory_per_task_bytes
-        for partition_index, bucket in reduce_inputs:
-
-            def run_once(
-                squeeze=None,
-                partition_index: int = partition_index,
-                bucket: list = bucket,
-            ) -> tuple[TaskStats, list, dict[str, int]]:
-                hub = self.telemetry
-                return execute_reduce_task(
-                    job, partition_index, bucket, squeezed_limit(squeeze, limit),
-                    tracer=self.tracer,
-                    heartbeat=(
-                        None
-                        if hub is None
-                        else hub.emitter_for(job.name, "reduce", partition_index)
-                    ),
-                )
-
-            yield self._attempt_task(job, "reduce", partition_index, run_once)
 
     # -- broadcast (distributed cache) ------------------------------------
 

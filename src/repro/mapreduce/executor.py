@@ -33,7 +33,7 @@ This module removes both costs:
   handle's ``cleanup()`` (also on phase failure), and the executor's
   ``close()`` / finalizer removes the whole spill root.
 
-Scheduling uses chunked ``imap_unordered``: contiguous task chunks are
+Scheduling is chunked ``apply_async``: contiguous task chunks are
 dispatched to whichever worker is free, and results are reassembled in
 task order before anything is merged, so partition contents, reduce
 input order and therefore all outputs are **byte-identical** to
@@ -55,20 +55,22 @@ import pickle
 import queue as stdlib_queue
 import shutil
 import tempfile
+import threading
 import time
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing.pool import AsyncResult
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.analysis.sanitize import env_sanitize
 from repro.mapreduce.cluster import (
     ClusterConfig,
     SimulatedCluster,
+    check_rss_pressure,
     execute_map_task,
     execute_reduce_task,
 )
-from repro.mapreduce.counters import SHUFFLE_BYTES, Counters
 from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.faults import (
     DEFAULT_RETRY_POLICY,
@@ -88,13 +90,7 @@ from repro.mapreduce.faults import (
     task_error_from,
 )
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.types import (
-    ExecutorPhaseStats,
-    InsufficientMemoryError,
-    PhaseStats,
-    approx_bytes,
-    merge_executor_stats,
-)
+from repro.mapreduce.types import ExecutorPhaseStats, approx_bytes
 from repro.obs.metrics import observe_into
 from repro.obs.telemetry import HeartbeatEmitter, TelemetryHub
 from repro.obs.trace import Tracer, trace_span
@@ -274,123 +270,89 @@ def _read_segments(refs: list[SegmentRef]) -> list:
     return bucket
 
 
-def _run_map_chunk(args: tuple) -> tuple:
-    """Run one chunk of map task attempts.
+def _map_attempt(
+    job: MapReduceJob, task_id: int, attempt: int, limit: int | None,
+    tracer: Tracer | None, heartbeat: HeartbeatEmitter | None,
+    phase_args: tuple, input_name: str, spec: tuple,
+) -> tuple:
+    """One map attempt: run the task, spill its partitioned output.
+    The counters come last, as in every task result."""
+    phase_dir, bcast_path, broadcast_bytes, broadcast_cpu, map_slots = phase_args
+    stats, partitioned, counters = execute_map_task(
+        job, task_id, input_name, _resolve_records(spec),
+        _broadcast_for(bcast_path), broadcast_bytes, broadcast_cpu,
+        limit, map_slots, tracer=tracer, heartbeat=heartbeat,
+    )
+    path, segments, part_bytes = _spill_map_output(
+        phase_dir, f"m{task_id}a{attempt}", partitioned, job.num_reducers
+    )
+    return stats, path, segments, part_bytes, counters
 
-    Each entry is ``(task_id, attempt, input_name, spec)``.  Per-task
-    failures never poison the chunk: the return value separates
-    successful attempts (``oks``) from failed ones (``errs``), each
-    tagged with its task id and attempt, so the parent's retry engine
-    can act per task.
+
+def _reduce_attempt(
+    job: MapReduceJob, partition: int, attempt: int, limit: int | None,
+    tracer: Tracer | None, heartbeat: HeartbeatEmitter | None,
+    phase_args: tuple, refs: list[SegmentRef],
+) -> tuple:
+    """One reduce attempt over its partition's spill-file segments."""
+    return execute_reduce_task(
+        job, partition, _read_segments(refs), limit,
+        tracer=tracer, heartbeat=heartbeat,
+    )
+
+
+_ATTEMPT = {"map": _map_attempt, "reduce": _reduce_attempt}
+
+
+def _run_chunk(args: tuple) -> tuple:
+    """Run one chunk of task attempts of one phase.
+
+    Each entry of *tasks* is ``(task_id, attempt, *payload)`` — the
+    payload is ``(input_name, spec)`` for a map task, ``(segment_refs,)``
+    for a reduce task.  Per-task failures never poison the chunk: the
+    return value separates successful attempts (``oks``) from failed
+    ones (``errs``), each tagged with its task id and attempt, so the
+    parent's retry engine can act per task.
     """
-    chunk_index, jid, common, tasks = args
-    (
-        phase_dir,
-        bcast_path,
-        broadcast_bytes,
-        broadcast_cpu,
-        memory_limit,
-        map_slots,
-        num_reducers,
-        trace,
-        plan,
-        hb_interval,
-    ) = common
+    chunk_index, jid, phase, common, phase_args, tasks = args
+    memory_limit, trace, plan, hb_interval = common
     job = _W_JOBS[jid]
-    broadcast = _broadcast_for(bcast_path)
+    run_attempt = _ATTEMPT[phase]
     # When the parent traces, each chunk records its task spans into a
     # worker-local tracer whose raw events ride back with the results
     # (perf_counter is CLOCK_MONOTONIC, shared across the fork).
     tracer = Tracer() if trace else None
     oks: list[tuple[int, int, tuple]] = []
     errs: list[tuple[int, int, BaseException, bool]] = []
-    for task_id, attempt, input_name, spec in tasks:
+    for task_id, attempt, *payload in tasks:
         try:
             fault = (
                 None
                 if plan is None
-                else plan.lookup(job.name, "map", task_id, attempt)
+                else plan.lookup(job.name, phase, task_id, attempt)
             )
             if fault is not None:
-                apply_fault(fault, job.name, "map", task_id, attempt)
-            records = _resolve_records(spec)
-            stats, partitioned, counters = execute_map_task(
-                job,
-                task_id,
-                input_name,
-                records,
-                broadcast,
-                broadcast_bytes,
-                broadcast_cpu,
-                squeezed_limit(fault, memory_limit),
-                map_slots,
-                tracer=tracer,
-                heartbeat=_worker_heartbeat(hb_interval, job.name, "map", task_id),
+                apply_fault(fault, job.name, phase, task_id, attempt)
+            result = run_attempt(
+                job, task_id, attempt, squeezed_limit(fault, memory_limit), tracer,
+                _worker_heartbeat(hb_interval, job.name, phase, task_id),
+                phase_args, *payload,
             )
             if fault is not None and fault.kind == "corrupt":
-                raise CorruptOutputError(job.name, "map", task_id, attempt)
-            path, segments, part_bytes = _spill_map_output(
-                phase_dir, f"m{task_id}a{attempt}", partitioned, num_reducers
-            )
-            oks.append(
-                (task_id, attempt, (stats, counters, path, segments, part_bytes))
-            )
+                # a map attempt's spill file goes with the phase directory
+                raise CorruptOutputError(job.name, phase, task_id, attempt)
+            oks.append((task_id, attempt, result))
         except NON_RETRYABLE as exc:
-            annotate_memory_error(exc, job.name, "map", task_id, attempt)
+            annotate_memory_error(exc, job.name, phase, task_id, attempt)
             errs.append((task_id, attempt, exc, False))
         except Exception as exc:
             error = (
                 exc
                 if isinstance(exc, TaskError)
-                else task_error_from(job.name, "map", task_id, exc)
+                else task_error_from(job.name, phase, task_id, exc)
             )
             error.attempt = attempt
             errs.append((task_id, attempt, error, True))
-    events = tracer.raw_events() if tracer is not None else []
-    return chunk_index, oks, errs, events
-
-
-def _run_reduce_chunk(args: tuple) -> tuple:
-    """Run one chunk of reduce task attempts; entries are
-    ``(partition_index, attempt, segment_refs)``.  Same ok/err contract
-    as :func:`_run_map_chunk`."""
-    chunk_index, jid, common, tasks = args
-    memory_limit, trace, plan, hb_interval = common
-    job = _W_JOBS[jid]
-    tracer = Tracer() if trace else None
-    oks: list[tuple[int, int, tuple]] = []
-    errs: list[tuple[int, int, BaseException, bool]] = []
-    for partition_index, attempt, refs in tasks:
-        try:
-            fault = (
-                None
-                if plan is None
-                else plan.lookup(job.name, "reduce", partition_index, attempt)
-            )
-            if fault is not None:
-                apply_fault(fault, job.name, "reduce", partition_index, attempt)
-            bucket = _read_segments(refs)
-            result = execute_reduce_task(
-                job, partition_index, bucket,
-                squeezed_limit(fault, memory_limit), tracer=tracer,
-                heartbeat=_worker_heartbeat(
-                    hb_interval, job.name, "reduce", partition_index
-                ),
-            )
-            if fault is not None and fault.kind == "corrupt":
-                raise CorruptOutputError(job.name, "reduce", partition_index, attempt)
-            oks.append((partition_index, attempt, result))
-        except NON_RETRYABLE as exc:
-            annotate_memory_error(exc, job.name, "reduce", partition_index, attempt)
-            errs.append((partition_index, attempt, exc, False))
-        except Exception as exc:
-            error = (
-                exc
-                if isinstance(exc, TaskError)
-                else task_error_from(job.name, "reduce", partition_index, exc)
-            )
-            error.attempt = attempt
-            errs.append((partition_index, attempt, error, True))
     events = tracer.raw_events() if tracer is not None else []
     return chunk_index, oks, errs, events
 
@@ -438,7 +400,9 @@ class ExecutorStats:
 
 
 class MapShuffle:
-    """Parent-side handle to one map phase's shuffle output.
+    """Parent-side handle to one pooled map phase's shuffle output —
+    the spill-file counterpart of
+    :class:`~repro.mapreduce.cluster.DriverShuffle`, same five methods.
 
     Holds only segment references and byte counts — never the
     intermediate data itself.  Owns the phase's spill directory:
@@ -456,8 +420,6 @@ class MapShuffle:
         #: (spill path, segments) per map task, in task order
         self._tasks: list[tuple[str, Segments]] = []
         self._part_bytes: dict[int, int] = {}
-        #: total approx shuffle volume (= SimulatedCluster's shuffle_bytes)
-        self.total_bytes = 0
         #: real bytes written to spill files
         self.spilled_bytes = 0
 
@@ -471,7 +433,11 @@ class MapShuffle:
         )
         for p, num_bytes in part_bytes.items():
             self._part_bytes[p] = self._part_bytes.get(p, 0) + num_bytes
-            self.total_bytes += num_bytes
+
+    def partition_bytes(self) -> list[int]:
+        """Approx shuffled bytes of every partition, empty ones
+        included, as the map workers sized them."""
+        return [self._part_bytes.get(p, 0) for p in range(self.num_reducers)]
 
     def nonempty_partitions(self) -> list[int]:
         """Partitions with at least one pair, in index order — the same
@@ -508,10 +474,47 @@ class MapShuffle:
                 pass
 
 
+#: how long a pool teardown waits on ``multiprocessing.Pool`` internals
+#: (and then on each worker's exit) before abandoning them
+_TEARDOWN_GRACE_S = 2.0
+
+
+def _terminate_pool(pool, grace_s: float = _TEARDOWN_GRACE_S) -> None:
+    """``pool.terminate()`` with a deadline.
+
+    ``Pool.terminate()`` SIGTERMs busy workers, then takes the queues'
+    process-shared locks and joins handler threads that need them.  A
+    worker killed mid-send (by that SIGTERM, a ``crash`` fault, or the
+    OOM killer) dies *holding* such a lock, and CPython then waits on
+    it forever.  So ``terminate()`` runs on a daemon helper: once the
+    grace period is over every worker still alive is SIGKILLed and
+    reaped, and the pool object — helper and handler threads included,
+    all daemons — is abandoned.
+    """
+    workers = list(getattr(pool, "_pool", None) or [])
+    helper = threading.Thread(
+        target=pool.terminate, name="repro-pool-terminate", daemon=True
+    )
+    try:
+        helper.start()
+    except RuntimeError:
+        # interpreter shutdown (3.12+ refuses new threads there): the
+        # finalizer has no later to protect, terminate directly
+        pool.terminate()
+        return
+    helper.join(grace_s)
+    # workers the pool's handler forked after the first snapshot
+    workers += [w for w in getattr(pool, "_pool", None) or [] if w not in workers]
+    for worker in workers:
+        if worker.is_alive():
+            worker.kill()
+        worker.join(grace_s)
+
+
 def _final_cleanup(holder: dict) -> None:
     pool = holder.get("pool")
     if pool is not None:
-        pool.terminate()
+        _terminate_pool(pool)
     spill = holder.get("spill")
     if spill:
         shutil.rmtree(spill, ignore_errors=True)
@@ -675,9 +678,11 @@ class PersistentExecutor:
         return True
 
     def _teardown_pool(self) -> None:
+        """Stop the workers and drop the pool; bounded (see
+        :func:`_terminate_pool`) on every path that gets here —
+        ``close()``, stale re-fork, phase failure, pool-death recovery."""
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            _terminate_pool(self._pool)
             self._pool = None
             self._worker_pids = set()
             self._holder["pool"] = None
@@ -716,15 +721,11 @@ class PersistentExecutor:
 
     def _dispatch(
         self,
-        func: Callable,
-        jid: int,
-        common: tuple,
-        order: list[int],
-        task_payloads: dict[int, tuple],
-        *,
         job: MapReduceJob,
         phase: str,
-        counters_index: int,
+        common: tuple,
+        phase_args: tuple,
+        task_payloads: dict[int, tuple],
         dispatch_order: list[int] | None = None,
     ) -> tuple[list[tuple], int]:
         """Run every task of one phase on the pool, fault-tolerantly.
@@ -754,16 +755,18 @@ class PersistentExecutor:
         submission** (longest-processing-time-first for skewed reduce
         partitions, so a hot bucket starts immediately instead of
         queueing behind a full wave).  Reassembly — and therefore every
-        output byte — still follows *order*.
+        output byte — still follows the order of *task_payloads*.
 
-        Results come back in *order* (task order), each with the task's
-        fault/retry tallies merged into the counters element at
-        ``counters_index``, so chaos bookkeeping rides the existing
-        counter path.  Under ``REPRO_SANITIZE=1`` the reassembly is
-        cross-checked: every task must be satisfied exactly once.
+        Results come back in task order, each with the task's
+        fault/retry tallies merged into its counters (the last element),
+        so chaos bookkeeping rides the existing counter path.  Under
+        ``REPRO_SANITIZE=1`` the reassembly is cross-checked: every task
+        must be satisfied exactly once.
         """
         policy = self.retry_policy or DEFAULT_RETRY_POLICY
         plan = self.fault_plan
+        jid = self._job_id(job)
+        order = list(task_payloads)  # task order: reassembly follows it
         results: dict[int, tuple] = {}
         won_attempt: dict[int, int] = {}
         next_attempt: dict[int, int] = {t: 0 for t in order}
@@ -789,19 +792,6 @@ class PersistentExecutor:
                 if beat[5] and beat[0] == job.name and beat[1] == phase:
                     final_seen.add(beat[2])
 
-        def check_rss_pressure() -> None:
-            # the telemetry maxrss lane feeds a soft watchdog: a latched
-            # over-cap watermark surfaces here as the simulated memory
-            # signal, before real RSS runs further past the cap
-            if hub is None:
-                return
-            pressure = hub.consume_pressure()
-            if pressure is not None:
-                observed_kb, cap_kb = pressure
-                raise InsufficientMemoryError(
-                    "real RSS watchdog", observed_kb * 1024, cap_kb * 1024
-                ).with_context(job.name, phase, -1, 0)
-
         def build_payload(batch: list[int]) -> tuple:
             nonlocal chunk_seq
             entries = []
@@ -820,19 +810,19 @@ class PersistentExecutor:
                                 kind=fault.kind,
                             )
                 entries.append((t, attempt, *task_payloads[t]))
-            payload = (chunk_seq, jid, common, entries)
+            payload = (chunk_seq, jid, phase, common, phase_args, entries)
             chunk_seq += 1
             return payload
 
         def submit(batch: list[int]) -> None:
-            if inline_mode:
-                absorb(func(build_payload(batch)))
-                return
             payload = build_payload(batch)
-            pooled.update(e[0] for e in payload[3])
-            handle = self._pool.apply_async(func, (payload,))
+            if inline_mode:
+                absorb(_run_chunk(payload))
+                return
+            pooled.update(e[0] for e in payload[-1])
+            handle = self._pool.apply_async(_run_chunk, (payload,))
             flights.append(
-                _Flight(handle, [(e[0], e[1]) for e in payload[3]])
+                _Flight(handle, [(e[0], e[1]) for e in payload[-1]])
             )
 
         def absorb(result: tuple) -> None:
@@ -942,22 +932,20 @@ class PersistentExecutor:
 
         while len(results) < len(order):
             drain_heartbeats()
-            check_rss_pressure()
+            check_rss_pressure(hub, job, phase)
             if not flights:
-                if inline_mode:
-                    # inline submits are synchronous; anything still
-                    # unsatisfied here exhausted its budget en route
-                    missing = [t for t in order if t not in results]
-                    t = missing[0]
-                    raise failures.get(t) or TaskError(
-                        job.name, phase, t, cause="task never completed"
-                    )
-                missing = [t for t in order if t not in results]
-                t = missing[0]
+                # inline submits are synchronous and every pooled flight
+                # came back: whatever is still unsatisfied exhausted its
+                # budget en route
+                t = next(t for t in order if t not in results)
                 raise failures.get(t) or TaskError(
                     job.name, phase, t,
                     attempt=max(0, next_attempt[t] - 1),
-                    cause="every attempt was lost in flight",
+                    cause=(
+                        "task never completed"
+                        if inline_mode
+                        else "every attempt was lost in flight"
+                    ),
                 )
             progressed = False
             for flight in list(flights):
@@ -1048,7 +1036,7 @@ class PersistentExecutor:
                         "task.attempts",
                         won_attempt[t] + 1,
                     )
-                counters = core[counters_index]
+                counters = core[-1]
                 for name, value in extra.items():
                     counters[name] = counters.get(name, 0) + value
             cores.append(core)
@@ -1063,7 +1051,6 @@ class PersistentExecutor:
         broadcast_cpu: float,
         memory_limit: int | None,
         map_slots: int,
-        num_reducers: int,
     ) -> tuple[list, MapShuffle, ExecutorPhaseStats]:
         """Execute one map phase on the pool with spilled shuffle output.
 
@@ -1071,13 +1058,7 @@ class PersistentExecutor:
         ``task_results`` is ``[(TaskStats, counters), ...]`` in task
         order and ``shuffle`` references the spilled partitions.
         """
-        jid = self._job_id(job)
-        ex = ExecutorPhaseStats(
-            mode="pool", workers=self.workers, tasks=len(map_inputs)
-        )
-        t0 = time.perf_counter()
-        ex.pool_created = self._ensure_pool()
-        ex.pool_generation = self.stats.pool_generation
+        ex, t0 = self._begin_phase(job, len(map_inputs))
         self._phase_seq += 1
         assert self._spill_root is not None
         phase_dir = os.path.join(self._spill_root, f"p{self._phase_seq}")
@@ -1092,19 +1073,6 @@ class PersistentExecutor:
                 handle.write(blob)
             ex.bytes_to_workers += len(blob)
 
-        common = (
-            phase_dir,
-            bcast_path,
-            broadcast_bytes,
-            broadcast_cpu,
-            memory_limit,
-            map_slots,
-            num_reducers,
-            self.tracer is not None,
-            self.fault_plan,
-            self.telemetry.interval_s if self.telemetry is not None else None,
-        )
-        order: list[int] = []
         task_payloads: dict[int, tuple] = {}
         for task_id, input_name, records in map_inputs:
             ref = self._block_refs.get(id(records))
@@ -1116,41 +1084,28 @@ class PersistentExecutor:
             else:
                 spec = ("data", records)
                 ex.bytes_to_workers += 8 + sum(approx_bytes(r) for r in records)
-            order.append(task_id)
             task_payloads[task_id] = (input_name, spec)
 
-        shuffle = MapShuffle(num_reducers, phase_dir, bcast_path)
+        shuffle = MapShuffle(job.num_reducers, phase_dir, bcast_path)
         task_results = []
         try:
-            span = trace_span(
-                self.tracer, f"dispatch-map:{job.name}", "dispatch",
-                job=job.name, workers=self.workers,
+            cores = self._dispatch_phase(
+                job, "map", ex, memory_limit,
+                (phase_dir, bcast_path, broadcast_bytes, broadcast_cpu, map_slots),
+                task_payloads,
             )
-            try:
-                cores, ex.chunks = self._dispatch(
-                    _run_map_chunk, jid, common, order, task_payloads,
-                    job=job, phase="map", counters_index=1,
-                )
-                for stats, counters, path, segments, part_bytes in cores:
-                    shuffle.add_task(path, segments, part_bytes)
-                    ex.busy_s += stats.cpu_seconds
-                    ex.bytes_from_workers += approx_bytes(counters) + 96
-                    task_results.append((stats, counters))
-                span.set(chunks=ex.chunks)
-            finally:
-                span.close()
         except BaseException:
             # leak fix: a failing phase must not orphan the spill files
-            # of its completed attempts, nor leave workers (possibly
-            # mid-straggler-sleep) holding the fork pool.  Teardown
-            # first: no writer may outlive the directory removal, or it
-            # could re-create a file after it.
-            self._teardown_pool()
+            # of its completed attempts (the pool, with any writer still
+            # running, is already gone — see _dispatch_phase)
             shuffle.cleanup()
             raise
+        for stats, path, segments, part_bytes, counters in cores:
+            shuffle.add_task(path, segments, part_bytes)
+            ex.bytes_from_workers += approx_bytes(counters) + 96
+            task_results.append((stats, counters))
         ex.spill_bytes_written = shuffle.spilled_bytes
-        ex.wall_s = time.perf_counter() - t0
-        self._account(ex)
+        self._end_phase(ex, t0)
         return task_results, shuffle, ex
 
     def run_reduce_phase(
@@ -1168,67 +1123,79 @@ class PersistentExecutor:
         ``([(TaskStats, written, counters), ...], phase_stats)`` in
         partition order.
         """
-        jid = self._job_id(job)
-        ex = ExecutorPhaseStats(
-            mode="pool", workers=self.workers, tasks=len(reduce_tasks)
-        )
-        t0 = time.perf_counter()
-        ex.pool_created = self._ensure_pool()
-        ex.pool_generation = self.stats.pool_generation
-
+        ex, t0 = self._begin_phase(job, len(reduce_tasks))
         bucket_bytes = {
             p: sum(blob_len + sum(buf_lens) for _w, _o, blob_len, buf_lens in refs)
             for p, refs in reduce_tasks
         }
         ex.spill_bytes_read = sum(bucket_bytes.values())
         ex.bytes_to_workers += 24 * sum(len(refs) for _p, refs in reduce_tasks)
+        # LPT scheduling: submit the heaviest partitions (by shuffled
+        # bytes) first so a hot bucket never queues behind a full wave
+        # of small ones.  Only the submission order changes — results
+        # are reassembled in partition order, so output bytes are
+        # unaffected.
+        dispatch_order = sorted(bucket_bytes, key=lambda p: (-bucket_bytes[p], p))
+        # on failure the map spill files feeding this phase are cleaned
+        # by the caller's shuffle handle
+        task_results = self._dispatch_phase(
+            job, "reduce", ex, memory_limit, (),
+            {p: (refs,) for p, refs in reduce_tasks}, dispatch_order,
+        )
+        for stats, _written, counters in task_results:
+            ex.bytes_from_workers += approx_bytes(counters) + stats.output_bytes + 96
+        self._end_phase(ex, t0)
+        return task_results, ex
+
+    def _begin_phase(
+        self, job: MapReduceJob, num_tasks: int
+    ) -> tuple[ExecutorPhaseStats, float]:
+        self._job_id(job)  # a late registration must precede the fork check
+        ex = ExecutorPhaseStats(mode="pool", workers=self.workers, tasks=num_tasks)
+        t0 = time.perf_counter()
+        ex.pool_created = self._ensure_pool()
+        ex.pool_generation = self.stats.pool_generation
+        return ex, t0
+
+    def _dispatch_phase(
+        self,
+        job: MapReduceJob,
+        phase: str,
+        ex: ExecutorPhaseStats,
+        memory_limit: int | None,
+        phase_args: tuple,
+        task_payloads: dict[int, tuple],
+        dispatch_order: list[int] | None = None,
+    ) -> list[tuple]:
+        """Dispatch one phase's tasks under a trace span; returns the
+        task results in task order (the order of *task_payloads*)."""
         common = (
             memory_limit,
             self.tracer is not None,
             self.fault_plan,
             self.telemetry.interval_s if self.telemetry is not None else None,
         )
-        order = [p for p, _refs in reduce_tasks]
-        task_payloads: dict[int, tuple] = {p: (refs,) for p, refs in reduce_tasks}
-        # LPT scheduling: submit the heaviest partitions (by shuffled
-        # bytes) first so a hot bucket never queues behind a full wave
-        # of small ones.  Only the submission order changes — results
-        # are reassembled in partition order, so output bytes are
-        # unaffected.
-        dispatch_order = sorted(order, key=lambda p: (-bucket_bytes[p], p))
-
-        task_results = []
         try:
-            span = trace_span(
-                self.tracer, f"dispatch-reduce:{job.name}", "dispatch",
+            with trace_span(
+                self.tracer, f"dispatch-{phase}:{job.name}", "dispatch",
                 job=job.name, workers=self.workers,
-            )
-            try:
+            ) as span:
                 cores, ex.chunks = self._dispatch(
-                    _run_reduce_chunk, jid, common, order, task_payloads,
-                    job=job, phase="reduce", counters_index=2,
-                    dispatch_order=dispatch_order,
+                    job, phase, common, phase_args, task_payloads, dispatch_order,
                 )
-                for stats, written, counters in cores:
-                    ex.busy_s += stats.cpu_seconds
-                    ex.bytes_from_workers += (
-                        approx_bytes(counters) + stats.output_bytes + 96
-                    )
-                    task_results.append((stats, written, counters))
                 span.set(chunks=ex.chunks)
-            finally:
-                span.close()
         except BaseException:
-            # the map spill files feeding this phase are cleaned by the
-            # caller's shuffle handle; the pool still holds straggler
-            # attempts, so release it
+            # workers (possibly mid-straggler-sleep) must not keep the
+            # fork pool, and no spill writer may outlive the caller's
+            # removal of the phase directory — it could re-create a
+            # file after it
             self._teardown_pool()
             raise
-        ex.wall_s = time.perf_counter() - t0
-        self._account(ex)
-        return task_results, ex
+        ex.busy_s = sum(core[0].cpu_seconds for core in cores)
+        return cores
 
-    def _account(self, ex: ExecutorPhaseStats) -> None:
+    def _end_phase(self, ex: ExecutorPhaseStats, t0: float) -> None:
+        ex.wall_s = time.perf_counter() - t0
         s = self.stats
         s.phases_executed += 1
         s.tasks_dispatched += ex.tasks
@@ -1248,8 +1215,11 @@ class PersistentParallelCluster(SimulatedCluster):
     """A :class:`SimulatedCluster` running on a persistent worker pool.
 
     Semantics, stats and outputs are byte-identical to the sequential
-    engine; only the physical execution differs.  ``workers`` defaults
-    to the machine's CPU count; phases with fewer tasks than
+    engine; only the physical execution differs: the job loop is the
+    inherited :meth:`SimulatedCluster.run_job`, and this class overrides
+    just its two phase runners (pool when ``_use_*_pool`` says so, else
+    the inherited in-driver runner).  ``workers`` defaults to the
+    machine's CPU count; phases with fewer tasks than
     ``min_tasks_for_pool`` run inline, where forking never pays.
 
     Pooling is also gated on the *effective core count*: when the host
@@ -1319,204 +1289,64 @@ class PersistentParallelCluster(SimulatedCluster):
             and self.executor.map_ref_fraction(map_inputs) >= 0.5
         )
 
-    def _use_reduce_pool(self, shuffle: "MapShuffle | None", num_tasks: int) -> bool:
+    def _use_reduce_pool(self, shuffle: object, num_tasks: int) -> bool:
         """Pool the reduce phase only behind a pooled map: the buckets
         then stream worker→disk→worker without the parent re-pickling a
         single pair.  After an inline map the buckets live in parent
         memory and shipping them out is pure overhead."""
         return (
-            shuffle is not None
+            isinstance(shuffle, MapShuffle)
             and not self.executor.degraded
             and self.workers > 1
             and num_tasks >= self.min_tasks_for_pool
         )
 
-    def run_job(self, job: MapReduceJob) -> PhaseStats:
-        cfg = self.config
-        stats = PhaseStats(job_name=job.name)
-        stats.startup_s = cfg.job_startup_s
-        job_counters = Counters()
-        limit = cfg.memory_per_task_bytes
-        self.executor.tracer = self.tracer
-        self.executor.fault_plan = self.fault_plan
-        self.executor.retry_policy = self.retry_policy
-        self.executor.telemetry = self.telemetry
-        hub = self.telemetry
-        job_span = trace_span(
-            self.tracer, job.name, "job", reducers=job.num_reducers
-        )
-
-        broadcast_data, broadcast_bytes, broadcast_cpu = self._load_broadcast(job)
-        map_inputs = self._collect_map_inputs(job)
-
-        shuffle: MapShuffle | None = None
-        partitions: list[list[tuple]] | None = None
+    @contextmanager
+    def _pooled(self) -> Iterator[PersistentExecutor]:
+        """The executor, wired to this cluster's observers and fault
+        knobs, with the telemetry hub expecting mid-phase heartbeats."""
+        executor, hub = self.executor, self.telemetry
+        executor.tracer = self.tracer
+        executor.fault_plan = self.fault_plan
+        executor.retry_policy = self.retry_policy
+        executor.telemetry = hub
+        if hub is not None:
+            hub.set_live(True)
         try:
-            # ---- map phase -------------------------------------------
-            phase_span = trace_span(self.tracer, "map", "phase", job=job.name)
-            if hub is not None:
-                hub.phase_started(job.name, "map", len(map_inputs))
-            if self._use_map_pool(map_inputs):
-                if hub is not None:
-                    hub.set_live(True)
-                try:
-                    task_results, shuffle, stats.map_executor = (
-                        self.executor.run_map_phase(
-                            job,
-                            map_inputs,
-                            broadcast_data,
-                            broadcast_bytes,
-                            broadcast_cpu,
-                            limit,
-                            cfg.map_slots,
-                            job.num_reducers,
-                        )
-                    )
-                finally:
-                    if hub is not None:
-                        hub.set_live(False)
-                for task_stats, counters in task_results:
-                    stats.map_tasks.append(task_stats)
-                    job_counters.merge_dict(counters)
-                stats.shuffle_bytes = shuffle.total_bytes
-            else:
-                partitions = [[] for _ in range(job.num_reducers)]
-                for task_stats, partitioned, counters in super()._execute_map_tasks(
-                    job, map_inputs, broadcast_data, broadcast_bytes, broadcast_cpu
-                ):
-                    stats.map_tasks.append(task_stats)
-                    for p, key, value in partitioned:
-                        partitions[p].append((key, value))
-                    job_counters.merge_dict(counters)
-                    if hub is not None:
-                        hub.task_finished(
-                            job.name, "map",
-                            task_stats.task_id, task_stats.input_records,
-                        )
-                stats.map_executor = ExecutorPhaseStats(
-                    mode="inline", tasks=len(map_inputs)
-                )
-                stats.shuffle_bytes = sum(
-                    approx_bytes(pair)
-                    for bucket in partitions
-                    for pair in bucket
-                )
-            if hub is not None:
-                hub.phase_finished(job.name, "map")
-            phase_span.set(
-                tasks=len(stats.map_tasks), mode=stats.map_executor.mode
-            )
-            phase_span.close()
-            job_counters.increment(SHUFFLE_BYTES, stats.shuffle_bytes)
-            # same per-partition byte histogram as the sequential
-            # engine (every partition, empty ones included), so merged
-            # counters stay byte-identical across engines
-            for p in range(job.num_reducers):
-                if shuffle is not None:
-                    bucket_bytes = shuffle._part_bytes.get(p, 0)
-                else:
-                    assert partitions is not None
-                    bucket_bytes = sum(approx_bytes(pair) for pair in partitions[p])
-                observe_into(
-                    job_counters.increment, "shuffle.partition_bytes", bucket_bytes
-                )
-
-            # ---- reduce phase ----------------------------------------
-            if shuffle is not None:
-                nonempty = shuffle.nonempty_partitions()
-            else:
-                assert partitions is not None
-                nonempty = [p for p, bucket in enumerate(partitions) if bucket]
-
-            output_records: list = []
-            phase_span = trace_span(self.tracer, "reduce", "phase", job=job.name)
-            if hub is not None:
-                hub.phase_started(job.name, "reduce", len(nonempty))
-            if self._use_reduce_pool(shuffle, len(nonempty)):
-                assert shuffle is not None
-                reduce_tasks = [(p, shuffle.refs_for(p)) for p in nonempty]
-                if hub is not None:
-                    hub.set_live(True)
-                try:
-                    task_results, stats.reduce_executor = (
-                        self.executor.run_reduce_phase(job, reduce_tasks, limit)
-                    )
-                finally:
-                    if hub is not None:
-                        hub.set_live(False)
-                for task_stats, written, counters in task_results:
-                    stats.reduce_tasks.append(task_stats)
-                    output_records.extend(written)
-                    job_counters.merge_dict(counters)
-            else:
-                reduce_ex = ExecutorPhaseStats(mode="inline", tasks=len(nonempty))
-                for p in nonempty:
-                    if shuffle is not None:
-                        bucket = shuffle.load(p)
-                        reduce_ex.spill_bytes_read += shuffle.segment_bytes(p)
-                    else:
-                        assert partitions is not None
-                        bucket = partitions[p]
-                    def run_once(
-                        squeeze=None, p: int = p, bucket: list = bucket
-                    ) -> tuple:
-                        return execute_reduce_task(
-                            job, p, bucket, squeezed_limit(squeeze, limit),
-                            tracer=self.tracer,
-                            heartbeat=(
-                                None if hub is None
-                                else hub.emitter_for(job.name, "reduce", p)
-                            ),
-                        )
-
-                    task_stats, written, counters = self._attempt_task(
-                        job, "reduce", p, run_once
-                    )
-                    stats.reduce_tasks.append(task_stats)
-                    output_records.extend(written)
-                    job_counters.merge_dict(counters)
-                    if hub is not None:
-                        hub.task_finished(
-                            job.name, "reduce", p, task_stats.input_records
-                        )
-                stats.reduce_executor = reduce_ex
-            if hub is not None:
-                hub.phase_finished(job.name, "reduce")
-            phase_span.set(
-                tasks=len(stats.reduce_tasks),
-                mode=stats.reduce_executor.mode,
-                partitions=job.num_reducers,
-            )
-            phase_span.close()
-
-            self.dfs.write(job.output, output_records)
+            yield executor
         finally:
-            if shuffle is not None:
-                shuffle.cleanup()
+            if hub is not None:
+                hub.set_live(False)
 
-        stats.counters = job_counters.as_dict()
-        self._simulate_times(stats)
-        job_span.set(
-            map_tasks=len(stats.map_tasks),
-            reduce_tasks=len(stats.reduce_tasks),
-            shuffle_bytes=stats.shuffle_bytes,
-            simulated_total_s=round(stats.simulated_total_s, 3),
-        )
-        job_span.close()
-        return stats
+    def _run_map_phase(
+        self, job: MapReduceJob, map_inputs: list, broadcast: tuple
+    ) -> tuple[list, object, ExecutorPhaseStats]:
+        if not self._use_map_pool(map_inputs):
+            results, shuffle, _ = super()._run_map_phase(job, map_inputs, broadcast)
+            return results, shuffle, ExecutorPhaseStats(
+                mode="inline", tasks=len(map_inputs)
+            )
+        with self._pooled() as executor:
+            return executor.run_map_phase(
+                job, map_inputs, *broadcast,
+                self.config.memory_per_task_bytes, self.config.map_slots,
+            )
 
-
-def executor_summary(job_stats_list: Iterable) -> dict:
-    """Merged executor summary over several :class:`JobStats` (e.g. the
-    three stages of a :class:`~repro.join.driver.JoinReport`)."""
-    summary: dict = {}
-    for job_stats in job_stats_list:
-        merge_executor_stats(
-            summary,
-            [
-                phase_ex
-                for phase in job_stats.phases
-                for phase_ex in (phase.map_executor, phase.reduce_executor)
-            ],
-        )
-    return summary
+    def _run_reduce_phase(
+        self, job: MapReduceJob, shuffle: object, partitions: list[int]
+    ) -> tuple[list, ExecutorPhaseStats]:
+        if not self._use_reduce_pool(shuffle, len(partitions)):
+            results, _ = super()._run_reduce_phase(job, shuffle, partitions)
+            inline = ExecutorPhaseStats(mode="inline", tasks=len(partitions))
+            if isinstance(shuffle, MapShuffle):
+                inline.spill_bytes_read = sum(
+                    shuffle.segment_bytes(p) for p in partitions
+                )
+            return results, inline
+        assert isinstance(shuffle, MapShuffle)
+        with self._pooled() as executor:
+            return executor.run_reduce_phase(
+                job,
+                [(p, shuffle.refs_for(p)) for p in partitions],
+                self.config.memory_per_task_bytes,
+            )

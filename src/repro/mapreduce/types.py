@@ -146,20 +146,25 @@ class ExecutorPhaseStats:
 
     @property
     def utilization(self) -> float:
-        """Fraction of worker capacity spent in task CPU work.
-
-        Defined for pooled phases with at least one worker; everything
-        else is 0.0.  Degenerate clocks are clamped instead of silently
-        zeroed: a phase whose dispatch wall rounded to ~0 but that did
-        real CPU work reports 1.0 (fully busy for as long as it
-        existed), negative busy time never produces a negative ratio,
-        and the result always lands in [0, 1].
-        """
+        """Fraction of worker capacity spent in task CPU work (see
+        :func:`utilization`); 0.0 for inline phases and empty pools."""
         if self.mode != "pool" or self.workers <= 0:
             return 0.0
-        if self.wall_s <= 1e-12:
-            return 1.0 if self.busy_s > 0.0 else 0.0
-        return min(1.0, max(0.0, self.busy_s / (self.workers * self.wall_s)))
+        return utilization(self.busy_s, self.workers * self.wall_s)
+
+
+def utilization(busy_s: float, capacity_s: float) -> float:
+    """Executor utilisation: task CPU seconds over pool capacity
+    (workers x dispatch wall), always within [0, 1].
+
+    Degenerate clocks are clamped instead of silently zeroed: a
+    capacity that rounded to ~0 under real CPU work reports 1.0 (fully
+    busy for as long as it existed) and negative busy time never
+    produces a negative ratio.
+    """
+    if capacity_s <= 1e-12:
+        return 1.0 if busy_s > 0.0 else 0.0
+    return min(1.0, max(0.0, busy_s / capacity_s))
 
 
 #: Aggregate keys reported by ``executor_summary`` (stable, documented).
@@ -182,6 +187,7 @@ def merge_executor_stats(
     summary.setdefault("inline_phases", 0)
     summary.setdefault("busy_s", 0.0)
     summary.setdefault("pool_wall_s", 0.0)
+    summary.setdefault("pool_capacity_s", 0.0)
     for name in _EXECUTOR_SUM_FIELDS:
         summary.setdefault(name, 0)
     for ex in phases:
@@ -192,6 +198,7 @@ def merge_executor_stats(
             summary["pools_created"] += int(ex.pool_created)
             summary["busy_s"] += ex.busy_s
             summary["pool_wall_s"] += ex.wall_s
+            summary["pool_capacity_s"] += ex.workers * ex.wall_s
         else:
             summary["inline_phases"] += 1
         for name in _EXECUTOR_SUM_FIELDS:

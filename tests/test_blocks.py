@@ -37,13 +37,20 @@ def run_rs(r, s, config, **cluster_kwargs):
     return cluster.dfs.read_all("pairs"), stats
 
 
-def config_with_blocks(strategy, num_blocks, threshold=0.5):
+def config_with_blocks(strategy, num_blocks, threshold=0.5, sanitize=False):
     return JoinConfig(
         threshold=threshold,
         schema=SCHEMA_1,
         kernel="bk",
         blocks=BlockPolicy(strategy=strategy, num_blocks=num_blocks),
+        sanitize=sanitize,
     )
+
+
+def assert_sanitized_clean(counters):
+    """The prune-admissibility oracle ran on this path and found nothing."""
+    assert counters.get("sanitize.checks", 0) > 0
+    assert counters.get("sanitize.violations", 0) == 0
 
 
 @pytest.mark.parametrize("strategy", ["map", "reduce"])
@@ -51,20 +58,22 @@ def config_with_blocks(strategy, num_blocks, threshold=0.5):
 class TestBlockCorrectness:
     def test_self_join_matches_oracle(self, rng, strategy, num_blocks):
         records = random_records(rng, 60)
-        config = config_with_blocks(strategy, num_blocks)
-        pairs, _ = run_self(records, config)
+        config = config_with_blocks(strategy, num_blocks, sanitize=True)
+        pairs, stats = run_self(records, config)
         expected = naive_self_join(oracle_projections(records), config.sim, 0.5)
         assert pair_keys(pairs) == pair_keys(expected)
+        assert_sanitized_clean(stats.counters)
 
     def test_rs_join_matches_oracle(self, rng, strategy, num_blocks):
         r = random_records(rng, 35)
         s = random_records(rng, 35, rid_base=1000)
-        config = config_with_blocks(strategy, num_blocks)
-        pairs, _ = run_rs(r, s, config)
+        config = config_with_blocks(strategy, num_blocks, sanitize=True)
+        pairs, stats = run_rs(r, s, config)
         expected = naive_rs_join(
             oracle_projections(r), oracle_projections(s), config.sim, 0.5
         )
         assert sorted(set(p[:2] for p in pairs)) == sorted(p[:2] for p in expected)
+        assert_sanitized_clean(stats.counters)
 
 
 class TestStrategyTradeoffs:

@@ -12,10 +12,13 @@ inline on single-core machines).
 """
 
 import multiprocessing
+import os
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.reporting import format_executor_summary
 from repro.core.ordering import TokenOrder
 from repro.core.ppjoin import ppjoin_self_join
 from repro.core.prefixes import Projection
@@ -24,9 +27,11 @@ from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_rs, ssjoin_self
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.dfs import InMemoryDFS
-from repro.mapreduce.executor import PersistentParallelCluster
+from repro.mapreduce.executor import PersistentExecutor, PersistentParallelCluster
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import InsufficientMemoryError
+from repro.obs.telemetry import strip_telemetry_counters
+from repro.obs.trace import Tracer
 
 from tests.conftest import SCHEMA_1, random_records
 
@@ -150,6 +155,54 @@ class TestDeterminism:
                 ].counters()
 
 
+class TestEngineParity:
+    """One job loop: both engines must account a join the same way."""
+
+    @staticmethod
+    def _span_tree(tracer):
+        """``[(job, [phase, ...]), ...]`` in completion order."""
+        tree, phases = [], {}
+        for event in tracer.raw_events():
+            if event["cat"] == "phase":
+                phases.setdefault(event["args"]["job"], []).append(event["name"])
+            elif event["cat"] == "job":
+                tree.append((event["name"], phases.pop(event["name"])))
+        return tree
+
+    @pytest.mark.parametrize("join", ["self", "rs"])
+    def test_same_spans_shuffle_bytes_and_counters(self, rng, join):
+        r = random_records(rng, 60)
+        s = random_records(rng, 40, rid_base=1000)
+        config = JoinConfig(threshold=0.5, schema=SCHEMA_1)
+        sequential, persistent = make_pair(assume_cores=2)
+        reports, trees = [], []
+        with persistent:
+            for cluster in (sequential, persistent):
+                cluster.tracer = Tracer()
+                cluster.dfs.write("r", r)
+                cluster.dfs.write("s", s)
+                if join == "self":
+                    reports.append(ssjoin_self(cluster, "r", config))
+                else:
+                    reports.append(ssjoin_rs(cluster, "r", "s", config))
+                trees.append(self._span_tree(cluster.tracer))
+        assert persistent.executor.stats.pools_created == 1  # really pooled
+        assert trees[0] == trees[1]
+        assert trees[0] and all(
+            phases == ["map", "shuffle", "reduce"] for _job, phases in trees[0]
+        )
+        seq, per = reports
+        for stage in seq.stages:
+            seq_phases, per_phases = seq.stages[stage].phases, per.stages[stage].phases
+            assert [p.job_name for p in seq_phases] == [p.job_name for p in per_phases]
+            assert [p.shuffle_bytes for p in seq_phases] == [
+                p.shuffle_bytes for p in per_phases
+            ]
+        assert strip_telemetry_counters(seq.counters()) == strip_telemetry_counters(
+            per.counters()
+        )
+
+
 class TestPoolLifecycle:
     def test_one_pool_per_join(self, rng):
         """The acceptance criterion: a 3-stage pipeline (up to five
@@ -188,6 +241,12 @@ class TestPoolLifecycle:
         assert summary["pools_created"] == 1
         assert summary["pooled_phases"] > 0
         assert summary["spill_bytes_written"] == summary["spill_bytes_read"]
+        # one definition of utilisation: busy / (workers x pool wall)
+        assert summary["pool_capacity_s"] == pytest.approx(
+            2 * summary["pool_wall_s"]
+        )
+        util = float(format_executor_summary(summary).split()[-1])
+        assert 0.0 <= util <= 1.0
 
     def test_single_core_host_runs_inline(self, rng):
         """On a 1-core host worker processes only time-slice, so the
@@ -211,6 +270,30 @@ class TestPoolLifecycle:
             assert exc_info.value.limit_bytes > 0  # fields survived pickling
             # the engine stays usable after a failed phase
             persistent.dfs.write("more", records)
+
+
+    def test_teardown_survives_a_leaked_queue_lock(self):
+        """A worker killed mid-send dies holding the result queue's
+        process-shared write lock; ``Pool.terminate()`` then blocks on
+        it forever.  Teardown must return anyway, with every worker
+        dead.  (Holding the lock in the parent reproduces the leak
+        deterministically; at the parent commit this never returns.)"""
+        executor = PersistentExecutor(workers=2)
+        executor._ensure_pool()
+        pids = set(executor._worker_pids)
+        leaked = executor._pool._outqueue._wlock
+        leaked.acquire()
+        try:
+            started = time.monotonic()
+            executor._teardown_pool()
+            assert time.monotonic() - started < 10
+            assert executor._pool is None
+            for pid in pids:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+        finally:
+            leaked.release()  # lets the abandoned helper thread finish
+            executor.close()
 
 
 class TestWithNodes:

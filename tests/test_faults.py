@@ -393,7 +393,7 @@ def _spill_roots(base: str | None = None) -> set[str]:
 
 
 @fork_only
-class TestShmChaos:
+class TestSpillHygiene:
     """``/dev/shm`` hygiene of the spill shuffle: every scenario — clean,
     chaos, failed phase, degraded engine — must leave no shuffle segment
     file behind while the engine lives and no spill root after

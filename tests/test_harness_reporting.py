@@ -118,12 +118,14 @@ class TestReporting:
         text = format_executor_summary(
             {
                 "pools_created": 1, "pooled_phases": 6, "inline_phases": 4,
-                "busy_s": 1.0, "pool_wall_s": 2.0, "tasks": 10, "chunks": 4,
+                "busy_s": 1.0, "pool_wall_s": 2.0, "pool_capacity_s": 4.0,
+                "tasks": 10, "chunks": 4,
                 "bytes_to_workers": 2048, "bytes_from_workers": 1024,
                 "spill_bytes_written": 4096,
             }
         )
-        assert "pools" in text and "0.50" in text  # utilization column
+        # utilization column: busy / (workers x wall), not busy / wall
+        assert "pools" in text and "0.25" in text and "0.50" not in text
 
     def test_format_executor_summary_sequential(self):
         from repro.bench.reporting import format_executor_summary

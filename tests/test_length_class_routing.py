@@ -27,11 +27,15 @@ class TestCorrectness:
     @pytest.mark.parametrize("width", [1, 2, 4, 50])
     def test_matches_oracle(self, rng, width):
         records = random_records(rng, 70)
-        got, _ = run(records, length_class_width=width)
+        got, report = run(records, length_class_width=width, sanitize=True)
         expected = pair_keys(
             naive_self_join(oracle_projections(records), JoinConfig().sim, 0.5)
         )
         assert got == expected
+        # the prune-admissibility oracle runs on the length-class path too
+        checked = report.filter_counters()
+        assert checked["sanitize_checks"] > 0
+        assert checked["sanitize_violations"] == 0
 
     def test_matches_plain_bk(self, rng):
         records = random_records(rng, 60)

@@ -61,6 +61,7 @@ def test_format_executor_summary_golden():
         pools_created=1, pooled_phases=4, inline_phases=2, tasks=24,
         chunks=8, bytes_to_workers=2048, bytes_from_workers=1024,
         spill_bytes_written=512, busy_s=6.0, pool_wall_s=4.0,
+        pool_capacity_s=8.0,  # two workers x pool wall
     )
     assert format_executor_summary(summary) == (
         "executor\n"
@@ -69,7 +70,7 @@ def test_format_executor_summary_golden():
         "-----  ------  ------  -----  ------  -------------  ---------------  "
         "--------  ----\n"
         "1      4       2       24     8       2.00           1.00             "
-        "0.50      1.50"
+        "0.50      0.75"
     )
 
 

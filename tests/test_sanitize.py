@@ -14,6 +14,7 @@ import pytest
 
 from repro.analysis import Sanitizer, env_sanitize, make_sanitizer, sanitize_active
 from repro.core.similarity import Jaccard
+from repro.join.blocks import BlockPolicy
 from repro.join.config import JoinConfig
 from repro.join.driver import set_similarity_rs_join, set_similarity_self_join
 from repro.join.records import make_line
@@ -181,3 +182,12 @@ class TestEndToEnd:
         counters = report.filter_counters()
         assert counters["sanitize_checks"] > 0
         assert counters["sanitize_violations"] == 0
+        # ... and on the Section-5 paths the OOM ladder degrades into
+        for blocks in (BlockPolicy("map", 2), BlockPolicy("reduce", 2)):
+            blocked = config.with_options(kernel="bk", blocks=blocks)
+            _, report = set_similarity_self_join(
+                records, blocked, cluster=make_cluster()
+            )
+            counters = report.filter_counters()
+            assert counters["sanitize_checks"] > 0, blocks
+            assert counters["sanitize_violations"] == 0

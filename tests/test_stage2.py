@@ -4,8 +4,13 @@ import pytest
 
 from repro.core.naive import naive_self_join
 from repro.join.config import JoinConfig
+from repro.join.planner import Stage2Plan
+from repro.join.records import REL_R, REL_S
 from repro.join.stage1 import stage1_jobs
 from repro.join.stage2 import CANDIDATE_PAIRS, PAIRS_OUTPUT, stage2_self_job
+from repro.join.stage2_rs import stage2_rs_job
+from repro.mapreduce.counters import Counters
+from repro.mapreduce.job import Context
 from repro.mapreduce.pipeline import run_pipeline
 
 from tests.conftest import (
@@ -151,3 +156,39 @@ class TestGroupedRouting:
         )
         pairs, _ = run_stage2(records, config)
         assert pair_keys(pairs) == pair_keys(oracle_pairs(records, config))
+
+
+@pytest.mark.parametrize("kernel", ["bk", "pk"])
+def test_one_reducer_serves_plain_groups_split_shards_and_rs_groups(kernel):
+    """The seam: per kernel there is one reducer.  A split-mode job's
+    ``reducer`` is that loop itself (no dispatch closure in between) and
+    takes plain groups and shards alike; the R-S job runs the same code
+    under the tagged relation policy."""
+    config = JoinConfig(threshold=0.5, schema=SCHEMA_1, kernel=kernel)
+    plan = Stage2Plan(routing="individual", num_groups=None, splits=(("hot", 2),))
+    split_job = stage2_self_job(config, "records", "tokens", "out", 4, plan)
+    plain_job = stage2_self_job(config, "records", "tokens", "out", 4)
+    rs_job = stage2_rs_job(config, "r", "s", "tokens", "out", 4)
+    loop = f"make_{kernel}_reducer.<locals>.reducer"
+    for job in (split_job, plain_job, rs_job):
+        assert job.reducer.__qualname__ == loop
+        assert job.reducer.__code__ is split_job.reducer.__code__
+
+    a, b = (1, 2, 3, 4), (1, 2, 3, 5)  # Jaccard 3/5
+
+    def reduce(job, key, values):
+        ctx = Context("reduce", Counters())
+        job.reducer(key, iter(values), ctx)
+        return ctx._written
+
+    # plain self group (shard -1): both records probe, then are stored
+    plain = [(REL_R, 10, 4, None, a), (REL_R, 20, 4, None, b)]
+    assert reduce(split_job, (7, -1), plain) == [(10, 20, 0.6)]
+    # split shard: add copies are stored, the homed probe copy probes
+    shard = [(REL_R, 10, 4, None, a), (REL_S, 20, 4, None, b), (REL_R, 20, 4, None, b)]
+    assert reduce(split_job, (7, 0), shard) == [(10, 20, 0.6)]
+    # the other shard homes no probe: same adds, no pair
+    assert reduce(split_job, (7, 1), plain) == []
+    # R-S group: R is stored, S probes; output keeps (r_rid, s_rid)
+    rs = [(REL_R, 20, 4, None, a), (REL_S, 10, 4, None, b)]
+    assert reduce(rs_job, 7, rs) == [(20, 10, 0.6)]
