@@ -7,7 +7,7 @@
 :mod:`repro.analysis.mrflow`
     Whole-program dataflow analyzer for *cross-stage* contracts:
     interprocedural determinism taint, emit-shape vs reducer/partitioner
-    agreement, counter-name registry, shared-memory lifecycle.
+    agreement, counter-name registry, task-memory release.
     ``python -m repro flow``.
 
 :mod:`repro.analysis.common`

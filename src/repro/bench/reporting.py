@@ -117,8 +117,9 @@ def format_histograms(histograms: dict, title: str = "histograms") -> str:
 
 def format_runs_diff(diff: dict) -> str:
     """Render a :func:`repro.obs.runs.diff_runs` document as text:
-    headline identity facts, a stage-time table and the changed
-    counters (unchanged counters are omitted)."""
+    headline identity facts, the stage-time tables (measured wall
+    first, when either manifest carries it, then simulated) and the
+    changed counters (unchanged counters are omitted)."""
     lines = [f"runs diff: {diff['a']} -> {diff['b']}"]
     kind_a, kind_b = diff["kind"]
     workload_a, workload_b = diff["workload"]
@@ -141,14 +142,18 @@ def format_runs_diff(diff: dict) -> str:
     rss_a, rss_b = diff["maxrss_kb"]
     if rss_a is not None or rss_b is not None:
         lines.append(f"  maxrss_kb: {rss_a} -> {rss_b}")
-    if diff["stage_rows"]:
-        lines.append(
-            format_table(
-                ["stage", "a_s", "b_s", "delta_pct"],
-                [list(row) for row in diff["stage_rows"]],
-                title="stage times (simulated)",
+    for key, title in (
+        ("wall_rows", "stage times (wall)"),
+        ("stage_rows", "stage times (simulated)"),
+    ):
+        if diff.get(key):
+            lines.append(
+                format_table(
+                    ["stage", "a_s", "b_s", "delta_pct"],
+                    [list(row) for row in diff[key]],
+                    title=title,
+                )
             )
-        )
     if diff["counter_rows"]:
         lines.append(
             format_table(

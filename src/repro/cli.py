@@ -325,8 +325,9 @@ def _emit(args: argparse.Namespace, pairs: list, report: JoinReport) -> None:
         )
     if args.stats:
         for stage, seconds in report.stage_times().items():
-            print(f"  {stage}: {seconds:.1f}s (simulated, "
-                  f"{args.nodes} nodes)", file=sys.stderr)
+            print(f"  {stage}: {report.stage_wall_s[stage]:.2f}s wall, "
+                  f"{seconds:.1f}s simulated ({args.nodes} nodes)",
+                  file=sys.stderr)
         from repro.bench.reporting import (
             format_executor_summary,
             format_filter_counters,
@@ -700,8 +701,8 @@ def build_parser() -> argparse.ArgumentParser:
         "flow",
         help="whole-program dataflow analysis of cross-stage MR contracts: "
              "interprocedural determinism taint, emit-shape vs reducer/"
-             "partitioner checks, counter-name registry, shared-memory "
-             "lifecycle (repro.analysis.mrflow)",
+             "partitioner checks, counter-name registry, task-memory "
+             "release (repro.analysis.mrflow)",
     )
     p_flow.add_argument("paths", nargs="+",
                         help="python files or directory trees to analyze "

@@ -20,6 +20,7 @@ relation as R.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace as dataclass_replace
 
 from repro.join.checkpoint import (
@@ -74,6 +75,13 @@ class JoinReport:
     #: faults, in order (see :mod:`repro.join.memory`); empty for a run
     #: that never hit a memory fault
     memory_steps: list[str] = field(default_factory=list)
+    #: measured wall seconds the driver spent running each stage — the
+    #: real clock next to :meth:`stage_times`' simulated one.  Attempts a
+    #: memory fault cut short count; a stage restored from a checkpoint
+    #: reads 0.0
+    stage_wall_s: dict[str, float] = field(
+        default_factory=lambda: {"stage1": 0.0, "stage2": 0.0, "stage3": 0.0}
+    )
 
     @property
     def stages(self) -> dict[str, JobStats]:
@@ -334,8 +342,12 @@ def _run_stages(
             index += 1
             continue
         try:
-            with trace_span(tracer, name, "stage", **span_args):
-                setattr(report, name, run_pipeline(cluster, jobs))
+            started = time.perf_counter()
+            try:
+                with trace_span(tracer, name, "stage", **span_args):
+                    setattr(report, name, run_pipeline(cluster, jobs))
+            finally:
+                report.stage_wall_s[name] += time.perf_counter() - started
         except InsufficientMemoryError as exc:
             step = None
             if name == "stage2" and config.auto_degrade:

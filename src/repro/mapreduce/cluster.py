@@ -220,14 +220,18 @@ def execute_map_task(
         pairs = _combine(job, ctx, pairs, memory_limit_bytes)
 
     partitioned = []
-    output_bytes = 0
+    # The one place shuffled data is sized: every pair once, totalled
+    # per partition the way approx_bytes((key, value)) counts it — key
+    # + value + 8 bytes of pair framing; the shuffle handles only add
+    # these totals up.
     # Two hot-loop memos.  Keys repeat across records (route x length
-    # is a small domain) and partitioning is a pure function of the
-    # key, so cache it instead of re-hashing per emission.  Mappers
-    # that fan one record out to several routes (and the split mapper,
-    # which replicates one add copy per shard) emit the *same* value
-    # object back-to-back, so byte-account it once per object, not
-    # once per copy.
+    # is a small domain) and a key's partition and size are pure
+    # functions of it, so cache both instead of re-hashing and
+    # re-sizing per emission.  Mappers that fan one record out to
+    # several routes (and the split mapper, which replicates one add
+    # copy per shard) emit the *same* value object back-to-back, so
+    # byte-account it once per object, not once per copy.
+    partition_bytes: dict[int, int] = {}
     partition_cache: dict = {}
     last_value_id = 0
     last_value_bytes = 0
@@ -235,18 +239,22 @@ def execute_map_task(
     append = partitioned.append
     partitioner, partition = job.partitioner, job.partition
     for key, value in pairs:
-        p = partition_cache.get(key)
-        if p is None:
+        cached = partition_cache.get(key)
+        if cached is None:
             if partitioner is not None:
                 p = partitioner(key, num_reducers)
             else:
                 p = stable_hash(partition(key)) % num_reducers
-            partition_cache[key] = p
+            cached = partition_cache[key] = (p, approx_bytes(key) + 8)
+        p, framed_key_bytes = cached
         append((p, key, value))
         if id(value) != last_value_id:
             last_value_bytes = approx_bytes(value)
             last_value_id = id(value)
-        output_bytes += approx_bytes(key) + last_value_bytes
+        partition_bytes[p] = (
+            partition_bytes.get(p, 0) + framed_key_bytes + last_value_bytes
+        )
+    output_bytes = sum(partition_bytes.values()) - 8 * len(pairs)
     cpu = time.perf_counter() - t0
     # JVM reuse: the distributed-cache read and map_setup run once per
     # slot, not once per task (see SimulatedCluster._load_broadcast).
@@ -265,6 +273,7 @@ def execute_map_task(
         output_records=len(pairs),
         output_bytes=output_bytes,
         peak_memory_bytes=ctx.peak_memory_bytes,
+        partition_bytes=partition_bytes,
     )
     span.set(
         input_records=len(records),
@@ -423,17 +432,24 @@ class DriverShuffle:
 
     def __init__(self, num_reducers: int) -> None:
         self._partitions: list[list[tuple]] = [[] for _ in range(num_reducers)]
+        self._partition_bytes = [0] * num_reducers
 
-    def add_task(self, partitioned: list[tuple[int, tuple, tuple]]) -> None:
-        """Route one map task's ``(partition, key, value)`` triples."""
+    def add_task(
+        self,
+        partitioned: list[tuple[int, tuple, tuple]],
+        partition_bytes: dict[int, int],
+    ) -> None:
+        """Route one map task's ``(partition, key, value)`` triples and
+        add up their sizes, ``TaskStats.partition_bytes`` of that task."""
         for p, key, value in partitioned:
             self._partitions[p].append((key, value))
+        for p, num_bytes in partition_bytes.items():
+            self._partition_bytes[p] += num_bytes
 
     def partition_bytes(self) -> list[int]:
-        """Approx shuffled bytes of every partition, empty ones included."""
-        return [
-            sum(approx_bytes(pair) for pair in bucket) for bucket in self._partitions
-        ]
+        """Approx shuffled bytes of every partition, empty ones
+        included, as the map tasks sized them."""
+        return self._partition_bytes
 
     def nonempty_partitions(self) -> list[int]:
         """The reduce task set, in index order."""
@@ -624,7 +640,7 @@ class SimulatedCluster:
             task_stats, partitioned, counters = self._attempt_task(
                 job, "map", task_id, run
             )
-            shuffle.add_task(partitioned)
+            shuffle.add_task(partitioned, task_stats.partition_bytes)
             results.append((task_stats, counters))
         return results, shuffle, None
 

@@ -29,14 +29,17 @@ class Block:
     index: int
     node: int
     records: list = field(default_factory=list)
+    #: approx bytes of the records (blocks are immutable once written);
+    #: sized here unless the writer passes the total it already holds
+    num_bytes: int = -1
+
+    def __post_init__(self) -> None:
+        if self.num_bytes < 0:
+            self.num_bytes = sum(approx_bytes(record) for record in self.records)
 
     @property
     def num_records(self) -> int:
         return len(self.records)
-
-    @property
-    def num_bytes(self) -> int:
-        return sum(approx_bytes(record) for record in self.records)
 
 
 @dataclass
@@ -92,16 +95,19 @@ class InMemoryDFS:
             block_records.append(record)
             block_budget += approx_bytes(record)
             if block_budget >= self.block_bytes:
-                self._seal_block(dfs_file, block_records)
+                self._seal_block(dfs_file, block_records, block_budget)
                 block_records = []
                 block_budget = 0
         if block_records or not dfs_file.blocks:
-            self._seal_block(dfs_file, block_records)
+            self._seal_block(dfs_file, block_records, block_budget)
         self._files[name] = dfs_file
         return dfs_file
 
-    def _seal_block(self, dfs_file: DFSFile, records: list) -> None:
-        block = Block(index=len(dfs_file.blocks), node=self._next_node, records=records)
+    def _seal_block(self, dfs_file: DFSFile, records: list, num_bytes: int) -> None:
+        block = Block(
+            index=len(dfs_file.blocks), node=self._next_node, records=records,
+            num_bytes=num_bytes,
+        )
         dfs_file.blocks.append(block)
         self._next_node = (self._next_node + 1) % self.num_nodes
 

@@ -205,19 +205,17 @@ SegmentRef = tuple[str, int, int, tuple[int, ...]]
 
 def _serialize_buckets(
     partitioned: list, num_reducers: int
-) -> tuple[Segments, dict[int, int], list]:
+) -> tuple[Segments, list]:
     """Partition and serialize one map task's output exactly once.
 
     Each non-empty bucket becomes one protocol-5 pickle blob followed by
     its out-of-band buffers (``buffer_callback``), laid out back to back.
-    Returns ``(segments, part_bytes, pieces)`` where ``pieces`` is the
-    flat byte-chunk sequence to write to the spill file.
+    Returns ``(segments, pieces)`` where ``pieces`` is the flat
+    byte-chunk sequence to write to the spill file.
     """
     buckets: list[list] = [[] for _ in range(num_reducers)]
-    part_bytes: dict[int, int] = {}
     for p, key, value in partitioned:
         buckets[p].append((key, value))
-        part_bytes[p] = part_bytes.get(p, 0) + approx_bytes((key, value))
     segments: Segments = {}
     pieces: list = []
     offset = 0
@@ -233,28 +231,28 @@ def _serialize_buckets(
         pieces.extend(raw_bufs)
         segments[p] = (offset, len(blob), buf_lens)
         offset += len(blob) + sum(buf_lens)
-    return segments, part_bytes, pieces
+    return segments, pieces
 
 
 def _spill_map_output(
     phase_dir: str, stem: str, partitioned: list, num_reducers: int
-) -> tuple[str, Segments, dict[int, int]]:
+) -> tuple[str, Segments]:
     """Write one map task's partitioned output to its spill file.
 
     ``stem`` names the attempt (``m<task>a<attempt>``) so concurrent
     attempts of the same task — speculation, retries racing a straggler
-    — never collide on a file.  Returns ``(path, segments, part_bytes)``;
-    the path is ``""`` for a task that emitted nothing.
+    — never collide on a file.  Returns ``(path, segments)``; the path
+    is ``""`` for a task that emitted nothing.
     """
-    segments, part_bytes, pieces = _serialize_buckets(partitioned, num_reducers)
+    segments, pieces = _serialize_buckets(partitioned, num_reducers)
     if not segments:
-        return "", segments, part_bytes
+        return "", segments
     os.makedirs(phase_dir, exist_ok=True)
     path = os.path.join(phase_dir, f"{stem}.spill")
     with open(path, "wb") as handle:
         for piece in pieces:
             handle.write(piece)
-    return path, segments, part_bytes
+    return path, segments
 
 
 def _read_segments(refs: list[SegmentRef]) -> list:
@@ -276,17 +274,19 @@ def _map_attempt(
     phase_args: tuple, input_name: str, spec: tuple,
 ) -> tuple:
     """One map attempt: run the task, spill its partitioned output.
-    The counters come last, as in every task result."""
+    Returns ``(stats, path, segments, counters)`` — the shuffled bytes
+    ride in ``stats.partition_bytes``, and the counters come last, as in
+    every task result."""
     phase_dir, bcast_path, broadcast_bytes, broadcast_cpu, map_slots = phase_args
     stats, partitioned, counters = execute_map_task(
         job, task_id, input_name, _resolve_records(spec),
         _broadcast_for(bcast_path), broadcast_bytes, broadcast_cpu,
         limit, map_slots, tracer=tracer, heartbeat=heartbeat,
     )
-    path, segments, part_bytes = _spill_map_output(
+    path, segments = _spill_map_output(
         phase_dir, f"m{task_id}a{attempt}", partitioned, job.num_reducers
     )
-    return stats, path, segments, part_bytes, counters
+    return stats, path, segments, counters
 
 
 def _reduce_attempt(
@@ -424,14 +424,16 @@ class MapShuffle:
         self.spilled_bytes = 0
 
     def add_task(
-        self, path: str, segments: Segments, part_bytes: dict[int, int]
+        self, path: str, segments: Segments, partition_bytes: dict[int, int]
     ) -> None:
+        """Record one map task's spill file and add up its shuffled
+        bytes, ``TaskStats.partition_bytes`` of that task."""
         self._tasks.append((path, segments))
         self.spilled_bytes += sum(
             blob_len + sum(buf_lens)
             for _off, blob_len, buf_lens in segments.values()
         )
-        for p, num_bytes in part_bytes.items():
+        for p, num_bytes in partition_bytes.items():
             self._part_bytes[p] = self._part_bytes.get(p, 0) + num_bytes
 
     def partition_bytes(self) -> list[int]:
@@ -1100,8 +1102,8 @@ class PersistentExecutor:
             # running, is already gone — see _dispatch_phase)
             shuffle.cleanup()
             raise
-        for stats, path, segments, part_bytes, counters in cores:
-            shuffle.add_task(path, segments, part_bytes)
+        for stats, path, segments, counters in cores:
+            shuffle.add_task(path, segments, stats.partition_bytes)
             ex.bytes_from_workers += approx_bytes(counters) + 96
             task_results.append((stats, counters))
         ex.spill_bytes_written = shuffle.spilled_bytes

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from typing import Any
 
 
 class InsufficientMemoryError(MemoryError):
@@ -70,19 +71,53 @@ def approx_bytes(obj: object) -> int:
     Deliberately cheap and deterministic (not ``sys.getsizeof``, which
     varies across builds): strings count their length, numbers 8 bytes,
     containers sum their elements plus 8 bytes of framing each.
+
+    Runs once per shuffled and per written record, so the common shapes
+    are dispatched on their *exact* type and the scalar leaves of a
+    tuple or list are sized in the loop that visits them.  Everything
+    else — subclasses, sets, dicts, plain objects — goes through
+    :func:`_approx_bytes_general`, the defining ``isinstance`` chain.
+    An exact ``str`` is a ``str`` instance, so both give the same
+    number; ``tests/test_mapreduce_core.py`` holds them equal.
     """
-    if isinstance(obj, str):
+    value: Any = obj  # narrowed by the exact-type tests below
+    kind = type(value)
+    if kind is tuple or kind is list:
+        total = 8
+        for item in value:
+            leaf = type(item)
+            if leaf is int or leaf is float:
+                total += 8
+            elif leaf is str:
+                total += len(item)
+            elif leaf is array:
+                total += 8 + 8 * len(item)
+            else:
+                total += approx_bytes(item)
+        return total
+    if kind is str or kind is bytes:
+        return len(value)
+    if kind is int or kind is float or kind is bool or value is None:
+        return 8
+    if kind is array:
+        # same accounting as a tuple of numbers, so switching the token
+        # wire format between tuple[int] and array('i') leaves shuffle
+        # byte counts (and therefore simulated times) unchanged
+        return 8 + 8 * len(value)
+    return _approx_bytes_general(obj)
+
+
+def _approx_bytes_general(obj: object) -> int:
+    """:func:`approx_bytes` for any value: the ``isinstance`` chain that
+    defines the sizes, taken by whatever is not exactly one of the
+    built-in shapes above."""
+    if isinstance(obj, (str, bytes)):
         return len(obj)
-    if isinstance(obj, bytes):
-        return len(obj)
-    if isinstance(obj, (int, float, bool)) or obj is None:
+    if isinstance(obj, (int, float)) or obj is None:
         return 8
     if isinstance(obj, (tuple, list, set, frozenset)):
         return 8 + sum(approx_bytes(item) for item in obj)
     if isinstance(obj, array):
-        # same accounting as a tuple of numbers, so switching the token
-        # wire format between tuple[int] and array('i') leaves shuffle
-        # byte counts (and therefore simulated times) unchanged
         return 8 + 8 * len(obj)
     if isinstance(obj, dict):
         return 8 + sum(
@@ -108,6 +143,10 @@ class TaskStats:
     output_records: int = 0
     output_bytes: int = 0
     peak_memory_bytes: int = 0
+    #: map tasks only: approx shuffled bytes per non-empty partition,
+    #: each pair counted as ``approx_bytes((key, value))``, so the sum
+    #: is ``output_bytes + 8 * output_records``
+    partition_bytes: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass

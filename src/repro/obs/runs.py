@@ -112,6 +112,9 @@ def build_run_manifest(
         times["total"] = report.total_simulated_s
         doc["combo"] = report.combo
         doc["stage_times_s"] = {k: round(v, 6) for k, v in times.items()}
+        wall = dict(report.stage_wall_s)
+        wall["total"] = sum(wall.values())
+        doc["wall_times_s"] = {k: round(v, 6) for k, v in wall.items()}
         doc["pairs"] = counters.get("stage3.record_pairs_output", 0)
         doc["counters"] = dict(sorted(counters.items()))
         doc["metrics"] = report.metrics().snapshot()
@@ -203,17 +206,23 @@ def load_run(directory: str, ref: str) -> dict[str, Any]:
 def diff_runs(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
     """Structured comparison of two run manifests.
 
-    Returns stage-time rows, changed counters, and headline facts;
+    Returns stage-time rows on both clocks (simulated ``stage_rows``,
+    measured ``wall_rows`` — empty when neither manifest carries
+    ``wall_times_s``, as none written before it existed does), changed
+    counters, and headline facts;
     :func:`repro.bench.reporting.format_runs_diff` renders it.
     """
-    stage_rows: list[tuple[str, float, float, float]] = []
-    times_a = a.get("stage_times_s", {})
-    times_b = b.get("stage_times_s", {})
-    for stage in sorted(set(times_a) | set(times_b)):
-        va = float(times_a.get(stage, 0.0))
-        vb = float(times_b.get(stage, 0.0))
-        delta_pct = ((vb - va) / va * 100.0) if va else float("nan")
-        stage_rows.append((stage, va, vb, delta_pct))
+
+    def time_rows(key: str) -> list[tuple[str, float, float, float]]:
+        rows: list[tuple[str, float, float, float]] = []
+        times_a = a.get(key, {})
+        times_b = b.get(key, {})
+        for stage in sorted(set(times_a) | set(times_b)):
+            va = float(times_a.get(stage, 0.0))
+            vb = float(times_b.get(stage, 0.0))
+            delta_pct = ((vb - va) / va * 100.0) if va else float("nan")
+            rows.append((stage, va, vb, delta_pct))
+        return rows
 
     counters_a = a.get("counters", {})
     counters_b = b.get("counters", {})
@@ -236,7 +245,8 @@ def diff_runs(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
             a.get("rusage", {}).get("maxrss_kb"),
             b.get("rusage", {}).get("maxrss_kb"),
         ),
-        "stage_rows": stage_rows,
+        "stage_rows": time_rows("stage_times_s"),
+        "wall_rows": time_rows("wall_times_s"),
         "counter_rows": counter_rows,
     }
 

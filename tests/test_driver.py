@@ -2,6 +2,7 @@
 record-level oracle, and reports must carry coherent stats."""
 
 import itertools
+import time
 
 import pytest
 
@@ -68,6 +69,18 @@ class TestSelfJoinEndToEnd:
         assert set(times) == {"stage1", "stage2", "stage3"}
         assert report.total_simulated_s == pytest.approx(sum(times.values()))
         assert report.counters()["framework.map_input_records"] > 0
+
+    def test_stage_wall_is_measured_next_to_the_simulated_clock(self, rng):
+        cluster = make_cluster()
+        cluster.dfs.write("records", random_records(rng, 60))
+        started = time.perf_counter()
+        report = ssjoin_self(
+            cluster, "records", JoinConfig(threshold=0.5, schema=SCHEMA_1)
+        )
+        elapsed = time.perf_counter() - started
+        assert set(report.stage_wall_s) == set(report.stage_times())
+        assert all(seconds > 0 for seconds in report.stage_wall_s.values())
+        assert 0 < sum(report.stage_wall_s.values()) <= elapsed
 
     def test_ssjoin_self_writes_named_outputs(self, rng):
         cluster = make_cluster()

@@ -14,6 +14,7 @@ inline on single-core machines).
 import multiprocessing
 import os
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,13 +24,25 @@ from repro.core.ordering import TokenOrder
 from repro.core.ppjoin import ppjoin_self_join
 from repro.core.prefixes import Projection
 from repro.core.similarity import Jaccard
+from repro.data.synthetic import generate_dblp
 from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_rs, ssjoin_self
-from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
+from repro.join.planner import Stage2Plan
+from repro.mapreduce import cluster as cluster_module, executor as executor_module
+from repro.mapreduce.cluster import (
+    ClusterConfig,
+    DriverShuffle,
+    SimulatedCluster,
+    execute_map_task,
+)
 from repro.mapreduce.dfs import InMemoryDFS
-from repro.mapreduce.executor import PersistentExecutor, PersistentParallelCluster
+from repro.mapreduce.executor import (
+    MapShuffle,
+    PersistentExecutor,
+    PersistentParallelCluster,
+)
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.types import InsufficientMemoryError
+from repro.mapreduce.types import InsufficientMemoryError, approx_bytes
 from repro.obs.telemetry import strip_telemetry_counters
 from repro.obs.trace import Tracer
 
@@ -201,6 +214,101 @@ class TestEngineParity:
         assert strip_telemetry_counters(seq.counters()) == strip_telemetry_counters(
             per.counters()
         )
+        # ... which includes every bucket of the per-partition histogram
+        assert any(
+            name.startswith("hist.shuffle.partition_bytes.") for name in per.counters()
+        )
+
+    @pytest.mark.parametrize("split", [False, True], ids=["static", "split"])
+    @pytest.mark.parametrize("join", ["self", "rs"])
+    def test_map_tasks_size_each_pair_once(self, rng, monkeypatch, join, split):
+        """``TaskStats.partition_bytes`` is the per-bucket walk it
+        replaced, for every map task of every job of a join: Stage 1
+        (combiner), Stage 2 (the split plan replicates one value object
+        across shards) and Stage 3."""
+        r = random_records(rng, 60)
+        s = random_records(rng, 40, rid_base=1000)
+        config = JoinConfig(threshold=0.5, schema=SCHEMA_1, adaptive=split)
+        checked = []
+
+        def checking_map_task(job, *args, **kwargs):
+            stats, partitioned, counters = execute_map_task(job, *args, **kwargs)
+            walked: dict[int, int] = {}
+            for p, key, value in partitioned:
+                walked[p] = walked.get(p, 0) + approx_bytes((key, value))
+            assert stats.partition_bytes == walked
+            assert stats.output_records == len(partitioned)
+            assert (
+                sum(walked.values())
+                == stats.output_bytes + 8 * stats.output_records
+            )
+            checked.append((job.name, job.combiner is not None, bool(partitioned)))
+            return stats, partitioned, counters
+
+        monkeypatch.setattr(cluster_module, "execute_map_task", checking_map_task)
+        cluster = SimulatedCluster(
+            cluster_config(), InMemoryDFS(num_nodes=4, block_bytes=512)
+        )
+        cluster.dfs.write("r", r)
+        cluster.dfs.write("s", s)
+        plan = Stage2Plan("individual", None, splits=(("w0", 3), ("w1", 2)))
+        with mock.patch(
+            "repro.join.driver.plan_stage2", lambda sample, cfg, reducers: plan
+        ):
+            if join == "self":
+                report = ssjoin_self(cluster, "r", config)
+            else:
+                report = ssjoin_rs(cluster, "r", "s", config)
+        assert report.counters().get("plan.splits", 0) == (2 if split else 0)
+        jobs = {p.job_name for stats in report.stages.values() for p in stats.phases}
+        assert {name for name, _c, nonempty in checked if nonempty} == jobs
+        assert any(combiner for _n, combiner, _e in checked)
+
+    def test_shuffle_bytes_pinned_to_the_recursive_walk(self):
+        """Absolute byte totals of a fixed corpus, measured with the
+        two-walk recursive accounting this replaced — "identical to the
+        parent" has to outlive the parent."""
+        records = generate_dblp(2000, 7)
+        sequential = SimulatedCluster()
+        persistent = PersistentParallelCluster(
+            workers=2, min_tasks_for_pool=1, assume_cores=2
+        )
+        with persistent:
+            for cluster in (sequential, persistent):
+                cluster.dfs.write("records", records)
+                counters = ssjoin_self(
+                    cluster, "records", JoinConfig(threshold=0.8)
+                ).counters()
+                assert counters["framework.map_output_bytes"] == 2_401_831
+                assert counters["framework.shuffle_bytes"] == 2_532_719
+            assert persistent.executor.stats.pools_created == 1  # really pooled
+
+    def test_shuffle_handles_size_nothing(self, tmp_path, monkeypatch):
+        """Shuffled bytes are computed in ``execute_map_task`` only: the
+        handles and the spill path add up what it reports."""
+        job = word_count_job()
+        stats, partitioned, _counters = execute_map_task(
+            job, 0, "in", ["a b a", "c a"], {}, 0, 0.0, None, 4
+        )
+        assert stats.partition_bytes
+
+        def no_sizing(obj):
+            raise AssertionError("shuffle path sized a value again")
+
+        monkeypatch.setattr(cluster_module, "approx_bytes", no_sizing)
+        monkeypatch.setattr(executor_module, "approx_bytes", no_sizing)
+        driver = DriverShuffle(job.num_reducers)
+        driver.add_task(partitioned, stats.partition_bytes)
+        path, segments = executor_module._spill_map_output(
+            str(tmp_path), "m0a0", partitioned, job.num_reducers
+        )
+        spilled = MapShuffle(job.num_reducers, str(tmp_path), None)
+        spilled.add_task(path, segments, stats.partition_bytes)
+        expected = [
+            stats.partition_bytes.get(p, 0) for p in range(job.num_reducers)
+        ]
+        assert driver.partition_bytes() == spilled.partition_bytes() == expected
+        assert driver.nonempty_partitions() == spilled.nonempty_partitions()
 
 
 class TestPoolLifecycle:

@@ -601,6 +601,8 @@ class TestCheckpointResume:
         assert report.stage1.phases == []
         assert report.stage2.phases == []
         assert report.stage3.phases != []
+        wall = report.stage_wall_s
+        assert wall["stage1"] == wall["stage2"] == 0.0 < wall["stage3"]
 
     def test_completed_run_resumes_all_three_stages(self, rng, tmp_path):
         records = random_records(rng, 40)

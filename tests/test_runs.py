@@ -150,6 +150,45 @@ def test_cli_runs_diff_tolerates_retired_counters(tmp_path, capsys, rng):
     assert rows == {"plan.batch_size": ["64", "0"], "stage2.batches": ["12", "0"]}
 
 
+def test_wall_times_in_new_manifests_and_absent_from_old_ones(tmp_path, capsys, rng):
+    """``wall_times_s`` rides next to ``stage_times_s``; a manifest
+    written before it existed still loads, shows and diffs."""
+    config, report = _join_report(rng)
+    new = build_run_manifest(
+        kind="selfjoin", workload="records", config=config, report=report
+    )
+    wall = new["wall_times_s"]
+    assert set(wall) == set(new["stage_times_s"])
+    assert wall["total"] == pytest.approx(
+        wall["stage1"] + wall["stage2"] + wall["stage3"], abs=1e-5
+    )
+    assert 0 < wall["total"] < new["stage_times_s"]["total"]
+    old = json.loads(json.dumps(new))
+    del old["wall_times_s"]
+    old["id"] = "20250101-000000-" + new["config_digest"][:8]
+    directory = str(tmp_path / "reg")
+    write_run_manifest(directory, old)
+    write_run_manifest(directory, new)
+
+    for run_id, has_wall in ((old["id"], False), (new["id"], True)):
+        assert main(["runs", "show", run_id, "--runs-dir", directory]) == 0
+        assert ("wall_times_s" in json.loads(capsys.readouterr().out)) == has_wall
+
+    assert diff_runs(old, old)["wall_rows"] == []
+    assert [row[0] for row in diff_runs(old, new)["wall_rows"]] == [
+        "stage1", "stage2", "stage3", "total",
+    ]
+    for a, b, shows_wall in (
+        (old["id"], old["id"], False),
+        (old["id"], new["id"], True),
+        (new["id"], new["id"], True),
+    ):
+        assert main(["runs", "diff", a, b, "--runs-dir", directory]) == 0
+        text = capsys.readouterr().out
+        assert ("stage times (wall)" in text) == shows_wall
+        assert "stage times (simulated)" in text
+
+
 # ---------------------------------------------------------------------------
 # regression checker
 # ---------------------------------------------------------------------------
