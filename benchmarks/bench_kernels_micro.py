@@ -52,7 +52,9 @@ def projections(records, encoding="rank"):
     tokenizer = WordTokenizer()
     values = [join_value(line, schema) for line in records]
     order = TokenOrder.from_frequencies(count_token_frequencies(values, tokenizer))
-    encode = order.encode_array if encoding == "rank" else order.encode_strings
+    # the kernel is order-generic: "string" feeds it lexicographically
+    # sorted raw tokens, the frequency ranks' differential baseline
+    encode = order.encode_array if encoding == "rank" else lambda toks: tuple(sorted(toks))
     return [
         Projection(rid_of(line), encode(tokenizer.tokenize(value)))
         for line, value in zip(records, values)

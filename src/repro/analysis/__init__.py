@@ -25,20 +25,9 @@
 
 from __future__ import annotations
 
-from repro.analysis.mrflow import (
-    DYNAMIC_COUNTER_PREFIXES,
-    FLOW_RULES,
-    analyze_paths,
-    build_counter_registry,
-    render_counter_registry,
-)
-from repro.analysis.mrlint import RULES, Finding, lint_file, lint_paths, lint_source
-from repro.analysis.reporting import (
-    apply_baseline,
-    load_baseline,
-    render_findings,
-    write_baseline,
-)
+from importlib import import_module
+from typing import Any
+
 from repro.analysis.sanitize import (
     CHECKS,
     VIOLATIONS,
@@ -47,6 +36,28 @@ from repro.analysis.sanitize import (
     make_sanitizer,
     sanitize_active,
 )
+
+#: the static analyzers are tools, not part of a join
+_LAZY = {
+    **dict.fromkeys(
+        ("DYNAMIC_COUNTER_PREFIXES", "FLOW_RULES", "analyze_paths",
+         "build_counter_registry", "render_counter_registry"),
+        "repro.analysis.mrflow",
+    ),
+    **dict.fromkeys(
+        ("RULES", "Finding", "lint_file", "lint_paths", "lint_source"),
+        "repro.analysis.mrlint",
+    ),
+    **dict.fromkeys(
+        ("apply_baseline", "load_baseline", "render_findings", "write_baseline"),
+        "repro.analysis.reporting",
+    ),
+}
+def __getattr__(name: str) -> Any:  # PEP 562: import on first use
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_LAZY[name]), name)
+
 
 __all__ = [
     "RULES",

@@ -36,6 +36,7 @@ KNOWN_COUNTER_NAMES: frozenset[str] = frozenset(
         'sanitize.checks',
         'sanitize.index_bytes_drift',
         'sanitize.memory_over_release',
+        'sanitize.misowned_pair',
         'sanitize.unsorted_reduce_input',
         'sanitize.violations',
         'shuffle.partition_bytes',
@@ -46,13 +47,13 @@ KNOWN_COUNTER_NAMES: frozenset[str] = frozenset(
         'stage2.pairs_output',
         'stage2.prefix_tokens',
         'stage2.pruned_bitmap',
+        'stage2.pruned_foreign',
         'stage2.pruned_length',
         'stage2.pruned_positional',
         'stage2.pruned_suffix',
         'stage2.record_routes',
         'stage2.spill_bytes_read',
         'stage2.spill_bytes_written',
-        'stage3.duplicate_pairs_dropped',
         'stage3.pairs_per_rid',
         'stage3.record_pairs_output',
         'task.attempts',

@@ -17,7 +17,11 @@ invariant checks:
   PPJoin+ arguments; Sandes et al.'s bitmap bound, arXiv:1711.07295);
 * **index byte accounting** — ``PPJoinIndex.live_bytes`` (the eviction
   trigger) must equal the sum of its live entries' charged sizes after
-  every add/evict sequence.
+  every add/evict sequence;
+* **pair ownership** — for every pair a Stage-2 group emits, and a
+  sample of those it skips as ``foreign``, the owner is re-derived: the
+  smallest token common to the two routing prefixes must (must not)
+  route to this group (DESIGN.md §5k).
 
 Checks never raise and never alter control flow — a sanitized join
 produces bit-identical output to a plain one, with two extra counters
@@ -32,7 +36,7 @@ bans unseeded randomness in kernel code.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.similarity import SimilarityFunction
 from repro.core.verification import overlap
@@ -70,11 +74,17 @@ def sanitize_active(config: Any) -> bool:
     return bool(getattr(config, "sanitize", False)) or env_sanitize()
 
 
-def make_sanitizer(config: Any, counters: Counters | None) -> "Sanitizer | None":
-    """A :class:`Sanitizer` for one task, or ``None`` when inactive."""
+def make_sanitizer(
+    config: Any, counters: Counters | None, route: int | None = None
+) -> "Sanitizer | None":
+    """A :class:`Sanitizer` for one task, or ``None`` when inactive;
+    *route* names the Stage-2 group whose pair ownership it checks."""
     if counters is None or not sanitize_active(config):
         return None
-    return Sanitizer(config.sim, config.threshold, counters)
+    num_groups = config.num_groups if config.routing == "grouped" else None
+    return Sanitizer(
+        config.sim, config.threshold, counters, route=route, num_groups=num_groups
+    )
 
 
 class Sanitizer:
@@ -92,11 +102,17 @@ class Sanitizer:
         threshold: float,
         counters: Counters,
         sample_every: int = DEFAULT_SAMPLE_EVERY,
+        route: int | None = None,
+        num_groups: int | None = None,
     ) -> None:
         self.sim = sim
         self.threshold = threshold
         self.counters = counters
         self.sample_every = max(1, sample_every)
+        #: the Stage-2 group being reduced (``None``: no ownership checks),
+        #: the group count of grouped routing (``None``: one per token)
+        self.route = route
+        self.num_groups = num_groups
         self._pruned_seen = 0
 
     # -- filter admissibility oracle ------------------------------------
@@ -130,6 +146,36 @@ class Sanitizer:
         if similarity >= self.threshold:
             self.counters.increment(VIOLATIONS)
             self.counters.increment(f"sanitize.false_negative.{stage}")
+
+    # -- pair ownership --------------------------------------------------
+
+    def check_owner(
+        self,
+        x_tokens: Sequence[Any],
+        y_tokens: Sequence[Any],
+        emitted: bool,
+        sample: bool = True,
+    ) -> None:
+        """Re-derive whether this group owns the pair (*x*, *y*) and
+        compare with what the kernel did: it *emitted* the pair, or
+        skipped it as foreign (sampled like prunes unless
+        ``sample=False``).  Shares nothing with the kernels' bounds memo
+        or owner predicate."""
+        if self.route is None:
+            return
+        if sample:
+            self._pruned_seen += 1
+            if self._pruned_seen % self.sample_every:
+                return
+        self.counters.increment(CHECKS)
+        x_prefix = x_tokens[: self.sim.prefix_length(len(x_tokens), self.threshold)]
+        y_prefix = y_tokens[: self.sim.prefix_length(len(y_tokens), self.threshold)]
+        home = min(set(x_prefix).intersection(y_prefix), default=None)
+        if home is not None and self.num_groups is not None:
+            home %= self.num_groups
+        if (home == self.route) != emitted:
+            self.counters.increment(VIOLATIONS)
+            self.counters.increment("sanitize.misowned_pair")
 
     # -- reduce-input sortedness ----------------------------------------
 

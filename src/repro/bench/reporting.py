@@ -69,9 +69,12 @@ def format_executor_summary(summary: dict, title: str = "executor") -> str:
 
 def format_filter_counters(pruned: dict, title: str = "stage2 filters") -> str:
     """Render a :meth:`JoinReport.filter_counters` dict as one table row:
-    candidates examined, prunes per filter stage (length, bitmap,
-    positional, suffix) and surviving RID pairs."""
-    headers = ["candidates", "length", "bitmap", "positional", "suffix", "pairs"]
+    candidates examined, those left to the pair's owning group
+    (foreign), prunes per filter stage (length, bitmap, positional,
+    suffix) and surviving RID pairs."""
+    headers = [
+        "candidates", "length", "foreign", "bitmap", "positional", "suffix", "pairs",
+    ]
     row = [pruned.get(h, 0) for h in headers]
     text = format_table(headers, [row], title=title)
     checks = pruned.get("sanitize_checks", 0)

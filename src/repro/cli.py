@@ -22,6 +22,7 @@ from repro.data.increase import increase_dataset
 from repro.data.loaders import read_records, write_records
 from repro.data.synthetic import generate_citeseerx, generate_dblp, generate_skewed
 from repro.join.blocks import BlockPolicy
+from repro.join.checkpoint import JoinCheckpoint
 from repro.join.config import JoinConfig
 from repro.join.driver import JoinReport, ssjoin_rs, ssjoin_self
 from repro.join.records import FIELD_SEP, RecordSchema, rid_of
@@ -74,10 +75,6 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--parallel", type=int, metavar="WORKERS", default=None,
                         help="run map/reduce tasks on this many worker processes "
                              "(persistent pool, one fork per join)")
-    parser.add_argument("--token-encoding", default="rank",
-                        choices=["rank", "string"],
-                        help="kernel token representation: frequency-rank "
-                             "array('i') (default) or sorted string tuples")
     parser.add_argument("--no-bitmap-filter", action="store_true",
                         help="disable bitmap-signature candidate pruning "
                              "(on by default; output is identical either way)")
@@ -170,7 +167,6 @@ def _build_config(args: argparse.Namespace) -> JoinConfig:
         num_groups=args.num_groups,
         stage3=args.stage3,
         blocks=blocks,
-        token_encoding=args.token_encoding,
         bitmap_filter=not args.no_bitmap_filter,
         bitmap_width=args.bitmap_width,
         sanitize=args.sanitize,
@@ -222,15 +218,10 @@ def _make_cluster(args: argparse.Namespace) -> SimulatedCluster:
 
 def _make_checkpoint(args: argparse.Namespace):
     """A :class:`JoinCheckpoint` for ``--checkpoint``/``--resume``."""
-    if args.resume is not None:
-        from repro.join.checkpoint import JoinCheckpoint
-
-        return JoinCheckpoint(args.resume, resume=True)
-    if args.checkpoint is not None:
-        from repro.join.checkpoint import JoinCheckpoint
-
-        return JoinCheckpoint(args.checkpoint, resume=False)
-    return None
+    root = args.resume if args.resume is not None else args.checkpoint
+    if root is None:
+        return None
+    return JoinCheckpoint(root, resume=args.resume is not None)
 
 
 def _attach_tracer(args: argparse.Namespace, cluster: SimulatedCluster):
@@ -331,6 +322,7 @@ def _emit(args: argparse.Namespace, pairs: list, report: JoinReport) -> None:
         from repro.bench.reporting import (
             format_executor_summary,
             format_filter_counters,
+            format_histograms,
             format_plan_counters,
         )
 
@@ -341,55 +333,33 @@ def _emit(args: argparse.Namespace, pairs: list, report: JoinReport) -> None:
         summary = report.executor_summary()
         if summary.get("pooled_phases") or summary.get("inline_phases"):
             print(format_executor_summary(summary), file=sys.stderr)
-        from repro.bench.reporting import format_histograms
-
         histograms = report.metrics().histograms()
         if histograms:
             print(format_histograms(histograms), file=sys.stderr)
 
 
-def _cmd_selfjoin(args: argparse.Namespace) -> int:
-    records = read_records(args.input)
+def _cmd_join(args: argparse.Namespace) -> int:
+    """``selfjoin INPUT`` and ``rsjoin R_INPUT S_INPUT``."""
+    if args.command == "selfjoin":
+        paths, names, join = [args.input], ["input"], ssjoin_self
+    else:
+        paths, names, join = [args.r_input, args.s_input], ["r", "s"], ssjoin_rs
+    inputs = [read_records(path) for path in paths]
     cluster = _make_cluster(args)
     tracer = _attach_tracer(args, cluster)
     hub = _attach_telemetry(args, cluster, tracer)
     try:
-        cluster.dfs.write("input", records)
-        report = ssjoin_self(
-            cluster, "input", _build_config(args),
-            checkpoint=_make_checkpoint(args),
+        for name, records in zip(names, inputs):
+            cluster.dfs.write(name, records)
+        report = join(
+            cluster, *names, _build_config(args), checkpoint=_make_checkpoint(args)
         )
         if hub is not None:
             hub.close()
             print(hub.summary_line(), file=sys.stderr)
         _emit(args, sorted(cluster.dfs.read_all(report.output_file)), report)
         _export_trace(args, tracer)
-        _record_run(args, "selfjoin", args.input, report)
-    finally:
-        if hasattr(cluster, "close"):
-            cluster.close()
-    return 0
-
-
-def _cmd_rsjoin(args: argparse.Namespace) -> int:
-    r_records = read_records(args.r_input)
-    s_records = read_records(args.s_input)
-    cluster = _make_cluster(args)
-    tracer = _attach_tracer(args, cluster)
-    hub = _attach_telemetry(args, cluster, tracer)
-    try:
-        cluster.dfs.write("r", r_records)
-        cluster.dfs.write("s", s_records)
-        report = ssjoin_rs(
-            cluster, "r", "s", _build_config(args),
-            checkpoint=_make_checkpoint(args),
-        )
-        if hub is not None:
-            hub.close()
-            print(hub.summary_line(), file=sys.stderr)
-        _emit(args, sorted(cluster.dfs.read_all(report.output_file)), report)
-        _export_trace(args, tracer)
-        _record_run(args, "rsjoin", f"{args.r_input},{args.s_input}", report)
+        _record_run(args, args.command, ",".join(paths), report)
     finally:
         if hasattr(cluster, "close"):
             cluster.close()
@@ -662,13 +632,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selfjoin", help="self-join one record file")
     p_self.add_argument("input")
     _add_join_options(p_self)
-    p_self.set_defaults(func=_cmd_selfjoin)
+    p_self.set_defaults(func=_cmd_join)
 
     p_rs = sub.add_parser("rsjoin", help="join two record files (R the smaller)")
     p_rs.add_argument("r_input")
     p_rs.add_argument("s_input")
     _add_join_options(p_rs)
-    p_rs.set_defaults(func=_cmd_rsjoin)
+    p_rs.set_defaults(func=_cmd_join)
 
     p_gen = sub.add_parser("generate", help="generate a synthetic corpus")
     p_gen.add_argument("corpus", choices=["dblp", "citeseerx", "skewed"])

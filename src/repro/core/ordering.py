@@ -107,18 +107,7 @@ class TokenOrder:
         * ``"drop"`` — silently discard (R-S join: S-only tokens cannot
           produce candidates with R, Section 4 Stage 1).
         """
-        if unknown not in ("error", "drop"):
-            raise ValueError(f"unknown= must be 'error' or 'drop', got {unknown!r}")
-        ranks = []
-        for token in tokens:
-            rank = self._ranks.get(token)
-            if rank is None:
-                if unknown == "error":
-                    raise KeyError(f"token not in global order: {token!r}")
-                continue
-            ranks.append(rank)
-        ranks.sort()
-        return tuple(ranks)
+        return tuple(self._sorted_ranks(tokens, unknown))
 
     def encode_array(
         self, tokens: Iterable[str], unknown: str = "error"
@@ -130,6 +119,9 @@ class TokenOrder:
         inner loops on machine integers.  Slicing and comparisons behave
         exactly like the tuple form.
         """
+        return array("i", self._sorted_ranks(tokens, unknown))
+
+    def _sorted_ranks(self, tokens: Iterable[str], unknown: str) -> list[int]:
         if unknown not in ("error", "drop"):
             raise ValueError(f"unknown= must be 'error' or 'drop', got {unknown!r}")
         ranks: list[int] = []
@@ -142,33 +134,7 @@ class TokenOrder:
                 continue
             ranks.append(rank)
         ranks.sort()
-        return array("i", ranks)
-
-    def encode_strings(
-        self, tokens: Iterable[str], unknown: str = "error"
-    ) -> tuple[str, ...]:
-        """Keep tokens as strings, sorted lexicographically.
-
-        The prefix/positional/suffix filters are correct under *any*
-        global total order as long as token arrays are sorted by it and
-        compared with it; for raw strings the natural such order is
-        lexicographic.  Selectivity is worse than the frequency order
-        (prefixes are no longer the rarest tokens) and every comparison
-        is a string compare — this is the opt-out baseline the rank
-        fast path is benchmarked against.  ``unknown`` has the same
-        semantics as in :meth:`encode`.
-        """
-        if unknown not in ("error", "drop"):
-            raise ValueError(f"unknown= must be 'error' or 'drop', got {unknown!r}")
-        kept: list[str] = []
-        for token in tokens:
-            if token not in self._ranks:
-                if unknown == "error":
-                    raise KeyError(f"token not in global order: {token!r}")
-                continue
-            kept.append(token)
-        kept.sort()
-        return tuple(kept)
+        return ranks
 
     def decode(self, ranks: Iterable[int]) -> list[str]:
         """Inverse of :meth:`encode` (rank → token)."""

@@ -27,17 +27,16 @@ frequency order, as ``tuple`` or compact ``array('i')``; see
 :meth:`repro.core.ordering.TokenOrder.encode` /
 :meth:`~repro.core.ordering.TokenOrder.encode_array`).  The kernel is
 order-generic: any element type with a total order matching the arrays'
-sort order works, including lexicographically sorted strings
-(:meth:`~repro.core.ordering.TokenOrder.encode_strings`) — the filters
-and the merge only compare elements, so both encodings yield identical
-RID pairs (differential-tested).
+sort order works, including lexicographically sorted strings — the
+filters and the merge only compare elements, so both encodings yield
+identical RID pairs (differential-tested).
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis -> core)
     from repro.analysis.sanitize import Sanitizer
@@ -48,7 +47,7 @@ from repro.core.filters import (
     suffix_filter_passes,
 )
 from repro.core.prefixes import Projection
-from repro.core.similarity import SimilarityFunction
+from repro.core.similarity import SimilarityFunction, bounds_for
 from repro.core.verification import overlap
 
 
@@ -90,11 +89,11 @@ class PPJoinIndex:
         per record) or are derived from the tokens on demand.
 
     ``filter_stats`` counts candidates pruned per filter stage
-    (``length`` at posting-hit granularity, ``bitmap``/``positional``/
-    ``suffix`` once per candidate pair) and, under ``candidates``, the
-    distinct entries per probe that survived the length filter — each
-    of which ends either pruned by one of the three later filters or
-    handed to verification.
+    (``length`` at posting-hit granularity, ``foreign``/``bitmap``/
+    ``positional``/``suffix`` once per candidate pair) and, under
+    ``candidates``, the distinct entries per probe that survived the
+    length filter — each of which ends ``foreign`` (another route owns
+    the pair, see :meth:`probe`), pruned by a later filter, or verified.
 
     ``sanitizer`` (see :mod:`repro.analysis.sanitize`) attaches the
     runtime admissibility oracle: a deterministic sample of pruned
@@ -129,9 +128,9 @@ class PPJoinIndex:
         self.suffix_max_depth = suffix_max_depth
         self.bitmap_width = bitmap_width
         self.sanitizer = sanitizer
+        self._bounds = bounds_for(sim, threshold)
 
         self._postings: dict[int, list[tuple[int, int]]] = {}
-        self._cursor: dict[int, int] = {}  # per-token eviction cursor
         self._rids: list[int] = []
         self._tokens: list[tuple[int, ...] | None] = []
         self._sizes: list[int] = []
@@ -148,7 +147,8 @@ class PPJoinIndex:
         self.live_bytes = 0
         #: post-length-filter candidates, and prunes per filter stage
         self.filter_stats = {
-            "candidates": 0, "length": 0, "bitmap": 0, "positional": 0, "suffix": 0,
+            "candidates": 0, "length": 0, "foreign": 0,
+            "bitmap": 0, "positional": 0, "suffix": 0,
         }
 
     # -- size / memory accounting -------------------------------------
@@ -157,10 +157,6 @@ class PPJoinIndex:
     def live_entries(self) -> int:
         """Number of record entries currently held in memory."""
         return len(self._rids) - self._frontier
-
-    def _note_live(self) -> None:
-        if self.live_entries > self.peak_live_entries:
-            self.peak_live_entries = self.live_entries
 
     def expected_live_bytes(self) -> int:
         """Recount the charged bytes of every live entry from scratch.
@@ -205,19 +201,28 @@ class PPJoinIndex:
         )
         self._sizes.append(n)
         if self.mode == "self":
-            plen = self.sim.index_prefix_length(n, self.threshold)
+            plen = self._bounds.index_prefix_length[n]
         else:
-            plen = self.sim.prefix_length(n, self.threshold)
+            plen = self._bounds.prefix_length[n]
         self._prefix_lens.append(plen)
+        postings = self._postings
         for pos in range(plen):
-            self._postings.setdefault(tokens[pos], []).append((entry_id, pos))
-        if self.bitmap_width is not None:
+            token = tokens[pos]
+            posting = postings.get(token)
+            if posting is None:
+                postings[token] = [(entry_id, pos)]
+            else:
+                posting.append((entry_id, pos))
+        width = self.bitmap_width
+        if width is not None:
             if signature is None:
-                signature = bitmap_signature(tokens, self.bitmap_width)
+                signature = bitmap_signature(tokens, width)
             self._sigs.append(signature)
             self._sig_slack.append(n - signature.bit_count())
-        self.live_bytes += _entry_bytes(n, self.bitmap_width is not None)
-        self._note_live()
+        self.live_bytes += _entry_bytes(n, width is not None)
+        live = entry_id + 1 - self._frontier
+        if live > self.peak_live_entries:
+            self.peak_live_entries = live
 
     def _evict_below(self, min_size: int) -> None:
         """Advance the eviction frontier past entries smaller than
@@ -237,6 +242,7 @@ class PPJoinIndex:
         tokens: Sequence[int],
         true_size: int | None = None,
         signature: int | None = None,
+        owner: Callable[[Any], bool] | None = None,
     ) -> list[tuple[int, float]]:
         """Find indexed records similar to (*rid*, *tokens*).
 
@@ -250,6 +256,20 @@ class PPJoinIndex:
         overlap are computed against the record's *original* set size
         so the reported similarity is exact.  ``signature`` is the
         probe's precomputed bitmap signature (see :meth:`add`).
+
+        ``owner`` restricts the probe to the pairs this index *owns*
+        (DESIGN.md §5k): a predicate on a prefix token, evaluated once
+        per probe-prefix position, saying whether that token routes to
+        the reducer running this index; ``None`` owns everything.  A
+        pair belongs to the route of the smallest token common to both
+        routing prefixes, which is the token of its *first* encounter:
+        (1) positions are scanned in ascending token order; (2) a
+        ``self`` index holds only mid-prefixes, but a mid-prefix is a
+        down-closed prefix of the routing prefix, so a common token
+        smaller than one inside it lies inside it too; (3) a pair with
+        no common indexed token is never encountered by any index.  A
+        first encounter at a token that is not *owner*'s is tallied as
+        ``foreign`` and ends the entry's part in this probe.
         """
         nx = len(tokens)
         n_true = nx if true_size is None else true_size
@@ -257,18 +277,19 @@ class PPJoinIndex:
             raise ValueError(f"true_size {n_true} smaller than token count {nx}")
         if nx == 0 or not self._rids:
             return []
-        if self.evict:
+        evict = self.evict
+        if evict:
             if n_true < self._last_probe_size:
                 raise ValueError(
                     "eviction requires probes in non-decreasing size order "
                     f"(got size {n_true} after {self._last_probe_size})"
                 )
             self._last_probe_size = n_true
-        sim, threshold = self.sim, self.threshold
-        lo, hi = sim.length_bounds(n_true, threshold)
-        if self.evict:
+        bounds = self._bounds
+        lo, hi = bounds.length_bounds[n_true]
+        if evict:
             self._evict_below(lo)
-        probe_len = sim.prefix_length(nx, threshold)
+        probe_len = bounds.prefix_length[nx]
         # Bitmap filter setup: the bound on the merged (token-array)
         # overlap is  popcount(sx & sy) + min(x_slack, y_slack)  with
         # slack = len - popcount; x's term is fixed for the whole probe.
@@ -283,63 +304,77 @@ class PPJoinIndex:
             x_slack = nx - sig_x.bit_count()
         candidates: dict[int, list[int]] = {}
         pruned: set[int] = set()
-        # hot loop: hoist per-entry tables and per-stage prune tallies
-        # into locals (attribute/dict lookups cost real time here)
-        sizes = self._sizes
+        # hot loop: hoist per-entry tables, flags and per-stage prune
+        # tallies into locals (attribute/dict lookups cost real time here)
+        sizes, entry_tokens = self._sizes, self._tokens
         sigs, sig_slack = self._sigs, self._sig_slack
+        alpha_of, postings_of, frontier = bounds.alpha, self._postings, self._frontier
+        use_positional, use_suffix = self.use_positional, self.use_suffix
         sanitizer = self.sanitizer
-        p_length = p_bitmap = p_positional = p_suffix = 0
+        p_length = p_foreign = p_bitmap = p_positional = p_suffix = 0
         for i in range(probe_len):
-            postings = self._postings.get(tokens[i])
-            if postings is None:
+            token = tokens[i]
+            postings = postings_of.get(token)
+            if not postings:
                 continue
-            start = self._cursor.get(tokens[i], 0)
-            if self.evict and start < len(postings):
-                while start < len(postings) and postings[start][0] < self._frontier:
+            if postings[0][0] < frontier:
+                # drop the evicted head for good (the frontier only advances)
+                start = 1
+                while start < len(postings) and postings[start][0] < frontier:
                     start += 1
-                self._cursor[tokens[i]] = start
-            for entry_id, j in postings[start:]:
+                del postings[:start]
+            owned = owner is None or owner(token)
+            for entry_id, j in postings:
                 ny = sizes[entry_id]
                 if ny < lo or ny > hi:
                     p_length += 1
                     if sanitizer is not None:
-                        y_tokens = self._tokens[entry_id]
-                        if y_tokens is not None:  # evicted entries have no payload
-                            sanitizer.check_prune("length", tokens, n_true, y_tokens, ny)
+                        y_tokens = entry_tokens[entry_id]
+                        assert y_tokens is not None
+                        sanitizer.check_prune("length", tokens, n_true, y_tokens, ny)
                     continue
                 if entry_id in pruned:
                     continue
                 state = candidates.get(entry_id)
+                if state is None and not owned:
+                    # smallest common prefix token routes elsewhere
+                    pruned.add(entry_id)
+                    p_foreign += 1
+                    if sanitizer is not None:
+                        y_tokens = entry_tokens[entry_id]
+                        assert y_tokens is not None
+                        sanitizer.check_owner(tokens, y_tokens, False)
+                    continue
                 current = state[0] if state else 0
-                alpha = sim.overlap_threshold(n_true, ny, threshold)
+                alpha = alpha_of[n_true, ny]
                 if state is None and sig_x is not None:
                     # first encounter: bitmap overlap upper bound,
                     # between the length and positional filters
-                    bound = (sig_x & sigs[entry_id]).bit_count() + min(
-                        x_slack, sig_slack[entry_id]
-                    )
-                    if bound < alpha:
+                    y_slack = sig_slack[entry_id]
+                    if (sig_x & sigs[entry_id]).bit_count() + (
+                        y_slack if y_slack < x_slack else x_slack
+                    ) < alpha:
                         pruned.add(entry_id)
                         p_bitmap += 1
                         if sanitizer is not None:
-                            y_tokens = self._tokens[entry_id]
+                            y_tokens = entry_tokens[entry_id]
                             assert y_tokens is not None
                             sanitizer.check_prune("bitmap", tokens, n_true, y_tokens, ny)
                         continue
-                if self.use_positional and not positional_filter_passes(
+                if use_positional and not positional_filter_passes(
                     nx, ny, i, j, current, alpha
                 ):
                     pruned.add(entry_id)
                     candidates.pop(entry_id, None)
                     p_positional += 1
                     if sanitizer is not None:
-                        y_tokens = self._tokens[entry_id]
+                        y_tokens = entry_tokens[entry_id]
                         assert y_tokens is not None
                         sanitizer.check_prune("positional", tokens, n_true, y_tokens, ny)
                     continue
                 if state is None:
-                    if self.use_suffix:
-                        y_tokens = self._tokens[entry_id]
+                    if use_suffix:
+                        y_tokens = entry_tokens[entry_id]
                         assert y_tokens is not None
                         if not suffix_filter_passes(
                             tokens[i + 1 :],
@@ -364,6 +399,7 @@ class PPJoinIndex:
             stats = self.filter_stats
             stats["candidates"] += len(pruned) + len(candidates)
             stats["length"] += p_length
+            stats["foreign"] += p_foreign
             stats["bitmap"] += p_bitmap
             stats["positional"] += p_positional
             stats["suffix"] += p_suffix
@@ -382,17 +418,18 @@ class PPJoinIndex:
         """PPJoin optimized verification: resume the merge after the
         last prefix match instead of re-scanning the prefixes."""
         sim, threshold = self.sim, self.threshold
+        alpha_of = self._bounds.alpha
+        sanitizer = self.sanitizer
         nx = len(tokens)
+        last_x = tokens[probe_len - 1]
         results: list[tuple[int, float]] = []
         for entry_id, (count, i, j) in candidates.items():
             y_tokens = self._tokens[entry_id]
             assert y_tokens is not None
             ny = len(y_tokens)
-            alpha = sim.overlap_threshold(n_true, ny, threshold)
+            alpha = alpha_of[n_true, ny]
             plen_y = self._prefix_lens[entry_id]
-            last_x = tokens[probe_len - 1]
-            last_y = y_tokens[plen_y - 1]
-            if last_x < last_y:
+            if last_x < y_tokens[plen_y - 1]:
                 if count + (nx - probe_len) < alpha:
                     continue
                 total = count + overlap(
@@ -407,6 +444,8 @@ class PPJoinIndex:
             if total >= alpha and sim.accepts_overlap(n_true, ny, total, threshold):
                 similarity = sim.similarity_from_overlap(n_true, ny, total)
                 results.append((self._rids[entry_id], similarity))
+                if sanitizer is not None:
+                    sanitizer.check_owner(tokens, y_tokens, True, sample=False)
         return results
 
 

@@ -32,9 +32,7 @@ class Projection:
     the set size used by all filters.  Any sequence sorted under a
     consistent total order works — the kernels only slice, measure and
     compare, so ``tuple[int]``, ``array('i')`` and lexicographically
-    sorted ``tuple[str]`` (see
-    :meth:`~repro.core.ordering.TokenOrder.encode_strings`) are all
-    valid and produce identical RID pairs.
+    sorted ``tuple[str]`` are all valid and produce identical RID pairs.
 
     ``signature`` optionally carries the record's bitmap signature
     (:func:`repro.core.bitmaps.signature`), computed once and consulted
@@ -103,18 +101,6 @@ class TokenGrouping:
         seen: list[int] = []
         for rank in ranks:
             group = rank % self.num_groups
-            if group not in seen:
-                seen.append(group)
-        return seen
-
-    def groups_of_tokens(self, tokens: Iterable[str]) -> list[int]:
-        """Distinct group ids of string *tokens*, in first-seen order —
-        the ``token_encoding="string"`` counterpart of
-        :meth:`groups_of_ranks` (group assignment still follows the
-        token's frequency rank)."""
-        seen: list[int] = []
-        for token in tokens:
-            group = self._order.rank(token) % self.num_groups
             if group not in seen:
                 seen.append(group)
         return seen

@@ -16,6 +16,10 @@ Each similarity function knows, for a threshold ``t``:
   size falls in ``[lo, hi]`` can be similar to a set of size ``n``
   (Arasu et al. '06).
 
+The classes are stateless; :func:`bounds_for` wraps one ``(function,
+threshold)`` in a :class:`Bounds` memo so that kernels, which ask per
+record or per candidate, compute each integer once.
+
 All bounds are exact (no false negatives) for duplicate-free token
 sets.  The floating-point ``ceil``/``floor`` helpers guard against
 representation noise such as ``0.8 * 5 == 4.000000000000001``.
@@ -30,7 +34,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Collection
+from functools import lru_cache
+from typing import Any, Callable, Collection
 
 _EPS = 1e-9
 
@@ -260,6 +265,37 @@ class Overlap(SimilarityFunction):
 _REGISTRY: dict[str, SimilarityFunction] = {
     fn.name: fn for fn in (Jaccard(), Cosine(), Dice(), Overlap())
 }
+
+
+class _Memo(dict):  # type: ignore[type-arg]
+    """``memo[key]`` calls ``compute(key)`` on the first lookup and is a
+    C-speed ``dict`` hit on every later one."""
+
+    def __init__(self, compute: Callable[[Any], Any]) -> None:
+        self._compute = compute
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self._compute(key)
+        return value
+
+
+class Bounds:
+    """The integer filter bounds of one ``(sim, threshold)``, each
+    computed once: ``alpha[nx, ny]``, ``length_bounds[n]``,
+    ``prefix_length[n]`` and ``index_prefix_length[n]`` hold exactly what
+    the method of the same name returns (a miss *calls* it)."""
+
+    def __init__(self, sim: SimilarityFunction, threshold: float) -> None:
+        self.alpha = _Memo(lambda n: sim.overlap_threshold(n[0], n[1], threshold))
+        self.length_bounds = _Memo(lambda n: sim.length_bounds(n, threshold))
+        self.prefix_length = _Memo(lambda n: sim.prefix_length(n, threshold))
+        self.index_prefix_length = _Memo(lambda n: sim.index_prefix_length(n, threshold))
+
+
+@lru_cache(maxsize=64)
+def bounds_for(sim: SimilarityFunction, threshold: float) -> Bounds:
+    """The process-wide :class:`Bounds` memo of ``(sim, threshold)``."""
+    return Bounds(sim, threshold)
 
 
 def get_similarity_function(name: str) -> SimilarityFunction:

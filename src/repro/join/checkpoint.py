@@ -48,7 +48,9 @@ __all__ = [
     "file_fingerprint",
 ]
 
-MANIFEST_VERSION = 1
+#: 2: Stage-2 pair files hold every RID pair once (one owner per pair);
+#: a version-1 ``ridpairs`` file repeats pairs, which Stage 3 now refuses
+MANIFEST_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 
 
@@ -95,7 +97,6 @@ def config_digest(config: JoinConfig) -> str:
         "num_reducers": repr(config.num_reducers),
         "blocks": repr(config.blocks),
         "length_class_width": repr(config.length_class_width),
-        "token_encoding": config.token_encoding,
         "bitmap_filter": repr(config.bitmap_filter),
         "bitmap_width": repr(config.bitmap_width),
     }

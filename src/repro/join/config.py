@@ -34,7 +34,6 @@ STAGE1_ALGORITHMS = ("bto", "opto")
 KERNELS = ("bk", "pk")
 ROUTINGS = ("individual", "grouped")
 STAGE3_ALGORITHMS = ("brj", "oprj")
-TOKEN_ENCODINGS = ("rank", "string")
 
 
 @dataclass
@@ -60,14 +59,6 @@ class JoinConfig:
     #: become (token, length-class) so each reduce call holds only one
     #: class of records in memory.  Value = class width in tokens.
     length_class_width: int | None = None
-    #: wire format of the token arrays flowing through Stage 2:
-    #: ``"rank"`` (default) ships frequency-ranked integers in a compact
-    #: ``array('i')`` so the kernels' merge/filter inner loops run
-    #: integer comparisons; ``"string"`` ships the raw tokens under the
-    #: lexicographic total order — a valid (if less selective) global
-    #: ordering that serves as the opt-out / differential baseline.
-    #: Both produce identical RID pairs.
-    token_encoding: str = "rank"
     #: bitmap-signature candidate pruning (arXiv:1711.07295, see
     #: :mod:`repro.core.bitmaps`): Stage-2 mappers compute one
     #: ``bitmap_width``-bit signature per record and every kernel
@@ -135,11 +126,6 @@ class JoinConfig:
             raise ValueError(f"stage3 must be one of {STAGE3_ALGORITHMS}, got {self.stage3!r}")
         if not 0.0 < self.threshold:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
-        if self.token_encoding not in TOKEN_ENCODINGS:
-            raise ValueError(
-                f"token_encoding must be one of {TOKEN_ENCODINGS}, "
-                f"got {self.token_encoding!r}"
-            )
         if self.bitmap_width < 1:
             raise ValueError(
                 f"bitmap_width must be >= 1, got {self.bitmap_width}"

@@ -109,20 +109,24 @@ class JoinReport:
     def filter_counters(self) -> dict[str, int]:
         """Stage-2 filter-effectiveness tallies: candidates pruned by
         each filter stage (``length``/``bitmap``/``positional``/
-        ``suffix``) plus the ``candidates`` examined and ``pairs``
-        output.  ``candidates`` counts every cross-product pair for BK
-        (before its length filter) and, for PK, the distinct index
-        entries per probe that survived the length filter — so there
-        ``candidates - bitmap - positional - suffix`` is what reached
-        verification.  Zeros for stages that never pruned (e.g. ``bitmap``
-        with ``bitmap_filter=False``, ``suffix`` in PK runs where the
-        bitmap bound replaces it).  Sanitizer runs (``sanitize=True`` /
-        ``REPRO_SANITIZE=1``) add their check/violation tallies under
-        ``sanitize_checks`` / ``sanitize_violations``."""
+        ``suffix``) or left to the group that owns the pair
+        (``foreign``), plus the ``candidates`` examined and ``pairs``
+        output (each pair once: the answer count).  ``candidates``
+        counts every cross-product pair for BK (before its length
+        filter; its ``foreign`` are verified pairs) and, for PK, the
+        distinct index entries per probe that survived the length
+        filter — so there ``candidates - foreign - bitmap - positional
+        - suffix`` reached verification.  Zeros for stages that never
+        pruned (e.g. ``bitmap`` with ``bitmap_filter=False``, ``suffix``
+        in PK runs where the bitmap bound replaces it).  Sanitizer runs
+        (``sanitize=True`` / ``REPRO_SANITIZE=1``) add their
+        check/violation tallies under ``sanitize_checks`` /
+        ``sanitize_violations``."""
         counters = self.counters()
         return {
             "candidates": counters.get("stage2.candidate_pairs", 0),
             "length": counters.get("stage2.pruned_length", 0),
+            "foreign": counters.get("stage2.pruned_foreign", 0),
             "bitmap": counters.get("stage2.pruned_bitmap", 0),
             "positional": counters.get("stage2.pruned_positional", 0),
             "suffix": counters.get("stage2.pruned_suffix", 0),
@@ -194,13 +198,10 @@ class JoinReport:
                 f"sampled={counters.get('plan.sampled_records', 0):,}"
             )
         pruned = self.filter_counters()
-        if any(pruned[k] for k in ("length", "bitmap", "positional", "suffix")):
+        stages = ("length", "foreign", "bitmap", "positional", "suffix")
+        if any(pruned[name] for name in stages):
             lines.append(
-                "  pruned: "
-                + ", ".join(
-                    f"{name}={pruned[name]:,}"
-                    for name in ("length", "bitmap", "positional", "suffix")
-                )
+                "  pruned: " + ", ".join(f"{name}={pruned[name]:,}" for name in stages)
             )
         if self.memory_steps:
             lines.append(
@@ -270,6 +271,24 @@ def _prepare(cluster: SimulatedCluster, stages: list) -> None:
     prepare = getattr(cluster, "prepare_jobs", None)
     if prepare is not None:
         prepare(jobs)
+
+
+def _run_stage(
+    cluster: SimulatedCluster,
+    report: JoinReport,
+    tracer,
+    name: str,
+    jobs: list,
+    span_args: dict,
+) -> None:
+    """Run one stage's jobs into ``report.<name>``, adding the measured
+    wall seconds to ``report.stage_wall_s`` (also when the stage raises)."""
+    started = time.perf_counter()
+    try:
+        with trace_span(tracer, name, "stage", **span_args):
+            setattr(report, name, run_pipeline(cluster, jobs))
+    finally:
+        report.stage_wall_s[name] += time.perf_counter() - started
 
 
 def _run_stages(
@@ -342,12 +361,7 @@ def _run_stages(
             index += 1
             continue
         try:
-            started = time.perf_counter()
-            try:
-                with trace_span(tracer, name, "stage", **span_args):
-                    setattr(report, name, run_pipeline(cluster, jobs))
-            finally:
-                report.stage_wall_s[name] += time.perf_counter() - started
+            _run_stage(cluster, report, tracer, name, jobs, span_args)
         except InsufficientMemoryError as exc:
             step = None
             if name == "stage2" and config.auto_degrade:

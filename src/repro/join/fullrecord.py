@@ -18,13 +18,19 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.core.ppjoin import PPJoinIndex
+from repro.core.similarity import bounds_for
 from repro.join.config import JoinConfig
-from repro.join.driver import JoinReport, _num_reducers
+from repro.join.driver import JoinReport, _num_reducers, _run_stage
 from repro.join.stage1 import stage1_jobs
-from repro.join.stage2 import PAIRS_OUTPUT, load_token_order, make_router, project_record
+from repro.join.stage2 import (
+    PAIRS_OUTPUT,
+    load_token_order,
+    make_router,
+    owner_of,
+    project_record,
+)
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.job import Context, MapReduceJob
-from repro.mapreduce.pipeline import run_pipeline
 
 
 def full_record_job(
@@ -36,6 +42,7 @@ def full_record_job(
 ) -> MapReduceJob:
     """One job that replaces Stages 2+3: values are whole record lines."""
     sim, threshold = config.sim, config.threshold
+    prefix_length = bounds_for(sim, threshold).prefix_length
     state: dict = {}
 
     def map_setup(ctx: Context) -> None:
@@ -48,7 +55,7 @@ def full_record_job(
         n = len(ranks)
         if n == 0:
             return
-        prefix = ranks[: sim.prefix_length(n, threshold)]
+        prefix = ranks[: prefix_length[n]]
         for route in state["routes"](prefix):
             # the value carries the complete record — the whole point
             # of the ablation: payload bytes ride the shuffle
@@ -56,12 +63,13 @@ def full_record_job(
 
     def reducer(route: int, values: Iterator, ctx: Context) -> None:
         index = PPJoinIndex(sim, threshold, mode="self", evict=True)
+        owner = owner_of(config, route)
         lines: dict[int, str] = {}
         charged = 0
         try:
             for rid, ranks, line in values:
                 charged += ctx.reserve_memory_for(line, "full-record group")
-                for other_rid, similarity in index.probe(rid, ranks):
+                for other_rid, similarity in index.probe(rid, ranks, owner=owner):
                     first, second = sorted((rid, other_rid))
                     this, other = (
                         (line, lines[other_rid])
@@ -98,10 +106,10 @@ def full_record_self_join(
 ) -> JoinReport:
     """End-to-end self-join using the one-stage full-record alternative.
 
-    Note the output may contain duplicate record pairs (one per shared
-    routing group) — there is no Stage 3 to deduplicate them, which is
-    part of why the paper rejected this design.  ``JoinReport.stage3``
-    is empty.
+    Each record pair is output once, by the group that owns it (the
+    same rule as Stage 2, :func:`repro.join.stage2.owner_of`) — the
+    ablation measures the shuffle cost of shipping whole records, not a
+    missing dedup.  ``JoinReport.stage3`` is empty.
     """
     config = config or JoinConfig()
     prefix = prefix or f"{records_file}.fullrecord"
@@ -110,11 +118,9 @@ def full_record_self_join(
     output_file = f"{prefix}.joined"
 
     report = JoinReport(combo=f"{config.stage1.upper()}-FULLRECORD", output_file=output_file)
-    report.stage1 = run_pipeline(
-        cluster, stage1_jobs(config, [records_file], token_order_file, reducers)
-    )
-    report.stage2 = run_pipeline(
-        cluster,
-        [full_record_job(config, records_file, token_order_file, output_file, reducers)],
-    )
+    tracer = getattr(cluster, "tracer", None)
+    stage1 = stage1_jobs(config, [records_file], token_order_file, reducers)
+    stage2 = full_record_job(config, records_file, token_order_file, output_file, reducers)
+    _run_stage(cluster, report, tracer, "stage1", stage1, {"algorithm": config.stage1})
+    _run_stage(cluster, report, tracer, "stage2", [stage2], {"kernel": "fullrecord"})
     return report

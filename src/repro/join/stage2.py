@@ -26,8 +26,12 @@ join in which every record both probes and is stored):
 * **PK** (PPJoin+ Kernel, :func:`make_pk_reducer`) — runs
   :class:`repro.core.ppjoin.PPJoinIndex` over the length-sorted stream.
 
-Both may emit the same RID pair from different groups; duplicates are
-eliminated in Stage 3, per the paper.  Output records are
+A pair of records sharing several prefix tokens meets in several
+groups, but only its *owner* — the group the smallest token common to
+both routing prefixes routes to, see :func:`owner_of` — verifies and
+emits it, so the Stage-2 output holds every RID pair exactly once and
+Stage 3 has nothing to deduplicate (a deliberate deviation from
+Section 3.3; DESIGN.md, "Each pair has one owner").  Output records are
 ``(rid1, rid2, similarity)`` with ``rid1 < rid2``.
 
 Section 5 plugs into the BK loop as a *block policy* in two forms:
@@ -66,6 +70,7 @@ from repro.core.bitmaps import overlap_upper_bound, signature as bitmap_signatur
 from repro.core.ordering import TokenOrder
 from repro.core.ppjoin import PPJoinIndex
 from repro.core.prefixes import TokenGrouping
+from repro.core.similarity import Bounds, bounds_for
 from repro.core.verification import overlap
 from repro.join.blocks import (
     ROLE_LOAD,
@@ -89,6 +94,8 @@ CANDIDATE_PAIRS = "stage2.candidate_pairs"
 PAIRS_OUTPUT = "stage2.pairs_output"
 #: candidates pruned per filter stage (filter-effectiveness counters)
 PRUNED_LENGTH = "stage2.pruned_length"
+#: pairs met in a group that does not own them (see :func:`owner_of`)
+PRUNED_FOREIGN = "stage2.pruned_foreign"
 PRUNED_BITMAP = "stage2.pruned_bitmap"
 PRUNED_POSITIONAL = "stage2.pruned_positional"
 PRUNED_SUFFIX = "stage2.pruned_suffix"
@@ -97,6 +104,7 @@ PRUNED_SUFFIX = "stage2.pruned_suffix"
 FILTER_COUNTERS = {
     "candidates": CANDIDATE_PAIRS,
     "length": PRUNED_LENGTH,
+    "foreign": PRUNED_FOREIGN,
     "bitmap": PRUNED_BITMAP,
     "positional": PRUNED_POSITIONAL,
     "suffix": PRUNED_SUFFIX,
@@ -159,22 +167,36 @@ def load_token_order(ctx: Context, token_order_file: str) -> TokenOrder:
 
 def make_router(config: JoinConfig, order: TokenOrder) -> Callable:
     """Return ``routes(prefix) -> list`` for the configured routing
-    strategy.  Prefix elements are ranks (``token_encoding="rank"``) or
-    raw tokens (``"string"``); individual routing uses the element
-    itself as the route, grouped routing maps it to its group id."""
+    strategy: individual routing uses the prefix token's rank itself as
+    the route, grouped routing maps it to its group id (what
+    :func:`owner_of` inverts on the reduce side)."""
     if config.routing == "individual":
         def routes(prefix) -> list:
             return list(dict.fromkeys(prefix))
         return routes
     num_groups = config.num_groups or max(1, len(order))
-    grouping = TokenGrouping(order, num_groups)
-    if config.token_encoding == "string":
-        def routes(prefix) -> list:
-            return grouping.groups_of_tokens(prefix)
-        return routes
-    def routes(prefix) -> list:
-        return grouping.groups_of_ranks(prefix)
-    return routes
+    return TokenGrouping(order, num_groups).groups_of_ranks
+
+
+def owner_of(config: JoinConfig, route: int) -> Callable[[int], bool]:
+    """The ownership rule, stated once: a RID pair belongs to the route
+    that the **smallest token common to both records' routing prefixes**
+    routes to.  Both records were sent there, so the owner always meets
+    the pair, and no other group may emit it.  Returns the predicate
+    "does this prefix token route to *route*" — the reduce-side inverse
+    of :func:`make_router` (one group per token: the group id is the
+    rank)."""
+    if config.routing == "grouped" and config.num_groups is not None:
+        num_groups = config.num_groups
+        return lambda token: token % num_groups == route
+    return lambda token: token == route
+
+
+def _owns_pair(owner: Callable[[int], bool], prefix_length, x: Sequence, y: Sequence) -> bool:
+    """Apply *owner* to a pair given as two token arrays (BK has no
+    encounter order to read the smallest common prefix token off)."""
+    common = set(x[: prefix_length[len(x)]]).intersection(y[: prefix_length[len(y)]])
+    return bool(common) and owner(min(common))
 
 
 def resolve_splits(
@@ -185,8 +207,7 @@ def resolve_splits(
     The planner worked on a *sample-local* token order, so the plan
     names hot groups by token string; this maps each one to the routing
     key the configured router would actually emit — the token's rank
-    (individual routing, rank encoding), the token itself (individual,
-    string encoding) or its group id (grouped routing).  Tokens the
+    (individual routing) or its group id (grouped routing).  Tokens the
     real order never saw are skipped (they cannot be hot); two hot
     tokens collapsing into one grouped route keep the larger shard
     count.  Routes with fewer than two shards are dropped — splitting
@@ -204,10 +225,6 @@ def resolve_splits(
                 continue
             group = rank % num_groups
             resolved[group] = max(resolved.get(group, 1), k)
-    elif config.token_encoding == "string":
-        for token, k in plan.splits:
-            if order.rank(token) < num_tokens:
-                resolved[token] = max(resolved.get(token, 1), k)
     else:
         for token, k in plan.splits:
             rank = order.rank(token)
@@ -219,22 +236,15 @@ def resolve_splits(
 def project_record(
     line: str, config: JoinConfig, order: TokenOrder, unknown: str
 ) -> tuple[int, "Sequence", int]:
-    """Parse a record line into (rid, encoded tokens, true size).
+    """Parse a record line into (rid, rank-encoded tokens, true size).
 
-    The token array is globally ordered in the configured wire format:
-    ascending ranks in a compact ``array('i')`` for
-    ``token_encoding="rank"`` (the kernel fast path), lexicographically
-    sorted raw tokens for ``"string"`` (the opt-out baseline).  ``true
-    size`` counts tokens *before* dropping unknowns — for R and
-    self-join inputs it equals ``len(tokens)``.
+    The token array is globally ordered: ascending frequency ranks in a
+    compact ``array('i')``.  ``true size`` counts tokens *before*
+    dropping unknowns — for R and self-join inputs it equals
+    ``len(tokens)``.
     """
-    rid = rid_of(line)
     raw = config.tokenizer.tokenize(join_value(line, config.schema))
-    if config.token_encoding == "string":
-        tokens = order.encode_strings(raw, unknown=unknown)
-    else:
-        tokens = order.encode_array(raw, unknown=unknown)
-    return rid, tokens, len(raw)
+    return rid_of(line), order.encode_array(raw, unknown=unknown), len(raw)
 
 
 def make_self_mapper(
@@ -252,7 +262,8 @@ def make_self_mapper(
     before its own add) to the record's home shard; unsplit routes emit
     a single dual-role copy with ``shard == -1``.
     """
-    sim, threshold = config.sim, config.threshold
+    bounds = bounds_for(config.sim, config.threshold)
+    prefix_length, length_bounds = bounds.prefix_length, bounds.length_bounds
     split_mode = plan is not None and bool(plan.splits)
     state: dict = {}
 
@@ -270,7 +281,7 @@ def make_self_mapper(
         n = len(ranks)
         if n == 0:
             return
-        prefix = ranks[: sim.prefix_length(n, threshold)]
+        prefix = ranks[: prefix_length[n]]
         sig = bitmap_signature(ranks, bitmap_width) if bitmap_width else None
         value = (REL_R, rid, n, sig, ranks)
         route_list = state["routes"](prefix)
@@ -300,7 +311,7 @@ def make_self_mapper(
                 # class that can hold a join partner, so each reduce
                 # step holds one class in memory.
                 own_class = n // width
-                lowest = sim.length_bounds(n, threshold)[0] // width
+                lowest = length_bounds[n][0] // width
                 for cls in range(lowest, own_class):
                     ctx.emit((route, cls, ROLE_STREAM), (cls, ROLE_STREAM) + value)
                 ctx.emit((route, own_class, ROLE_LOAD), (own_class, ROLE_LOAD) + value)
@@ -319,6 +330,7 @@ def bk_verify(
     p1: tuple,
     p2: tuple,
     config: JoinConfig,
+    bounds: Bounds,
     counters=None,
     sanitizer: Sanitizer | None = None,
 ) -> float | None:
@@ -331,19 +343,19 @@ def bk_verify(
     Stage 1).  When both projections carry a bitmap signature, the
     admissible popcount upper bound (:mod:`repro.core.bitmaps`) prunes
     the pair before the O(n) merge; *counters*, when given, tallies
-    per-filter prunes.
+    per-filter prunes.  *bounds* is the memo of ``(config.sim,
+    config.threshold)``.
     """
-    sim, threshold = config.sim, config.threshold
     _rel1, _rid1, n1, sig1, toks1 = p1
     _rel2, _rid2, n2, sig2, toks2 = p2
-    lo, hi = sim.length_bounds(n1, threshold)
+    lo, hi = bounds.length_bounds[n1]
     if not lo <= n2 <= hi:
         if counters is not None:
             counters.increment(PRUNED_LENGTH)
         if sanitizer is not None:
             sanitizer.check_prune("length", toks1, n1, toks2, n2)
         return None
-    alpha = sim.overlap_threshold(n1, n2, threshold)
+    alpha = bounds.alpha[n1, n2]
     if sig1 is not None and sig2 is not None:
         # The signature covers the shipped token array, which in R-S
         # joins is S-filtered — so bound with the array lengths, the
@@ -357,8 +369,8 @@ def bk_verify(
     common = overlap(toks1, toks2, required=alpha)
     if common < alpha:
         return None
-    similarity = sim.similarity_from_overlap(n1, n2, common)
-    return similarity if similarity >= threshold else None
+    similarity = config.sim.similarity_from_overlap(n1, n2, common)
+    return similarity if similarity >= config.threshold else None
 
 
 def _write_self_pair(ctx: Context, rid1: int, rid2: int, similarity: float) -> None:
@@ -392,6 +404,13 @@ def _write_rs_pair(ctx: Context, r_rid: int, s_rid: int, similarity: float) -> N
 # * **block policy** (BK only, Section 5) — which of the records the
 #   relation policy would store are held *now*; see the three stream
 #   functions below.
+#
+# Whatever the policies, a pair is emitted only by the group that *owns*
+# it (:func:`owner_of`; the route is the group key, or ``key[0]`` of a
+# split job's ``(route, shard)``).  PK decides at the candidate's first
+# encounter, before any filter runs; BK has no encounter order to read,
+# so it asks after verification, per *true* pair only.  Shards, blocks
+# and length classes already meet a pair once per route.
 
 
 #: stream event that empties the stored set (a new block step begins)
@@ -469,8 +488,9 @@ def make_bk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callab
 
     *rs* selects the relation policy of unsplit groups and the output
     orientation (``(r_rid, s_rid)`` instead of ``rid1 < rid2``); *split*
-    says the job groups on ``(route, shard)``, so shards are recognised
-    by ``key[1] >= 0``.  The block policy comes from *config*.
+    says the job groups on ``(route, shard)``, so the route is
+    ``key[0]`` and shards are recognised by ``key[1] >= 0``.  The block
+    policy comes from *config*.
     """
     blocks = config.blocks
     if blocks is not None and blocks.strategy != MAP_BASED:
@@ -486,10 +506,14 @@ def make_bk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callab
         what = "BK loaded R block" if rs else "BK loaded block"
     write_pair = _write_rs_pair if rs else _write_self_pair
     group_of = _projection_rel if rs else None
+    bounds = bounds_for(config.sim, config.threshold)
+    prefix_length = bounds.prefix_length
 
     def reducer(key, values: Iterator, ctx: Context) -> None:
         tagged = rs or (split and key[1] >= 0)
-        sanitizer = make_sanitizer(config, ctx.counters)
+        route = key[0] if split else key
+        owner = owner_of(config, route)
+        sanitizer = make_sanitizer(config, ctx.counters, route)
         if sanitizer is not None and stream_of is _whole_group:
             # block streams are ordered by step/block, not by size
             values = sanitizer.sorted_values(
@@ -513,10 +537,18 @@ def make_bk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callab
                     for other in stored:
                         counters.increment(CANDIDATE_PAIRS)
                         similarity = bk_verify(
-                            other, projection, config, counters, sanitizer
+                            other, projection, config, bounds, counters, sanitizer
                         )
-                        if similarity is not None:
+                        if similarity is None:
+                            continue
+                        x, y = other[4], projection[4]
+                        owned = _owns_pair(owner, prefix_length, x, y)
+                        if owned:
                             write_pair(ctx, other[1], projection[1], similarity)
+                        else:
+                            counters.increment(PRUNED_FOREIGN)
+                        if sanitizer is not None:
+                            sanitizer.check_owner(x, y, owned, sample=not owned)
                 if stores:
                     charged += ctx.reserve_memory_for(projection, what)
                     stored.append(projection)
@@ -546,7 +578,9 @@ def make_pk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callab
 
     def reducer(key, values: Iterator, ctx: Context) -> None:
         tagged = rs or (split and key[1] >= 0)
-        sanitizer = make_sanitizer(config, ctx.counters)
+        route = key[0] if split else key
+        owner = owner_of(config, route)
+        sanitizer = make_sanitizer(config, ctx.counters, route)
         index = make_pk_index(config, mode=mode, evict=True, sanitizer=sanitizer)
         if sanitizer is not None:
             values = sanitizer.sorted_values(
@@ -559,7 +593,7 @@ def make_pk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callab
                 group_records += 1
                 if not tagged or rel == REL_S:
                     for other_rid, similarity in index.probe(
-                        rid, ranks, true_size=true_size, signature=sig
+                        rid, ranks, true_size=true_size, signature=sig, owner=owner
                     ):
                         write_pair(ctx, other_rid, rid, similarity)
                 if not tagged or rel == REL_R:

@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.bitmaps import signature as bitmap_signature
+from repro.core.similarity import bounds_for
 from repro.join.blocks import MAP_BASED, ROLE_LOAD, BlockPolicy
 from repro.join.config import JoinConfig
 from repro.join.records import REL_R, REL_S
@@ -64,8 +65,7 @@ def _length_class(rel: int, true_size: int, config: JoinConfig) -> int:
     """
     if rel == REL_S:
         return true_size
-    lo, _hi = config.sim.length_bounds(true_size, config.threshold)
-    return lo
+    return bounds_for(config.sim, config.threshold).length_bounds[true_size][0]
 
 
 def make_rs_mapper(
@@ -83,7 +83,7 @@ def make_rs_mapper(
     records to every shard and send each S record to its home shard
     only; unsplit routes emit a single copy with ``shard == -1``.
     """
-    sim, threshold = config.sim, config.threshold
+    prefix_length = bounds_for(config.sim, config.threshold).prefix_length
     split_mode = plan is not None and bool(plan.splits)
     state: dict = {}
 
@@ -106,7 +106,7 @@ def make_rs_mapper(
         n = len(ranks)
         if n == 0:
             return
-        prefix = ranks[: sim.prefix_length(n, threshold)]
+        prefix = ranks[: prefix_length[n]]
         # The signature covers the *shipped* (S-filtered) token array —
         # exactly the elements the kernels' overlap() merges.
         sig = bitmap_signature(ranks, bitmap_width) if bitmap_width else None
@@ -166,8 +166,9 @@ def stage2_rs_job(
     A split-carrying *plan* switches to the extended ``(route, shard,
     class, relation, length)`` key shape with
     :func:`shard_partition` placement and ``(route, shard)`` grouping;
-    the reducer needs no telling — a split shard is just an ordinary
-    R-S group holding all of R and a slice of S.
+    the reducer is told only so it can read the route off the group key
+    — a split shard is just an ordinary R-S group holding all of R and
+    a slice of S.
     """
     blocks = config.blocks
     if blocks is not None and config.kernel != "bk":
@@ -190,7 +191,7 @@ def stage2_rs_job(
         inputs=[r_file, s_file],
         output=output,
         mapper=mapper,
-        reducer=make_reducer(config, rs=True),
+        reducer=make_reducer(config, rs=True, split=split_mode),
         num_reducers=num_reducers,
         partition=lambda key: key[0],
         partitioner=(

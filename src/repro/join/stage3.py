@@ -1,15 +1,18 @@
 """Stage 3 — record join (Section 3.3 / Section 4 Stage 3).
 
 Builds actual pairs of joined records from the Stage-2 RID-pair list
-and the original record file(s).  Duplicate RID pairs produced by
-Stage 2 are eliminated here, per the paper.
+and the original record file(s).  The paper removes duplicate RID
+pairs here; this Stage 2 emits each pair from its one owning group
+(:func:`repro.join.stage2.owner_of`), so Stage 3 deduplicates nothing
+and *refuses* a pair list that repeats a pair (the half-join reducer
+raises) rather than absorbing it.
 
 * **BRJ** (Basic Record Join) — two phases.  Phase one routes every
   record and every RID pair to the RID's reducer, which fills in the
   record for each half of each pair; a composite ``(rid, tag)`` key
-  sorted record-first lets the reducer hold only the record and a
-  dedup set.  Phase two groups the two half-filled pairs and outputs
-  the complete record pair.
+  sorted record-first lets the reducer hold only the record.  Phase
+  two groups the two half-filled pairs and outputs the complete record
+  pair.
 * **OPRJ** (One-Phase Record Join) — the RID-pair list is broadcast
   (distributed cache) and indexed by every map task; mappers emit the
   same half-filled pairs directly from the record inputs (a map-side
@@ -38,7 +41,6 @@ from repro.mapreduce.job import Context, MapReduceJob
 _TAG_RECORD = 0
 _TAG_PAIR = 1
 
-DUPLICATE_PAIRS_DROPPED = "stage3.duplicate_pairs_dropped"
 RECORD_PAIRS_OUTPUT = "stage3.record_pairs_output"
 
 
@@ -81,13 +83,11 @@ def _make_brj_fill_mapper(
 
 
 def _brj_fill_reducer(is_rs: bool) -> Callable:
-    """Phase-1 reducer: attach the record to each of its RID pairs,
-    deduplicating pairs (Stage 2 may emit one pair from several
-    groups)."""
+    """Phase-1 reducer: attach the record to each of its RID pairs."""
 
     def reducer(group_key: tuple[int, int], values: Iterator, ctx: Context) -> None:
         record_line: str | None = None
-        seen: set[tuple[int, int]] = set()
+        pairs = 0
         charged = 0
         try:
             for value in values:
@@ -101,15 +101,9 @@ def _brj_fill_reducer(is_rs: bool) -> Callable:
                         f"RID pair {value!r} references RID {group_key[1]} "
                         "which has no record in the Stage-3 input"
                     )
-                rid1, rid2, similarity = value
-                if (rid1, rid2) in seen:
-                    ctx.counters.increment(DUPLICATE_PAIRS_DROPPED)
-                    continue
-                seen.add((rid1, rid2))
-                charged += ctx.reserve_memory_for((rid1, rid2), "BRJ dedup set")
-                side = _half_side(group_key, value, is_rs)
-                ctx.write(((rid1, rid2, similarity), side, record_line))
-            ctx.observe("stage3.pairs_per_rid", len(seen))
+                pairs += 1
+                ctx.write((value, _half_side(group_key, value, is_rs), record_line))
+            ctx.observe("stage3.pairs_per_rid", pairs)
         finally:
             ctx.release_memory(charged)
 
@@ -123,13 +117,23 @@ def _half_join_mapper(record: tuple, ctx: Context) -> None:
 
 
 def _half_join_reducer(pair_key: tuple, values: Iterator, ctx: Context) -> None:
-    """Phase-2 reducer: combine the two halves into a full record pair."""
-    halves = dict(values)
-    if len(halves) != 2:  # pragma: no cover - indicates a dangling RID
+    """Phase-2 reducer: combine the two halves into a full record pair.
+
+    Exactly two halves must arrive.  More means the RID-pair list held
+    the pair more than once — Stage 2 emits each pair from one owner,
+    so that is a bug (or a stale pair file) and must be loud, not
+    absorbed; fewer means a dangling RID."""
+    arrived = list(values)
+    if len(arrived) != 2:
         raise ValueError(
-            f"RID pair {pair_key!r} received {len(halves)} halves; "
-            "does every RID in the pair list exist in the record input?"
+            f"RID pair {pair_key!r} received {len(arrived)} halves instead of 2: "
+            + (
+                "the RID-pair list repeats it (Stage 2 must emit each pair once)"
+                if len(arrived) > 2
+                else "does every RID in the pair list exist in the record input?"
+            )
         )
+    halves = dict(arrived)
     _rid1, _rid2, similarity = pair_key
     ctx.write((halves[0], halves[1], similarity))
     ctx.counters.increment(RECORD_PAIRS_OUTPUT)
@@ -188,12 +192,7 @@ def oprj_jobs(
         # size and whose footprint grows with the data (Section 6.1.1
         # Stage 3, Figure 14).
         by_rid: dict[tuple[int, int], list[tuple]] = {}
-        seen: set[tuple[int, int]] = set()
         for pair in ctx.broadcast[pairs_file]:
-            rid1, rid2, _sim = pair
-            if (rid1, rid2) in seen:
-                continue
-            seen.add((rid1, rid2))
             for address, _side in _pair_targets(pair, is_rs):
                 by_rid.setdefault(address, []).append(pair)
             ctx.reserve_memory(48, "OPRJ broadcast RID-pair index")

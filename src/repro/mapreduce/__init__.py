@@ -14,6 +14,9 @@ speedup/scaleup behaviour.
 
 from __future__ import annotations
 
+from importlib import import_module
+from typing import Any
+
 from repro.mapreduce.types import (
     ExecutorPhaseStats,
     InsufficientMemoryError,
@@ -33,12 +36,19 @@ from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.diskdfs import LocalDiskDFS
 from repro.mapreduce.job import Context, MapReduceJob
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
-from repro.mapreduce.executor import (
-    ExecutorStats,
-    PersistentExecutor,
-    PersistentParallelCluster,
-)
 from repro.mapreduce.pipeline import run_pipeline
+
+#: the pool engine drags in ``multiprocessing``: sequential joins skip it
+_LAZY = dict.fromkeys(
+    ("ExecutorStats", "PersistentExecutor", "PersistentParallelCluster"),
+    "repro.mapreduce.executor",
+)
+
+
+def __getattr__(name: str) -> Any:  # PEP 562: import on first use
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_LAZY[name]), name)
 
 __all__ = [
     "ClusterConfig",

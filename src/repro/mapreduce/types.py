@@ -300,15 +300,5 @@ class JobStats:
                 merged[name] = merged.get(name, 0) + value
         return dict(sorted(merged.items()))
 
-    def executor_summary(self) -> dict:
-        """Aggregated executor stats over every phase (see
-        :func:`merge_executor_stats`); all zeros for sequential runs."""
-        summary: dict = {}
-        for phase in self.phases:
-            merge_executor_stats(
-                summary, [phase.map_executor, phase.reduce_executor]
-            )
-        return summary
-
     def extend(self, other: "JobStats") -> None:
         self.phases.extend(other.phases)

@@ -21,6 +21,9 @@ output with tracing on vs off).
 
 from __future__ import annotations
 
+from importlib import import_module
+from typing import Any
+
 from repro.obs.atomicio import atomic_write_json, atomic_write_text
 from repro.obs.metrics import (
     HIST_PREFIX,
@@ -30,16 +33,6 @@ from repro.obs.metrics import (
     bucket_of,
     hist_counter,
     observe_into,
-)
-from repro.obs.report import (
-    TraceDigest,
-    digest_trace,
-    format_routing_comparison,
-    format_trace_report,
-    gini,
-    load_trace,
-    p99_over_median,
-    validate_trace,
 )
 from repro.obs.runs import (
     RegressionFinding,
@@ -61,6 +54,19 @@ from repro.obs.telemetry import (
     strip_telemetry_counters,
 )
 from repro.obs.trace import NULL_SPAN, Span, Tracer, trace_span
+
+#: the post-run trace analyzer serves ``repro trace-report`` only
+_LAZY = dict.fromkeys(
+    ("TraceDigest", "digest_trace", "format_routing_comparison",
+     "format_trace_report", "gini", "load_trace", "p99_over_median",
+     "validate_trace"),
+    "repro.obs.report",
+)
+def __getattr__(name: str) -> Any:  # PEP 562: import on first use
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_LAZY[name]), name)
+
 
 __all__ = [
     "atomic_write_json",

@@ -6,12 +6,17 @@ import random
 
 import pytest
 
+from repro.core.naive import naive_rs_join, naive_self_join
 from repro.core.ppjoin import PPJoinIndex
 from repro.core.prefixes import Projection
 from repro.core.tokenizers import WordTokenizer
 from repro.join.records import RecordSchema, join_value, make_line, rid_of
+from repro.join.stage1 import stage1_jobs
+from repro.join.stage2 import stage2_self_job
+from repro.join.stage2_rs import stage2_rs_job
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.dfs import InMemoryDFS
+from repro.mapreduce.pipeline import run_pipeline
 
 #: single-field schema used by most small-record tests
 SCHEMA_1 = RecordSchema((1,))
@@ -67,6 +72,43 @@ def oracle_projections(records: list[str], schema: RecordSchema = SCHEMA_1) -> l
     ]
 
 
+def run_stage2(records, config, num_reducers=4, plan=None):
+    """Stages 1 + 2 of a self-join: the Stage-2 output *list* (one entry
+    per emitted RID pair, in DFS order) and the Stage-2 job stats."""
+    cluster = make_cluster()
+    cluster.dfs.write("records", records)
+    run_pipeline(cluster, stage1_jobs(config, ["records"], "tokens", num_reducers))
+    stats = cluster.run_job(
+        stage2_self_job(config, "records", "tokens", "ridpairs", num_reducers, plan)
+    )
+    return cluster.dfs.read_all("ridpairs"), stats
+
+
+def run_stage2_rs(r_records, s_records, config, num_reducers=4, plan=None):
+    """Stages 1 + 2 of an R-S join, as :func:`run_stage2`."""
+    cluster = make_cluster()
+    cluster.dfs.write("r", r_records)
+    cluster.dfs.write("s", s_records)
+    run_pipeline(cluster, stage1_jobs(config, ["r"], "tokens", num_reducers))
+    stats = cluster.run_job(
+        stage2_rs_job(config, "r", "s", "tokens", "ridpairs", num_reducers, plan)
+    )
+    return cluster.dfs.read_all("ridpairs"), stats
+
+
+def oracle_self_pairs(records, config):
+    return naive_self_join(oracle_projections(records), config.sim, config.threshold)
+
+
+def oracle_rs_pairs(r_records, s_records, config):
+    return naive_rs_join(
+        oracle_projections(r_records),
+        oracle_projections(s_records),
+        config.sim,
+        config.threshold,
+    )
+
+
 def tally_verified(monkeypatch) -> list[int]:
     """Count the candidates ``PPJoinIndex.probe`` hands to ``_verify``
     from here on (in-process engines only); the one-element list is
@@ -83,11 +125,13 @@ def tally_verified(monkeypatch) -> list[int]:
 
 
 def assert_pk_funnel_closes(counters: dict, handed: int) -> None:
-    """Every post-length-filter PK candidate is pruned by exactly one of
-    the three later filters or handed to verification."""
+    """Every post-length-filter PK candidate is another route's pair
+    (``foreign``), pruned by exactly one of the three later filters, or
+    handed to verification."""
     assert counters.get("stage2.candidate_pairs", 0) > 0
     assert counters["stage2.candidate_pairs"] == (
-        counters.get("stage2.pruned_bitmap", 0)
+        counters.get("stage2.pruned_foreign", 0)
+        + counters.get("stage2.pruned_bitmap", 0)
         + counters.get("stage2.pruned_positional", 0)
         + counters.get("stage2.pruned_suffix", 0)
         + handed
@@ -95,8 +139,10 @@ def assert_pk_funnel_closes(counters: dict, handed: int) -> None:
 
 
 def pair_keys(pairs) -> list[tuple[int, int]]:
-    """Strip similarity values, keeping canonical RID pairs."""
-    return sorted({(min(a, b), max(a, b)) for a, b, _s in pairs})
+    """Strip similarity values, keeping canonical RID pairs — as a
+    *list*: every stage emits each pair once, so a repeated pair must
+    fail the comparison with the oracle, not vanish in a set."""
+    return sorted((min(a, b), max(a, b)) for a, b, _s in pairs)
 
 
 @pytest.fixture(autouse=True)

@@ -217,11 +217,6 @@ class TestResolveSplits:
         config = JoinConfig(**CONFIG)
         assert resolve_splits(plan, config, self.ORDER) == {self.ORDER.rank("hot"): 4}
 
-    def test_string_encoding_resolves_to_token(self):
-        plan = Stage2Plan("individual", None, splits=(("hot", 4),))
-        config = JoinConfig(token_encoding="string", **CONFIG)
-        assert resolve_splits(plan, config, self.ORDER) == {"hot": 4}
-
     def test_grouped_collapses_to_group_with_max_factor(self):
         plan = Stage2Plan("grouped", 2, splits=(("rare", 2), ("hot", 5)))
         config = JoinConfig(routing="grouped", num_groups=2, **CONFIG)
@@ -303,19 +298,19 @@ class TestForcedPlanDifferential:
                 kernel, routing, splits,
             )
 
-    @pytest.mark.parametrize("kernel", ["bk", "pk"])
-    @pytest.mark.parametrize("encoding", ["rank", "string"])
-    def test_rs_join_splits_identical(self, rng, kernel, encoding):
+    # the ids these legs had next to the deleted string-encoding ones
+    @pytest.mark.parametrize("kernel", ["bk", "pk"], ids=["rank-bk", "rank-pk"])
+    def test_rs_join_splits_identical(self, rng, kernel):
         r = random_records(rng, 50)
         s = random_records(rng, 50, rid_base=1000)
-        static = JoinConfig(kernel=kernel, token_encoding=encoding, **CONFIG)
+        static = JoinConfig(kernel=kernel, **CONFIG)
         pairs, report = _run_rs(r, s, static)
         base = pairs, report.filter_counters()
         for splits in SPLIT_SETS:
             plan = Stage2Plan("individual", None, splits=splits)
             with _force_plan(plan):
                 apairs, areport = _run_rs(r, s, static.with_options(adaptive=True))
-            assert (apairs, areport.filter_counters()) == base, (kernel, encoding, splits)
+            assert (apairs, areport.filter_counters()) == base, (kernel, splits)
 
     def test_grouped_rs_splits_identical(self, rng):
         r = random_records(rng, 50)

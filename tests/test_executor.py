@@ -276,11 +276,22 @@ class TestEngineParity:
         with persistent:
             for cluster in (sequential, persistent):
                 cluster.dfs.write("records", records)
-                counters = ssjoin_self(
-                    cluster, "records", JoinConfig(threshold=0.8)
-                ).counters()
-                assert counters["framework.map_output_bytes"] == 2_401_831
-                assert counters["framework.shuffle_bytes"] == 2_532_719
+                report = ssjoin_self(cluster, "records", JoinConfig(threshold=0.8))
+                pinned = {
+                    name: (
+                        stats.counters()["framework.map_output_bytes"],
+                        stats.counters()["framework.shuffle_bytes"],
+                    )
+                    for name, stats in report.stages.items()
+                }
+                # Stages 1 and 2 are the recursive walk's numbers; Stage 3
+                # carries the 482 RID pairs once each (1_089_116 /
+                # 1_135_004 with one copy per shared prefix token)
+                assert pinned == {
+                    "stage1": (98_075, 132_003),
+                    "stage2": (1_214_640, 1_265_712),
+                    "stage3": (958_940, 990_364),
+                }
             assert persistent.executor.stats.pools_created == 1  # really pooled
 
     def test_shuffle_handles_size_nothing(self, tmp_path, monkeypatch):
@@ -427,8 +438,8 @@ token_sets = st.lists(
 
 
 class TestEncodingDifferential:
-    """Rank-encoded integer kernels must produce exactly the RID pairs
-    the string-token kernels produce."""
+    """The kernel is order-generic: rank-encoded integer arrays and
+    lexicographically sorted string tuples yield the same RID pairs."""
 
     @given(sets=token_sets, threshold=st.sampled_from([0.5, 0.75]))
     @settings(max_examples=60, deadline=None)
@@ -439,37 +450,8 @@ class TestEncodingDifferential:
                 freqs[tok] = freqs.get(tok, 0) + 1
         order = TokenOrder.from_frequencies(freqs)
         rank = [Projection(i, order.encode_array(s)) for i, s in enumerate(sets)]
-        text = [Projection(i, order.encode_strings(s)) for i, s in enumerate(sets)]
+        text = [Projection(i, tuple(sorted(s))) for i, s in enumerate(sets)]
         sim = Jaccard()
         rank_pairs = {p[:2] for p in ppjoin_self_join(rank, sim, threshold)}
         text_pairs = {p[:2] for p in ppjoin_self_join(text, sim, threshold)}
         assert rank_pairs == text_pairs
-
-    @pytest.mark.parametrize("encoding", ["rank", "string"])
-    def test_join_config_encoding_accepted(self, encoding):
-        assert JoinConfig(token_encoding=encoding).token_encoding == encoding
-
-    def test_join_config_encoding_validated(self):
-        with pytest.raises(ValueError):
-            JoinConfig(token_encoding="utf8")
-
-    def test_e2e_encodings_same_pairs(self, rng):
-        from repro.join.records import rid_of
-
-        records = random_records(rng, 60)
-        results = {}
-        for encoding in ("rank", "string"):
-            cluster = SimulatedCluster(
-                cluster_config(), InMemoryDFS(num_nodes=4, block_bytes=512)
-            )
-            cluster.dfs.write("records", records)
-            report = ssjoin_self(
-                cluster,
-                "records",
-                JoinConfig(threshold=0.5, schema=SCHEMA_1, token_encoding=encoding),
-            )
-            results[encoding] = {
-                (rid_of(a), rid_of(b), round(s, 9))
-                for a, b, s in cluster.dfs.read_all(report.output_file)
-            }
-        assert results["rank"] == results["string"]

@@ -16,6 +16,7 @@ speculation in the persistent engine, and stage checkpoint/resume
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import random
@@ -641,6 +642,25 @@ class TestCheckpointResume:
             run_self(
                 make_seq(), records,
                 checkpoint=JoinCheckpoint(tmp_path / "missing", resume=True),
+            )
+
+    def test_resume_refuses_version_1_checkpoint(self, rng, tmp_path):
+        """A version-1 checkpoint's RID-pair file repeats pairs (one copy
+        per shared group), which Stage 3 no longer absorbs: refuse it up
+        front instead of failing mid-resume."""
+        records = random_records(rng, 40)
+        run_self(make_seq(), records, checkpoint=JoinCheckpoint(tmp_path))
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["version"] == 2
+        manifest["version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(
+            CheckpointMismatchError, match="version 1 != supported version 2"
+        ):
+            run_self(
+                make_seq(), records,
+                checkpoint=JoinCheckpoint(tmp_path, resume=True),
             )
 
     def test_resume_refuses_corrupted_stage_data(self, rng, tmp_path):

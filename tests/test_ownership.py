@@ -1,0 +1,247 @@
+"""Each RID pair has one owner (DESIGN.md, "Each pair has one owner").
+
+A pair sharing k prefix tokens meets in up to k Stage-2 groups; only
+the group that the *smallest* common prefix token routes to may verify
+and emit it.  Asserted as a property at the kernel, on every Stage-2
+job shape, and end to end on both engines — always by comparing
+*lists* with the naive oracle, so a repeated pair fails.
+"""
+
+import random
+
+import pytest
+
+from repro.core.naive import naive_rs_join, naive_self_join
+from repro.core.ppjoin import PPJoinIndex
+from repro.core.prefixes import Projection
+from repro.core.similarity import Jaccard
+from repro.data.synthetic import generate_dblp
+from repro.join.blocks import BlockPolicy
+from repro.join.config import JoinConfig
+from repro.join.driver import ssjoin_rs, ssjoin_self
+from repro.join.planner import Stage2Plan
+from repro.join.stage2 import owner_of
+from repro.mapreduce import PersistentParallelCluster, SimulatedCluster
+
+from tests.conftest import (
+    SCHEMA_1,
+    assert_pk_funnel_closes,
+    make_cluster,
+    oracle_rs_pairs,
+    oracle_self_pairs,
+    pair_keys,
+    random_records,
+    run_stage2,
+    run_stage2_rs,
+    tally_verified,
+)
+
+SIM = Jaccard()
+THRESHOLD = 0.5  # long prefixes: most answer pairs share several tokens
+
+
+def _prefix(tokens):
+    return tokens[: SIM.prefix_length(len(tokens), THRESHOLD)]
+
+
+def _corpus(rng, count, vocab, base=0):
+    """Rank-encoded projections with near-duplicates."""
+    sets = []
+    for _ in range(count):
+        if sets and rng.random() < 0.5:
+            tokens = set(rng.choice(sets))
+            tokens.symmetric_difference_update(rng.sample(range(vocab), 2))
+        else:
+            tokens = set(rng.sample(range(vocab), rng.randint(3, 12)))
+        sets.append(tokens or {0})
+    return [Projection(base + i, tuple(sorted(s))) for i, s in enumerate(sets)]
+
+
+def _routed_probes(stored, probing, mode, route_of, true_size):
+    """One index per route, holding and probed by the records routed
+    there — what Stage 2 distributes over reducers.  Yields
+    ``(route, stored_rid, probing_rid)`` per emitted pair."""
+    routes = sorted(
+        {route_of(t) for p in (*stored, *probing) for t in _prefix(p.tokens)}
+    )
+    by_size = lambda p: (true_size.get(p.rid, p.size), p.rid)  # noqa: E731
+    for route in routes:
+        here = lambda p: any(route_of(t) == route for t in _prefix(p.tokens))  # noqa: E731
+        owner = lambda token: route_of(token) == route  # noqa: E731
+        index = PPJoinIndex(SIM, THRESHOLD, mode=mode, evict=mode == "self")
+        if mode == "rs":
+            for proj in sorted(filter(here, stored), key=by_size):
+                index.add(proj.rid, proj.tokens)
+        for proj in sorted(filter(here, probing), key=by_size):
+            for other, _sim in index.probe(
+                proj.rid, proj.tokens, true_size=true_size.get(proj.rid), owner=owner
+            ):
+                yield route, other, proj.rid
+            if mode == "self":
+                index.add(proj.rid, proj.tokens)
+
+
+@pytest.mark.parametrize("num_groups", [None, 1, 3, 8])
+class TestKernelOwnership:
+    def check(self, stored, probing, mode, num_groups, oracle, true_size=None):
+        route_of = (lambda t: t) if num_groups is None else (lambda t: t % num_groups)
+        emitted = list(
+            _routed_probes(stored, probing, mode, route_of, true_size or {})
+        )
+        # every answer pair exactly once in total ...
+        assert sorted((min(a, b), max(a, b)) for _r, a, b in emitted) == sorted(
+            (min(a, b), max(a, b)) for a, b, _s in oracle
+        )
+        # ... from the route of its smallest common prefix token
+        tokens = {p.rid: p.tokens for p in (*stored, *probing)}
+        shared_several = 0
+        for route, a, b in emitted:
+            common = set(_prefix(tokens[a])).intersection(_prefix(tokens[b]))
+            assert route == route_of(min(common))
+            shared_several += len({route_of(t) for t in common}) > 1
+        if num_groups != 1:
+            assert shared_several > 0  # the property was actually exercised
+
+    def test_self(self, num_groups):
+        projs = _corpus(random.Random(5), 90, vocab=30)
+        oracle = naive_self_join(projs, SIM, THRESHOLD)
+        self.check(projs, projs, "self", num_groups, oracle)
+
+    def test_rs(self, num_groups):
+        rng = random.Random(6)
+        r, s = _corpus(rng, 60, vocab=30), _corpus(rng, 60, vocab=30, base=1000)
+        self.check(r, s, "rs", num_groups, naive_rs_join(r, s, SIM, THRESHOLD))
+
+    def test_rs_with_s_only_tokens_dropped(self, num_groups):
+        """S arrays are shipped without the tokens R never uses; the
+        kernel probes the filtered array against the true size."""
+        rng = random.Random(7)
+        r = _corpus(rng, 60, vocab=30)
+        s_full = _corpus(rng, 60, vocab=36, base=1000)  # ranks 30..35 are S-only
+        s = [Projection(p.rid, tuple(t for t in p.tokens if t < 30)) for p in s_full]
+        assert any(p.size < full.size for p, full in zip(s, s_full))
+        self.check(
+            r, s, "rs", num_groups, naive_rs_join(r, s_full, SIM, THRESHOLD),
+            true_size={p.rid: p.size for p in s_full},
+        )
+
+
+def test_owner_rule_inverts_the_router():
+    individual = JoinConfig(routing="individual")
+    assert [t for t in range(20) if owner_of(individual, 7)(t)] == [7]
+    grouped = JoinConfig(routing="grouped", num_groups=8)
+    assert [t for t in range(20) if owner_of(grouped, 3)(t)] == [3, 11, 19]
+    # one group per token: the group id is the rank
+    assert [t for t in range(20) if owner_of(JoinConfig(routing="grouped"), 7)(t)] == [7]
+
+
+ROUTINGS = [("individual", None), ("grouped", 1), ("grouped", 3), ("grouped", 8)]
+SPLITS = (("w0", 3), ("w1", 2), ("w7", 4))
+
+#: policy name -> (kernels it composes with, config options, takes a split plan)
+POLICIES = {
+    "plain": (("bk", "pk"), {}, False),
+    "split": (("bk", "pk"), {}, True),
+    "map-blocks": (("bk",), {"blocks": BlockPolicy("map", 3)}, False),
+    "reduce-blocks": (("bk",), {"blocks": BlockPolicy("reduce", 3)}, False),
+    # a self-join enhancement: the R-S mapper has no length-class keys
+    "length-classes": (("bk",), {"length_class_width": 2}, False),
+}
+KERNEL_POLICIES = [
+    (kernel, policy) for policy, (kernels, _, _) in POLICIES.items() for kernel in kernels
+]
+
+
+@pytest.mark.parametrize("routing,num_groups", ROUTINGS)
+class TestStage2JobOwnership:
+    """The Stage-2 output list holds every answer pair exactly once,
+    whatever the kernel, routing and Section-5 / shard policy."""
+
+    def config_and_plan(self, kernel, policy, routing, num_groups):
+        _kernels, options, split = POLICIES[policy]
+        config = JoinConfig(
+            threshold=THRESHOLD, schema=SCHEMA_1, kernel=kernel,
+            routing=routing, num_groups=num_groups, **options,
+        )
+        plan = Stage2Plan(routing, num_groups, splits=SPLITS) if split else None
+        return config, plan
+
+    @pytest.mark.parametrize("kernel,policy", KERNEL_POLICIES)
+    def test_self(self, rng, kernel, policy, routing, num_groups, monkeypatch):
+        config, plan = self.config_and_plan(kernel, policy, routing, num_groups)
+        records = random_records(rng, 70)
+        handed = tally_verified(monkeypatch)
+        pairs, stats = run_stage2(records, config, plan=plan)
+        assert pair_keys(pairs) == pair_keys(oracle_self_pairs(records, config))
+        assert stats.counters["stage2.pairs_output"] == len(pairs) > 0
+        if kernel == "pk":
+            assert_pk_funnel_closes(stats.counters, handed[0])
+
+    @pytest.mark.parametrize("kernel,policy", KERNEL_POLICIES[:-1])
+    def test_rs(self, rng, kernel, policy, routing, num_groups, monkeypatch):
+        config, plan = self.config_and_plan(kernel, policy, routing, num_groups)
+        r = random_records(rng, 45)
+        s = random_records(rng, 45, rid_base=1000)
+        handed = tally_verified(monkeypatch)
+        pairs, stats = run_stage2_rs(r, s, config, plan=plan)
+        assert sorted(p[:2] for p in pairs) == sorted(
+            p[:2] for p in oracle_rs_pairs(r, s, config)
+        )
+        assert stats.counters["stage2.pairs_output"] == len(pairs) > 0
+        if kernel == "pk":
+            assert_pk_funnel_closes(stats.counters, handed[0])
+
+
+def _engines():
+    return [
+        make_cluster(),
+        PersistentParallelCluster(workers=2, min_tasks_for_pool=1, assume_cores=4),
+    ]
+
+
+@pytest.mark.parametrize("stage3", ["brj", "oprj"])
+@pytest.mark.parametrize("kernel", ["bk", "pk"])
+def test_stage2_output_is_the_answer_end_to_end(rng, kernel, stage3):
+    """``stage2.pairs_output == stage3.record_pairs_output`` on both
+    engines: nothing is left for Stage 3 to deduplicate."""
+    config = JoinConfig(
+        threshold=THRESHOLD, schema=SCHEMA_1, kernel=kernel, stage3=stage3,
+        routing="grouped", num_groups=5,
+    )
+    records = random_records(rng, 70)
+    s_records = random_records(rng, 50, rid_base=1000)
+    for cluster in _engines():
+        try:
+            cluster.dfs.write("r", records)
+            cluster.dfs.write("s", s_records)
+            for report, expected in (
+                (ssjoin_self(cluster, "r", config), oracle_self_pairs(records, config)),
+                (
+                    ssjoin_rs(cluster, "r", "s", config),
+                    oracle_rs_pairs(records, s_records, config),
+                ),
+            ):
+                counters = report.counters()
+                assert (
+                    counters["stage2.pairs_output"]
+                    == counters["stage3.record_pairs_output"]
+                    == len(cluster.dfs.read_all(report.output_file))
+                    == len(expected)
+                    > 0
+                )
+        finally:
+            if hasattr(cluster, "close"):
+                cluster.close()
+
+
+def test_pinned_stage2_pairs_of_dblp_2000():
+    """Absolute counts of a fixed corpus: one emission per answer (one
+    per shared prefix token would be 1,386 for the same 482 answers and
+    the same 5,735 candidates)."""
+    cluster = SimulatedCluster()
+    cluster.dfs.write("records", generate_dblp(2000, 7))
+    report = ssjoin_self(cluster, "records", JoinConfig(threshold=0.8))
+    funnel = report.filter_counters()
+    assert funnel["pairs"] == report.counters()["stage3.record_pairs_output"] == 482
+    assert funnel["candidates"] == 5735
+    assert (funnel["foreign"], funnel["bitmap"], funnel["positional"]) == (979, 4273, 0)

@@ -202,7 +202,7 @@ class TestBitmapIndex:
     def test_filter_stats_keys_and_bitmap_prunes(self):
         index = PPJoinIndex(Jaccard(), 0.5, bitmap_width=64, use_suffix=False)
         assert set(index.filter_stats) == {
-            "candidates", "length", "bitmap", "positional", "suffix",
+            "candidates", "length", "foreign", "bitmap", "positional", "suffix",
         }
         # same prefix token, disjoint suffixes: survives the length
         # filter, dies on the bitmap bound before verification
@@ -215,7 +215,8 @@ class TestBitmapIndex:
     @pytest.mark.parametrize("mode", ["self", "rs"])
     def test_candidate_funnel_closes(self, monkeypatch, bitmap_width, mode):
         """candidates == bitmap + positional + suffix prunes + the
-        candidates handed to verification, whichever filters are on."""
+        candidates handed to verification, whichever filters are on (an
+        index that owns everything tallies no ``foreign``)."""
         rng = random.Random(13)
         sets = [set(rng.sample(range(40), rng.randint(1, 12))) for _ in range(120)]
         projs = sorted(projections(sets), key=lambda p: (p.size, p.rid))
@@ -236,6 +237,7 @@ class TestBitmapIndex:
         stats = index.filter_stats
         assert handed[0] > 0
         assert stats["bitmap"] + stats["positional"] + stats["suffix"] > 0
+        assert stats["foreign"] == 0
         assert stats["candidates"] == (
             stats["bitmap"] + stats["positional"] + stats["suffix"] + handed[0]
         )

@@ -20,7 +20,7 @@ from repro.join.driver import set_similarity_rs_join, set_similarity_self_join
 from repro.join.records import make_line
 from repro.mapreduce.counters import Counters
 
-from tests.conftest import SCHEMA_1, make_cluster
+from tests.conftest import SCHEMA_1, make_cluster, run_stage2
 
 
 def make_sanitizer_for_test(threshold=0.8, sample_every=1):
@@ -83,6 +83,58 @@ class TestPruneOracle:
         # sizes, so this prune is admissible
         sanitizer.check_prune("positional", ["a", "b"], 20, ["a", "b"], 20)
         assert counters.get("sanitize.violations") == 0
+
+
+class TestOwnershipOracle:
+    """Routing prefixes at τ = 0.5: the first 3 of 5 tokens, so x and y
+    below share the prefix tokens 3 and 4 — the pair belongs to the
+    route of token 3."""
+
+    X, Y = (1, 3, 4, 8, 9), (2, 3, 4, 8, 9)
+
+    def check(self, route, emitted, num_groups=None, x=X, y=Y, **kwargs):
+        counters = Counters()
+        sanitizer = Sanitizer(
+            Jaccard(), 0.5, counters, sample_every=1, route=route, num_groups=num_groups
+        )
+        sanitizer.check_owner(x, y, emitted, **kwargs)
+        return counters
+
+    def test_right_decisions_pass(self):
+        assert self.check(3, True).get("sanitize.violations") == 0
+        counters = self.check(4, False)  # 4's group meets the pair, skips it
+        assert counters.get("sanitize.checks") == 1
+        assert counters.get("sanitize.violations") == 0
+
+    def test_pair_emitted_by_a_group_that_does_not_own_it(self):
+        counters = self.check(4, True)
+        assert counters.get("sanitize.violations") == 1
+        assert counters.get("sanitize.misowned_pair") == 1
+
+    def test_pair_skipped_by_its_owner(self):
+        assert self.check(3, False).get("sanitize.violations") == 1
+
+    def test_grouped_routing_owns_by_group(self):
+        # token 3 lives in group 3 % 2 == 1
+        assert self.check(1, True, num_groups=2).get("sanitize.violations") == 0
+        assert self.check(0, True, num_groups=2).get("sanitize.violations") == 1
+
+    def test_emitting_a_pair_without_a_common_prefix_token(self):
+        counters = self.check(8, True, x=(1, 2, 3, 8, 9), y=(4, 5, 6, 8, 9))
+        assert counters.get("sanitize.violations") == 1
+
+    def test_no_route_no_check(self):
+        assert self.check(None, True).get("sanitize.checks") == 0
+
+    def test_skips_are_sampled_emissions_are_not(self):
+        counters = Counters()
+        sanitizer = Sanitizer(Jaccard(), 0.5, counters, sample_every=4, route=4)
+        for _ in range(8):
+            sanitizer.check_owner(self.X, self.Y, False)
+        assert counters.get("sanitize.checks") == 2
+        for _ in range(8):
+            sanitizer.check_owner(self.X, self.Y, False, sample=False)
+        assert counters.get("sanitize.checks") == 10
 
 
 class TestSortedValues:
@@ -173,6 +225,40 @@ class TestEndToEnd:
         on = r_on.filter_counters()
         assert on["sanitize_checks"] > 0
         assert on["sanitize_violations"] == 0
+
+    @pytest.mark.parametrize("routing,num_groups", [("individual", None), ("grouped", 4)])
+    @pytest.mark.parametrize("kernel", ["bk", "pk"])
+    def test_ownership_checked_and_clean(self, kernel, routing, num_groups):
+        records = corpus(random.Random(11), 60)
+        config = JoinConfig(
+            threshold=0.5, schema=SCHEMA_1, kernel=kernel, sanitize=True,
+            routing=routing, num_groups=num_groups,
+        )
+        pairs, stats = run_stage2(records, config)
+        counters = stats.counters
+        assert counters.get("sanitize.violations", 0) == 0
+        assert counters["stage2.pruned_foreign"] > 0
+        # every emitted pair is checked, on top of everything else
+        plain, _ = run_stage2(records, config.with_options(sanitize=False))
+        assert plain == pairs and len(pairs) > 0
+        assert counters["sanitize.checks"] >= len(pairs) + len(records)
+
+    @pytest.mark.parametrize("kernel", ["bk", "pk"])
+    def test_wrong_owner_is_caught(self, kernel, monkeypatch):
+        """Plant the paper's rule — every group owns every pair it meets
+        — in place of ours: the surplus copies are flagged one by one."""
+        import repro.join.stage2 as stage2
+
+        records = corpus(random.Random(11), 60)
+        config = JoinConfig(threshold=0.5, schema=SCHEMA_1, kernel=kernel, sanitize=True)
+        honest, stats = run_stage2(records, config)
+        assert stats.counters.get("sanitize.violations", 0) == 0
+        monkeypatch.setattr(stage2, "owner_of", lambda config, route: lambda token: True)
+        pairs, stats = run_stage2(records, config)
+        surplus = len(pairs) - len(honest)
+        assert surplus > 0
+        assert stats.counters["sanitize.violations"] == surplus
+        assert stats.counters["sanitize.misowned_pair"] == surplus
 
     def test_env_var_activates(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.similarity import (
+    Bounds,
     Cosine,
     Dice,
     Jaccard,
     Overlap,
+    bounds_for,
     get_similarity_function,
 )
 
@@ -190,3 +192,33 @@ class TestThresholdOne:
         # alpha = ceil(t * sqrt(nx*ny)); sqrt(4*9)=6 exactly
         assert Cosine().overlap_threshold(4, 9, 1.0) == 6
         assert math.isclose(Cosine().similarity({"a"}, {"a"}), 1.0)
+
+
+class TestBoundsMemo:
+    """The memo tables hold exactly what the methods return."""
+
+    @pytest.mark.parametrize(
+        "sim,threshold",
+        [(sim, t) for sim in (*ALL_SIMS,) for t in (0.5, 0.7, 0.8, 0.9)]
+        + [(Overlap(), t) for t in (1, 2, 5)],
+        ids=lambda value: getattr(value, "name", str(value)),
+    )
+    def test_tables_equal_direct_calls(self, sim, threshold):
+        bounds = Bounds(sim, threshold)
+        for n in range(201):
+            assert bounds.length_bounds[n] == sim.length_bounds(n, threshold)
+            assert bounds.prefix_length[n] == sim.prefix_length(n, threshold)
+            assert bounds.index_prefix_length[n] == sim.index_prefix_length(
+                n, threshold
+            )
+            for m in range(201):
+                assert bounds.alpha[n, m] == sim.overlap_threshold(n, m, threshold)
+        # second lookups are plain dict hits on the stored values
+        assert len(bounds.alpha) == 201 * 201
+        assert bounds.alpha[200, 200] == sim.overlap_threshold(200, 200, threshold)
+
+    def test_one_memo_per_function_and_threshold(self):
+        sim = get_similarity_function("jaccard")
+        assert bounds_for(sim, 0.8) is bounds_for(sim, 0.8)
+        assert bounds_for(sim, 0.8) is not bounds_for(sim, 0.7)
+        assert bounds_for(sim, 0.8) is not bounds_for(Cosine(), 0.8)

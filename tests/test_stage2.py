@@ -2,40 +2,23 @@
 
 import pytest
 
-from repro.core.naive import naive_self_join
 from repro.join.config import JoinConfig
 from repro.join.planner import Stage2Plan
 from repro.join.records import REL_R, REL_S
-from repro.join.stage1 import stage1_jobs
 from repro.join.stage2 import CANDIDATE_PAIRS, PAIRS_OUTPUT, stage2_self_job
 from repro.join.stage2_rs import stage2_rs_job
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Context
-from repro.mapreduce.pipeline import run_pipeline
 
 from tests.conftest import (
     SCHEMA_1,
     assert_pk_funnel_closes,
-    make_cluster,
-    oracle_projections,
+    oracle_self_pairs as oracle_pairs,
     pair_keys,
     random_records,
+    run_stage2,
     tally_verified,
 )
-
-
-def run_stage2(records, config, num_reducers=4):
-    cluster = make_cluster()
-    cluster.dfs.write("records", records)
-    run_pipeline(cluster, stage1_jobs(config, ["records"], "tokens", num_reducers))
-    stats = cluster.run_job(
-        stage2_self_job(config, "records", "tokens", "ridpairs", num_reducers)
-    )
-    return cluster.dfs.read_all("ridpairs"), stats
-
-
-def oracle_pairs(records, config):
-    return naive_self_join(oracle_projections(records), config.sim, config.threshold)
 
 
 @pytest.mark.parametrize("kernel", ["bk", "pk"])
@@ -75,8 +58,8 @@ class TestStage2Behaviour:
             assert similarity == pytest.approx(expected[(rid1, rid2)])
 
     def test_duplicates_possible_but_consistent(self, rng):
-        """Stage 2 may emit a pair once per shared group; all copies
-        carry the same similarity."""
+        """No pair ever carries two similarity values (that there is
+        exactly one copy of it is ``tests/test_ownership.py``'s subject)."""
         records = random_records(rng, 60)
         config = JoinConfig(threshold=0.5, schema=SCHEMA_1, kernel="bk")
         pairs, _ = run_stage2(records, config)
@@ -174,7 +157,7 @@ def test_one_reducer_serves_plain_groups_split_shards_and_rs_groups(kernel):
         assert job.reducer.__qualname__ == loop
         assert job.reducer.__code__ is split_job.reducer.__code__
 
-    a, b = (1, 2, 3, 4), (1, 2, 3, 5)  # Jaccard 3/5
+    a, b = (1, 2, 3, 4), (1, 2, 3, 5)  # Jaccard 3/5; routing prefixes (1, 2, 3)
 
     def reduce(job, key, values):
         ctx = Context("reduce", Counters())
@@ -183,12 +166,20 @@ def test_one_reducer_serves_plain_groups_split_shards_and_rs_groups(kernel):
 
     # plain self group (shard -1): both records probe, then are stored
     plain = [(REL_R, 10, 4, None, a), (REL_R, 20, 4, None, b)]
-    assert reduce(split_job, (7, -1), plain) == [(10, 20, 0.6)]
+    assert reduce(split_job, (1, -1), plain) == [(10, 20, 0.6)]
+    assert reduce(plain_job, 1, plain) == [(10, 20, 0.6)]
     # split shard: add copies are stored, the homed probe copy probes
     shard = [(REL_R, 10, 4, None, a), (REL_S, 20, 4, None, b), (REL_R, 20, 4, None, b)]
-    assert reduce(split_job, (7, 0), shard) == [(10, 20, 0.6)]
+    assert reduce(split_job, (1, 0), shard) == [(10, 20, 0.6)]
     # the other shard homes no probe: same adds, no pair
-    assert reduce(split_job, (7, 1), plain) == []
+    assert reduce(split_job, (1, 1), plain) == []
     # R-S group: R is stored, S probes; output keeps (r_rid, s_rid)
     rs = [(REL_R, 20, 4, None, a), (REL_S, 10, 4, None, b)]
-    assert reduce(rs_job, 7, rs) == [(20, 10, 0.6)]
+    assert reduce(rs_job, 1, rs) == [(20, 10, 0.6)]
+    # the pair's smallest common prefix token is 1: the groups of the
+    # other shared tokens meet the pair too, and leave it to its owner
+    for job, key, values in (
+        (plain_job, 2, plain), (split_job, (3, -1), plain),
+        (split_job, (2, 0), shard), (rs_job, 3, rs),
+    ):
+        assert reduce(job, key, values) == []

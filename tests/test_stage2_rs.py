@@ -3,43 +3,19 @@ length-class streaming."""
 
 import pytest
 
-from repro.core.naive import naive_rs_join
 from repro.join.config import JoinConfig
 from repro.join.records import make_line
-from repro.join.stage1 import stage1_jobs
-from repro.join.stage2_rs import _length_class, stage2_rs_job
+from repro.join.stage2_rs import _length_class
 from repro.join.records import REL_R, REL_S
-from repro.mapreduce.pipeline import run_pipeline
 
 from tests.conftest import (
     SCHEMA_1,
     assert_pk_funnel_closes,
-    make_cluster,
-    oracle_projections,
-    pair_keys,
+    oracle_rs_pairs as oracle,
     random_records,
+    run_stage2_rs,
     tally_verified,
 )
-
-
-def run_stage2_rs(r_records, s_records, config, num_reducers=4):
-    cluster = make_cluster()
-    cluster.dfs.write("r", r_records)
-    cluster.dfs.write("s", s_records)
-    run_pipeline(cluster, stage1_jobs(config, ["r"], "tokens", num_reducers))
-    stats = cluster.run_job(
-        stage2_rs_job(config, "r", "s", "tokens", "ridpairs", num_reducers)
-    )
-    return cluster.dfs.read_all("ridpairs"), stats
-
-
-def oracle(r_records, s_records, config):
-    return naive_rs_join(
-        oracle_projections(r_records),
-        oracle_projections(s_records),
-        config.sim,
-        config.threshold,
-    )
 
 
 @pytest.mark.parametrize("kernel", ["bk", "pk"])
@@ -50,7 +26,7 @@ class TestRSKernels:
         config = JoinConfig(threshold=0.5, schema=SCHEMA_1, kernel=kernel)
         handed = tally_verified(monkeypatch)
         pairs, stats = run_stage2_rs(r, s, config)
-        assert sorted(set(p[:2] for p in pairs)) == sorted(
+        assert sorted(p[:2] for p in pairs) == sorted(
             p[:2] for p in oracle(r, s, config)
         )
         if kernel == "pk":
@@ -71,8 +47,8 @@ class TestRSKernels:
         s = [make_line(2, ["a b c d zonly", "y"])]  # true jaccard = 4/5
         config = JoinConfig(threshold=0.75, schema=SCHEMA_1, kernel=kernel)
         pairs, _ = run_stage2_rs(r, s, config)
-        # one copy per shared prefix group is allowed (Stage 3 dedups)
-        assert set(p[:2] for p in pairs) == {(1, 2)}
+        # the two records share every prefix token; one group owns the pair
+        assert [p[:2] for p in pairs] == [(1, 2)]
         assert pairs[0][2] == pytest.approx(4 / 5)
 
     def test_s_only_tokens_high_threshold_excluded(self, rng, kernel):
@@ -132,7 +108,7 @@ class TestDifferentThresholds:
         s = random_records(rng, 35, rid_base=1000)
         config = JoinConfig(threshold=threshold, schema=SCHEMA_1, kernel="pk")
         pairs, _ = run_stage2_rs(r, s, config)
-        assert sorted(set(p[:2] for p in pairs)) == sorted(
+        assert sorted(p[:2] for p in pairs) == sorted(
             p[:2] for p in oracle(r, s, config)
         )
 
@@ -144,6 +120,6 @@ class TestDifferentThresholds:
             similarity=similarity, threshold=0.6, schema=SCHEMA_1, kernel="pk"
         )
         pairs, _ = run_stage2_rs(r, s, config)
-        assert sorted(set(p[:2] for p in pairs)) == sorted(
+        assert sorted(p[:2] for p in pairs) == sorted(
             p[:2] for p in oracle(r, s, config)
         )

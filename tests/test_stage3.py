@@ -4,11 +4,7 @@ import pytest
 
 from repro.join.config import JoinConfig
 from repro.join.records import make_line, rid_of
-from repro.join.stage3 import (
-    DUPLICATE_PAIRS_DROPPED,
-    RECORD_PAIRS_OUTPUT,
-    stage3_jobs,
-)
+from repro.join.stage3 import RECORD_PAIRS_OUTPUT, stage3_jobs
 from repro.mapreduce.faults import TaskError
 from repro.mapreduce.pipeline import run_pipeline
 
@@ -52,12 +48,11 @@ class TestSelfRecordJoin:
         line1, line2 = by_key[(1, 2)]
         assert "p1" in line1 and "p2" in line2
 
-    def test_duplicate_rid_pairs_deduplicated(self, stage3):
-        duplicated = PAIRS + PAIRS + [PAIRS[0]]
-        joined, stats = run_stage3(RECORDS, duplicated, stage3)
-        assert len(joined) == 2
-        if stage3 == "brj":
-            assert stats.counters().get(DUPLICATE_PAIRS_DROPPED, 0) > 0
+    def test_duplicated_rid_pair_list_refused(self, stage3):
+        """Stage 2 emits each pair from its one owner; a pair list that
+        repeats a pair is a bug upstream and must be loud, not absorbed."""
+        with pytest.raises(TaskError, match=r"ValueError.*\(1, 2, 0\.9\).*4 halves"):
+            run_stage3(RECORDS, PAIRS + [PAIRS[0]], stage3)
 
     def test_empty_pairs(self, stage3):
         joined, _ = run_stage3(RECORDS, [], stage3)
