@@ -142,9 +142,10 @@ def format_runs_diff(diff: dict) -> str:
     if pairs_a is not None or pairs_b is not None:
         marker = "" if pairs_a == pairs_b else "  << DIFFERS"
         lines.append(f"  pairs: {pairs_a} -> {pairs_b}{marker}")
-    rss_a, rss_b = diff["maxrss_kb"]
-    if rss_a is not None or rss_b is not None:
-        lines.append(f"  maxrss_kb: {rss_a} -> {rss_b}")
+    for key in ("maxrss_kb", "stage2_replication", "stage2_max_reducer_input"):
+        before, after = diff.get(key, (None, None))
+        if before is not None or after is not None:
+            lines.append(f"  {key}: {before} -> {after}")
     for key, title in (
         ("wall_rows", "stage times (wall)"),
         ("stage_rows", "stage times (simulated)"),

@@ -316,8 +316,13 @@ def _emit(args: argparse.Namespace, pairs: list, report: JoinReport) -> None:
         )
     if args.stats:
         for stage, seconds in report.stage_times().items():
+            shape = (
+                f", replication {report.stage2_replication:.2f}, "
+                f"max reducer input {report.stage2_max_reducer_input:,}"
+                if stage == "stage2" else ""
+            )
             print(f"  {stage}: {report.stage_wall_s[stage]:.2f}s wall, "
-                  f"{seconds:.1f}s simulated ({args.nodes} nodes)",
+                  f"{seconds:.1f}s simulated ({args.nodes} nodes){shape}",
                   file=sys.stderr)
         from repro.bench.reporting import (
             format_executor_summary,

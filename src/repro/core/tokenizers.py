@@ -3,13 +3,26 @@
 The paper maps strings into sets by tokenizing them (Section 2):
 words or q-grams.  The evaluation tokenizes by word and performs data
 cleaning *inside* the algorithms (lower-casing, punctuation removal),
-so cleaning lives here as well.
+so cleaning lives here as well — and since Stages 1 and 2 each scan
+and tokenize the complete input, it runs twice per record and has to
+be cheap.
+
+Cleaning has one definition: ``lower()``, then every run of characters
+outside ``[a-z0-9]`` becomes one space.  ASCII text (``str.isascii()``)
+gets it from a single table ``translate``, no regex.  Other text keeps
+``lower()`` plus the regex, because lower-casing can turn a non-ASCII
+character into ASCII letters (U+0130, the dotted capital I, becomes
+``i`` and a combining dot; U+212A, the Kelvin sign, becomes ``k``) and
+no per-character table says that cheaply.
 
 Tokens are plain strings.  Duplicate tokens within one value are
 disambiguated with an occurrence suffix (``token``, ``token#2``, ...)
 so that a string maps to a proper *set*; this is the standard
 bag-to-set widening used by the set-similarity join literature and
-keeps Jaccard well-defined on repeated words.
+keeps Jaccard well-defined on repeated words.  A widened name never
+takes the name of a token the value itself contains: the suffix is
+bumped until the name is free (``a a a#2`` widens to ``a a#3 a#2``),
+which only uncleaned input can need — cleaning strips ``#``.
 """
 
 from __future__ import annotations
@@ -18,7 +31,21 @@ import re
 from abc import ABC, abstractmethod
 
 _CLEAN_RE = re.compile(r"[^a-z0-9 ]+")
-_WS_RE = re.compile(r"\s+")
+#: the ASCII cleaning table, indexed by code point: letters to lower
+#: case, digits kept, everything else to a space (bytes.translate wants
+#: 256 entries; ASCII text reaches the first 128)
+_ASCII_CLEAN = bytes(
+    ord(chr(c).lower()) if chr(c).isalnum() else 32 for c in range(128)
+).ljust(256)
+
+
+def _clean_words(text: str) -> list[str]:
+    """The words of ``clean_text(text)``, as a fresh list."""
+    if text.isascii():
+        # via bytes: bytes.translate is a bare table loop, where
+        # str.translate asks the mapping for each distinct character
+        return text.encode().translate(_ASCII_CLEAN).decode().split()
+    return _CLEAN_RE.sub(" ", text.lower()).split()
 
 
 def clean_text(text: str) -> str:
@@ -27,24 +54,34 @@ def clean_text(text: str) -> str:
     Mirrors the cleaning the paper applies inside its algorithms
     ("we did the cleaning inside our algorithms", Section 6).
     """
-    lowered = text.lower()
-    stripped = _CLEAN_RE.sub(" ", lowered)
-    return _WS_RE.sub(" ", stripped).strip()
+    return " ".join(_clean_words(text))
 
 
 def _widen_duplicates(tokens: list[str]) -> list[str]:
-    """Rename repeated tokens so the result is duplicate-free.
+    """Rename repeated tokens, in place, so *tokens* is duplicate-free.
 
     The first occurrence keeps its name; the k-th occurrence becomes
-    ``token#k``.  Order is preserved.
+    ``token#k``, or the next ``token#k+1, ...`` that no token of the
+    value is named.  Order is preserved.
     """
-    seen: dict[str, int] = {}
-    widened = []
-    for token in tokens:
-        count = seen.get(token, 0) + 1
-        seen[token] = count
-        widened.append(token if count == 1 else f"{token}#{count}")
-    return widened
+    taken = set(tokens)
+    repeats = len(tokens) - len(taken)
+    if not repeats:
+        return tokens
+    counts: dict[str, int] = {}
+    for position, token in enumerate(tokens):
+        if token in counts:
+            count = counts[token] + 1
+            while (name := f"{token}#{count}") in taken:
+                count += 1
+            counts[token] = count
+            tokens[position] = name
+            repeats -= 1
+            if not repeats:  # the common case: one repeat, met early
+                break
+        else:
+            counts[token] = 1
+    return tokens
 
 
 class Tokenizer(ABC):
@@ -58,7 +95,8 @@ class Tokenizer(ABC):
 
     @abstractmethod
     def _raw_tokens(self, text: str) -> list[str]:
-        """Split *text* into raw (possibly duplicated) tokens."""
+        """Split *text* into a fresh list of raw (possibly duplicated)
+        tokens."""
 
     def tokenize(self, text: str) -> list[str]:
         """Return the duplicate-free token list for *text*."""
@@ -77,6 +115,11 @@ class WordTokenizer(Tokenizer):
 
     def _raw_tokens(self, text: str) -> list[str]:
         return text.split()
+
+    def tokenize(self, text: str) -> list[str]:
+        # cleaning already yields the words: do not join and re-split
+        words = _clean_words(text) if self.clean else text.split()
+        return _widen_duplicates(words)
 
     def __repr__(self) -> str:
         return f"WordTokenizer(clean={self.clean})"

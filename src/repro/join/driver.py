@@ -97,6 +97,22 @@ class JoinReport:
             name: stats.simulated_total_s for name, stats in self.stages.items()
         }
 
+    @property
+    def stage2_replication(self) -> float:
+        """Stage-2 map output records per map input record — to how many
+        reducers the average record goes, the replication rate of
+        arXiv:1204.1754.  0.0 when Stage 2 did not run in this process."""
+        tasks = [t for p in self.stage2.phases for t in p.map_tasks]
+        map_in = sum(t.input_records for t in tasks)
+        return sum(t.output_records for t in tasks) / map_in if map_in else 0.0
+
+    @property
+    def stage2_max_reducer_input(self) -> int:
+        """Input records of the largest Stage-2 reduce task — the reducer
+        size replication is traded against."""
+        tasks = [t for p in self.stage2.phases for t in p.reduce_tasks]
+        return max((t.input_records for t in tasks), default=0)
+
     def counters(self) -> dict[str, int]:
         merged: dict[str, int] = {}
         for stats in self.stages.values():

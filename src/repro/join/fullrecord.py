@@ -91,7 +91,6 @@ def full_record_job(
         reducer=reducer,
         num_reducers=num_reducers,
         partition=lambda key: key[0],
-        sort_key=lambda key: key,
         group_key=lambda key: key[0],
         broadcast=[token_order_file],
         map_setup=map_setup,

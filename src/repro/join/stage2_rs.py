@@ -197,7 +197,6 @@ def stage2_rs_job(
         partitioner=(
             (lambda key, n: shard_partition(key[0], key[1], n)) if split_mode else None
         ),
-        sort_key=lambda key: key,
         group_key=(lambda key: (key[0], key[1])) if split_mode else (lambda key: key[0]),
         broadcast=[token_order_file],
         map_setup=map_setup,

@@ -156,7 +156,6 @@ def brj_jobs(
         reducer=_brj_fill_reducer(is_rs),
         num_reducers=num_reducers,
         partition=lambda key: key[0],
-        sort_key=lambda key: key,
         group_key=lambda key: key[0],
     )
     join_job = MapReduceJob(

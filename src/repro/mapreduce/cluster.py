@@ -34,7 +34,8 @@ import heapq
 import time
 from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import Callable, Iterator, TypeVar
+from operator import itemgetter
+from typing import Any, Callable, Iterator, TypeVar
 
 from repro.mapreduce.counters import (
     COMBINE_INPUT_RECORDS,
@@ -64,7 +65,7 @@ from repro.mapreduce.faults import (
     task_error_from,
 )
 from repro.mapreduce.hashing import stable_hash
-from repro.mapreduce.job import Context, MapReduceJob
+from repro.mapreduce.job import Context, MapReduceJob, _identity
 from repro.mapreduce.types import (
     ExecutorPhaseStats,
     InsufficientMemoryError,
@@ -319,8 +320,9 @@ def execute_reduce_task(
 ) -> tuple[TaskStats, list, dict[str, int]]:
     """Run one reduce task over its partition's ``(key, value)`` list.
 
-    Returns ``(stats, written_records, counters)``.  The group-size
-    histogram and (when tracing) the per-task skew payload are computed
+    Returns ``(stats, written_records, counters)``.  The sorted bucket
+    is walked once; the group sizes that walk counts feed the
+    group-size histogram and (when tracing) the per-task skew payload
     *after* the CPU clock stops, so neither shows up in the cost model.
     """
     span = trace_span(
@@ -330,17 +332,14 @@ def execute_reduce_task(
     ctx = Context("reduce", Counters(), memory_limit_bytes=memory_limit_bytes)
     ctx.task_id = partition_index
     t0 = time.perf_counter()
-    bucket.sort(key=lambda pair: job.sort_key(pair[0]))
+    bucket.sort(key=_of_key(job.sort_key))
     if job.reduce_setup is not None:
         job.reduce_setup(ctx)
-    groups = 0
+    group_sizes: list[tuple[Any, int]] = []
     try:
-        for group_key, group in groupby(
-            bucket, key=lambda pair: job.group_key(pair[0])
-        ):
-            groups += 1
+        for group_key, group in groupby(bucket, key=_of_key(job.group_key)):
             ctx.current_key = group_key
-            values = _value_iterator(ctx, group)
+            values = _value_iterator(group, group_key, group_sizes)
             job.reducer(group_key, values, ctx)
             for _ in values:  # drain whatever the reducer did not consume
                 pass
@@ -357,13 +356,10 @@ def execute_reduce_task(
         ) from exc
     cpu = time.perf_counter() - t0
 
-    # Observability bookkeeping on the already-sorted bucket: group-size
-    # histogram (always on; rides the counter path) and, when tracing,
-    # the hottest groups for the skew report.
-    group_sizes: list[tuple[object, int]] = []
-    for group_key, group in groupby(bucket, key=lambda pair: job.group_key(pair[0])):
-        size = sum(1 for _ in group)
-        group_sizes.append((group_key, size))
+    # Observability bookkeeping: group-size histogram (always on; rides
+    # the counter path) and, when tracing, the hottest groups for the
+    # skew report.
+    for _, size in group_sizes:
         ctx.observe("reduce.group_records", size)
     if tracer is not None:
         hot = sorted(group_sizes, key=lambda kv: (-kv[1], repr(kv[0])))[:5]
@@ -371,7 +367,7 @@ def execute_reduce_task(
     if ctx.peak_memory_bytes:
         ctx.observe("memory.peak_bytes", ctx.peak_memory_bytes)
 
-    ctx.counters.increment(REDUCE_INPUT_GROUPS, groups)
+    ctx.counters.increment(REDUCE_INPUT_GROUPS, len(group_sizes))
     ctx.counters.increment(REDUCE_INPUT_RECORDS, len(bucket))
     ctx.counters.increment(REDUCE_OUTPUT_RECORDS, len(ctx._written))
     out_bytes = sum(approx_bytes(r) for r in ctx._written)
@@ -397,7 +393,7 @@ def execute_reduce_task(
     )
     span.set(
         input_records=len(bucket),
-        groups=groups,
+        groups=len(group_sizes),
         output_records=len(ctx._written),
         kernel_work=kernel_work,
     )
@@ -407,15 +403,24 @@ def execute_reduce_task(
     return stats, ctx._written, counter_snapshot
 
 
-def _value_iterator(ctx: Context, group: Iterator[tuple]) -> Iterator:
-    """Lazy values of one group; updates ``ctx.current_full_key``."""
+def _of_key(selector: Callable[[Any], Any]) -> Callable[[tuple], Any]:
+    """*selector* (a job's ``sort_key``/``group_key``) lifted from keys
+    to ``(key, value)`` pairs; the default selector costs no call."""
+    if selector is _identity:
+        return itemgetter(0)
+    return lambda pair: selector(pair[0])
 
-    def generate() -> Iterator:
-        for key, value in group:
-            ctx.current_full_key = key
-            yield value
 
-    return generate()
+def _value_iterator(
+    group: Iterator[tuple], group_key: Any, group_sizes: list
+) -> Iterator:
+    """Lazy values of one group; once drained, appends ``(group_key,
+    size)`` to *group_sizes*."""
+    size = 0
+    for _key, value in group:
+        size += 1
+        yield value
+    group_sizes.append((group_key, size))
 
 
 # ---------------------------------------------------------------------------

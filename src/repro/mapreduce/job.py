@@ -38,7 +38,6 @@ from typing import Any, Callable, Iterator, Sequence
 from repro.analysis.sanitize import VIOLATIONS, env_sanitize
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.types import InsufficientMemoryError, approx_bytes
-from repro.obs.metrics import observe_into
 
 
 def _identity(key: Any) -> Any:
@@ -87,12 +86,14 @@ class Context:
     def observe(self, name: str, value: int) -> None:
         """Record one histogram observation (e.g. a group size).
 
-        Encoded as three plain counter increments under ``hist.<name>``
-        (log2 bucket, count, sum — see :mod:`repro.obs.metrics`), so
-        observations merge back to the driver through the existing
-        counter path and never affect task output.
+        Buffered by :meth:`Counters.observe` and encoded, when the
+        task's counters are next read, as plain counters under
+        ``hist.<name>`` (log2 buckets, count, sum — see
+        :mod:`repro.obs.metrics`), so observations merge back to the
+        driver through the existing counter path and never affect task
+        output.
         """
-        observe_into(self.counters.increment, name, value)
+        self.counters.observe(name, value)
 
     # -- memory metering ----------------------------------------------------
 

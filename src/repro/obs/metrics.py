@@ -73,9 +73,10 @@ def observe_into(
     """Record one observation of *value* through a counter ``increment``
     callable (``Counters.increment`` or any ``(key, amount)`` sink).
 
-    This is the write-side of the histogram-over-counters encoding used
-    by :meth:`repro.mapreduce.job.Context.observe` and the cluster's
-    per-partition byte accounting.
+    This defines the histogram-over-counters encoding.  The cluster's
+    per-partition byte accounting calls it per value; a task's
+    :meth:`Counters.observe <repro.mapreduce.counters.Counters.observe>`
+    buffer reaches the same counters in one fold per histogram.
     """
     increment(hist_counter(name, value), 1)
     increment(f"{HIST_PREFIX}{name}.n", 1)

@@ -116,6 +116,8 @@ def build_run_manifest(
         wall["total"] = sum(wall.values())
         doc["wall_times_s"] = {k: round(v, 6) for k, v in wall.items()}
         doc["pairs"] = counters.get("stage3.record_pairs_output", 0)
+        doc["stage2_replication"] = round(report.stage2_replication, 6)
+        doc["stage2_max_reducer_input"] = report.stage2_max_reducer_input
         doc["counters"] = dict(sorted(counters.items()))
         doc["metrics"] = report.metrics().snapshot()
         doc["executor"] = report.executor_summary()
@@ -209,7 +211,8 @@ def diff_runs(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
     Returns stage-time rows on both clocks (simulated ``stage_rows``,
     measured ``wall_rows`` — empty when neither manifest carries
     ``wall_times_s``, as none written before it existed does), changed
-    counters, and headline facts;
+    counters, and headline facts (``None`` on the side of a manifest
+    older than the fact);
     :func:`repro.bench.reporting.format_runs_diff` renders it.
     """
 
@@ -245,6 +248,10 @@ def diff_runs(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
             a.get("rusage", {}).get("maxrss_kb"),
             b.get("rusage", {}).get("maxrss_kb"),
         ),
+        **{
+            key: (a.get(key), b.get(key))
+            for key in ("stage2_replication", "stage2_max_reducer_input")
+        },
         "stage_rows": time_rows("stage_times_s"),
         "wall_rows": time_rows("wall_times_s"),
         "counter_rows": counter_rows,

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -64,6 +66,10 @@ class TestSelfJoin:
         main(["selfjoin", str(catalog), "-o", str(out), "--stats"])
         err = capsys.readouterr().err
         assert "stage1" in err and "stage2" in err
+        # Stage 2's line alone carries its replication and reducer size
+        shaped = [line.split(":")[0].strip() for line in err.splitlines()
+                  if re.search(r"replication \d+\.\d\d, max reducer input [\d,]+$", line)]
+        assert shaped == ["stage2"]
 
 
 class TestExecutionFlags:

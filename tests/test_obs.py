@@ -9,14 +9,24 @@ both execution engines.
 
 import json
 import multiprocessing
+from itertools import groupby
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.data.synthetic import generate_citeseerx, generate_dblp
 from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_rs, ssjoin_self
-from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
+from repro.mapreduce import cluster as cluster_module
+from repro.mapreduce.cluster import (
+    ClusterConfig,
+    SimulatedCluster,
+    execute_map_task,
+    execute_reduce_task,
+)
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.dfs import InMemoryDFS
+from repro.mapreduce.job import Context, MapReduceJob
 from repro.mapreduce.types import ExecutorPhaseStats
 from repro.obs.metrics import (
     HIST_PREFIX,
@@ -142,6 +152,196 @@ class TestHistogramEncoding:
         counters.increment("aa")
         counters.increment("mm")
         assert list(counters.as_dict()) == ["aa", "mm", "zz"]
+
+
+def _reference(ops) -> Counters:
+    """*ops* applied the unbuffered way: every observation is three
+    ``observe_into`` increments at the moment it is made."""
+    counters = Counters()
+    for op, name, value in ops:
+        if op == "observe":
+            observe_into(counters.increment, name, value)
+        elif op == "increment":
+            counters.increment(name, value)
+        elif op == "merge":
+            other = Counters()
+            observe_into(other.increment, name, value)
+            counters.merge(other)
+        elif op == "merge_dict":
+            counters.merge_dict({name: value})
+    return counters
+
+
+_names = st.sampled_from(["a", "b.c", "stage2.record_routes"])
+_values = st.integers(min_value=0, max_value=1 << 40)
+
+
+class TestBufferedObserve:
+    """``Counters.observe`` buffers; any read sees exactly what one
+    ``observe_into`` per observation would have produced."""
+
+    @given(st.lists(st.tuples(_names, _values), max_size=60))
+    def test_one_read_equals_n_observe_into(self, observations):
+        buffered = Counters()
+        for name, value in observations:
+            buffered.observe(name, value)
+        reference = _reference([("observe", n, v) for n, v in observations])
+        assert json.dumps(buffered.as_dict()) == json.dumps(reference.as_dict())
+        assert list(buffered.as_dict()) == sorted(buffered.as_dict())
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["observe", "increment", "merge", "merge_dict", "read"]
+                ),
+                _names,
+                _values,
+            ),
+            max_size=40,
+        ),
+        st.sampled_from(["get", "as_dict", "iter", "repr", "merge"]),
+    )
+    def test_interleaved_with_other_operations(self, ops, reader):
+        counters = Counters()
+        for position, (op, name, value) in enumerate(ops):
+            if op == "observe":
+                counters.observe(name, value)
+            elif op == "increment":
+                counters.increment(name, value)
+            elif op == "merge":
+                other = Counters()
+                other.observe(name, value)
+                counters.merge(other)
+            elif op == "merge_dict":
+                counters.merge_dict({name: value})
+            else:  # a read in mid-stream, through whichever reader
+                expected = _reference(ops[:position]).as_dict()
+                key = f"{HIST_PREFIX}{name}.sum"
+                if reader == "get":
+                    assert counters.get(key) == expected.get(key, 0)
+                elif reader == "as_dict":
+                    assert counters.as_dict() == expected
+                elif reader == "iter":
+                    assert list(counters) == list(expected.items())
+                elif reader == "repr":
+                    text = repr(counters)
+                    assert all(f"{k!r}: {v}" in text for k, v in expected.items())
+                else:
+                    into = Counters()
+                    into.merge(counters)
+                    assert into.as_dict() == expected
+        assert counters.as_dict() == _reference(ops).as_dict()
+
+    def test_context_observe_reaches_the_counters(self):
+        ctx = Context("map", Counters())
+        ctx.observe("x", 5)
+        ctx.observe("x", 6)
+        assert ctx.counters.get("hist.x.n") == 2
+        assert ctx.counters.as_dict() == {
+            "hist.x.b3": 2, "hist.x.n": 2, "hist.x.sum": 11,
+        }
+
+    def test_combiner_shares_the_map_tasks_buffer(self):
+        """The combine context is a second ``Context`` over the map
+        task's ``Counters``: what either observes is in the snapshot."""
+
+        def mapper(line, ctx):
+            for word in line.split():
+                ctx.observe("word_len", len(word))
+                ctx.emit(word, 1)
+
+        def combiner(key, values, ctx):
+            ctx.observe("combine_fan_in", len(values))
+            ctx.emit(key, sum(values))
+
+        job = MapReduceJob(
+            name="wc", inputs=["in"], output="out", mapper=mapper,
+            reducer=lambda key, values, ctx: None, combiner=combiner,
+        )
+        _stats, _partitioned, counters = execute_map_task(
+            job, 0, "in", ["a bb a", "ccc a"], {}, 0, 0.0, None, 4
+        )
+        assert counters["hist.word_len.n"] == 5
+        assert counters["hist.word_len.sum"] == 8
+        assert counters["hist.combine_fan_in.n"] == 3
+        assert counters["hist.combine_fan_in.sum"] == 5
+        assert counters["hist.combine_fan_in.b2"] == 1  # "a" x3
+
+
+class TestPerRecordCost:
+    """Cost asserted as call counts, never as seconds."""
+
+    def test_map_task_folds_a_histogram_once(self, monkeypatch):
+        """N observations of one name cost ``2 + distinct buckets``
+        counter increments per task, not ``3 * N``."""
+        hist_increments = []
+
+        class CountingCounters(Counters):
+            def increment(self, name, amount=1):
+                if name.startswith(HIST_PREFIX):
+                    hist_increments.append(name)
+                super().increment(name, amount)
+
+        monkeypatch.setattr(cluster_module, "Counters", CountingCounters)
+        job = MapReduceJob(
+            name="lens", inputs=["in"], output="out",
+            mapper=lambda line, ctx: ctx.observe("line_len", len(line)),
+            reducer=lambda key, values, ctx: None,
+        )
+        records = ["x" * (n % 40) for n in range(500)]
+        _stats, _partitioned, counters = execute_map_task(
+            job, 0, "in", records, {}, 0, 0.0, None, 4
+        )
+        buckets = {bucket_of(len(line)) for line in records}
+        assert counters["hist.line_len.n"] == 500
+        assert len(hist_increments) <= 2 + len(buckets)
+        assert len(set(hist_increments)) == len(hist_increments)
+
+    def test_reduce_task_walks_its_bucket_once(self):
+        """One ``iter(bucket)``; the group-size histogram and the
+        tracer's ``top_groups`` still count every record of a group
+        whose reducer stopped reading early."""
+
+        class CountingList(list):
+            iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        def reducer(key, values, ctx):
+            ctx.write((key, next(values)))  # leaves the rest unconsumed
+
+        job = MapReduceJob(
+            name="first", inputs=["in"], output="out",
+            mapper=lambda line, ctx: None, reducer=reducer,
+            group_key=lambda key: key[0],
+        )
+        pairs = [((n % 7, n), n) for n in range(100)] + [((9, 0), 0)]
+        bucket = CountingList(reversed(pairs))
+        tracer = Tracer()
+        _stats, written, counters = execute_reduce_task(
+            job, 3, bucket, None, tracer=tracer
+        )
+        assert bucket.iterations == 1
+        assert written == [(g, g) for g in range(7)] + [(9, 0)]
+
+        # what the second walk this replaced used to compute
+        sizes = [
+            (key, sum(1 for _ in group))
+            for key, group in groupby(sorted(pairs), key=lambda pair: pair[0][0])
+        ]
+        expected = Counters()
+        for _key, size in sizes:
+            observe_into(expected.increment, "reduce.group_records", size)
+        assert {
+            k: v for k, v in counters.items() if k.startswith(HIST_PREFIX)
+        } == expected.as_dict()
+        assert counters["framework.reduce_input_groups"] == 8
+        hot = sorted(sizes, key=lambda kv: (-kv[1], repr(kv[0])))[:5]
+        (span,) = [e for e in tracer.raw_events() if e["name"] == "reduce:3"]
+        assert span["args"]["top_groups"] == [(repr(k), n) for k, n in hot]
 
 
 class TestSkewStats:
@@ -364,6 +564,109 @@ class TestObserveOnly:
         assert {k: v for k, v in seq_counters.items() if k.startswith(HIST_PREFIX)} == {
             k: v for k, v in pool_counters.items() if k.startswith(HIST_PREFIX)
         }
+
+
+#: ``hist.*`` counters of three histograms on ``generate_dblp(2000, 7)``
+#: (x ``generate_citeseerx(1000, 9)`` sharing its publications for R-S)
+#: at threshold 0.8, measured at the commit before observations were
+#: buffered: one made per record in the Stage-2 mapper, one per RID
+#: group in Stage 3's reducer, one per reduce group by the framework
+PINNED_HISTOGRAMS = {
+    "self": {
+        "hist.reduce.group_records.b1": 4233,
+        "hist.reduce.group_records.b2": 2501,
+        "hist.reduce.group_records.b3": 460,
+        "hist.reduce.group_records.b4": 188,
+        "hist.reduce.group_records.b5": 40,
+        "hist.reduce.group_records.n": 7422,
+        "hist.reduce.group_records.sum": 14553,
+        "hist.stage2.record_routes.b2": 1306,
+        "hist.stage2.record_routes.b3": 694,
+        "hist.stage2.record_routes.n": 2000,
+        "hist.stage2.record_routes.sum": 6384,
+        "hist.stage3.pairs_per_rid.b0": 1357,
+        "hist.stage3.pairs_per_rid.b1": 413,
+        "hist.stage3.pairs_per_rid.b2": 210,
+        "hist.stage3.pairs_per_rid.b3": 20,
+        "hist.stage3.pairs_per_rid.n": 2000,
+        "hist.stage3.pairs_per_rid.sum": 964,
+    },
+    "rs": {
+        "hist.reduce.group_records.b1": 5337,
+        "hist.reduce.group_records.b2": 1923,
+        "hist.reduce.group_records.b3": 485,
+        "hist.reduce.group_records.b4": 297,
+        "hist.reduce.group_records.b5": 102,
+        "hist.reduce.group_records.b6": 9,
+        "hist.reduce.group_records.n": 8153,
+        "hist.reduce.group_records.sum": 17582,
+        "hist.stage2.record_routes.b1": 1,
+        "hist.stage2.record_routes.b2": 2007,
+        "hist.stage2.record_routes.b3": 992,
+        "hist.stage2.record_routes.n": 3000,
+        "hist.stage2.record_routes.sum": 9493,
+        "hist.stage3.pairs_per_rid.b0": 2683,
+        "hist.stage3.pairs_per_rid.b1": 248,
+        "hist.stage3.pairs_per_rid.b2": 55,
+        "hist.stage3.pairs_per_rid.b3": 14,
+        "hist.stage3.pairs_per_rid.n": 3000,
+        "hist.stage3.pairs_per_rid.sum": 424,
+    },
+}
+
+
+class TestDblpCounters:
+    """Whole-join counters on the benchmark's kind of corpus: engines
+    agree on every entry, and the histograms are the parent commit's."""
+
+    @staticmethod
+    def _report(join: str, persistent: bool):
+        if persistent:
+            from repro.mapreduce.executor import PersistentParallelCluster
+
+            cluster = PersistentParallelCluster(
+                workers=2, min_tasks_for_pool=1, assume_cores=2
+            )
+        else:
+            cluster = SimulatedCluster()
+        try:
+            dblp = generate_dblp(2000, 7)
+            cluster.dfs.write("r", dblp)
+            if join == "self":
+                return ssjoin_self(cluster, "r", JoinConfig())
+            cluster.dfs.write(
+                "s",
+                generate_citeseerx(
+                    1000, seed=9, rid_base=10_000_000, shared_with=dblp
+                ),
+            )
+            return ssjoin_rs(cluster, "r", "s", JoinConfig())
+        finally:
+            if persistent:
+                cluster.close()
+
+    @pytest.mark.parametrize("join", ["self", "rs"])
+    def test_histograms_pinned_and_engines_agree(self, join):
+        report = self._report(join, persistent=False)
+        counters = report.counters()
+        pinned = PINNED_HISTOGRAMS[join]
+        prefixes = tuple({key.rsplit(".", 1)[0] + "." for key in pinned})
+        assert {
+            k: v for k, v in counters.items() if k.startswith(prefixes)
+        } == pinned
+        if HAVE_FORK:
+            pooled = self._report(join, persistent=True)
+            assert pooled.executor_summary()["pooled_phases"] > 0
+            assert pooled.counters() == counters
+
+    def test_stage2_replication_and_max_reducer_input(self):
+        """The two Stage-2 shape numbers of arXiv:1204.1754, as the
+        wall benchmark computes them outside the program."""
+        report = self._report("self", persistent=False)
+        assert report.stage2_replication == 6384 / 2000 == 3.192
+        assert report.stage2_max_reducer_input == 256
+        fresh = type(report)(combo="-", output_file="-")
+        assert (fresh.stage2_replication, fresh.stage2_max_reducer_input) == (0.0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,35 @@ def test_wall_times_in_new_manifests_and_absent_from_old_ones(tmp_path, capsys, 
         assert "stage times (simulated)" in text
 
 
+def test_stage2_shape_in_new_manifests_and_absent_from_old_ones(tmp_path, capsys, rng):
+    """Replication and max reducer input are manifest fields with the
+    report's values; a manifest written before them shows and diffs."""
+    config, report = _join_report(rng)
+    new = build_run_manifest(
+        kind="selfjoin", workload="records", config=config, report=report
+    )
+    assert new["stage2_replication"] == round(report.stage2_replication, 6) > 1.0
+    assert new["stage2_max_reducer_input"] == report.stage2_max_reducer_input > 0
+    old = json.loads(json.dumps(new))
+    del old["stage2_replication"], old["stage2_max_reducer_input"]
+    old["id"] = "20250101-000000-" + new["config_digest"][:8]
+    directory = str(tmp_path / "reg")
+    write_run_manifest(directory, old)
+    write_run_manifest(directory, new)
+
+    assert main(["runs", "show", old["id"], "--runs-dir", directory]) == 0
+    assert "stage2_replication" not in json.loads(capsys.readouterr().out)
+    for a, b, line in (
+        (old, old, None),
+        (old, new, f"stage2_max_reducer_input: None -> {new['stage2_max_reducer_input']}"),
+        (new, new, f"stage2_replication: {new['stage2_replication']} -> "
+                   f"{new['stage2_replication']}"),
+    ):
+        assert main(["runs", "diff", a["id"], b["id"], "--runs-dir", directory]) == 0
+        text = capsys.readouterr().out
+        assert (line in text) if line else ("stage2_" not in text)
+
+
 # ---------------------------------------------------------------------------
 # regression checker
 # ---------------------------------------------------------------------------
