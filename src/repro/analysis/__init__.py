@@ -1,21 +1,21 @@
 """Static and dynamic verification of the MapReduce contract.
 
 :mod:`repro.analysis.mrlint`
-    AST-based linter enforcing the MR contract (deterministic, pure,
-    pickle-safe mapper/reducer/kernel code).  ``python -m repro lint``.
-
-:mod:`repro.analysis.mrflow`
-    Whole-program dataflow analyzer for *cross-stage* contracts:
-    interprocedural determinism taint, emit-shape vs reducer/partitioner
-    agreement, counter-name registry, task-memory release.
-    ``python -m repro flow``.
+    The static analyzer, ``python -m repro lint``: one load of the
+    source tree, one rule table — deterministic, pure, fork-safe
+    mapper/reducer/kernel code (through the call graph too), emit-shape
+    vs reducer/partitioner agreement, counter-name registry,
+    task-memory release.
 
 :mod:`repro.analysis.common`
-    Shared AST infrastructure (discovery, import bindings, inline
-    ``# mrlint: disable=...`` suppressions) used by both analyzers.
+    Its AST infrastructure: function discovery, import bindings, inline
+    ``# mrlint: disable=...`` suppressions, the program model.
+
+:mod:`repro.analysis.counter_names`
+    The generated counter-name registry rule MR104 checks against.
 
 :mod:`repro.analysis.reporting`
-    text/json/SARIF rendering and the committed-baseline mechanism.
+    text/json/SARIF rendering of findings.
 
 :mod:`repro.analysis.sanitize`
     Runtime sanitizer mode (``JoinConfig.sanitize`` /
@@ -37,22 +37,17 @@ from repro.analysis.sanitize import (
     sanitize_active,
 )
 
-#: the static analyzers are tools, not part of a join
+#: the static analyzer is a tool, not part of a join
 _LAZY = {
     **dict.fromkeys(
-        ("DYNAMIC_COUNTER_PREFIXES", "FLOW_RULES", "analyze_paths",
-         "build_counter_registry", "render_counter_registry"),
-        "repro.analysis.mrflow",
-    ),
-    **dict.fromkeys(
-        ("RULES", "Finding", "lint_file", "lint_paths", "lint_source"),
+        ("DYNAMIC_COUNTER_PREFIXES", "RULES", "Finding", "build_counter_registry",
+         "lint_file", "lint_paths", "lint_source", "render_counter_registry"),
         "repro.analysis.mrlint",
     ),
-    **dict.fromkeys(
-        ("apply_baseline", "load_baseline", "render_findings", "write_baseline"),
-        "repro.analysis.reporting",
-    ),
+    "render_findings": "repro.analysis.reporting",
 }
+
+
 def __getattr__(name: str) -> Any:  # PEP 562: import on first use
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -61,19 +56,14 @@ def __getattr__(name: str) -> Any:  # PEP 562: import on first use
 
 __all__ = [
     "RULES",
-    "FLOW_RULES",
     "DYNAMIC_COUNTER_PREFIXES",
     "Finding",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "analyze_paths",
     "build_counter_registry",
     "render_counter_registry",
-    "apply_baseline",
-    "load_baseline",
     "render_findings",
-    "write_baseline",
     "CHECKS",
     "VIOLATIONS",
     "Sanitizer",

@@ -1,18 +1,15 @@
-"""Shared AST infrastructure for the static analyzers.
+"""AST infrastructure of the MR-contract analyzer.
 
-Both :mod:`repro.analysis.mrlint` (intra-function contract rules,
-MR0xx) and :mod:`repro.analysis.mrflow` (interprocedural dataflow
-rules, MR1xx) need the same foundation: the :class:`Finding` record
-type, MR/kernel function discovery, scope/binding helpers, an
-import-binding pass that resolves aliases (``import time as t``,
-``from random import random as rnd``) to canonical dotted origins, the
-table of nondeterministic stdlib calls, and the inline-suppression
-(``# mrlint: disable=MR003``) machinery.  Keeping them here means the
-two tools cannot drift: a call the linter recognizes as a taint source
-is, by construction, the same call the flow analyzer seeds its
-interprocedural taint with.
+What :mod:`repro.analysis.mrlint` builds its rules on: the
+:class:`Finding` record type, scope/binding helpers, MR/kernel function
+discovery, an import-binding pass that resolves aliases (``import time
+as t``, ``from random import random as rnd``) to canonical dotted
+origins, the inline-suppression (``# mrlint: disable=MR003``)
+machinery, and the program model — every file under the analyzed paths
+read, parsed, function-discovered and pragma-scanned exactly once
+(:func:`load_program`), so every rule looks at the same picture.
 
-Everything in this module is stdlib-:mod:`ast` only — the analyzers
+Everything in this module is stdlib-:mod:`ast` only — the analyzer
 must run in a bare checkout with no third-party dependencies.
 """
 
@@ -24,7 +21,7 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "PARSE_ERROR",
@@ -33,15 +30,18 @@ __all__ = [
     "FunctionInfo",
     "FunctionNode",
     "ImportBindings",
+    "Module",
+    "Program",
     "Suppressions",
     "apply_suppressions",
+    "assigned_locals",
     "discover_functions",
     "iter_py_files",
+    "load_program",
     "local_bindings",
     "module_bindings",
     "module_constants",
-    "module_imports",
-    "nondet_reason",
+    "read_sources",
     "root_name",
     "shallow_nodes",
     "target_names",
@@ -77,10 +77,10 @@ class Finding:
 FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef
 
 
-def shallow_nodes(fn: FunctionNode) -> Iterator[ast.AST]:
-    """Every node of *fn*'s body, excluding nested function/class bodies
+def shallow_nodes(scope: FunctionNode | ast.Module) -> Iterator[ast.AST]:
+    """Every node of *scope*'s body, excluding nested function/class bodies
     (those have their own scopes and, where relevant, their own checks)."""
-    stack: list[ast.AST] = list(fn.body)
+    stack: list[ast.AST] = list(scope.body)
     while stack:
         node = stack.pop()
         yield node
@@ -129,17 +129,6 @@ def module_bindings(tree: ast.Module) -> set[str]:
             for item in node.items:
                 if item.optional_vars is not None:
                     names.update(target_names(item.optional_vars))
-    return names
-
-
-def module_imports(tree: ast.Module) -> set[str]:
-    """Top-level module names bound by imports (``import random`` ->
-    ``random``; ``import os.path`` -> ``os``)."""
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                names.add((alias.asname or alias.name).split(".")[0])
     return names
 
 
@@ -202,21 +191,6 @@ def local_bindings(fn: FunctionNode) -> set[str]:
         elif isinstance(node, (ast.Global, ast.Nonlocal)):
             declared_global.update(node.names)
     return names - declared_global
-
-
-def set_expr(node: ast.expr, set_names: set[str]) -> bool:
-    """Whether *node* provably evaluates to a set/frozenset."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in ("set", "frozenset")
-    if isinstance(node, ast.Name):
-        return node.id in set_names
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.BitAnd, ast.BitOr, ast.BitXor, ast.Sub)
-    ):
-        return set_expr(node.left, set_names) or set_expr(node.right, set_names)
-    return False
 
 
 def assigned_locals(fn: FunctionNode) -> set[str]:
@@ -420,50 +394,6 @@ class ImportBindings:
 
 
 # ---------------------------------------------------------------------------
-# nondeterminism seed table (shared by mrlint MR003 and mrflow MR101)
-# ---------------------------------------------------------------------------
-
-#: time-module attributes whose value depends on the wall clock
-CLOCK_ATTRS = frozenset(
-    {
-        "time",
-        "time_ns",
-        "monotonic",
-        "monotonic_ns",
-        "perf_counter",
-        "perf_counter_ns",
-    }
-)
-
-
-def nondet_reason(dotted: str) -> str | None:
-    """Describe why a call to the canonical dotted name *dotted* is
-    nondeterministic, or ``None`` if it is not a known source.
-
-    ``random.Random`` is the sanctioned (seedable) form and is excluded;
-    everything else reaching the process-global RNG, the wall clock, or
-    an entropy source is a taint seed.
-    """
-    parts = dotted.split(".")
-    if len(parts) < 2:
-        return None
-    top, leaf = parts[0], parts[-1]
-    if top == "random" and len(parts) == 2 and leaf != "Random":
-        return f"random.{leaf}() (process-global, unseeded RNG)"
-    if top == "time" and len(parts) == 2 and leaf in CLOCK_ATTRS:
-        return f"time.{leaf}() (wall clock)"
-    if top == "os" and len(parts) == 2 and leaf == "urandom":
-        return "os.urandom() (entropy source)"
-    if top == "uuid" and len(parts) == 2 and leaf in ("uuid1", "uuid4"):
-        return f"uuid.{leaf}() (random identifier)"
-    if top == "datetime" and leaf in ("now", "utcnow", "today"):
-        return f"datetime …{leaf}() (wall clock)"
-    if top == "secrets":
-        return f"secrets.{leaf}() (entropy source)"
-    return None
-
-
-# ---------------------------------------------------------------------------
 # inline suppressions
 # ---------------------------------------------------------------------------
 
@@ -500,27 +430,13 @@ class Suppressions:
                 by_line[token.start[0]] = names
         return cls(by_line)
 
-    def matches(self, finding: Finding) -> bool:
-        names = self.by_line.get(finding.line)
-        return names is not None and ("all" in names or finding.rule in names)
-
 
 def apply_suppressions(
-    findings: list[Finding],
-    suppressions: Suppressions,
-    path: str,
-    owns: Callable[[str], bool],
+    findings: list[Finding], suppressions: Suppressions, path: str
 ) -> list[Finding]:
     """Drop findings silenced by an inline pragma on their line; add an
     :data:`SUPPRESS_RULE` finding for every pragma name that silenced
-    nothing.
-
-    *owns* decides which pragma names this tool is responsible for
-    warning about — mrlint owns the MR0xx names (and everything that is
-    not an MR1xx name), mrflow owns MR1xx — so ``lint`` and ``flow``
-    can run independently without each reporting the other's pragmas as
-    unused.
-    """
+    nothing."""
     kept: list[Finding] = []
     used: set[tuple[int, str]] = set()
     for finding in findings:
@@ -534,7 +450,7 @@ def apply_suppressions(
             used.add((finding.line, "all"))
     for lineno in sorted(suppressions.by_line):
         for name in suppressions.by_line[lineno]:
-            if (lineno, name) in used or not owns(name):
+            if (lineno, name) in used:
                 continue
             kept.append(
                 Finding(
@@ -551,7 +467,7 @@ def apply_suppressions(
 
 
 # ---------------------------------------------------------------------------
-# file iteration
+# program model
 # ---------------------------------------------------------------------------
 
 
@@ -567,4 +483,111 @@ def iter_py_files(paths: Iterable[str]) -> Iterator[str]:
                     if filename.endswith(".py"):
                         yield os.path.join(dirpath, filename)
         else:
-            yield path
+            yield os.fspath(path)
+
+
+def read_sources(paths: Iterable[str]) -> Iterator[tuple[str, str]]:
+    """``(path, source text)`` of every file :func:`iter_py_files` finds
+    under *paths*, each file once however many of *paths* reach it."""
+    seen: set[str] = set()
+    for filename in iter_py_files(paths):
+        normalized = os.path.normpath(filename)
+        if normalized in seen:
+            continue
+        seen.add(normalized)
+        with open(filename, "r", encoding="utf-8") as handle:
+            yield filename, handle.read()
+
+
+@dataclass
+class Module:
+    """One parsed source file and everything the rules ask of it."""
+
+    path: str
+    name: str
+    tree: ast.Module
+    bindings: ImportBindings
+    functions: dict[str, FunctionInfo]  # by qualname
+    constants: dict[str, str]
+    suppressions: Suppressions
+
+
+@dataclass
+class Program:
+    """The analyzed modules, indexed for cross-module resolution.
+    Function ids are ``<module name>::<qualname>``."""
+
+    modules: list[Module]
+    by_name: dict[str, Module]
+    functions: dict[str, tuple[Module, FunctionInfo]]
+    #: method name -> ids of the functions defining it in some class
+    method_index: dict[str, list[str]]
+    parse_failures: list[Finding]
+
+
+def _module_name(path: str) -> str:
+    """Dotted module name of *path*: components after the last ``src``
+    directory when present (``src/repro/join/stage2.py`` ->
+    ``repro.join.stage2``), otherwise the bare stem — so sibling
+    fixture files resolve each other by stem."""
+    normalized = os.path.normpath(path)
+    parts = [p for p in normalized.split(os.sep) if p not in (".", "", os.curdir)]
+    if parts and parts[-1].endswith(".py"):
+        parts[-1] = parts[-1][:-3]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    if "src" in parts:
+        anchor = len(parts) - 1 - parts[::-1].index("src")
+        tail = parts[anchor + 1 :]
+        if tail:
+            return ".".join(tail)
+    return parts[-1] if parts else "<module>"
+
+
+def load_program(files: Iterable[tuple[str, str]]) -> Program:
+    """Build the program model from ``(path, source text)`` pairs: each
+    file is parsed, function-discovered and pragma-scanned here, once;
+    a file that does not parse becomes a :data:`PARSE_ERROR` finding."""
+    modules: list[Module] = []
+    by_name: dict[str, Module] = {}
+    failures: list[Finding] = []
+    for path, source in files:
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            failures.append(
+                Finding(
+                    PARSE_ERROR,
+                    path,
+                    exc.lineno or 1,
+                    (exc.offset or 1) - 1,
+                    "",
+                    f"syntax error: {exc.msg}",
+                )
+            )
+            continue
+        name = _module_name(path)
+        if name in by_name:
+            # the same stem twice outside a src/ tree: function ids must
+            # stay unique, so imports just do not resolve to this one
+            name = path
+        by_name[name] = Module(
+            path=path,
+            name=name,
+            tree=tree,
+            bindings=ImportBindings.collect(tree, module_name=name),
+            functions={fn.qualname: fn for fn in discover_functions(tree)},
+            constants=module_constants(tree),
+            suppressions=Suppressions.parse(source),
+        )
+        modules.append(by_name[name])
+    functions: dict[str, tuple[Module, FunctionInfo]] = {}
+    method_index: dict[str, list[str]] = {}
+    for mod in modules:
+        for qualname, info in mod.functions.items():
+            fid = f"{mod.name}::{qualname}"
+            functions[fid] = (mod, info)
+            leaf = qualname.rsplit(".", 1)[-1]
+            if info.in_class and not leaf.startswith("__"):
+                method_index.setdefault(leaf, []).append(fid)
+    return Program(modules, by_name, functions, method_index, failures)

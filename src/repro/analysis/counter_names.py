@@ -1,6 +1,6 @@
 """Generated registry of known counter/metric names.
 
-Regenerate with ``python -m repro flow src/ --write-counter-registry``
+Regenerate with ``python -m repro lint src/ --write-counter-registry``
 after adding a counter; CI asserts this file matches the source tree
 (``--check-registry``), so a typo'd counter name at an increment site
 shows up either as an MR104 finding or as a registry diff a reviewer

@@ -1,35 +1,43 @@
-"""mrlint — AST-based static analyzer for the MapReduce contract.
+"""mrlint — static analyzer for the MapReduce contract.
 
 The correctness of the pipeline rests on invariants the runtime never
 checks: mappers and reducers must be pure with respect to module state
 (tasks re-run and re-order freely), nothing order-nondeterministic may
 flow into ``emit()`` (partition contents must be byte-identical across
-the sequential engine and the fork executors), kernel code must be
-deterministic (no unseeded randomness, no wall-clock reads), closures
-shipped to fork workers must not capture unpicklable handles, and the
-Stage-2 composite keys must keep their ``(group, length, ...)`` shape
-— the length component is what lets the PK kernel evict index entries
-(Section 3.2.2) and the R-S kernel stream R before S (Section 4).
+the sequential engine and the pooled one), kernel code must be
+deterministic (no unseeded randomness, no wall-clock reads), closures must
+not capture handles or locks that ``fork`` would duplicate into every
+pool worker, and the contracts *between* stages must hold: emit shapes
+against reducer destructuring and key selectors — the Stage-2
+composite keys keep their ``(group, length, ...)`` shape because the
+length component is what lets the PK kernel evict index entries
+(Section 3.2.2) and the R-S kernel stream R before S (Section 4) —
+counter names against the generated registry, and charged task memory
+against its release.
 
-``mrlint`` discovers every mapper/reducer/combiner and kernel function
-in a source tree (stdlib :mod:`ast` only, no third-party dependency)
+``mrlint`` loads a source tree once (every file read, parsed,
+function-discovered and pragma-scanned one time — stdlib :mod:`ast`
+only, no third-party dependency), builds a module-level call graph,
 and enforces those invariants mechanically:
 
 =======  ==============================================================
 rule     violation
 =======  ==============================================================
+MR000    file does not parse (pseudo-rule)
 MR001    MR function mutates module-level state (stateful mapper)
-MR002    iteration over a ``set``/``frozenset`` in a function that
-         feeds ``emit()``/``write()``/returned pairs (unordered
+MR002    iteration over a ``set``/``frozenset`` in an MR/kernel function
+         that feeds ``emit()``/``write()``/returned pairs (unordered
          iteration breaks byte-identical output; wrap in ``sorted()``)
 MR003    unseeded randomness or wall-clock read in MR/kernel code
          (``random.*`` module functions, ``time.time``, ``os.urandom``,
          ``uuid.uuid4``, ``datetime.now``; ``random.Random(seed)`` is
          the sanctioned form) — import aliases (``import time as t``,
          ``from random import random as rnd``) are resolved
-MR004    MR closure captures an unpicklable object (open file handle,
-         ``threading``/``multiprocessing`` primitive, socket) — unsafe
-         to ship to fork/pickle workers
+MR004    MR closure captures a file handle, a ``threading``/
+         ``multiprocessing`` primitive or a socket — jobs reach pool
+         workers by ``fork`` (nothing pickles a closure), which
+         duplicates the object into every worker: handles share one
+         file offset, locks are copied in whatever state they were in
 MR005    Stage-2 ``emit()`` key is not an inline composite tuple of at
          least two components (``(group, length, ...)`` shape)
 MR006    MR function declares a mutable default argument (hidden
@@ -40,14 +48,56 @@ MR007    silent exception swallowing in MR/kernel code (bare
          corrupting output silently
 MR009    unused ``# mrlint: disable=...`` suppression pragma (the
          pragma silenced nothing on its line; remove it)
+MR101    an MR002/MR003 source reaches a mapper/reducer/kernel sink
+         *through the call graph* — it sits in a helper one or more
+         calls away; the message names the whole chain
+MR102    a reducer destructures its value stream into a tuple arity no
+         mapper in the module ever emits (``for a, b, c in values``
+         against 4-tuple emits) — records would unpack-error or,
+         worse, silently bind shifted fields
+MR103    a ``partition``/``partitioner``/``sort_key``/``group_key``
+         selector (or a reducer's ``key[i]``) indexes beyond every
+         emitted key arity, or a ``shard_partition`` job's Stage-2
+         keys lost the ``(route, shard, length, relation)`` components
+         the PK eviction / R-S streaming order depends on
+MR104    a counter/metric name at an ``increment``/``observe``/
+         ``counters[...]`` site is not in the generated registry
+         (:mod:`repro.analysis.counter_names`) — a typo'd name merges
+         into nothing and the counter silently reads zero
+MR106    simulated task memory charged via ``reserve_memory_for`` (the
+         charged byte count captured into a variable) is not
+         ``release_memory``-ed on every exception edge — an exception
+         mid-group leaves the byte meter inflated, so every later
+         reservation in the task sees a phantom budget deficit
 =======  ==============================================================
+
+What is nondeterministic is decided in one place
+(:func:`_nondet_sources`); only the number of calls between the source
+and the sink picks the id — none: MR002/MR003, one or more: MR101.
+Two things are sanctioned, at every distance alike.  Set iteration
+consumed directly by ``sorted()``/``min()``/``max()``/``sum()``/
+``len()`` cannot leak its order.  Monotonic timers
+(``time.perf_counter``, ``time.monotonic``) carry no epoch and can
+only measure elapsed time, which is what the runtime under every
+whole-join entry point does (task CPU for the cost model, tracer
+spans, stage wall seconds); the analyzer cannot tell a measurement
+that feeds a report from one that feeds ``emit()``, so it leaves the
+second to the engine-differential tests (DESIGN.md §5c).
+
+Shapes use a constant-arity tuple abstraction: emit keys/values are
+tracked as sets of possible tuple arities through local assignments,
+tuple concatenation (``(step, role) + value``) and constant slices
+(``value[1:]``), which covers every composite-key shape the Stage-2
+planners emit — including the split-mode ``(route, shard, length,
+relation)`` keys added by hot-group splitting.  Whenever any emit
+shape in a module is not statically known, the shape rules stand down
+for that module rather than guess (documented approximation; see
+DESIGN.md).
 
 A finding can be silenced in place with a trailing comment on the
 flagged line — ``# mrlint: disable=MR003`` (several rules
-comma-separated, or ``disable=all``).  Both mrlint and the
-interprocedural analyzer (:mod:`repro.analysis.mrflow`, rules MR1xx)
-honor the same pragma; each tool warns (MR009) about pragma names it
-owns that silenced nothing.
+comma-separated, or ``disable=all``); a pragma name that silenced
+nothing on its line is itself a finding (MR009).
 
 Function discovery is structural, not configured:
 
@@ -57,7 +107,8 @@ Function discovery is structural, not configured:
 * any function passed as a ``mapper=``/``reducer=``/``combiner=``/
   ``*_setup=``/``*_teardown=`` keyword to a ``*Job(...)`` constructor;
 * kernel code: methods of classes whose name ends in ``Index`` and
-  functions ending in ``_join`` or ``_verify`` (MR002/MR003 only).
+  functions ending in ``_join`` or ``_verify`` (the determinism rules
+  and MR007 only).
 
 Run it as ``python -m repro lint src/`` (exit status 1 on findings) or
 programmatically via :func:`lint_paths`.
@@ -67,39 +118,59 @@ from __future__ import annotations
 
 import ast
 import os
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.analysis.common import (
-    PARSE_ERROR,
     Finding,
     FunctionInfo,
     ImportBindings,
-    Suppressions,
+    Module,
+    Program,
     apply_suppressions,
-    discover_functions,
-    iter_py_files,
+    assigned_locals,
+    load_program,
     local_bindings,
     module_bindings,
-    nondet_reason,
+    read_sources,
     root_name,
-    set_expr,
     shallow_nodes,
     target_names,
 )
+from repro.analysis.counter_names import KNOWN_COUNTER_NAMES
 
-__all__ = ["RULES", "Finding", "lint_source", "lint_file", "lint_paths"]
+__all__ = [
+    "DYNAMIC_COUNTER_PREFIXES",
+    "RULES",
+    "Finding",
+    "build_counter_registry",
+    "lint_file",
+    "lint_paths",
+    "lint_source",
+    "render_counter_registry",
+]
 
 #: rule id -> one-line description (stable, documented in docs/API.md)
 RULES: dict[str, str] = {
+    "MR000": "file does not parse",
     "MR001": "MR function mutates module-level state",
     "MR002": "set iteration on a path that feeds emit()/returned pairs",
     "MR003": "unseeded randomness or wall-clock read in MR/kernel code",
-    "MR004": "MR closure captures an unpicklable object (handle/lock/pool)",
+    "MR004": "MR closure captures a handle/lock/pool that fork duplicates into every worker",
     "MR005": "Stage-2 emit key is not a composite (group, length, ...) tuple",
     "MR006": "MR function declares a mutable default argument",
     "MR007": "MR/kernel code silently swallows exceptions (defeats retry layer)",
     "MR009": "unused mrlint suppression pragma (silenced nothing on its line)",
+    "MR101": "nondeterminism reaches an MR/kernel sink through the call graph",
+    "MR102": "reducer destructures a value-tuple arity no mapper emits",
+    "MR103": "key selector indexes beyond every emitted key shape (or split key lost its components)",
+    "MR104": "counter/metric name not in the generated registry",
+    "MR106": "charged task memory not released on every exception edge",
 }
+
+#: counter-name families built dynamically at runtime (f-strings); names
+#: under these prefixes are exempt from the registry check
+DYNAMIC_COUNTER_PREFIXES: tuple[str, ...] = ("hist.", "sanitize.false_negative.")
 
 #: methods whose call mutates the receiver in place
 _MUTATORS = frozenset(
@@ -122,9 +193,9 @@ _MUTATORS = frozenset(
     }
 )
 
-#: call roots that construct objects unsafe to pickle / ship to workers
-_UNPICKLABLE_ROOTS = frozenset({"threading", "multiprocessing", "socket"})
-_UNPICKLABLE_NAMES = frozenset(
+#: call roots that construct objects a forked worker must not share
+_FORK_UNSAFE_ROOTS = frozenset({"threading", "multiprocessing", "socket"})
+_FORK_UNSAFE_NAMES = frozenset(
     {
         "open",
         "Lock",
@@ -142,9 +213,28 @@ _UNPICKLABLE_NAMES = frozenset(
     }
 )
 
+#: method names too generic to resolve by uniqueness — they collide with
+#: builtin container/str/IO methods on receivers the analyzer cannot type
+_COMMON_METHOD_NAMES = frozenset(
+    {
+        "add", "append", "acquire", "cast", "clear", "close", "copy", "count",
+        "decode", "discard", "dumps", "encode", "endswith", "extend", "find",
+        "flush", "format", "frombytes", "get", "imap", "index", "insert",
+        "items", "join", "keys", "loads", "lower", "map", "next", "open",
+        "pop", "popitem", "put", "read", "readline", "readlines", "recv",
+        "release", "remove", "replace", "reverse", "rfind", "rsplit",
+        "rstrip", "seek", "send", "setdefault", "sort", "split", "startswith",
+        "strip", "submit", "tell", "tobytes", "update", "upper", "values",
+        "write", "writelines",
+    }
+)
+
+_SELECTOR_KWARGS = ("partition", "partitioner", "sort_key", "group_key")
+_PARTITION_HELPERS = ("shard_partition", "hash_partition")
+
 
 # ---------------------------------------------------------------------------
-# rule checks
+# MR001, MR004-MR007: per-function rules
 # ---------------------------------------------------------------------------
 
 
@@ -206,129 +296,44 @@ def _check_mr001(
                     fire(node, root, f"calls .{node.func.attr}() on")
 
 
-_set_expr = set_expr
-
-
-def _check_mr002(fn: FunctionInfo, emit: list[Finding], path: str) -> None:
-    """Iteration over a set in a function that emits/returns data."""
-    feeds_output = False
-    for node in shallow_nodes(fn.node):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in ("emit", "write"):
-                feeds_output = True
-        elif isinstance(node, ast.Return) and node.value is not None:
-            feeds_output = True
-        elif isinstance(node, (ast.Yield, ast.YieldFrom)):
-            feeds_output = True
-    if not feeds_output:
-        return
-
-    set_names: set[str] = set()
-    for node in shallow_nodes(fn.node):
-        if isinstance(node, ast.Assign) and _set_expr(node.value, set_names):
-            for target in node.targets:
-                set_names.update(target_names(target))
-
-    def fire(node: ast.AST, what: str) -> None:
-        emit.append(
-            Finding(
-                "MR002",
-                path,
-                getattr(node, "lineno", fn.node.lineno),
-                getattr(node, "col_offset", 0),
-                fn.qualname,
-                f"iterates over {what} — set order is not deterministic "
-                "across processes; wrap the iterable in sorted()",
-            )
-        )
-
-    for node in shallow_nodes(fn.node):
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            if _set_expr(node.iter, set_names):
-                fire(node, "a set")
-        elif isinstance(node, ast.comprehension):
-            if _set_expr(node.iter, set_names):
-                fire(node.iter, "a set (comprehension)")
-
-
-def _check_mr003(
-    fn: FunctionInfo,
-    bindings: ImportBindings,
-    local_names: set[str],
-    emit: list[Finding],
-    path: str,
-) -> None:
-    """Unseeded randomness / wall-clock reads in MR or kernel code.
-
-    Calls are resolved through the import-binding pass, so aliases
-    (``import time as t; t.time()``) and from-imports (``from random
-    import random as rnd; rnd()``) are caught under their canonical
-    dotted names.
-    """
-    for node in shallow_nodes(fn.node):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        root = func.id if isinstance(func, ast.Name) else root_name(func)
-        if root is None or root in local_names:
-            continue
-        dotted = bindings.resolve(func)
-        if dotted is None:
-            continue
-        what = nondet_reason(dotted)
-        if what is None:
-            continue
-        emit.append(
-            Finding(
-                "MR003",
-                path,
-                node.lineno,
-                node.col_offset,
-                fn.qualname,
-                f"calls {what} — kernel/MR code must be deterministic; "
-                "use random.Random(seed) or pass values in",
-            )
-        )
-
-
-def _unpicklable_call(node: ast.expr, bindings: ImportBindings) -> str | None:
-    """Describe *node* if it constructs an unpicklable object."""
+def _fork_unsafe_call(node: ast.expr, bindings: ImportBindings) -> str | None:
+    """Describe *node* if it constructs a handle, lock, pool or socket."""
     if not isinstance(node, ast.Call):
         return None
     func = node.func
     dotted = bindings.resolve(func)
     if dotted is not None:
         parts = dotted.split(".")
-        if parts[0] in _UNPICKLABLE_ROOTS or (
-            len(parts) > 1 and parts[-1] in _UNPICKLABLE_NAMES
+        if parts[0] in _FORK_UNSAFE_ROOTS or (
+            len(parts) > 1 and parts[-1] in _FORK_UNSAFE_NAMES
         ):
             return f"{dotted}(...)"
-    if isinstance(func, ast.Name) and func.id in _UNPICKLABLE_NAMES:
+    if isinstance(func, ast.Name) and func.id in _FORK_UNSAFE_NAMES:
         return f"{func.id}(...)"
     if isinstance(func, ast.Attribute):
         root = root_name(func.value)
-        if root in _UNPICKLABLE_ROOTS or (
-            root is not None and func.attr in _UNPICKLABLE_NAMES
+        if root in _FORK_UNSAFE_ROOTS or (
+            root is not None and func.attr in _FORK_UNSAFE_NAMES
         ):
             return f"{root}.{func.attr}(...)"
     return None
 
 
-def _scope_unpicklable_bindings(
+def _scope_fork_unsafe_bindings(
     nodes: Iterable[ast.AST], bindings: ImportBindings
 ) -> dict[str, str]:
-    """Names bound to unpicklable constructions within *nodes*."""
+    """Names bound to fork-unsafe constructions within *nodes*."""
     found: dict[str, str] = {}
     for node in nodes:
         if isinstance(node, ast.Assign):
-            what = _unpicklable_call(node.value, bindings)
+            what = _fork_unsafe_call(node.value, bindings)
             if what is not None:
                 for target in node.targets:
                     for name in target_names(target):
                         found[name] = what
         elif isinstance(node, (ast.With, ast.AsyncWith)):
             for item in node.items:
-                what = _unpicklable_call(item.context_expr, bindings)
+                what = _fork_unsafe_call(item.context_expr, bindings)
                 if what is not None and item.optional_vars is not None:
                     for name in target_names(item.optional_vars):
                         found[name] = what
@@ -337,19 +342,22 @@ def _scope_unpicklable_bindings(
 
 def _check_mr004(
     fn: FunctionInfo,
-    tree: ast.Module,
-    bindings: ImportBindings,
+    mod: Module,
     local_names: set[str],
     emit: list[Finding],
-    path: str,
 ) -> None:
-    """Closure capture of unpicklable objects in MR functions."""
+    """Closure capture of handles/locks/pools in MR functions.
+
+    Jobs are handed to pool workers through the fork-inherited job
+    registry (``executor._W_JOBS``): a closure is never pickled, it is
+    duplicated, and so is everything it captured.
+    """
     outer: dict[str, str] = {}
     # module scope first, then enclosing functions innermost-last so the
     # nearest binding wins
-    outer.update(_scope_unpicklable_bindings(tree.body, bindings))
+    outer.update(_scope_fork_unsafe_bindings(mod.tree.body, mod.bindings))
     for enclosing in fn.enclosing:
-        outer.update(_scope_unpicklable_bindings(shallow_nodes(enclosing), bindings))
+        outer.update(_scope_fork_unsafe_bindings(shallow_nodes(enclosing), mod.bindings))
     if not outer:
         return
     flagged: set[str] = set()
@@ -363,12 +371,14 @@ def _check_mr004(
         emit.append(
             Finding(
                 "MR004",
-                path,
+                mod.path,
                 node.lineno,
                 node.col_offset,
                 fn.qualname,
-                f"captures {name!r} bound to {outer[name]} — file handles, "
-                "locks and pools cannot be shipped to fork/pickle workers",
+                f"captures {name!r} bound to {outer[name]} — fork duplicates "
+                "file handles, locks and pools into every pool worker "
+                "(shared file offsets, locks copied in whatever state they "
+                "were in)",
             )
         )
 
@@ -477,78 +487,954 @@ def _check_mr007(fn: FunctionInfo, emit: list[Finding], path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# MR002, MR003, MR101: nondeterminism — one seed, the hop count picks the id
+# ---------------------------------------------------------------------------
+
+#: time-module attributes that read the wall clock.  The monotonic
+#: timers (perf_counter, monotonic, process_time) are deliberately not
+#: here — see the module docstring for the one policy
+CLOCK_ATTRS = frozenset({"time", "time_ns"})
+
+#: builtins whose result does not depend on the order of the iterable
+#: they consume — a set iterated straight into one cannot leak its order
+_ORDER_INSENSITIVE = frozenset({"sorted", "min", "max", "sum", "len"})
+
+
+def nondet_reason(dotted: str) -> str | None:
+    """Describe why a call to the canonical dotted name *dotted* is
+    nondeterministic, or ``None`` if it is not a known source.
+
+    ``random.Random`` is the sanctioned (seedable) form and is excluded;
+    everything else reaching the process-global RNG, the wall clock, or
+    an entropy source is a taint seed.
+    """
+    parts = dotted.split(".")
+    if len(parts) < 2:
+        return None
+    top, leaf = parts[0], parts[-1]
+    if top == "random" and len(parts) == 2 and leaf != "Random":
+        return f"random.{leaf}() (process-global, unseeded RNG)"
+    if top == "time" and len(parts) == 2 and leaf in CLOCK_ATTRS:
+        return f"time.{leaf}() (wall clock)"
+    if top == "os" and len(parts) == 2 and leaf == "urandom":
+        return "os.urandom() (entropy source)"
+    if top == "uuid" and len(parts) == 2 and leaf in ("uuid1", "uuid4"):
+        return f"uuid.{leaf}() (random identifier)"
+    if top == "datetime" and leaf in ("now", "utcnow", "today"):
+        return f"datetime …{leaf}() (wall clock)"
+    if top == "secrets":
+        return f"secrets.{leaf}() (entropy source)"
+    return None
+
+
+def _set_expr(node: ast.expr, set_names: set[str]) -> bool:
+    """Whether *node* provably evaluates to a set/frozenset."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id in ("set", "frozenset")
+    if isinstance(node, ast.Name):
+        return node.id in set_names
+    if isinstance(node, ast.BinOp) and isinstance(
+        node.op, (ast.BitAnd, ast.BitOr, ast.BitXor, ast.Sub)
+    ):
+        return _set_expr(node.left, set_names) or _set_expr(node.right, set_names)
+    return False
+
+
+@dataclass(frozen=True)
+class _Source:
+    """One nondeterminism source inside a function body."""
+
+    line: int
+    col: int
+    rule: str  # what it is called in the function it sits in: MR002 / MR003
+    what: str
+
+
+def _nondet_sources(mod: Module, fn: FunctionInfo) -> list[_Source]:
+    """Every nondeterminism source in *fn*'s own body, in source order:
+    calls that resolve (through the import bindings, so aliases count)
+    to a :func:`nondet_reason` name, and — when the function feeds
+    output (emits/writes/returns/yields) — iteration over a set that
+    no :data:`_ORDER_INSENSITIVE` builtin consumes directly."""
+    sources: list[_Source] = []
+    local_names = local_bindings(fn.node)
+    feeds_output = False
+    set_names: set[str] = set()
+    order_free: set[ast.comprehension] = set()
+    for node in shallow_nodes(fn.node):
+        if isinstance(node, ast.Call):
+            func = node.func
+            root = func.id if isinstance(func, ast.Name) else root_name(func)
+            if root is not None and root not in local_names:
+                dotted = mod.bindings.resolve(func)
+                what = nondet_reason(dotted) if dotted is not None else None
+                if what is not None:
+                    sources.append(_Source(node.lineno, node.col_offset, "MR003", what))
+            if isinstance(func, ast.Attribute) and func.attr in ("emit", "write"):
+                feeds_output = True
+            elif isinstance(func, ast.Name) and func.id in _ORDER_INSENSITIVE:
+                for arg in node.args:
+                    order_free.update(getattr(arg, "generators", ()))
+        elif isinstance(node, ast.Return) and node.value is not None:
+            feeds_output = True
+        elif isinstance(node, (ast.Yield, ast.YieldFrom)):
+            feeds_output = True
+        elif isinstance(node, ast.Assign) and _set_expr(node.value, set_names):
+            for target in node.targets:
+                set_names.update(target_names(target))
+    if feeds_output:
+        for node in shallow_nodes(fn.node):
+            if isinstance(node, (ast.For, ast.AsyncFor)):
+                if _set_expr(node.iter, set_names):
+                    sources.append(_Source(node.lineno, node.col_offset, "MR002", "a set"))
+            elif isinstance(node, ast.comprehension) and node not in order_free:
+                if _set_expr(node.iter, set_names):
+                    sources.append(
+                        _Source(
+                            node.iter.lineno,
+                            node.iter.col_offset,
+                            "MR002",
+                            "a set (comprehension)",
+                        )
+                    )
+    sources.sort(key=lambda s: (s.line, s.col))
+    return sources
+
+
+@dataclass(frozen=True)
+class _CallSite:
+    callee: str
+    line: int
+    col: int
+
+
+def _resolve_dotted(dotted: str, program: Program) -> str | None:
+    """Map a dotted origin (``repro.join.stage2.project_record``) onto a
+    function of an analyzed module, trying the longest module prefix."""
+    parts = dotted.split(".")
+    for split in range(len(parts) - 1, 0, -1):
+        module_name = ".".join(parts[:split])
+        mod = program.by_name.get(module_name)
+        if mod is None:
+            continue
+        qualname = ".".join(parts[split:])
+        if qualname in mod.functions:
+            return f"{mod.name}::{qualname}"
+        return None
+    return None
+
+
+def _resolve_call(
+    call: ast.Call, mod: Module, fn: FunctionInfo, program: Program, shadowed: set[str]
+) -> str | None:
+    """The analyzed function a call statically resolves to, if any."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        name = func.id
+        if name in shadowed:
+            return None
+        qual_parts = fn.qualname.split(".")
+        for depth in range(len(qual_parts), -1, -1):
+            candidate = ".".join([*qual_parts[:depth], name])
+            if candidate in mod.functions:
+                return f"{mod.name}::{candidate}"
+        origin = mod.bindings.members.get(name)
+        if origin is not None:
+            return _resolve_dotted(origin, program)
+        return None
+    if isinstance(func, ast.Attribute):
+        dotted = mod.bindings.resolve(func)
+        if dotted is not None:
+            return _resolve_dotted(dotted, program)
+        attr = func.attr
+        if isinstance(func.value, ast.Name) and func.value.id in ("self", "cls"):
+            qual_parts = fn.qualname.split(".")
+            for depth in range(len(qual_parts) - 1, 0, -1):
+                candidate = ".".join([*qual_parts[:depth], attr])
+                owner = mod.functions.get(candidate)
+                if owner is not None and owner.in_class:
+                    return f"{mod.name}::{candidate}"
+            return None
+        if attr in _COMMON_METHOD_NAMES or attr.startswith("__"):
+            return None
+        owners = program.method_index.get(attr, [])
+        if len(owners) == 1:
+            return owners[0]
+    return None
+
+
+def _call_graph(program: Program) -> dict[str, list[_CallSite]]:
+    edges: dict[str, list[_CallSite]] = {}
+    for fid in sorted(program.functions):
+        mod, fn = program.functions[fid]
+        shadowed = assigned_locals(fn.node)
+        sites: list[_CallSite] = []
+        seen: set[str] = set()
+        for node in sorted(
+            (n for n in shallow_nodes(fn.node) if isinstance(n, ast.Call)),
+            key=lambda n: (n.lineno, n.col_offset),
+        ):
+            callee = _resolve_call(node, mod, fn, program, shadowed)
+            if callee is None or callee == fid or callee in seen:
+                continue
+            seen.add(callee)
+            sites.append(_CallSite(callee, node.lineno, node.col_offset))
+        edges[fid] = sites
+    return edges
+
+
+@dataclass(frozen=True)
+class _Taint:
+    sources: list[_Source]  # in the function at the end of the chain
+    chain: tuple[str, ...]  # callee fids from the tainted fn toward the source
+    line: int
+    col: int
+
+
+def _propagate_taint(program: Program) -> dict[str, _Taint]:
+    """Which functions nondeterminism reaches: those holding a source
+    (empty chain), then callers of tainted functions to a fixpoint,
+    each keeping its first (position-sorted) witness chain."""
+    taint: dict[str, _Taint] = {}
+    for fid in sorted(program.functions):
+        sources = _nondet_sources(*program.functions[fid])
+        if sources:
+            taint[fid] = _Taint(sources, (), sources[0].line, sources[0].col)
+    edges = _call_graph(program)
+    changed = True
+    while changed:
+        changed = False
+        for caller in sorted(edges):
+            if caller in taint:
+                continue
+            for site in edges[caller]:
+                callee_taint = taint.get(site.callee)
+                if callee_taint is None:
+                    continue
+                taint[caller] = _Taint(
+                    callee_taint.sources,
+                    (site.callee, *callee_taint.chain),
+                    site.line,
+                    site.col,
+                )
+                changed = True
+                break
+    return taint
+
+
+def _fid_label(fid: str, sink_module: str) -> str:
+    module_name, qualname = fid.split("::", 1)
+    if module_name == sink_module:
+        return qualname
+    return f"{module_name.rsplit('.', 1)[-1]}.{qualname}"
+
+
+def _check_nondeterminism(
+    mod: Module, fn: FunctionInfo, taint: _Taint, emit: list[Finding]
+) -> None:
+    """Report what reaches the MR/kernel sink *fn*: every source in its
+    own body under that source's id, or the first chain into a helper
+    as MR101."""
+    if not taint.chain:
+        for source in taint.sources:
+            if source.rule == "MR002":
+                message = (
+                    f"iterates over {source.what} — set order is not deterministic "
+                    "across processes; wrap the iterable in sorted()"
+                )
+            else:
+                message = (
+                    f"calls {source.what} — kernel/MR code must be deterministic; "
+                    "use random.Random(seed) or pass values in"
+                )
+            emit.append(
+                Finding(source.rule, mod.path, source.line, source.col, fn.qualname, message)
+            )
+        return
+    first = taint.sources[0]
+    reason = (
+        "iterates over a set on an output path (unordered across processes)"
+        if first.rule == "MR002"
+        else f"calls {first.what}"
+    )
+    chain = " -> ".join(
+        [fn.qualname, *(_fid_label(step, mod.name) for step in taint.chain)]
+    )
+    kind = fn.role or ("kernel" if fn.is_kernel else "MR")
+    emit.append(
+        Finding(
+            "MR101",
+            mod.path,
+            taint.line,
+            taint.col,
+            fn.qualname,
+            f"nondeterminism reaches this {kind} sink through the call "
+            f"chain {chain}, which {reason} — every path into "
+            "emit() must be deterministic for byte-identical output",
+        )
+    )
+
+
+# ---------------------------------------------------------------------------
+# MR102/MR103: emit key/value shape contracts
+# ---------------------------------------------------------------------------
+
+
+def _tuple_arity(
+    expr: ast.expr, env: dict[str, frozenset[int] | None]
+) -> frozenset[int] | None:
+    """Possible tuple arities of *expr* under the constant-arity
+    abstraction, or ``None`` when not statically known."""
+    if isinstance(expr, ast.Tuple):
+        if any(isinstance(elt, ast.Starred) for elt in expr.elts):
+            return None
+        return frozenset({len(expr.elts)})
+    if isinstance(expr, ast.Name):
+        return env.get(expr.id)
+    if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add):
+        left = _tuple_arity(expr.left, env)
+        right = _tuple_arity(expr.right, env)
+        if left is None or right is None:
+            return None
+        return frozenset({a + b for a in left for b in right})
+    if isinstance(expr, ast.Subscript) and isinstance(expr.slice, ast.Slice):
+        sl = expr.slice
+        if sl.step is not None:
+            return None
+        base = _tuple_arity(expr.value, env)
+        if base is None:
+            return None
+        if sl.lower is None:
+            lower = 0
+        elif isinstance(sl.lower, ast.Constant) and isinstance(sl.lower.value, int):
+            lower = sl.lower.value
+        else:
+            return None
+        if sl.upper is not None and not (
+            isinstance(sl.upper, ast.Constant) and isinstance(sl.upper.value, int)
+        ):
+            return None
+        arities: set[int] = set()
+        for n in base:
+            lo = lower if lower >= 0 else max(0, n + lower)
+            if sl.upper is None:
+                hi = n
+            else:
+                upper = sl.upper.value  # type: ignore[union-attr]
+                assert isinstance(upper, int)
+                hi = min(n, upper) if upper >= 0 else max(0, n + upper)
+            arities.add(max(0, hi - lo))
+        return frozenset(arities)
+    return None
+
+
+def _arity_env(fn: FunctionInfo) -> dict[str, frozenset[int] | None]:
+    """Name -> possible tuple arities, from assignments in *fn* and its
+    enclosing scopes.  Two fixpoint passes handle forward references
+    between assignments; a name with any unknown assignment is poisoned
+    to ``None``."""
+    assigns: dict[str, list[ast.expr]] = {}
+    for scope in (*fn.enclosing, fn.node):
+        for node in shallow_nodes(scope):
+            if (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+            ):
+                assigns.setdefault(node.targets[0].id, []).append(node.value)
+    env: dict[str, frozenset[int] | None] = {}
+    for _ in range(2):
+        for name in sorted(assigns):
+            arities: set[int] = set()
+            unknown = False
+            for value in assigns[name]:
+                result = _tuple_arity(value, env)
+                if result is None:
+                    unknown = True
+                    break
+                arities.update(result)
+            env[name] = None if unknown else frozenset(arities)
+    return env
+
+
+@dataclass
+class _EmitShapes:
+    key_arities: set[int] = field(default_factory=set)
+    keys_known: bool = True
+    value_arities: set[int] = field(default_factory=set)
+    values_known: bool = True
+    sites: int = 0
+
+
+def _emit_shapes(mod: Module) -> _EmitShapes:
+    """Union of key/value tuple arities over every ``ctx.emit`` site in
+    the module's mapper/combiner functions."""
+    shapes = _EmitShapes()
+    for fn in mod.functions.values():
+        if fn.role not in ("mapper", "combiner"):
+            continue
+        env = _arity_env(fn)
+        for node in shallow_nodes(fn.node):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "emit"
+                and len(node.args) >= 2
+            ):
+                continue
+            shapes.sites += 1
+            key_arity = _tuple_arity(node.args[0], env)
+            if key_arity is None:
+                shapes.keys_known = False
+            else:
+                shapes.key_arities.update(key_arity)
+            value_arity = _tuple_arity(node.args[1], env)
+            if value_arity is None:
+                shapes.values_known = False
+            else:
+                shapes.value_arities.update(value_arity)
+    return shapes
+
+
+def _positional_params(fn: FunctionInfo) -> list[str]:
+    args = fn.node.args
+    return [a.arg for a in (*args.posonlyargs, *args.args)]
+
+
+def _check_mr102(mod: Module, shapes: _EmitShapes, findings: list[Finding]) -> None:
+    if not shapes.values_known or not shapes.value_arities:
+        return
+    emitted = sorted(shapes.value_arities)
+    for fn in mod.functions.values():
+        if fn.role not in ("reducer", "combiner"):
+            continue
+        params = _positional_params(fn)
+        if len(params) < 2:
+            continue
+        values_param = params[1]
+        for node in shallow_nodes(fn.node):
+            if not isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+                continue
+            target, iterable = node.target, node.iter
+            if (
+                not isinstance(iterable, ast.Name)
+                or iterable.id != values_param
+                or not isinstance(target, ast.Tuple)
+                or any(isinstance(elt, ast.Starred) for elt in target.elts)
+            ):
+                continue
+            arity = len(target.elts)
+            if arity not in shapes.value_arities:
+                findings.append(
+                    Finding(
+                        "MR102",
+                        mod.path,
+                        target.lineno,
+                        target.col_offset,
+                        fn.qualname,
+                        f"reducer destructures {arity}-tuples from the value "
+                        f"stream, but mappers in this module emit value "
+                        f"arities {emitted} — records would unpack-error or "
+                        "bind shifted fields",
+                    )
+                )
+
+
+def _key_subscripts(body: ast.AST, key_name: str) -> list[tuple[int, ast.Subscript]]:
+    """Constant integer subscripts of *key_name* within *body*."""
+    found: list[tuple[int, ast.Subscript]] = []
+    for node in ast.walk(body):
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == key_name
+            and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, int)
+        ):
+            found.append((node.slice.value, node))
+    return found
+
+
+def _check_mr103(mod: Module, shapes: _EmitShapes, findings: list[Finding]) -> None:
+    if not shapes.keys_known or not shapes.key_arities:
+        return
+    max_arity = max(shapes.key_arities)
+    emitted = sorted(shapes.key_arities)
+    is_stage2 = "stage2" in os.path.basename(mod.path)
+
+    def check_body(body: ast.AST, key_name: str, function: str) -> None:
+        for index, node in _key_subscripts(body, key_name):
+            if -max_arity <= index < max_arity:
+                continue
+            findings.append(
+                Finding(
+                    "MR103",
+                    mod.path,
+                    node.lineno,
+                    node.col_offset,
+                    function,
+                    f"indexes key[{index}] but every emitted key in this "
+                    f"module has at most {max_arity} components "
+                    f"(emitted arities: {emitted})",
+                )
+            )
+
+    # reducers subscripting their key parameter
+    for fn in mod.functions.values():
+        if fn.role not in ("reducer", "combiner"):
+            continue
+        params = _positional_params(fn)
+        if not params:
+            continue
+        check_body(fn.node, params[0], fn.qualname)
+
+    # partition/sort/group selectors on *Job(...) constructions
+    for node in ast.walk(mod.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = node.func
+        callee_name = (
+            callee.id
+            if isinstance(callee, ast.Name)
+            else callee.attr if isinstance(callee, ast.Attribute) else ""
+        )
+        if not callee_name.endswith("Job"):
+            continue
+        uses_shard_partition = False
+        for kw in node.keywords:
+            if kw.arg not in _SELECTOR_KWARGS or not isinstance(kw.value, ast.Lambda):
+                continue
+            lam = kw.value
+            lam_params = [a.arg for a in (*lam.args.posonlyargs, *lam.args.args)]
+            if not lam_params:
+                continue
+            check_body(lam.body, lam_params[0], f"{kw.arg} lambda")
+            for inner in ast.walk(lam.body):
+                if (
+                    isinstance(inner, ast.Call)
+                    and isinstance(inner.func, ast.Name)
+                    and inner.func.id in _PARTITION_HELPERS
+                ):
+                    uses_shard_partition = True
+        if uses_shard_partition and is_stage2 and max_arity < 4:
+            findings.append(
+                Finding(
+                    "MR103",
+                    mod.path,
+                    node.lineno,
+                    node.col_offset,
+                    "",
+                    f"job partitions with shard_partition but the widest "
+                    f"emitted key has only {max_arity} components — split-"
+                    "mode Stage-2 keys must keep the (route, shard, length, "
+                    "relation) shape PK eviction and R-S streaming depend on",
+                )
+            )
+
+
+# ---------------------------------------------------------------------------
+# MR104: counter-name registry
+# ---------------------------------------------------------------------------
+
+
+def _mentions_counter(expr: ast.expr) -> bool:
+    """Whether an attribute/name chain textually mentions counters."""
+    node: ast.expr | None = expr
+    while node is not None:
+        if isinstance(node, ast.Attribute):
+            if "counter" in node.attr.lower():
+                return True
+            node = node.value
+            continue
+        if isinstance(node, ast.Name):
+            return "counter" in node.id.lower()
+        return False
+    return False
+
+
+def _counter_site_arg(node: ast.AST) -> ast.expr | None:
+    """The name-argument expression of a counter/metric site, if *node*
+    is one: ``<x>.increment(name, ...)``, ``<x>.observe(name, value)``,
+    ``<counterish>.get(name, ...)``, ``observe_into(fn, name, ...)`` or
+    ``<counterish>[name]``."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Attribute) and node.args:
+            if func.attr in ("increment", "observe"):
+                return node.args[0]
+            if func.attr == "get" and _mentions_counter(func.value):
+                return node.args[0]
+        if (
+            isinstance(func, ast.Name)
+            and func.id == "observe_into"
+            and len(node.args) >= 2
+        ):
+            return node.args[1]
+        return None
+    if isinstance(node, ast.Subscript) and _mentions_counter(node.value):
+        return node.slice if isinstance(node.slice, ast.Constant) else None
+    return None
+
+
+def _lookup_constant(dotted: str, program: Program) -> str | None:
+    parts = dotted.split(".")
+    for split in range(len(parts) - 1, 0, -1):
+        mod = program.by_name.get(".".join(parts[:split]))
+        if mod is not None and split == len(parts) - 1:
+            return mod.constants.get(parts[-1])
+    return None
+
+
+def _resolve_counter_name(
+    expr: ast.expr,
+    mod: Module,
+    scope_consts: dict[str, str],
+    program: Program,
+) -> str | None:
+    if isinstance(expr, ast.Constant):
+        return expr.value if isinstance(expr.value, str) else None
+    if isinstance(expr, ast.Name):
+        value = scope_consts.get(expr.id) or mod.constants.get(expr.id)
+        if value is not None:
+            return value
+        origin = mod.bindings.members.get(expr.id)
+        if origin is not None:
+            return _lookup_constant(origin, program)
+        return None
+    if isinstance(expr, ast.Attribute):
+        dotted = mod.bindings.resolve(expr)
+        if dotted is not None:
+            return _lookup_constant(dotted, program)
+    return None
+
+
+def _scope_string_constants(fn: FunctionInfo) -> dict[str, str]:
+    consts: dict[str, str] = {}
+    for scope in (*fn.enclosing, fn.node):
+        for node in shallow_nodes(scope):
+            if (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)
+            ):
+                consts[node.targets[0].id] = node.value.value
+    return consts
+
+
+def _iter_counter_sites(
+    mod: Module, program: Program
+) -> Iterable[tuple[ast.expr, str | None, str]]:
+    """Every counter site in *mod* as ``(arg_expr, resolved_name,
+    function_qualname)`` — inside functions, then at module scope."""
+    for fn in mod.functions.values():
+        scope_consts = _scope_string_constants(fn)
+        for node in shallow_nodes(fn.node):
+            arg = _counter_site_arg(node)
+            if arg is None:
+                continue
+            yield arg, _resolve_counter_name(arg, mod, scope_consts, program), fn.qualname
+    for node in shallow_nodes(mod.tree):
+        arg = _counter_site_arg(node)
+        if arg is None:
+            continue
+        yield arg, _resolve_counter_name(arg, mod, {}, program), ""
+
+
+def _check_mr104(mod: Module, program: Program, findings: list[Finding]) -> None:
+    for arg, name, function in _iter_counter_sites(mod, program):
+        if name is None:  # dynamic name (f-string, parameter) — out of scope
+            continue
+        if name in KNOWN_COUNTER_NAMES:
+            continue
+        if any(name.startswith(prefix) for prefix in DYNAMIC_COUNTER_PREFIXES):
+            continue
+        findings.append(
+            Finding(
+                "MR104",
+                mod.path,
+                arg.lineno,
+                arg.col_offset,
+                function,
+                f"counter/metric name {name!r} is not in the generated "
+                "registry (repro.analysis.counter_names) — a typo'd name "
+                "merges into nothing and silently reads zero; fix the name "
+                "or regenerate with --write-counter-registry",
+            )
+        )
+
+
+def build_counter_registry(paths: Iterable[str]) -> frozenset[str]:
+    """Every statically-resolvable counter/metric name used at a
+    counter site under *paths*."""
+    program = load_program(read_sources(paths))
+    names: set[str] = set()
+    for mod in program.modules:
+        for _arg, name, _function in _iter_counter_sites(mod, program):
+            if name is not None:
+                names.add(name)
+    return frozenset(names)
+
+
+def render_counter_registry(names: frozenset[str]) -> str:
+    """Source text of :mod:`repro.analysis.counter_names` for *names*."""
+    lines = [
+        '"""Generated registry of known counter/metric names.',
+        "",
+        "Regenerate with ``python -m repro lint src/ --write-counter-registry``",
+        "after adding a counter; CI asserts this file matches the source tree",
+        "(``--check-registry``), so a typo'd counter name at an increment site",
+        "shows up either as an MR104 finding or as a registry diff a reviewer",
+        "sees.  Do not edit by hand.",
+        '"""',
+        "",
+        "from __future__ import annotations",
+        "",
+    ]
+    if names:
+        lines.append("KNOWN_COUNTER_NAMES: frozenset[str] = frozenset(")
+        lines.append("    {")
+        for name in sorted(names):
+            lines.append(f"        {name!r},")
+        lines.append("    }")
+        lines.append(")")
+    else:
+        lines.append("KNOWN_COUNTER_NAMES: frozenset[str] = frozenset()")
+    lines.append("")
+    return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# MR106: charged-memory release discipline
+# ---------------------------------------------------------------------------
+
+
+def _ancestors(
+    node: ast.AST, parents: dict[ast.AST, ast.AST]
+) -> Iterable[ast.AST]:
+    current = parents.get(node)
+    while current is not None:
+        yield current
+        current = parents.get(current)
+
+
+def _contains(haystack: Iterable[ast.stmt], needle: ast.AST) -> bool:
+    for stmt in haystack:
+        for node in ast.walk(stmt):
+            if node is needle:
+                return True
+    return False
+
+
+def _charge_sites(fn: FunctionInfo) -> dict[str, list[ast.stmt]]:
+    """Variables capturing charged bytes: ``Assign``/``AugAssign``
+    statements whose RHS calls ``reserve_memory_for``.
+
+    Bare ``reserve_memory(...)`` expression statements (the PK kernels'
+    delta metering against an index's live bytes) have no captured
+    balance to leak and are deliberately not anchored.
+    """
+    sites: dict[str, list[ast.stmt]] = {}
+    for node in shallow_nodes(fn.node):
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+        ):
+            var, value = node.targets[0].id, node.value
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            var, value = node.target.id, node.value
+        else:
+            continue
+        if any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "reserve_memory_for"
+            for call in ast.walk(value)
+        ):
+            sites.setdefault(var, []).append(node)
+    return sites
+
+
+def _check_mr106(mod: Module, findings: list[Finding]) -> None:
+    for fn in sorted(mod.functions.values(), key=lambda f: f.qualname):
+        charges = _charge_sites(fn)
+        if not charges:
+            continue
+        parents: dict[ast.AST, ast.AST] = {}
+        for parent in ast.walk(fn.node):
+            for child in ast.iter_child_nodes(parent):
+                parents[child] = parent
+        release_calls = [
+            node
+            for node in ast.walk(fn.node)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "release_memory"
+        ]
+
+        def owning_release(name_node: ast.Name) -> ast.Call | None:
+            for call in release_calls:
+                if any(sub is name_node for sub in ast.walk(call)):
+                    return call
+            return None
+
+        releases: dict[str, list[ast.AST]] = {var: [] for var in charges}
+        escaped: set[str] = set()
+        for use in ast.walk(fn.node):
+            if (
+                isinstance(use, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                and use is not fn.node
+            ):
+                for name in ast.walk(use):
+                    if isinstance(name, ast.Name) and name.id in charges:
+                        # captured by a closure: ownership unclear
+                        escaped.add(name.id)
+            if not (
+                isinstance(use, ast.Name)
+                and use.id in charges
+                and isinstance(use.ctx, ast.Load)
+            ):
+                continue
+            call = owning_release(use)
+            if call is not None:
+                releases[use.id].append(call)
+                continue
+            # the balance handed to another call, or returned/yielded,
+            # transfers ownership out of this function — stand down
+            cursor = parents.get(use)
+            while cursor is not None and not isinstance(cursor, ast.stmt):
+                if isinstance(cursor, (ast.Call, ast.Yield, ast.YieldFrom)):
+                    escaped.add(use.id)
+                    break
+                cursor = parents.get(cursor)
+            if isinstance(cursor, ast.Return):
+                escaped.add(use.id)
+
+        for var in sorted(charges):
+            if var in escaped:
+                continue
+            sites = charges[var]
+            var_releases = releases[var]
+            if not var_releases:
+                findings.append(
+                    Finding(
+                        "MR106",
+                        mod.path,
+                        sites[0].lineno,
+                        sites[0].col_offset,
+                        fn.qualname,
+                        f"task memory charged into {var!r} via "
+                        "reserve_memory_for is never released in this "
+                        "function — the byte meter stays inflated for the "
+                        "rest of the task",
+                    )
+                )
+                continue
+            for site in sites:
+                protected = False
+                for release in var_releases:
+                    for ancestor in _ancestors(release, parents):
+                        if not isinstance(ancestor, ast.Try):
+                            continue
+                        in_final = _contains(ancestor.finalbody, release)
+                        in_handler = any(
+                            _contains(handler.body, release)
+                            for handler in ancestor.handlers
+                        )
+                        if (in_final or in_handler) and _contains(
+                            ancestor.body, site
+                        ):
+                            protected = True
+                            break
+                    if protected:
+                        break
+                if not protected:
+                    # charge immediately followed by its release leaves no
+                    # raising statement in between; treat as safe
+                    holder = parents.get(site)
+                    body = getattr(holder, "body", None)
+                    if isinstance(body, list) and site in body:
+                        index = body.index(site)
+                        if index + 1 < len(body) and any(
+                            release in ast.walk(body[index + 1])
+                            for release in var_releases
+                        ):
+                            protected = True
+                if not protected:
+                    findings.append(
+                        Finding(
+                            "MR106",
+                            mod.path,
+                            site.lineno,
+                            site.col_offset,
+                            fn.qualname,
+                            f"task memory charged into {var!r} is not "
+                            "released on every exception edge — an exception "
+                            "between reserve_memory_for and release_memory "
+                            "leaves the bytes charged; release in a finally "
+                            "block",
+                        )
+                    )
+
+
+# ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
 
 
-def _owns_pragma(name: str) -> bool:
-    """mrlint warns about every pragma name that is not an MR1xx rule
-    (those belong to mrflow)."""
-    return not name.startswith("MR1")
-
-
-def lint_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Lint one module's source text; returns findings sorted by location."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                PARSE_ERROR,
-                path,
-                exc.lineno or 1,
-                (exc.offset or 1) - 1,
-                "",
-                f"syntax error: {exc.msg}",
-            )
-        ]
-    module_names = module_bindings(tree)
-    bindings = ImportBindings.collect(tree)
-    basename = os.path.basename(path)
-    is_stage2 = "stage2" in basename
-    findings: list[Finding] = []
-    for fn in discover_functions(tree):
-        if not (fn.is_mr or fn.is_kernel):
-            continue
-        local_names = local_bindings(fn.node)
-        enclosing_names: set[str] = set()
-        for enclosing in fn.enclosing:
-            enclosing_names.update(local_bindings(enclosing))
-        if fn.is_mr:
-            _check_mr001(fn, module_names, local_names, enclosing_names, findings, path)
-            _check_mr002(fn, findings, path)
-            _check_mr004(fn, tree, bindings, local_names, findings, path)
-            _check_mr006(fn, findings, path)
-            if is_stage2:
-                _check_mr005(fn, findings, path)
-        if fn.is_mr or fn.is_kernel:
-            _check_mr003(fn, bindings, local_names, findings, path)
-            _check_mr007(fn, findings, path)
-        if fn.is_kernel and not fn.is_mr:
-            _check_mr002(fn, findings, path)
-    suppressions = Suppressions.parse(source)
-    if suppressions.by_line:
-        findings = apply_suppressions(findings, suppressions, path, _owns_pragma)
+def _analyze(program: Program) -> list[Finding]:
+    """Run every rule over *program*; findings sorted by location."""
+    findings: list[Finding] = list(program.parse_failures)
+    taint = _propagate_taint(program)
+    for mod in program.modules:
+        found: list[Finding] = []
+        module_names = module_bindings(mod.tree)
+        is_stage2 = "stage2" in os.path.basename(mod.path)
+        for fn in mod.functions.values():
+            if not (fn.is_mr or fn.is_kernel):
+                continue
+            if fn.is_mr:
+                local_names = local_bindings(fn.node)
+                enclosing_names: set[str] = set()
+                for enclosing in fn.enclosing:
+                    enclosing_names.update(local_bindings(enclosing))
+                _check_mr001(fn, module_names, local_names, enclosing_names, found, mod.path)
+                _check_mr004(fn, mod, local_names, found)
+                _check_mr006(fn, found, mod.path)
+                if is_stage2:
+                    _check_mr005(fn, found, mod.path)
+            fn_taint = taint.get(f"{mod.name}::{fn.qualname}")
+            if fn_taint is not None:
+                _check_nondeterminism(mod, fn, fn_taint, found)
+            _check_mr007(fn, found, mod.path)
+        shapes = _emit_shapes(mod)
+        if shapes.sites:
+            _check_mr102(mod, shapes, found)
+            _check_mr103(mod, shapes, found)
+        _check_mr104(mod, program, found)
+        _check_mr106(mod, found)
+        if mod.suppressions.by_line:
+            found = apply_suppressions(found, mod.suppressions, mod.path)
+        findings.extend(found)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
 
-def lint_file(path: str) -> list[Finding]:
-    """Lint one ``.py`` file."""
-    path = os.fspath(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        return lint_source(handle.read(), path)
+def lint_source(source: str, path: str = "<string>") -> list[Finding]:
+    """Analyze one module's source text as a one-file program."""
+    return _analyze(load_program([(path, source)]))
 
 
 def lint_paths(paths: Iterable[str]) -> list[Finding]:
-    """Lint every ``.py`` file under *paths* (files or directory trees)."""
-    findings: list[Finding] = []
-    for filename in iter_py_files(paths):
-        findings.extend(lint_file(filename))
-    return findings
+    """Analyze every ``.py`` file under *paths* (files or directory
+    trees) as ONE program — calls and constants resolve across them."""
+    return _analyze(load_program(read_sources(paths)))
 
 
-# retained for backward compatibility with older imports
-_iter_py_files = iter_py_files
-_discover = discover_functions
-_Function = FunctionInfo
+def lint_file(path: str) -> list[Finding]:
+    """Analyze one ``.py`` file."""
+    return lint_paths([path])

@@ -1,44 +1,29 @@
-"""Finding output formats and the committed-baseline mechanism.
+"""Finding output formats.
 
-Both analyzer CLIs (``python -m repro lint`` / ``flow``) render their
-:class:`~repro.analysis.common.Finding` lists through this module:
+``python -m repro lint`` renders its
+:class:`~repro.analysis.common.Finding` list through this module:
 
 * ``text`` — one ``path:line:col: RULE [func] message`` line per
   finding (the format the GitHub problem matcher parses);
 * ``json`` — a stable machine-readable envelope;
 * ``sarif`` — minimal SARIF 2.1.0, uploadable as a code-scanning
   artifact.
-
-The baseline mechanism lets a new rule land without blocking CI on
-pre-existing findings: ``--write-baseline`` records the current
-findings keyed by ``(rule, path, function)`` with an occurrence count,
-and ``--baseline`` subtracts up to that count per key on later runs.
-Keys are location-free on purpose — line numbers churn with every
-edit, but a *new* violation of a rule in a function the baseline never
-saw (or one more than it saw) always surfaces.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import Counter
 from typing import Iterable
 
 from repro.analysis.common import Finding
 
 __all__ = [
-    "apply_baseline",
-    "load_baseline",
     "render_findings",
     "render_json",
     "render_sarif",
     "render_text",
-    "write_baseline",
 ]
-
-#: occurrence counts keyed by (rule, relative path, function)
-Baseline = dict[tuple[str, str, str], int]
 
 
 def render_text(findings: Iterable[Finding]) -> str:
@@ -61,7 +46,7 @@ def render_json(findings: Iterable[Finding]) -> str:
 
 
 def _rel_uri(path: str) -> str:
-    """Repo-relative, forward-slash path for SARIF/baseline keys."""
+    """Repo-relative, forward-slash path for SARIF locations."""
     rel = os.path.relpath(path)
     if rel.startswith(".."):
         rel = path
@@ -124,66 +109,3 @@ def render_findings(
     if fmt == "sarif":
         return render_sarif(findings, rules, tool)
     return render_text(findings)
-
-
-# ---------------------------------------------------------------------------
-# committed baseline
-# ---------------------------------------------------------------------------
-
-
-def _key(finding: Finding) -> tuple[str, str, str]:
-    return (finding.rule, _rel_uri(finding.path), finding.function)
-
-
-def load_baseline(path: str) -> Baseline:
-    """Read a baseline file written by :func:`write_baseline`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    baseline: Baseline = {}
-    for entry in document.get("entries", []):
-        key = (str(entry["rule"]), str(entry["path"]), str(entry.get("function", "")))
-        baseline[key] = int(entry.get("count", 1))
-    return baseline
-
-
-def write_baseline(path: str, findings: Iterable[Finding]) -> None:
-    """Record *findings* as the accepted baseline at *path*."""
-    counts = Counter(_key(f) for f in findings)
-    entries = [
-        {"rule": rule, "path": rel, "function": function, "count": count}
-        for (rule, rel, function), count in sorted(counts.items())
-    ]
-    document = {
-        "version": 1,
-        "comment": "accepted pre-existing findings; regenerate with "
-        "'python -m repro flow --write-baseline'",
-        "entries": entries,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-
-
-def apply_baseline(
-    findings: list[Finding], baseline: Baseline
-) -> tuple[list[Finding], list[str]]:
-    """Subtract baselined findings; returns ``(new_findings, stale)``.
-
-    *new_findings* are findings beyond the baseline's per-key counts;
-    *stale* describes baseline entries that no current finding used
-    (candidates for removal from the committed file).
-    """
-    budget = dict(baseline)
-    new: list[Finding] = []
-    for finding in findings:
-        key = _key(finding)
-        if budget.get(key, 0) > 0:
-            budget[key] -= 1
-            continue
-        new.append(finding)
-    stale = [
-        f"{rule} {rel} [{function}] x{left}" if function else f"{rule} {rel} x{left}"
-        for (rule, rel, function), left in sorted(budget.items())
-        if left > 0
-    ]
-    return new, stale

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
 
 from repro.data.increase import increase_dataset
 from repro.data.loaders import read_records, write_records
@@ -28,9 +27,6 @@ from repro.join.driver import JoinReport, ssjoin_rs, ssjoin_self
 from repro.join.records import FIELD_SEP, RecordSchema, rid_of
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.dfs import InMemoryDFS
-
-if TYPE_CHECKING:
-    from repro.analysis.common import Finding
 
 
 def _add_join_options(parser: argparse.ArgumentParser) -> None:
@@ -403,53 +399,15 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
     return status
 
 
-def _emit_findings(
-    findings: list[Finding], fmt: str, rules: dict[str, str], tool: str
-) -> int:
-    """Render findings in *fmt* and return the process exit status."""
-    from repro.analysis.reporting import render_findings
-
-    output = render_findings(findings, fmt, rules, tool)
-    if output:
-        print(output)
-    if findings:
-        print(f"{len(findings)} finding(s)", file=sys.stderr)
-        return 1
-    print(f"{tool}: clean", file=sys.stderr)
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.mrlint import RULES, lint_paths
-
-    findings = lint_paths(args.paths)
-    rules = dict(RULES)
-    tool = "mrlint"
-    if args.flow:
-        from repro.analysis.mrflow import FLOW_RULES, analyze_paths
-
-        findings = sorted(
-            [*findings, *analyze_paths(args.paths)],
-            key=lambda f: (f.path, f.line, f.col, f.rule),
-        )
-        rules.update(FLOW_RULES)
-        tool = "mrlint+mrflow"
-    return _emit_findings(findings, args.format, rules, tool)
-
-
-def _cmd_flow(args: argparse.Namespace) -> int:
     from repro.analysis import counter_names
-    from repro.analysis.mrflow import (
-        FLOW_RULES,
-        analyze_paths,
+    from repro.analysis.mrlint import (
+        RULES,
         build_counter_registry,
+        lint_paths,
         render_counter_registry,
     )
-    from repro.analysis.reporting import (
-        apply_baseline,
-        load_baseline,
-        write_baseline,
-    )
+    from repro.analysis.reporting import render_findings
 
     if args.write_counter_registry or args.check_registry:
         registry = build_counter_registry(args.paths)
@@ -468,7 +426,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         if committed != rendered:
             print(
                 "counter registry is stale: regenerate with "
-                "'python -m repro flow --write-counter-registry'",
+                "'python -m repro lint src/ --write-counter-registry'",
                 file=sys.stderr,
             )
             missing = registry - counter_names.KNOWN_COUNTER_NAMES
@@ -481,20 +439,15 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         print("counter registry is in sync", file=sys.stderr)
         return 0
 
-    findings = analyze_paths(args.paths)
-    if args.write_baseline:
-        write_baseline(args.write_baseline, findings)
-        print(
-            f"{len(findings)} finding(s) -> baseline {args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-    if args.baseline:
-        baseline = load_baseline(args.baseline)
-        findings, stale = apply_baseline(findings, baseline)
-        for entry in stale:
-            print(f"stale baseline entry: {entry}", file=sys.stderr)
-    return _emit_findings(findings, args.format, dict(FLOW_RULES), "mrflow")
+    findings = lint_paths(args.paths)
+    output = render_findings(findings, args.format, RULES, "mrlint")
+    if output:
+        print(output)
+    if findings:
+        print(f"{len(findings)} finding(s)", file=sys.stderr)
+        return 1
+    print("mrlint: clean", file=sys.stderr)
+    return 0
 
 
 def _runs_dir(args: argparse.Namespace) -> str:
@@ -659,45 +612,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint",
-        help="statically check mapper/reducer/kernel code against the "
-             "MR contract (repro.analysis.mrlint)",
+        help="statically check the MR contract (repro.analysis.mrlint): "
+             "pure, deterministic, fork-safe mapper/reducer/kernel code "
+             "— through the call graph too —, emit shapes vs reducer/"
+             "partitioner, counter-name registry, task-memory release",
     )
     p_lint.add_argument("paths", nargs="+",
-                        help="python files or directory trees to lint")
+                        help="python files or directory trees to analyze "
+                             "as one program")
     p_lint.add_argument("--format", choices=["text", "json", "sarif"],
                         default="text",
                         help="finding output format (default: text)")
-    p_lint.add_argument("--flow", action="store_true",
-                        help="also run the interprocedural mrflow analysis "
-                             "(MR1xx) over the same paths")
-    p_lint.set_defaults(func=_cmd_lint)
-
-    p_flow = sub.add_parser(
-        "flow",
-        help="whole-program dataflow analysis of cross-stage MR contracts: "
-             "interprocedural determinism taint, emit-shape vs reducer/"
-             "partitioner checks, counter-name registry, task-memory "
-             "release (repro.analysis.mrflow)",
-    )
-    p_flow.add_argument("paths", nargs="+",
-                        help="python files or directory trees to analyze "
-                             "as one program")
-    p_flow.add_argument("--format", choices=["text", "json", "sarif"],
-                        default="text",
-                        help="finding output format (default: text)")
-    p_flow.add_argument("--baseline", default=None,
-                        help="subtract findings recorded in this baseline "
-                             "file; only new findings fail the run")
-    p_flow.add_argument("--write-baseline", default=None, metavar="PATH",
-                        help="record current findings as the accepted "
-                             "baseline at PATH and exit 0")
-    p_flow.add_argument("--write-counter-registry", action="store_true",
+    p_lint.add_argument("--write-counter-registry", action="store_true",
                         help="regenerate repro/analysis/counter_names.py "
                              "from the counter sites under PATHS")
-    p_flow.add_argument("--check-registry", action="store_true",
+    p_lint.add_argument("--check-registry", action="store_true",
                         help="exit 1 if the committed counter registry "
                              "does not match the source tree")
-    p_flow.set_defaults(func=_cmd_flow)
+    p_lint.set_defaults(func=_cmd_lint)
 
     p_runs = sub.add_parser(
         "runs",

@@ -25,7 +25,11 @@ reuses them across worker processes for real multi-core execution.
 
 The paper's Hadoop configuration maps onto :class:`ClusterConfig`:
 10 nodes, 4 map + 4 reduce slots per node, 128 MB blocks (scaled
-down), speculative execution disabled (we never re-run tasks).
+down).  Failed task attempts are re-run on both engines, up to
+``RetryPolicy.max_attempts``; speculative duplicates of stragglers are
+off by default as in the paper's setup, and exist only on the pooled
+engine (``RetryPolicy.speculative_after_s``) — which is why MR
+functions must be re-runnable (:mod:`repro.analysis.mrlint`).
 """
 
 from __future__ import annotations

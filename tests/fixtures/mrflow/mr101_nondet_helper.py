@@ -1,6 +1,6 @@
 """MR101: nondeterminism reaches a mapper through a helper call.
 
-The mapper itself is clean under mrlint's intra-function MR003 — the
+The mapper's own body holds no source (no MR003 there) — the
 unseeded RNG call sits one hop away in ``_jittered_weight``.
 """
 

@@ -1,8 +1,8 @@
-"""MR004 fixture: an MR closure capturing an unpicklable object.
+"""MR004 fixture: an MR closure capturing a file handle.
 
 Exactly one violation: ``mapper`` reads the enclosing ``handle`` bound
 to ``open(...)``.  The factory itself opening the file is fine — only
-shipping the handle into the mapper closure is not.
+the closure capture is not: fork gives every worker a duplicate.
 """
 
 

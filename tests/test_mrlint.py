@@ -1,5 +1,7 @@
-"""MR-contract linter: every rule fires on its fixture exactly once,
-clean code passes, and the real source tree is violation-free.
+"""MR-contract analyzer, per-function rules: every rule fires on its
+fixture exactly once, clean code passes, and the real source tree is
+violation-free.  (The rules that look across functions and modules are
+in ``test_mrflow.py``; both files drive the one entry point.)
 
 Fixtures live in ``tests/fixtures/mrlint/``; each one seeds exactly one
 violation of its rule (and zero violations of every other rule) next to
@@ -7,10 +9,16 @@ the sanctioned variant of the same pattern, so these tests pin both the
 detection and the non-detection side of each rule.
 """
 
+import ast
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
-from repro.analysis import RULES, Finding, lint_file, lint_paths, lint_source
+import pytest
+
+from repro.analysis import RULES, Finding, counter_names, lint_file, lint_paths, lint_source
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "mrlint"
@@ -93,13 +101,17 @@ class TestRuleFixtures:
         assert lint_source(source, "jobs.py") == []
 
     def test_clean_module_passes(self):
+        # includes a mapper iterating ``sorted(... for ... in a_set)`` and
+        # a monotonic timer read directly and through a helper
         assert lint_file(FIXTURES / "clean_module.py") == []
 
     def test_every_rule_has_a_fixture(self):
         covered = set()
-        for path in FIXTURES.glob("*.py"):
+        for path in FIXTURES.parent.glob("*/*.py"):
             covered.update(rules_fired(lint_file(path)))
-        assert covered == set(RULES)
+        # a file that does not parse cannot sit in a tree other tools
+        # walk: MR000 is pinned by test_parse_error_reported_as_mr000
+        assert covered == set(RULES) - {"MR000"}
 
 
 class TestDiscovery:
@@ -242,20 +254,111 @@ class TestSuppressions:
         )
         assert lint_source(source, "jobs.py") == []
 
-    def test_mr1xx_pragmas_belong_to_mrflow(self):
-        # a stale MR101 pragma is mrflow's to report, not mrlint's
-        source = textwrap.dedent(
-            """
-            def token_mapper(record, ctx):
-                ctx.emit((record, 1), record)  # mrlint: disable=MR101
-            """
-        )
-        assert lint_source(source, "jobs.py") == []
-
 
 class TestRepoIsClean:
     def test_src_tree_lints_clean(self):
         assert lint_paths([str(SRC)]) == []
+
+
+#: rule -> (real modules copied, the one mutated, its line before, after):
+#: one plausible edit to real code per rule, each caught by that rule alone
+REAL_CODE_MUTATIONS = {
+    "MR000": (
+        ["join/stage1.py"], "join/stage1.py",
+        "def _count_combiner(token: str, counts: list, ctx: Context) -> None:",
+        "def _count_combiner(token: str, counts: list, ctx: Context) -> None",
+    ),
+    "MR001": (  # a reducer memoises on a module-level function object
+        ["join/stage3.py"], "join/stage3.py",
+        '            ctx.observe("stage3.pairs_per_rid", pairs)',
+        "            _half_side.last_pairs = pairs",
+    ),
+    "MR002": (  # "dedupe the tokens" with a set, straight into emit()
+        ["join/stage1.py"], "join/stage1.py",
+        "        for token in tokenizer.tokenize(join_value(line, schema)):",
+        "        for token in set(tokenizer.tokenize(join_value(line, schema))):",
+    ),
+    "MR003": (  # a kernel picks its own seed
+        ["core/lsh.py"], "core/lsh.py",
+        "    hasher = MinHasher(num_hashes, seed=seed)",
+        "    hasher = MinHasher(num_hashes, seed=random.randrange(2**31))",
+    ),
+    "MR004": (  # the job factory opens a file its mapper closure then reads
+        ["join/fullrecord.py"], "join/fullrecord.py",
+        "    prefix_length = bounds_for(sim, threshold).prefix_length",
+        "    prefix_length = open(token_order_file)",
+    ),
+    "MR005": (  # a Stage-2 key loses its length component
+        ["join/stage2.py"], "join/stage2.py",
+        "                ctx.emit((route, n, REL_R), value)",
+        "                ctx.emit(route, value)",
+    ),
+    "MR006": (
+        ["join/fullrecord.py"], "join/fullrecord.py",
+        "    def mapper(line: str, ctx: Context) -> None:",
+        "    def mapper(line: str, ctx: Context, seen: list = []) -> None:",
+    ),
+    "MR007": (  # try/finally "simplified" into a catch-all
+        ["join/fullrecord.py"], "join/fullrecord.py",
+        "        finally:",
+        "        except:",
+    ),
+    "MR009": (
+        ["join/fullrecord.py"], "join/fullrecord.py",
+        "                lines[rid] = line",
+        "                lines[rid] = line  # mrlint: disable=MR002",
+    ),
+    "MR101": (  # the one bug found in tree (DESIGN.md section 5c), put back
+        ["join/planner.py", "join/driver.py"], "join/planner.py",
+        "        for route in sorted(routes):",
+        "        for route in routes:",
+    ),
+    "MR102": (
+        ["join/fullrecord.py"], "join/fullrecord.py",
+        "            for rid, ranks, line in values:",
+        "            for rid, ranks in values:",
+    ),
+    "MR103": (
+        ["join/fullrecord.py"], "join/fullrecord.py",
+        "        partition=lambda key: key[0],",
+        "        partition=lambda key: key[3],",
+    ),
+    "MR104": (
+        ["join/stage3.py"], "join/stage3.py",
+        '            ctx.observe("stage3.pairs_per_rid", pairs)',
+        '            ctx.observe("stage3.pairs_per_rdi", pairs)',
+    ),
+    "MR106": (  # the release in the reducer's finally block is dropped
+        ["join/fullrecord.py"], "join/fullrecord.py",
+        "            ctx.release_memory(charged)",
+        "            pass",
+    ),
+}
+
+
+class TestRulesGuardRealCode:
+    """Each rule fires on a one-line mutation of a real ``src/`` module
+    — none of them is kept alive by its fixture alone."""
+
+    def test_every_rule_has_a_mutation(self):
+        assert set(REAL_CODE_MUTATIONS) == set(RULES)
+
+    @pytest.mark.parametrize("rule", sorted(REAL_CODE_MUTATIONS))
+    def test_one_line_mutation_fires_exactly_that_rule(self, rule, tmp_path):
+        modules, target, before, after = REAL_CODE_MUTATIONS[rule]
+        for module in modules:
+            copy = tmp_path / "src" / "repro" / module
+            copy.parent.mkdir(parents=True, exist_ok=True)
+            copy.write_text((SRC / "repro" / module).read_text())
+        assert lint_paths([str(tmp_path)]) == []
+        mutated = tmp_path / "src" / "repro" / target
+        lines = mutated.read_text().split("\n")
+        assert lines.count(before) == 1, f"{target} no longer has the line {before!r}"
+        lines[lines.index(before)] = after
+        mutated.write_text("\n".join(lines))
+        findings = lint_paths([str(tmp_path)])
+        assert findings and set(rules_fired(findings)) == {rule}
+        assert {f.path for f in findings} <= {str(tmp_path / "src" / "repro" / m) for m in modules}
 
 
 class TestCli:
@@ -275,3 +378,52 @@ class TestCli:
         for rule in ("MR001", "MR002", "MR003", "MR004", "MR005", "MR006", "MR007"):
             assert rule in out
         assert "clean_module" not in out
+
+    def test_flow_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["flow", str(SRC)])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'flow'" in capsys.readouterr().err
+
+    def test_each_file_is_parsed_once(self, monkeypatch, capsys):
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(filename)
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        assert main(["lint", str(SRC)]) == 0
+        capsys.readouterr()
+        assert sorted(parsed) == sorted(str(path) for path in SRC.rglob("*.py"))
+
+    def test_check_registry_fails_on_a_stale_registry(self, tmp_path, monkeypatch, capsys):
+        stale = tmp_path / "counter_names.py"
+        stale.write_text(
+            Path(counter_names.__file__).read_text().replace("'task.retries',\n", "")
+        )
+        monkeypatch.setattr(counter_names, "__file__", str(stale))
+        assert main(["lint", str(SRC), "--check-registry"]) == 1
+        assert "stale" in capsys.readouterr().err
+
+    def test_a_join_imports_no_static_analysis(self, tmp_path):
+        # the analyzer is a tool; only the runtime sanitizer belongs to a
+        # join (cli.import_s is a benchmarked layer)
+        catalog = tmp_path / "cat.tsv"
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            f"main(['generate', 'dblp', '50', '-o', {str(catalog)!r}])\n"
+            f"main(['selfjoin', {str(catalog)!r}, '-o', {str(tmp_path / 'out.tsv')!r},"
+            " '--no-run-manifest'])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.analysis.')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            check=True,
+        )
+        assert result.stdout.strip() == "['repro.analysis.sanitize']"
