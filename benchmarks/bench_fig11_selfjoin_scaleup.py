@@ -4,7 +4,7 @@ Paper: cluster size n ∈ {2..10} with DBLP×2.5n; near-flat curves =
 good scaleup, BTO-PK-BRJ scales best.
 """
 
-from repro.bench import dblp_times, format_table, self_join_scaleup
+from repro.bench import dblp_times, format_table, sweep
 
 from benchmarks.conftest import run_once
 
@@ -13,9 +13,9 @@ SCALE = {2: 5, 4: 10, 8: 20, 10: 25}
 
 
 def test_fig11_selfjoin_scaleup(benchmark, record_result):
-    datasets = {nodes: dblp_times(factor) for nodes, factor in SCALE.items()}
+    cases = [(nodes, dblp_times(factor), nodes) for nodes, factor in SCALE.items()]
 
-    rows = run_once(benchmark, lambda: self_join_scaleup(datasets))
+    rows = run_once(benchmark, lambda: sweep(cases))
 
     table = format_table(
         ["nodes", "factor", "combo", "total_s"],

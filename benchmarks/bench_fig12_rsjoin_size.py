@@ -6,7 +6,7 @@ datasets and CITESEERX records are ~5x larger; at ×25 the OPRJ variant
 runs out of memory loading the RID-pair list.
 """
 
-from repro.bench import format_table, rs_join_size_sweep, rs_workload
+from repro.bench import format_table, rs_workload, sweep
 
 from benchmarks.conftest import run_once
 
@@ -19,13 +19,10 @@ OPRJ_OOM_BUDGET_MB = 0.7
 
 
 def test_fig12_rsjoin_size(benchmark, record_result):
-    datasets = {factor: rs_workload(factor) for factor in FACTORS}
+    cases = [(factor, rs_workload(factor), 10) for factor in FACTORS]
 
     rows = run_once(
-        benchmark,
-        lambda: rs_join_size_sweep(
-            datasets, num_nodes=10, memory_per_task_mb=OPRJ_OOM_BUDGET_MB
-        ),
+        benchmark, lambda: sweep(cases, memory_per_task_mb=OPRJ_OOM_BUDGET_MB)
     )
 
     table = format_table(

@@ -8,8 +8,8 @@ nodes (OPRJ's broadcast load is constant in the cluster size).
 from repro.bench import (
     format_speedup_series,
     format_table,
-    rs_join_speedup,
     rs_workload,
+    sweep,
 )
 
 from benchmarks.conftest import run_once
@@ -18,9 +18,9 @@ NODES = (2, 4, 8, 10)
 
 
 def test_fig13_rsjoin_speedup(benchmark, record_result):
-    r_records, s_records = rs_workload(10)
+    data = rs_workload(10)
 
-    rows = run_once(benchmark, lambda: rs_join_speedup(r_records, s_records, NODES))
+    rows = run_once(benchmark, lambda: sweep([(n, data, n) for n in NODES]))
 
     absolute = format_table(
         ["nodes", "combo", "stage3_s", "total_s"],

@@ -6,7 +6,7 @@ loading the RID-pair list when the datasets are increased 8x and
 beyond (the missing points in the paper's figure).
 """
 
-from repro.bench import format_table, rs_join_scaleup, rs_workload
+from repro.bench import format_table, rs_workload, sweep
 
 from benchmarks.conftest import run_once
 
@@ -19,11 +19,10 @@ OPRJ_OOM_BUDGET_MB = 0.5
 
 
 def test_fig14_rsjoin_scaleup(benchmark, record_result):
-    datasets = {nodes: rs_workload(factor) for nodes, factor in SCALE.items()}
+    cases = [(nodes, rs_workload(factor), nodes) for nodes, factor in SCALE.items()]
 
     rows = run_once(
-        benchmark,
-        lambda: rs_join_scaleup(datasets, memory_per_task_mb=OPRJ_OOM_BUDGET_MB),
+        benchmark, lambda: sweep(cases, memory_per_task_mb=OPRJ_OOM_BUDGET_MB)
     )
 
     table = format_table(

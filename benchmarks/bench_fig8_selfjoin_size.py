@@ -5,7 +5,7 @@ the three stage combinations; Stage 2 grows fastest, BTO-PK-OPRJ is
 the fastest combination.
 """
 
-from repro.bench import dblp_times, format_table, self_join_size_sweep
+from repro.bench import dblp_times, format_table, sweep
 
 from benchmarks.conftest import run_once
 
@@ -13,9 +13,9 @@ FACTORS = (5, 10, 25)
 
 
 def test_fig8_selfjoin_size(benchmark, record_result):
-    datasets = {factor: dblp_times(factor) for factor in FACTORS}
+    cases = [(factor, dblp_times(factor), 10) for factor in FACTORS]
 
-    rows = run_once(benchmark, lambda: self_join_size_sweep(datasets, num_nodes=10))
+    rows = run_once(benchmark, lambda: sweep(cases))
 
     table = format_table(
         ["factor", "combo", "stage1_s", "stage2_s", "stage3_s", "total_s"],

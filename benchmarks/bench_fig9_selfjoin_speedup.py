@@ -9,7 +9,7 @@ from repro.bench import (
     dblp_times,
     format_speedup_series,
     format_table,
-    self_join_speedup,
+    sweep,
 )
 
 from benchmarks.conftest import run_once
@@ -20,7 +20,7 @@ NODES = (2, 4, 8, 10)
 def test_fig9_fig10_selfjoin_speedup(benchmark, record_result):
     records = dblp_times(10)
 
-    rows = run_once(benchmark, lambda: self_join_speedup(records, NODES))
+    rows = run_once(benchmark, lambda: sweep([(n, records, n) for n in NODES]))
 
     absolute = format_table(
         ["nodes", "combo", "total_s"],

@@ -5,7 +5,7 @@ large; PK beats BK everywhere with near-perfect kernel speedup; OPRJ
 beats BRJ but its broadcast cost is constant in the cluster size.
 """
 
-from repro.bench import dblp_times, format_table, stage_breakdown_speedup
+from repro.bench import dblp_times, format_table, stage_breakdown
 
 from benchmarks.conftest import run_once
 
@@ -15,7 +15,9 @@ NODES = (2, 4, 8, 10)
 def test_table1_stage_speedup(benchmark, record_result):
     records = dblp_times(10)
 
-    rows = run_once(benchmark, lambda: stage_breakdown_speedup(records, NODES))
+    rows = run_once(
+        benchmark, lambda: stage_breakdown([(n, records, n) for n in NODES])
+    )
 
     cells = {}
     for row in rows:

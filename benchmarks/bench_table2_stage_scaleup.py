@@ -6,7 +6,7 @@ data); BRJ scales almost perfectly while OPRJ degrades (broadcast list
 grows with the data).
 """
 
-from repro.bench import dblp_times, format_table, stage_breakdown_scaleup
+from repro.bench import dblp_times, format_table, stage_breakdown
 
 from benchmarks.conftest import run_once
 
@@ -14,9 +14,9 @@ SCALE = {2: 5, 4: 10, 8: 20, 10: 25}
 
 
 def test_table2_stage_scaleup(benchmark, record_result):
-    datasets = {nodes: dblp_times(factor) for nodes, factor in SCALE.items()}
+    cases = [(nodes, dblp_times(factor), nodes) for nodes, factor in SCALE.items()]
 
-    rows = run_once(benchmark, lambda: stage_breakdown_scaleup(datasets))
+    rows = run_once(benchmark, lambda: stage_breakdown(cases))
 
     cells = {}
     for row in rows:

@@ -8,7 +8,7 @@ monotone trend for the recommended combination.
 """
 
 from repro.bench import dblp_times, format_table
-from repro.bench.harness import PAPER_COMBOS, run_self_join
+from repro.bench.harness import PAPER_COMBOS, run_join
 
 from benchmarks.conftest import run_once
 
@@ -22,7 +22,7 @@ def test_threshold_sweep(benchmark, record_result):
         rows = []
         for threshold in THRESHOLDS:
             config = PAPER_COMBOS["BTO-PK-BRJ"].with_options(threshold=threshold)
-            report = run_self_join(records, config, 10)
+            report = run_join(records, config, 10)
             counters = report.counters()
             rows.append(
                 {

@@ -19,16 +19,12 @@ from repro.bench import (
     dblp_times,
     format_speedup_series,
     format_table,
-    self_join_scaleup,
-    self_join_size_sweep,
-    self_join_speedup,
+    sweep,
 )
 
 
 def main() -> None:
-    datasets = {factor: dblp_times(factor) for factor in (2, 5, 10)}
-
-    rows = self_join_size_sweep(datasets, num_nodes=10)
+    rows = sweep([(factor, dblp_times(factor), 10) for factor in (2, 5, 10)])
     print(format_table(
         ["factor", "combo", "stage1_s", "stage2_s", "stage3_s", "total_s"],
         [[r["key"], r["combo"], r["stage1_s"], r["stage2_s"], r["stage3_s"], r["total_s"]]
@@ -37,7 +33,7 @@ def main() -> None:
     ))
     print()
 
-    speedup_rows = self_join_speedup(dblp_times(5), node_counts=(2, 4, 10))
+    speedup_rows = sweep([(nodes, dblp_times(5), nodes) for nodes in (2, 4, 10)])
     print(format_table(
         ["nodes", "combo", "total_s"],
         [[r["key"], r["combo"], r["total_s"]] for r in speedup_rows],
@@ -47,7 +43,7 @@ def main() -> None:
     print(format_speedup_series(speedup_rows, baseline_key=2))
     print()
 
-    scaleup_rows = self_join_scaleup({2: dblp_times(2), 4: dblp_times(4), 10: dblp_times(10)})
+    scaleup_rows = sweep([(nodes, dblp_times(nodes), nodes) for nodes in (2, 4, 10)])
     print(format_table(
         ["nodes", "combo", "total_s"],
         [[r["key"], r["combo"], r["total_s"]] for r in scaleup_rows],

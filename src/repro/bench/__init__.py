@@ -14,17 +14,9 @@ from repro.bench.workloads import (
 from repro.bench.harness import (
     PAPER_COMBOS,
     make_cluster,
-    run_self_join,
-    run_rs_join,
-    self_join_size_sweep,
-    self_join_speedup,
-    self_join_scaleup,
-    rs_join_size_sweep,
-    rs_join_speedup,
-    rs_join_scaleup,
-    stage_breakdown_speedup,
-    stage_breakdown_scaleup,
-    groups_sweep,
+    run_join,
+    stage_breakdown,
+    sweep,
 )
 from repro.bench.reporting import (
     format_executor_summary,
@@ -41,18 +33,10 @@ __all__ = [
     "format_executor_summary",
     "format_speedup_series",
     "format_table",
-    "groups_sweep",
     "make_cluster",
-    "rs_join_scaleup",
-    "rs_join_size_sweep",
-    "rs_join_speedup",
     "rs_workload",
-    "run_rs_join",
-    "run_self_join",
-    "self_join_scaleup",
-    "self_join_size_sweep",
-    "self_join_speedup",
+    "run_join",
     "skewed_times",
-    "stage_breakdown_scaleup",
-    "stage_breakdown_speedup",
+    "stage_breakdown",
+    "sweep",
 ]

@@ -38,241 +38,99 @@ def make_cluster(
     return SimulatedCluster(config, InMemoryDFS(num_nodes=num_nodes, block_bytes=block_bytes))
 
 
-def run_self_join(
-    records: Sequence[str],
+def run_join(
+    data: "Sequence[str] | tuple[Sequence[str], Sequence[str]]",
     config: JoinConfig,
     num_nodes: int = 10,
     memory_per_task_mb: float | None = None,
 ) -> JoinReport:
-    """One end-to-end self-join on a fresh cluster."""
+    """One end-to-end join on a fresh cluster: a self-join when *data*
+    is a sequence of record lines, an R-S join when it is an ``(r, s)``
+    pair of such sequences."""
     cluster = make_cluster(num_nodes, memory_per_task_mb=memory_per_task_mb)
-    cluster.dfs.write("records", list(records))
+    if len(data) == 2 and not isinstance(data[0], str):
+        cluster.dfs.write("r", list(data[0]))
+        cluster.dfs.write("s", list(data[1]))
+        return ssjoin_rs(cluster, "r", "s", config)
+    cluster.dfs.write("records", list(data))
     return ssjoin_self(cluster, "records", config)
 
 
-def run_rs_join(
-    r_records: Sequence[str],
-    s_records: Sequence[str],
-    config: JoinConfig,
-    num_nodes: int = 10,
-    memory_per_task_mb: float | None = None,
-) -> JoinReport:
-    """One end-to-end R-S join on a fresh cluster."""
-    cluster = make_cluster(num_nodes, memory_per_task_mb=memory_per_task_mb)
-    cluster.dfs.write("r", list(r_records))
-    cluster.dfs.write("s", list(s_records))
-    return ssjoin_rs(cluster, "r", "s", config)
+_ROW_METRICS = ("stage1_s", "stage2_s", "stage3_s", "total_s", "pairs")
 
 
-def _report_row(label: str, key: object, report: JoinReport) -> dict:
-    times = report.stage_times()
-    return {
-        "combo": label,
-        "key": key,
-        "stage1_s": times["stage1"],
-        "stage2_s": times["stage2"],
-        "stage3_s": times["stage3"],
-        "total_s": report.total_simulated_s,
-        "status": "ok",
-    }
-
-
-def _oom_row(label: str, key: object, error: InsufficientMemoryError) -> dict:
-    return {
-        "combo": label,
-        "key": key,
-        "stage1_s": float("nan"),
-        "stage2_s": float("nan"),
-        "stage3_s": float("nan"),
-        "total_s": float("nan"),
-        "status": f"OOM ({error.what})",
-    }
-
-
-# ---------------------------------------------------------------------------
-# Figure 8 / Figure 12 — running time vs dataset size
-# ---------------------------------------------------------------------------
-
-
-def self_join_size_sweep(
-    datasets: dict[int, Sequence[str]],
+def sweep(
+    cases: Iterable[tuple],
     combos: dict[str, JoinConfig] | None = None,
-    num_nodes: int = 10,
-) -> list[dict]:
-    """Fig. 8: self-join time per stage for each dataset-increase factor."""
-    combos = combos or PAPER_COMBOS
-    rows = []
-    for factor, records in sorted(datasets.items()):
-        for label, config in combos.items():
-            report = run_self_join(records, config, num_nodes)
-            rows.append(_report_row(label, factor, report))
-    return rows
-
-
-def rs_join_size_sweep(
-    datasets: dict[int, tuple[Sequence[str], Sequence[str]]],
-    combos: dict[str, JoinConfig] | None = None,
-    num_nodes: int = 10,
     memory_per_task_mb: float | None = None,
 ) -> list[dict]:
-    """Fig. 12: R-S join time per stage for each increase factor."""
+    """Every figure of Section 6: one row per case x combo.
+
+    *cases* are ``(key, data, num_nodes)`` — *key* is what the figure
+    varies (increase factor, node count), *data* what :func:`run_join`
+    takes.  Size sweeps (Figs. 8/12) vary the data on a fixed cluster,
+    speedup (Figs. 9/10/13) the cluster under fixed data, scaleup
+    (Figs. 11/14) both together.  Rows carry the per-stage and total
+    simulated seconds and the Stage-2 pair count under ``combo`` (the
+    *combos* label; default :data:`PAPER_COMBOS`) and ``key``; a join
+    that exhausts *memory_per_task_mb* is a row of NaNs with status
+    ``OOM``, exactly like the paper's missing data points."""
     combos = combos or PAPER_COMBOS
     rows = []
-    for factor, (r_records, s_records) in sorted(datasets.items()):
+    for key, data, num_nodes in cases:
         for label, config in combos.items():
+            row = {"combo": label, "key": key}
             try:
-                report = run_rs_join(
-                    r_records, s_records, config, num_nodes, memory_per_task_mb
-                )
-                rows.append(_report_row(label, factor, report))
+                report = run_join(data, config, num_nodes, memory_per_task_mb)
             except InsufficientMemoryError as error:
-                rows.append(_oom_row(label, factor, error))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Figures 9/10/13 — speedup (fixed data, varying cluster size)
-# ---------------------------------------------------------------------------
-
-
-def self_join_speedup(
-    records: Sequence[str],
-    node_counts: Iterable[int] = (2, 4, 8, 10),
-    combos: dict[str, JoinConfig] | None = None,
-) -> list[dict]:
-    """Figs. 9/10: self-join time per cluster size, fixed dataset."""
-    combos = combos or PAPER_COMBOS
-    rows = []
-    for num_nodes in node_counts:
-        for label, config in combos.items():
-            report = run_self_join(records, config, num_nodes)
-            rows.append(_report_row(label, num_nodes, report))
-    return rows
-
-
-def rs_join_speedup(
-    r_records: Sequence[str],
-    s_records: Sequence[str],
-    node_counts: Iterable[int] = (2, 4, 8, 10),
-    combos: dict[str, JoinConfig] | None = None,
-) -> list[dict]:
-    """Fig. 13: R-S join time per cluster size, fixed dataset."""
-    combos = combos or PAPER_COMBOS
-    rows = []
-    for num_nodes in node_counts:
-        for label, config in combos.items():
-            report = run_rs_join(r_records, s_records, config, num_nodes)
-            rows.append(_report_row(label, num_nodes, report))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Figures 11/14 — scaleup (data grows with the cluster)
-# ---------------------------------------------------------------------------
-
-
-def self_join_scaleup(
-    datasets_by_nodes: dict[int, Sequence[str]],
-    combos: dict[str, JoinConfig] | None = None,
-) -> list[dict]:
-    """Fig. 11: nodes and data grow together; flat lines = perfect scaleup."""
-    combos = combos or PAPER_COMBOS
-    rows = []
-    for num_nodes, records in sorted(datasets_by_nodes.items()):
-        for label, config in combos.items():
-            report = run_self_join(records, config, num_nodes)
-            rows.append(_report_row(label, num_nodes, report))
-    return rows
-
-
-def rs_join_scaleup(
-    datasets_by_nodes: dict[int, tuple[Sequence[str], Sequence[str]]],
-    combos: dict[str, JoinConfig] | None = None,
-    memory_per_task_mb: float | None = None,
-) -> list[dict]:
-    """Fig. 14: R-S scaleup; OPRJ may go OOM at large factors, which is
-    reported as a row with status ``OOM`` exactly like the paper's
-    missing data point."""
-    combos = combos or PAPER_COMBOS
-    rows = []
-    for num_nodes, (r_records, s_records) in sorted(datasets_by_nodes.items()):
-        for label, config in combos.items():
-            try:
-                report = run_rs_join(
-                    r_records, s_records, config, num_nodes, memory_per_task_mb
+                row.update(
+                    dict.fromkeys(_ROW_METRICS, float("nan")),
+                    status=f"OOM ({error.what})",
                 )
-                rows.append(_report_row(label, num_nodes, report))
-            except InsufficientMemoryError as error:
-                rows.append(_oom_row(label, num_nodes, error))
+            else:
+                times = report.stage_times()
+                row.update(
+                    stage1_s=times["stage1"],
+                    stage2_s=times["stage2"],
+                    stage3_s=times["stage3"],
+                    total_s=report.total_simulated_s,
+                    pairs=report.counters().get("stage2.pairs_output", 0),
+                    status="ok",
+                )
+            rows.append(row)
     return rows
 
 
-# ---------------------------------------------------------------------------
-# Tables 1/2 — per-stage breakdown across all stage algorithms
-# ---------------------------------------------------------------------------
-
-_STAGE_VARIANTS: list[tuple[str, str, dict]] = [
-    ("1", "BTO", {"stage1": "bto"}),
-    ("1", "OPTO", {"stage1": "opto"}),
-    ("2", "BK", {"kernel": "bk"}),
-    ("2", "PK", {"kernel": "pk"}),
-    ("3", "BRJ", {"stage3": "brj"}),
-    ("3", "OPRJ", {"stage3": "oprj"}),
-]
-
-
-def _stage_time(report: JoinReport, stage: str) -> float:
-    return report.stage_times()[f"stage{stage}"]
+#: Tables 1/2 — every stage algorithm, each timed inside an end-to-end
+#: run whose other stages use the paper's defaults (BTO / PK / BRJ),
+#: matching how the paper isolates a stage: algorithm -> (stage, config)
+_STAGE_VARIANTS: dict[str, tuple[str, JoinConfig]] = {
+    "BTO": ("1", JoinConfig(stage1="bto")),
+    "OPTO": ("1", JoinConfig(stage1="opto")),
+    "BK": ("2", JoinConfig(kernel="bk")),
+    "PK": ("2", JoinConfig(kernel="pk")),
+    "BRJ": ("3", JoinConfig(stage3="brj")),
+    "OPRJ": ("3", JoinConfig(stage3="oprj")),
+}
 
 
-def stage_breakdown_speedup(
-    records: Sequence[str],
-    node_counts: Iterable[int] = (2, 4, 8, 10),
-) -> list[dict]:
-    """Table 1: per-stage, per-algorithm times across cluster sizes.
-
-    Each stage variant is timed inside an end-to-end run whose other
-    stages use the paper's defaults (BTO / PK / BRJ), matching how the
-    paper isolates a stage."""
+def stage_breakdown(cases: Iterable[tuple]) -> list[dict]:
+    """Tables 1/2: per-stage, per-algorithm times over *cases* (as for
+    :func:`sweep`: fixed data for Table 1's speedup, data growing with
+    the cluster for Table 2's scaleup)."""
+    combos = {alg: config for alg, (_stage, config) in _STAGE_VARIANTS.items()}
     rows = []
-    for num_nodes in node_counts:
-        for stage, algorithm, overrides in _STAGE_VARIANTS:
-            config = JoinConfig(**{"stage1": "bto", "kernel": "pk", "stage3": "brj", **overrides})
-            report = run_self_join(records, config, num_nodes)
-            rows.append(
-                {
-                    "stage": stage,
-                    "alg": algorithm,
-                    "key": num_nodes,
-                    "time_s": _stage_time(report, stage),
-                }
-            )
+    for row in sweep(cases, combos):
+        stage = _STAGE_VARIANTS[row["combo"]][0]
+        rows.append(
+            {
+                "stage": stage,
+                "alg": row["combo"],
+                "key": row["key"],
+                "time_s": row[f"stage{stage}_s"],
+            }
+        )
     return rows
-
-
-def stage_breakdown_scaleup(
-    datasets_by_nodes: dict[int, Sequence[str]],
-) -> list[dict]:
-    """Table 2: per-stage scaleup times (data grows with the cluster)."""
-    rows = []
-    for num_nodes, records in sorted(datasets_by_nodes.items()):
-        for stage, algorithm, overrides in _STAGE_VARIANTS:
-            config = JoinConfig(**{"stage1": "bto", "kernel": "pk", "stage3": "brj", **overrides})
-            report = run_self_join(records, config, num_nodes)
-            rows.append(
-                {
-                    "stage": stage,
-                    "alg": algorithm,
-                    "key": num_nodes,
-                    "time_s": _stage_time(report, stage),
-                }
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Section 6.1.1 — effect of the number of token groups on the PK kernel
-# ---------------------------------------------------------------------------
 
 
 # ---------------------------------------------------------------------------
@@ -352,28 +210,3 @@ def bench_smoke_rows(
             "stage2_share_pct": round(100.0 * times["stage2"] / total, 2),
         }
     }
-
-
-def groups_sweep(
-    records: Sequence[str],
-    group_counts: Iterable[int | None],
-    num_nodes: int = 10,
-) -> list[dict]:
-    """Stage-2 time as a function of the number of token groups
-    (``None`` = one group per token, the paper's best setting)."""
-    rows = []
-    for num_groups in group_counts:
-        config = JoinConfig(
-            kernel="pk",
-            routing="individual" if num_groups is None else "grouped",
-            num_groups=num_groups,
-        )
-        report = run_self_join(records, config, num_nodes)
-        rows.append(
-            {
-                "num_groups": "per-token" if num_groups is None else num_groups,
-                "stage2_s": report.stage_times()["stage2"],
-                "pairs": report.counters().get("stage2.pairs_output", 0),
-            }
-        )
-    return rows

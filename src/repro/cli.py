@@ -47,15 +47,6 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                              "model, and split hot Stage-2 token "
                              "groups across reducers; output is identical "
                              "to the static plan")
-    parser.add_argument("--split-threshold", type=float, default=2.0,
-                        metavar="X",
-                        help="with --adaptive, split a token group whose "
-                             "estimated reduce load exceeds X times the "
-                             "mean per-reducer load (default: 2.0)")
-    parser.add_argument("--split-factor", type=int, default=4, metavar="K",
-                        help="with --adaptive, shard each hot group "
-                             "across up to K reducer partitions "
-                             "(default: 4)")
     parser.add_argument("--join-fields", default="1,2",
                         help="comma-separated 1-based field indexes forming "
                              "the join attribute (default: 1,2)")
@@ -95,10 +86,6 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                              "of degrading the plan down the escalation "
                              "ladder (finer routing -> BK kernel -> blocks) "
                              "and re-running the stage")
-    parser.add_argument("--max-replan-retries", type=int, default=6,
-                        metavar="N",
-                        help="escalation-ladder rungs allowed before a "
-                             "Stage-2 memory error is re-raised (default: 6)")
     parser.add_argument("--rss-cap-mb", type=int, default=None, metavar="MB",
                         help="soft real-memory watchdog: when worker-reported "
                              "maxrss crosses this cap, raise the simulated "
@@ -167,11 +154,8 @@ def _build_config(args: argparse.Namespace) -> JoinConfig:
         bitmap_width=args.bitmap_width,
         sanitize=args.sanitize,
         adaptive=args.adaptive,
-        split_threshold=args.split_threshold,
-        split_factor=args.split_factor,
         memory_budget_mb=args.memory_budget_mb,
         auto_degrade=not args.no_auto_degrade,
-        max_replan_retries=args.max_replan_retries,
     )
 
 
@@ -254,10 +238,10 @@ def _attach_telemetry(args: argparse.Namespace, cluster: SimulatedCluster, trace
     return cluster.telemetry
 
 
-def _record_run(
-    args: argparse.Namespace, kind: str, workload: str, report: JoinReport
-) -> None:
-    """Write the run manifest unless ``--no-run-manifest``."""
+def _record_run(args: argparse.Namespace, kind: str, workload: str, **parts) -> None:
+    """Write the run manifest unless ``--no-run-manifest``.  The registry
+    is observe-only: a manifest that cannot be written (unwritable or
+    non-directory runs dir) costs a warning, never the finished run."""
     if args.no_run_manifest:
         return
     from repro.obs.runs import (
@@ -267,13 +251,13 @@ def _record_run(
     )
 
     doc = build_run_manifest(
-        kind=kind,
-        workload=workload,
-        config=_build_config(args),
-        report=report,
-        argv=sys.argv[1:],
+        kind=kind, workload=workload, argv=sys.argv[1:], **parts
     )
-    path = write_run_manifest(resolve_runs_dir(args.runs_dir), doc)
+    try:
+        path = write_run_manifest(resolve_runs_dir(args.runs_dir), doc)
+    except OSError as exc:
+        print(f"warning: run manifest not written: {exc}", file=sys.stderr)
+        return
     print(f"run {doc['id']} -> {path}", file=sys.stderr)
 
 
@@ -360,10 +344,12 @@ def _cmd_join(args: argparse.Namespace) -> int:
             print(hub.summary_line(), file=sys.stderr)
         _emit(args, sorted(cluster.dfs.read_all(report.output_file)), report)
         _export_trace(args, tracer)
-        _record_run(args, args.command, ",".join(paths), report)
+        _record_run(
+            args, args.command, ",".join(paths),
+            config=_build_config(args), report=report,
+        )
     finally:
-        if hasattr(cluster, "close"):
-            cluster.close()
+        cluster.close()
     return 0
 
 
@@ -538,11 +524,6 @@ def _cmd_runs_check(args: argparse.Namespace) -> int:
 def _cmd_runs_bench(args: argparse.Namespace) -> int:
     from repro.bench.harness import bench_smoke_rows
     from repro.obs.atomicio import atomic_write_json
-    from repro.obs.runs import (
-        build_run_manifest,
-        resolve_runs_dir,
-        write_run_manifest,
-    )
 
     rows = bench_smoke_rows(
         num_records=args.records,
@@ -551,15 +532,7 @@ def _cmd_runs_bench(args: argparse.Namespace) -> int:
     )
     atomic_write_json(args.output, rows, indent=2)
     print(f"bench rows -> {args.output}", file=sys.stderr)
-    if not args.no_run_manifest:
-        doc = build_run_manifest(
-            kind="bench",
-            workload=rows["e2e_smoke"]["workload"],
-            rows=rows,
-            argv=sys.argv[1:],
-        )
-        path = write_run_manifest(resolve_runs_dir(args.runs_dir), doc)
-        print(f"run {doc['id']} -> {path}", file=sys.stderr)
+    _record_run(args, "bench", rows["e2e_smoke"]["workload"], rows=rows)
     return 0
 
 

@@ -46,20 +46,9 @@ from repro.core.filters import (
     positional_filter_passes,
     suffix_filter_passes,
 )
-from repro.core.prefixes import Projection
+from repro.core.prefixes import Projection, projection_bytes
 from repro.core.similarity import SimilarityFunction, bounds_for
 from repro.core.verification import overlap
-
-
-def _entry_bytes(size: int, has_signature: bool = False) -> int:
-    """Approximate in-memory bytes of one indexed entry of *size* tokens.
-
-    Entries of a bitmap-enabled index carry one extra signature word;
-    :meth:`PPJoinIndex.add` and :meth:`PPJoinIndex._evict_below` must
-    agree on it or ``live_bytes`` drifts (over-eviction would release
-    memory the reducer never reserved).
-    """
-    return 8 * size + 32 + (8 if has_signature else 0)
 
 
 class PPJoinIndex:
@@ -109,7 +98,6 @@ class PPJoinIndex:
         use_positional: bool = True,
         use_suffix: bool = True,
         evict: bool = True,
-        suffix_max_depth: int = 2,
         bitmap_width: int | None = None,
         sanitizer: "Sanitizer | None" = None,
     ) -> None:
@@ -125,7 +113,6 @@ class PPJoinIndex:
         self.use_positional = use_positional
         self.use_suffix = use_suffix
         self.evict = evict
-        self.suffix_max_depth = suffix_max_depth
         self.bitmap_width = bitmap_width
         self.sanitizer = sanitizer
         self._bounds = bounds_for(sim, threshold)
@@ -167,7 +154,7 @@ class PPJoinIndex:
         """
         has_sig = self.bitmap_width is not None
         return sum(
-            _entry_bytes(self._sizes[entry_id], has_sig)
+            projection_bytes(self._sizes[entry_id], has_sig)
             for entry_id in range(self._frontier, len(self._rids))
         )
 
@@ -219,7 +206,7 @@ class PPJoinIndex:
                 signature = bitmap_signature(tokens, width)
             self._sigs.append(signature)
             self._sig_slack.append(n - signature.bit_count())
-        self.live_bytes += _entry_bytes(n, width is not None)
+        self.live_bytes += projection_bytes(n, width is not None)
         live = entry_id + 1 - self._frontier
         if live > self.peak_live_entries:
             self.peak_live_entries = live
@@ -228,10 +215,12 @@ class PPJoinIndex:
         """Advance the eviction frontier past entries smaller than
         *min_size* (valid because entry sizes are non-decreasing)."""
         frontier = bisect_left(self._sizes, min_size, self._frontier)
+        # must release exactly what add() charged (signature word
+        # included) or live_bytes drifts and the reducer over-releases
         has_sig = self.bitmap_width is not None
         for entry_id in range(self._frontier, frontier):
             self._tokens[entry_id] = None  # free the payload
-            self.live_bytes -= _entry_bytes(self._sizes[entry_id], has_sig)
+            self.live_bytes -= projection_bytes(self._sizes[entry_id], has_sig)
         self._frontier = frontier
 
     # -- probing ---------------------------------------------------------
@@ -381,7 +370,6 @@ class PPJoinIndex:
                             y_tokens[j + 1 :],
                             alpha,
                             overlap_so_far=1,
-                            max_depth=self.suffix_max_depth,
                         ):
                             pruned.add(entry_id)
                             p_suffix += 1

@@ -7,17 +7,17 @@ prefix token (individual-token routing) or per distinct prefix-token
 
 Token groups are assigned in round-robin order over the global
 (ascending-frequency) token ordering, which balances the sum of token
-frequencies across groups as described in the paper.  ``num_groups``
-equal to the dictionary size degenerates to one group per token — the
-setting the evaluation found best.
+frequencies across groups as described in the paper.  One group per
+token is the setting the evaluation found best.  :func:`route_of` is
+the only place the assignment is written; every reader of "which route
+does this token belong to" goes through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from repro.core.ordering import TokenOrder
 from repro.core.similarity import SimilarityFunction
 
 
@@ -68,39 +68,40 @@ def index_prefix(
     return tuple(tokens[: sim.index_prefix_length(len(tokens), threshold)])
 
 
-class TokenGrouping:
-    """Round-robin assignment of tokens to ``num_groups`` groups.
+def route_of(num_groups: int | None) -> Callable[[int], int]:
+    """The Stage-2 routing decision, stated once: ``rank -> route``.
 
-    Token with global rank ``r`` lands in group ``r % num_groups``;
-    tokens unknown to the order land in the group of the virtual rank
-    ``len(order)``.  With one group per token the group id *is* the
-    token rank.
+    ``num_groups=None`` makes every token its own route (individual
+    routing, and grouped routing left at one group per token — the same
+    plan, the setting the evaluation found best): the route *is* the
+    rank.  Otherwise tokens are dealt round-robin over the global
+    frequency order, so rank ``r`` lands in group ``r mod num_groups``
+    (tokens unknown to the order carry the virtual rank ``len(order)``
+    and land in its group).  Callers pass
+    :attr:`repro.join.config.JoinConfig.token_groups`.
     """
+    if num_groups is None:
+        return lambda rank: rank
+    if num_groups < 1:
+        raise ValueError(f"num_groups must be >= 1, got {num_groups}")
+    return lambda rank: rank % num_groups
 
-    def __init__(self, order: TokenOrder, num_groups: int) -> None:
-        if num_groups < 1:
-            raise ValueError(f"num_groups must be >= 1, got {num_groups}")
-        self._order = order
-        self.num_groups = num_groups
 
-    @classmethod
-    def one_group_per_token(cls, order: TokenOrder) -> "TokenGrouping":
-        """The paper's best-performing configuration."""
-        return cls(order, max(1, len(order)))
+def routes_of(num_groups: int | None) -> Callable[[Iterable[int]], list[int]]:
+    """``ranks -> distinct routes, first-seen order`` under
+    :func:`route_of` — the reduce groups a mapper replicates one record
+    to.  Per-token routing is a single C-level pass over the ranks."""
+    if num_groups is None:
+        return lambda ranks: list(dict.fromkeys(ranks))
+    route = route_of(num_groups)
+    return lambda ranks: list(dict.fromkeys(map(route, ranks)))
 
-    def group_of(self, token: str) -> int:
-        """Group id of a token given by name."""
-        return self._order.rank(token) % self.num_groups
 
-    def group_of_rank(self, rank: int) -> int:
-        """Group id of a rank-encoded token."""
-        return rank % self.num_groups
-
-    def groups_of_ranks(self, ranks: Iterable[int]) -> list[int]:
-        """Distinct group ids of rank-encoded *ranks*, in first-seen order."""
-        seen: list[int] = []
-        for rank in ranks:
-            group = rank % self.num_groups
-            if group not in seen:
-                seen.append(group)
-        return seen
+def projection_bytes(num_tokens: int, has_signature: bool = False) -> int:
+    """Approximate bytes of one resident record projection: the token
+    array plus framing, plus one word for the bitmap signature when the
+    join ships signatures.  The one per-record byte model — a PK index
+    entry (:class:`repro.core.ppjoin.PPJoinIndex` ``live_bytes``), a
+    projection spilled by reduce-based block processing, and the
+    plan-time footprint estimate all charge it."""
+    return 8 * num_tokens + 32 + (8 if has_signature else 0)

@@ -26,7 +26,8 @@ re-read per block (reduce-based), exactly as in Section 5 "Handling
 R-S Joins".
 
 Counters: ``stage2.spill_bytes_written`` / ``stage2.spill_bytes_read``
-account the simulated local-disk traffic of the reduce-based strategy.
+account the simulated local-disk traffic of the reduce-based strategy,
+:func:`repro.core.prefixes.projection_bytes` per spilled projection.
 """
 
 from __future__ import annotations
@@ -45,13 +46,6 @@ ROLE_STREAM = 1
 
 SPILL_WRITTEN = "stage2.spill_bytes_written"
 SPILL_READ = "stage2.spill_bytes_read"
-
-
-def projection_spill_bytes(num_tokens: int, has_signature: bool) -> int:
-    """Approximate local-disk bytes of one spilled projection in the
-    reduce-based strategy: the token array plus framing, plus one word
-    for the bitmap signature when the join ships signatures."""
-    return 8 * num_tokens + 32 + (8 if has_signature else 0)
 
 
 @dataclass(frozen=True)

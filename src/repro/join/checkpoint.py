@@ -22,20 +22,27 @@ every completed stage's files into the cluster DFS and re-run only the
 remaining stages, so the resumed run's output is byte-identical to an
 uninterrupted one (asserted by the chaos test suite).
 
-The manifest is written atomically (temp file + ``os.replace``) and a
-stage is recorded only *after* all of its files are stored, so a crash
-mid-checkpoint leaves the previous consistent manifest in place.
+The manifest and every stored file's block index are written through
+:mod:`repro.obs.atomicio` — temp file, flush, fsync, rename, temp
+removed on failure — and a stage is recorded only *after* all of its
+files are stored, so a run killed at any point leaves the previous
+complete manifest in place, naming only stages whose files are whole.
+A fresh checkpoint clears the directory without reading it, and
+``resume`` reports whatever it cannot read (manifest, block index,
+block) as :class:`CheckpointMismatchError` naming the file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
+import pickle
+import shutil
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.mapreduce.diskdfs import LocalDiskDFS
+from repro.obs.atomicio import atomic_write_json
 
 if TYPE_CHECKING:
     from repro.join.config import JoinConfig
@@ -156,10 +163,7 @@ class JoinCheckpoint:
         return self.root / MANIFEST_NAME
 
     def _write_manifest(self) -> None:
-        tmp = self.root / f"{MANIFEST_NAME}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(self._manifest, handle, indent=2, sort_keys=True)
-        os.replace(tmp, self._manifest_path)
+        atomic_write_json(str(self._manifest_path), self._manifest, indent=2)
 
     def _load_manifest(self) -> dict:
         try:
@@ -212,15 +216,12 @@ class JoinCheckpoint:
             "identity": identity,
             "stages": {},
         }
-        # discard stale stage data from any previous run in this dir
-        for name in self._store.listdir():
-            self._store.delete(name)
+        # discard whatever a previous run left in this dir, unread: a
+        # run killed mid-write may have left files no parser accepts
+        shutil.rmtree(self._store.root)
+        self._store.root.mkdir()
         self._write_manifest()
         return []
-
-    @property
-    def completed_stages(self) -> list[str]:
-        return sorted(self._manifest.get("stages", {}))
 
     # -- memory-degradation steps -----------------------------------------
 
@@ -272,7 +273,13 @@ class JoinCheckpoint:
             )
         restored = []
         for name, meta in entry["files"].items():
-            records = self._store.read_all(f"{stage}/{name}")
+            try:
+                records = self._store.read_all(f"{stage}/{name}")
+            except (OSError, ValueError, EOFError, pickle.UnpicklingError) as exc:
+                raise CheckpointMismatchError(
+                    f"unreadable checkpoint data for file {name!r} of stage "
+                    f"{stage!r} under {self._store.root}: {exc}"
+                ) from exc
             dfs.write(name, records)
             actual = file_fingerprint(dfs, name)
             if actual != meta["fingerprint"]:

@@ -81,12 +81,6 @@ class JoinConfig:
     #: run-time splitting.  Emitted pairs and filter counters are
     #: bit-identical to the static plan (differential-tested).
     adaptive: bool = False
-    #: split a Stage-2 token group when its estimated reduce load
-    #: exceeds this multiple of the mean per-reducer load (the
-    #: replication-vs-load tradeoff of arXiv:1204.1754)
-    split_threshold: float = 2.0
-    #: number of reducer shards a split group is spread over
-    split_factor: int = 4
     #: runtime sanitizer mode (see :mod:`repro.analysis.sanitize`):
     #: wraps the Stage-2 kernels and shuffle with observe-only invariant
     #: checks — reduce-input length sortedness, a sampled filter
@@ -109,9 +103,6 @@ class JoinConfig:
     #: (finer routing → BK kernel → engage/double blocks); ``False``
     #: restores the raw fail-fast behaviour.
     auto_degrade: bool = True
-    #: bound on driver-level stage replans (escalation-ladder steps)
-    #: before the memory error is re-raised to the caller
-    max_replan_retries: int = 6
 
     def __post_init__(self) -> None:
         if isinstance(self.similarity, str):
@@ -136,14 +127,6 @@ class JoinConfig:
             raise ValueError(
                 f"length_class_width must be >= 1, got {self.length_class_width}"
             )
-        if self.split_threshold <= 0:
-            raise ValueError(
-                f"split_threshold must be > 0, got {self.split_threshold}"
-            )
-        if self.split_factor < 1:
-            raise ValueError(
-                f"split_factor must be >= 1, got {self.split_factor}"
-            )
         if self.length_class_width is not None and self.blocks is not None:
             raise ValueError(
                 "length_class_width and blocks are alternative Section-5 "
@@ -153,16 +136,21 @@ class JoinConfig:
             raise ValueError(
                 f"memory_budget_mb must be > 0 or None, got {self.memory_budget_mb}"
             )
-        if self.max_replan_retries < 0:
-            raise ValueError(
-                f"max_replan_retries must be >= 0, got {self.max_replan_retries}"
-            )
 
     @property
     def sim(self) -> SimilarityFunction:
         """The resolved similarity function (never a string)."""
         assert isinstance(self.similarity, SimilarityFunction)
         return self.similarity
+
+    @property
+    def token_groups(self) -> int | None:
+        """The routing decision, normalised for
+        :func:`repro.core.prefixes.route_of`: the group count of grouped
+        routing, ``None`` when every token is its own route — individual
+        routing, and grouped routing with ``num_groups=None`` (one group
+        per token), which is the same plan."""
+        return self.num_groups if self.routing == "grouped" else None
 
     @property
     def combo_name(self) -> str:

@@ -31,6 +31,7 @@ from repro.join.checkpoint import (
 from repro.join.config import JoinConfig
 from repro.join.estimate import sample_prefix_frequencies
 from repro.join.memory import (
+    MAX_REPLANS,
     MEMORY_ESCALATIONS,
     MEMORY_REPLANS,
     apply_degradations,
@@ -46,7 +47,6 @@ from repro.join.stage3 import stage3_jobs
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.faults import RESUME_STAGES_SKIPPED
-from repro.mapreduce.pipeline import run_pipeline
 from repro.mapreduce.types import (
     InsufficientMemoryError,
     JobStats,
@@ -281,12 +281,11 @@ def _adaptive_plan(
 
 
 def _prepare(cluster: SimulatedCluster, stages: list) -> None:
-    """Register a whole join's jobs with a persistent-pool cluster (a
-    no-op on the sequential engine)."""
-    jobs = [job for _, stage_jobs, _, _ in stages for job in stage_jobs]
-    prepare = getattr(cluster, "prepare_jobs", None)
-    if prepare is not None:
-        prepare(jobs)
+    """Register a whole join's jobs with the cluster, so a persistent
+    pool forks once for all of them (a no-op on the sequential engine)."""
+    cluster.prepare_jobs(
+        [job for _, stage_jobs, _, _ in stages for job in stage_jobs]
+    )
 
 
 def _run_stage(
@@ -297,12 +296,13 @@ def _run_stage(
     jobs: list,
     span_args: dict,
 ) -> None:
-    """Run one stage's jobs into ``report.<name>``, adding the measured
-    wall seconds to ``report.stage_wall_s`` (also when the stage raises)."""
+    """Run one stage's jobs (already registered, see :func:`_prepare`)
+    into ``report.<name>``, adding the measured wall seconds to
+    ``report.stage_wall_s`` (also when the stage raises)."""
     started = time.perf_counter()
     try:
         with trace_span(tracer, name, "stage", **span_args):
-            setattr(report, name, run_pipeline(cluster, jobs))
+            setattr(report, name, JobStats([cluster.run_job(job) for job in jobs]))
     finally:
         report.stage_wall_s[name] += time.perf_counter() - started
 
@@ -335,7 +335,7 @@ def _run_stages(
     fault* when ``config.auto_degrade`` is on: the next escalation-
     ladder rung (:func:`repro.join.memory.next_escalation`) is applied,
     the stage jobs are rebuilt and the stage re-runs, bounded by
-    ``config.max_replan_retries``.  Each applied step is persisted in
+    :data:`repro.join.memory.MAX_REPLANS`.  Each applied step is persisted in
     the checkpoint manifest, so a killed-and-resumed run replays the
     degraded plan instead of rediscovering it rung by rung.  Memory
     faults in other stages (and exhausted ladders) re-raise unchanged.
@@ -382,7 +382,7 @@ def _run_stages(
             step = None
             if name == "stage2" and config.auto_degrade:
                 replans = report.extra_counters.get(MEMORY_REPLANS, 0)
-                if replans < config.max_replan_retries:
+                if replans < MAX_REPLANS:
                     step = next_escalation(config)
             if step is None:
                 raise
@@ -416,7 +416,7 @@ def _merge_telemetry(cluster: SimulatedCluster, report: JoinReport) -> None:
     the workload — differential comparisons strip them (see
     :func:`repro.obs.telemetry.strip_telemetry_counters`).
     """
-    hub = getattr(cluster, "telemetry", None)
+    hub = cluster.telemetry
     if hub is None:
         return
     for name, value in hub.counters().items():
@@ -486,7 +486,7 @@ def _ssjoin(
     if plan is not None:
         report.extra_counters.update(plan.counters())
     report.extra_counters.update(admission)
-    tracer = getattr(cluster, "tracer", None)
+    tracer = cluster.tracer
     with trace_span(
         tracer, f"ssjoin_{kind}:" + ":".join(files), "join",
         combo=config.combo_name, threshold=config.threshold,

@@ -73,7 +73,7 @@ class PrefixSample:
     sample-local global token order (ascending frequency, ties broken
     by token — the same rule :class:`repro.core.ordering.TokenOrder`
     applies), which the planner uses to simulate grouped routing
-    (``rank % num_groups``).
+    (:func:`repro.core.prefixes.route_of` over the sample-local ranks).
     """
 
     prefix_counts: dict[str, int]

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.core.ppjoin import PPJoinIndex
+from repro.core.prefixes import routes_of
 from repro.core.similarity import bounds_for
 from repro.join.config import JoinConfig
 from repro.join.driver import JoinReport, _num_reducers, _run_stage
@@ -25,7 +26,6 @@ from repro.join.stage1 import stage1_jobs
 from repro.join.stage2 import (
     PAIRS_OUTPUT,
     load_token_order,
-    make_router,
     owner_of,
     project_record,
 )
@@ -43,12 +43,11 @@ def full_record_job(
     """One job that replaces Stages 2+3: values are whole record lines."""
     sim, threshold = config.sim, config.threshold
     prefix_length = bounds_for(sim, threshold).prefix_length
+    routes = routes_of(config.token_groups)
     state: dict = {}
 
     def map_setup(ctx: Context) -> None:
-        order = load_token_order(ctx, token_order_file)
-        state["order"] = order
-        state["routes"] = make_router(config, order)
+        state["order"] = load_token_order(ctx, token_order_file)
 
     def mapper(line: str, ctx: Context) -> None:
         rid, ranks, _true = project_record(line, config, state["order"], "error")
@@ -56,7 +55,7 @@ def full_record_job(
         if n == 0:
             return
         prefix = ranks[: prefix_length[n]]
-        for route in state["routes"](prefix):
+        for route in routes(prefix):
             # the value carries the complete record — the whole point
             # of the ablation: payload bytes ride the shuffle
             ctx.emit((route, n, 0), (rid, ranks, line))
@@ -117,9 +116,10 @@ def full_record_self_join(
     output_file = f"{prefix}.joined"
 
     report = JoinReport(combo=f"{config.stage1.upper()}-FULLRECORD", output_file=output_file)
-    tracer = getattr(cluster, "tracer", None)
+    tracer = cluster.tracer
     stage1 = stage1_jobs(config, [records_file], token_order_file, reducers)
     stage2 = full_record_job(config, records_file, token_order_file, output_file, reducers)
+    cluster.prepare_jobs([*stage1, stage2])
     _run_stage(cluster, report, tracer, "stage1", stage1, {"algorithm": config.stage1})
     _run_stage(cluster, report, tracer, "stage2", [stage2], {"kernel": "fullrecord"})
     return report

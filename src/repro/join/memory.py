@@ -14,24 +14,29 @@ refined to individual tokens, the PK kernel falls back to BK (blocks
 are BK-only), a Section-5 :class:`~repro.join.blocks.BlockPolicy` is
 engaged with a block count derived from the budget and a strategy
 chosen by comparing replication cost against local spill I/O.  The
-footprint model reuses
-:func:`repro.join.blocks.projection_spill_bytes` — the same per-record
-byte model the reduce-based spill path charges — scaled by the sample
-rate.
+footprint model reuses :func:`repro.core.prefixes.projection_bytes` —
+the same per-record byte model the PK index and the reduce-based spill
+path charge — scaled by the sample rate.
 
 **Runtime degradation** (:func:`next_escalation` / :func:`apply_step`).
 When a Stage-2 task raises
 :class:`~repro.mapreduce.types.InsufficientMemoryError` — whether from
 the simulated byte meter, a ``squeeze`` fault, or the real-RSS
 watchdog — the driver treats it as a *plan fault*, not a task fault:
-the stage is re-planned one ladder rung down and re-run.  The ladder,
-from cheapest to most drastic::
+the stage is re-planned one ladder rung down and re-run, at most
+:data:`MAX_REPLANS` times.
+
+Both layers walk the same ladder (:func:`next_escalation` is its only
+definition), from cheapest to most drastic::
 
     routing:individual      grouped -> per-token routing
     kernel:bk               PK -> BK (unlocks Section-5 blocks)
-    blocks:reduce:2         engage block processing
-    blocks:<strategy>:<2n>  double the block count (halve block size)
+    blocks:<strategy>:<n>   engage block processing / raise the count
     (None)                  ladder exhausted -> re-raise
+
+They differ only in how the block count is chosen: admission sizes it
+from the footprint estimate in one shot, the runtime ladder — which has
+no sample — engages at 2 and doubles (halving the block size).
 
 Every rung preserves bit-identical join output (each is an existing
 differentially-tested equivalence), so a degraded run's pairs match the
@@ -47,12 +52,8 @@ import math
 from dataclasses import replace as dataclass_replace
 from typing import TYPE_CHECKING
 
-from repro.join.blocks import (
-    MAP_BASED,
-    REDUCE_BASED,
-    BlockPolicy,
-    projection_spill_bytes,
-)
+from repro.core.prefixes import projection_bytes, routes_of
+from repro.join.blocks import MAP_BASED, REDUCE_BASED, BlockPolicy
 
 if TYPE_CHECKING:
     from repro.join.config import JoinConfig
@@ -60,6 +61,7 @@ if TYPE_CHECKING:
     from repro.join.planner import Stage2Plan
 
 __all__ = [
+    "MAX_REPLANS",
     "MEMORY_ADMISSION_ADJUSTMENTS",
     "MEMORY_ADMITTED",
     "MEMORY_ESCALATIONS",
@@ -85,6 +87,10 @@ MEMORY_ADMISSION_ADJUSTMENTS = "memory.admission_adjustments"
 #: admitted plan's estimated Stage-2 peak, bytes
 MEMORY_EST_PEAK = "memory.est_peak_bytes"
 
+#: runtime replans of one join before the memory error is re-raised to
+#: the caller: two rungs to reach blocks, then up to 32 of them (the
+#: whole ladder is 14 rungs; why 6, DESIGN.md Section 5l)
+MAX_REPLANS = 6
 #: fraction of the budget the estimated peak must fit under — the
 #: remainder absorbs estimation error (the sample sees a fraction of
 #: the records; scaling the max group footprint is noisy)
@@ -116,23 +122,18 @@ def estimate_group_footprints(
 
     A BK reduce call holds every projection routed to its group; the PK
     call's index live-bytes peak is the same order.  Each sampled
-    record contributes :func:`projection_spill_bytes` of its *full*
-    token list to every route its prefix fans out to (under the
-    config's routing), scaled back up by the sample rate.
+    record contributes :func:`projection_bytes` of its *full* token
+    list to every route its prefix fans out to (under the config's
+    routing), scaled back up by the sample rate.
     """
-    grouped = config.routing == "grouped" and config.num_groups is not None
-    num_groups = config.num_groups
+    routes = routes_of(config.token_groups)
     has_signature = config.bitmap_filter
     footprints: dict[int, float] = {}
     for prefix_ranks, token_ranks in zip(
         sample.prefix_rank_lists, sample.token_rank_lists
     ):
-        record_bytes = projection_spill_bytes(len(token_ranks), has_signature)
-        if grouped:
-            routes = sorted({rank % num_groups for rank in prefix_ranks})
-        else:
-            routes = sorted(set(prefix_ranks))
-        for route in routes:
+        record_bytes = projection_bytes(len(token_ranks), has_signature)
+        for route in sorted(routes(prefix_ranks)):
             footprints[route] = footprints.get(route, 0.0) + record_bytes
     scale = sample.scale
     return {route: total * scale for route, total in footprints.items()}
@@ -234,52 +235,53 @@ def apply_degradations(
     return config, plan
 
 
-def next_escalation(config: "JoinConfig") -> str | None:
-    """The next runtime ladder rung for *config*, or ``None`` when the
-    ladder is exhausted and the memory error must surface.
+def next_escalation(
+    config: "JoinConfig",
+    sized: tuple[dict[int, float], float] | None = None,
+) -> str | None:
+    """The next ladder rung for *config*, or ``None`` when the ladder is
+    exhausted (at runtime: the memory error must surface).
 
-    The runtime ladder has no sample to size blocks from, so it engages
-    at 2 and doubles — each doubling halves the per-call footprint —
-    bounded by the caller's ``max_replan_retries``.
+    The one definition of rung order and of each rung's precondition,
+    for plan-time admission and the runtime ladder alike:
+
+    1. ``routing:individual`` — only from grouped routing with a finite
+       group count; one group per token already *is* per-token routing,
+       and re-running that plan would change nothing;
+    2. ``kernel:bk`` — from the PK kernel (blocks are BK-only);
+    3. ``blocks:<strategy>:<n>`` — engage Section-5 blocks or raise
+       their count, up to ``_MAX_BLOCKS``.  A ``length_class_width``
+       plan takes this rung too: blocks are the stronger Section-5
+       strategy and :func:`apply_step` clears the class width.
+
+    Admission passes *sized* = ``(footprints, allowance)``, the
+    per-group estimate and the bytes it must fit under, so the block
+    count (and the strategy, by :func:`choose_block_strategy`) is
+    computed in one shot; the runtime ladder has no sample, so it
+    engages at 2 and doubles — each doubling halves the per-call
+    footprint.
     """
-    if config.routing == "grouped":
+    if config.token_groups is not None:
         return "routing:individual"
     if config.kernel == "pk":
         return "kernel:bk"
-    if config.blocks is None:
-        return f"blocks:{REDUCE_BASED}:2"
-    if config.blocks.num_blocks < _MAX_BLOCKS:
-        return f"blocks:{config.blocks.strategy}:{config.blocks.num_blocks * 2}"
-    return None
+    blocks = config.blocks
+    if sized is None:
+        wanted = 2 if blocks is None else 2 * blocks.num_blocks
+        num_blocks = min(_MAX_BLOCKS, wanted)
+        strategy = REDUCE_BASED if blocks is None else blocks.strategy
+    else:
+        footprints, allowance = sized
+        peak = max(footprints.values(), default=0.0)
+        wanted = max(2, math.ceil(_BLOCK_RESIDENCY * peak / allowance))
+        num_blocks = min(_MAX_BLOCKS, wanted)
+        strategy = choose_block_strategy(sum(footprints.values()), num_blocks)
+    if blocks is not None and blocks.num_blocks >= num_blocks:
+        return None
+    return f"blocks:{strategy}:{num_blocks}"
 
 
 # -- plan-time admission ----------------------------------------------------
-
-
-def _admission_step(
-    sample: "PrefixSample", config: "JoinConfig", allowance: float
-) -> str | None:
-    """The next *static* degradation for an over-budget estimate.
-
-    Unlike the runtime ladder, admission sees the footprint estimate,
-    so the block count is computed in one shot instead of searched by
-    doubling.
-    """
-    if config.routing == "grouped" and config.num_groups is not None:
-        return "routing:individual"
-    if config.length_class_width is None:
-        if config.kernel == "pk":
-            return "kernel:bk"
-        footprints = estimate_group_footprints(sample, config)
-        peak = max(footprints.values(), default=0.0)
-        wanted = max(
-            2, math.ceil(_BLOCK_RESIDENCY * peak / allowance) if allowance else 2
-        )
-        num_blocks = min(_MAX_BLOCKS, wanted)
-        if config.blocks is None or config.blocks.num_blocks < num_blocks:
-            strategy = choose_block_strategy(sum(footprints.values()), num_blocks)
-            return f"blocks:{strategy}:{num_blocks}"
-    return None
 
 
 def plan_admission(
@@ -301,7 +303,9 @@ def plan_admission(
     adjustments = 0
     estimated = estimate_peak_bytes(sample, config)
     while estimated > allowance:
-        step = _admission_step(sample, config, allowance)
+        step = next_escalation(
+            config, (estimate_group_footprints(sample, config), allowance)
+        )
         if step is None:
             break
         config, plan = apply_step(config, plan, step)

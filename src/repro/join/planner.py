@@ -21,7 +21,7 @@ task memory, in which case OPRJ's map-side join is suggested.
 it estimates per-routing-key reduce loads, chooses routing mode /
 group count by a makespan + shuffle cost model, and marks
 token groups whose load dominates a reduce wave for run-time splitting
-across ``split_factor`` reducer shards — the point where extra
+across :data:`SPLIT_FACTOR` reducer shards — the point where extra
 replication buys a shorter critical path in the Afrati/Ullman
 (arXiv:1204.1754) replication-rate sense.
 """
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.ppjoin import ppjoin_self_join
-from repro.core.prefixes import Projection
+from repro.core.prefixes import Projection, route_of, routes_of
 from repro.join.config import JoinConfig
 from repro.join.estimate import PrefixSample
 
@@ -86,6 +86,16 @@ def recommend_config(
 # ---------------------------------------------------------------------------
 # skew-adaptive Stage-2 planning
 # ---------------------------------------------------------------------------
+
+#: split a Stage-2 token group when its estimated reduce load exceeds
+#: this multiple of the mean per-reducer load (the replication-vs-load
+#: tradeoff of arXiv:1204.1754) ...
+SPLIT_THRESHOLD = 2.0
+
+#: ... over this many reducer shards.  Constants, not options: the
+#: values every bench, example and CI step ran, and the committed
+#: ``skew_adaptive`` row was measured at (DESIGN.md Section 5l)
+SPLIT_FACTOR = 4
 
 #: never split more than this many token groups — beyond the first few
 #: the remaining routes are below threshold anyway, and each split adds
@@ -183,15 +193,12 @@ def _route_profiles(
     (everything is pruned).  Pairwise quantities scale by ``1/p²`` like
     any sampled join cardinality, record counts by ``1/p``.
     """
+    routes = routes_of(num_groups)
     members: dict[int, list[int]] = {}
     for idx, ranks in enumerate(sample.prefix_rank_lists):
-        if num_groups is None:
-            routes: "tuple[int, ...] | set[int]" = ranks  # ranks are distinct
-        else:
-            routes = {rank % num_groups for rank in ranks}
-        # sorted: set order would leak into members' dict insertion order
-        # and from there into float-accumulation order downstream
-        for route in sorted(routes):
+        # sorted: members' dict insertion order feeds float-accumulation
+        # order downstream, so it must not depend on prefix order
+        for route in sorted(routes(ranks)):
             members.setdefault(route, []).append(idx)
     scale = sample.scale
     token_lists = sample.token_rank_lists
@@ -217,22 +224,16 @@ def _route_profiles(
 
 
 def _pick_splits(
-    work: dict[int, float],
-    records: dict[int, float],
-    num_reducers: int,
-    split_threshold: float,
-    split_factor: int,
+    work: dict[int, float], records: dict[int, float], num_reducers: int
 ) -> list[int]:
     """Routes whose estimated work dominates a reduce wave, heaviest
     first — split *candidates*; :func:`_admit_splits` keeps only the
     ones that actually lower the modeled cost."""
-    if split_factor < 2 or not work:
-        return []
     mean_per_reducer = sum(work.values()) / max(1, num_reducers)
     hot = [
         route
         for route, w in work.items()
-        if w > split_threshold * mean_per_reducer
+        if w > SPLIT_THRESHOLD * mean_per_reducer
         and records.get(route, 0.0) >= _MIN_SPLIT_ROUTE_LOAD
     ]
     hot.sort(key=lambda route: (-work[route], route))
@@ -240,10 +241,7 @@ def _pick_splits(
 
 
 def _plan_cost(
-    profile: _RouteProfile,
-    split_routes: list[int],
-    num_reducers: int,
-    split_factor: int,
+    profile: _RouteProfile, split_routes: list[int], num_reducers: int
 ) -> float:
     """Estimated makespan + shuffle cost of one candidate plan.
 
@@ -262,9 +260,9 @@ def _plan_cost(
     for route, w in profile.work.items():
         if route in split_set:
             inserts = profile.records.get(route, 0.0)
-            unit = inserts + (w - inserts) / split_factor
-            total_work += w + (split_factor - 1) * inserts
-            extra_shuffle += (split_factor - 1) * inserts
+            unit = inserts + (w - inserts) / SPLIT_FACTOR
+            total_work += w + (SPLIT_FACTOR - 1) * inserts
+            extra_shuffle += (SPLIT_FACTOR - 1) * inserts
         else:
             unit = w
             total_work += w
@@ -279,10 +277,7 @@ def _plan_cost(
 
 
 def _admit_splits(
-    profile: _RouteProfile,
-    hot: list[int],
-    num_reducers: int,
-    split_factor: int,
+    profile: _RouteProfile, hot: list[int], num_reducers: int
 ) -> tuple[list[int], float]:
     """Keep the hot-route prefix whose split lowers the plan cost most.
 
@@ -296,9 +291,9 @@ def _admit_splits(
     the admitted splits (heaviest first) and the resulting plan cost.
     """
     best_j = 0
-    best_cost = _plan_cost(profile, [], num_reducers, split_factor)
+    best_cost = _plan_cost(profile, [], num_reducers)
     for j in range(1, len(hot) + 1):
-        trial = _plan_cost(profile, hot[:j], num_reducers, split_factor)
+        trial = _plan_cost(profile, hot[:j], num_reducers)
         if trial < best_cost:
             best_j = j
             best_cost = trial
@@ -329,54 +324,37 @@ def plan_stage2(
         )
     ind_profile = _route_profiles(sample, None, config)
 
-    candidates: list[tuple[float, str, int | None, list[int]]] = []
-    ind_hot = _pick_splits(
-        ind_profile.work, ind_profile.records,
-        num_reducers, config.split_threshold, config.split_factor,
-    )
-    ind_splits, ind_cost = _admit_splits(
-        ind_profile, ind_hot, num_reducers, config.split_factor
-    )
-    candidates.append((ind_cost, "individual", None, ind_splits))
-    for factor in _GROUPED_CANDIDATE_FACTORS:
-        num_groups = max(1, num_reducers * factor)
-        if num_groups >= len(sample.order):
+    candidates: list[tuple[float, int | None, list[int]]] = []
+    group_counts = [None] + [
+        max(1, num_reducers * factor) for factor in _GROUPED_CANDIDATE_FACTORS
+    ]
+    for num_groups in group_counts:
+        if num_groups is None:
+            profile = ind_profile
+        elif num_groups >= len(sample.order):
             continue  # as many groups as tokens = individual routing
-        profile = _route_profiles(sample, num_groups, config)
-        hot = _pick_splits(
-            profile.work, profile.records,
-            num_reducers, config.split_threshold, config.split_factor,
-        )
-        splits, cost = _admit_splits(
-            profile, hot, num_reducers, config.split_factor
-        )
-        candidates.append((cost, "grouped", num_groups, splits))
-
-    best = min(candidates, key=lambda c: c[0])
-    _cost, routing, num_groups, split_routes = best
+        else:
+            profile = _route_profiles(sample, num_groups, config)
+        hot = _pick_splits(profile.work, profile.records, num_reducers)
+        splits, cost = _admit_splits(profile, hot, num_reducers)
+        candidates.append((cost, num_groups, splits))
+    _cost, num_groups, split_routes = min(candidates, key=lambda c: c[0])
 
     # resolve split routes to token names the runtime can re-anchor on
-    # the real Stage-1 order
-    split_tokens: list[str] = []
-    if routing == "individual":
-        split_tokens = [sample.order[route] for route in split_routes]
-    elif split_routes:
-        # grouped: name each hot group by its heaviest member token
-        assert num_groups is not None
-        heaviest: dict[int, tuple[float, str]] = {}
-        for rank, load in ind_profile.work.items():
-            group = rank % num_groups
-            token = sample.order[rank]
-            entry = (-load, token)
-            if group not in heaviest or entry < heaviest[group]:
-                heaviest[group] = entry
-        split_tokens = [
-            heaviest[g][1] for g in split_routes if g in heaviest
-        ]
+    # the real Stage-1 order: a per-token route is its token, a hot
+    # group is named by its heaviest member token
+    group_of = route_of(num_groups)
+    heaviest: dict[int, tuple[float, str]] = {}
+    for rank, load in ind_profile.work.items():
+        entry = (-load, sample.order[rank])
+        group = group_of(rank)
+        if group not in heaviest or entry < heaviest[group]:
+            heaviest[group] = entry
+    split_tokens = [heaviest[g][1] for g in split_routes if g in heaviest]
 
     return Stage2Plan(
-        routing=routing,
+        routing="individual" if num_groups is None else "grouped",
         num_groups=num_groups,
-        splits=tuple((token, config.split_factor) for token in split_tokens),
+        splits=tuple((token, SPLIT_FACTOR) for token in split_tokens),
         sampled_records=sample.records_sampled,
     )

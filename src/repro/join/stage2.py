@@ -69,7 +69,7 @@ from repro.analysis.sanitize import Sanitizer, make_sanitizer
 from repro.core.bitmaps import overlap_upper_bound, signature as bitmap_signature
 from repro.core.ordering import TokenOrder
 from repro.core.ppjoin import PPJoinIndex
-from repro.core.prefixes import TokenGrouping
+from repro.core.prefixes import projection_bytes, route_of, routes_of
 from repro.core.similarity import Bounds, bounds_for
 from repro.core.verification import overlap
 from repro.join.blocks import (
@@ -79,7 +79,6 @@ from repro.join.blocks import (
     SPILL_WRITTEN,
     BlockPolicy,
     MAP_BASED,
-    projection_spill_bytes,
 )
 from repro.join.config import JoinConfig
 from repro.join.records import REL_R, REL_S, join_value, rid_of
@@ -165,31 +164,19 @@ def load_token_order(ctx: Context, token_order_file: str) -> TokenOrder:
     return TokenOrder(ctx.broadcast[token_order_file])
 
 
-def make_router(config: JoinConfig, order: TokenOrder) -> Callable:
-    """Return ``routes(prefix) -> list`` for the configured routing
-    strategy: individual routing uses the prefix token's rank itself as
-    the route, grouped routing maps it to its group id (what
-    :func:`owner_of` inverts on the reduce side)."""
-    if config.routing == "individual":
-        def routes(prefix) -> list:
-            return list(dict.fromkeys(prefix))
-        return routes
-    num_groups = config.num_groups or max(1, len(order))
-    return TokenGrouping(order, num_groups).groups_of_ranks
-
-
 def owner_of(config: JoinConfig, route: int) -> Callable[[int], bool]:
     """The ownership rule, stated once: a RID pair belongs to the route
     that the **smallest token common to both records' routing prefixes**
     routes to.  Both records were sent there, so the owner always meets
     the pair, and no other group may emit it.  Returns the predicate
     "does this prefix token route to *route*" — the reduce-side inverse
-    of :func:`make_router` (one group per token: the group id is the
-    rank)."""
-    if config.routing == "grouped" and config.num_groups is not None:
-        num_groups = config.num_groups
-        return lambda token: token % num_groups == route
-    return lambda token: token == route
+    of the mappers' :func:`repro.core.prefixes.routes_of`, specialised
+    once per reduce group (per-token routing: the route is the rank)."""
+    token_groups = config.token_groups
+    if token_groups is None:
+        return lambda token: token == route
+    group_of = route_of(token_groups)
+    return lambda token: group_of(token) == route
 
 
 def _owns_pair(owner: Callable[[int], bool], prefix_length, x: Sequence, y: Sequence) -> bool:
@@ -215,21 +202,14 @@ def resolve_splits(
     """
     if plan is None or not plan.splits:
         return {}
+    route_of_rank = route_of(config.token_groups)
     resolved: dict = {}
     num_tokens = len(order)
-    if config.routing == "grouped":
-        num_groups = config.num_groups or max(1, num_tokens)
-        for token, k in plan.splits:
-            rank = order.rank(token)
-            if rank >= num_tokens:
-                continue
-            group = rank % num_groups
-            resolved[group] = max(resolved.get(group, 1), k)
-    else:
-        for token, k in plan.splits:
-            rank = order.rank(token)
-            if rank < num_tokens:
-                resolved[rank] = max(resolved.get(rank, 1), k)
+    for token, k in plan.splits:
+        rank = order.rank(token)
+        if rank < num_tokens:
+            route = route_of_rank(rank)
+            resolved[route] = max(resolved.get(route, 1), k)
     return {route: k for route, k in resolved.items() if k > 1}
 
 
@@ -265,12 +245,12 @@ def make_self_mapper(
     bounds = bounds_for(config.sim, config.threshold)
     prefix_length, length_bounds = bounds.prefix_length, bounds.length_bounds
     split_mode = plan is not None and bool(plan.splits)
+    routes = routes_of(config.token_groups)
     state: dict = {}
 
     def map_setup(ctx: Context) -> None:
         order = load_token_order(ctx, token_order_file)
         state["order"] = order
-        state["routes"] = make_router(config, order)
         state["splits"] = resolve_splits(plan, config, order)
 
     width = config.length_class_width
@@ -284,7 +264,7 @@ def make_self_mapper(
         prefix = ranks[: prefix_length[n]]
         sig = bitmap_signature(ranks, bitmap_width) if bitmap_width else None
         value = (REL_R, rid, n, sig, ranks)
-        route_list = state["routes"](prefix)
+        route_list = routes(prefix)
         ctx.observe("stage2.prefix_tokens", len(prefix))
         ctx.observe("stage2.record_routes", len(route_list))
         for route in route_list:
@@ -479,7 +459,7 @@ def _spilled_blocks(values: Iterator, tagged: bool, ctx: Context) -> Iterator[tu
 
 
 def _spill_bytes(projection: tuple) -> int:
-    return projection_spill_bytes(len(projection[4]), projection[3] is not None)
+    return projection_bytes(len(projection[4]), projection[3] is not None)
 
 
 def make_bk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callable:
@@ -619,49 +599,59 @@ def make_pk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callab
 # ---------------------------------------------------------------------------
 
 
-def stage2_self_job(
-    config: JoinConfig,
-    records_file: str,
-    token_order_file: str,
-    output: str,
-    num_reducers: int,
-    plan: "Stage2Plan | None" = None,
-) -> MapReduceJob:
-    """Build the single Stage-2 job for a self-join.
-
-    A split-carrying *plan* switches the job to the extended
-    ``(route, shard, length, relation)`` key shape: partitioning goes
-    through :func:`shard_partition` (unsplit routes keep their classic
-    placement) and grouping is on ``(route, shard)``; the reducer is the
-    same one, told that shards (``shard >= 0``) are tagged streams.
-    """
-    blocks = config.blocks
-    if blocks is not None and config.kernel != "bk":
+def check_stage2_plan(config: JoinConfig, plan: "Stage2Plan | None", rs: bool) -> bool:
+    """Validate what a Stage-2 job combines and return its split mode
+    (does *plan* carry hot-group splits).  Section-5 strategies are BK
+    enhancements, and splitting composes with the plain kernels only;
+    R-S jobs have no length-class routing to check (the R-S key already
+    carries a length class)."""
+    if config.blocks is not None and config.kernel != "bk":
         raise ValueError(
             "Section 5 block processing applies to the BK kernel "
             "(the paper sub-partitions when no further filters help); "
             "use kernel='bk' or blocks=None"
         )
-    if config.length_class_width is not None and config.kernel != "bk":
+    length_classes = config.length_class_width is not None and not rs
+    if length_classes and config.kernel != "bk":
         raise ValueError(
             "length-class secondary routing is a BK enhancement "
             "(the PK kernel already exploits the length filter via its "
             "composite keys); use kernel='bk' or length_class_width=None"
         )
     split_mode = plan is not None and bool(plan.splits)
-    if split_mode and (blocks is not None or config.length_class_width is not None):
+    if split_mode and (config.blocks is not None or length_classes):
         raise ValueError(
             "hot-group splitting composes with the plain kernels only; "
             "drop blocks/length_class_width or run without splits"
         )
-    map_setup, mapper = make_self_mapper(config, blocks, token_order_file, plan)
+    return split_mode
+
+
+def assemble_stage2_job(
+    config: JoinConfig,
+    rs: bool,
+    inputs: list[str],
+    token_order_file: str,
+    output: str,
+    num_reducers: int,
+    split_mode: bool,
+    map_setup: Callable,
+    mapper: Callable,
+) -> MapReduceJob:
+    """The one Stage-2 job shape: partition on the route, group on the
+    route, sort on the full composite key.  *split_mode* switches to the
+    extended ``(route, shard, ...)`` keys: partitioning goes through
+    :func:`shard_partition` (unsplit routes keep their classic
+    placement) and grouping is on ``(route, shard)``; the reducer is the
+    same one, told so it can read the route off ``key[0]`` and treat
+    shards (``shard >= 0``) as tagged streams."""
     make_reducer = make_pk_reducer if config.kernel == "pk" else make_bk_reducer
     return MapReduceJob(
-        name=f"stage2-{config.kernel}-self",
-        inputs=[records_file],
+        name=f"stage2-{config.kernel}-{'rs' if rs else 'self'}",
+        inputs=inputs,
         output=output,
         mapper=mapper,
-        reducer=make_reducer(config, rs=False, split=split_mode),
+        reducer=make_reducer(config, rs=rs, split=split_mode),
         num_reducers=num_reducers,
         partition=lambda key: key[0],
         partitioner=(
@@ -672,3 +662,20 @@ def stage2_self_job(
         map_setup=map_setup,
     )
 
+
+def stage2_self_job(
+    config: JoinConfig,
+    records_file: str,
+    token_order_file: str,
+    output: str,
+    num_reducers: int,
+    plan: "Stage2Plan | None" = None,
+) -> MapReduceJob:
+    """Build the single Stage-2 job for a self-join; a split-carrying
+    *plan* switches it to ``(route, shard, length, relation)`` keys
+    (see :func:`assemble_stage2_job`)."""
+    split_mode = check_stage2_plan(config, plan, rs=False)
+    return assemble_stage2_job(
+        config, False, [records_file], token_order_file, output, num_reducers,
+        split_mode, *make_self_mapper(config, config.blocks, token_order_file, plan),
+    )

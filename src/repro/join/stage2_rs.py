@@ -35,19 +35,19 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.bitmaps import signature as bitmap_signature
+from repro.core.prefixes import routes_of
 from repro.core.similarity import bounds_for
 from repro.join.blocks import MAP_BASED, ROLE_LOAD, BlockPolicy
 from repro.join.config import JoinConfig
 from repro.join.records import REL_R, REL_S
 from repro.join.stage2 import (
+    assemble_stage2_job,
+    check_stage2_plan,
     load_token_order,
-    make_bk_reducer,
-    make_pk_reducer,
-    make_router,
     project_record,
     resolve_splits,
 )
-from repro.mapreduce.hashing import shard_of, shard_partition
+from repro.mapreduce.hashing import shard_of
 from repro.mapreduce.job import Context, MapReduceJob
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -85,12 +85,12 @@ def make_rs_mapper(
     """
     prefix_length = bounds_for(config.sim, config.threshold).prefix_length
     split_mode = plan is not None and bool(plan.splits)
+    routes = routes_of(config.token_groups)
     state: dict = {}
 
     def map_setup(ctx: Context) -> None:
         order = load_token_order(ctx, token_order_file)
         state["order"] = order
-        state["routes"] = make_router(config, order)
         state["splits"] = resolve_splits(plan, config, order)
 
     bitmap_width = config.bitmap_width if config.bitmap_filter else None
@@ -112,7 +112,7 @@ def make_rs_mapper(
         sig = bitmap_signature(ranks, bitmap_width) if bitmap_width else None
         value = (rel, rid, true_size, sig, ranks)
         cls = _length_class(rel, true_size, config)
-        route_list = state["routes"](prefix)
+        route_list = routes(prefix)
         ctx.observe("stage2.prefix_tokens", len(prefix))
         ctx.observe("stage2.record_routes", len(route_list))
         for route in route_list:
@@ -161,43 +161,14 @@ def stage2_rs_job(
     num_reducers: int,
     plan: "Stage2Plan | None" = None,
 ) -> MapReduceJob:
-    """Build the single Stage-2 job for an R-S join.
-
-    A split-carrying *plan* switches to the extended ``(route, shard,
-    class, relation, length)`` key shape with
-    :func:`shard_partition` placement and ``(route, shard)`` grouping;
-    the reducer is told only so it can read the route off the group key
-    — a split shard is just an ordinary R-S group holding all of R and
-    a slice of S.
-    """
-    blocks = config.blocks
-    if blocks is not None and config.kernel != "bk":
-        raise ValueError(
-            "Section 5 block processing applies to the BK kernel; "
-            "use kernel='bk' or blocks=None"
-        )
-    split_mode = plan is not None and bool(plan.splits)
-    if split_mode and blocks is not None:
-        raise ValueError(
-            "hot-group splitting composes with the plain kernels only; "
-            "drop blocks or run without splits"
-        )
-    map_setup, mapper = make_rs_mapper(
-        config, blocks, token_order_file, r_file, s_file, plan
-    )
-    make_reducer = make_pk_reducer if config.kernel == "pk" else make_bk_reducer
-    return MapReduceJob(
-        name=f"stage2-{config.kernel}-rs",
-        inputs=[r_file, s_file],
-        output=output,
-        mapper=mapper,
-        reducer=make_reducer(config, rs=True, split=split_mode),
-        num_reducers=num_reducers,
-        partition=lambda key: key[0],
-        partitioner=(
-            (lambda key, n: shard_partition(key[0], key[1], n)) if split_mode else None
-        ),
-        group_key=(lambda key: (key[0], key[1])) if split_mode else (lambda key: key[0]),
-        broadcast=[token_order_file],
-        map_setup=map_setup,
+    """Build the single Stage-2 job for an R-S join; a split-carrying
+    *plan* switches it to ``(route, shard, class, relation, length)``
+    keys (see :func:`repro.join.stage2.assemble_stage2_job`) — a split
+    shard is just an ordinary R-S group holding all of R and a slice of
+    S."""
+    split_mode = check_stage2_plan(config, plan, rs=True)
+    return assemble_stage2_job(
+        config, True, [r_file, s_file], token_order_file, output, num_reducers,
+        split_mode,
+        *make_rs_mapper(config, config.blocks, token_order_file, r_file, s_file, plan),
     )

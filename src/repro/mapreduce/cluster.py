@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from repro.mapreduce.counters import (
     COMBINE_INPUT_RECORDS,
@@ -56,16 +56,13 @@ from repro.mapreduce.counters import (
 from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.faults import (
     DEFAULT_RETRY_POLICY,
+    FAULT_INJECTED,
     NON_RETRYABLE,
     TASK_RETRIES,
-    CorruptOutputError,
     FaultPlan,
     RetryPolicy,
     TaskError,
-    annotate_memory_error,
-    apply_fault,
-    count_fault,
-    squeezed_limit,
+    run_attempt,
     task_error_from,
 )
 from repro.mapreduce.hashing import stable_hash
@@ -187,10 +184,7 @@ def execute_map_task(
     """
     span = trace_span(tracer, f"map:{task_id}", "task", job=job.name, task=task_id)
     ctx = Context(
-        "map",
-        Counters(),
-        memory_limit_bytes=memory_limit_bytes,
-        broadcast=broadcast_data,
+        Counters(), memory_limit_bytes=memory_limit_bytes, broadcast=broadcast_data
     )
     ctx.task_id = task_id
     ctx.input_file = input_name
@@ -302,9 +296,7 @@ def _combine(
     grouped: dict = {}
     for key, value in pairs:
         grouped.setdefault(key, []).append(value)
-    combine_ctx = Context(
-        "combine", map_ctx.counters, memory_limit_bytes=memory_limit_bytes
-    )
+    combine_ctx = Context(map_ctx.counters, memory_limit_bytes=memory_limit_bytes)
     combine_ctx.task_id = map_ctx.task_id
     for key, values in grouped.items():
         job.combiner(key, values, combine_ctx)
@@ -333,7 +325,7 @@ def execute_reduce_task(
         tracer, f"reduce:{partition_index}", "task",
         job=job.name, partition=partition_index,
     )
-    ctx = Context("reduce", Counters(), memory_limit_bytes=memory_limit_bytes)
+    ctx = Context(Counters(), memory_limit_bytes=memory_limit_bytes)
     ctx.task_id = partition_index
     t0 = time.perf_counter()
     bucket.sort(key=_of_key(job.sort_key))
@@ -494,6 +486,62 @@ def check_rss_pressure(
         ).with_context(job.name, phase, task_id, attempt)
 
 
+class TaskLedger:
+    """What the parent books for one task across its attempts: the
+    ``fault.*`` / ``task.*`` counters and their trace instants.
+
+    The retry loops differ per engine (one task at a time here, chunks
+    in flight in the executor); what an attempt *is* they share through
+    :func:`repro.mapreduce.faults.run_attempt`, and what they book per
+    task through one ledger each, settled into the winning attempt's
+    counters — so chaos bookkeeping rides the existing counter path.
+    """
+
+    def __init__(
+        self, plan: FaultPlan | None, tracer: Tracer | None,
+        job: str, phase: str, task: int,
+    ) -> None:
+        self._plan = plan
+        self._tracer = tracer
+        self._where = (job, phase, task)
+        self._counters = Counters()
+
+    def count(self, name: str, event: str | None = None, **args: Any) -> None:
+        """Count *name* once; with *event*, mark it on the trace
+        timeline too (*args* join the task's coordinates)."""
+        self._counters.increment(name)
+        if event is not None and self._tracer is not None:
+            job, phase, task = self._where
+            self._tracer.instant(
+                event, "fault", job=job, phase=phase, task=task, **args
+            )
+
+    def note_fault(self, attempt: int) -> None:
+        """Book the fault the plan schedules for *attempt*, if any,
+        before the attempt is launched (wherever it will run)."""
+        plan = self._plan
+        spec = None if plan is None else plan.lookup(*self._where, attempt)
+        if spec is not None:
+            self.count(f"fault.{spec.kind}")
+            self.count(
+                FAULT_INJECTED, "fault-injected", attempt=attempt, kind=spec.kind
+            )
+
+    def note_retry(self, attempt: int) -> None:
+        """Book that *attempt* re-runs a failed attempt."""
+        self.count(TASK_RETRIES, "task-retry", attempt=attempt)
+
+    def settle(self, result: tuple, attempt: int) -> None:
+        """Fold the ledger into the counters of the winning *attempt*
+        (the last element of every task result), with the attempt number
+        in the ``task.attempts`` histogram when it was not the first."""
+        if attempt > 0:
+            self._counters.observe("task.attempts", attempt + 1)
+        counters = result[-1]
+        for name, value in self._counters:
+            counters[name] = counters.get(name, 0) + value
+
+
 class SimulatedCluster:
     """Executes MapReduce jobs against a DFS under a cost model."""
 
@@ -519,6 +567,15 @@ class SimulatedCluster:
         self.retry_policy = retry_policy
 
     # -- public API ---------------------------------------------------------
+
+    def prepare_jobs(self, jobs: Iterable[MapReduceJob]) -> None:
+        """Announce the jobs of an upcoming pipeline.  Nothing to do
+        here; a cluster with a worker pool forks it once for all of
+        them (see :mod:`repro.mapreduce.executor`)."""
+
+    def close(self) -> None:
+        """Release what the cluster holds outside the DFS (idempotent):
+        nothing here, the worker pool and spill files of a pooled one."""
 
     def run_job(self, job: MapReduceJob) -> PhaseStats:
         """Run one job; writes ``job.output`` to the DFS and returns stats.
@@ -686,79 +743,37 @@ class SimulatedCluster:
     ) -> _TaskResult:
         """Run one task under the cluster's fault plan and retry policy.
 
-        ``run(memory_limit, heartbeat)`` executes one attempt.  Injected
+        ``run(memory_limit, heartbeat)`` executes one attempt
+        (:func:`repro.mapreduce.faults.run_attempt` wraps it).  Injected
         faults and genuine failures are retried up to the policy's
-        attempt budget with deterministic backoff; fault and retry
-        tallies are merged into the winning attempt's counter dict (the
-        last element of every task-result tuple), so they ride the
-        existing counter path.  Non-retryable errors (the simulated
+        attempt budget; fault and retry tallies are merged into the
+        winning attempt's counters.  Non-retryable errors (the simulated
         memory budget) propagate raw; an exhausted budget raises the
         last attempt's :class:`TaskError`.
         """
-        plan = self.fault_plan
+        plan, hub = self.fault_plan, self.telemetry
         policy = self.retry_policy or DEFAULT_RETRY_POLICY
-        hub = self.telemetry
         limit = self.config.memory_per_task_bytes
-        extra: dict[str, int] = {}
+        where = (job.name, phase, task_id)
+        ledger = TaskLedger(plan, self.tracer, *where)
         attempt = 0
         while True:
             check_rss_pressure(hub, job, phase, task_id, attempt)
-            spec = (
-                None
-                if plan is None
-                else plan.lookup(job.name, phase, task_id, attempt)
-            )
+            ledger.note_fault(attempt)
+            heartbeat = None if hub is None else hub.emitter_for(*where)
             try:
-                if spec is not None:
-                    count_fault(extra, spec)
-                    if self.tracer is not None:
-                        self.tracer.instant(
-                            "fault-injected", "fault", job=job.name,
-                            phase=phase, task=task_id, attempt=attempt,
-                            kind=spec.kind,
-                        )
-                    apply_fault(spec, job.name, phase, task_id, attempt)
-                result = run(
-                    squeezed_limit(spec, limit),
-                    None if hub is None else hub.emitter_for(job.name, phase, task_id),
+                result = run_attempt(
+                    plan, *where, attempt, limit, lambda lim: run(lim, heartbeat)
                 )
-                if spec is not None and spec.kind == "corrupt":
-                    raise CorruptOutputError(job.name, phase, task_id, attempt)
-            except NON_RETRYABLE as exc:
-                annotate_memory_error(exc, job.name, phase, task_id, attempt)
-                raise
-            except Exception as exc:
-                error = (
-                    exc
-                    if isinstance(exc, TaskError)
-                    else task_error_from(job.name, phase, task_id, exc)
-                )
-                error.attempt = attempt
+            except TaskError:
                 attempt += 1
                 if attempt >= policy.max_attempts:
-                    raise error from exc
-                extra[TASK_RETRIES] = extra.get(TASK_RETRIES, 0) + 1
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "task-retry", "fault", job=job.name, phase=phase,
-                        task=task_id, attempt=attempt,
-                    )
-                if policy.backoff_s > 0:
-                    time.sleep(policy.backoff_s * attempt)
+                    raise
+                ledger.note_retry(attempt)
                 continue
-            if attempt > 0:
-                observe_into(
-                    lambda name, value: extra.__setitem__(
-                        name, extra.get(name, 0) + value
-                    ),
-                    "task.attempts",
-                    attempt + 1,
-                )
-            counters = result[-1]
-            for name, value in extra.items():
-                counters[name] = counters.get(name, 0) + value
+            ledger.settle(result, attempt)
             if hub is not None:
-                hub.task_finished(job.name, phase, task_id, result[0].input_records)
+                hub.task_finished(*where, result[0].input_records)
             return result
 
     # -- broadcast (distributed cache) ------------------------------------

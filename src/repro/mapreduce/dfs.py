@@ -22,6 +22,26 @@ from repro.mapreduce.types import approx_bytes
 DEFAULT_BLOCK_BYTES = 256 * 1024
 
 
+def split_into_blocks(
+    records: Iterable, block_bytes: int
+) -> Iterator[tuple[list, int]]:
+    """Cut *records* into ``(block_records, approx_bytes)`` pieces, each
+    sealed by the record that takes it to *block_bytes* — the block
+    boundaries of every DFS backend.  An empty input still yields one
+    (empty) block, so an empty file exists and gets its map task."""
+    block: list = []
+    num_bytes = 0
+    sealed_any = False
+    for record in records:
+        block.append(record)
+        num_bytes += approx_bytes(record)
+        if num_bytes >= block_bytes:
+            yield block, num_bytes
+            block, num_bytes, sealed_any = [], 0, True
+    if block or not sealed_any:
+        yield block, num_bytes
+
+
 @dataclass
 class Block:
     """One DFS block: records plus the node holding its (only) replica."""
@@ -89,27 +109,16 @@ class InMemoryDFS:
         placing them round-robin across nodes.  Overwrites silently
         (job outputs replace prior attempts, as in HDFS + job retry)."""
         dfs_file = DFSFile(name)
-        block_records: list = []
-        block_budget = 0
-        for record in records:
-            block_records.append(record)
-            block_budget += approx_bytes(record)
-            if block_budget >= self.block_bytes:
-                self._seal_block(dfs_file, block_records, block_budget)
-                block_records = []
-                block_budget = 0
-        if block_records or not dfs_file.blocks:
-            self._seal_block(dfs_file, block_records, block_budget)
+        for block_records, num_bytes in split_into_blocks(records, self.block_bytes):
+            dfs_file.blocks.append(
+                Block(
+                    index=len(dfs_file.blocks), node=self._next_node,
+                    records=block_records, num_bytes=num_bytes,
+                )
+            )
+            self._next_node = (self._next_node + 1) % self.num_nodes
         self._files[name] = dfs_file
         return dfs_file
-
-    def _seal_block(self, dfs_file: DFSFile, records: list, num_bytes: int) -> None:
-        block = Block(
-            index=len(dfs_file.blocks), node=self._next_node, records=records,
-            num_bytes=num_bytes,
-        )
-        dfs_file.blocks.append(block)
-        self._next_node = (self._next_node + 1) % self.num_nodes
 
     def read(self, name: str) -> Iterator:
         """Iterate the records of file *name*."""

@@ -12,7 +12,8 @@ them at, so peak memory stays one block per in-flight task.
 Layout on disk::
 
     root/
-      <file>.meta.json          # block index: counts, bytes, node placement
+      <file>.meta.json          # block index: counts, bytes, node placement;
+                                # written last, atomically (obs.atomicio)
       <file>.block0000.pkl
       <file>.block0001.pkl
       ...
@@ -29,8 +30,8 @@ import pickle
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.mapreduce.dfs import DEFAULT_BLOCK_BYTES
-from repro.mapreduce.types import approx_bytes
+from repro.mapreduce.dfs import DEFAULT_BLOCK_BYTES, split_into_blocks
+from repro.obs.atomicio import atomic_write_json
 
 #: same wire protocol as the executor's shuffle path (protocol 5), so a
 #: block round-trips through one ``dumps``/``loads`` pair with no
@@ -41,6 +42,19 @@ _PICKLE = pickle.HIGHEST_PROTOCOL
 def _encode_name(name: str) -> str:
     """Filesystem-safe encoding of a DFS file name (reversible)."""
     return name.replace("%", "%25").replace("/", "%2F")
+
+
+def _read_meta(meta_path: Path) -> dict:
+    """One file's block index; a damaged one is a ``ValueError`` naming
+    the path."""
+    try:
+        with open(meta_path, encoding="utf-8") as handle:
+            meta = json.load(handle)
+        if not isinstance(meta, dict) or not {"name", "blocks"} <= meta.keys():
+            raise ValueError("not a block index document")
+    except ValueError as exc:  # JSONDecodeError is one
+        raise ValueError(f"unreadable DFS block index {meta_path}: {exc}") from exc
+    return meta
 
 
 class DiskBlock:
@@ -128,49 +142,38 @@ class LocalDiskDFS:
     # -- file operations -------------------------------------------------
 
     def write(self, name: str, records: Iterable) -> DiskFile:
-        """Create (or overwrite) file *name* from *records*."""
+        """Create (or overwrite) file *name* from *records*.  The block
+        index is written last and atomically, so a file either exists
+        whole or (after a kill mid-write) not at all."""
         self.delete(name)
         meta_blocks: list[dict] = []
-        buffer: list = []
-        buffered_bytes = 0
-
-        def seal() -> None:
-            nonlocal buffer, buffered_bytes
-            index = len(meta_blocks)
-            path = self._block_path(name, index)
-            blob = pickle.dumps(buffer, _PICKLE)
-            with open(path, "wb") as handle:
-                handle.write(blob)
+        for index, (block, num_bytes) in enumerate(
+            split_into_blocks(records, self.block_bytes)
+        ):
+            with open(self._block_path(name, index), "wb") as handle:
+                handle.write(pickle.dumps(block, _PICKLE))
             meta_blocks.append(
                 {
                     "index": index,
                     "node": self._next_node,
-                    "num_records": len(buffer),
-                    "num_bytes": buffered_bytes,
+                    "num_records": len(block),
+                    "num_bytes": num_bytes,
                 }
             )
             self._next_node = (self._next_node + 1) % self.num_nodes
-            buffer = []
-            buffered_bytes = 0
-
-        for record in records:
-            buffer.append(record)
-            buffered_bytes += approx_bytes(record)
-            if buffered_bytes >= self.block_bytes:
-                seal()
-        if buffer or not meta_blocks:
-            seal()
-
-        with open(self._meta_path(name), "w", encoding="utf-8") as handle:
-            json.dump({"name": name, "blocks": meta_blocks}, handle)
+        self._write_meta(name, meta_blocks)
         return self.file(name)
+
+    def _write_meta(self, name: str, meta_blocks: list[dict]) -> None:
+        atomic_write_json(
+            str(self._meta_path(name)), {"name": name, "blocks": meta_blocks}
+        )
 
     def file(self, name: str) -> DiskFile:
         meta_path = self._meta_path(name)
         if not meta_path.exists():
             raise FileNotFoundError(f"no such DFS file: {name!r}")
-        with open(meta_path, encoding="utf-8") as handle:
-            meta = json.load(handle)
+        meta = _read_meta(meta_path)
         blocks = [
             DiskBlock(
                 self._block_path(name, entry["index"]),
@@ -196,17 +199,14 @@ class LocalDiskDFS:
         meta_path = self._meta_path(name)
         if not meta_path.exists():
             return
-        with open(meta_path, encoding="utf-8") as handle:
-            meta = json.load(handle)
-        for entry in meta["blocks"]:
+        for entry in _read_meta(meta_path)["blocks"]:
             self._block_path(name, entry["index"]).unlink(missing_ok=True)
         meta_path.unlink()
 
     def listdir(self) -> list[str]:
         names = []
         for meta_path in self.root.glob("*.meta.json"):
-            with open(meta_path, encoding="utf-8") as handle:
-                names.append(json.load(handle)["name"])
+            names.append(_read_meta(meta_path)["name"])
         return sorted(names)
 
     # -- placement ----------------------------------------------------------
@@ -218,12 +218,9 @@ class LocalDiskDFS:
         self.num_nodes = num_nodes
         node = 0
         for name in self.listdir():
-            meta_path = self._meta_path(name)
-            with open(meta_path, encoding="utf-8") as handle:
-                meta = json.load(handle)
-            for entry in meta["blocks"]:
+            blocks = _read_meta(self._meta_path(name))["blocks"]
+            for entry in blocks:
                 entry["node"] = node
                 node = (node + 1) % num_nodes
-            with open(meta_path, "w", encoding="utf-8") as handle:
-                json.dump(meta, handle)
+            self._write_meta(name, blocks)
         self._next_node = node

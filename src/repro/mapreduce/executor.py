@@ -22,9 +22,9 @@ This module removes both costs:
   forked marks it stale; the next phase transparently re-forks.
 
 * A **zero-repickle shuffle path**: map workers serialize their
-  partition buckets exactly once (pickle protocol 5 with out-of-band
-  buffers) into one spill file per task attempt and return only small
-  summaries (stats, counters, per-partition offsets and byte counts).
+  partition buckets exactly once (one pickle blob per partition) into
+  one spill file per task attempt and return only small summaries
+  (stats, counters, per-partition offsets and byte counts).
   Reduce workers read their partition's bytes straight from those
   files; the parent only routes ``(path, offset, length)`` references.
   The spill directory is created under ``/dev/shm`` when that is
@@ -67,6 +67,7 @@ from repro.analysis.sanitize import env_sanitize
 from repro.mapreduce.cluster import (
     ClusterConfig,
     SimulatedCluster,
+    TaskLedger,
     check_rss_pressure,
     execute_map_task,
     execute_reduce_task,
@@ -76,22 +77,16 @@ from repro.mapreduce.faults import (
     DEFAULT_RETRY_POLICY,
     NON_RETRYABLE,
     TASK_LOST,
-    TASK_RETRIES,
     TASK_SPECULATIVE,
-    CorruptOutputError,
     FaultPlan,
     RetryPolicy,
     TaskError,
-    annotate_memory_error,
-    apply_fault,
-    count_fault,
     mark_worker_process,
-    squeezed_limit,
+    run_attempt,
     task_error_from,
 )
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import ExecutorPhaseStats, approx_bytes
-from repro.obs.metrics import observe_into
 from repro.obs.telemetry import HeartbeatEmitter, TelemetryHub
 from repro.obs.trace import Tracer, trace_span
 
@@ -100,6 +95,15 @@ _PICKLE = pickle.HIGHEST_PROTOCOL
 #: RAM-backed (tmpfs) directory preferred for the transient shuffle
 #: spill files; the system temp directory serves when it is missing
 _SHM_DIR = "/dev/shm"
+
+#: chunks a phase's tasks are cut into, per worker: 2 lets a worker that
+#: drew a light chunk pick up a second one, while keeping the per-chunk
+#: dispatch cost (one pickle round trip) a small share of the phase
+_CHUNKS_PER_WORKER = 2
+
+#: completion-poll interval of the dispatch loop, seconds — two orders
+#: of magnitude under the shortest pooled phase, so polling never shows
+_POLL_INTERVAL_S = 0.01
 
 
 def _effective_cores() -> int:
@@ -196,42 +200,36 @@ def _worker_heartbeat(
     return HeartbeatEmitter(_W_HB_QUEUE.put, job_name, phase, task_id, hb_interval)
 
 
-#: partition -> (offset, pickle blob length, out-of-band buffer lengths)
-Segments = dict[int, tuple[int, int, tuple[int, ...]]]
-#: one reduce-side segment reference: (spill path, offset, blob_len,
-#: buf_lens) — the only thing the parent ever routes
-SegmentRef = tuple[str, int, int, tuple[int, ...]]
+#: partition -> (offset, length) of its pickle blob in the spill file
+Segments = dict[int, tuple[int, int]]
+#: one reduce-side segment reference: (spill path, offset, length) —
+#: the only thing the parent ever routes
+SegmentRef = tuple[str, int, int]
 
 
 def _serialize_buckets(
     partitioned: list, num_reducers: int
-) -> tuple[Segments, list]:
+) -> tuple[Segments, list[bytes]]:
     """Partition and serialize one map task's output exactly once.
 
-    Each non-empty bucket becomes one protocol-5 pickle blob followed by
-    its out-of-band buffers (``buffer_callback``), laid out back to back.
-    Returns ``(segments, pieces)`` where ``pieces`` is the flat
-    byte-chunk sequence to write to the spill file.
+    Each non-empty bucket becomes one pickle blob, laid out back to
+    back.  Returns ``(segments, blobs)`` where ``blobs`` is what to
+    write to the spill file, in order.
     """
     buckets: list[list] = [[] for _ in range(num_reducers)]
     for p, key, value in partitioned:
         buckets[p].append((key, value))
     segments: Segments = {}
-    pieces: list = []
+    blobs: list[bytes] = []
     offset = 0
     for p, bucket in enumerate(buckets):
         if not bucket:
             continue
-        raw_bufs: list = []
-        blob = pickle.dumps(
-            bucket, _PICKLE, buffer_callback=lambda b, out=raw_bufs: out.append(b.raw())
-        )
-        buf_lens = tuple(len(raw) for raw in raw_bufs)
-        pieces.append(blob)
-        pieces.extend(raw_bufs)
-        segments[p] = (offset, len(blob), buf_lens)
-        offset += len(blob) + sum(buf_lens)
-    return segments, pieces
+        blob = pickle.dumps(bucket, _PICKLE)
+        blobs.append(blob)
+        segments[p] = (offset, len(blob))
+        offset += len(blob)
+    return segments, blobs
 
 
 def _spill_map_output(
@@ -244,14 +242,13 @@ def _spill_map_output(
     — never collide on a file.  Returns ``(path, segments)``; the path
     is ``""`` for a task that emitted nothing.
     """
-    segments, pieces = _serialize_buckets(partitioned, num_reducers)
+    segments, blobs = _serialize_buckets(partitioned, num_reducers)
     if not segments:
         return "", segments
     os.makedirs(phase_dir, exist_ok=True)
     path = os.path.join(phase_dir, f"{stem}.spill")
     with open(path, "wb") as handle:
-        for piece in pieces:
-            handle.write(piece)
+        handle.writelines(blobs)
     return path, segments
 
 
@@ -259,12 +256,10 @@ def _read_segments(refs: list[SegmentRef]) -> list:
     """Concatenate shuffle segments (given in map-task order) into one
     reduce bucket."""
     bucket: list = []
-    for path, offset, blob_len, buf_lens in refs:
+    for path, offset, length in refs:
         with open(path, "rb") as handle:
             handle.seek(offset)
-            blob = handle.read(blob_len)
-            buffers = [handle.read(length) for length in buf_lens]
-        bucket.extend(pickle.loads(blob, buffers=buffers))
+            bucket.extend(pickle.loads(handle.read(length)))
     return bucket
 
 
@@ -317,7 +312,7 @@ def _run_chunk(args: tuple) -> tuple:
     chunk_index, jid, phase, common, phase_args, tasks = args
     memory_limit, trace, plan, hb_interval = common
     job = _W_JOBS[jid]
-    run_attempt = _ATTEMPT[phase]
+    attempt_fn = _ATTEMPT[phase]
     # When the parent traces, each chunk records its task spans into a
     # worker-local tracer whose raw events ride back with the results
     # (perf_counter is CLOCK_MONOTONIC, shared across the fork).
@@ -325,33 +320,22 @@ def _run_chunk(args: tuple) -> tuple:
     oks: list[tuple[int, int, tuple]] = []
     errs: list[tuple[int, int, BaseException, bool]] = []
     for task_id, attempt, *payload in tasks:
-        try:
-            fault = (
-                None
-                if plan is None
-                else plan.lookup(job.name, phase, task_id, attempt)
-            )
-            if fault is not None:
-                apply_fault(fault, job.name, phase, task_id, attempt)
-            result = run_attempt(
-                job, task_id, attempt, squeezed_limit(fault, memory_limit), tracer,
+
+        def run(limit: int | None) -> tuple:
+            return attempt_fn(
+                job, task_id, attempt, limit, tracer,
                 _worker_heartbeat(hb_interval, job.name, phase, task_id),
                 phase_args, *payload,
             )
-            if fault is not None and fault.kind == "corrupt":
-                # a map attempt's spill file goes with the phase directory
-                raise CorruptOutputError(job.name, phase, task_id, attempt)
+
+        try:
+            result = run_attempt(
+                plan, job.name, phase, task_id, attempt, memory_limit, run
+            )
             oks.append((task_id, attempt, result))
         except NON_RETRYABLE as exc:
-            annotate_memory_error(exc, job.name, phase, task_id, attempt)
             errs.append((task_id, attempt, exc, False))
-        except Exception as exc:
-            error = (
-                exc
-                if isinstance(exc, TaskError)
-                else task_error_from(job.name, phase, task_id, exc)
-            )
-            error.attempt = attempt
+        except TaskError as error:
             errs.append((task_id, attempt, error, True))
     events = tracer.raw_events() if tracer is not None else []
     return chunk_index, oks, errs, events
@@ -429,10 +413,7 @@ class MapShuffle:
         """Record one map task's spill file and add up its shuffled
         bytes, ``TaskStats.partition_bytes`` of that task."""
         self._tasks.append((path, segments))
-        self.spilled_bytes += sum(
-            blob_len + sum(buf_lens)
-            for _off, blob_len, buf_lens in segments.values()
-        )
+        self.spilled_bytes += sum(length for _off, length in segments.values())
         for p, num_bytes in partition_bytes.items():
             self._part_bytes[p] = self._part_bytes.get(p, 0) + num_bytes
 
@@ -458,10 +439,7 @@ class MapShuffle:
 
     def segment_bytes(self, partition: int) -> int:
         """Spill-file bytes of *partition* (what loading it reads)."""
-        return sum(
-            blob_len + sum(buf_lens)
-            for _path, _off, blob_len, buf_lens in self.refs_for(partition)
-        )
+        return sum(length for _path, _off, length in self.refs_for(partition))
 
     def load(self, partition: int) -> list:
         """Read one partition's bucket in the parent (inline-reduce path)."""
@@ -536,7 +514,6 @@ class PersistentExecutor:
     def __init__(
         self,
         workers: int | None = None,
-        chunks_per_worker: int = 2,
         dfs: InMemoryDFS | None = None,
     ) -> None:
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -544,12 +521,7 @@ class PersistentExecutor:
                 "PersistentExecutor requires the 'fork' start method; "
                 "use SimulatedCluster on this platform"
             )
-        if chunks_per_worker < 1:
-            raise ValueError(
-                f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
-            )
         self.workers = workers or os.cpu_count() or 2
-        self.chunks_per_worker = chunks_per_worker
         self.stats = ExecutorStats()
         #: attach a :class:`repro.obs.trace.Tracer` to collect worker
         #: task spans (set by the owning cluster; observe-only)
@@ -717,7 +689,7 @@ class PersistentExecutor:
 
     def _chunk(self, tasks: list) -> list[list]:
         """Split *tasks* into contiguous chunks (order-preserving)."""
-        target = max(1, self.workers * self.chunks_per_worker)
+        target = max(1, self.workers * _CHUNKS_PER_WORKER)
         size = max(1, -(-len(tasks) // target))
         return [tasks[i : i + size] for i in range(0, len(tasks), size)]
 
@@ -738,9 +710,8 @@ class PersistentExecutor:
         are still in flight:
 
         * **retries**: a failed attempt is re-dispatched (bounded by
-          the :class:`RetryPolicy` attempt budget, with deterministic
-          backoff); the budget exhausting raises the last attempt's
-          :class:`TaskError`.
+          the :class:`RetryPolicy` attempt budget); the budget
+          exhausting raises the last attempt's :class:`TaskError`.
         * **speculation**: when a chunk outlives the policy's
           speculation window, its unfinished tasks get one duplicate
           attempt each; the first completed attempt wins.  Attempts are
@@ -773,12 +744,12 @@ class PersistentExecutor:
         won_attempt: dict[int, int] = {}
         next_attempt: dict[int, int] = {t: 0 for t in order}
         pending: dict[int, int] = {t: 0 for t in order}
-        extras: dict[int, dict[str, int]] = {}
         failures: dict[int, TaskError] = {}
         flights: list[_Flight] = []
         chunk_seq = 0
         inline_mode = self.degraded
         hub = self.telemetry
+        ledgers = {t: TaskLedger(plan, self.tracer, job.name, phase, t) for t in order}
         pooled: set[int] = set()
         final_seen: set[int] = set()
 
@@ -801,16 +772,7 @@ class PersistentExecutor:
                 attempt = next_attempt[t]
                 next_attempt[t] = attempt + 1
                 pending[t] += 1
-                if plan is not None:
-                    fault = plan.lookup(job.name, phase, t, attempt)
-                    if fault is not None:
-                        count_fault(extras.setdefault(t, {}), fault)
-                        if self.tracer is not None:
-                            self.tracer.instant(
-                                "fault-injected", "fault", job=job.name,
-                                phase=phase, task=t, attempt=attempt,
-                                kind=fault.kind,
-                            )
+                ledgers[t].note_fault(attempt)
                 entries.append((t, attempt, *task_payloads[t]))
             payload = (chunk_seq, jid, phase, common, phase_args, entries)
             chunk_seq += 1
@@ -849,26 +811,13 @@ class PersistentExecutor:
                     continue
                 handle_failure(t, exc, retryable)
 
-        def handle_failure(t: int, exc: BaseException, retryable: bool) -> None:
+        def handle_failure(t: int, error: BaseException, retryable: bool) -> None:
             if not retryable:
-                raise exc  # e.g. InsufficientMemoryError, raw by contract
-            error = (
-                exc
-                if isinstance(exc, TaskError)
-                else task_error_from(job.name, phase, t, exc)
-            )
+                raise error  # e.g. InsufficientMemoryError, raw by contract
             failures[t] = error
             if next_attempt[t] < policy.max_attempts:
-                extra = extras.setdefault(t, {})
-                extra[TASK_RETRIES] = extra.get(TASK_RETRIES, 0) + 1
+                ledgers[t].note_retry(next_attempt[t])
                 self.stats.tasks_retried += 1
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "task-retry", "fault", job=job.name, phase=phase,
-                        task=t, attempt=next_attempt[t],
-                    )
-                if policy.backoff_s > 0:
-                    time.sleep(policy.backoff_s * next_attempt[t])
                 submit([t])
             elif pending[t] == 0:
                 raise error
@@ -888,8 +837,7 @@ class PersistentExecutor:
             ]
             for t in lost:
                 pending[t] = 0
-                extra = extras.setdefault(t, {})
-                extra[TASK_LOST] = extra.get(TASK_LOST, 0) + 1
+                ledgers[t].count(TASK_LOST)
                 self.stats.tasks_lost += 1
             flights.clear()
             self._teardown_pool()
@@ -923,7 +871,7 @@ class PersistentExecutor:
             # deal the size-sorted tasks round-robin over the chunk
             # budget: contiguous chunking would put every heavy task in
             # the same chunk (one worker), defeating the LPT order
-            target = max(1, self.workers * self.chunks_per_worker)
+            target = max(1, self.workers * _CHUNKS_PER_WORKER)
             n = max(1, min(target, len(dispatch_order)))
             initial = [dispatch_order[i::n] for i in range(n)]
         else:
@@ -996,17 +944,14 @@ class PersistentExecutor:
                             or next_attempt[t] >= policy.max_attempts
                         ):
                             continue
-                        extra = extras.setdefault(t, {})
-                        extra[TASK_SPECULATIVE] = extra.get(TASK_SPECULATIVE, 0) + 1
+                        ledgers[t].count(
+                            TASK_SPECULATIVE, "task-speculative",
+                            attempt=next_attempt[t],
+                        )
                         self.stats.tasks_speculated += 1
-                        if self.tracer is not None:
-                            self.tracer.instant(
-                                "task-speculative", "fault", job=job.name,
-                                phase=phase, task=t, attempt=next_attempt[t],
-                            )
                         submit([t])
             if flights:
-                flights[0].handle.wait(policy.poll_interval_s)
+                flights[0].handle.wait(_POLL_INTERVAL_S)
 
         # final beats ride the queue's feeder thread, so they can trail
         # the pool's own result delivery; give every pooled task's final
@@ -1025,24 +970,9 @@ class PersistentExecutor:
             raise RuntimeError(
                 f"dispatch satisfied {len(results)} of {len(order)} tasks"
             )
-        cores: list[tuple] = []
         for t in order:
-            core = results[t]
-            extra = extras.get(t)
-            if extra:
-                if won_attempt.get(t, 0) > 0:
-                    observe_into(
-                        lambda name, value: extra.__setitem__(
-                            name, extra.get(name, 0) + value
-                        ),
-                        "task.attempts",
-                        won_attempt[t] + 1,
-                    )
-                counters = core[-1]
-                for name, value in extra.items():
-                    counters[name] = counters.get(name, 0) + value
-            cores.append(core)
-        return cores, chunk_seq
+            ledgers[t].settle(results[t], won_attempt[t])
+        return [results[t] for t in order], chunk_seq
 
     def run_map_phase(
         self,
@@ -1127,7 +1057,7 @@ class PersistentExecutor:
         """
         ex, t0 = self._begin_phase(job, len(reduce_tasks))
         bucket_bytes = {
-            p: sum(blob_len + sum(buf_lens) for _w, _o, blob_len, buf_lens in refs)
+            p: sum(length for _path, _off, length in refs)
             for p, refs in reduce_tasks
         }
         ex.spill_bytes_read = sum(bucket_bytes.values())
@@ -1242,7 +1172,6 @@ class PersistentParallelCluster(SimulatedCluster):
         dfs: InMemoryDFS | None = None,
         workers: int | None = None,
         min_tasks_for_pool: int = 4,
-        chunks_per_worker: int = 2,
         assume_cores: int | None = None,
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -1250,11 +1179,7 @@ class PersistentParallelCluster(SimulatedCluster):
         super().__init__(
             config, dfs, fault_plan=fault_plan, retry_policy=retry_policy
         )
-        self.executor = PersistentExecutor(
-            workers=workers,
-            chunks_per_worker=chunks_per_worker,
-            dfs=self.dfs,
-        )
+        self.executor = PersistentExecutor(workers=workers, dfs=self.dfs)
         self.workers = self.executor.workers
         self.min_tasks_for_pool = min_tasks_for_pool
         self.effective_cores = assume_cores or _effective_cores()

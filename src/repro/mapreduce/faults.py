@@ -36,11 +36,14 @@ Fault kinds (:data:`FAULT_KINDS`):
     chaos tests can drive the driver's memory-degradation ladder
     mid-join.
 
-Retry semantics live in :class:`RetryPolicy`; genuine task failures
-are wrapped in :class:`TaskError` (job, phase, task, attempt, input
-key sample) so an exhausted budget surfaces an actionable error, not a
-bare pool traceback.  :data:`NON_RETRYABLE` exceptions (the simulated
-memory budget) always propagate raw.
+What a fault does to one attempt, and how any failure of that attempt
+is reported, is :func:`run_attempt` — the one definition both engines
+run, in the driver or in a pool worker.  Retry budgets live in
+:class:`RetryPolicy`; genuine task failures are wrapped in
+:class:`TaskError` (job, phase, task, attempt, input key sample) so an
+exhausted budget surfaces an actionable error, not a bare pool
+traceback.  :data:`NON_RETRYABLE` exceptions (the simulated memory
+budget) always propagate raw.
 """
 
 from __future__ import annotations
@@ -51,8 +54,11 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from repro.mapreduce.types import InsufficientMemoryError
+
+_TaskResult = TypeVar("_TaskResult", bound=tuple)
 
 __all__ = [
     "FAULT_KINDS",
@@ -70,10 +76,9 @@ __all__ = [
     "RetryPolicy",
     "TaskError",
     "WorkerCrashError",
-    "annotate_memory_error",
     "apply_fault",
-    "count_fault",
     "mark_worker_process",
+    "run_attempt",
     "squeezed_limit",
     "strip_counters",
     "strip_fault_counters",
@@ -427,13 +432,13 @@ class FaultPlan:
 def apply_fault(spec: FaultSpec, job: str, phase: str, task: int, attempt: int) -> None:
     """Apply the pre-task effect of *spec* to the current attempt.
 
-    ``corrupt`` has no pre-task effect: the caller runs the task and
-    raises :class:`CorruptOutputError` afterwards, discarding the
-    output.  ``crash`` kills the process only inside pool workers;
+    ``corrupt`` has no pre-task effect: :func:`run_attempt` runs the
+    task and raises :class:`CorruptOutputError` afterwards, discarding
+    the output.  ``crash`` kills the process only inside pool workers;
     inline attempts raise :class:`WorkerCrashError` so the driver
     process survives and treats it as any retryable failure.
-    ``squeeze`` also has no pre-task effect here: the caller lowers
-    the attempt's memory budget via :func:`squeezed_limit` instead.
+    ``squeeze`` also has no pre-task effect here: :func:`run_attempt`
+    lowers the attempt's memory budget via :func:`squeezed_limit`.
     """
     if spec.kind == "sleep":
         time.sleep(spec.sleep_s)
@@ -464,23 +469,47 @@ def squeezed_limit(spec: FaultSpec | None, limit_bytes: int | None) -> int | Non
     return min(limit_bytes, cap)
 
 
-def annotate_memory_error(
-    exc: BaseException, job: str, phase: str, task: int, attempt: int
-) -> None:
-    """Attach task context to an :class:`InsufficientMemoryError`.
+def run_attempt(
+    plan: FaultPlan | None,
+    job: str,
+    phase: str,
+    task: int,
+    attempt: int,
+    limit_bytes: int | None,
+    run: Callable[[int | None], _TaskResult],
+) -> _TaskResult:
+    """Run one attempt of one task under *plan* — the attempt contract
+    of both engines.
 
-    Both engines call this at the retry boundary so the non-retryable
-    error names the attempt that hit the budget by the time the driver
-    (or the user) sees it.  A no-op for every other exception type.
+    Looks the attempt up in the plan, applies the fault's pre-task
+    effect (:func:`apply_fault`), calls ``run(memory_limit)`` under the
+    possibly squeezed budget (:func:`squeezed_limit`) and discards the
+    result of a ``corrupt`` attempt.  Every failure leaves as one of two
+    things: a :data:`NON_RETRYABLE` error, raw but annotated with the
+    attempt, or a :class:`TaskError` carrying the attempt number — what
+    the retry loops catch.
     """
-    if isinstance(exc, InsufficientMemoryError):
+    spec = None if plan is None else plan.lookup(job, phase, task, attempt)
+    try:
+        if spec is not None:
+            apply_fault(spec, job, phase, task, attempt)
+        result = run(squeezed_limit(spec, limit_bytes))
+        if spec is not None and spec.kind == "corrupt":
+            # a map attempt's spill file goes with the phase directory
+            raise CorruptOutputError(job, phase, task, attempt)
+        return result
+    except NON_RETRYABLE as exc:
+        # the raw error names the attempt that hit the budget by the
+        # time the driver (or the user) sees it
         exc.with_context(job, phase, task, attempt)
-
-
-def count_fault(sink: dict[str, int], spec: FaultSpec) -> None:
-    """Tally one injected fault into a counter dict."""
-    for key in (FAULT_INJECTED, f"fault.{spec.kind}"):
-        sink[key] = sink.get(key, 0) + 1
+        raise
+    except TaskError as error:
+        error.attempt = attempt
+        raise
+    except Exception as exc:
+        error = task_error_from(job, phase, task, exc)
+        error.attempt = attempt
+        raise error from exc
 
 
 def strip_counters(
@@ -510,27 +539,21 @@ def strip_fault_counters(counters: dict[str, int]) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded-retry and speculation knobs shared by both engines."""
+    """Bounded-retry and speculation knobs shared by both engines.
+    Retries are immediate: attempts are deterministic, so waiting before
+    one changes nothing it could observe."""
 
     #: total attempts per task (first run + retries)
     max_attempts: int = 4
-    #: deterministic backoff before retry N: ``backoff_s * N`` seconds
-    backoff_s: float = 0.0
     #: launch a speculative duplicate of a still-running task after this
     #: many seconds (None disables speculation); pooled phases only
     speculative_after_s: float | None = None
     #: pool respawns tolerated before degrading to inline execution
     max_pool_respawns: int = 2
-    #: completion-poll interval of the pooled dispatch loop
-    poll_interval_s: float = 0.01
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.poll_interval_s <= 0:
-            raise ValueError(
-                f"poll_interval_s must be > 0, got {self.poll_interval_s}"
-            )
 
 
 DEFAULT_RETRY_POLICY = RetryPolicy()

@@ -53,12 +53,10 @@ class Context:
 
     def __init__(
         self,
-        role: str,
         counters: Counters,
         memory_limit_bytes: int | None = None,
         broadcast: dict[str, list] | None = None,
     ) -> None:
-        self.role = role
         self.counters = counters
         self.memory_limit_bytes = memory_limit_bytes
         self.broadcast = broadcast or {}

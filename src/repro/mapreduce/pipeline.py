@@ -20,15 +20,10 @@ def run_pipeline(
     """Run *jobs* in order on *cluster*; each job reads what earlier
     jobs wrote to the DFS.  Returns the aggregated :class:`JobStats`.
 
-    Clusters with a persistent worker pool (see
-    :mod:`repro.mapreduce.executor`) expose ``prepare_jobs``; calling
-    it with the whole chain up front lets one fork serve every phase.
+    The whole chain is announced up front (``prepare_jobs``), so a
+    cluster with a persistent worker pool (see
+    :mod:`repro.mapreduce.executor`) serves every phase from one fork.
     """
     job_list = list(jobs)
-    prepare = getattr(cluster, "prepare_jobs", None)
-    if prepare is not None:
-        prepare(job_list)
-    stats = JobStats()
-    for job in job_list:
-        stats.phases.append(cluster.run_job(job))
-    return stats
+    cluster.prepare_jobs(job_list)
+    return JobStats([cluster.run_job(job) for job in job_list])

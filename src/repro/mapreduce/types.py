@@ -168,7 +168,8 @@ class ExecutorPhaseStats:
     pool_created: bool = False
     workers: int = 0
     tasks: int = 0
-    #: task chunks dispatched to the pool (``imap_unordered`` units)
+    #: task chunks submitted to the pool (one ``apply_async`` each;
+    #: retries and speculative duplicates are chunks of one task)
     chunks: int = 0
     #: approx bytes of task payloads crossing parent -> worker
     bytes_to_workers: int = 0

@@ -23,7 +23,7 @@ from repro.data.synthetic import generate_skewed
 from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_rs, ssjoin_self
 from repro.join.estimate import sample_prefix_frequencies
-from repro.join.planner import Stage2Plan, _pick_splits, plan_stage2
+from repro.join.planner import SPLIT_FACTOR, Stage2Plan, _pick_splits, plan_stage2
 from repro.join.stage2 import resolve_splits
 from repro.mapreduce.executor import PersistentParallelCluster
 from repro.mapreduce.faults import FaultPlan, RetryPolicy
@@ -161,32 +161,25 @@ class TestPlanner:
     def test_hot_token_splits(self):
         # every record routes on the same rare-ish token "hot"
         records = [f"{i}\thot w{i % 4} w{(i + 1) % 4} filler{i}\tx" for i in range(300)]
-        config = JoinConfig(split_threshold=1.5, split_factor=3, **CONFIG)
-        plan = plan_stage2(_sample_for(records, config), config, 8)
+        config = JoinConfig(**CONFIG)
+        plan = plan_stage2(_sample_for(records, config), config, 32)
         assert plan.splits, "expected at least one hot group"
-        assert all(k == 3 for _t, k in plan.splits)
-        assert plan.counters()["plan.split_factor"] == 3
+        assert all(k == SPLIT_FACTOR for _t, k in plan.splits)
+        assert plan.counters()["plan.split_factor"] == SPLIT_FACTOR
         assert plan.counters()["plan.splits"] == len(plan.splits)
-
-    def test_split_factor_one_disables_splitting(self):
-        records = [f"{i}\thot w{i % 4} filler{i}\tx" for i in range(300)]
-        config = JoinConfig(split_factor=1, split_threshold=1.5, **CONFIG)
-        plan = plan_stage2(_sample_for(records, config), config, 8)
-        assert plan.splits == ()
 
     def test_pick_splits_floor_and_threshold(self):
         work = {0: 1000.0, 1: 10.0, 2: 10.0, 3: 30.0}
-        assert _pick_splits(work, work, 4, 2.0, 4) == [0]
+        assert _pick_splits(work, work, 4) == [0]
         # a dominating but tiny route stays unsplit (min-record floor)
-        assert _pick_splits({0: 50.0, 1: 1.0}, {0: 50.0, 1: 1.0}, 4, 2.0, 4) == []
+        assert _pick_splits({0: 50.0, 1: 1.0}, {0: 50.0, 1: 1.0}, 4) == []
         # ...even when its *work* is huge but its record count is small
-        assert _pick_splits({0: 5000.0, 1: 10.0}, {0: 10.0, 1: 10.0}, 4, 2.0, 4) == []
-        assert _pick_splits(work, work, 4, 2.0, 1) == []
-        assert _pick_splits({}, {}, 4, 2.0, 4) == []
+        assert _pick_splits({0: 5000.0, 1: 10.0}, {0: 10.0, 1: 10.0}, 4) == []
+        assert _pick_splits({}, {}, 4) == []
 
     def test_pick_splits_heaviest_first_and_capped(self):
         work = {i: 1000.0 + i for i in range(40)}
-        hot = _pick_splits(work, work, 1000, 0.0001, 2)
+        hot = _pick_splits(work, work, 1000)
         assert len(hot) == 16  # _MAX_SPLIT_TOKENS
         assert hot[0] == 39  # heaviest first
 
@@ -348,7 +341,7 @@ class TestForcedPlanDifferential:
         plan = Stage2Plan("individual", None, splits=SPLIT_SETS[2])
         cluster = make_cluster()
         cluster.fault_plan = FaultPlan.parse("crash:stage2-*:reduce:0:0")
-        cluster.retry_policy = RetryPolicy(max_attempts=4, backoff_s=0.0)
+        cluster.retry_policy = RetryPolicy(max_attempts=4)
         with _force_plan(plan):
             apairs, areport = _run_self(
                 records, static.with_options(adaptive=True), cluster=cluster

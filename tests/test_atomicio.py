@@ -76,29 +76,60 @@ while True:
 """
 
 
+_KILL_CHECKPOINT_SCRIPT = """
+import sys
+from repro.join.checkpoint import JoinCheckpoint
+
+checkpoint = JoinCheckpoint(sys.argv[1])
+checkpoint.begin({"join": "self"})
+steps = [f"blocks:reduce:{n}" for n in range(100_000)]
+i = 0
+while True:
+    checkpoint.save_memory_steps(steps + [f"generation:{i}"])
+    i += 1
+    print(i, flush=True)
+"""
+
+
+def _check_rows_doc(doc):
+    assert doc["rows"][-1] == 199_999
+    assert doc["label"] == "x" * 4096
+
+
+def _check_checkpoint_manifest(doc):
+    assert doc["identity"] == {"join": "self"}
+    assert doc["memory_steps"][-2] == "blocks:reduce:99999"
+    assert doc["memory_steps"][-1].startswith("generation:")
+
+
 def test_kill_mid_write_never_corrupts_target(tmp_path):
     """SIGKILL a process that is rewriting the same file in a loop; the
     target must always be absent or complete valid JSON (the .tmp file
-    may linger — only the published path is guaranteed)."""
-    target = tmp_path / "manifest.json"
-    env = dict(os.environ)
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _KILL_SCRIPT, str(target)],
-        stdout=subprocess.PIPE,
-        env=env,
-    )
-    try:
-        # wait until at least one full write landed, then kill mid-loop
-        assert proc.stdout is not None
-        proc.stdout.readline()
-        time.sleep(0.05)
-        proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=30)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-    assert target.exists()
-    doc = json.loads(target.read_text())
-    assert doc["rows"][-1] == 199_999
-    assert doc["label"] == "x" * 4096
+    may linger — only the published path is guaranteed).  Holds for a
+    bare ``atomic_write_json`` and for the checkpoint manifest, the one
+    artifact whose job is to survive a kill."""
+    cases = [
+        (_KILL_SCRIPT, tmp_path / "manifest.json", tmp_path / "manifest.json",
+         _check_rows_doc),
+        (_KILL_CHECKPOINT_SCRIPT, tmp_path / "ckpt", tmp_path / "ckpt" / "manifest.json",
+         _check_checkpoint_manifest),
+    ]
+    for script, argument, target, check in cases:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(argument)],
+            stdout=subprocess.PIPE,
+            env=dict(os.environ),
+        )
+        try:
+            # wait until at least one full write landed, then kill mid-loop
+            assert proc.stdout is not None
+            proc.stdout.readline()
+            time.sleep(0.05)
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert target.exists()
+        check(json.loads(target.read_text()))

@@ -72,6 +72,27 @@ class TestSelfJoin:
         assert shaped == ["stage2"]
 
 
+class TestRunManifest:
+    def test_unwritable_runs_dir_warns_but_the_join_succeeds(
+        self, catalog, tmp_path, capsys
+    ):
+        """The registry is observe-only: a finished join whose default-on
+        manifest cannot be written exits 0 with one warning line."""
+        out = tmp_path / "pairs.tsv"
+        not_a_dir = tmp_path / "runs"
+        not_a_dir.write_text("a regular file\n")
+        assert main([
+            "selfjoin", str(catalog), "-o", str(out), "--runs-dir", str(not_a_dir),
+        ]) == 0
+        assert len(read_records(out)) == 1
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("warning: run manifest not written: ")
+        ]
+        assert len(warnings) == 1
+        assert not_a_dir.read_text() == "a regular file\n"
+
+
 class TestExecutionFlags:
     def test_parallel_flag(self, catalog, tmp_path):
         out = tmp_path / "pairs.tsv"

@@ -20,6 +20,7 @@ import json
 import multiprocessing
 import os
 import random
+import re
 import tempfile
 
 import pytest
@@ -52,7 +53,6 @@ fork_only = pytest.mark.skipif(
     reason="fork start method unavailable",
 )
 
-FAST_RETRY = RetryPolicy(backoff_s=0.0)
 CONFIG = dict(threshold=0.5, schema=SCHEMA_1)
 
 
@@ -65,7 +65,7 @@ def cluster_config(**cfg):
     return ClusterConfig(**defaults)
 
 
-def make_seq(fault_plan=None, retry_policy=FAST_RETRY, **cfg) -> SimulatedCluster:
+def make_seq(fault_plan=None, retry_policy=None, **cfg) -> SimulatedCluster:
     return SimulatedCluster(
         cluster_config(**cfg),
         InMemoryDFS(num_nodes=4, block_bytes=512),
@@ -75,7 +75,7 @@ def make_seq(fault_plan=None, retry_policy=FAST_RETRY, **cfg) -> SimulatedCluste
 
 
 def make_persistent(
-    fault_plan=None, retry_policy=FAST_RETRY, workers=2, assume_cores=4, **cfg
+    fault_plan=None, retry_policy=None, workers=2, assume_cores=4, **cfg
 ) -> PersistentParallelCluster:
     return PersistentParallelCluster(
         cluster_config(**cfg),
@@ -179,8 +179,6 @@ class TestFaultPlan:
     def test_retry_policy_validated(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(poll_interval_s=0)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +574,80 @@ class TestDifferentialChaos:
 
 
 # ---------------------------------------------------------------------------
+# engine parity: one attempt contract, two retry loops
+# ---------------------------------------------------------------------------
+
+
+def _bookkeeping(report, prefixes):
+    """The fault-tolerance counters under *prefixes*, histograms included."""
+    wanted = prefixes + tuple(f"hist.{prefix}" for prefix in prefixes)
+    return {
+        name: value
+        for name, value in report.counters().items()
+        if name.startswith(wanted)
+    }
+
+
+@fork_only
+class TestEngineParity:
+    """What a fault does to an attempt and how a failure is reported is
+    ``faults.run_attempt`` on both engines; the sequential loop and the
+    pooled dispatch loop must therefore book the same plan identically."""
+
+    @pytest.mark.parametrize(
+        "spec, prefixes",
+        [
+            ("raise:stage2-*:map:1:0;raise:stage2-*:map:1:1", ("fault.", "task.")),
+            ("raise:brj-join:reduce:0:0", ("fault.", "task.")),
+            ("corrupt:stage2-*:reduce:*:0", ("fault.", "task.")),
+            ("sleep:*:map:0:0:0.0", ("fault.", "task.")),
+            ("squeeze:stage2-*:reduce:*:0:0.005", ("fault.", "task.")),
+            # a pooled crash really kills the worker: the attempt is
+            # *lost* (with whatever shared its pool), not failed, so
+            # only what was injected is comparable
+            ("crash:stage2-*:map:1:0", ("fault.",)),
+        ],
+    )
+    def test_absorbed_plan_books_identically(self, rng, spec, prefixes):
+        records = random_records(rng, 70, dup_rate=0.6)
+        plan = FaultPlan.parse(spec)
+        seq_pairs, seq_report = run_self(make_seq(fault_plan=plan), records)
+        with make_persistent(fault_plan=plan) as persistent:
+            pairs, report = run_self(persistent, records)
+            assert persistent.executor.stats.pools_created >= 1
+        assert pairs == seq_pairs
+        assert report.memory_steps == seq_report.memory_steps
+        booked = _bookkeeping(seq_report, prefixes)
+        assert booked["fault.injected"] >= 1
+        assert _bookkeeping(report, prefixes) == booked
+
+    @pytest.mark.parametrize("poisoned", [False, True])
+    def test_exhausted_budget_raises_the_same_task_error(self, poisoned):
+        def poison(line, ctx):  # one bad record, so exactly one task fails
+            if line.startswith("w7 "):
+                raise ValueError("cannot parse record")
+
+        errors = []
+        for make in (make_seq, make_persistent):
+            cluster = make(
+                fault_plan=None if poisoned else FaultPlan.parse("raise:wc:map:1:*"),
+                retry_policy=RetryPolicy(max_attempts=3),
+            )
+            cluster.dfs.write("docs", [f"w{i} w{i + 1} " * 40 for i in range(40)])
+            try:
+                with pytest.raises(TaskError) as exc_info:
+                    cluster.run_job(word_count_job(mapper=poison if poisoned else None))
+            finally:
+                cluster.close()
+            err = exc_info.value
+            errors.append(
+                (err.job, err.phase, err.task, err.attempt, err.cause, err.key_sample)
+            )
+        assert errors[0] == errors[1]
+        assert errors[0][:2] == ("wc", "map") and errors[0][3] == 2
+
+
+# ---------------------------------------------------------------------------
 # checkpoint / resume
 # ---------------------------------------------------------------------------
 
@@ -677,6 +749,43 @@ class TestCheckpointResume:
                 make_seq(), records, prefix="p",
                 checkpoint=JoinCheckpoint(tmp_path, resume=True),
             )
+
+    def test_truncated_metadata_fresh_run_succeeds_resume_refuses(
+        self, rng, tmp_path
+    ):
+        """What a kill mid-write used to leave: a block index (or the
+        manifest) cut short.  ``--resume`` must refuse naming the file,
+        never with a raw ``JSONDecodeError``; a fresh ``--checkpoint``
+        run over the same directory must not read it at all."""
+        records = random_records(rng, 40)
+        clean_pairs, _ = run_self(
+            make_seq(), records, prefix="p", checkpoint=JoinCheckpoint(tmp_path)
+        )
+        meta = next((tmp_path / "data").glob("stage1*.meta.json"))
+        meta.write_text(meta.read_text()[:20])
+        with pytest.raises(CheckpointMismatchError, match=re.escape(meta.name)):
+            run_self(
+                make_seq(), records, prefix="p",
+                checkpoint=JoinCheckpoint(tmp_path, resume=True),
+            )
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(manifest.read_text()[:20])
+        with pytest.raises(CheckpointMismatchError, match="manifest.json"):
+            run_self(
+                make_seq(), records, prefix="p",
+                checkpoint=JoinCheckpoint(tmp_path, resume=True),
+            )
+        pairs, report = run_self(
+            make_seq(), records, prefix="p", checkpoint=JoinCheckpoint(tmp_path)
+        )
+        assert pairs == clean_pairs
+        assert "resume.stages_skipped" not in report.counters()
+        # and what that run wrote is a whole checkpoint again
+        _, report = run_self(
+            make_seq(), records, prefix="p",
+            checkpoint=JoinCheckpoint(tmp_path, resume=True),
+        )
+        assert report.counters()["resume.stages_skipped"] == 3
 
     def test_fresh_checkpoint_discards_previous_contents(self, rng, tmp_path):
         records = random_records(rng, 40)

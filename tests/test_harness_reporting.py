@@ -6,15 +6,12 @@ import pytest
 
 from repro.bench.harness import (
     PAPER_COMBOS,
-    groups_sweep,
     make_cluster,
-    rs_join_scaleup,
-    run_rs_join,
-    run_self_join,
-    self_join_size_sweep,
-    self_join_speedup,
-    stage_breakdown_speedup,
+    run_join,
+    stage_breakdown,
+    sweep,
 )
+from repro.join.config import JoinConfig
 from repro.bench.reporting import format_speedup_series, format_table, rows_to_table
 from repro.data.synthetic import generate_citeseerx, generate_dblp
 
@@ -34,12 +31,12 @@ class TestHarness:
         assert cluster.dfs.num_nodes == 4
 
     def test_run_self_join_report(self):
-        report = run_self_join(RECORDS, PAPER_COMBOS["BTO-PK-BRJ"], num_nodes=2)
+        report = run_join(RECORDS, PAPER_COMBOS["BTO-PK-BRJ"], num_nodes=2)
         assert report.total_simulated_s > 0
 
     def test_size_sweep_rows(self):
-        rows = self_join_size_sweep(
-            {1: RECORDS}, {"BTO-PK-BRJ": PAPER_COMBOS["BTO-PK-BRJ"]}, num_nodes=2
+        rows = sweep(
+            [(1, RECORDS, 2)], {"BTO-PK-BRJ": PAPER_COMBOS["BTO-PK-BRJ"]}
         )
         assert len(rows) == 1
         row = rows[0]
@@ -49,29 +46,32 @@ class TestHarness:
         )
 
     def test_speedup_rows_cover_all_nodes(self):
-        rows = self_join_speedup(
-            RECORDS, node_counts=(2, 4), combos={"X": PAPER_COMBOS["BTO-PK-BRJ"]}
+        rows = sweep(
+            [(n, RECORDS, n) for n in (2, 4)], {"X": PAPER_COMBOS["BTO-PK-BRJ"]}
         )
         assert [r["key"] for r in rows] == [2, 4]
 
     def test_stage_breakdown_rows(self):
-        rows = stage_breakdown_speedup(RECORDS, node_counts=(2,))
+        rows = stage_breakdown([(2, RECORDS, 2)])
         assert {(r["stage"], r["alg"]) for r in rows} == {
             ("1", "BTO"), ("1", "OPTO"), ("2", "BK"), ("2", "PK"),
             ("3", "BRJ"), ("3", "OPRJ"),
         }
 
     def test_groups_sweep(self):
-        rows = groups_sweep(RECORDS, [None, 10], num_nodes=2)
-        assert rows[0]["num_groups"] == "per-token"
-        assert rows[1]["num_groups"] == 10
+        combos = {
+            groups or "per-token": JoinConfig(routing="grouped", num_groups=groups)
+            for groups in (None, 10)
+        }
+        rows = sweep([(2, RECORDS, 2)], combos)
+        assert [row["combo"] for row in rows] == ["per-token", 10]
         # grouping granularity must not change the answer
-        assert rows[0]["pairs"] >= rows[1]["pairs"] * 0  # both present
+        assert rows[0]["pairs"] == rows[1]["pairs"] > 0
         assert rows[0]["stage2_s"] > 0
 
     def test_rs_scaleup_reports_oom_as_row(self):
-        rows = rs_join_scaleup(
-            {2: (RECORDS, S_RECORDS)},
+        rows = sweep(
+            [(2, (RECORDS, S_RECORDS), 2)],
             combos={"BTO-PK-OPRJ": PAPER_COMBOS["BTO-PK-OPRJ"]},
             memory_per_task_mb=0.001,
         )
@@ -80,7 +80,7 @@ class TestHarness:
         assert math.isnan(rows[0]["total_s"])
 
     def test_rs_join_runs(self):
-        report = run_rs_join(RECORDS, S_RECORDS, PAPER_COMBOS["BTO-PK-BRJ"], 2)
+        report = run_join((RECORDS, S_RECORDS), PAPER_COMBOS["BTO-PK-BRJ"], 2)
         assert report.total_simulated_s > 0
 
 

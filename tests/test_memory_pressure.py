@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.naive import naive_rs_join, naive_self_join
+from repro.core.prefixes import projection_bytes
 from repro.join.blocks import (
     MAP_BASED,
     REDUCE_BASED,
     SPILL_READ,
     SPILL_WRITTEN,
     BlockPolicy,
-    projection_spill_bytes,
 )
 from repro.join.checkpoint import CheckpointMismatchError, JoinCheckpoint
 from repro.join.config import JoinConfig
@@ -47,7 +47,6 @@ from repro.mapreduce.executor import PersistentParallelCluster
 from repro.mapreduce.faults import (
     FaultPlan,
     FaultSpec,
-    RetryPolicy,
     TaskError,
     squeezed_limit,
 )
@@ -67,7 +66,6 @@ fork_only = pytest.mark.skipif(
     reason="fork start method unavailable",
 )
 
-FAST_RETRY = RetryPolicy(backoff_s=0.0)
 CONFIG = dict(threshold=0.5, schema=SCHEMA_1)
 
 #: squeeze every first stage-2 reduce attempt down to 5 KB — far below
@@ -97,7 +95,6 @@ def make_sim(fault_plan=None, **cfg) -> SimulatedCluster:
         ClusterConfig(**defaults),
         InMemoryDFS(num_nodes=4, block_bytes=512),
         fault_plan=fault_plan,
-        retry_policy=FAST_RETRY,
     )
 
 
@@ -112,7 +109,6 @@ def make_pp(fault_plan=None) -> PersistentParallelCluster:
         min_tasks_for_pool=1,
         assume_cores=4,
         fault_plan=fault_plan,
-        retry_policy=FAST_RETRY,
     )
 
 
@@ -187,7 +183,7 @@ class TestSqueezeFault:
 class TestReleaseUnderflow:
     def test_over_release_counts_under_sanitizer(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        ctx = Context("reduce", Counters())
+        ctx = Context(Counters())
         ctx.reserve_memory(100)
         ctx.release_memory(150)
         assert ctx.counters.get("sanitize.violations") == 1
@@ -199,7 +195,7 @@ class TestReleaseUnderflow:
 
     def test_underflow_is_silent_without_sanitizer(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        ctx = Context("reduce", Counters())
+        ctx = Context(Counters())
         ctx.reserve_memory(10)
         ctx.release_memory(99)
         assert ctx.counters.get("sanitize.memory_over_release") == 0
@@ -251,7 +247,7 @@ class TestFootprintModel:
             token_lists=[(0, 1), (0, 2), (1, 3)],
         )
         config = JoinConfig(**CONFIG, kernel="bk")
-        per_record = projection_spill_bytes(2, config.bitmap_filter)
+        per_record = projection_bytes(2, config.bitmap_filter)
         footprints = estimate_group_footprints(sample, config)
         assert footprints == {0: 2 * per_record, 1: per_record}
         assert estimate_peak_bytes(sample, config) == 2 * per_record
@@ -269,8 +265,8 @@ class TestFootprintModel:
         footprints = estimate_group_footprints(sample, config)
         # ranks 0 and 2 collapse onto group 0; rank 1 routes to group 1
         sig = config.bitmap_filter
-        assert footprints[0] == 4 * projection_spill_bytes(3, sig)
-        assert footprints[1] == 4 * projection_spill_bytes(2, sig)
+        assert footprints[0] == 4 * projection_bytes(3, sig)
+        assert footprints[1] == 4 * projection_bytes(2, sig)
 
     def test_blocks_divide_peak(self):
         sample = make_sample(
@@ -368,6 +364,50 @@ class TestLadder:
         assert steps[-1] == "blocks:reduce:4096"
         assert next_escalation(config) is None
 
+    def test_one_group_per_token_starts_at_the_kernel_rung(self):
+        """Grouped routing with ``num_groups=None`` already is per-token
+        routing: a ``routing:individual`` rung would re-run the identical
+        plan, so both ladders skip it."""
+        config = JoinConfig(**CONFIG, kernel="pk", routing="grouped")
+        assert next_escalation(config) == "kernel:bk"
+        individual = JoinConfig(**CONFIG, kernel="pk")
+        assert next_escalation(individual) == "kernel:bk"
+
+    def test_grouped_and_individual_degrade_alike_end_to_end(self):
+        from repro.data.synthetic import generate_dblp
+
+        records = generate_dblp(2000, 7)
+        plan = FaultPlan.parse("squeeze:stage2-*:reduce:*:0:0.002")
+        runs = {}
+        for routing in ("individual", "grouped"):
+            cluster = SimulatedCluster(fault_plan=plan)
+            runs[routing] = run_self(
+                cluster, records, JoinConfig(threshold=0.8, routing=routing)
+            )
+        pairs, report = runs["individual"]
+        grouped_pairs, grouped_report = runs["grouped"]
+        assert report.memory_steps and report.memory_steps[0] == "kernel:bk"
+        assert grouped_report.memory_steps == report.memory_steps
+        assert grouped_pairs == pairs and pairs
+
+    def test_length_class_plan_takes_the_blocks_rung_on_both_ladders(self):
+        """Where the two ladder copies used to disagree: a BK plan with
+        ``length_class_width`` over budget engages blocks (clearing the
+        class width) at admission exactly as it does at runtime."""
+        config = JoinConfig(**CONFIG, kernel="bk", length_class_width=4)
+        assert next_escalation(config) == "blocks:reduce:2"
+        sample = make_sample(
+            prefix_lists=[(0,)] * 64,
+            token_lists=[tuple(range(40))] * 64,
+            sampled=64,
+            total=640,
+        )
+        admitted, _plan, counters = plan_admission(
+            sample, config.with_options(memory_budget_mb=0.001), None
+        )
+        assert admitted.blocks is not None and admitted.length_class_width is None
+        assert counters[MEMORY_ADMISSION_ADJUSTMENTS] == 1
+
     def test_apply_step_rejects_unknown(self):
         config = JoinConfig(**CONFIG)
         for bad in ("routing:grouped", "kernel:gpu", "blocks:weird:3",
@@ -445,11 +485,14 @@ class TestSqueezeRecoverySimulated:
         assert err.phase == "reduce"
         assert err.needed_bytes > err.limit_bytes
 
-    def test_replan_budget_bounds_the_ladder(self):
+    def test_replan_budget_bounds_the_ladder(self, monkeypatch):
+        from repro.join import driver
+
         records = skewed_records()
         # one replan is never enough for this squeeze: the first rung
         # (pk -> bk) still holds the whole hot group in memory
-        config = JoinConfig(**CONFIG, kernel="pk", max_replan_retries=1)
+        monkeypatch.setattr(driver, "MAX_REPLANS", 1)
+        config = JoinConfig(**CONFIG, kernel="pk")
         with pytest.raises(InsufficientMemoryError):
             run_self(
                 make_sim(fault_plan=FaultPlan.parse(SQUEEZE)), records, config

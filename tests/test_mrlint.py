@@ -310,8 +310,8 @@ REAL_CODE_MUTATIONS = {
     ),
     "MR101": (  # the one bug found in tree (DESIGN.md section 5c), put back
         ["join/planner.py", "join/driver.py"], "join/planner.py",
-        "        for route in sorted(routes):",
-        "        for route in routes:",
+        "        for route in sorted(routes(ranks)):",
+        "        for route in set(routes(ranks)):",
     ),
     "MR102": (
         ["join/fullrecord.py"], "join/fullrecord.py",

@@ -234,7 +234,7 @@ class TestBufferedObserve:
         assert counters.as_dict() == _reference(ops).as_dict()
 
     def test_context_observe_reaches_the_counters(self):
-        ctx = Context("map", Counters())
+        ctx = Context(Counters())
         ctx.observe("x", 5)
         ctx.observe("x", 6)
         assert ctx.counters.get("hist.x.n") == 2
@@ -796,6 +796,10 @@ class TestTraceCli:
         text = capsys.readouterr().out
         assert "critical path" in text
         assert "gini=" in text
+        assert "routing balance comparison" not in text
+        # several traces: the side-by-side balance table is appended
+        assert main(["trace-report", str(trace), str(trace)]) == 0
+        assert "routing balance comparison" in capsys.readouterr().out
 
     def test_trace_report_rejects_invalid_file(self, tmp_path, capsys):
         from repro.cli import main

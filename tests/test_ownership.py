@@ -10,8 +10,11 @@ job shape, and end to end on both engines — always by comparing
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.analysis.sanitize import make_sanitizer
 from repro.core.naive import naive_rs_join, naive_self_join
+from repro.core.ordering import TokenOrder
 from repro.core.ppjoin import PPJoinIndex
 from repro.core.prefixes import Projection
 from repro.core.similarity import Jaccard
@@ -19,9 +22,14 @@ from repro.data.synthetic import generate_dblp
 from repro.join.blocks import BlockPolicy
 from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_rs, ssjoin_self
-from repro.join.planner import Stage2Plan
-from repro.join.stage2 import owner_of
+from repro.join.estimate import PrefixSample
+from repro.join.memory import estimate_group_footprints
+from repro.join.planner import Stage2Plan, _route_profiles
+from repro.join.records import make_line
+from repro.join.stage2 import make_self_mapper, owner_of, resolve_splits
 from repro.mapreduce import PersistentParallelCluster, SimulatedCluster
+from repro.mapreduce.counters import Counters
+from repro.mapreduce.job import Context
 
 from tests.conftest import (
     SCHEMA_1,
@@ -133,6 +141,67 @@ def test_owner_rule_inverts_the_router():
     assert [t for t in range(20) if owner_of(grouped, 3)(t)] == [3, 11, 19]
     # one group per token: the group id is the rank
     assert [t for t in range(20) if owner_of(JoinConfig(routing="grouped"), 7)(t)] == [7]
+
+
+@given(
+    routing=st.sampled_from(["individual", "grouped"]),
+    num_groups=st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+    dictionary=st.integers(min_value=1, max_value=40),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_reader_of_the_routing_decision_agrees(
+    routing, num_groups, dictionary, data
+):
+    """token -> route is defined once (``repro.core.prefixes.route_of``
+    under ``JoinConfig.token_groups``): the mapper, the ownership rule,
+    split resolution, the memory footprint model and the planner's route
+    profile must place every rank on the same route — the one the
+    sanitizer derives on its own."""
+    prefix = tuple(sorted(data.draw(
+        st.sets(st.integers(0, dictionary - 1), min_size=1, max_size=8)
+    )))
+    config = JoinConfig(
+        threshold=0.01, schema=SCHEMA_1, routing=routing, num_groups=num_groups
+    )
+    tokens = [f"t{rank:02d}" for rank in range(dictionary)]
+    order = TokenOrder(tokens)
+
+    def sanitizer_agrees(rank, route):
+        counters = Counters()
+        checker = make_sanitizer(config.with_options(sanitize=True), counters, route)
+        checker.check_owner((rank,), (rank,), emitted=True, sample=False)
+        return counters.as_dict().get("sanitize.violations", 0) == 0
+
+    expected = {}
+    for rank in prefix:
+        (route,) = [
+            route for route in range(dictionary)
+            if owner_of(config, route)(rank)
+        ]
+        assert sanitizer_agrees(rank, route)
+        assert not sanitizer_agrees(rank, route + 1)
+        expected[rank] = route
+
+    # the mapper: tau = 0.01 makes the whole record its routing prefix
+    map_setup, mapper = make_self_mapper(config, None, "tokens")
+    ctx = Context(Counters(), broadcast={"tokens": tokens})
+    map_setup(ctx)
+    mapper(make_line(1, [" ".join(tokens[rank] for rank in prefix)]), ctx)
+    assert [key[0] for key, _value in ctx._emitted] == list(
+        dict.fromkeys(expected.values())
+    )
+
+    plan = Stage2Plan(routing, num_groups, splits=tuple((tokens[r], 2) for r in prefix))
+    assert resolve_splits(plan, config, order) == dict.fromkeys(expected.values(), 2)
+
+    sample = PrefixSample(
+        prefix_counts={}, order=tuple(tokens), prefix_rank_lists=(prefix,),
+        token_rank_lists=(prefix,), records_sampled=1, records_total=1,
+    )
+    assert set(estimate_group_footprints(sample, config)) == set(expected.values())
+    profile = _route_profiles(sample, config.token_groups, config)
+    assert set(profile.records) == set(expected.values())
 
 
 ROUTINGS = [("individual", None), ("grouped", 1), ("grouped", 3), ("grouped", 8)]

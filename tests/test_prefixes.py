@@ -1,13 +1,16 @@
 """Tests for record projections, prefixes and token grouping."""
 
+from array import array
+
 import pytest
 
 from repro.core.ordering import TokenOrder
 from repro.core.prefixes import (
     Projection,
-    TokenGrouping,
     index_prefix,
     probe_prefix,
+    route_of,
+    routes_of,
 )
 from repro.core.similarity import Jaccard
 
@@ -49,35 +52,35 @@ class TestPrefixes:
 class TestTokenGrouping:
     def test_round_robin(self):
         order = TokenOrder([f"t{i}" for i in range(6)])
-        grouping = TokenGrouping(order, 3)
-        assert [grouping.group_of(f"t{i}") for i in range(6)] == [0, 1, 2, 0, 1, 2]
+        group_of = route_of(3)
+        assert [group_of(order.rank(f"t{i}")) for i in range(6)] == [0, 1, 2, 0, 1, 2]
 
     def test_group_of_rank(self):
-        grouping = TokenGrouping(TokenOrder(["a", "b", "c"]), 2)
-        assert grouping.group_of_rank(0) == 0
-        assert grouping.group_of_rank(3) == 1
+        group_of = route_of(2)
+        assert group_of(0) == 0
+        assert group_of(3) == 1  # the virtual rank of an unknown token
 
     def test_one_group_per_token(self):
-        order = TokenOrder(["a", "b", "c"])
-        grouping = TokenGrouping.one_group_per_token(order)
-        assert grouping.num_groups == 3
-        assert grouping.group_of_rank(1) == 1  # identity
+        assert [route_of(None)(rank) for rank in range(3)] == [0, 1, 2]  # identity
+        assert routes_of(None)([2, 0, 2, 1]) == [2, 0, 1]
 
     def test_groups_of_ranks_distinct_first_seen(self):
-        grouping = TokenGrouping(TokenOrder(list("abcdef")), 2)
-        assert grouping.groups_of_ranks([0, 2, 1, 4]) == [0, 1]
+        assert routes_of(2)([0, 2, 1, 4]) == [0, 1]
+        assert routes_of(2)(array("i", [5, 0])) == [1, 0]
 
     def test_invalid_group_count(self):
         with pytest.raises(ValueError):
-            TokenGrouping(TokenOrder(["a"]), 0)
+            route_of(0)
+        with pytest.raises(ValueError):
+            routes_of(0)
 
     def test_balances_frequency_sum(self):
         """Round-robin over the ascending-frequency order balances the
         sum of frequencies across groups (the paper's stated goal)."""
         freqs = {f"t{i}": i + 1 for i in range(100)}
         order = TokenOrder.from_frequencies(freqs)
-        grouping = TokenGrouping(order, 4)
+        group_of = route_of(4)
         sums = [0.0] * 4
         for token, freq in freqs.items():
-            sums[grouping.group_of(token)] += freq
+            sums[group_of(order.rank(token))] += freq
         assert max(sums) - min(sums) <= 100  # within one max-frequency step

@@ -160,7 +160,7 @@ def test_one_reducer_serves_plain_groups_split_shards_and_rs_groups(kernel):
     a, b = (1, 2, 3, 4), (1, 2, 3, 5)  # Jaccard 3/5; routing prefixes (1, 2, 3)
 
     def reduce(job, key, values):
-        ctx = Context("reduce", Counters())
+        ctx = Context(Counters())
         job.reducer(key, iter(values), ctx)
         return ctx._written
 

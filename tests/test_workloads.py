@@ -41,12 +41,13 @@ class TestRSWorkload:
     def test_cross_matches_grow_linearly(self):
         """The shared shift order must preserve cross-dataset matches
         in every copy — the reason rs_workload exists."""
-        from repro.bench.harness import run_rs_join, PAPER_COMBOS
+        from repro.bench.harness import run_join, PAPER_COMBOS
 
         counts = {}
         for factor in (1, 2):
-            r, s = rs_workload(factor)
-            report = run_rs_join(r, s, PAPER_COMBOS["BTO-PK-BRJ"], num_nodes=2)
+            report = run_join(
+                rs_workload(factor), PAPER_COMBOS["BTO-PK-BRJ"], num_nodes=2
+            )
             counts[factor] = report.counters().get("stage3.record_pairs_output", 0)
         assert counts[1] > 0
         assert counts[2] == 2 * counts[1]
