@@ -6,23 +6,21 @@ datasets and CITESEERX records are ~5x larger; at ×25 the OPRJ variant
 runs out of memory loading the RID-pair list.
 """
 
-from repro.bench import format_table, rs_workload, sweep
+from repro.bench import format_table, oprj_oom_budget_mb, rs_workload, sweep
 
 from benchmarks.conftest import run_once
 
 FACTORS = (5, 10, 25)
 
-#: per-task budget chosen so OPRJ's RID-pair index fits at x5/x10 but
-#: not at x25 (the paper's OOM point for Fig. 12); the BRJ combos peak
-#: far below it
-OPRJ_OOM_BUDGET_MB = 0.7
-
 
 def test_fig12_rsjoin_size(benchmark, record_result):
     cases = [(factor, rs_workload(factor), 10) for factor in FACTORS]
+    # OPRJ's RID-pair index fits at x5/x10 but not at x25 (the paper's
+    # OOM point for Fig. 12); the BRJ combos peak far below the budget
+    budget_mb = oprj_oom_budget_mb()
 
     rows = run_once(
-        benchmark, lambda: sweep(cases, memory_per_task_mb=OPRJ_OOM_BUDGET_MB)
+        benchmark, lambda: sweep(cases, memory_per_task_mb=budget_mb)
     )
 
     table = format_table(
@@ -40,10 +38,12 @@ def test_fig12_rsjoin_size(benchmark, record_result):
         return next(r for r in rows if r["combo"] == combo and r["key"] == factor)
 
     # the paper's x25 OPRJ OOM
+    assert row("BTO-PK-OPRJ", 5)["status"] == "ok"
+    assert row("BTO-PK-OPRJ", 10)["status"] == "ok"
     assert row("BTO-PK-OPRJ", 25)["status"].startswith("OOM")
     # BRJ combinations complete at every size
-    for factor in FACTORS:
-        assert row("BTO-PK-BRJ", factor)["status"] == "ok"
+    for combo in ("BTO-BK-BRJ", "BTO-PK-BRJ"):
+        assert all(row(combo, factor)["status"] == "ok" for factor in FACTORS)
     # stage 3 is a significant share (paper Section 6.2: it becomes
     # the most expensive stage at small factors; our cost model places
     # the crossover earlier — see EXPERIMENTS.md)

@@ -6,23 +6,22 @@ loading the RID-pair list when the datasets are increased 8x and
 beyond (the missing points in the paper's figure).
 """
 
-from repro.bench import format_table, rs_workload, sweep
+from repro.bench import format_table, oprj_oom_budget_mb, rs_workload, sweep
 
 from benchmarks.conftest import run_once
 
 SCALE = {2: 5, 4: 10, 8: 20, 10: 25}
 
-#: budget at which OPRJ's RID-pair index stops fitting from the x20
-#: point on, reproducing the paper's missing data points (paper: OOM
-#: from 8x onward)
-OPRJ_OOM_BUDGET_MB = 0.5
-
 
 def test_fig14_rsjoin_scaleup(benchmark, record_result):
     cases = [(nodes, rs_workload(factor), nodes) for nodes, factor in SCALE.items()]
+    # OPRJ's RID-pair index stops fitting from the x20 point on,
+    # reproducing the paper's missing data points (paper: OOM from 8x
+    # onward)
+    budget_mb = oprj_oom_budget_mb()
 
     rows = run_once(
-        benchmark, lambda: sweep(cases, memory_per_task_mb=OPRJ_OOM_BUDGET_MB)
+        benchmark, lambda: sweep(cases, memory_per_task_mb=budget_mb)
     )
 
     table = format_table(

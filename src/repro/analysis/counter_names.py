@@ -31,8 +31,6 @@ KNOWN_COUNTER_NAMES: frozenset[str] = frozenset(
         'plan.splits',
         'reduce.group_records',
         'resume.stages_skipped',
-        'run.checked_metrics',
-        'run.regressions',
         'sanitize.checks',
         'sanitize.index_bytes_drift',
         'sanitize.memory_over_release',

@@ -14,6 +14,7 @@ from repro.bench.workloads import (
 from repro.bench.harness import (
     PAPER_COMBOS,
     make_cluster,
+    oprj_oom_budget_mb,
     run_join,
     stage_breakdown,
     sweep,
@@ -34,6 +35,7 @@ __all__ = [
     "format_speedup_series",
     "format_table",
     "make_cluster",
+    "oprj_oom_budget_mb",
     "rs_workload",
     "run_join",
     "skewed_times",

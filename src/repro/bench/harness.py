@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from repro.bench.workloads import rs_workload
 from repro.join.config import JoinConfig
 from repro.join.driver import JoinReport, ssjoin_rs, ssjoin_self
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
@@ -54,6 +55,22 @@ def run_join(
         return ssjoin_rs(cluster, "r", "s", config)
     cluster.dfs.write("records", list(data))
     return ssjoin_self(cluster, "records", config)
+
+
+def oprj_oom_budget_mb() -> float:
+    """The per-task memory budget of Figures 12/14: three times the
+    peak an unbudgeted BTO-PK-OPRJ join of the x5 R-S workload meters.
+
+    Every OPRJ map task holds the whole RID-pair list plus its index,
+    and the list grows linearly with the increase factor
+    (``tests/test_memory_model.py`` pins both, byte-exact), so the
+    budget admits x5 and x10 and fails x20 and x25 — the paper's
+    missing points — while BRJ tasks peak an order of magnitude lower
+    at every factor.  Measured rather than a literal, so a change to
+    the pair list moves the budget with it."""
+    report = run_join(rs_workload(5), PAPER_COMBOS["BTO-PK-OPRJ"])
+    peak = max(t.peak_memory_bytes for p in report.stage3.phases for t in p.map_tasks)
+    return 3 * peak / 2**20
 
 
 _ROW_METRICS = ("stage1_s", "stage2_s", "stage3_s", "total_s", "pairs")
@@ -131,82 +148,3 @@ def stage_breakdown(cases: Iterable[tuple]) -> list[dict]:
             }
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# CI perf-gate smoke bench
-# ---------------------------------------------------------------------------
-
-
-def bench_smoke_rows(
-    num_records: int = 2000,
-    rounds: int = 3,
-    threshold: float = 0.7,
-    num_nodes: int = 10,
-    slow_stage2: bool = False,
-) -> dict:
-    """One quick end-to-end bench whose rows feed ``runs check``.
-
-    Runs a small DBLP self-join *rounds* times on fresh clusters and
-    reports best-of simulated stage times plus two machine-independent
-    facts: the output digest (identity) and ``stage2_share_pct``, the
-    kernel stage's share of the simulated total — a scale-free ratio
-    that survives cross-machine comparison against the committed
-    ``BENCH_kernel.json`` baseline (``runs check --ratios-only``).
-
-    ``slow_stage2`` deliberately degrades the Stage-2 plan (all tokens
-    into one group, so one reducer receives every candidate pair) —
-    output is identical, but the kernel stage slows severalfold.  The
-    CI perf gate uses it to prove the checker actually fails on a real
-    slowdown.
-    """
-    import hashlib
-
-    from repro.data.synthetic import generate_dblp
-
-    records = generate_dblp(num_records, seed=7)
-    overrides: dict = {}
-    if slow_stage2:
-        overrides = {"routing": "grouped", "num_groups": 1}
-    config = JoinConfig(
-        threshold=threshold, stage1="bto", kernel="pk", stage3="brj",
-        **overrides,
-    )
-    best: JoinReport | None = None
-    total_all: list[float] = []
-    pairs = 0
-    digest = ""
-    for _round in range(rounds):
-        cluster = make_cluster(num_nodes)
-        cluster.dfs.write("records", records)
-        report = ssjoin_self(cluster, "records", config)
-        total_all.append(round(report.total_simulated_s, 4))
-        if best is None or report.total_simulated_s < best.total_simulated_s:
-            best = report
-            pairs = int(
-                report.counters().get("stage3.record_pairs_output", 0)
-            )
-            output = sorted(cluster.dfs.read_all(report.output_file))
-            digest = hashlib.sha256(
-                "\n".join(map(str, output)).encode("utf-8")
-            ).hexdigest()
-    assert best is not None
-    times = best.stage_times()
-    total = best.total_simulated_s or 1.0
-    workload = f"dblp x1[:{num_records}] seed 7, bto-pk-brj, jaccard>={threshold}"
-    if slow_stage2:
-        workload += ", slow-stage2 (1 token group)"
-    return {
-        "e2e_smoke": {
-            "workload": workload,
-            "rounds": rounds,
-            "pairs": pairs,
-            "output_digest": digest,
-            "stage1_best_s": round(times["stage1"], 4),
-            "stage2_best_s": round(times["stage2"], 4),
-            "stage3_best_s": round(times["stage3"], 4),
-            "total_best_s": round(best.total_simulated_s, 4),
-            "total_all_s": total_all,
-            "stage2_share_pct": round(100.0 * times["stage2"] / total, 2),
-        }
-    }

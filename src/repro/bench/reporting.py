@@ -171,31 +171,6 @@ def format_runs_diff(diff: dict) -> str:
     return "\n".join(lines)
 
 
-def format_regression_findings(findings: list) -> str:
-    """Render :func:`repro.obs.runs.compare_baseline` findings, one row
-    per checked metric, regressions flagged in the last column."""
-    def short(value: object) -> object:
-        # digests would blow the column out to 64 chars
-        if isinstance(value, str) and len(value) > 12:
-            return value[:12] + ".."
-        return value
-
-    headers = ["section", "metric", "baseline", "current", "ratio", "kind", "status"]
-    rows = [
-        [
-            f.section,
-            f.metric,
-            short(f.baseline),
-            short(f.current),
-            f.ratio,
-            f.kind,
-            "REGRESSED" if f.regressed else "ok",
-        ]
-        for f in findings
-    ]
-    return format_table(headers, rows, title="baseline check")
-
-
 def format_speedup_series(rows: list[dict], baseline_key: int) -> str:
     """Fig. 10-style relative speedup: time(baseline) / time(n) per combo."""
     by_combo: dict[str, dict[int, float]] = {}

@@ -238,7 +238,9 @@ def _attach_telemetry(args: argparse.Namespace, cluster: SimulatedCluster, trace
     return cluster.telemetry
 
 
-def _record_run(args: argparse.Namespace, kind: str, workload: str, **parts) -> None:
+def _record_run(
+    args: argparse.Namespace, workload: str, config: JoinConfig, report: JoinReport
+) -> None:
     """Write the run manifest unless ``--no-run-manifest``.  The registry
     is observe-only: a manifest that cannot be written (unwritable or
     non-directory runs dir) costs a warning, never the finished run."""
@@ -251,7 +253,8 @@ def _record_run(args: argparse.Namespace, kind: str, workload: str, **parts) -> 
     )
 
     doc = build_run_manifest(
-        kind=kind, workload=workload, argv=sys.argv[1:], **parts
+        kind=args.command, workload=workload, config=config, report=report,
+        argv=sys.argv[1:],
     )
     try:
         path = write_run_manifest(resolve_runs_dir(args.runs_dir), doc)
@@ -334,20 +337,24 @@ def _cmd_join(args: argparse.Namespace) -> int:
     tracer = _attach_tracer(args, cluster)
     hub = _attach_telemetry(args, cluster, tracer)
     try:
-        for name, records in zip(names, inputs):
-            cluster.dfs.write(name, records)
-        report = join(
-            cluster, *names, _build_config(args), checkpoint=_make_checkpoint(args)
-        )
+        try:
+            for name, records in zip(names, inputs):
+                cluster.dfs.write(name, records)
+            report = join(
+                cluster, *names, _build_config(args),
+                checkpoint=_make_checkpoint(args),
+            )
+        finally:
+            # also when the join raised: that run's trace is the one
+            # wanted, and its traceback must start on a fresh line, not
+            # on the progress bar's \r-redrawn one
+            if hub is not None:
+                hub.close()
+            _export_trace(args, tracer)
         if hub is not None:
-            hub.close()
             print(hub.summary_line(), file=sys.stderr)
         _emit(args, sorted(cluster.dfs.read_all(report.output_file)), report)
-        _export_trace(args, tracer)
-        _record_run(
-            args, args.command, ",".join(paths),
-            config=_build_config(args), report=report,
-        )
+        _record_run(args, ",".join(paths), _build_config(args), report)
     finally:
         cluster.close()
     return 0
@@ -457,12 +464,13 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
             doc.get("workload", "?"),
             doc.get("combo", "-"),
             doc.get("pairs", "-"),
+            doc.get("wall_times_s", {}).get("total", "-"),
             doc.get("stage_times_s", {}).get("total", "-"),
         ]
         for doc in runs
     ]
     print(format_table(
-        ["id", "kind", "workload", "combo", "pairs", "total_s"], rows
+        ["id", "kind", "workload", "combo", "pairs", "wall_s", "total_s"], rows
     ))
     return 0
 
@@ -484,55 +492,6 @@ def _cmd_runs_diff(args: argparse.Namespace) -> int:
     directory = _runs_dir(args)
     diff = diff_runs(load_run(directory, args.a), load_run(directory, args.b))
     print(format_runs_diff(diff))
-    return 0
-
-
-def _cmd_runs_check(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.reporting import format_regression_findings
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.runs import compare_baseline, load_run
-
-    with open(args.baseline, "r", encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    current = load_run(_runs_dir(args), args.run)
-    findings = compare_baseline(
-        baseline,
-        current,
-        tolerance=args.tolerance,
-        ratios_only=args.ratios_only,
-        sections=args.sections.split(",") if args.sections else None,
-        memory_tolerance=args.memory_tolerance,
-    )
-    regressions = [f for f in findings if f.regressed]
-    registry = MetricsRegistry()
-    registry.increment("run.checked_metrics", len(findings))
-    registry.increment("run.regressions", len(regressions))
-    if findings:
-        print(format_regression_findings(findings))
-    counters = registry.counters()
-    print(
-        "run check: "
-        f"checked={counters.get('run.checked_metrics', 0)} "
-        f"regressions={counters.get('run.regressions', 0)}",
-        file=sys.stderr,
-    )
-    return 1 if regressions else 0
-
-
-def _cmd_runs_bench(args: argparse.Namespace) -> int:
-    from repro.bench.harness import bench_smoke_rows
-    from repro.obs.atomicio import atomic_write_json
-
-    rows = bench_smoke_rows(
-        num_records=args.records,
-        rounds=args.rounds,
-        slow_stage2=args.slow_stage2,
-    )
-    atomic_write_json(args.output, rows, indent=2)
-    print(f"bench rows -> {args.output}", file=sys.stderr)
-    _record_run(args, "bench", rows["e2e_smoke"]["workload"], rows=rows)
     return 0
 
 
@@ -606,8 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_runs = sub.add_parser(
         "runs",
-        help="browse the run-manifest registry (.repro-runs) and gate "
-             "benchmarks against committed baselines",
+        help="browse the run-manifest registry (.repro-runs)",
     )
     runs_sub = p_runs.add_subparsers(dest="runs_command", required=True)
 
@@ -636,56 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_runs_diff.add_argument("b", help="candidate run ref")
     _add_runs_dir(p_runs_diff)
     p_runs_diff.set_defaults(func=_cmd_runs_diff)
-
-    p_runs_check = runs_sub.add_parser(
-        "check",
-        help="compare bench rows against a baseline file with noise "
-             "thresholds; exit 1 on sustained slowdowns (the CI perf gate)",
-    )
-    p_runs_check.add_argument("run",
-                              help="current run: id, 'latest', or a bench "
-                                   "rows / manifest JSON file")
-    p_runs_check.add_argument("--baseline", required=True, metavar="PATH",
-                              help="baseline rows document, e.g. "
-                                   "benchmarks/results/BENCH_kernel.json")
-    p_runs_check.add_argument("--tolerance", type=float, default=0.5,
-                              help="allowed bad-direction slowdown ratio "
-                                   "above 1.0 before a metric regresses "
-                                   "(default: 0.5 = 1.5x)")
-    p_runs_check.add_argument("--ratios-only", action="store_true",
-                              help="check only scale-free ratio metrics "
-                                   "(*_share_pct/*_overhead_pct) — for "
-                                   "baselines measured on other hardware")
-    p_runs_check.add_argument("--memory-tolerance", type=float, default=None,
-                              metavar="RATIO",
-                              help="separate tolerance for the *maxrss_kb "
-                                   "memory-watermark class (higher is worse; "
-                                   "default: same as --tolerance)")
-    p_runs_check.add_argument("--sections", default=None,
-                              help="comma-separated section allowlist "
-                                   "(default: all sections present in both)")
-    _add_runs_dir(p_runs_check)
-    p_runs_check.set_defaults(func=_cmd_runs_check)
-
-    p_runs_bench = runs_sub.add_parser(
-        "bench",
-        help="run the quick e2e smoke bench and write its rows document "
-             "(feeds 'runs check')",
-    )
-    p_runs_bench.add_argument("-o", "--output", required=True,
-                              help="rows JSON output path")
-    p_runs_bench.add_argument("--records", type=int, default=2000,
-                              help="DBLP corpus size (default: 2000)")
-    p_runs_bench.add_argument("--rounds", type=int, default=3,
-                              help="best-of rounds (default: 3)")
-    p_runs_bench.add_argument("--slow-stage2", action="store_true",
-                              help="deliberately degrade the Stage-2 plan "
-                                   "(one token group -> one hot reducer); "
-                                   "used by CI to prove the gate trips")
-    p_runs_bench.add_argument("--no-run-manifest", action="store_true",
-                              help="do not record the bench in the registry")
-    _add_runs_dir(p_runs_bench)
-    p_runs_bench.set_defaults(func=_cmd_runs_bench)
 
     p_trace = sub.add_parser(
         "trace-report",

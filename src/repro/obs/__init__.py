@@ -14,8 +14,8 @@ output with tracing on vs off).
   analyzer behind ``python -m repro trace-report``.
 * :mod:`repro.obs.telemetry` — live heartbeats, resource profiling,
   straggler flags and the ``--progress`` view.
-* :mod:`repro.obs.runs` — persistent run-manifest registry and the
-  bench perf-regression checker (``python -m repro runs ...``).
+* :mod:`repro.obs.runs` — persistent run-manifest registry
+  (``python -m repro runs ...``).
 * :mod:`repro.obs.atomicio` — atomic (tmp + rename) artifact writes.
 """
 
@@ -35,9 +35,7 @@ from repro.obs.metrics import (
     observe_into,
 )
 from repro.obs.runs import (
-    RegressionFinding,
     build_run_manifest,
-    compare_baseline,
     diff_runs,
     list_runs,
     load_run,
@@ -78,9 +76,7 @@ __all__ = [
     "rusage_now",
     "rusage_watermarks",
     "strip_telemetry_counters",
-    "RegressionFinding",
     "build_run_manifest",
-    "compare_baseline",
     "diff_runs",
     "list_runs",
     "load_run",

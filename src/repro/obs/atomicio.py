@@ -1,8 +1,8 @@
 """Atomic file writes for observability artifacts.
 
-Trace exports, run manifests, and bench-row files are consumed by
-other tools (Chrome's tracing UI, ``runs diff``, CI perf gates), so a
-run killed mid-write must never leave a truncated JSON document behind.
+Trace exports and run manifests are consumed by other tools (Chrome's
+tracing UI, ``runs diff``, the wall-clock benchmark), so a run killed
+mid-write must never leave a truncated JSON document behind.
 Both helpers write to ``<path>.tmp`` in the destination directory and
 ``os.replace`` it into place — on POSIX the rename is atomic, so any
 observer sees either the old complete file or the new complete file,

@@ -1,37 +1,19 @@
-"""Persistent run registry and the perf-regression checker.
+"""Persistent run registry.
 
-Every join and bench CLI run writes a **run manifest** — a small JSON
-document with the run's identity (kind, workload, config digest), its
-merged counters and metrics snapshot, per-stage simulated timings, and
-process rusage watermarks — into a ``.repro-runs/`` directory (one
-file per run, written atomically).  ``python -m repro runs
-list|show|diff`` browses the registry; ``runs check`` compares a bench
-rows document against a baseline (e.g. the committed
-``BENCH_kernel.json``) with noise thresholds and exits nonzero on
-sustained slowdowns, which is what the CI perf gate runs.
-
-Metric classification for the checker is by *name convention*, the
-same conventions the bench rows already follow:
-
-* ``*_s`` (except ``*_all_s`` sample lists) — times, lower is better;
-* ``*speedup*`` / ``*improvement_pct`` — higher is better;
-* ``*overhead_pct`` / ``*share_pct`` — scale-free ratios, lower is
-  better; these survive ``--ratios-only`` (cross-machine comparisons
-  against a committed baseline, where absolute times are meaningless);
-* ``*_digest`` strings, booleans, and integers (``pairs``, ``rounds``)
-  — identity facts that must match exactly.
-
-Everything else (strings like ``workload``, raw sample lists) is
-skipped.  A metric regresses only when its ratio exceeds
-``1 + tolerance`` in the bad direction — the tolerance absorbs normal
-run-to-run noise.
+Every join CLI run writes a **run manifest** — a small JSON document
+with the run's identity (kind, workload, config digest), its merged
+counters and metrics snapshot, per-stage timings on both clocks
+(measured ``wall_times_s``, simulated ``stage_times_s``), and process
+rusage watermarks — into a ``.repro-runs/`` directory (one file per
+run, written atomically).  ``python -m repro runs list|show|diff``
+browses the registry.  Performance is gated elsewhere, on the wall
+clock: ``benchmarks/wall/README.md``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any, TYPE_CHECKING
 
@@ -45,9 +27,7 @@ if TYPE_CHECKING:
 __all__ = [
     "MANIFEST_VERSION",
     "RUNS_DIR_DEFAULT",
-    "RegressionFinding",
     "build_run_manifest",
-    "compare_baseline",
     "diff_runs",
     "list_runs",
     "load_run",
@@ -80,14 +60,12 @@ def build_run_manifest(
     workload: str,
     config: "JoinConfig | None" = None,
     report: "JoinReport | None" = None,
-    rows: dict[str, Any] | None = None,
     argv: list[str] | None = None,
 ) -> dict[str, Any]:
     """Assemble one run's manifest document (not yet written).
 
-    Join runs pass ``report`` (+ ``config``); bench runs pass their
-    ``rows`` document instead.  Rusage watermarks are sampled here, at
-    end of run, so they reflect the whole process tree's peak.
+    Rusage watermarks are sampled here, at end of run, so they reflect
+    the whole process tree's peak.
     """
     created = datetime.now(timezone.utc)
     doc: dict[str, Any] = {
@@ -121,8 +99,6 @@ def build_run_manifest(
         doc["counters"] = dict(sorted(counters.items()))
         doc["metrics"] = report.metrics().snapshot()
         doc["executor"] = report.executor_summary()
-    if rows is not None:
-        doc["rows"] = rows
     identity = doc.get("config_digest") or _digest_of(doc)
     doc["id"] = f"{created.strftime('%Y%m%d-%H%M%S')}-{identity[:8]}"
     return doc
@@ -176,7 +152,7 @@ def list_runs(directory: str) -> list[dict[str, Any]]:
 
 def load_run(directory: str, ref: str) -> dict[str, Any]:
     """Resolve *ref* to one manifest: ``latest``, an exact id, a unique
-    id prefix, or a path to a manifest/bench-rows JSON file."""
+    id prefix, or a path to a manifest JSON file."""
     if os.path.isfile(ref):
         with open(ref, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -256,156 +232,3 @@ def diff_runs(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
         "wall_rows": time_rows("wall_times_s"),
         "counter_rows": counter_rows,
     }
-
-
-# ---------------------------------------------------------------------------
-# baseline regression checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RegressionFinding:
-    """One checked metric: where it stands relative to the baseline."""
-
-    section: str
-    metric: str
-    baseline: Any
-    current: Any
-    #: slowdown factor in the metric's bad direction (1.0 = unchanged)
-    ratio: float
-    #: classification: time | memory | higher_better | ratio | identity
-    kind: str
-    regressed: bool
-
-
-def _classify(metric: str, value: Any) -> str | None:
-    """Metric class by name convention; None = not checkable."""
-    if metric.endswith("_all_s"):
-        return None
-    if isinstance(value, bool):
-        return "identity"
-    if metric.endswith("_digest"):
-        return "identity"
-    if metric.endswith(("overhead_pct", "share_pct")):
-        return "ratio"
-    if "speedup" in metric or metric.endswith("improvement_pct"):
-        return "higher_better"
-    if metric.endswith("_s") and isinstance(value, (int, float)):
-        return "time"
-    # memory watermarks: higher is worse, with their own tolerance —
-    # must precede the bare-int identity fallback, which would demand
-    # byte-exact maxrss across runs
-    if metric.endswith("maxrss_kb") and isinstance(value, (int, float)):
-        return "memory"
-    if isinstance(value, int):
-        return "identity"
-    return None
-
-
-def compare_baseline(
-    baseline: dict[str, Any],
-    current: dict[str, Any],
-    tolerance: float = 0.5,
-    *,
-    ratios_only: bool = False,
-    sections: list[str] | None = None,
-    memory_tolerance: float | None = None,
-) -> list[RegressionFinding]:
-    """Check *current* bench rows against *baseline* rows.
-
-    Both documents are ``{section: {metric: value}}`` (the
-    ``BENCH_kernel.json`` shape; run manifests wrap theirs under
-    ``"rows"``, unwrapped here).  Only sections present in both are
-    compared, and within them only metrics present in both — a new
-    metric cannot regress against nothing.  ``ratios_only`` keeps just
-    the scale-free ratio class, for comparing a fresh run against a
-    baseline measured on different hardware.
-
-    Memory watermarks (``*maxrss_kb``) are a distinct higher-is-worse
-    class with their own *memory_tolerance* (defaults to *tolerance*):
-    RSS is noisier than simulated time but a blowup is exactly what the
-    memory-degradation machinery must prevent.  When both documents
-    carry run-manifest ``rusage`` watermarks, the process-tree peak is
-    checked too, as the ``run.maxrss_kb`` finding.
-    """
-    base_rusage = baseline.get("rusage")
-    cur_rusage = current.get("rusage")
-    baseline = baseline.get("rows", baseline)
-    current = current.get("rows", current)
-    if memory_tolerance is None:
-        memory_tolerance = tolerance
-    findings: list[RegressionFinding] = []
-    for section in sorted(set(baseline) & set(current)):
-        if sections is not None and section not in sections:
-            continue
-        base_row = baseline[section]
-        cur_row = current[section]
-        if not isinstance(base_row, dict) or not isinstance(cur_row, dict):
-            continue
-        for metric in sorted(set(base_row) & set(cur_row)):
-            base = base_row[metric]
-            cur = cur_row[metric]
-            kind = _classify(metric, base)
-            if kind is None:
-                continue
-            if ratios_only and kind != "ratio":
-                continue
-            tol = memory_tolerance if kind == "memory" else tolerance
-            ratio, regressed = _judge(kind, base, cur, tol)
-            findings.append(
-                RegressionFinding(
-                    section=section,
-                    metric=metric,
-                    baseline=base,
-                    current=cur,
-                    ratio=ratio,
-                    kind=kind,
-                    regressed=regressed,
-                )
-            )
-    if (
-        not ratios_only
-        and (sections is None or "run" in sections)
-        and isinstance(base_rusage, dict)
-        and isinstance(cur_rusage, dict)
-    ):
-        base_kb = base_rusage.get("maxrss_kb")
-        cur_kb = cur_rusage.get("maxrss_kb")
-        if isinstance(base_kb, (int, float)) and isinstance(cur_kb, (int, float)):
-            ratio, regressed = _judge(
-                "memory", base_kb, cur_kb, memory_tolerance
-            )
-            findings.append(
-                RegressionFinding(
-                    section="run",
-                    metric="maxrss_kb",
-                    baseline=base_kb,
-                    current=cur_kb,
-                    ratio=ratio,
-                    kind="memory",
-                    regressed=regressed,
-                )
-            )
-    return findings
-
-
-def _judge(
-    kind: str, base: Any, cur: Any, tolerance: float
-) -> tuple[float, bool]:
-    """(bad-direction ratio, regressed?) for one metric."""
-    if kind == "identity":
-        if isinstance(base, bool):
-            # a True identity fact (e.g. bit-identical outputs) must stay True
-            return (1.0, bool(base) and not bool(cur))
-        return (1.0, base != cur)
-    base_f = float(base)
-    cur_f = float(cur)
-    if kind == "higher_better":
-        if cur_f <= 0.0:
-            return (float("inf"), base_f > 0.0)
-        ratio = base_f / cur_f if base_f > 0.0 else 1.0
-    else:  # time, memory and ratio classes: lower is better
-        if base_f <= 0.0:
-            return (1.0, False)
-        ratio = cur_f / base_f
-    return (ratio, ratio > 1.0 + tolerance)

@@ -67,10 +67,10 @@ __all__ = [
     "strip_telemetry_counters",
 ]
 
-#: counter-key prefixes produced only by the telemetry/run-registry
-#: machinery — excluded when differentially comparing telemetry-on
-#: versus telemetry-off runs
-TELEMETRY_COUNTER_PREFIXES = ("telemetry.", "run.")
+#: counter-key prefixes produced only by the telemetry machinery —
+#: excluded when differentially comparing telemetry-on versus
+#: telemetry-off runs
+TELEMETRY_COUNTER_PREFIXES = ("telemetry.",)
 
 #: heartbeat wire format (a plain tuple: cheap to pickle over the queue)
 #: (job, phase, task, pid, records, final, utime_s, stime_s, maxrss_kb, t)
@@ -85,8 +85,8 @@ _STALE_INTERVALS = 5.0
 
 
 def strip_telemetry_counters(counters: dict[str, int]) -> dict[str, int]:
-    """Counters without telemetry/run-registry bookkeeping keys — what
-    must be identical between a telemetry-on and telemetry-off run."""
+    """Counters without telemetry bookkeeping keys — what must be
+    identical between a telemetry-on and telemetry-off run."""
     return strip_counters(counters, TELEMETRY_COUNTER_PREFIXES)
 
 

@@ -1,12 +1,16 @@
 """Tests for the command-line interface."""
 
+import io
+import json
 import re
+import sys
 
 import pytest
 
 from repro.cli import main
 from repro.data.loaders import read_records, write_records
 from repro.join.records import make_line
+from repro.mapreduce.faults import TaskError
 
 
 @pytest.fixture
@@ -91,6 +95,40 @@ class TestRunManifest:
         ]
         assert len(warnings) == 1
         assert not_a_dir.read_text() == "a regular file\n"
+
+
+class TestFailedJoin:
+    """A join that raises still exports its trace and leaves the
+    terminal on a fresh line."""
+
+    def _args(self, catalog, tmp_path):
+        return [
+            "selfjoin", str(catalog), "-o", str(tmp_path / "pairs.tsv"),
+            "--faults", "raise:brj-*", "--max-task-retries", "1",
+        ]
+
+    def test_trace_is_exported(self, catalog, tmp_path):
+        trace = tmp_path / "trace.json"
+        with pytest.raises(TaskError):
+            main(self._args(catalog, tmp_path) + ["--trace", str(trace)])
+        assert main(["trace-report", "--validate-only", str(trace)]) == 0
+        events = json.loads(trace.read_text(encoding="utf-8"))["traceEvents"]
+        assert any(
+            e["ph"] == "i" and e["name"] == "fault-injected" for e in events
+        )
+
+    def test_progress_line_is_closed_on_a_tty(self, catalog, tmp_path, monkeypatch):
+        class Tty(io.StringIO):
+            def isatty(self) -> bool:
+                return True
+
+        stderr = Tty()
+        monkeypatch.setattr(sys, "stderr", stderr)
+        with pytest.raises(TaskError):
+            main(self._args(catalog, tmp_path) + ["--progress"])
+        # the traceback that follows must not land on the redrawn bar
+        assert "\r" in stderr.getvalue()
+        assert stderr.getvalue().endswith("\n")
 
 
 class TestExecutionFlags:

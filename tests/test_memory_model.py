@@ -3,11 +3,13 @@ paper's memory-control claims, made checkable."""
 
 import pytest
 
+from repro.data.increase import increase_dataset
+from repro.data.synthetic import generate_dblp
 from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_rs, ssjoin_self
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.dfs import InMemoryDFS
-from repro.mapreduce.types import InsufficientMemoryError
+from repro.mapreduce.types import InsufficientMemoryError, approx_bytes
 
 from tests.conftest import SCHEMA_1, random_records
 
@@ -121,6 +123,42 @@ class TestBudgetEnforcement:
                 cluster_with(records, memory_mb=budget_mb), "records",
                 JoinConfig(threshold=0.4, schema=SCHEMA_1, stage3="oprj"),
             )
+
+    def test_oprj_peak_doubles_with_the_pair_list_brj_holds_one_record(self):
+        """The mechanism behind Figures 12/14, byte-exact.  Doubling the
+        dataset doubles the RID-pair list; every OPRJ map task holds
+        that list (charged by the runtime's broadcast accounting) plus
+        its by-RID index (charged by ``oprj_jobs``), so its peak
+        doubles, while the largest BRJ task still holds one record.
+        The figure benches size their OOM budget from this peak, so a
+        change to the pair list or to its charge must show here."""
+
+        def measure(records, stage3):
+            report = ssjoin_self(
+                cluster_with(records), "records", JoinConfig(stage3=stage3)
+            )
+            list_bytes = sum(
+                t.output_bytes for t in report.stage2.phases[-1].reduce_tasks
+            )
+            peak = max(
+                t.peak_memory_bytes
+                for p in report.stage3.phases
+                for t in p.map_tasks + p.reduce_tasks
+            )
+            return report.counters()["stage2.pairs_output"], list_bytes, peak
+
+        base = generate_dblp(150, seed=7)
+        grown = increase_dataset(base, 2)
+        pairs, list_bytes, oprj_peak = measure(base, "oprj")
+        grown_pairs, grown_list_bytes, grown_oprj_peak = measure(grown, "oprj")
+        assert grown_pairs == 2 * pairs > 0
+        assert grown_list_bytes == 2 * list_bytes
+        # the index is charged on top of the list, and doubles with it
+        assert oprj_peak > list_bytes
+        assert grown_oprj_peak == 2 * oprj_peak
+        for records in (base, grown):
+            _, _, brj_peak = measure(records, "brj")
+            assert brj_peak == max(approx_bytes(line) for line in records)
 
     def test_error_names_the_culprit(self, rng):
         records = random_records(rng, 100, dup_rate=0.6)

@@ -11,14 +11,12 @@ from repro.bench.reporting import (
     format_filter_counters,
     format_histograms,
     format_plan_counters,
-    format_regression_findings,
     format_runs_diff,
     format_speedup_series,
     format_table,
     rows_to_table,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.runs import RegressionFinding
 
 
 def test_format_table_golden():
@@ -192,30 +190,6 @@ def test_format_runs_diff_identical_counters_golden():
         "  kind: selfjoin -> rsjoin\n"
         "  workload: x -> y\n"
         "counters: identical"
-    )
-
-
-def test_format_regression_findings_golden():
-    findings = [
-        RegressionFinding(
-            "e2e_smoke", "output_digest",
-            "bcc92def885beb3fa5", "bcc92def885beb3fa5",
-            1.0, "identity", False,
-        ),
-        RegressionFinding(
-            "e2e_smoke", "stage2_best_s", 40.0, 85.0, 2.125, "time", True
-        ),
-    ]
-    assert format_regression_findings(findings) == (
-        "baseline check\n"
-        "section    metric         baseline        current         ratio  "
-        "kind      status   \n"
-        "---------  -------------  --------------  --------------  -----  "
-        "--------  ---------\n"
-        "e2e_smoke  output_digest  bcc92def885b..  bcc92def885b..  1.00   "
-        "identity  ok       \n"
-        "e2e_smoke  stage2_best_s  40.00           85.00           2.12   "
-        "time      REGRESSED"
     )
 
 

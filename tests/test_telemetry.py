@@ -171,7 +171,6 @@ def test_strip_telemetry_counters():
     counters = {
         "stage2.pairs_output": 5,
         "telemetry.heartbeats": 9,
-        "run.regressions": 1,
         "hist.telemetry.x.b3": 2,
     }
     assert strip_telemetry_counters(counters) == {"stage2.pairs_output": 5}
