@@ -52,6 +52,7 @@ KNOWN_COUNTER_NAMES: frozenset[str] = frozenset(
         'stage2.record_routes',
         'stage2.spill_bytes_read',
         'stage2.spill_bytes_written',
+        'stage2.verified',
         'stage3.pairs_per_rid',
         'stage3.record_pairs_output',
         'task.attempts',

@@ -71,9 +71,10 @@ def format_filter_counters(pruned: dict, title: str = "stage2 filters") -> str:
     """Render a :meth:`JoinReport.filter_counters` dict as one table row:
     candidates examined, those left to the pair's owning group
     (foreign), prunes per filter stage (length, bitmap, positional,
-    suffix) and surviving RID pairs."""
+    suffix), candidates merged (verified) and surviving RID pairs."""
     headers = [
-        "candidates", "length", "foreign", "bitmap", "positional", "suffix", "pairs",
+        "candidates", "length", "foreign", "bitmap", "positional", "suffix",
+        "verified", "pairs",
     ]
     row = [pruned.get(h, 0) for h in headers]
     text = format_table(headers, [row], title=title)

@@ -18,9 +18,9 @@ usage patterns of the paper:
   only probe.  Eviction uses the probe's lower bound, which is why the
   R-S kernel streams records in the length-class order of Section 4.
 
-Verification resumes the token merge after the last prefix match
-(PPJoin's optimized verify) and is differential-tested against the
-naive oracle.
+Verification merges the two tails after a candidate's first common
+prefix token (the heads before it are disjoint, so nothing is
+re-scanned) and is differential-tested against the naive oracle.
 
 Token arrays are normally rank-encoded (ascending ints in global
 frequency order, as ``tuple`` or compact ``array('i')``; see
@@ -35,7 +35,7 @@ identical RID pairs (differential-tested).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis -> core)
@@ -76,13 +76,29 @@ class PPJoinIndex:
         ``None`` disables it.  Signatures may be supplied precomputed to
         :meth:`add`/:meth:`probe` (the Stage-2 mappers compute them once
         per record) or are derived from the tokens on demand.
+    owner:
+        Restricts the index to the pairs it *owns* (DESIGN.md §5k): a
+        predicate on a prefix token saying whether that token routes to
+        the reducer running this index; ``None`` owns everything.  A
+        pair belongs to the route of the smallest token common to both
+        routing prefixes, so :meth:`add` posts a record under its owned
+        index-prefix tokens only (a record with none is not stored) and
+        a probe first meets a candidate at their smallest common *owned*
+        token ``t = x[i] = y[j]``.  The pair is this index's iff
+        ``x[:i]`` and ``y[:j]`` are disjoint: (1) every common token
+        below ``t`` lies in both heads, and the heads lie in the routing
+        prefixes (``y``'s index prefix is a down-closed prefix of its
+        routing prefix); (2) disjoint heads make ``t`` itself the
+        smallest common prefix token, and it is owned; (3) otherwise
+        that token is some ``s < t`` which cannot be owned — ``y`` would
+        be posted under it and the ascending scan would have met it
+        there — so the pair is another route's (``foreign``).
 
-    ``filter_stats`` counts candidates pruned per filter stage
-    (``length`` at posting-hit granularity, ``foreign``/``bitmap``/
-    ``positional``/``suffix`` once per candidate pair) and, under
-    ``candidates``, the distinct entries per probe that survived the
-    length filter — each of which ends ``foreign`` (another route owns
-    the pair, see :meth:`probe`), pruned by a later filter, or verified.
+    ``filter_stats`` counts, under ``candidates``, the distinct entries
+    per probe found inside the length window of an owned posting list,
+    each of which ends in exactly one of ``bitmap``/``foreign``/
+    ``positional``/``suffix`` (pruned, in that order) or ``verified``
+    (merged); ``length`` counts posting entries outside the window.
 
     ``sanitizer`` (see :mod:`repro.analysis.sanitize`) attaches the
     runtime admissibility oracle: a deterministic sample of pruned
@@ -100,6 +116,7 @@ class PPJoinIndex:
         evict: bool = True,
         bitmap_width: int | None = None,
         sanitizer: "Sanitizer | None" = None,
+        owner: Callable[[Any], bool] | None = None,
     ) -> None:
         if mode not in ("self", "rs"):
             raise ValueError(f"mode must be 'self' or 'rs', got {mode!r}")
@@ -115,27 +132,34 @@ class PPJoinIndex:
         self.evict = evict
         self.bitmap_width = bitmap_width
         self.sanitizer = sanitizer
-        self._bounds = bounds_for(sim, threshold)
+        self.owner = owner
+        self._bounds = bounds = bounds_for(sim, threshold)
+        self._index_prefix_length = (
+            bounds.index_prefix_length if mode == "self" else bounds.prefix_length
+        )
 
-        self._postings: dict[int, list[tuple[int, int]]] = {}
+        #: owned index-prefix token -> entry ids, ascending
+        self._postings: dict[Any, list[int]] = {}
         self._rids: list[int] = []
-        self._tokens: list[tuple[int, ...] | None] = []
+        self._tokens: list[Sequence[Any] | None] = []
         self._sizes: list[int] = []
-        self._prefix_lens: list[int] = []
         #: per-entry signature and "size minus popcount" slack (the
         #: precomputed y-side term of the overlap upper bound)
         self._sigs: list[int] = []
         self._sig_slack: list[int] = []
         self._frontier = 0  # entries below this id are evicted
+        #: entry sizes are non-decreasing (always, under ``evict``), so
+        #: the length window of a posting list is one run
+        self._size_ordered = True
         self._last_added_size = 0
         self._last_probe_size = 0
         self.peak_live_entries = 0
         #: approximate bytes of live (non-evicted) entries, for memory metering
         self.live_bytes = 0
-        #: post-length-filter candidates, and prunes per filter stage
+        #: in-window candidates, and where each of them ended
         self.filter_stats = {
             "candidates": 0, "length": 0, "foreign": 0,
-            "bitmap": 0, "positional": 0, "suffix": 0,
+            "bitmap": 0, "positional": 0, "suffix": 0, "verified": 0,
         }
 
     # -- size / memory accounting -------------------------------------
@@ -163,22 +187,32 @@ class PPJoinIndex:
     def add(
         self, rid: int, tokens: Sequence[int], signature: int | None = None
     ) -> None:
-        """Index one record (rank-encoded, globally ordered tokens).
+        """Index one record (rank-encoded, globally ordered tokens)
+        under the index-prefix tokens this index owns; a record with
+        none can never be met by a probe and is not stored.
 
         ``signature`` supplies the precomputed bitmap signature; ignored
         when the index was built without ``bitmap_width``, computed from
         the tokens when bitmap filtering is on but none is given.
         """
         n = len(tokens)
-        if self.evict and n < self._last_added_size:
-            raise ValueError(
-                "eviction requires records added in non-decreasing size order "
-                f"(got size {n} after {self._last_added_size}); "
-                "construct with evict=False for unordered input"
-            )
-        self._last_added_size = max(self._last_added_size, n)
+        if n < self._last_added_size:
+            if self.evict:
+                raise ValueError(
+                    "eviction requires records added in non-decreasing size order "
+                    f"(got size {n} after {self._last_added_size}); "
+                    "construct with evict=False for unordered input"
+                )
+            self._size_ordered = False
+        else:
+            self._last_added_size = n
         if n == 0:
             return
+        owned = tokens[: self._index_prefix_length[n]]
+        if self.owner is not None:
+            owned = list(filter(self.owner, owned))
+            if not owned:
+                return
         entry_id = len(self._rids)
         self._rids.append(rid)
         # tuples and array('i') are kept as-is (both slice cheaply);
@@ -187,19 +221,13 @@ class PPJoinIndex:
             tokens if isinstance(tokens, (tuple, array)) else tuple(tokens)
         )
         self._sizes.append(n)
-        if self.mode == "self":
-            plen = self._bounds.index_prefix_length[n]
-        else:
-            plen = self._bounds.prefix_length[n]
-        self._prefix_lens.append(plen)
         postings = self._postings
-        for pos in range(plen):
-            token = tokens[pos]
+        for token in owned:
             posting = postings.get(token)
             if posting is None:
-                postings[token] = [(entry_id, pos)]
+                postings[token] = [entry_id]
             else:
-                posting.append((entry_id, pos))
+                posting.append(entry_id)
         width = self.bitmap_width
         if width is not None:
             if signature is None:
@@ -231,9 +259,9 @@ class PPJoinIndex:
         tokens: Sequence[int],
         true_size: int | None = None,
         signature: int | None = None,
-        owner: Callable[[Any], bool] | None = None,
     ) -> list[tuple[int, float]]:
-        """Find indexed records similar to (*rid*, *tokens*).
+        """Find the indexed records similar to (*rid*, *tokens*) whose
+        pair with it this index owns.
 
         Returns ``(other_rid, similarity)`` pairs; in self mode the
         probing record itself is never reported (it is not yet added).
@@ -246,19 +274,12 @@ class PPJoinIndex:
         so the reported similarity is exact.  ``signature`` is the
         probe's precomputed bitmap signature (see :meth:`add`).
 
-        ``owner`` restricts the probe to the pairs this index *owns*
-        (DESIGN.md §5k): a predicate on a prefix token, evaluated once
-        per probe-prefix position, saying whether that token routes to
-        the reducer running this index; ``None`` owns everything.  A
-        pair belongs to the route of the smallest token common to both
-        routing prefixes, which is the token of its *first* encounter:
-        (1) positions are scanned in ascending token order; (2) a
-        ``self`` index holds only mid-prefixes, but a mid-prefix is a
-        down-closed prefix of the routing prefix, so a common token
-        smaller than one inside it lies inside it too; (3) a pair with
-        no common indexed token is never encountered by any index.  A
-        first encounter at a token that is not *owner*'s is tallied as
-        ``foreign`` and ends the entry's part in this probe.
+        Per prefix token with a posting list: cut the length window out
+        of it, drop the entries this probe already met, run the bitmap
+        bound over the rest — so the ~97% it rejects touch no container
+        — and take each survivor through ownership, the positional and
+        suffix filters and the merge at once: the heads are disjoint, so
+        the overlap is 1 plus that of the two tails.
         """
         nx = len(tokens)
         n_true = nx if true_size is None else true_size
@@ -266,8 +287,7 @@ class PPJoinIndex:
             raise ValueError(f"true_size {n_true} smaller than token count {nx}")
         if nx == 0 or not self._rids:
             return []
-        evict = self.evict
-        if evict:
+        if self.evict:
             if n_true < self._last_probe_size:
                 raise ValueError(
                     "eviction requires probes in non-decreasing size order "
@@ -276,9 +296,11 @@ class PPJoinIndex:
             self._last_probe_size = n_true
         bounds = self._bounds
         lo, hi = bounds.length_bounds[n_true]
-        if evict:
+        sizes, frontier = self._sizes, self._frontier
+        if self.evict and frontier < len(sizes) and sizes[frontier] < lo:
             self._evict_below(lo)
-        probe_len = bounds.prefix_length[nx]
+            frontier = self._frontier
+        alpha_row = bounds.alpha_row[n_true]
         # Bitmap filter setup: the bound on the merged (token-array)
         # overlap is  popcount(sx & sy) + min(x_slack, y_slack)  with
         # slack = len - popcount; x's term is fixed for the whole probe.
@@ -291,149 +313,120 @@ class PPJoinIndex:
                 else bitmap_signature(tokens, self.bitmap_width)
             )
             x_slack = nx - sig_x.bit_count()
-        candidates: dict[int, list[int]] = {}
-        pruned: set[int] = set()
-        # hot loop: hoist per-entry tables, flags and per-stage prune
-        # tallies into locals (attribute/dict lookups cost real time here)
-        sizes, entry_tokens = self._sizes, self._tokens
-        sigs, sig_slack = self._sigs, self._sig_slack
-        alpha_of, postings_of, frontier = bounds.alpha, self._postings, self._frontier
-        use_positional, use_suffix = self.use_positional, self.use_suffix
-        sanitizer = self.sanitizer
-        p_length = p_foreign = p_bitmap = p_positional = p_suffix = 0
-        for i in range(probe_len):
+        # hoist per-entry tables into locals and keep the tallies in
+        # locals too (attribute and dict lookups cost real time at this
+        # call rate)
+        entry_tokens, postings_of = self._tokens, self._postings
+        sigs, slack, sanitizer = self._sigs, self._sig_slack, self.sanitizer
+        seen: set[int] | None = None
+        met: list[int] | None = None  # the one window met so far, until a second
+        results: list[tuple[int, float]] = []
+        p_candidates = p_length = p_foreign = p_bitmap = 0
+        p_positional = p_suffix = p_verified = 0
+        for i in range(bounds.prefix_length[nx]):
             token = tokens[i]
-            postings = postings_of.get(token)
-            if not postings:
+            posting = postings_of.get(token)
+            if not posting:
                 continue
-            if postings[0][0] < frontier:
+            if posting[0] < frontier:
                 # drop the evicted head for good (the frontier only advances)
-                start = 1
-                while start < len(postings) and postings[start][0] < frontier:
-                    start += 1
-                del postings[:start]
-            owned = owner is None or owner(token)
-            for entry_id, j in postings:
-                ny = sizes[entry_id]
-                if ny < lo or ny > hi:
-                    p_length += 1
-                    if sanitizer is not None:
-                        y_tokens = entry_tokens[entry_id]
-                        assert y_tokens is not None
-                        sanitizer.check_prune("length", tokens, n_true, y_tokens, ny)
+                del posting[: bisect_left(posting, frontier)]
+                if not posting:
                     continue
-                if entry_id in pruned:
-                    continue
-                state = candidates.get(entry_id)
-                if state is None and not owned:
-                    # smallest common prefix token routes elsewhere
-                    pruned.add(entry_id)
+            if not self._size_ordered:
+                window = [e for e in posting if lo <= sizes[e] <= hi]
+            elif sizes[posting[0]] < lo or sizes[posting[-1]] > hi:
+                size_of = sizes.__getitem__
+                window = posting[
+                    bisect_left(posting, lo, key=size_of) : bisect_right(
+                        posting, hi, key=size_of
+                    )
+                ]
+            else:
+                window = posting
+            if len(window) < len(posting):
+                p_length += len(posting) - len(window)
+                if sanitizer is not None:
+                    for e in posting:
+                        if not lo <= sizes[e] <= hi:
+                            sanitizer.check_prune(
+                                "length", tokens, n_true, entry_tokens[e], sizes[e]
+                            )
+            # drop the entries this probe already met (a set is built
+            # only when a second posting list is hit)
+            if met is None:
+                met = fresh = window
+            else:
+                if seen is None:
+                    seen = set(met)
+                fresh = [e for e in window if e not in seen]
+                seen.update(fresh)
+            p_candidates += len(fresh)
+            if sig_x is None:
+                survivors = fresh
+            else:
+                survivors = [
+                    e
+                    for e in fresh
+                    if (sig_x & sigs[e]).bit_count()
+                    + (x_slack if x_slack < slack[e] else slack[e])
+                    >= alpha_row[sizes[e]]
+                ]
+                p_bitmap += len(fresh) - len(survivors)
+                if sanitizer is not None and len(survivors) < len(fresh):
+                    kept = set(survivors)
+                    for e in fresh:
+                        if e not in kept:
+                            sanitizer.check_prune(
+                                "bitmap", tokens, n_true, entry_tokens[e], sizes[e]
+                            )
+            if not survivors:
+                continue
+            x_head, x_tail = set(tokens[:i]), tokens[i + 1 :]
+            for e in survivors:
+                y = entry_tokens[e]
+                ny = sizes[e]
+                alpha = alpha_row[ny]
+                j = bisect_left(y, token)
+                if j and not x_head.isdisjoint(y[:j]):
+                    # a smaller common prefix token routes elsewhere
                     p_foreign += 1
                     if sanitizer is not None:
-                        y_tokens = entry_tokens[entry_id]
-                        assert y_tokens is not None
-                        sanitizer.check_owner(tokens, y_tokens, False)
+                        sanitizer.check_owner(tokens, y, False)
                     continue
-                current = state[0] if state else 0
-                alpha = alpha_of[n_true, ny]
-                if state is None and sig_x is not None:
-                    # first encounter: bitmap overlap upper bound,
-                    # between the length and positional filters
-                    y_slack = sig_slack[entry_id]
-                    if (sig_x & sigs[entry_id]).bit_count() + (
-                        y_slack if y_slack < x_slack else x_slack
-                    ) < alpha:
-                        pruned.add(entry_id)
-                        p_bitmap += 1
-                        if sanitizer is not None:
-                            y_tokens = entry_tokens[entry_id]
-                            assert y_tokens is not None
-                            sanitizer.check_prune("bitmap", tokens, n_true, y_tokens, ny)
-                        continue
-                if use_positional and not positional_filter_passes(
-                    nx, ny, i, j, current, alpha
+                if self.use_positional and not positional_filter_passes(
+                    nx, ny, i, j, 0, alpha
                 ):
-                    pruned.add(entry_id)
-                    candidates.pop(entry_id, None)
                     p_positional += 1
                     if sanitizer is not None:
-                        y_tokens = entry_tokens[entry_id]
-                        assert y_tokens is not None
-                        sanitizer.check_prune("positional", tokens, n_true, y_tokens, ny)
+                        sanitizer.check_prune("positional", tokens, n_true, y, ny)
                     continue
-                if state is None:
-                    if use_suffix:
-                        y_tokens = entry_tokens[entry_id]
-                        assert y_tokens is not None
-                        if not suffix_filter_passes(
-                            tokens[i + 1 :],
-                            y_tokens[j + 1 :],
-                            alpha,
-                            overlap_so_far=1,
-                        ):
-                            pruned.add(entry_id)
-                            p_suffix += 1
-                            if sanitizer is not None:
-                                sanitizer.check_prune(
-                                    "suffix", tokens, n_true, y_tokens, ny
-                                )
-                            continue
-                    candidates[entry_id] = [1, i, j]
-                else:
-                    state[0] = current + 1
-                    state[1] = i
-                    state[2] = j
-        if p_length or pruned or candidates:
-            stats = self.filter_stats
-            stats["candidates"] += len(pruned) + len(candidates)
-            stats["length"] += p_length
-            stats["foreign"] += p_foreign
-            stats["bitmap"] += p_bitmap
-            stats["positional"] += p_positional
-            stats["suffix"] += p_suffix
-        if not candidates:
-            return []
-        return self._verify(rid, tokens, n_true, probe_len, candidates)
-
-    def _verify(
-        self,
-        rid: int,
-        tokens: Sequence[int],
-        n_true: int,
-        probe_len: int,
-        candidates: dict[int, list[int]],
-    ) -> list[tuple[int, float]]:
-        """PPJoin optimized verification: resume the merge after the
-        last prefix match instead of re-scanning the prefixes."""
-        sim, threshold = self.sim, self.threshold
-        alpha_of = self._bounds.alpha
-        sanitizer = self.sanitizer
-        nx = len(tokens)
-        last_x = tokens[probe_len - 1]
-        results: list[tuple[int, float]] = []
-        for entry_id, (count, i, j) in candidates.items():
-            y_tokens = self._tokens[entry_id]
-            assert y_tokens is not None
-            ny = len(y_tokens)
-            alpha = alpha_of[n_true, ny]
-            plen_y = self._prefix_lens[entry_id]
-            if last_x < y_tokens[plen_y - 1]:
-                if count + (nx - probe_len) < alpha:
+                y_tail = y[j + 1 :]
+                if self.use_suffix and not suffix_filter_passes(
+                    x_tail, y_tail, alpha, overlap_so_far=1
+                ):
+                    p_suffix += 1
+                    if sanitizer is not None:
+                        sanitizer.check_prune("suffix", tokens, n_true, y, ny)
                     continue
-                total = count + overlap(
-                    tokens[probe_len:], y_tokens[j + 1 :], required=alpha - count
-                )
-            else:
-                if count + (ny - plen_y) < alpha:
-                    continue
-                total = count + overlap(
-                    tokens[i + 1 :], y_tokens[plen_y:], required=alpha - count
-                )
-            if total >= alpha and sim.accepts_overlap(n_true, ny, total, threshold):
-                similarity = sim.similarity_from_overlap(n_true, ny, total)
-                results.append((self._rids[entry_id], similarity))
-                if sanitizer is not None:
-                    sanitizer.check_owner(tokens, y_tokens, True, sample=False)
+                p_verified += 1
+                total = 1 + overlap(x_tail, y_tail, required=alpha - 1)
+                if total >= alpha and self.sim.accepts_overlap(
+                    n_true, ny, total, self.threshold
+                ):
+                    results.append(
+                        (self._rids[e], self.sim.similarity_from_overlap(n_true, ny, total))
+                    )
+                    if sanitizer is not None:
+                        sanitizer.check_owner(tokens, y, True, sample=False)
+        stats = self.filter_stats
+        stats["candidates"] += p_candidates
+        stats["length"] += p_length
+        stats["bitmap"] += p_bitmap
+        stats["foreign"] += p_foreign
+        stats["positional"] += p_positional
+        stats["suffix"] += p_suffix
+        stats["verified"] += p_verified
         return results
 
 

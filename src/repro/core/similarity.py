@@ -281,12 +281,16 @@ class _Memo(dict):  # type: ignore[type-arg]
 
 class Bounds:
     """The integer filter bounds of one ``(sim, threshold)``, each
-    computed once: ``alpha[nx, ny]``, ``length_bounds[n]``,
-    ``prefix_length[n]`` and ``index_prefix_length[n]`` hold exactly what
-    the method of the same name returns (a miss *calls* it)."""
+    computed once: ``alpha[nx, ny]`` (and its rows, ``alpha_row[nx][ny]``
+    — a probe fixes ``nx``), ``length_bounds[n]``, ``prefix_length[n]``
+    and ``index_prefix_length[n]`` hold exactly what the method of the
+    same name returns (a miss *calls* it)."""
 
     def __init__(self, sim: SimilarityFunction, threshold: float) -> None:
-        self.alpha = _Memo(lambda n: sim.overlap_threshold(n[0], n[1], threshold))
+        self.alpha_row = _Memo(
+            lambda nx: _Memo(lambda ny: sim.overlap_threshold(nx, ny, threshold))
+        )
+        self.alpha = _Memo(lambda n: self.alpha_row[n[0]][n[1]])
         self.length_bounds = _Memo(lambda n: sim.length_bounds(n, threshold))
         self.prefix_length = _Memo(lambda n: sim.prefix_length(n, threshold))
         self.index_prefix_length = _Memo(lambda n: sim.index_prefix_length(n, threshold))

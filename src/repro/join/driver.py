@@ -126,13 +126,14 @@ class JoinReport:
         """Stage-2 filter-effectiveness tallies: candidates pruned by
         each filter stage (``length``/``bitmap``/``positional``/
         ``suffix``) or left to the group that owns the pair
-        (``foreign``), plus the ``candidates`` examined and ``pairs``
-        output (each pair once: the answer count).  ``candidates``
-        counts every cross-product pair for BK (before its length
-        filter; its ``foreign`` are verified pairs) and, for PK, the
-        distinct index entries per probe that survived the length
-        filter — so there ``candidates - foreign - bitmap - positional
-        - suffix`` reached verification.  Zeros for stages that never
+        (``foreign``), plus the ``candidates`` examined, those
+        ``verified`` (merged) and ``pairs`` output (each pair once: the
+        answer count).  ``candidates`` counts every cross-product pair
+        for BK (before its length filter; its ``foreign`` are verified
+        pairs) and, for PK, the distinct index entries per probe inside
+        the length window of a posting list the group owns — so there
+        ``candidates == foreign + bitmap + positional + suffix +
+        verified``.  Zeros for stages that never
         pruned (e.g. ``bitmap`` with ``bitmap_filter=False``, ``suffix``
         in PK runs where the bitmap bound replaces it).  Sanitizer runs
         (``sanitize=True`` / ``REPRO_SANITIZE=1``) add their
@@ -146,6 +147,7 @@ class JoinReport:
             "bitmap": counters.get("stage2.pruned_bitmap", 0),
             "positional": counters.get("stage2.pruned_positional", 0),
             "suffix": counters.get("stage2.pruned_suffix", 0),
+            "verified": counters.get("stage2.verified", 0),
             "pairs": counters.get("stage2.pairs_output", 0),
             "sanitize_checks": counters.get("sanitize.checks", 0),
             "sanitize_violations": counters.get("sanitize.violations", 0),

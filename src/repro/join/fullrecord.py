@@ -61,14 +61,15 @@ def full_record_job(
             ctx.emit((route, n, 0), (rid, ranks, line))
 
     def reducer(route: int, values: Iterator, ctx: Context) -> None:
-        index = PPJoinIndex(sim, threshold, mode="self", evict=True)
-        owner = owner_of(config, route)
+        index = PPJoinIndex(
+            sim, threshold, mode="self", evict=True, owner=owner_of(config, route)
+        )
         lines: dict[int, str] = {}
         charged = 0
         try:
             for rid, ranks, line in values:
                 charged += ctx.reserve_memory_for(line, "full-record group")
-                for other_rid, similarity in index.probe(rid, ranks, owner=owner):
+                for other_rid, similarity in index.probe(rid, ranks):
                     first, second = sorted((rid, other_rid))
                     this, other = (
                         (line, lines[other_rid])

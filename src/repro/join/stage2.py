@@ -98,6 +98,8 @@ PRUNED_FOREIGN = "stage2.pruned_foreign"
 PRUNED_BITMAP = "stage2.pruned_bitmap"
 PRUNED_POSITIONAL = "stage2.pruned_positional"
 PRUNED_SUFFIX = "stage2.pruned_suffix"
+#: candidates that survived every filter and reached the merge
+VERIFIED = "stage2.verified"
 
 #: PPJoinIndex.filter_stats key -> counter name
 FILTER_COUNTERS = {
@@ -107,6 +109,7 @@ FILTER_COUNTERS = {
     "bitmap": PRUNED_BITMAP,
     "positional": PRUNED_POSITIONAL,
     "suffix": PRUNED_SUFFIX,
+    "verified": VERIFIED,
 }
 
 
@@ -123,11 +126,13 @@ def make_pk_index(
     mode: str,
     evict: bool,
     sanitizer: Sanitizer | None = None,
+    owner: Callable[[int], bool] | None = None,
 ) -> PPJoinIndex:
     """The PK kernel's index under *config*: with the bitmap filter on,
     the bitmap bound replaces the recursive suffix filter (which it
     empirically subsumes at a fraction of the cost — both admissible,
-    identical output either way)."""
+    identical output either way).  *owner* is the reduce group's
+    :func:`owner_of` predicate."""
     width = config.bitmap_width if config.bitmap_filter else None
     return PPJoinIndex(
         config.sim,
@@ -137,6 +142,7 @@ def make_pk_index(
         use_suffix=width is None,
         bitmap_width=width,
         sanitizer=sanitizer,
+        owner=owner,
     )
 
 
@@ -346,6 +352,8 @@ def bk_verify(
             if sanitizer is not None:
                 sanitizer.check_prune("bitmap", toks1, n1, toks2, n2)
             return None
+    if counters is not None:
+        counters.increment(VERIFIED)
     common = overlap(toks1, toks2, required=alpha)
     if common < alpha:
         return None
@@ -387,9 +395,10 @@ def _write_rs_pair(ctx: Context, r_rid: int, s_rid: int, similarity: float) -> N
 #
 # Whatever the policies, a pair is emitted only by the group that *owns*
 # it (:func:`owner_of`; the route is the group key, or ``key[0]`` of a
-# split job's ``(route, shard)``).  PK decides at the candidate's first
-# encounter, before any filter runs; BK has no encounter order to read,
-# so it asks after verification, per *true* pair only.  Shards, blocks
+# split job's ``(route, shard)``).  PK posts records under owned tokens
+# only and decides at a candidate's first encounter, once the bitmap
+# bound has passed it; BK has no encounter order to read, so it asks
+# after verification, per *true* pair only.  Shards, blocks
 # and length classes already meet a pair once per route.
 
 
@@ -559,9 +568,11 @@ def make_pk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callab
     def reducer(key, values: Iterator, ctx: Context) -> None:
         tagged = rs or (split and key[1] >= 0)
         route = key[0] if split else key
-        owner = owner_of(config, route)
         sanitizer = make_sanitizer(config, ctx.counters, route)
-        index = make_pk_index(config, mode=mode, evict=True, sanitizer=sanitizer)
+        index = make_pk_index(
+            config, mode=mode, evict=True, sanitizer=sanitizer,
+            owner=owner_of(config, route),
+        )
         if sanitizer is not None:
             values = sanitizer.sorted_values(
                 values, _projection_size, group_of=group_of
@@ -573,18 +584,19 @@ def make_pk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callab
                 group_records += 1
                 if not tagged or rel == REL_S:
                     for other_rid, similarity in index.probe(
-                        rid, ranks, true_size=true_size, signature=sig, owner=owner
+                        rid, ranks, true_size=true_size, signature=sig
                     ):
                         write_pair(ctx, other_rid, rid, similarity)
                 if not tagged or rel == REL_R:
                     index.add(rid, ranks, signature=sig)
                 delta = index.live_bytes - charged
-                if delta >= 0:
+                if delta > 0:
                     ctx.reserve_memory(delta, what)
-                else:
+                elif delta < 0:
                     ctx.release_memory(-delta)
-                charged = index.live_bytes
+                charged += delta
             ctx.observe("stage2.group_records", group_records)
+            ctx.observe("stage2.group_candidates", index.filter_stats["candidates"])
             if sanitizer is not None:
                 sanitizer.check_index_accounting(index)
             merge_index_filter_stats(ctx, index)

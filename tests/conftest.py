@@ -7,9 +7,9 @@ import random
 import pytest
 
 from repro.core.naive import naive_rs_join, naive_self_join
-from repro.core.ppjoin import PPJoinIndex
 from repro.core.prefixes import Projection
 from repro.core.tokenizers import WordTokenizer
+from repro.join.driver import ssjoin_self
 from repro.join.records import RecordSchema, join_value, make_line, rid_of
 from repro.join.stage1 import stage1_jobs
 from repro.join.stage2 import stage2_self_job
@@ -96,6 +96,23 @@ def run_stage2_rs(r_records, s_records, config, num_reducers=4, plan=None):
     return cluster.dfs.read_all("ridpairs"), stats
 
 
+def stage2_squeeze(records, config, fraction=0.5) -> str:
+    """A ``--faults`` plan capping every first Stage-2 reduce attempt at
+    *fraction* of the peak a clean self-join of *records* under *config*
+    meters there.  Sized from a measurement, so the cap follows the
+    kernel's footprint; a literal goes on "squeezing" above the peak
+    once the kernel holds less, and the ladder silently never engages.
+    (A task's peak is its largest group's, whatever the cluster shape.)"""
+    cluster = SimulatedCluster()
+    cluster.dfs.write("records", records)
+    report = ssjoin_self(cluster, "records", config)
+    peak = max(
+        task.peak_memory_bytes
+        for phase in report.stage2.phases for task in phase.reduce_tasks
+    )
+    return f"squeeze:stage2-*:reduce:*:0:{fraction * peak / 2**20:.6f}"
+
+
 def oracle_self_pairs(records, config):
     return naive_self_join(oracle_projections(records), config.sim, config.threshold)
 
@@ -109,32 +126,18 @@ def oracle_rs_pairs(r_records, s_records, config):
     )
 
 
-def tally_verified(monkeypatch) -> list[int]:
-    """Count the candidates ``PPJoinIndex.probe`` hands to ``_verify``
-    from here on (in-process engines only); the one-element list is
-    updated in place."""
-    handed = [0]
-    original = PPJoinIndex._verify
-
-    def counting(self, rid, tokens, n_true, probe_len, candidates):
-        handed[0] += len(candidates)
-        return original(self, rid, tokens, n_true, probe_len, candidates)
-
-    monkeypatch.setattr(PPJoinIndex, "_verify", counting)
-    return handed
-
-
-def assert_pk_funnel_closes(counters: dict, handed: int) -> None:
-    """Every post-length-filter PK candidate is another route's pair
-    (``foreign``), pruned by exactly one of the three later filters, or
-    handed to verification."""
-    assert counters.get("stage2.candidate_pairs", 0) > 0
+def assert_pk_funnel_closes(counters: dict) -> None:
+    """Every PK candidate (an in-window entry of an owned posting list)
+    is pruned by exactly one of the bitmap, positional and suffix
+    filters, is another route's pair (``foreign``), or reaches the merge
+    (``verified``) — by the job counters alone, so on any engine."""
+    assert counters.get("stage2.verified", 0) > 0
     assert counters["stage2.candidate_pairs"] == (
         counters.get("stage2.pruned_foreign", 0)
         + counters.get("stage2.pruned_bitmap", 0)
         + counters.get("stage2.pruned_positional", 0)
         + counters.get("stage2.pruned_suffix", 0)
-        + handed
+        + counters["stage2.verified"]
     )
 
 

@@ -206,7 +206,7 @@ class TestPipelineDifferential:
         pruned = report.filter_counters()
         assert set(pruned) == {
             "candidates", "length", "foreign", "bitmap", "positional", "suffix",
-            "pairs", "sanitize_checks", "sanitize_violations",
+            "verified", "pairs", "sanitize_checks", "sanitize_violations",
         }
         # sanitizer off by default: no checks, no violations
         assert pruned["sanitize_checks"] == 0

@@ -9,8 +9,11 @@ import pytest
 
 from repro.cli import main
 from repro.data.loaders import read_records, write_records
-from repro.join.records import make_line
+from repro.join.config import JoinConfig
+from repro.join.records import RecordSchema, make_line
 from repro.mapreduce.faults import TaskError
+
+from tests.conftest import stage2_squeeze
 
 
 @pytest.fixture
@@ -199,6 +202,11 @@ class TestMemoryPressure:
             "--threshold", "0.5", "--join-fields", "1", "--kernel", "pk",
         ]
 
+    def _squeeze(self, path):
+        """Half the Stage-2 reduce peak of the clean join of ``_args``."""
+        config = JoinConfig(threshold=0.5, schema=RecordSchema((1,)), kernel="pk")
+        return stage2_squeeze(read_records(path), config)
+
     def test_squeeze_recovery_reports_memory_line(self, tmp_path, capsys):
         out = tmp_path / "pairs.tsv"
         args = self._args(self._skewed(tmp_path), out)
@@ -206,7 +214,7 @@ class TestMemoryPressure:
         clean = read_records(out)
         capsys.readouterr()
 
-        squeezed = args + ["--faults", "squeeze:stage2-*:reduce:*:0:0.005"]
+        squeezed = args + ["--faults", self._squeeze(args[1])]
         assert main(squeezed) == 0
         err = capsys.readouterr().err
         assert "memory: replans=" in err
@@ -216,9 +224,9 @@ class TestMemoryPressure:
         from repro.mapreduce.types import InsufficientMemoryError
 
         out = tmp_path / "pairs.tsv"
-        args = self._args(self._skewed(tmp_path), out) + [
-            "--faults", "squeeze:stage2-*:reduce:*:0:0.005",
-            "--no-auto-degrade",
+        path = self._skewed(tmp_path)
+        args = self._args(path, out) + [
+            "--faults", self._squeeze(path), "--no-auto-degrade",
         ]
         with pytest.raises(InsufficientMemoryError):
             main(args)

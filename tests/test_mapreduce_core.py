@@ -4,6 +4,7 @@ import enum
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass
+from zlib import crc32
 
 import pytest
 from hypothesis import given, strategies as st
@@ -253,6 +254,65 @@ class TestStableHash:
     @given(st.integers())
     def test_non_negative(self, value):
         assert stable_hash(value) >= 0
+
+    @given(
+        st.recursive(
+            st.one_of(
+                st.integers(), st.integers(-(2**70), 2**70), st.booleans(), st.none(),
+                st.text(max_size=6), st.binary(max_size=6),
+                st.floats(allow_nan=False),
+            ),
+            lambda items: st.lists(items, max_size=4).map(tuple),
+            max_leaves=12,
+        )
+    )
+    def test_exact_type_fast_path_changes_no_value(self, key):
+        """Partition placement (and with it every shuffle counter) is a
+        function of these values: the ``type(key) is int`` / int-tuple
+        fast path must equal the plain ``isinstance`` chain it fronts."""
+        assert stable_hash(key) == _reference_stable_hash(key)
+
+    def test_pinned_values(self):
+        """Absolute values, so the reference copy below cannot drift
+        together with the function."""
+        assert [stable_hash(k) for k in (0, 1, 7, -5, 2**64 + 1)] == [
+            0, 12994781566227106604, 8360697188923789789,
+            5431930068122443671, 12994781566227106604,
+        ]
+        assert stable_hash((3, -1)) == 13860642264252108115
+        assert stable_hash((3, 0, 1)) == 8086092618917084410
+        assert stable_hash("token") == 1597481275
+        assert stable_hash((1, "a")) == 14876685648447248783
+        # subclasses take the slow chain to the same values
+        Key = namedtuple("Key", "route shard")
+        assert stable_hash(Key(3, -1)) == stable_hash((3, -1))
+        assert stable_hash((True, 2)) == stable_hash((1, 2))
+
+
+def _reference_stable_hash(key):
+    """``stable_hash`` as it was before the fast path (PR 20)."""
+    if isinstance(key, int):
+        h = key & 0xFFFFFFFFFFFFFFFF
+        h ^= h >> 33
+        h = (h * 0xFF51AFD7ED558CCD) & 0xFFFFFFFFFFFFFFFF
+        h ^= h >> 33
+        h = (h * 0xC4CEB9FE1A85EC53) & 0xFFFFFFFFFFFFFFFF
+        h ^= h >> 33
+        return h
+    if isinstance(key, str):
+        return crc32(key.encode("utf-8"))
+    if isinstance(key, bytes):
+        return crc32(key)
+    if key is None:
+        return 0
+    if isinstance(key, float):
+        return crc32(repr(key).encode("ascii"))
+    assert isinstance(key, tuple)
+    h = 0x345678
+    for item in key:
+        h = (h * 1000003) ^ _reference_stable_hash(item)
+        h &= 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 class TestInMemoryDFS:

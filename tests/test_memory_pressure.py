@@ -7,6 +7,7 @@ bit-identical output on both engines — including through a kill +
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import random
@@ -59,6 +60,7 @@ from tests.conftest import (
     oracle_projections,
     pair_keys,
     random_records,
+    stage2_squeeze,
 )
 
 fork_only = pytest.mark.skipif(
@@ -68,8 +70,8 @@ fork_only = pytest.mark.skipif(
 
 CONFIG = dict(threshold=0.5, schema=SCHEMA_1)
 
-#: squeeze every first stage-2 reduce attempt down to 5 KB — far below
-#: what the workloads below reserve, so the ladder must engage
+#: squeeze every first stage-2 reduce attempt down to 5 KB — below what
+#: a BK group of the workloads below reserves
 SQUEEZE = "squeeze:stage2-*:reduce:*:0:0.005"
 #: the R-S reducers hold only the R partition, so their peak is lower;
 #: a tighter cap is needed to force degradation
@@ -83,6 +85,14 @@ def skewed_records(n=200):
         f"{i}\tword{i % 7} word{i % 11} word{i % 13} word{i % 3} common"
         for i in range(n)
     ]
+
+
+@functools.lru_cache(maxsize=None)
+def squeeze_self(kernel: str) -> str:
+    """Half the Stage-2 reduce peak the clean skewed self-join meters
+    under *kernel* (PK indexes only what its group owns, so its peak is
+    well below BK's and below :data:`SQUEEZE`): the ladder must engage."""
+    return stage2_squeeze(skewed_records(), JoinConfig(**CONFIG, kernel=kernel))
 
 
 def make_sim(fault_plan=None, **cfg) -> SimulatedCluster:
@@ -377,7 +387,11 @@ class TestLadder:
         from repro.data.synthetic import generate_dblp
 
         records = generate_dblp(2000, 7)
-        plan = FaultPlan.parse("squeeze:stage2-*:reduce:*:0:0.002")
+        # just under the PK peak: BK then holds ~4x that per group, and a
+        # much lower cap leaves no block count a dblp record pair fits in
+        plan = FaultPlan.parse(
+            stage2_squeeze(records, JoinConfig(threshold=0.8), fraction=0.9)
+        )
         runs = {}
         for routing in ("individual", "grouped"):
             cluster = SimulatedCluster(fault_plan=plan)
@@ -455,7 +469,7 @@ class TestSqueezeRecoverySimulated:
         config = JoinConfig(**CONFIG, kernel=kernel)
         clean_pairs, _ = run_self(make_sim(), records, config)
         pairs, report = run_self(
-            make_sim(fault_plan=FaultPlan.parse(SQUEEZE)), records, config
+            make_sim(fault_plan=FaultPlan.parse(squeeze_self(kernel))), records, config
         )
         assert report.counters()["memory.replans"] >= 1
         assert report.memory_steps
@@ -478,7 +492,7 @@ class TestSqueezeRecoverySimulated:
         config = JoinConfig(**CONFIG, kernel="pk", auto_degrade=False)
         with pytest.raises(InsufficientMemoryError) as excinfo:
             run_self(
-                make_sim(fault_plan=FaultPlan.parse(SQUEEZE)), records, config
+                make_sim(fault_plan=FaultPlan.parse(squeeze_self("pk"))), records, config
             )
         err = excinfo.value
         assert err.job and err.job.startswith("stage2-")
@@ -495,14 +509,14 @@ class TestSqueezeRecoverySimulated:
         config = JoinConfig(**CONFIG, kernel="pk")
         with pytest.raises(InsufficientMemoryError):
             run_self(
-                make_sim(fault_plan=FaultPlan.parse(SQUEEZE)), records, config
+                make_sim(fault_plan=FaultPlan.parse(squeeze_self("pk"))), records, config
             )
 
     def test_memory_summary_line(self):
         records = skewed_records()
         config = JoinConfig(**CONFIG, kernel="pk")
         _, report = run_self(
-            make_sim(fault_plan=FaultPlan.parse(SQUEEZE)), records, config
+            make_sim(fault_plan=FaultPlan.parse(squeeze_self("pk"))), records, config
         )
         summary = report.format_summary()
         assert "memory:" in summary and "replan" in summary
@@ -514,7 +528,7 @@ class TestSqueezeRecoverySimulated:
 
         # squeeze stage 2 into degradation, then kill the run in stage 3
         fatal = make_sim(
-            fault_plan=FaultPlan.parse(SQUEEZE + ";raise:brj-*:map:*:*")
+            fault_plan=FaultPlan.parse(squeeze_self("pk") + ";raise:brj-*:map:*:*")
         )
         with pytest.raises(TaskError):
             run_self(fatal, records, config, checkpoint=JoinCheckpoint(tmp_path))
@@ -555,7 +569,7 @@ class TestSqueezeRecoveryPersistent:
         config = JoinConfig(**CONFIG, kernel="pk")
         clean_pairs, _ = run_self(make_pp(), records, config)
         pairs, report = run_self(
-            make_pp(fault_plan=FaultPlan.parse(SQUEEZE)), records, config
+            make_pp(fault_plan=FaultPlan.parse(squeeze_self("pk"))), records, config
         )
         assert report.counters()["memory.replans"] >= 1
         assert pairs == clean_pairs

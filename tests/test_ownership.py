@@ -16,13 +16,13 @@ from repro.analysis.sanitize import make_sanitizer
 from repro.core.naive import naive_rs_join, naive_self_join
 from repro.core.ordering import TokenOrder
 from repro.core.ppjoin import PPJoinIndex
-from repro.core.prefixes import Projection
+from repro.core.prefixes import Projection, projection_bytes
 from repro.core.similarity import Jaccard
 from repro.data.synthetic import generate_dblp
 from repro.join.blocks import BlockPolicy
 from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_rs, ssjoin_self
-from repro.join.estimate import PrefixSample
+from repro.join.estimate import PrefixSample, sample_prefix_frequencies
 from repro.join.memory import estimate_group_footprints
 from repro.join.planner import Stage2Plan, _route_profiles
 from repro.join.records import make_line
@@ -41,7 +41,6 @@ from tests.conftest import (
     random_records,
     run_stage2,
     run_stage2_rs,
-    tally_verified,
 )
 
 SIM = Jaccard()
@@ -65,73 +64,160 @@ def _corpus(rng, count, vocab, base=0):
     return [Projection(base + i, tuple(sorted(s))) for i, s in enumerate(sets)]
 
 
-def _routed_probes(stored, probing, mode, route_of, true_size):
+def _routed_probes(stored, probing, mode, route_of, true_size, shuffle=None, **index_options):
     """One index per route, holding and probed by the records routed
     there — what Stage 2 distributes over reducers.  Yields
-    ``(route, stored_rid, probing_rid)`` per emitted pair."""
+    ``(route, stored_rid, probing_rid, index)`` per emitted pair.
+    *shuffle* (an R-S index that does not evict takes its records in any
+    order) permutes both streams instead of sorting them by size."""
     routes = sorted(
         {route_of(t) for p in (*stored, *probing) for t in _prefix(p.tokens)}
     )
     by_size = lambda p: (true_size.get(p.rid, p.size), p.rid)  # noqa: E731
+    index_options.setdefault("evict", mode == "self")
+
+    def stream(projections):
+        ordered = sorted(projections, key=by_size)
+        return ordered if shuffle is None else shuffle.sample(ordered, len(ordered))
+
     for route in routes:
         here = lambda p: any(route_of(t) == route for t in _prefix(p.tokens))  # noqa: E731
         owner = lambda token: route_of(token) == route  # noqa: E731
-        index = PPJoinIndex(SIM, THRESHOLD, mode=mode, evict=mode == "self")
+        index = PPJoinIndex(SIM, THRESHOLD, mode=mode, owner=owner, **index_options)
         if mode == "rs":
-            for proj in sorted(filter(here, stored), key=by_size):
+            for proj in stream(filter(here, stored)):
                 index.add(proj.rid, proj.tokens)
-        for proj in sorted(filter(here, probing), key=by_size):
+        for proj in stream(filter(here, probing)):
             for other, _sim in index.probe(
-                proj.rid, proj.tokens, true_size=true_size.get(proj.rid), owner=owner
+                proj.rid, proj.tokens, true_size=true_size.get(proj.rid)
             ):
-                yield route, other, proj.rid
+                yield route, other, proj.rid, index
             if mode == "self":
                 index.add(proj.rid, proj.tokens)
 
 
+def _self_case():
+    projs = _corpus(random.Random(5), 90, vocab=30)
+    return projs, projs, "self", naive_self_join(projs, SIM, THRESHOLD), {}
+
+
+def _rs_case():
+    rng = random.Random(6)
+    r, s = _corpus(rng, 60, vocab=30), _corpus(rng, 60, vocab=30, base=1000)
+    return r, s, "rs", naive_rs_join(r, s, SIM, THRESHOLD), {}
+
+
+def _rs_dropped_case():
+    """S arrays are shipped without the tokens R never uses; the kernel
+    probes the filtered array against the true size."""
+    rng = random.Random(7)
+    r = _corpus(rng, 60, vocab=30)
+    s_full = _corpus(rng, 60, vocab=36, base=1000)  # ranks 30..35 are S-only
+    s = [Projection(p.rid, tuple(t for t in p.tokens if t < 30)) for p in s_full]
+    assert any(p.size < full.size for p, full in zip(s, s_full))
+    true_size = {p.rid: p.size for p in s_full}
+    return r, s, "rs", naive_rs_join(r, s_full, SIM, THRESHOLD), true_size
+
+
 @pytest.mark.parametrize("num_groups", [None, 1, 3, 8])
 class TestKernelOwnership:
-    def check(self, stored, probing, mode, num_groups, oracle, true_size=None):
+    def check(self, case, num_groups, **index_options):
+        stored, probing, mode, oracle, true_size = case
         route_of = (lambda t: t) if num_groups is None else (lambda t: t % num_groups)
         emitted = list(
-            _routed_probes(stored, probing, mode, route_of, true_size or {})
+            _routed_probes(stored, probing, mode, route_of, true_size, **index_options)
         )
         # every answer pair exactly once in total ...
-        assert sorted((min(a, b), max(a, b)) for _r, a, b in emitted) == sorted(
+        assert sorted((min(a, b), max(a, b)) for _r, a, b, _i in emitted) == sorted(
             (min(a, b), max(a, b)) for a, b, _s in oracle
         )
         # ... from the route of its smallest common prefix token
         tokens = {p.rid: p.tokens for p in (*stored, *probing)}
         shared_several = 0
-        for route, a, b in emitted:
+        for route, a, b, _index in emitted:
             common = set(_prefix(tokens[a])).intersection(_prefix(tokens[b]))
             assert route == route_of(min(common))
             shared_several += len({route_of(t) for t in common}) > 1
         if num_groups != 1:
             assert shared_several > 0  # the property was actually exercised
+        # and every index's funnel closes on its own tallies
+        for stats in {id(i): i.filter_stats for *_pair, i in emitted}.values():
+            assert stats["candidates"] == sum(
+                stats[k] for k in ("foreign", "bitmap", "positional", "suffix", "verified")
+            )
 
     def test_self(self, num_groups):
-        projs = _corpus(random.Random(5), 90, vocab=30)
-        oracle = naive_self_join(projs, SIM, THRESHOLD)
-        self.check(projs, projs, "self", num_groups, oracle)
+        self.check(_self_case(), num_groups)
 
     def test_rs(self, num_groups):
-        rng = random.Random(6)
-        r, s = _corpus(rng, 60, vocab=30), _corpus(rng, 60, vocab=30, base=1000)
-        self.check(r, s, "rs", num_groups, naive_rs_join(r, s, SIM, THRESHOLD))
+        self.check(_rs_case(), num_groups)
 
     def test_rs_with_s_only_tokens_dropped(self, num_groups):
-        """S arrays are shipped without the tokens R never uses; the
-        kernel probes the filtered array against the true size."""
-        rng = random.Random(7)
-        r = _corpus(rng, 60, vocab=30)
-        s_full = _corpus(rng, 60, vocab=36, base=1000)  # ranks 30..35 are S-only
-        s = [Projection(p.rid, tuple(t for t in p.tokens if t < 30)) for p in s_full]
-        assert any(p.size < full.size for p, full in zip(s, s_full))
+        self.check(_rs_dropped_case(), num_groups)
+
+    @pytest.mark.parametrize("evict", [True, False])
+    @pytest.mark.parametrize("use_suffix", [True, False])
+    @pytest.mark.parametrize("bitmap_width", [None, 16])
+    @pytest.mark.parametrize("case", [_self_case, _rs_case, _rs_dropped_case])
+    def test_every_index_shape(self, num_groups, case, bitmap_width, use_suffix, evict):
+        """The same two properties whichever filters run and whether the
+        length window is cut by bisection (size-ordered adds, evicting
+        or not) or by the exact scan (an R-S index fed in any order)."""
+        case = case()
+        unordered = not evict and case[2] == "rs"
         self.check(
-            r, s, "rs", num_groups, naive_rs_join(r, s_full, SIM, THRESHOLD),
-            true_size={p.rid: p.size for p in s_full},
+            case, num_groups, evict=evict, use_suffix=use_suffix,
+            bitmap_width=bitmap_width,
+            shuffle=random.Random(11) if unordered else None,
         )
+
+
+def test_an_owned_index_stores_only_reachable_records():
+    """A record routed here by a probe-prefix token that its (shorter)
+    index prefix lacks can never be met: it gets no posting, no entry
+    and no memory charge — and answers stay those of the full index."""
+    projs = sorted(
+        _corpus(random.Random(5), 90, vocab=30), key=lambda p: (p.size, p.rid)
+    )
+    route = 4
+    here = [p for p in projs if route in _prefix(p.tokens)]
+    reachable = [
+        p for p in here
+        if route in p.tokens[: SIM.index_prefix_length(p.size, THRESHOLD)]
+    ]
+    assert 0 < len(reachable) < len(here)
+    owned = PPJoinIndex(SIM, THRESHOLD, evict=False, owner=lambda t: t == route)
+    full = PPJoinIndex(SIM, THRESHOLD, evict=False)
+    for proj in here:
+        assert set(owned.probe(proj.rid, proj.tokens)) <= set(
+            full.probe(proj.rid, proj.tokens)
+        )
+        owned.add(proj.rid, proj.tokens)
+        full.add(proj.rid, proj.tokens)
+    assert owned.live_entries == owned.peak_live_entries == len(reachable)
+    assert full.live_entries == len(here)
+    assert owned.live_bytes == owned.expected_live_bytes() == sum(
+        projection_bytes(p.size) for p in reachable
+    )
+    assert list(owned._postings) == [route]
+
+
+def test_footprint_estimate_bounds_the_metered_pk_peak():
+    """``estimate_group_footprints`` charges every record routed to a
+    group (BK's exact figure); the PK index stores a subset, so the
+    estimate stays an upper bound of every reduce task's metered peak."""
+    records = generate_dblp(600, 7)
+    config = JoinConfig(threshold=0.8)
+    cluster = SimulatedCluster()
+    cluster.dfs.write("records", records)
+    report = ssjoin_self(cluster, "records", config)
+    peaks = [
+        task.peak_memory_bytes
+        for phase in report.stage2.phases for task in phase.reduce_tasks
+    ]
+    sample = sample_prefix_frequencies(records, config, sample_rate=1.0)
+    largest_group = max(estimate_group_footprints(sample, config).values())
+    assert 0 < max(peaks) <= largest_group
 
 
 def test_owner_rule_inverts_the_router():
@@ -236,29 +322,27 @@ class TestStage2JobOwnership:
         return config, plan
 
     @pytest.mark.parametrize("kernel,policy", KERNEL_POLICIES)
-    def test_self(self, rng, kernel, policy, routing, num_groups, monkeypatch):
+    def test_self(self, rng, kernel, policy, routing, num_groups):
         config, plan = self.config_and_plan(kernel, policy, routing, num_groups)
         records = random_records(rng, 70)
-        handed = tally_verified(monkeypatch)
         pairs, stats = run_stage2(records, config, plan=plan)
         assert pair_keys(pairs) == pair_keys(oracle_self_pairs(records, config))
         assert stats.counters["stage2.pairs_output"] == len(pairs) > 0
         if kernel == "pk":
-            assert_pk_funnel_closes(stats.counters, handed[0])
+            assert_pk_funnel_closes(stats.counters)
 
     @pytest.mark.parametrize("kernel,policy", KERNEL_POLICIES[:-1])
-    def test_rs(self, rng, kernel, policy, routing, num_groups, monkeypatch):
+    def test_rs(self, rng, kernel, policy, routing, num_groups):
         config, plan = self.config_and_plan(kernel, policy, routing, num_groups)
         r = random_records(rng, 45)
         s = random_records(rng, 45, rid_base=1000)
-        handed = tally_verified(monkeypatch)
         pairs, stats = run_stage2_rs(r, s, config, plan=plan)
         assert sorted(p[:2] for p in pairs) == sorted(
             p[:2] for p in oracle_rs_pairs(r, s, config)
         )
         assert stats.counters["stage2.pairs_output"] == len(pairs) > 0
         if kernel == "pk":
-            assert_pk_funnel_closes(stats.counters, handed[0])
+            assert_pk_funnel_closes(stats.counters)
 
 
 def _engines():
@@ -305,12 +389,14 @@ def test_stage2_output_is_the_answer_end_to_end(rng, kernel, stage3):
 
 def test_pinned_stage2_pairs_of_dblp_2000():
     """Absolute counts of a fixed corpus: one emission per answer (one
-    per shared prefix token would be 1,386 for the same 482 answers and
-    the same 5,735 candidates)."""
+    per shared prefix token would be 1,386 for the same 482 answers),
+    and only the candidates of owned posting lists (5,735 when every
+    group indexed every prefix token)."""
     cluster = SimulatedCluster()
     cluster.dfs.write("records", generate_dblp(2000, 7))
     report = ssjoin_self(cluster, "records", JoinConfig(threshold=0.8))
     funnel = report.filter_counters()
     assert funnel["pairs"] == report.counters()["stage3.record_pairs_output"] == 482
-    assert funnel["candidates"] == 5735
-    assert (funnel["foreign"], funnel["bitmap"], funnel["positional"]) == (979, 4273, 0)
+    assert funnel["candidates"] == 5217
+    assert (funnel["foreign"], funnel["bitmap"], funnel["positional"]) == (442, 4292, 0)
+    assert funnel["verified"] == 483

@@ -11,8 +11,6 @@ from repro.core.ppjoin import PPJoinIndex, ppjoin_rs_join, ppjoin_self_join
 from repro.core.prefixes import Projection
 from repro.core.similarity import Cosine, Dice, Jaccard
 
-from tests.conftest import tally_verified
-
 
 def projections(list_of_sets, base=0):
     return [
@@ -203,6 +201,7 @@ class TestBitmapIndex:
         index = PPJoinIndex(Jaccard(), 0.5, bitmap_width=64, use_suffix=False)
         assert set(index.filter_stats) == {
             "candidates", "length", "foreign", "bitmap", "positional", "suffix",
+            "verified",
         }
         # same prefix token, disjoint suffixes: survives the length
         # filter, dies on the bitmap bound before verification
@@ -213,14 +212,13 @@ class TestBitmapIndex:
 
     @pytest.mark.parametrize("bitmap_width", [None, 64])
     @pytest.mark.parametrize("mode", ["self", "rs"])
-    def test_candidate_funnel_closes(self, monkeypatch, bitmap_width, mode):
+    def test_candidate_funnel_closes(self, bitmap_width, mode):
         """candidates == bitmap + positional + suffix prunes + the
-        candidates handed to verification, whichever filters are on (an
+        candidates that reached the merge, whichever filters are on (an
         index that owns everything tallies no ``foreign``)."""
         rng = random.Random(13)
         sets = [set(rng.sample(range(40), rng.randint(1, 12))) for _ in range(120)]
         projs = sorted(projections(sets), key=lambda p: (p.size, p.rid))
-        handed = tally_verified(monkeypatch)
         index = PPJoinIndex(
             Jaccard(), 0.5, mode=mode, evict=mode == "self",
             use_suffix=bitmap_width is None, bitmap_width=bitmap_width,
@@ -235,11 +233,11 @@ class TestBitmapIndex:
                 index.probe(proj.rid, proj.tokens)
                 index.add(proj.rid, proj.tokens)
         stats = index.filter_stats
-        assert handed[0] > 0
+        assert stats["verified"] > 0
         assert stats["bitmap"] + stats["positional"] + stats["suffix"] > 0
         assert stats["foreign"] == 0
         assert stats["candidates"] == (
-            stats["bitmap"] + stats["positional"] + stats["suffix"] + handed[0]
+            stats["bitmap"] + stats["positional"] + stats["suffix"] + stats["verified"]
         )
 
     def test_bitmap_never_prunes_true_pair(self):

@@ -75,13 +75,13 @@ def test_format_executor_summary_golden():
 def test_format_filter_counters_golden():
     pruned = dict(
         candidates=1000, length=200, foreign=300, bitmap=150, positional=50,
-        suffix=25, pairs=80, sanitize_checks=12, sanitize_violations=0,
+        suffix=25, verified=275, pairs=80, sanitize_checks=12, sanitize_violations=0,
     )
     assert format_filter_counters(pruned) == (
         "stage2 filters\n"
-        "candidates  length  foreign  bitmap  positional  suffix  pairs\n"
-        "----------  ------  -------  ------  ----------  ------  -----\n"
-        "1000        200     300      150     50          25      80   \n"
+        "candidates  length  foreign  bitmap  positional  suffix  verified  pairs\n"
+        "----------  ------  -------  ------  ----------  ------  --------  -----\n"
+        "1000        200     300      150     50          25      275       80   \n"
         "sanitize: 12 checks, 0 violations"
     )
 
