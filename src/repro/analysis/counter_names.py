@@ -24,11 +24,6 @@ KNOWN_COUNTER_NAMES: frozenset[str] = frozenset(
         'memory.escalations',
         'memory.peak_bytes',
         'memory.replans',
-        'plan.num_groups',
-        'plan.routing_grouped',
-        'plan.sampled_records',
-        'plan.split_factor',
-        'plan.splits',
         'reduce.group_records',
         'resume.stages_skipped',
         'sanitize.checks',

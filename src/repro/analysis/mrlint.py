@@ -55,11 +55,8 @@ MR102    a reducer destructures its value stream into a tuple arity no
          mapper in the module ever emits (``for a, b, c in values``
          against 4-tuple emits) — records would unpack-error or,
          worse, silently bind shifted fields
-MR103    a ``partition``/``partitioner``/``sort_key``/``group_key``
-         selector (or a reducer's ``key[i]``) indexes beyond every
-         emitted key arity, or a ``shard_partition`` job's Stage-2
-         keys lost the ``(route, shard, length, relation)`` components
-         the PK eviction / R-S streaming order depends on
+MR103    a ``partition``/``sort_key``/``group_key`` selector (or a
+         reducer's ``key[i]``) indexes beyond every emitted key arity
 MR104    a counter/metric name at an ``increment``/``observe``/
          ``counters[...]`` site is not in the generated registry
          (:mod:`repro.analysis.counter_names`) — a typo'd name merges
@@ -88,8 +85,7 @@ Shapes use a constant-arity tuple abstraction: emit keys/values are
 tracked as sets of possible tuple arities through local assignments,
 tuple concatenation (``(step, role) + value``) and constant slices
 (``value[1:]``), which covers every composite-key shape the Stage-2
-planners emit — including the split-mode ``(route, shard, length,
-relation)`` keys added by hot-group splitting.  Whenever any emit
+mappers emit.  Whenever any emit
 shape in a module is not statically known, the shape rules stand down
 for that module rather than guess (documented approximation; see
 DESIGN.md).
@@ -163,7 +159,7 @@ RULES: dict[str, str] = {
     "MR009": "unused mrlint suppression pragma (silenced nothing on its line)",
     "MR101": "nondeterminism reaches an MR/kernel sink through the call graph",
     "MR102": "reducer destructures a value-tuple arity no mapper emits",
-    "MR103": "key selector indexes beyond every emitted key shape (or split key lost its components)",
+    "MR103": "key selector indexes beyond every emitted key shape",
     "MR104": "counter/metric name not in the generated registry",
     "MR106": "charged task memory not released on every exception edge",
 }
@@ -229,8 +225,7 @@ _COMMON_METHOD_NAMES = frozenset(
     }
 )
 
-_SELECTOR_KWARGS = ("partition", "partitioner", "sort_key", "group_key")
-_PARTITION_HELPERS = ("shard_partition", "hash_partition")
+_SELECTOR_KWARGS = ("partition", "sort_key", "group_key")
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +957,6 @@ def _check_mr103(mod: Module, shapes: _EmitShapes, findings: list[Finding]) -> N
         return
     max_arity = max(shapes.key_arities)
     emitted = sorted(shapes.key_arities)
-    is_stage2 = "stage2" in os.path.basename(mod.path)
 
     def check_body(body: ast.AST, key_name: str, function: str) -> None:
         for index, node in _key_subscripts(body, key_name):
@@ -1002,7 +996,6 @@ def _check_mr103(mod: Module, shapes: _EmitShapes, findings: list[Finding]) -> N
         )
         if not callee_name.endswith("Job"):
             continue
-        uses_shard_partition = False
         for kw in node.keywords:
             if kw.arg not in _SELECTOR_KWARGS or not isinstance(kw.value, ast.Lambda):
                 continue
@@ -1011,27 +1004,6 @@ def _check_mr103(mod: Module, shapes: _EmitShapes, findings: list[Finding]) -> N
             if not lam_params:
                 continue
             check_body(lam.body, lam_params[0], f"{kw.arg} lambda")
-            for inner in ast.walk(lam.body):
-                if (
-                    isinstance(inner, ast.Call)
-                    and isinstance(inner.func, ast.Name)
-                    and inner.func.id in _PARTITION_HELPERS
-                ):
-                    uses_shard_partition = True
-        if uses_shard_partition and is_stage2 and max_arity < 4:
-            findings.append(
-                Finding(
-                    "MR103",
-                    mod.path,
-                    node.lineno,
-                    node.col_offset,
-                    "",
-                    f"job partitions with shard_partition but the widest "
-                    f"emitted key has only {max_arity} components — split-"
-                    "mode Stage-2 keys must keep the (route, shard, length, "
-                    "relation) shape PK eviction and R-S streaming depend on",
-                )
-            )
 
 
 # ---------------------------------------------------------------------------

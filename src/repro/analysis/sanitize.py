@@ -21,7 +21,7 @@ invariant checks:
 * **pair ownership** — for every pair a Stage-2 group emits, and a
   sample of those it skips as ``foreign``, the owner is re-derived: the
   smallest token common to the two routing prefixes must (must not)
-  route to this group (DESIGN.md §5k).
+  route to this group (DESIGN.md §5h).
 
 Checks never raise and never alter control flow — a sanitized join
 produces bit-identical output to a plain one, with two extra counters

@@ -9,7 +9,6 @@ from repro.bench.workloads import (
     dblp_times,
     citeseerx_times,
     rs_workload,
-    skewed_times,
 )
 from repro.bench.harness import (
     PAPER_COMBOS,
@@ -38,7 +37,6 @@ __all__ = [
     "oprj_oom_budget_mb",
     "rs_workload",
     "run_join",
-    "skewed_times",
     "stage_breakdown",
     "sweep",
 ]

@@ -87,26 +87,6 @@ def format_filter_counters(pruned: dict, title: str = "stage2 filters") -> str:
     return text
 
 
-def format_plan_counters(counters: dict, title: str = "adaptive plan") -> str:
-    """Render the ``plan.*`` counters of a skew-adaptive run as one
-    table row: chosen routing, token groups, hot groups split (and
-    their shard factor) and the records sampled by the planner.  Returns ``""`` when the run was not adaptive (no
-    ``plan.sampled_records`` counter)."""
-    if "plan.sampled_records" not in counters:
-        return ""
-    routing = "grouped" if counters.get("plan.routing_grouped") else "individual"
-    groups = counters.get("plan.num_groups", 0) or "-"
-    headers = ["routing", "groups", "splits", "factor", "sampled"]
-    row = [
-        routing,
-        groups,
-        counters.get("plan.splits", 0),
-        counters.get("plan.split_factor", 0) or "-",
-        counters.get("plan.sampled_records", 0),
-    ]
-    return format_table(headers, [row], title=title)
-
-
 def format_histograms(histograms: dict, title: str = "histograms") -> str:
     """Render a :meth:`MetricsRegistry.histograms` dict, one row per
     histogram: observation count, sum, mean, p50, p99 and the largest

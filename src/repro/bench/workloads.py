@@ -15,16 +15,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.data.increase import increase_dataset
-from repro.data.synthetic import generate_citeseerx, generate_dblp, generate_skewed
+from repro.data.synthetic import generate_citeseerx, generate_dblp
 
 #: records in "one copy" of the laptop-scale corpora
 BASE_DBLP_RECORDS = 1200
 BASE_CITESEERX_RECORDS = 1200
-BASE_SKEWED_RECORDS = 1200
 
 _SEED_DBLP = 42
 _SEED_CITESEERX = 43
-_SEED_SKEWED = 44
 
 
 @lru_cache(maxsize=None)
@@ -58,22 +56,6 @@ def citeseerx_times(
     """The ``CITESEERX×factor`` workload (standalone; for R-S joins use
     :func:`rs_workload` so shared publications survive the increase)."""
     return tuple(increase_dataset(list(_citeseerx_base(base_records)), factor))
-
-
-@lru_cache(maxsize=None)
-def _skewed_base(num_records: int = BASE_SKEWED_RECORDS) -> tuple[str, ...]:
-    return tuple(generate_skewed(num_records, seed=_SEED_SKEWED))
-
-
-@lru_cache(maxsize=None)
-def skewed_times(
-    factor: int, base_records: int = BASE_SKEWED_RECORDS
-) -> tuple[str, ...]:
-    """The ``SKEWED×factor`` workload: Zipf hub tokens concentrate a
-    few percent of all records on single Stage-2 routing keys, so the
-    static plan stragglers on its hottest reduce groups — the workload
-    the skew-adaptive planner is benchmarked on."""
-    return tuple(increase_dataset(list(_skewed_base(base_records)), factor))
 
 
 @lru_cache(maxsize=None)

@@ -25,6 +25,7 @@ from repro.join.checkpoint import JoinCheckpoint
 from repro.join.config import JoinConfig
 from repro.join.driver import JoinReport, ssjoin_rs, ssjoin_self
 from repro.join.records import FIELD_SEP, RecordSchema, rid_of
+from repro.join.stage2 import check_stage2_plan
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.dfs import InMemoryDFS
 
@@ -41,12 +42,6 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                         choices=["individual", "grouped"])
     parser.add_argument("--num-groups", type=int, default=None,
                         help="token groups for --routing grouped")
-    parser.add_argument("--adaptive", action="store_true",
-                        help="skew-adaptive planning: sample the input, "
-                             "choose routing/num-groups from a cost "
-                             "model, and split hot Stage-2 token "
-                             "groups across reducers; output is identical "
-                             "to the static plan")
     parser.add_argument("--join-fields", default="1,2",
                         help="comma-separated 1-based field indexes forming "
                              "the join attribute (default: 1,2)")
@@ -153,7 +148,6 @@ def _build_config(args: argparse.Namespace) -> JoinConfig:
         bitmap_filter=not args.no_bitmap_filter,
         bitmap_width=args.bitmap_width,
         sanitize=args.sanitize,
-        adaptive=args.adaptive,
         memory_budget_mb=args.memory_budget_mb,
         auto_degrade=not args.no_auto_degrade,
     )
@@ -311,12 +305,8 @@ def _emit(args: argparse.Namespace, pairs: list, report: JoinReport) -> None:
             format_executor_summary,
             format_filter_counters,
             format_histograms,
-            format_plan_counters,
         )
 
-        plan_line = format_plan_counters(counters)
-        if plan_line:
-            print(plan_line, file=sys.stderr)
         print(format_filter_counters(report.filter_counters()), file=sys.stderr)
         summary = report.executor_summary()
         if summary.get("pooled_phases") or summary.get("inline_phases"):
@@ -332,8 +322,16 @@ def _cmd_join(args: argparse.Namespace) -> int:
         paths, names, join = [args.input], ["input"], ssjoin_self
     else:
         paths, names, join = [args.r_input, args.s_input], ["r", "s"], ssjoin_rs
-    inputs = [read_records(path) for path in paths]
-    cluster = _make_cluster(args)
+    try:
+        # everything the user can get wrong is checked here, before any
+        # input is read or worker forked
+        config = _build_config(args)
+        check_stage2_plan(config, rs=args.command == "rsjoin")
+        inputs = [read_records(path) for path in paths]
+        cluster = _make_cluster(args)
+    except (ValueError, FileNotFoundError) as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     tracer = _attach_tracer(args, cluster)
     hub = _attach_telemetry(args, cluster, tracer)
     try:
@@ -341,7 +339,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
             for name, records in zip(names, inputs):
                 cluster.dfs.write(name, records)
             report = join(
-                cluster, *names, _build_config(args),
+                cluster, *names, config,
                 checkpoint=_make_checkpoint(args),
             )
         finally:
@@ -354,7 +352,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
         if hub is not None:
             print(hub.summary_line(), file=sys.stderr)
         _emit(args, sorted(cluster.dfs.read_all(report.output_file)), report)
-        _record_run(args, ",".join(paths), _build_config(args), report)
+        _record_run(args, ",".join(paths), config, report)
     finally:
         cluster.close()
     return 0

@@ -77,7 +77,7 @@ class PPJoinIndex:
         :meth:`add`/:meth:`probe` (the Stage-2 mappers compute them once
         per record) or are derived from the tokens on demand.
     owner:
-        Restricts the index to the pairs it *owns* (DESIGN.md §5k): a
+        Restricts the index to the pairs it *owns* (DESIGN.md §5h): a
         predicate on a prefix token saying whether that token routes to
         the reducer running this index; ``None`` owns everything.  A
         pair belongs to the route of the smallest token common to both

@@ -184,7 +184,8 @@ def generate_skewed(
     rid_base: int = 0,
     hub_fraction: float = _SKEW_HUB_FRACTION,
 ) -> list[str]:
-    """Zipf/power-law *prefix-skewed* corpus for straggler benchmarks.
+    """Zipf/power-law *prefix-skewed* corpus: the reducer-size stress
+    test.
 
     The generic corpora are Zipf-distributed over the whole vocabulary,
     but the prefix filter routes each record on its **rarest** tokens —
@@ -198,8 +199,8 @@ def generate_skewed(
       drawn Zipf-distributed from a tiny anchor pool.  Hub tokens are
       the rarest token in their record, so they land at prefix position
       one and the Zipf head hubs each pull a few percent of the whole
-      corpus onto a single Stage-2 routing key — the hot groups the
-      adaptive planner must find and split;
+      corpus onto a single Stage-2 routing key — the oversized reduce
+      groups a reducer-size bound has to be judged on;
     * hub records sharing a hub are near-duplicates of each other
       (perturbed titles), so the hot groups also produce a non-trivial
       join answer instead of pure filter misses.

@@ -72,15 +72,6 @@ class JoinConfig:
     #: signature width in bits for ``bitmap_filter`` (wider = fewer
     #: collisions = more pruning, slightly larger shuffle records)
     bitmap_width: int = 64
-    #: skew-adaptive planning (arXiv:1804.05615): before any job runs,
-    #: the driver draws a deterministic seeded sample of the input,
-    #: estimates the prefix-token frequency distribution
-    #: (:func:`repro.join.estimate.sample_prefix_frequencies`) and lets
-    #: :func:`repro.join.planner.plan_stage2` pick routing and group
-    #: count for this workload — and mark hot token groups for
-    #: run-time splitting.  Emitted pairs and filter counters are
-    #: bit-identical to the static plan (differential-tested).
-    adaptive: bool = False
     #: runtime sanitizer mode (see :mod:`repro.analysis.sanitize`):
     #: wraps the Stage-2 kernels and shuffle with observe-only invariant
     #: checks — reduce-input length sortedness, a sampled filter
@@ -91,8 +82,9 @@ class JoinConfig:
     sanitize: bool = False
     #: plan-time memory admission (see :mod:`repro.join.memory`): budget
     #: in megabytes the Stage-2 plan must fit under.  The driver
-    #: estimates per-group reducer footprints from the prefix sample and
-    #: pre-selects routing granularity and a Section-5
+    #: estimates per-group reducer footprints from a seeded sample of
+    #: the input (:func:`repro.join.estimate.sample_prefix_frequencies`)
+    #: and pre-selects routing granularity and a Section-5
     #: :class:`BlockPolicy` so the estimated peak stays below the budget.
     #: ``None`` (default) skips admission; runtime degradation still
     #: applies.  Pairs are identical with or without a budget.

@@ -21,7 +21,7 @@ relation as R.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace as dataclass_replace
+from dataclasses import dataclass, field
 
 from repro.join.checkpoint import (
     CheckpointMismatchError,
@@ -39,7 +39,6 @@ from repro.join.memory import (
     next_escalation,
     plan_admission,
 )
-from repro.join.planner import Stage2Plan, plan_stage2
 from repro.join.stage1 import stage1_jobs
 from repro.join.stage2 import stage2_self_job
 from repro.join.stage2_rs import stage2_rs_job
@@ -67,9 +66,8 @@ class JoinReport:
     stage3: JobStats = field(default_factory=JobStats)
     #: driver-level counters with no owning job:
     #: ``resume.stages_skipped`` (bumped once per stage restored from a
-    #: checkpoint instead of re-run), the ``plan.*`` counters of an
-    #: adaptive run (chosen routing/groups, splits, sample size)
-    #: and the ``memory.*`` admission/replan bookkeeping
+    #: checkpoint instead of re-run) and the ``memory.*``
+    #: admission/replan bookkeeping
     extra_counters: dict[str, int] = field(default_factory=dict)
     #: runtime degradation-ladder steps applied after Stage-2 memory
     #: faults, in order (see :mod:`repro.join.memory`); empty for a run
@@ -206,15 +204,6 @@ class JoinReport:
         pairs = counters.get("stage3.record_pairs_output")
         if pairs is not None:
             lines.append(f"  record pairs: {pairs:,}")
-        if "plan.sampled_records" in counters:
-            routing = "grouped" if counters.get("plan.routing_grouped") else "individual"
-            lines.append(
-                f"  plan: routing={routing}, "
-                f"groups={counters.get('plan.num_groups', 0) or 'per-token'}, "
-                f"splits={counters.get('plan.splits', 0)}"
-                f"x{counters.get('plan.split_factor', 0)}, "
-                f"sampled={counters.get('plan.sampled_records', 0):,}"
-            )
         pruned = self.filter_counters()
         stages = ("length", "foreign", "bitmap", "positional", "suffix")
         if any(pruned[name] for name in stages):
@@ -240,46 +229,29 @@ def _num_reducers(config: JoinConfig, cluster: SimulatedCluster) -> int:
     return cluster.config.reduce_slots
 
 
-def _adaptive_plan(
+def _admit_memory(
     cluster: SimulatedCluster,
     config: JoinConfig,
-    reducers: int,
     r_file: str,
     s_file: str | None = None,
-) -> tuple[JoinConfig, Stage2Plan | None, dict[str, int]]:
-    """Sample, plan and memory-admit hook of the join drivers.
+) -> tuple[JoinConfig, dict[str, int]]:
+    """Plan-time memory admission hook of the join drivers.
 
-    With ``config.adaptive`` the raw input is sampled *before any job
-    runs* (:func:`sample_prefix_frequencies`) and
-    :func:`repro.join.planner.plan_stage2` chooses routing, group
-    count and hot-group splits; the returned config carries the
-    choices so every stage sees them.  With
-    ``config.memory_budget_mb`` the same sample feeds plan-time memory
-    admission (:func:`repro.join.memory.plan_admission`), which may
-    further degrade the plan until its estimated Stage-2 peak fits the
-    budget.  Deterministic: the sample is seeded, so a resumed run
-    recomputes the identical plan.  Returns ``(config, None, {})``
-    untouched when both features are off.
+    With ``config.memory_budget_mb`` the raw input is sampled *before
+    any job runs* (:func:`sample_prefix_frequencies`) and
+    :func:`repro.join.memory.plan_admission` degrades the config until
+    its estimated Stage-2 peak fits the budget; the returned config
+    carries the choices so every stage sees them.  Deterministic: the
+    sample is seeded, so a resumed run recomputes the identical plan.
+    Returns ``(config, {})`` untouched, reading nothing, without a
+    budget.
     """
-    if not config.adaptive and config.memory_budget_mb is None:
-        return config, None, {}
+    if config.memory_budget_mb is None:
+        return config, {}
     r_lines = list(cluster.dfs.read_all(r_file))
     s_lines = list(cluster.dfs.read_all(s_file)) if s_file is not None else None
     sample = sample_prefix_frequencies(r_lines, config, s_lines=s_lines)
-    plan = None
-    if config.adaptive:
-        plan = plan_stage2(sample, config, reducers)
-        if plan.splits and (
-            config.blocks is not None or config.length_class_width is not None
-        ):
-            # Section-5 block/length-class routing has its own key shapes;
-            # keep the plan's routing choice but run unsplit
-            plan = dataclass_replace(plan, splits=())
-        config = config.with_options(
-            routing=plan.routing, num_groups=plan.num_groups
-        )
-    config, plan, admission = plan_admission(sample, config, plan)
-    return config, plan, admission
+    return plan_admission(sample, config)
 
 
 def _prepare(cluster: SimulatedCluster, stages: list) -> None:
@@ -316,22 +288,22 @@ def _run_stages(
     checkpoint: JoinCheckpoint | None,
     done: list[str],
     config: JoinConfig,
-    plan: Stage2Plan | None,
     build,
     stages: list,
 ) -> None:
     """Run (or restore) the join's stages in order, surviving Stage-2
     memory faults by degrading the plan.
 
-    *build(config, plan)* returns the join's stage list
+    *build(config)* returns the join's stage list
     ``[(name, jobs, output_files, span_args), ...]`` for one concrete
-    plan; *stages* is the list the caller already built (and whose
+    config; *stages* is the list the caller already built (and whose
     jobs it registered with the persistent pool — re-invoking *build*
     would mint fresh job objects and force a pool respawn per stage).
-    *build* is re-invoked only when the plan actually changes.  A stage already recorded in the checkpoint is restored into
-    the cluster DFS instead of re-run — its :class:`JobStats` stays
-    empty and ``resume.stages_skipped`` is bumped — and every freshly
-    run stage is checkpointed before the next one starts.
+    *build* is re-invoked only when the config actually changes.  A
+    stage already recorded in the checkpoint is restored into the
+    cluster DFS instead of re-run — its :class:`JobStats` stays empty
+    and ``resume.stages_skipped`` is bumped — and every freshly run
+    stage is checkpointed before the next one starts.
 
     A Stage-2 :class:`InsufficientMemoryError` is treated as a *plan
     fault* when ``config.auto_degrade`` is on: the next escalation-
@@ -347,7 +319,7 @@ def _run_stages(
         steps = checkpoint.memory_steps()
         if steps:
             try:
-                config, plan = apply_degradations(config, plan, steps)
+                config = apply_degradations(config, steps)
             except ValueError as exc:
                 raise CheckpointMismatchError(
                     "checkpoint manifest records a memory step this "
@@ -361,7 +333,7 @@ def _run_stages(
                     "memory-steps-replayed", "fault", steps=list(steps)
                 )
     if steps:
-        stages = build(config, plan)
+        stages = build(config)
         _prepare(cluster, stages)
     index = 0
     while index < len(stages):
@@ -388,7 +360,7 @@ def _run_stages(
                     step = next_escalation(config)
             if step is None:
                 raise
-            config, plan = apply_step(config, plan, step)
+            config = apply_step(config, step)
             report.memory_steps.append(step)
             report.extra_counters[MEMORY_REPLANS] = (
                 report.extra_counters.get(MEMORY_REPLANS, 0) + 1
@@ -403,7 +375,7 @@ def _run_stages(
                 )
             if checkpoint is not None:
                 checkpoint.save_memory_steps(report.memory_steps)
-            stages = build(config, plan)
+            stages = build(config)
             _prepare(cluster, stages)
             continue
         if checkpoint is not None:
@@ -440,7 +412,7 @@ def _ssjoin(
     config = config or JoinConfig()
     prefix = prefix or f"{files[0]}.{kind}join"
     reducers = _num_reducers(config, cluster)
-    config, plan, admission = _adaptive_plan(cluster, config, reducers, *files)
+    config, admission = _admit_memory(cluster, config, *files)
 
     token_order_file = f"{prefix}.tokens"
     pairs_file = f"{prefix}.ridpairs"
@@ -451,9 +423,9 @@ def _ssjoin(
     # build them all before anything runs: clusters with a persistent
     # worker pool then fork exactly once for the whole join.  The
     # builder is re-invoked whenever a memory fault degrades the plan.
-    def build(cfg: JoinConfig, pln: Stage2Plan | None) -> list:
+    def build(cfg: JoinConfig) -> list:
         s1 = stage1_jobs(cfg, files[:1], token_order_file, reducers)
-        s2 = [stage2_job(cfg, *files, token_order_file, pairs_file, reducers, pln)]
+        s2 = [stage2_job(cfg, *files, token_order_file, pairs_file, reducers)]
         s3 = stage3_jobs(
             cfg, {name: tag for tag, name in enumerate(files)}, pairs_file,
             output_file, reducers, is_rs=is_rs,
@@ -466,13 +438,12 @@ def _ssjoin(
                     "kernel": cfg.kernel,
                     "routing": cfg.routing,
                     "num_groups": cfg.num_groups or "per-token",
-                    "splits": len(pln.splits) if pln is not None else 0,
                 },
             ),
             ("stage3", s3, [output_file], {"algorithm": cfg.stage3}),
         ]
 
-    stages = build(config, plan)
+    stages = build(config)
     _prepare(cluster, stages)
 
     done: list[str] = []
@@ -485,8 +456,6 @@ def _ssjoin(
         )
 
     report = JoinReport(combo=config.combo_name, output_file=output_file)
-    if plan is not None:
-        report.extra_counters.update(plan.counters())
     report.extra_counters.update(admission)
     tracer = cluster.tracer
     with trace_span(
@@ -495,8 +464,7 @@ def _ssjoin(
         routing=config.routing, kernel=config.kernel,
     ):
         _run_stages(
-            cluster, report, tracer, checkpoint, done, config, plan, build,
-            stages,
+            cluster, report, tracer, checkpoint, done, config, build, stages
         )
     _merge_telemetry(cluster, report)
     return report

@@ -1,4 +1,4 @@
-"""Join-cardinality and skew estimation by sampling.
+"""Join-cardinality and reducer-footprint estimation by sampling.
 
 :func:`repro.join.planner.recommend_config` wants an expected RID-pair
 count to decide between BRJ and OPRJ.  When no previous run's counters
@@ -11,15 +11,14 @@ answers; :func:`estimate_self_join_cardinality` also returns the raw
 sample count so callers can judge (``0`` sampled pairs means "too
 sparse to estimate at this rate", not "empty join").
 
-:func:`sample_prefix_frequencies` is the plan-time skew probe
-(arXiv:1804.05615): it draws a deterministic seeded Bernoulli sample
-of the raw input *before any MapReduce job runs*, rebuilds the Stage-1
-pipeline in miniature (sample-local ascending-frequency token order,
-per-record prefix under that order) and returns how often each token
-lands in a routing prefix.  That per-token prefix frequency is — up to
-sampling noise — the Stage-2 reduce-input share of the token's routing
-key, which is exactly what :func:`repro.join.planner.plan_stage2`
-needs to spot the hot groups worth splitting.
+:func:`sample_prefix_frequencies` is the plan-time probe of memory
+admission (:func:`repro.join.memory.plan_admission`): it draws a
+deterministic seeded Bernoulli sample of the raw input *before any
+MapReduce job runs*, rebuilds the Stage-1 pipeline in miniature
+(sample-local ascending-frequency token order, per-record prefix under
+that order) and returns each sampled record's prefix and token ranks —
+which routes a record goes to and how many bytes it brings, i.e. — up
+to sampling noise — the Stage-2 reduce input of every routing key.
 """
 
 from __future__ import annotations
@@ -59,38 +58,26 @@ def estimate_self_join_cardinality(
 
 
 # ---------------------------------------------------------------------------
-# plan-time prefix-frequency sampling (skew probe)
+# plan-time prefix sampling
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PrefixSample:
-    """Estimated prefix-token frequency distribution of one workload.
-
-    ``prefix_counts[token]`` is how many sampled records route on
-    *token* (i.e. carry it in their probing prefix) — the sample-side
-    estimate of the token's Stage-2 reduce input.  ``order`` is the
+    """The sampled records of one workload as rank lists under the
     sample-local global token order (ascending frequency, ties broken
     by token — the same rule :class:`repro.core.ordering.TokenOrder`
-    applies), which the planner uses to simulate grouped routing
-    (:func:`repro.core.prefixes.route_of` over the sample-local ranks).
-    """
+    applies)."""
 
-    prefix_counts: dict[str, int]
-    order: tuple[str, ...]
-    #: one tuple of sample-local prefix ranks per sampled record — what
-    #: the planner needs to evaluate *grouped* routing, where a
-    #: record's shuffle cost is its number of **distinct** prefix-token
-    #: groups, not its number of prefix tokens
+    #: one tuple of sample-local prefix ranks per sampled record — the
+    #: routes it is shuffled to, under any routing
+    #: (:func:`repro.core.prefixes.routes_of`)
     prefix_rank_lists: tuple[tuple[int, ...], ...]
-    #: the matching *full* sorted rank tuple per sampled record, so the
-    #: planner can run the real kernel on a candidate route's members
-    #: and price its verify work (quadratic routes split, record-heavy
-    #: but filter-pruned routes must not)
+    #: the matching *full* sorted rank tuple per sampled record — the
+    #: bytes it brings to each of those routes
     token_rank_lists: tuple[tuple[int, ...], ...] = ()
     records_sampled: int = 0
     records_total: int = 0
-    sample_rate: float = 0.1
 
     @property
     def scale(self) -> float:
@@ -98,19 +85,6 @@ class PrefixSample:
         if self.records_sampled == 0:
             return 1.0
         return self.records_total / self.records_sampled
-
-    def rank(self, token: str) -> int:
-        """Sample-local rank of *token* (``len(order)`` if unseen)."""
-        rank = self._ranks.get(token)
-        return len(self.order) if rank is None else rank
-
-    @property
-    def _ranks(self) -> dict[str, int]:
-        ranks = self.__dict__.get("_rank_cache")
-        if ranks is None:
-            ranks = {token: i for i, token in enumerate(self.order)}
-            object.__setattr__(self, "_rank_cache", ranks)
-        return ranks
 
 
 def sample_prefix_frequencies(
@@ -121,22 +95,21 @@ def sample_prefix_frequencies(
     seed: int = 0,
     min_sample: int = 64,
 ) -> PrefixSample:
-    """Estimate the prefix-token frequency distribution from a sample.
+    """Sample the input and project it on prefix and token ranks.
 
     Draws a deterministic Bernoulli sample of the raw input lines (rate
     *sample_rate*, seeded), builds a sample-local ascending-frequency
     token order over the R sample (Stage 1 builds the real order on R
-    only), computes each sampled record's probing prefix under that
-    order, and counts per-token prefix occurrences.  S-sample tokens
-    absent from the R-sample order are dropped, mirroring the R-S
-    mapper's ``unknown="drop"`` projection.
+    only) and computes each sampled record's probing prefix under that
+    order.  S-sample tokens absent from the R-sample order are dropped,
+    mirroring the R-S mapper's ``unknown="drop"`` projection.
 
     Tiny inputs defeat Bernoulli sampling (a handful of survivors make
-    the plan arbitrary), so when fewer than *min_sample* R lines
+    the estimate arbitrary), so when fewer than *min_sample* R lines
     survive, the sampler deterministically falls back to a prefix of
     the input instead.  The *effective* rates are reflected in
-    ``records_sampled`` / ``records_total``, which is what the planner
-    scales by.
+    ``records_sampled`` / ``records_total``, which is what
+    :attr:`PrefixSample.scale` reads.
     """
     if not 0.0 < sample_rate <= 1.0:
         raise ValueError(f"sample_rate must be in (0, 1], got {sample_rate}")
@@ -165,42 +138,30 @@ def sample_prefix_frequencies(
     frequencies: Counter[str] = Counter()
     for tokens in r_token_lists:
         frequencies.update(tokens)
-    order = tuple(
-        token
-        for token, _count in sorted(
-            frequencies.items(), key=lambda item: (item[1], item[0])
-        )
-    )
-    ranks = {token: i for i, token in enumerate(order)}
+    ordered = sorted(frequencies.items(), key=lambda item: (item[1], item[0]))
+    ranks = {token: i for i, (token, _count) in enumerate(ordered)}
 
-    prefix_counts: Counter[str] = Counter()
     prefix_rank_lists: list[tuple[int, ...]] = []
     token_rank_lists: list[tuple[int, ...]] = []
 
-    def count_prefix(tokens: list[str]) -> None:
+    def project(tokens: list[str]) -> None:
         known = sorted(ranks[t] for t in tokens if t in ranks)
         n = len(known)
         if n == 0:
             return
-        prefix = tuple(known[: sim.prefix_length(n, threshold)])
-        prefix_rank_lists.append(prefix)
+        prefix_rank_lists.append(tuple(known[: sim.prefix_length(n, threshold)]))
         token_rank_lists.append(tuple(known))
-        for rank in prefix:
-            prefix_counts[order[rank]] += 1
 
     for tokens in r_token_lists:
-        count_prefix(tokens)
+        project(tokens)
     for line in s_sample:
-        count_prefix(tokenize(join_value(line, schema)))
+        project(tokenize(join_value(line, schema)))
 
     sampled = len(r_sample) + len(s_sample)
     total = len(r_lines) + (len(s_lines_list) if s_lines_list is not None else 0)
     return PrefixSample(
-        prefix_counts=dict(prefix_counts),
-        order=order,
         prefix_rank_lists=tuple(prefix_rank_lists),
         token_rank_lists=tuple(token_rank_lists),
         records_sampled=sampled,
         records_total=max(total, sampled),
-        sample_rate=sample_rate,
     )

@@ -7,11 +7,10 @@ into an *automatic OOM-recovery path* with two cooperating layers:
 **Plan-time admission** (:func:`plan_admission`).  When
 ``JoinConfig.memory_budget_mb`` is set, the driver estimates the
 per-group Stage-2 reducer footprint from the seeded prefix sample
-(:func:`repro.join.estimate.sample_prefix_frequencies`) — the same
-sample the skew-adaptive planner draws — and *pre-degrades* the plan
-until the estimated peak fits under the budget: grouped routing is
-refined to individual tokens, the PK kernel falls back to BK (blocks
-are BK-only), a Section-5 :class:`~repro.join.blocks.BlockPolicy` is
+(:func:`repro.join.estimate.sample_prefix_frequencies`) and
+*pre-degrades* the plan until the estimated peak fits under the
+budget: grouped routing is refined to individual tokens, the PK kernel
+falls back to BK (blocks are BK-only), a Section-5 :class:`~repro.join.blocks.BlockPolicy` is
 engaged with a block count derived from the budget and a strategy
 chosen by comparing replication cost against local spill I/O.  The
 footprint model reuses :func:`repro.core.prefixes.projection_bytes` —
@@ -49,7 +48,6 @@ differential comparisons strip.
 from __future__ import annotations
 
 import math
-from dataclasses import replace as dataclass_replace
 from typing import TYPE_CHECKING
 
 from repro.core.prefixes import projection_bytes, routes_of
@@ -58,7 +56,6 @@ from repro.join.blocks import MAP_BASED, REDUCE_BASED, BlockPolicy
 if TYPE_CHECKING:
     from repro.join.config import JoinConfig
     from repro.join.estimate import PrefixSample
-    from repro.join.planner import Stage2Plan
 
 __all__ = [
     "MAX_REPLANS",
@@ -89,7 +86,7 @@ MEMORY_EST_PEAK = "memory.est_peak_bytes"
 
 #: runtime replans of one join before the memory error is re-raised to
 #: the caller: two rungs to reach blocks, then up to 32 of them (the
-#: whole ladder is 14 rungs; why 6, DESIGN.md Section 5l)
+#: whole ladder is 14 rungs; why 6, DESIGN.md Section 5i)
 MAX_REPLANS = 6
 #: fraction of the budget the estimated peak must fit under — the
 #: remainder absorbs estimation error (the sample sees a fraction of
@@ -102,8 +99,7 @@ _MAX_BLOCKS = 4096
 #: the probe-side block/stream being joined against it
 _BLOCK_RESIDENCY = 2
 #: simulated cost per byte *replicated through the shuffle* by
-#: map-based block processing (network; matches the planner's
-#: ``_SHUFFLE_COST_WEIGHT``)
+#: map-based block processing (network)
 _REPLICATION_COST_WEIGHT = 0.5
 #: simulated cost per byte *spilled and re-read locally* by
 #: reduce-based block processing (local disk: cheaper per byte than
@@ -181,58 +177,45 @@ def choose_block_strategy(total_group_bytes: float, num_blocks: int) -> str:
 # -- degradation steps ------------------------------------------------------
 
 
-def apply_step(
-    config: "JoinConfig", plan: "Stage2Plan | None", step: str
-) -> tuple["JoinConfig", "Stage2Plan | None"]:
-    """Apply one degradation *step* string to a (config, plan) pair.
+def apply_step(config: "JoinConfig", step: str) -> "JoinConfig":
+    """Apply one degradation *step* string to a config.
 
     Steps are the shared vocabulary of plan-time admission, the runtime
     escalation ladder and the checkpoint manifest:
 
-    * ``routing:individual`` — per-token routing (clears hot-group
-      splits: split keys are routes of the old granularity);
+    * ``routing:individual`` — per-token routing;
     * ``kernel:bk`` — PK -> BK kernel fallback;
     * ``blocks:<map|reduce>:<n>`` — engage / resize Section-5 block
       processing (clears ``length_class_width``, the alternative
-      Section-5 strategy, and hot-group splits).
+      Section-5 strategy).
 
-    Returns a new pair; the inputs are never mutated.
+    Returns a new config; the input is never mutated.
     """
     kind, _, arg = step.partition(":")
     if kind == "routing":
         if arg != "individual":
             raise ValueError(f"unknown routing degradation step {step!r}")
-        config = config.with_options(routing="individual", num_groups=None)
-        if plan is not None:
-            plan = dataclass_replace(
-                plan, routing="individual", num_groups=None, splits=()
-            )
-        return config, plan
+        return config.with_options(routing="individual", num_groups=None)
     if kind == "kernel":
         if arg != "bk":
             raise ValueError(f"unknown kernel degradation step {step!r}")
-        return config.with_options(kernel="bk"), plan
+        return config.with_options(kernel="bk")
     if kind == "blocks":
         strategy, _, count = arg.partition(":")
         if strategy not in (MAP_BASED, REDUCE_BASED) or not count.isdigit():
             raise ValueError(f"unknown blocks degradation step {step!r}")
-        config = config.with_options(
+        return config.with_options(
             blocks=BlockPolicy(strategy=strategy, num_blocks=int(count)),
             length_class_width=None,
         )
-        if plan is not None and plan.splits:
-            plan = dataclass_replace(plan, splits=())
-        return config, plan
     raise ValueError(f"unknown degradation step {step!r}")
 
 
-def apply_degradations(
-    config: "JoinConfig", plan: "Stage2Plan | None", steps: list[str]
-) -> tuple["JoinConfig", "Stage2Plan | None"]:
+def apply_degradations(config: "JoinConfig", steps: list[str]) -> "JoinConfig":
     """Fold :func:`apply_step` over *steps* (checkpoint replay order)."""
     for step in steps:
-        config, plan = apply_step(config, plan, step)
-    return config, plan
+        config = apply_step(config, step)
+    return config
 
 
 def next_escalation(
@@ -285,20 +268,18 @@ def next_escalation(
 
 
 def plan_admission(
-    sample: "PrefixSample",
-    config: "JoinConfig",
-    plan: "Stage2Plan | None",
-) -> tuple["JoinConfig", "Stage2Plan | None", dict[str, int]]:
+    sample: "PrefixSample", config: "JoinConfig"
+) -> tuple["JoinConfig", dict[str, int]]:
     """Admit (and if needed pre-degrade) a Stage-2 plan under the budget.
 
-    Returns ``(config, plan, counters)``: the possibly-degraded pair
-    plus the ``memory.*`` admission counters.  A no-op returning the
-    inputs untouched when ``config.memory_budget_mb`` is ``None``.
+    Returns ``(config, counters)``: the possibly-degraded config plus
+    the ``memory.*`` admission counters.  A no-op returning the config
+    untouched when ``config.memory_budget_mb`` is ``None``.
     Deterministic — the sample is seeded, so a resumed run recomputes
     the identical admitted plan.
     """
     if config.memory_budget_mb is None:
-        return config, plan, {}
+        return config, {}
     allowance = _HEADROOM * config.memory_budget_mb * 1024 * 1024
     adjustments = 0
     estimated = estimate_peak_bytes(sample, config)
@@ -308,7 +289,7 @@ def plan_admission(
         )
         if step is None:
             break
-        config, plan = apply_step(config, plan, step)
+        config = apply_step(config, step)
         adjustments += 1
         estimated = estimate_peak_bytes(sample, config)
     counters = {
@@ -316,4 +297,4 @@ def plan_admission(
         MEMORY_ADMISSION_ADJUSTMENTS: adjustments,
         MEMORY_EST_PEAK: estimated,
     }
-    return config, plan, counters
+    return config, counters

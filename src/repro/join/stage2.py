@@ -39,31 +39,11 @@ block processing (see :mod:`repro.join.blocks`) and the length filter
 as a *secondary routing criterion* (``JoinConfig.length_class_width``
 — reducer keys become ``(token, length-class)`` so each reduce step
 holds one class).
-
-**Hot-group splitting** (the skew-adaptive layer, see
-:mod:`repro.join.planner`): when an adaptive :class:`Stage2Plan`
-marks token groups for splitting, keys extend to
-
-    (route, shard, length, relation)
-
-partitioned on ``(route, shard)`` via
-:func:`repro.mapreduce.hashing.shard_partition`.  A split group's
-records are shipped twice — an *add copy* (``REL_R``) replicated to
-every shard, and a *probe copy* (``REL_S``) sent only to the record's
-home shard, emitted immediately before its own add copy under the
-identical key.  Every shard therefore indexes the complete group in
-the original arrival order while probing only its ``1/k`` share of the
-records, so each candidate pair is found exactly once (at the later
-record's home shard) against exactly the index state the unsplit
-reducer would have had — pairs *and* per-filter prune counters are
-bit-identical in sum to the static plan (differential-tested).
-Unsplit routes ride along with ``shard == -1``, keeping their classic
-partition placement.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.analysis.sanitize import Sanitizer, make_sanitizer
 from repro.core.bitmaps import overlap_upper_bound, signature as bitmap_signature
@@ -82,11 +62,7 @@ from repro.join.blocks import (
 )
 from repro.join.config import JoinConfig
 from repro.join.records import REL_R, REL_S, join_value, rid_of
-from repro.mapreduce.hashing import shard_of, shard_partition
 from repro.mapreduce.job import Context, MapReduceJob
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.join.planner import Stage2Plan
 
 #: user counters
 CANDIDATE_PAIRS = "stage2.candidate_pairs"
@@ -192,33 +168,6 @@ def _owns_pair(owner: Callable[[int], bool], prefix_length, x: Sequence, y: Sequ
     return bool(common) and owner(min(common))
 
 
-def resolve_splits(
-    plan: "Stage2Plan | None", config: JoinConfig, order: TokenOrder
-) -> dict:
-    """Re-anchor a plan's hot-token splits on the real Stage-1 order.
-
-    The planner worked on a *sample-local* token order, so the plan
-    names hot groups by token string; this maps each one to the routing
-    key the configured router would actually emit — the token's rank
-    (individual routing) or its group id (grouped routing).  Tokens the
-    real order never saw are skipped (they cannot be hot); two hot
-    tokens collapsing into one grouped route keep the larger shard
-    count.  Routes with fewer than two shards are dropped — splitting
-    one way is the unsplit plan.
-    """
-    if plan is None or not plan.splits:
-        return {}
-    route_of_rank = route_of(config.token_groups)
-    resolved: dict = {}
-    num_tokens = len(order)
-    for token, k in plan.splits:
-        rank = order.rank(token)
-        if rank < num_tokens:
-            route = route_of_rank(rank)
-            resolved[route] = max(resolved.get(route, 1), k)
-    return {route: k for route, k in resolved.items() if k > 1}
-
-
 def project_record(
     line: str, config: JoinConfig, order: TokenOrder, unknown: str
 ) -> tuple[int, "Sequence", int]:
@@ -237,27 +186,15 @@ def make_self_mapper(
     config: JoinConfig,
     blocks: BlockPolicy | None,
     token_order_file: str,
-    plan: "Stage2Plan | None" = None,
 ):
-    """Self-join Stage-2 mapper (shared by BK and PK).
-
-    With a split-carrying *plan*, keys take the extended
-    ``(route, shard, length, relation)`` shape: split routes replicate
-    an add copy to every shard and send one probe copy (tagged
-    ``REL_S``, emitted first so the stable sort keeps it immediately
-    before its own add) to the record's home shard; unsplit routes emit
-    a single dual-role copy with ``shard == -1``.
-    """
+    """Self-join Stage-2 mapper (shared by BK and PK)."""
     bounds = bounds_for(config.sim, config.threshold)
     prefix_length, length_bounds = bounds.prefix_length, bounds.length_bounds
-    split_mode = plan is not None and bool(plan.splits)
     routes = routes_of(config.token_groups)
     state: dict = {}
 
     def map_setup(ctx: Context) -> None:
-        order = load_token_order(ctx, token_order_file)
-        state["order"] = order
-        state["splits"] = resolve_splits(plan, config, order)
+        state["order"] = load_token_order(ctx, token_order_file)
 
     width = config.length_class_width
     bitmap_width = config.bitmap_width if config.bitmap_filter else None
@@ -274,16 +211,7 @@ def make_self_mapper(
         ctx.observe("stage2.prefix_tokens", len(prefix))
         ctx.observe("stage2.record_routes", len(route_list))
         for route in route_list:
-            if split_mode:
-                num_shards = state["splits"].get(route)
-                if num_shards is None:
-                    ctx.emit((route, -1, n, REL_R), value)
-                else:
-                    home = shard_of(rid, num_shards)
-                    ctx.emit((route, home, n, REL_R), (REL_S,) + value[1:])
-                    for shard in range(num_shards):
-                        ctx.emit((route, shard, n, REL_R), value)
-            elif blocks is not None:
+            if blocks is not None:
                 block = blocks.block_of(rid)
                 if blocks.strategy == MAP_BASED:
                     for step, role in blocks.replication_schedule(block):
@@ -382,38 +310,33 @@ def _write_rs_pair(ctx: Context, r_rid: int, s_rid: int, similarity: float) -> N
 # else the paper does "through key manipulation" only decides, per
 # record, which of the two happens:
 #
-# * **relation policy** — an *untagged* stream (plain self-join group):
-#   every record probes, then is stored.  A *tagged* stream (R-S groups,
-#   and split shards ``key[1] >= 0`` of a self-join): ``REL_R`` records
-#   are stored, ``REL_S`` records probe.
-# * **shard policy** — none, or probe-partitioned: a split shard holds
-#   the whole store side and a ``1/k`` slice of the probes, which is
-#   already the tagged rule (see the module docstring and DESIGN.md §5g).
+# * **relation policy** — in a self-join group every record probes,
+#   then is stored; in an R-S group ``REL_R`` records are stored and
+#   ``REL_S`` records probe.
 # * **block policy** (BK only, Section 5) — which of the records the
 #   relation policy would store are held *now*; see the three stream
 #   functions below.
 #
 # Whatever the policies, a pair is emitted only by the group that *owns*
-# it (:func:`owner_of`; the route is the group key, or ``key[0]`` of a
-# split job's ``(route, shard)``).  PK posts records under owned tokens
+# it (:func:`owner_of`; the route is the group key).  PK posts records under owned tokens
 # only and decides at a candidate's first encounter, once the bitmap
 # bound has passed it; BK has no encounter order to read, so it asks
-# after verification, per *true* pair only.  Shards, blocks
-# and length classes already meet a pair once per route.
+# after verification, per *true* pair only.  Blocks and length classes
+# already meet a pair once per route.
 
 
 #: stream event that empties the stored set (a new block step begins)
 _RESTART = (None, False, False)
 
 
-def _whole_group(values: Iterator, tagged: bool, ctx: Context) -> Iterator[tuple]:
+def _whole_group(values: Iterator, rs: bool, ctx: Context) -> Iterator[tuple]:
     """No block policy: the relation policy alone assigns the roles."""
     for projection in values:
         rel = projection[0]
-        yield projection, not tagged or rel == REL_S, not tagged or rel == REL_R
+        yield projection, not rs or rel == REL_S, not rs or rel == REL_R
 
 
-def _stepped_blocks(values: Iterator, tagged: bool, ctx: Context) -> Iterator[tuple]:
+def _stepped_blocks(values: Iterator, rs: bool, ctx: Context) -> Iterator[tuple]:
     """Map-based blocks and length-class routing: values arrive as
     ``(step, role) + projection``; each step holds only its load-role
     records (one R/self block, one length class) and the stored set
@@ -424,13 +347,13 @@ def _stepped_blocks(values: Iterator, tagged: bool, ctx: Context) -> Iterator[tu
         if step != current_step:
             current_step = step
             yield _RESTART
-        yield projection, not tagged or projection[0] == REL_S, role == ROLE_LOAD
+        yield projection, not rs or projection[0] == REL_S, role == ROLE_LOAD
 
 
-def _spilled_blocks(values: Iterator, tagged: bool, ctx: Context) -> Iterator[tuple]:
+def _spilled_blocks(values: Iterator, rs: bool, ctx: Context) -> Iterator[tuple]:
     """Reduce-based blocks (Figure 7(b)): values arrive as ``(block,) +
     projection``.  The first block of the store side is held; later
-    blocks — and, in a tagged stream, the probe side, once anything was
+    blocks — and, in an R-S stream, the probe side, once anything was
     spilled — go to local disk and are replayed, one stored block at a
     time, through the same probe/store pair."""
     first_block = None
@@ -438,15 +361,15 @@ def _spilled_blocks(values: Iterator, tagged: bool, ctx: Context) -> Iterator[tu
     spilled_probes: list[tuple] = []
     for value in values:
         block, projection = value[0], value[1:]
-        probes = not tagged or projection[0] == REL_S
-        storable = not tagged or projection[0] == REL_R
+        probes = not rs or projection[0] == REL_S
+        storable = not rs or projection[0] == REL_R
         if storable and first_block is None:
             first_block = block
         held = storable and block == first_block
         yield projection, probes, held
         if storable and not held:
             spilled.setdefault(block, []).append(projection)
-        elif tagged and probes and spilled:
+        elif rs and probes and spilled:
             spilled_probes.append(projection)
         else:
             continue
@@ -456,10 +379,10 @@ def _spilled_blocks(values: Iterator, tagged: bool, ctx: Context) -> Iterator[tu
         yield _RESTART
         for projection in spilled[block]:
             ctx.counters.increment(SPILL_READ, _spill_bytes(projection))
-            yield projection, not tagged, True
+            yield projection, not rs, True
         later = (
             spilled_probes
-            if tagged
+            if rs
             else (p for b in remaining[idx + 1 :] for p in spilled[b])
         )
         for projection in later:
@@ -471,15 +394,13 @@ def _spill_bytes(projection: tuple) -> int:
     return projection_bytes(len(projection[4]), projection[3] is not None)
 
 
-def make_bk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callable:
+def make_bk_reducer(config: JoinConfig, rs: bool) -> Callable:
     """Basic Kernel: every probing record is verified against every
     stored record (length filter, bitmap filter, merge).
 
-    *rs* selects the relation policy of unsplit groups and the output
-    orientation (``(r_rid, s_rid)`` instead of ``rid1 < rid2``); *split*
-    says the job groups on ``(route, shard)``, so the route is
-    ``key[0]`` and shards are recognised by ``key[1] >= 0``.  The block
-    policy comes from *config*.
+    *rs* selects the relation policy and the output orientation
+    (``(r_rid, s_rid)`` instead of ``rid1 < rid2``).  The block policy
+    comes from *config*.
     """
     blocks = config.blocks
     if blocks is not None and blocks.strategy != MAP_BASED:
@@ -498,9 +419,7 @@ def make_bk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callab
     bounds = bounds_for(config.sim, config.threshold)
     prefix_length = bounds.prefix_length
 
-    def reducer(key, values: Iterator, ctx: Context) -> None:
-        tagged = rs or (split and key[1] >= 0)
-        route = key[0] if split else key
+    def reducer(route, values: Iterator, ctx: Context) -> None:
         owner = owner_of(config, route)
         sanitizer = make_sanitizer(config, ctx.counters, route)
         if sanitizer is not None and stream_of is _whole_group:
@@ -514,7 +433,7 @@ def make_bk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callab
         group_records = 0
         group_candidates = 0
         try:
-            for projection, probes, stores in stream_of(values, tagged, ctx):
+            for projection, probes, stores in stream_of(values, rs, ctx):
                 if projection is None:
                     ctx.release_memory(charged)
                     charged = 0
@@ -549,25 +468,19 @@ def make_bk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callab
     return reducer
 
 
-def make_pk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callable:
+def make_pk_reducer(config: JoinConfig, rs: bool) -> Callable:
     """PPJoin+ Kernel over the length-sorted value stream: probing
     records query the index, stored records are inserted, and the index
     evicts entries the stream's length lower bound has passed.
 
-    Parameters as for :func:`make_bk_reducer`.  A split shard drives the
-    same self-mode index in tagged mode: every shard indexes the full
-    add sequence and a probe sorts exactly where the record's own
-    dual-role copy would, so the index state at each probe — eviction
-    frontier included — matches the unsplit run's bit for bit.
+    *rs* as for :func:`make_bk_reducer`.
     """
     mode = "rs" if rs else "self"
     what = "PK index (R partition)" if rs else "PK index"
     write_pair = _write_rs_pair if rs else _write_self_pair
     group_of = _projection_rel if rs else None
 
-    def reducer(key, values: Iterator, ctx: Context) -> None:
-        tagged = rs or (split and key[1] >= 0)
-        route = key[0] if split else key
+    def reducer(route, values: Iterator, ctx: Context) -> None:
         sanitizer = make_sanitizer(config, ctx.counters, route)
         index = make_pk_index(
             config, mode=mode, evict=True, sanitizer=sanitizer,
@@ -582,12 +495,12 @@ def make_pk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callab
         try:
             for rel, rid, true_size, sig, ranks in values:
                 group_records += 1
-                if not tagged or rel == REL_S:
+                if not rs or rel == REL_S:
                     for other_rid, similarity in index.probe(
                         rid, ranks, true_size=true_size, signature=sig
                     ):
                         write_pair(ctx, other_rid, rid, similarity)
-                if not tagged or rel == REL_R:
+                if not rs or rel == REL_R:
                     index.add(rid, ranks, signature=sig)
                 delta = index.live_bytes - charged
                 if delta > 0:
@@ -611,32 +524,22 @@ def make_pk_reducer(config: JoinConfig, rs: bool, split: bool = False) -> Callab
 # ---------------------------------------------------------------------------
 
 
-def check_stage2_plan(config: JoinConfig, plan: "Stage2Plan | None", rs: bool) -> bool:
-    """Validate what a Stage-2 job combines and return its split mode
-    (does *plan* carry hot-group splits).  Section-5 strategies are BK
-    enhancements, and splitting composes with the plain kernels only;
-    R-S jobs have no length-class routing to check (the R-S key already
-    carries a length class)."""
+def check_stage2_plan(config: JoinConfig, rs: bool) -> None:
+    """Validate what a Stage-2 job combines: Section-5 strategies are BK
+    enhancements.  R-S jobs have no length-class routing to check (the
+    R-S key already carries a length class)."""
     if config.blocks is not None and config.kernel != "bk":
         raise ValueError(
             "Section 5 block processing applies to the BK kernel "
             "(the paper sub-partitions when no further filters help); "
             "use kernel='bk' or blocks=None"
         )
-    length_classes = config.length_class_width is not None and not rs
-    if length_classes and config.kernel != "bk":
+    if config.length_class_width is not None and not rs and config.kernel != "bk":
         raise ValueError(
             "length-class secondary routing is a BK enhancement "
             "(the PK kernel already exploits the length filter via its "
             "composite keys); use kernel='bk' or length_class_width=None"
         )
-    split_mode = plan is not None and bool(plan.splits)
-    if split_mode and (config.blocks is not None or length_classes):
-        raise ValueError(
-            "hot-group splitting composes with the plain kernels only; "
-            "drop blocks/length_class_width or run without splits"
-        )
-    return split_mode
 
 
 def assemble_stage2_job(
@@ -646,30 +549,22 @@ def assemble_stage2_job(
     token_order_file: str,
     output: str,
     num_reducers: int,
-    split_mode: bool,
     map_setup: Callable,
     mapper: Callable,
 ) -> MapReduceJob:
     """The one Stage-2 job shape: partition on the route, group on the
-    route, sort on the full composite key.  *split_mode* switches to the
-    extended ``(route, shard, ...)`` keys: partitioning goes through
-    :func:`shard_partition` (unsplit routes keep their classic
-    placement) and grouping is on ``(route, shard)``; the reducer is the
-    same one, told so it can read the route off ``key[0]`` and treat
-    shards (``shard >= 0``) as tagged streams."""
+    route, sort on the full composite key."""
+    check_stage2_plan(config, rs)
     make_reducer = make_pk_reducer if config.kernel == "pk" else make_bk_reducer
     return MapReduceJob(
         name=f"stage2-{config.kernel}-{'rs' if rs else 'self'}",
         inputs=inputs,
         output=output,
         mapper=mapper,
-        reducer=make_reducer(config, rs=rs, split=split_mode),
+        reducer=make_reducer(config, rs=rs),
         num_reducers=num_reducers,
         partition=lambda key: key[0],
-        partitioner=(
-            (lambda key, n: shard_partition(key[0], key[1], n)) if split_mode else None
-        ),
-        group_key=(lambda key: (key[0], key[1])) if split_mode else (lambda key: key[0]),
+        group_key=lambda key: key[0],
         broadcast=[token_order_file],
         map_setup=map_setup,
     )
@@ -681,13 +576,9 @@ def stage2_self_job(
     token_order_file: str,
     output: str,
     num_reducers: int,
-    plan: "Stage2Plan | None" = None,
 ) -> MapReduceJob:
-    """Build the single Stage-2 job for a self-join; a split-carrying
-    *plan* switches it to ``(route, shard, length, relation)`` keys
-    (see :func:`assemble_stage2_job`)."""
-    split_mode = check_stage2_plan(config, plan, rs=False)
+    """Build the single Stage-2 job for a self-join."""
     return assemble_stage2_job(
         config, False, [records_file], token_order_file, output, num_reducers,
-        split_mode, *make_self_mapper(config, config.blocks, token_order_file, plan),
+        *make_self_mapper(config, config.blocks, token_order_file),
     )

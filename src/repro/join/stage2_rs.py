@@ -18,21 +18,10 @@ manipulation:
   stream is replicated per R block (map-based) or spilled once and
   re-read per block (reduce-based).
 
-**Hot-group splitting** (see :mod:`repro.join.planner` and the
-self-join module) extends keys to ``(route, shard, class, relation,
-length)``: a split route replicates its R records to every shard and
-partitions its S records by home shard — the textbook
-fragment-replicate split, which the R-S relation policy already
-handles because its roles are purely tag-driven.  Every shard streams
-the complete R side before its ``1/k`` slice of S, so pairs and filter
-counters sum to exactly the unsplit run's.
-
 Output records are ``(r_rid, s_rid, similarity)``.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 from repro.core.bitmaps import signature as bitmap_signature
 from repro.core.prefixes import routes_of
@@ -40,18 +29,8 @@ from repro.core.similarity import bounds_for
 from repro.join.blocks import MAP_BASED, ROLE_LOAD, BlockPolicy
 from repro.join.config import JoinConfig
 from repro.join.records import REL_R, REL_S
-from repro.join.stage2 import (
-    assemble_stage2_job,
-    check_stage2_plan,
-    load_token_order,
-    project_record,
-    resolve_splits,
-)
-from repro.mapreduce.hashing import shard_of
+from repro.join.stage2 import assemble_stage2_job, load_token_order, project_record
 from repro.mapreduce.job import Context, MapReduceJob
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.join.planner import Stage2Plan
 
 
 def _length_class(rel: int, true_size: int, config: JoinConfig) -> int:
@@ -74,24 +53,14 @@ def make_rs_mapper(
     token_order_file: str,
     r_file: str,
     s_file: str,
-    plan: "Stage2Plan | None" = None,
 ):
-    """R-S Stage-2 mapper: tags by input file, drops S-only tokens.
-
-    With a split-carrying *plan*, keys take the extended ``(route,
-    shard, class, relation, length)`` shape: split routes replicate R
-    records to every shard and send each S record to its home shard
-    only; unsplit routes emit a single copy with ``shard == -1``.
-    """
+    """R-S Stage-2 mapper: tags by input file, drops S-only tokens."""
     prefix_length = bounds_for(config.sim, config.threshold).prefix_length
-    split_mode = plan is not None and bool(plan.splits)
     routes = routes_of(config.token_groups)
     state: dict = {}
 
     def map_setup(ctx: Context) -> None:
-        order = load_token_order(ctx, token_order_file)
-        state["order"] = order
-        state["splits"] = resolve_splits(plan, config, order)
+        state["order"] = load_token_order(ctx, token_order_file)
 
     bitmap_width = config.bitmap_width if config.bitmap_filter else None
 
@@ -116,17 +85,7 @@ def make_rs_mapper(
         ctx.observe("stage2.prefix_tokens", len(prefix))
         ctx.observe("stage2.record_routes", len(route_list))
         for route in route_list:
-            if split_mode:
-                num_shards = state["splits"].get(route)
-                if num_shards is None:
-                    ctx.emit((route, -1, cls, rel, n), value)
-                elif rel == REL_R:
-                    for shard in range(num_shards):
-                        ctx.emit((route, shard, cls, rel, n), value)
-                else:
-                    home = shard_of(rid, num_shards)
-                    ctx.emit((route, home, cls, rel, n), value)
-            elif blocks is None:
+            if blocks is None:
                 # The trailing actual length keeps same-class R records
                 # sorted by size: length classes are not injective
                 # (e.g. Jaccard tau=0.8 maps lengths 4 and 5 both to
@@ -159,16 +118,9 @@ def stage2_rs_job(
     token_order_file: str,
     output: str,
     num_reducers: int,
-    plan: "Stage2Plan | None" = None,
 ) -> MapReduceJob:
-    """Build the single Stage-2 job for an R-S join; a split-carrying
-    *plan* switches it to ``(route, shard, class, relation, length)``
-    keys (see :func:`repro.join.stage2.assemble_stage2_job`) — a split
-    shard is just an ordinary R-S group holding all of R and a slice of
-    S."""
-    split_mode = check_stage2_plan(config, plan, rs=True)
+    """Build the single Stage-2 job for an R-S join."""
     return assemble_stage2_job(
         config, True, [r_file, s_file], token_order_file, output, num_reducers,
-        split_mode,
-        *make_rs_mapper(config, config.blocks, token_order_file, r_file, s_file, plan),
+        *make_rs_mapper(config, config.blocks, token_order_file, r_file, s_file),
     )

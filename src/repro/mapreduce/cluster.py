@@ -227,8 +227,7 @@ def execute_map_task(
     # is a small domain) and a key's partition and size are pure
     # functions of it, so cache both instead of re-hashing and
     # re-sizing per emission.  Mappers that fan one record out to
-    # several routes (and the split mapper, which replicates one add
-    # copy per shard) emit the *same* value object back-to-back, so
+    # several routes emit the *same* value object back-to-back, so
     # byte-account it once per object, not once per copy.
     partition_bytes: dict[int, int] = {}
     partition_cache: dict = {}
@@ -236,14 +235,11 @@ def execute_map_task(
     last_value_bytes = 0
     num_reducers = job.num_reducers
     append = partitioned.append
-    partitioner, partition = job.partitioner, job.partition
+    partition = job.partition
     for key, value in pairs:
         cached = partition_cache.get(key)
         if cached is None:
-            if partitioner is not None:
-                p = partitioner(key, num_reducers)
-            else:
-                p = stable_hash(partition(key)) % num_reducers
+            p = stable_hash(partition(key)) % num_reducers
             cached = partition_cache[key] = (p, approx_bytes(key) + 8)
         p, framed_key_bytes = cached
         append((p, key, value))
@@ -379,8 +375,8 @@ def execute_reduce_task(
     # kernels count every candidate they touch (pruned or surviving),
     # so the sum of non-framework counters tracks the scan/verify work
     # that actually sets task time.  Raw input records cannot serve —
-    # hot-group splitting replicates build records by design, growing a
-    # shard's input while shrinking its share of the quadratic work.
+    # a group's work grows with the square of its size, so one large
+    # group outweighs the same records spread over many small ones.
     counter_snapshot = ctx.counters.as_dict()
     kernel_work = sum(
         count

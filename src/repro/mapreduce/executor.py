@@ -521,6 +521,8 @@ class PersistentExecutor:
                 "PersistentExecutor requires the 'fork' start method; "
                 "use SimulatedCluster on this platform"
             )
+        if workers is not None and workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers or os.cpu_count() or 2
         self.stats = ExecutorStats()
         #: attach a :class:`repro.obs.trace.Tracer` to collect worker

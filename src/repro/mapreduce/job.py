@@ -160,12 +160,6 @@ class MapReduceJob:
     num_reducers: int = 1
     combiner: Combiner | None = None
     partition: Callable[[Any], Any] = _identity
-    #: optional direct partitioner ``(key, num_reducers) -> index``;
-    #: when set it overrides the hash-of-``partition(key)`` default.
-    #: Stage 2's hot-group splitting uses it to place the shards of one
-    #: split token group on *distinct* reducers deterministically
-    #: (see :func:`repro.mapreduce.hashing.shard_partition`).
-    partitioner: Callable[[Any, int], int] | None = None
     sort_key: Callable[[Any], Any] = _identity
     group_key: Callable[[Any], Any] = _identity
     broadcast: Sequence[str] = field(default_factory=tuple)

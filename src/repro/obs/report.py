@@ -245,10 +245,10 @@ class SkewDigest:
     loads: list[int]
     #: per-task kernel work (candidates scanned/pruned/verified, from
     #: the task's own counters).  Balance metrics are computed on this,
-    #: not on ``loads``: hot-group splitting replicates build records
-    #: by design, so a split shard's input records grow while its share
-    #: of the quadratic scan work shrinks.  Falls back to ``loads`` for
-    #: traces recorded before the ``kernel_work`` span arg existed.
+    #: not on ``loads``: a group's scan work grows with the square of
+    #: its size, so equal input records are not equal work.  Falls back
+    #: to ``loads`` for traces recorded before the ``kernel_work`` span
+    #: arg existed.
     work: list[int]
     #: Gini over work per *partition* (empty partitions count as zero):
     #: an idle reduce slot is imbalance, so spreading the same work
@@ -256,8 +256,8 @@ class SkewDigest:
     #: small tasks among the non-empty ones
     gini: float
     #: p99/median over the non-empty tasks' work — kept for reference,
-    #: but ill-conditioned under splitting (scattered shards wake
-    #: previously-idle partitions, dragging the median down)
+    #: but ill-conditioned when plans differ in how many partitions are
+    #: non-empty (a newly woken small task drags the median down)
     p99_over_median: float
     #: hottest single task's share of the job's total kernel work — the
     #: straggler bound: stage-2 reduce makespan cannot beat
@@ -348,18 +348,15 @@ def digest_trace(doc: dict[str, Any], path: str = "<trace>") -> TraceDigest:
             # slots are imbalance
             per_slot = work + [0] * (partitions - len(work))
             total_work = sum(work)
-            # Merge each route's per-task counts: max over attempts of
-            # the same task (retries/speculation re-report the same
-            # group), then sum across distinct tasks (a split hot group
-            # legitimately spans several reducer partitions).
-            per_task: dict[tuple[str, str], int] = {}
+            # A route lives in one reduce task; retries/speculation
+            # re-report the same group, so keep the max over attempts.
+            merged_hot: dict[str, int] = {}
             for task in reduce_tasks:
                 for route, count in task.args.get("top_groups", ()):
-                    key = (str(route), task.name)
-                    per_task[key] = max(per_task.get(key, 0), int(count))
-            merged_hot: dict[str, int] = {}
-            for (route_repr, _task), count in per_task.items():
-                merged_hot[route_repr] = merged_hot.get(route_repr, 0) + count
+                    route_repr = str(route)
+                    merged_hot[route_repr] = max(
+                        merged_hot.get(route_repr, 0), int(count)
+                    )
             total_input = sum(loads)
             hot = [
                 (route, count, count / total_input if total_input else 0.0)

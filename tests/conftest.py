@@ -72,26 +72,26 @@ def oracle_projections(records: list[str], schema: RecordSchema = SCHEMA_1) -> l
     ]
 
 
-def run_stage2(records, config, num_reducers=4, plan=None):
+def run_stage2(records, config, num_reducers=4):
     """Stages 1 + 2 of a self-join: the Stage-2 output *list* (one entry
     per emitted RID pair, in DFS order) and the Stage-2 job stats."""
     cluster = make_cluster()
     cluster.dfs.write("records", records)
     run_pipeline(cluster, stage1_jobs(config, ["records"], "tokens", num_reducers))
     stats = cluster.run_job(
-        stage2_self_job(config, "records", "tokens", "ridpairs", num_reducers, plan)
+        stage2_self_job(config, "records", "tokens", "ridpairs", num_reducers)
     )
     return cluster.dfs.read_all("ridpairs"), stats
 
 
-def run_stage2_rs(r_records, s_records, config, num_reducers=4, plan=None):
+def run_stage2_rs(r_records, s_records, config, num_reducers=4):
     """Stages 1 + 2 of an R-S join, as :func:`run_stage2`."""
     cluster = make_cluster()
     cluster.dfs.write("r", r_records)
     cluster.dfs.write("s", s_records)
     run_pipeline(cluster, stage1_jobs(config, ["r"], "tokens", num_reducers))
     stats = cluster.run_job(
-        stage2_rs_job(config, "r", "s", "tokens", "ridpairs", num_reducers, plan)
+        stage2_rs_job(config, "r", "s", "tokens", "ridpairs", num_reducers)
     )
     return cluster.dfs.read_all("ridpairs"), stats
 

@@ -79,6 +79,44 @@ class TestSelfJoin:
         assert shaped == ["stage2"]
 
 
+class TestUserErrors:
+    """What the user got wrong is one ``repro <command>: error:`` line
+    and exit status 2, with no output written."""
+
+    def _error_line(self, argv, out, capsys):
+        assert main(argv + ["-o", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert not out.exists()
+        return line
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--blocks", "4"], "block processing applies to the BK kernel"),
+        (["--bitmap-width", "0"], "bitmap_width must be >= 1"),
+        (["--routing", "grouped", "--num-groups", "0"], "num_groups must be >= 1"),
+        (["--memory-budget-mb", "0"], "memory_budget_mb must be > 0"),
+    ])
+    def test_bad_config_is_reported_before_the_input_is_opened(
+        self, tmp_path, capsys, flags, message
+    ):
+        argv = ["selfjoin", str(tmp_path / "nope.tsv")] + flags
+        line = self._error_line(argv, tmp_path / "pairs.tsv", capsys)
+        assert line.startswith("repro selfjoin: error: ") and message in line
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--nodes", "0"], "num_nodes must be >= 1"),
+        (["--parallel", "-1"], "workers must be >= 1"),
+    ])
+    def test_bad_cluster_shape(self, catalog, tmp_path, capsys, flags, message):
+        argv = ["selfjoin", str(catalog)] + flags
+        line = self._error_line(argv, tmp_path / "pairs.tsv", capsys)
+        assert line.startswith("repro selfjoin: error: ") and message in line
+
+    def test_missing_input(self, catalog, tmp_path, capsys):
+        argv = ["rsjoin", str(catalog), str(tmp_path / "nope.tsv")]
+        line = self._error_line(argv, tmp_path / "pairs.tsv", capsys)
+        assert line.startswith("repro rsjoin: error: ") and "nope.tsv" in line
+
+
 class TestRunManifest:
     def test_unwritable_runs_dir_warns_but_the_join_succeeds(
         self, catalog, tmp_path, capsys

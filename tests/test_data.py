@@ -4,6 +4,7 @@ record loaders."""
 import pytest
 
 from repro.data.increase import increase_dataset, token_shift_order
+from repro.core.naive import naive_self_join
 from repro.data.loaders import read_records, write_records
 from repro.data.synthetic import (
     CITESEERX_SPEC,
@@ -12,12 +13,13 @@ from repro.data.synthetic import (
     generate_citeseerx,
     generate_corpus,
     generate_dblp,
+    generate_skewed,
 )
 from repro.join.config import JoinConfig
 from repro.join.driver import set_similarity_self_join
 from repro.join.records import parse_fields, rid_of
 
-from tests.conftest import make_cluster
+from tests.conftest import make_cluster, oracle_projections, pair_keys
 
 
 class TestSynthetic:
@@ -72,6 +74,36 @@ class TestSynthetic:
         spec = CorpusSpec(name="nodups", dup_fraction=0.0)
         lines = generate_corpus(spec, 50, seed=3)
         assert len(lines) == 50
+
+
+class TestSkewed:
+    """``generate_skewed`` is the reducer-size stress corpus: hub tokens
+    pull a few percent of all records onto single Stage-2 routes."""
+
+    def test_deterministic_in_size_and_seed(self):
+        assert generate_skewed(300, seed=44) == generate_skewed(300, seed=44)
+        assert generate_skewed(300, seed=44) != generate_skewed(300, seed=45)
+        assert generate_skewed(300, seed=44)[:200] != generate_skewed(200, seed=44)
+
+    @pytest.mark.parametrize("kernel", ["pk", "bk"])
+    def test_join_equals_the_naive_oracle(self, kernel):
+        records = generate_skewed(300, seed=44)
+        config = JoinConfig(threshold=0.8, kernel=kernel)
+        pairs, _ = set_similarity_self_join(records, config, cluster=make_cluster())
+        expected = naive_self_join(
+            oracle_projections(records, config.schema), config.sim, config.threshold
+        )
+        joined = sorted((rid_of(a), rid_of(b)) for a, b, _sim in pairs)
+        assert joined == pair_keys(expected) and joined
+
+    def test_largest_reducer_holds_a_bigger_share_than_dblps(self):
+        def share(records):
+            _, report = set_similarity_self_join(
+                records, JoinConfig(threshold=0.8), cluster=make_cluster()
+            )
+            return report.stage2_max_reducer_input / len(records)
+
+        assert share(generate_skewed(300, seed=44)) > share(generate_dblp(300, seed=44))
 
 
 class TestIncrease:

@@ -14,7 +14,6 @@ inline on single-core machines).
 import multiprocessing
 import os
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +26,6 @@ from repro.core.similarity import Jaccard
 from repro.data.synthetic import generate_dblp
 from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_rs, ssjoin_self
-from repro.join.planner import Stage2Plan
 from repro.mapreduce import cluster as cluster_module, executor as executor_module
 from repro.mapreduce.cluster import (
     ClusterConfig,
@@ -219,16 +217,15 @@ class TestEngineParity:
             name.startswith("hist.shuffle.partition_bytes.") for name in per.counters()
         )
 
-    @pytest.mark.parametrize("split", [False, True], ids=["static", "split"])
-    @pytest.mark.parametrize("join", ["self", "rs"])
-    def test_map_tasks_size_each_pair_once(self, rng, monkeypatch, join, split):
+    @pytest.mark.parametrize("join", ["self", "rs"], ids=["self-static", "rs-static"])
+    def test_map_tasks_size_each_pair_once(self, rng, monkeypatch, join):
         """``TaskStats.partition_bytes`` is the per-bucket walk it
         replaced, for every map task of every job of a join: Stage 1
-        (combiner), Stage 2 (the split plan replicates one value object
-        across shards) and Stage 3."""
+        (combiner), Stage 2 (a record's routes share one value object)
+        and Stage 3."""
         r = random_records(rng, 60)
         s = random_records(rng, 40, rid_base=1000)
-        config = JoinConfig(threshold=0.5, schema=SCHEMA_1, adaptive=split)
+        config = JoinConfig(threshold=0.5, schema=SCHEMA_1)
         checked = []
 
         def checking_map_task(job, *args, **kwargs):
@@ -251,15 +248,10 @@ class TestEngineParity:
         )
         cluster.dfs.write("r", r)
         cluster.dfs.write("s", s)
-        plan = Stage2Plan("individual", None, splits=(("w0", 3), ("w1", 2)))
-        with mock.patch(
-            "repro.join.driver.plan_stage2", lambda sample, cfg, reducers: plan
-        ):
-            if join == "self":
-                report = ssjoin_self(cluster, "r", config)
-            else:
-                report = ssjoin_rs(cluster, "r", "s", config)
-        assert report.counters().get("plan.splits", 0) == (2 if split else 0)
+        if join == "self":
+            report = ssjoin_self(cluster, "r", config)
+        else:
+            report = ssjoin_rs(cluster, "r", "s", config)
         jobs = {p.job_name for stats in report.stages.values() for p in stats.phases}
         assert {name for name, _c, nonempty in checked if nonempty} == jobs
         assert any(combiner for _n, combiner, _e in checked)

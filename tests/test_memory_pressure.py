@@ -40,7 +40,6 @@ from repro.join.memory import (
     next_escalation,
     plan_admission,
 )
-from repro.join.planner import Stage2Plan
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.dfs import InMemoryDFS
@@ -139,8 +138,6 @@ def make_sample(prefix_lists, token_lists, sampled=None, total=None):
     sampled = len(prefix_lists) if sampled is None else sampled
     total = sampled if total is None else total
     return PrefixSample(
-        prefix_counts={},
-        order=(),
         prefix_rank_lists=tuple(tuple(p) for p in prefix_lists),
         token_rank_lists=tuple(tuple(t) for t in token_lists),
         records_sampled=sampled,
@@ -310,13 +307,13 @@ class TestAdmission:
     def test_no_budget_is_a_no_op(self):
         sample = make_sample([(0,)], [(0, 1)])
         config = JoinConfig(**CONFIG)
-        admitted, plan, counters = plan_admission(sample, config, None)
-        assert admitted is config and plan is None and counters == {}
+        admitted, counters = plan_admission(sample, config)
+        assert admitted is config and counters == {}
 
     def test_fitting_plan_is_untouched(self):
         sample = make_sample([(0,)], [(0, 1)])
         config = JoinConfig(**CONFIG, kernel="bk", memory_budget_mb=64.0)
-        admitted, _plan, counters = plan_admission(sample, config, None)
+        admitted, counters = plan_admission(sample, config)
         assert admitted.blocks is None and admitted.kernel == "bk"
         assert counters[MEMORY_ADMITTED] == 1
         assert counters[MEMORY_ADMISSION_ADJUSTMENTS] == 0
@@ -330,7 +327,7 @@ class TestAdmission:
             total=640,
         )
         config = JoinConfig(**CONFIG, kernel="pk", memory_budget_mb=budget_mb)
-        admitted, _plan, counters = plan_admission(sample, config, None)
+        admitted, counters = plan_admission(sample, config)
         assert counters[MEMORY_ADMISSION_ADJUSTMENTS] >= 2
         assert admitted.kernel == "bk" and admitted.blocks is not None
         allowance = 0.8 * budget_mb * 1024 * 1024
@@ -345,9 +342,7 @@ class TestAdmission:
             total=400,
         )
         config = JoinConfig(**CONFIG, kernel="pk", memory_budget_mb=0.002)
-        first = plan_admission(sample, config, None)
-        second = plan_admission(sample, config, None)
-        assert first[0] == second[0] and first[2] == second[2]
+        assert plan_admission(sample, config) == plan_admission(sample, config)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +358,7 @@ class TestLadder:
         steps = []
         while (step := next_escalation(config)) is not None:
             steps.append(step)
-            config, _ = apply_step(config, None, step)
+            config = apply_step(config, step)
             assert len(steps) < 32, "ladder must terminate"
         assert steps[:4] == [
             "routing:individual",
@@ -416,8 +411,8 @@ class TestLadder:
             sampled=64,
             total=640,
         )
-        admitted, _plan, counters = plan_admission(
-            sample, config.with_options(memory_budget_mb=0.001), None
+        admitted, counters = plan_admission(
+            sample, config.with_options(memory_budget_mb=0.001)
         )
         assert admitted.blocks is not None and admitted.length_class_width is None
         assert counters[MEMORY_ADMISSION_ADJUSTMENTS] == 1
@@ -427,31 +422,23 @@ class TestLadder:
         for bad in ("routing:grouped", "kernel:gpu", "blocks:weird:3",
                     "blocks:reduce:x", "batch:32", "batch:none", "frobnicate"):
             with pytest.raises(ValueError):
-                apply_step(config, None, bad)
+                apply_step(config, bad)
 
-    def test_routing_step_clears_plan_splits(self):
-        plan = Stage2Plan(
-            routing="grouped", num_groups=4, splits=(("common", 2),),
-        )
+    def test_routing_step_drops_the_group_count(self):
         config = JoinConfig(**CONFIG, routing="grouped", num_groups=4)
-        config, plan = apply_step(config, plan, "routing:individual")
+        config = apply_step(config, "routing:individual")
         assert config.routing == "individual" and config.num_groups is None
-        assert plan.routing == "individual" and plan.splits == ()
 
-    def test_blocks_step_clears_length_classes_and_splits(self):
+    def test_blocks_step_clears_length_classes(self):
         config = JoinConfig(**CONFIG, kernel="bk", length_class_width=4)
-        plan = Stage2Plan(
-            routing="individual", num_groups=None, splits=(("common", 2),),
-        )
-        config, plan = apply_step(config, plan, "blocks:map:4")
+        config = apply_step(config, "blocks:map:4")
         assert config.blocks == BlockPolicy(strategy=MAP_BASED, num_blocks=4)
         assert config.length_class_width is None
-        assert plan.splits == ()
 
     def test_apply_degradations_folds_in_order(self):
         config = JoinConfig(**CONFIG, kernel="pk")
-        config, _ = apply_degradations(
-            config, None, ["kernel:bk", "blocks:reduce:2", "blocks:reduce:4"]
+        config = apply_degradations(
+            config, ["kernel:bk", "blocks:reduce:2", "blocks:reduce:4"]
         )
         assert config.kernel == "bk"
         assert config.blocks.num_blocks == 4
@@ -586,6 +573,47 @@ class TestSqueezeRecoveryPersistent:
         assert pairs == clean_pairs
 
 
+@fork_only
+@pytest.mark.parametrize("squeezed", [False, True], ids=["plain", "squeeze"])
+@pytest.mark.parametrize("engines", ["sim-to-pool", "pool-to-sim"])
+def test_checkpoint_resumes_on_the_other_engine(tmp_path, engines, squeezed):
+    """A checkpoint one engine wrote, killed after Stage 2, resumes on
+    the other to the clean run's output; memory steps the writer
+    recorded are replayed from the manifest (the reader has no fault
+    plan to rediscover them with)."""
+    make_writer, make_reader = (
+        (make_sim, make_pp) if engines == "sim-to-pool" else (make_pp, make_sim)
+    )
+    records = skewed_records()
+    config = JoinConfig(**CONFIG, kernel="pk")
+    clean_pairs, _ = run_self(make_sim(), records, config)
+
+    faults = "raise:brj-*:map:*:*"
+    if squeezed:
+        faults = squeeze_self("pk") + ";" + faults
+    writer = make_writer(fault_plan=FaultPlan.parse(faults))
+    try:
+        with pytest.raises(TaskError):
+            run_self(writer, records, config, checkpoint=JoinCheckpoint(tmp_path))
+    finally:
+        writer.close()
+    recorded = json.loads((tmp_path / "manifest.json").read_text()).get("memory_steps", [])
+    assert bool(recorded) == squeezed
+
+    reader = make_reader()
+    try:
+        pairs, report = run_self(
+            reader, records, config,
+            checkpoint=JoinCheckpoint(tmp_path, resume=True),
+        )
+    finally:
+        reader.close()
+    assert pairs == clean_pairs
+    assert report.counters()["resume.stages_skipped"] == 2
+    assert report.memory_steps == recorded
+    assert report.counters().get("memory.replans", 0) == len(recorded)
+
+
 # ---------------------------------------------------------------------------
 # budget-driven admission end to end
 # ---------------------------------------------------------------------------
@@ -603,6 +631,14 @@ class TestBudgetEndToEnd:
         assert counters["memory.admitted"] == 1
         assert counters["memory.admission_adjustments"] >= 1
         assert pairs == clean_pairs
+
+    def test_unbudgeted_run_never_samples_the_input(self, monkeypatch):
+        def sampled(*args, **kwargs):
+            raise AssertionError("input sampled without a memory budget")
+
+        monkeypatch.setattr("repro.join.driver.sample_prefix_frequencies", sampled)
+        pairs, report = run_self(make_sim(), skewed_records(), JoinConfig(**CONFIG))
+        assert pairs and "memory.admitted" not in report.counters()
 
     def test_admitted_plan_avoids_runtime_squeeze(self):
         # admission under a budget at the squeeze cap means the squeezed

@@ -309,9 +309,9 @@ REAL_CODE_MUTATIONS = {
         "                lines[rid] = line  # mrlint: disable=MR002",
     ),
     "MR101": (  # the one bug found in tree (DESIGN.md section 5c), put back
-        ["join/planner.py", "join/driver.py"], "join/planner.py",
-        "        for route in sorted(routes(ranks)):",
-        "        for route in set(routes(ranks)):",
+        ["join/memory.py", "join/driver.py"], "join/memory.py",
+        "        for route in sorted(routes(prefix_ranks)):",
+        "        for route in set(routes(prefix_ranks)):",
     ),
     "MR102": (
         ["join/fullrecord.py"], "join/fullrecord.py",

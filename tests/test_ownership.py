@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.sanitize import make_sanitizer
 from repro.core.naive import naive_rs_join, naive_self_join
-from repro.core.ordering import TokenOrder
 from repro.core.ppjoin import PPJoinIndex
 from repro.core.prefixes import Projection, projection_bytes
 from repro.core.similarity import Jaccard
@@ -24,9 +23,8 @@ from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_rs, ssjoin_self
 from repro.join.estimate import PrefixSample, sample_prefix_frequencies
 from repro.join.memory import estimate_group_footprints
-from repro.join.planner import Stage2Plan, _route_profiles
 from repro.join.records import make_line
-from repro.join.stage2 import make_self_mapper, owner_of, resolve_splits
+from repro.join.stage2 import make_self_mapper, owner_of
 from repro.mapreduce import PersistentParallelCluster, SimulatedCluster
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Context
@@ -240,10 +238,9 @@ def test_every_reader_of_the_routing_decision_agrees(
     routing, num_groups, dictionary, data
 ):
     """token -> route is defined once (``repro.core.prefixes.route_of``
-    under ``JoinConfig.token_groups``): the mapper, the ownership rule,
-    split resolution, the memory footprint model and the planner's route
-    profile must place every rank on the same route — the one the
-    sanitizer derives on its own."""
+    under ``JoinConfig.token_groups``): the mapper, the ownership rule
+    and the memory footprint model must place every rank on the same
+    route — the one the sanitizer derives on its own."""
     prefix = tuple(sorted(data.draw(
         st.sets(st.integers(0, dictionary - 1), min_size=1, max_size=8)
     )))
@@ -251,7 +248,6 @@ def test_every_reader_of_the_routing_decision_agrees(
         threshold=0.01, schema=SCHEMA_1, routing=routing, num_groups=num_groups
     )
     tokens = [f"t{rank:02d}" for rank in range(dictionary)]
-    order = TokenOrder(tokens)
 
     def sanitizer_agrees(rank, route):
         counters = Counters()
@@ -278,54 +274,45 @@ def test_every_reader_of_the_routing_decision_agrees(
         dict.fromkeys(expected.values())
     )
 
-    plan = Stage2Plan(routing, num_groups, splits=tuple((tokens[r], 2) for r in prefix))
-    assert resolve_splits(plan, config, order) == dict.fromkeys(expected.values(), 2)
-
     sample = PrefixSample(
-        prefix_counts={}, order=tuple(tokens), prefix_rank_lists=(prefix,),
-        token_rank_lists=(prefix,), records_sampled=1, records_total=1,
+        prefix_rank_lists=(prefix,), token_rank_lists=(prefix,),
+        records_sampled=1, records_total=1,
     )
     assert set(estimate_group_footprints(sample, config)) == set(expected.values())
-    profile = _route_profiles(sample, config.token_groups, config)
-    assert set(profile.records) == set(expected.values())
 
 
 ROUTINGS = [("individual", None), ("grouped", 1), ("grouped", 3), ("grouped", 8)]
-SPLITS = (("w0", 3), ("w1", 2), ("w7", 4))
 
-#: policy name -> (kernels it composes with, config options, takes a split plan)
+#: policy name -> (kernels it composes with, config options)
 POLICIES = {
-    "plain": (("bk", "pk"), {}, False),
-    "split": (("bk", "pk"), {}, True),
-    "map-blocks": (("bk",), {"blocks": BlockPolicy("map", 3)}, False),
-    "reduce-blocks": (("bk",), {"blocks": BlockPolicy("reduce", 3)}, False),
+    "plain": (("bk", "pk"), {}),
+    "map-blocks": (("bk",), {"blocks": BlockPolicy("map", 3)}),
+    "reduce-blocks": (("bk",), {"blocks": BlockPolicy("reduce", 3)}),
     # a self-join enhancement: the R-S mapper has no length-class keys
-    "length-classes": (("bk",), {"length_class_width": 2}, False),
+    "length-classes": (("bk",), {"length_class_width": 2}),
 }
 KERNEL_POLICIES = [
-    (kernel, policy) for policy, (kernels, _, _) in POLICIES.items() for kernel in kernels
+    (kernel, policy) for policy, (kernels, _) in POLICIES.items() for kernel in kernels
 ]
 
 
 @pytest.mark.parametrize("routing,num_groups", ROUTINGS)
 class TestStage2JobOwnership:
     """The Stage-2 output list holds every answer pair exactly once,
-    whatever the kernel, routing and Section-5 / shard policy."""
+    whatever the kernel, routing and Section-5 policy."""
 
-    def config_and_plan(self, kernel, policy, routing, num_groups):
-        _kernels, options, split = POLICIES[policy]
-        config = JoinConfig(
+    def config(self, kernel, policy, routing, num_groups):
+        _kernels, options = POLICIES[policy]
+        return JoinConfig(
             threshold=THRESHOLD, schema=SCHEMA_1, kernel=kernel,
             routing=routing, num_groups=num_groups, **options,
         )
-        plan = Stage2Plan(routing, num_groups, splits=SPLITS) if split else None
-        return config, plan
 
     @pytest.mark.parametrize("kernel,policy", KERNEL_POLICIES)
     def test_self(self, rng, kernel, policy, routing, num_groups):
-        config, plan = self.config_and_plan(kernel, policy, routing, num_groups)
+        config = self.config(kernel, policy, routing, num_groups)
         records = random_records(rng, 70)
-        pairs, stats = run_stage2(records, config, plan=plan)
+        pairs, stats = run_stage2(records, config)
         assert pair_keys(pairs) == pair_keys(oracle_self_pairs(records, config))
         assert stats.counters["stage2.pairs_output"] == len(pairs) > 0
         if kernel == "pk":
@@ -333,10 +320,10 @@ class TestStage2JobOwnership:
 
     @pytest.mark.parametrize("kernel,policy", KERNEL_POLICIES[:-1])
     def test_rs(self, rng, kernel, policy, routing, num_groups):
-        config, plan = self.config_and_plan(kernel, policy, routing, num_groups)
+        config = self.config(kernel, policy, routing, num_groups)
         r = random_records(rng, 45)
         s = random_records(rng, 45, rid_base=1000)
-        pairs, stats = run_stage2_rs(r, s, config, plan=plan)
+        pairs, stats = run_stage2_rs(r, s, config)
         assert sorted(p[:2] for p in pairs) == sorted(
             p[:2] for p in oracle_rs_pairs(r, s, config)
         )

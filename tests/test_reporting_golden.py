@@ -10,7 +10,6 @@ from repro.bench.reporting import (
     format_executor_summary,
     format_filter_counters,
     format_histograms,
-    format_plan_counters,
     format_runs_diff,
     format_speedup_series,
     format_table,
@@ -103,39 +102,6 @@ def test_format_speedup_series_golden():
         "----------  ----  ----  ----\n"
         "BTO-PK-BRJ  1.00  1.67  2.50"
     )
-
-
-def test_format_plan_counters_golden():
-    counters = {
-        "plan.num_groups": 0,
-        "plan.routing_grouped": 0, "plan.sampled_records": 125,
-        "plan.split_factor": 4, "plan.splits": 10,
-    }
-    assert format_plan_counters(counters) == (
-        "adaptive plan\n"
-        "routing     groups  splits  factor  sampled\n"
-        "----------  ------  ------  ------  -------\n"
-        "individual  -       10      4       125    "
-    )
-
-
-def test_format_plan_counters_grouped_scalar_golden():
-    counters = {
-        "plan.num_groups": 32,
-        "plan.routing_grouped": 1, "plan.sampled_records": 64,
-        "plan.split_factor": 0, "plan.splits": 0,
-    }
-    assert format_plan_counters(counters) == (
-        "adaptive plan\n"
-        "routing  groups  splits  factor  sampled\n"
-        "-------  ------  ------  ------  -------\n"
-        "grouped  32      0       -       64     "
-    )
-
-
-def test_format_plan_counters_empty_for_static_runs():
-    assert format_plan_counters({}) == ""
-    assert format_plan_counters({"stage2.pairs_output": 3}) == ""
 
 
 def test_format_runs_diff_golden():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.join.config import JoinConfig
-from repro.join.planner import Stage2Plan
 from repro.join.records import REL_R, REL_S
 from repro.join.stage2 import CANDIDATE_PAIRS, PAIRS_OUTPUT, stage2_self_job
 from repro.join.stage2_rs import stage2_rs_job
@@ -140,20 +139,17 @@ class TestGroupedRouting:
 
 
 @pytest.mark.parametrize("kernel", ["bk", "pk"])
-def test_one_reducer_serves_plain_groups_split_shards_and_rs_groups(kernel):
-    """The seam: per kernel there is one reducer.  A split-mode job's
-    ``reducer`` is that loop itself (no dispatch closure in between) and
-    takes plain groups and shards alike; the R-S job runs the same code
-    under the tagged relation policy."""
+def test_one_reducer_serves_self_groups_and_rs_groups(kernel):
+    """The seam: per kernel there is one reducer.  A self-join job's
+    ``reducer`` is that loop itself (no dispatch closure in between);
+    the R-S job runs the same code under the R-S relation policy."""
     config = JoinConfig(threshold=0.5, schema=SCHEMA_1, kernel=kernel)
-    plan = Stage2Plan(routing="individual", num_groups=None, splits=(("hot", 2),))
-    split_job = stage2_self_job(config, "records", "tokens", "out", 4, plan)
-    plain_job = stage2_self_job(config, "records", "tokens", "out", 4)
+    self_job = stage2_self_job(config, "records", "tokens", "out", 4)
     rs_job = stage2_rs_job(config, "r", "s", "tokens", "out", 4)
     loop = f"make_{kernel}_reducer.<locals>.reducer"
-    for job in (split_job, plain_job, rs_job):
+    for job in (self_job, rs_job):
         assert job.reducer.__qualname__ == loop
-        assert job.reducer.__code__ is split_job.reducer.__code__
+        assert job.reducer.__code__ is self_job.reducer.__code__
 
     a, b = (1, 2, 3, 4), (1, 2, 3, 5)  # Jaccard 3/5; routing prefixes (1, 2, 3)
 
@@ -162,22 +158,13 @@ def test_one_reducer_serves_plain_groups_split_shards_and_rs_groups(kernel):
         job.reducer(key, iter(values), ctx)
         return ctx._written
 
-    # plain self group (shard -1): both records probe, then are stored
+    # self group: both records probe, then are stored
     plain = [(REL_R, 10, 4, None, a), (REL_R, 20, 4, None, b)]
-    assert reduce(split_job, (1, -1), plain) == [(10, 20, 0.6)]
-    assert reduce(plain_job, 1, plain) == [(10, 20, 0.6)]
-    # split shard: add copies are stored, the homed probe copy probes
-    shard = [(REL_R, 10, 4, None, a), (REL_S, 20, 4, None, b), (REL_R, 20, 4, None, b)]
-    assert reduce(split_job, (1, 0), shard) == [(10, 20, 0.6)]
-    # the other shard homes no probe: same adds, no pair
-    assert reduce(split_job, (1, 1), plain) == []
+    assert reduce(self_job, 1, plain) == [(10, 20, 0.6)]
     # R-S group: R is stored, S probes; output keeps (r_rid, s_rid)
     rs = [(REL_R, 20, 4, None, a), (REL_S, 10, 4, None, b)]
     assert reduce(rs_job, 1, rs) == [(20, 10, 0.6)]
     # the pair's smallest common prefix token is 1: the groups of the
     # other shared tokens meet the pair too, and leave it to its owner
-    for job, key, values in (
-        (plain_job, 2, plain), (split_job, (3, -1), plain),
-        (split_job, (2, 0), shard), (rs_job, 3, rs),
-    ):
+    for job, key, values in ((self_job, 2, plain), (rs_job, 3, rs)):
         assert reduce(job, key, values) == []
