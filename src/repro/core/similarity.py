@@ -59,6 +59,8 @@ class SimilarityFunction(ABC):
 
     #: Short registry name, e.g. ``"jaccard"``.
     name: str = ""
+    #: Largest threshold any pair can reach; a join above it is empty.
+    max_threshold: float = 1.0
 
     @abstractmethod
     def similarity(self, x: Collection[str], y: Collection[str]) -> float:
@@ -235,6 +237,7 @@ class Overlap(SimilarityFunction):
     """
 
     name = "overlap"
+    max_threshold = math.inf
 
     def similarity(self, x: Collection[str], y: Collection[str]) -> float:
         if not x or not y:

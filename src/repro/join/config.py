@@ -109,6 +109,11 @@ class JoinConfig:
             raise ValueError(f"stage3 must be one of {STAGE3_ALGORITHMS}, got {self.stage3!r}")
         if not 0.0 < self.threshold:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
+        if self.threshold > self.sim.max_threshold:
+            raise ValueError(
+                f"threshold must be at most {self.sim.max_threshold} for "
+                f"{self.sim.name} similarity, got {self.threshold}"
+            )
         if self.bitmap_width < 1:
             raise ValueError(
                 f"bitmap_width must be >= 1, got {self.bitmap_width}"

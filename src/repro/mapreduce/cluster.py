@@ -34,6 +34,7 @@ functions must be re-runnable (:mod:`repro.analysis.mrlint`).
 
 from __future__ import annotations
 
+import gc
 import heapq
 import time
 from dataclasses import dataclass, replace
@@ -538,6 +539,25 @@ class TaskLedger:
             counters[name] = counters.get(name, 0) + value
 
 
+class collector_paused:
+    """Keep CPython's cyclic collector off for the length of a ``with``.
+
+    The data path makes no reference cycle (records, keys and values
+    are trees of scalars, ``array('i')`` and tuples), so a collection
+    during a job frees nothing and re-scans the live shuffle heap
+    (DESIGN.md §5).  Leaving re-enables the collector only if it was on
+    at entry: a caller that keeps it off, or an enclosing pause, stays.
+    """
+
+    def __enter__(self) -> None:
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._was_enabled:
+            gc.enable()
+
+
 class SimulatedCluster:
     """Executes MapReduce jobs against a DFS under a cost model."""
 
@@ -589,7 +609,9 @@ class SimulatedCluster:
         hub = self.telemetry
         tracer = self.tracer
 
-        with trace_span(tracer, job.name, "job", reducers=job.num_reducers) as job_span:
+        with collector_paused(), trace_span(
+            tracer, job.name, "job", reducers=job.num_reducers
+        ) as job_span:
             broadcast = self._load_broadcast(job)
             map_inputs = self._collect_map_inputs(job)
             shuffle = None

@@ -69,6 +69,7 @@ from repro.mapreduce.cluster import (
     SimulatedCluster,
     TaskLedger,
     check_rss_pressure,
+    collector_paused,
     execute_map_task,
     execute_reduce_task,
 )
@@ -152,6 +153,9 @@ def _worker_init(
     # _set_worker_globals directly for degraded inline execution, where
     # a crash fault must raise instead
     mark_worker_process()
+    # entered and never left: a worker runs nothing but tasks and exits
+    # with the pool
+    collector_paused().__enter__()
 
 
 def _resolve_records(spec: tuple) -> list:
@@ -974,6 +978,10 @@ class PersistentExecutor:
             )
         for t in order:
             ledgers[t].settle(results[t], won_attempt[t])
+        # submit -> absorb -> handle_failure -> submit is a cycle of
+        # closure cells holding this phase's payloads and results; with
+        # one cell emptied, reference counting frees it all on return
+        del submit
         return [results[t] for t in order], chunk_seq
 
     def run_map_phase(

@@ -94,6 +94,7 @@ class TestUserErrors:
         (["--bitmap-width", "0"], "bitmap_width must be >= 1"),
         (["--routing", "grouped", "--num-groups", "0"], "num_groups must be >= 1"),
         (["--memory-budget-mb", "0"], "memory_budget_mb must be > 0"),
+        (["--threshold", "1.5"], "threshold must be at most 1.0 for jaccard"),
     ])
     def test_bad_config_is_reported_before_the_input_is_opened(
         self, tmp_path, capsys, flags, message

@@ -1,0 +1,196 @@
+"""The cyclic collector is paused while a job runs (DESIGN.md §5).
+
+Three things are pinned: the pause is in force wherever task code runs
+(driver, pool workers, a degraded engine's inline phases); whatever
+state the caller had comes back on every way out of ``run_job``; and
+the premise — a join leaves no cyclic garbage to collect.
+"""
+
+from __future__ import annotations
+
+import gc
+import multiprocessing
+from contextlib import closing
+
+import pytest
+
+from repro.data.synthetic import generate_citeseerx, generate_dblp
+from repro.join.config import JoinConfig
+from repro.join.driver import (
+    set_similarity_rs_join,
+    set_similarity_self_join,
+    ssjoin_self,
+)
+from repro.mapreduce.cluster import (
+    ClusterConfig,
+    SimulatedCluster,
+    collector_paused,
+)
+from repro.mapreduce.dfs import InMemoryDFS
+from repro.mapreduce.executor import PersistentParallelCluster
+from repro.mapreduce.faults import FaultPlan, RetryPolicy, TaskError
+from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.types import InsufficientMemoryError, merge_executor_stats
+
+from tests.conftest import SCHEMA_1, random_records
+
+pytestmark = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable",
+)
+
+ENGINES = ["sequential", "pooled"]
+
+
+def make_cluster(
+    engine: str, memory_per_task_mb: float | None = None, **kwargs
+) -> SimulatedCluster:
+    """Small blocks (several tasks per phase); the pooled engine is
+    told it has cores, or it would run inline on a one-core host."""
+    config = ClusterConfig(
+        num_nodes=4, job_startup_s=0, task_startup_s=0,
+        memory_per_task_mb=memory_per_task_mb,
+    )
+    dfs = InMemoryDFS(num_nodes=4, block_bytes=512)
+    if engine == "sequential":
+        return SimulatedCluster(config, dfs, **kwargs)
+    return PersistentParallelCluster(
+        config, dfs, workers=2, min_tasks_for_pool=1, assume_cores=4, **kwargs
+    )
+
+
+def probe_job() -> MapReduceJob:
+    """Carries ``gc.isenabled()`` out of every mapper and reducer call."""
+
+    def mapper(record, ctx):
+        ctx.emit(record % 7, gc.isenabled())
+
+    def reducer(key, values, ctx):
+        ctx.write((key, list(values), gc.isenabled()))
+
+    return MapReduceJob(
+        name="probe", inputs=["numbers"], output="seen",
+        mapper=mapper, reducer=reducer, num_reducers=4,
+    )
+
+
+def run_probe(cluster: SimulatedCluster):
+    """Run :func:`probe_job` over 400 records: its stats, and every flag
+    it carried out (one per mapper call, one per reducer call)."""
+    cluster.dfs.write("numbers", list(range(400)))
+    stats = cluster.run_job(probe_job())
+    seen = cluster.dfs.read_all("seen")
+    flags = [f for _key, in_mappers, in_reducer in seen for f in (*in_mappers, in_reducer)]
+    assert len(flags) == 400 + len(seen)
+    return stats, flags
+
+
+@pytest.fixture(params=[True, False], ids=["caller-enabled", "caller-disabled"])
+def caller_state(request):
+    """Run the test with the collector in the given state; put back
+    whatever the test session had."""
+    session_state = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if session_state else gc.disable)()
+
+
+class TestPausedWhereTasksRun:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_off_inside_every_mapper_and_reducer(self, engine, caller_state):
+        cluster = make_cluster(engine)
+        with closing(cluster):
+            stats, flags = run_probe(cluster)
+        if engine == "pooled":  # not inline: the flags are the workers'
+            phases = [stats.map_executor, stats.reduce_executor]
+            assert merge_executor_stats({}, phases)["pooled_phases"] == 2
+        assert not any(flags)
+        assert gc.isenabled() == caller_state
+
+    def test_off_inside_a_degraded_engines_inline_phases(self, rng, caller_state):
+        records = random_records(rng, 70)
+        cluster = make_cluster(
+            "pooled",
+            fault_plan=FaultPlan.parse("crash:*:map:*:0"),
+            retry_policy=RetryPolicy(max_pool_respawns=0),
+        )
+        with closing(cluster):
+            cluster.dfs.write("records", records)
+            ssjoin_self(cluster, "records", JoinConfig(threshold=0.5, schema=SCHEMA_1))
+            assert cluster.executor.degraded
+            assert gc.isenabled() == caller_state
+            stats, flags = run_probe(cluster)
+            assert stats.map_executor.mode == stats.reduce_executor.mode == "inline"
+        assert not any(flags)
+        assert gc.isenabled() == caller_state
+
+
+class TestCallerStateComesBack:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_after_a_fault_exhausts_its_attempts(self, engine, caller_state):
+        cluster = make_cluster(
+            engine,
+            fault_plan=FaultPlan.parse("raise:probe:reduce:*:*"),
+            retry_policy=RetryPolicy(max_attempts=2),
+        )
+        with closing(cluster):
+            cluster.dfs.write("numbers", list(range(400)))
+            with pytest.raises(TaskError):
+                cluster.run_job(probe_job())
+            assert gc.isenabled() == caller_state
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_after_an_undegraded_memory_error(self, rng, engine, caller_state):
+        records = random_records(rng, 80, dup_rate=0.6)
+        config = JoinConfig(threshold=0.5, schema=SCHEMA_1, auto_degrade=False)
+        cluster = make_cluster(engine, memory_per_task_mb=0.0001)
+        with closing(cluster):
+            cluster.dfs.write("records", records)
+            with pytest.raises(InsufficientMemoryError):
+                ssjoin_self(cluster, "records", config)
+            assert gc.isenabled() == caller_state
+
+    def test_the_pause_nests(self, caller_state):
+        with collector_paused():
+            with pytest.raises(KeyError):
+                with collector_paused():
+                    assert not gc.isenabled()
+                    raise KeyError("leaves through the inner pause")
+            assert not gc.isenabled()  # the inner exit re-enabled nothing
+        assert gc.isenabled() == caller_state
+
+
+class TestTheDataPathIsAcyclic:
+    """The premise of pausing: with the collector off for a whole join,
+    a full collection afterwards has nothing to free.  If a framework
+    object ever needs a cycle, the bound becomes a small constant that
+    does not grow with the record count — never a per-record allowance."""
+
+    @staticmethod
+    def _unreachable_after(join, engine) -> int:
+        cluster = make_cluster(engine)
+        gc.collect()
+        with collector_paused():
+            with closing(cluster):
+                pairs, _report = join(cluster)
+            assert pairs
+            return gc.collect()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("count", [500, 2000])
+    def test_self_join_leaves_nothing_to_collect(self, engine, count):
+        records = generate_dblp(count, 7)
+        assert self._unreachable_after(
+            lambda cluster: set_similarity_self_join(records, cluster=cluster), engine
+        ) == 0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("count", [500, 2000])
+    def test_rs_join_leaves_nothing_to_collect(self, engine, count):
+        r = generate_dblp(count, 7)
+        s = generate_citeseerx(count, 9, shared_with=r)
+        assert self._unreachable_after(
+            lambda cluster: set_similarity_rs_join(r, s, cluster=cluster), engine
+        ) == 0

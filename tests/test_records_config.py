@@ -81,6 +81,15 @@ class TestJoinConfig:
         with pytest.raises(ValueError):
             JoinConfig(threshold=0.0)
 
+    @pytest.mark.parametrize("similarity", ["jaccard", "cosine", "dice"])
+    def test_threshold_above_what_the_similarity_can_reach(self, similarity):
+        assert JoinConfig(similarity=similarity, threshold=1.0).threshold == 1.0
+        with pytest.raises(ValueError, match=f"at most 1.0 for {similarity}"):
+            JoinConfig(similarity=similarity, threshold=1.5)
+
+    def test_overlap_thresholds_are_counts(self):
+        assert JoinConfig(similarity="overlap", threshold=3).threshold == 3
+
     def test_invalid_groups(self):
         with pytest.raises(ValueError):
             JoinConfig(num_groups=0)
