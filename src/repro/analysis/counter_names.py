@@ -53,12 +53,8 @@ KNOWN_COUNTER_NAMES: frozenset[str] = frozenset(
         'task.attempts',
         'task.lost',
         'task.retries',
-        'task.speculative',
-        'telemetry.heartbeats',
         'telemetry.maxrss_kb',
         'telemetry.phases',
-        'telemetry.rss_pressure',
-        'telemetry.stragglers',
         'telemetry.tasks',
     }
 )

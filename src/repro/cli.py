@@ -81,11 +81,6 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                              "of degrading the plan down the escalation "
                              "ladder (finer routing -> BK kernel -> blocks) "
                              "and re-running the stage")
-    parser.add_argument("--rss-cap-mb", type=int, default=None, metavar="MB",
-                        help="soft real-memory watchdog: when worker-reported "
-                             "maxrss crosses this cap, raise the simulated "
-                             "memory signal so the degradation ladder engages "
-                             "before the OS OOM killer would")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="record a span timeline of the whole join and "
                              "write it as Chrome trace-event JSON (open in "
@@ -104,17 +99,12 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                         metavar="N",
                         help="attempts allowed per task before the join "
                              "fails (default: 4)")
-    parser.add_argument("--speculate-after", type=float, default=None,
-                        metavar="SECONDS",
-                        help="launch a speculative duplicate attempt for "
-                             "tasks still running after this long "
-                             "(default: off; first completed attempt wins)")
     parser.add_argument("--progress", action="store_true",
-                        help="live progress on stderr: per-phase bars, "
-                             "throughput-based ETA and straggler flags fed "
-                             "by worker heartbeats; degrades to plain "
-                             "'progress:' log lines when stderr is not a "
-                             "TTY; observe-only, output is unchanged")
+                        help="live progress on stderr: a per-phase bar of "
+                             "finished tasks with throughput and ETA; "
+                             "degrades to plain 'progress:' log lines when "
+                             "stderr is not a TTY; observe-only, output is "
+                             "unchanged")
     parser.add_argument("--runs-dir", default=None, metavar="DIR",
                         help="run-manifest registry directory (default: "
                              "$REPRO_RUNS_DIR or .repro-runs)")
@@ -159,15 +149,12 @@ def _fault_options(args: argparse.Namespace) -> dict:
 
     fault_plan = FaultPlan.load(args.faults) if args.faults else None
     retry_policy = None
-    if args.max_task_retries is not None or args.speculate_after is not None:
+    if args.max_task_retries is not None:
         import dataclasses
 
-        changes: dict = {}
-        if args.max_task_retries is not None:
-            changes["max_attempts"] = args.max_task_retries
-        if args.speculate_after is not None:
-            changes["speculative_after_s"] = args.speculate_after
-        retry_policy = dataclasses.replace(DEFAULT_RETRY_POLICY, **changes)
+        retry_policy = dataclasses.replace(
+            DEFAULT_RETRY_POLICY, max_attempts=args.max_task_retries
+        )
     return {"fault_plan": fault_plan, "retry_policy": retry_policy}
 
 
@@ -216,18 +203,13 @@ def _export_trace(args: argparse.Namespace, tracer) -> None:
 
 
 def _attach_telemetry(args: argparse.Namespace, cluster: SimulatedCluster, tracer):
-    """Attach a TelemetryHub to *cluster* for ``--progress`` and/or the
-    ``--rss-cap-mb`` real-memory watchdog."""
-    rss_cap_mb = getattr(args, "rss_cap_mb", None)
-    if not args.progress and rss_cap_mb is None:
+    """Attach a TelemetryHub to *cluster* when ``--progress`` was given."""
+    if not args.progress:
         return None
     from repro.obs.telemetry import TelemetryHub, make_progress_view
 
-    view = make_progress_view(stream=sys.stderr) if args.progress else None
     cluster.telemetry = TelemetryHub(
-        view=view,
-        tracer=tracer,
-        rss_cap_kb=rss_cap_mb * 1024 if rss_cap_mb is not None else None,
+        view=make_progress_view(stream=sys.stderr), tracer=tracer
     )
     return cluster.telemetry
 
@@ -275,7 +257,6 @@ def _emit(args: argparse.Namespace, pairs: list, report: JoinReport) -> None:
             "  faults: "
             f"injected={counters.get('fault.injected', 0)}, "
             f"retries={counters.get('task.retries', 0)}, "
-            f"speculative={counters.get('task.speculative', 0)}, "
             f"lost={counters.get('task.lost', 0)}",
             file=sys.stderr,
         )
@@ -349,12 +330,14 @@ def _cmd_join(args: argparse.Namespace) -> int:
             if hub is not None:
                 hub.close()
             _export_trace(args, tracer)
-        if hub is not None:
-            print(hub.summary_line(), file=sys.stderr)
-        _emit(args, sorted(cluster.dfs.read_all(report.output_file)), report)
-        _record_run(args, ",".join(paths), config, report)
     finally:
+        # before the manifest is built: RUSAGE_CHILDREN counts a worker
+        # only once it is reaped.  The DFS outlives the pool.
         cluster.close()
+    if hub is not None:
+        print(hub.summary_line(), file=sys.stderr)
+    _emit(args, sorted(cluster.dfs.read_all(report.output_file)), report)
+    _record_run(args, ",".join(paths), config, report)
     return 0
 
 

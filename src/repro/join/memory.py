@@ -20,8 +20,8 @@ path charge — scaled by the sample rate.
 **Runtime degradation** (:func:`next_escalation` / :func:`apply_step`).
 When a Stage-2 task raises
 :class:`~repro.mapreduce.types.InsufficientMemoryError` — whether from
-the simulated byte meter, a ``squeeze`` fault, or the real-RSS
-watchdog — the driver treats it as a *plan fault*, not a task fault:
+the simulated byte meter or a ``squeeze`` fault — the driver treats it
+as a *plan fault*, not a task fault:
 the stage is re-planned one ladder rung down and re-run, at most
 :data:`MAX_REPLANS` times.
 

@@ -26,10 +26,9 @@ reuses them across worker processes for real multi-core execution.
 The paper's Hadoop configuration maps onto :class:`ClusterConfig`:
 10 nodes, 4 map + 4 reduce slots per node, 128 MB blocks (scaled
 down).  Failed task attempts are re-run on both engines, up to
-``RetryPolicy.max_attempts``; speculative duplicates of stragglers are
-off by default as in the paper's setup, and exist only on the pooled
-engine (``RetryPolicy.speculative_after_s``) — which is why MR
-functions must be re-runnable (:mod:`repro.analysis.mrlint`).
+``RetryPolicy.max_attempts`` — which is why MR functions must be
+re-runnable (:mod:`repro.analysis.mrlint`); a slow task is never
+duplicated, as in the paper's setup.
 """
 
 from __future__ import annotations
@@ -70,13 +69,12 @@ from repro.mapreduce.hashing import stable_hash
 from repro.mapreduce.job import Context, MapReduceJob, _identity
 from repro.mapreduce.types import (
     ExecutorPhaseStats,
-    InsufficientMemoryError,
     PhaseStats,
     TaskStats,
     approx_bytes,
 )
 from repro.obs.metrics import observe_into
-from repro.obs.telemetry import HeartbeatEmitter, TelemetryHub
+from repro.obs.telemetry import TelemetryHub
 from repro.obs.trace import Tracer, trace_span
 
 _TaskResult = TypeVar("_TaskResult", bound=tuple)
@@ -172,16 +170,14 @@ def execute_map_task(
     map_slots: int,
     *,
     tracer: Tracer | None = None,
-    heartbeat: HeartbeatEmitter | None = None,
 ) -> tuple[TaskStats, list[tuple[int, tuple, tuple]], dict[str, int]]:
     """Run one map task (+ combiner + partitioning).
 
     Returns ``(stats, partitioned, counters)`` where ``partitioned`` is
     a list of ``(partition_index, key, value)`` triples in emission
     order and ``counters`` is the task's counter snapshot.  When a
-    *tracer* is attached, the task records a span; when a *heartbeat*
-    emitter is attached, it is advanced per input record — both
-    observe-only, the returned triple is identical either way.
+    *tracer* is attached, the task records a span — observe-only, the
+    returned triple is identical either way.
     """
     span = trace_span(tracer, f"map:{task_id}", "task", job=job.name, task=task_id)
     ctx = Context(
@@ -197,13 +193,8 @@ def execute_map_task(
     setup_cpu = time.perf_counter() - t0
     record = None
     try:
-        if heartbeat is None:
-            for record in records:
-                job.mapper(record, ctx)
-        else:
-            for record in records:
-                job.mapper(record, ctx)
-                heartbeat.advance()
+        for record in records:
+            job.mapper(record, ctx)
         if job.map_teardown is not None:
             job.map_teardown(ctx)
     except NON_RETRYABLE:
@@ -277,8 +268,6 @@ def execute_map_task(
         output_bytes=output_bytes,
     )
     span.close()
-    if heartbeat is not None:
-        heartbeat.finish(len(records))
     return stats, partitioned, ctx.counters.as_dict()
 
 
@@ -309,7 +298,6 @@ def execute_reduce_task(
     memory_limit_bytes: int | None,
     *,
     tracer: Tracer | None = None,
-    heartbeat: HeartbeatEmitter | None = None,
 ) -> tuple[TaskStats, list, dict[str, int]]:
     """Run one reduce task over its partition's ``(key, value)`` list.
 
@@ -336,8 +324,6 @@ def execute_reduce_task(
             job.reducer(group_key, values, ctx)
             for _ in values:  # drain whatever the reducer did not consume
                 pass
-            if heartbeat is not None:
-                heartbeat.advance()
         if job.reduce_teardown is not None:
             job.reduce_teardown(ctx)
     except NON_RETRYABLE:
@@ -391,8 +377,6 @@ def execute_reduce_task(
         kernel_work=kernel_work,
     )
     span.close()
-    if heartbeat is not None:
-        heartbeat.finish(len(bucket))
     return stats, ctx._written, counter_snapshot
 
 
@@ -459,28 +443,6 @@ class DriverShuffle:
 
     def cleanup(self) -> None:
         """Nothing outlives the object."""
-
-
-def check_rss_pressure(
-    hub: TelemetryHub | None,
-    job: MapReduceJob,
-    phase: str,
-    task_id: int = -1,
-    attempt: int = 0,
-) -> None:
-    """Surface a latched real-RSS watchdog trip as the simulated memory
-    signal (see :class:`repro.obs.telemetry.TelemetryHub`), before real
-    RSS runs further past the cap; a no-op without telemetry or below
-    the cap.  Both engines poll it: per attempt here, per dispatch-loop
-    turn (no single task to blame) in the executor."""
-    if hub is None:
-        return
-    pressure = hub.consume_pressure()
-    if pressure is not None:
-        observed_kb, cap_kb = pressure
-        raise InsufficientMemoryError(
-            "real RSS watchdog", observed_kb * 1024, cap_kb * 1024
-        ).with_context(job.name, phase, task_id, attempt)
 
 
 class TaskLedger:
@@ -574,12 +536,12 @@ class SimulatedCluster:
         #: phase and task spans (observe-only; ``None`` = no tracing)
         self.tracer: Tracer | None = None
         #: attach a :class:`repro.obs.telemetry.TelemetryHub` to receive
-        #: phase/task progress events and per-task heartbeats
-        #: (observe-only; ``None`` = no telemetry)
+        #: phase/task progress events (observe-only; ``None`` = no
+        #: telemetry)
         self.telemetry: TelemetryHub | None = None
         #: deterministic fault-injection schedule (``None`` = no faults)
         self.fault_plan = fault_plan
-        #: retry/speculation knobs; ``None`` = :data:`DEFAULT_RETRY_POLICY`
+        #: retry knobs; ``None`` = :data:`DEFAULT_RETRY_POLICY`
         self.retry_policy = retry_policy
 
     # -- public API ---------------------------------------------------------
@@ -711,14 +673,13 @@ class SimulatedCluster:
 
             def run(
                 limit: int | None,
-                heartbeat: HeartbeatEmitter | None,
                 task_id: int = task_id,
                 input_name: str = input_name,
                 records: list = records,
             ) -> tuple:
                 return execute_map_task(
                     job, task_id, input_name, records, *broadcast, limit, slots,
-                    tracer=self.tracer, heartbeat=heartbeat,
+                    tracer=self.tracer,
                 )
 
             task_stats, partitioned, counters = self._attempt_task(
@@ -740,13 +701,11 @@ class SimulatedCluster:
 
             def run(
                 limit: int | None,
-                heartbeat: HeartbeatEmitter | None,
                 partition: int = partition,
                 bucket: list = bucket,
             ) -> tuple:
                 return execute_reduce_task(
-                    job, partition, bucket, limit,
-                    tracer=self.tracer, heartbeat=heartbeat,
+                    job, partition, bucket, limit, tracer=self.tracer
                 )
 
             results.append(self._attempt_task(job, "reduce", partition, run))
@@ -757,11 +716,11 @@ class SimulatedCluster:
         job: MapReduceJob,
         phase: str,
         task_id: int,
-        run: Callable[[int | None, HeartbeatEmitter | None], _TaskResult],
+        run: Callable[[int | None], _TaskResult],
     ) -> _TaskResult:
         """Run one task under the cluster's fault plan and retry policy.
 
-        ``run(memory_limit, heartbeat)`` executes one attempt
+        ``run(memory_limit)`` executes one attempt
         (:func:`repro.mapreduce.faults.run_attempt` wraps it).  Injected
         faults and genuine failures are retried up to the policy's
         attempt budget; fault and retry tallies are merged into the
@@ -776,13 +735,9 @@ class SimulatedCluster:
         ledger = TaskLedger(plan, self.tracer, *where)
         attempt = 0
         while True:
-            check_rss_pressure(hub, job, phase, task_id, attempt)
             ledger.note_fault(attempt)
-            heartbeat = None if hub is None else hub.emitter_for(*where)
             try:
-                result = run_attempt(
-                    plan, *where, attempt, limit, lambda lim: run(lim, heartbeat)
-                )
+                result = run_attempt(plan, *where, attempt, limit, run)
             except TaskError:
                 attempt += 1
                 if attempt >= policy.max_attempts:

@@ -52,23 +52,21 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import queue as stdlib_queue
 import shutil
 import tempfile
 import threading
 import time
+import traceback
 import weakref
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.pool import AsyncResult
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.analysis.sanitize import env_sanitize
 from repro.mapreduce.cluster import (
     ClusterConfig,
     SimulatedCluster,
     TaskLedger,
-    check_rss_pressure,
     collector_paused,
     execute_map_task,
     execute_reduce_task,
@@ -78,7 +76,6 @@ from repro.mapreduce.faults import (
     DEFAULT_RETRY_POLICY,
     NON_RETRYABLE,
     TASK_LOST,
-    TASK_SPECULATIVE,
     FaultPlan,
     RetryPolicy,
     TaskError,
@@ -88,7 +85,7 @@ from repro.mapreduce.faults import (
 )
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import ExecutorPhaseStats, approx_bytes
-from repro.obs.telemetry import HeartbeatEmitter, TelemetryHub
+from repro.obs.telemetry import TelemetryHub
 from repro.obs.trace import Tracer, trace_span
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
@@ -129,9 +126,6 @@ def _effective_cores() -> int:
 _W_JOBS: Sequence[MapReduceJob] = ()
 _W_DFS: InMemoryDFS | None = None
 _W_BCAST_CACHE: dict[str, dict] = {}
-#: heartbeat side channel back to the parent's TelemetryHub (None when
-#: telemetry is off; inherited through the fork like the job registry)
-_W_HB_QUEUE = None
 
 
 def _set_worker_globals(jobs: Sequence[MapReduceJob], dfs: InMemoryDFS | None) -> None:
@@ -141,13 +135,7 @@ def _set_worker_globals(jobs: Sequence[MapReduceJob], dfs: InMemoryDFS | None) -
     _W_BCAST_CACHE.clear()
 
 
-def _worker_init(
-    jobs: Sequence[MapReduceJob],
-    dfs: InMemoryDFS | None,
-    hb_queue=None,
-) -> None:
-    global _W_HB_QUEUE
-    _W_HB_QUEUE = hb_queue
+def _worker_init(jobs: Sequence[MapReduceJob], dfs: InMemoryDFS | None) -> None:
     _set_worker_globals(jobs, dfs)
     # lets 'crash' faults really kill the process; the parent uses
     # _set_worker_globals directly for degraded inline execution, where
@@ -190,20 +178,6 @@ def _broadcast_for(path: str | None) -> dict:
     return cached
 
 
-def _worker_heartbeat(
-    hb_interval: float | None, job_name: str, phase: str, task_id: int
-) -> HeartbeatEmitter | None:
-    """A heartbeat emitter sinking into the worker's queue, or None.
-
-    Also None in a degraded parent running chunks inline: there the
-    queue global was never set, and the hub gets its completion signal
-    from the dispatch loop anyway.
-    """
-    if hb_interval is None or _W_HB_QUEUE is None:
-        return None
-    return HeartbeatEmitter(_W_HB_QUEUE.put, job_name, phase, task_id, hb_interval)
-
-
 #: partition -> (offset, length) of its pickle blob in the spill file
 Segments = dict[int, tuple[int, int]]
 #: one reduce-side segment reference: (spill path, offset, length) —
@@ -241,10 +215,10 @@ def _spill_map_output(
 ) -> tuple[str, Segments]:
     """Write one map task's partitioned output to its spill file.
 
-    ``stem`` names the attempt (``m<task>a<attempt>``) so concurrent
-    attempts of the same task — speculation, retries racing a straggler
-    — never collide on a file.  Returns ``(path, segments)``; the path
-    is ``""`` for a task that emitted nothing.
+    ``stem`` names the attempt (``m<task>a<attempt>``) so a retry never
+    reopens the file of an attempt that was lost with its worker.
+    Returns ``(path, segments)``; the path is ``""`` for a task that
+    emitted nothing.
     """
     segments, blobs = _serialize_buckets(partitioned, num_reducers)
     if not segments:
@@ -269,8 +243,7 @@ def _read_segments(refs: list[SegmentRef]) -> list:
 
 def _map_attempt(
     job: MapReduceJob, task_id: int, attempt: int, limit: int | None,
-    tracer: Tracer | None, heartbeat: HeartbeatEmitter | None,
-    phase_args: tuple, input_name: str, spec: tuple,
+    tracer: Tracer | None, phase_args: tuple, input_name: str, spec: tuple,
 ) -> tuple:
     """One map attempt: run the task, spill its partitioned output.
     Returns ``(stats, path, segments, counters)`` — the shuffled bytes
@@ -280,7 +253,7 @@ def _map_attempt(
     stats, partitioned, counters = execute_map_task(
         job, task_id, input_name, _resolve_records(spec),
         _broadcast_for(bcast_path), broadcast_bytes, broadcast_cpu,
-        limit, map_slots, tracer=tracer, heartbeat=heartbeat,
+        limit, map_slots, tracer=tracer,
     )
     path, segments = _spill_map_output(
         phase_dir, f"m{task_id}a{attempt}", partitioned, job.num_reducers
@@ -290,13 +263,11 @@ def _map_attempt(
 
 def _reduce_attempt(
     job: MapReduceJob, partition: int, attempt: int, limit: int | None,
-    tracer: Tracer | None, heartbeat: HeartbeatEmitter | None,
-    phase_args: tuple, refs: list[SegmentRef],
+    tracer: Tracer | None, phase_args: tuple, refs: list[SegmentRef],
 ) -> tuple:
     """One reduce attempt over its partition's spill-file segments."""
     return execute_reduce_task(
-        job, partition, _read_segments(refs), limit,
-        tracer=tracer, heartbeat=heartbeat,
+        job, partition, _read_segments(refs), limit, tracer=tracer
     )
 
 
@@ -314,7 +285,7 @@ def _run_chunk(args: tuple) -> tuple:
     parent's retry engine can act per task.
     """
     chunk_index, jid, phase, common, phase_args, tasks = args
-    memory_limit, trace, plan, hb_interval = common
+    memory_limit, trace, plan = common
     job = _W_JOBS[jid]
     attempt_fn = _ATTEMPT[phase]
     # When the parent traces, each chunk records its task spans into a
@@ -327,9 +298,7 @@ def _run_chunk(args: tuple) -> tuple:
 
         def run(limit: int | None) -> tuple:
             return attempt_fn(
-                job, task_id, attempt, limit, tracer,
-                _worker_heartbeat(hb_interval, job.name, phase, task_id),
-                phase_args, *payload,
+                job, task_id, attempt, limit, tracer, phase_args, *payload
             )
 
         try:
@@ -352,13 +321,10 @@ def _run_chunk(args: tuple) -> tuple:
 
 @dataclass
 class _Flight:
-    """One in-flight chunk: its pool handle and the task attempts it
-    carries, plus the submit time that drives speculation."""
+    """One in-flight chunk: its pool handle and the tasks it carries."""
 
     handle: AsyncResult
-    tasks: list[tuple[int, int]]  # (task_id, attempt)
-    started: float = field(default_factory=time.perf_counter)
-    speculated: bool = False
+    tasks: list[int]
 
 
 @dataclass
@@ -377,8 +343,6 @@ class ExecutorStats:
     spill_bytes_read: int = 0
     #: task attempts re-dispatched after a retryable failure
     tasks_retried: int = 0
-    #: speculative duplicate attempts launched against stragglers
-    tasks_speculated: int = 0
     #: in-flight attempts abandoned when a worker process died
     tasks_lost: int = 0
     #: pools re-forked after detecting a dead worker
@@ -396,7 +360,7 @@ class MapShuffle:
     intermediate data itself.  Owns the phase's spill directory:
     :meth:`cleanup` removes it whole, which also reclaims files written
     by attempts whose results never came back (lost to a crashed
-    worker, or losers of a speculation race).
+    worker).
     """
 
     def __init__(
@@ -493,6 +457,10 @@ def _terminate_pool(pool, grace_s: float = _TEARDOWN_GRACE_S) -> None:
         if worker.is_alive():
             worker.kill()
         worker.join(grace_s)
+    # a result that never came back (its worker died, or its phase
+    # failed first) stays in the pool's cache, and each points back at
+    # the pool: drop them, or only a collection frees the pool
+    getattr(pool, "_cache", {}).clear()
 
 
 def _final_cleanup(holder: dict) -> None:
@@ -534,13 +502,11 @@ class PersistentExecutor:
         self.tracer: Tracer | None = None
         #: deterministic fault-injection schedule (set by the cluster)
         self.fault_plan: FaultPlan | None = None
-        #: retry/speculation knobs (set by the cluster; None = defaults)
+        #: retry knobs (set by the cluster; None = defaults)
         self.retry_policy: RetryPolicy | None = None
-        #: live heartbeat collector (set by the cluster; observe-only)
+        #: progress collector, told of every finished task (set by the
+        #: cluster; observe-only)
         self.telemetry: TelemetryHub | None = None
-        # side channel the workers inherit at fork time; heartbeats are
-        # plain tuples so the queue never pickles user objects
-        self._hb_queue = None
         #: True once repeated pool deaths exhausted the respawn budget;
         #: the engine then runs everything inline (sequential fallback)
         self.degraded = False
@@ -611,14 +577,6 @@ class PersistentExecutor:
 
     def _ensure_pool(self) -> bool:
         """Fork the pool if absent or stale; returns True on a fork."""
-        if (
-            self._pool is not None
-            and self.telemetry is not None
-            and self._hb_queue is None
-        ):
-            # hub attached after the fork: workers have no side channel,
-            # so re-fork with one
-            self._stale = True
         if self._pool is not None and self._stale:
             self._teardown_pool()
         if self._pool is not None:
@@ -639,12 +597,10 @@ class PersistentExecutor:
                 for index, block in enumerate(dfs_file.blocks):
                     self._block_refs[id(block.records)] = (name, index)
         ctx = multiprocessing.get_context("fork")
-        if self.telemetry is not None and self._hb_queue is None:
-            self._hb_queue = ctx.Queue()
         self._pool = ctx.Pool(
             self.workers,
             initializer=_worker_init,
-            initargs=(tuple(self._jobs), self._dfs, self._hb_queue),
+            initargs=(tuple(self._jobs), self._dfs),
         )
         self._holder["pool"] = self._pool
         self._worker_pids = {
@@ -718,11 +674,6 @@ class PersistentExecutor:
         * **retries**: a failed attempt is re-dispatched (bounded by
           the :class:`RetryPolicy` attempt budget); the budget
           exhausting raises the last attempt's :class:`TaskError`.
-        * **speculation**: when a chunk outlives the policy's
-          speculation window, its unfinished tasks get one duplicate
-          attempt each; the first completed attempt wins.  Attempts are
-          deterministic functions of their task, so either winner
-          yields byte-identical output.
         * **pool-death recovery**: a worker found dead (``crash``
           faults, real segfaults) blacklists its PID, abandons the
           in-flight attempts, re-forks the pool and re-dispatches every
@@ -740,36 +691,24 @@ class PersistentExecutor:
         fault/retry tallies merged into its counters (the last element),
         so chaos bookkeeping rides the existing counter path.  Under
         ``REPRO_SANITIZE=1`` the reassembly is cross-checked: every task
-        must be satisfied exactly once.
+        must be satisfied exactly once.  A task never has two attempts
+        in flight: a retry follows the failure it answers, and a pool
+        death drops every flight before anything is re-dispatched.
         """
         policy = self.retry_policy or DEFAULT_RETRY_POLICY
         plan = self.fault_plan
         jid = self._job_id(job)
         order = list(task_payloads)  # task order: reassembly follows it
         results: dict[int, tuple] = {}
-        won_attempt: dict[int, int] = {}
+        #: attempts launched per task; at most one of them is in flight,
+        #: so the one that succeeds is the last one launched
         next_attempt: dict[int, int] = {t: 0 for t in order}
-        pending: dict[int, int] = {t: 0 for t in order}
         failures: dict[int, TaskError] = {}
         flights: list[_Flight] = []
         chunk_seq = 0
         inline_mode = self.degraded
         hub = self.telemetry
         ledgers = {t: TaskLedger(plan, self.tracer, job.name, phase, t) for t in order}
-        pooled: set[int] = set()
-        final_seen: set[int] = set()
-
-        def drain_heartbeats() -> None:
-            if hub is None or self._hb_queue is None:
-                return
-            while True:
-                try:
-                    beat = self._hb_queue.get_nowait()
-                except stdlib_queue.Empty:
-                    return
-                hub.heartbeat(beat)
-                if beat[5] and beat[0] == job.name and beat[1] == phase:
-                    final_seen.add(beat[2])
 
         def build_payload(batch: list[int]) -> tuple:
             nonlocal chunk_seq
@@ -777,7 +716,6 @@ class PersistentExecutor:
             for t in batch:
                 attempt = next_attempt[t]
                 next_attempt[t] = attempt + 1
-                pending[t] += 1
                 ledgers[t].note_fault(attempt)
                 entries.append((t, attempt, *task_payloads[t]))
             payload = (chunk_seq, jid, phase, common, phase_args, entries)
@@ -789,44 +727,31 @@ class PersistentExecutor:
             if inline_mode:
                 absorb(_run_chunk(payload))
                 return
-            pooled.update(e[0] for e in payload[-1])
             handle = self._pool.apply_async(_run_chunk, (payload,))
-            flights.append(
-                _Flight(handle, [(e[0], e[1]) for e in payload[-1]])
-            )
+            flights.append(_Flight(handle, batch))
 
         def absorb(result: tuple) -> None:
             _chunk_index, oks, errs, events = result
             if events and self.tracer is not None:
                 self.tracer.absorb(events)
-            for t, attempt, core in oks:
-                if pending.get(t, 0) > 0:
-                    pending[t] -= 1
-                if t in results:
-                    continue  # a duplicate attempt lost the race
+            for t, _attempt, core in oks:
                 results[t] = core
-                won_attempt[t] = attempt
                 if hub is not None:
                     hub.task_finished(
                         job.name, phase, t, core[0].input_records
                     )
             for t, _attempt, exc, retryable in errs:
-                if pending.get(t, 0) > 0:
-                    pending[t] -= 1
-                if t in results:
-                    continue
                 handle_failure(t, exc, retryable)
 
         def handle_failure(t: int, error: BaseException, retryable: bool) -> None:
-            if not retryable:
-                raise error  # e.g. InsufficientMemoryError, raw by contract
-            failures[t] = error
-            if next_attempt[t] < policy.max_attempts:
-                ledgers[t].note_retry(next_attempt[t])
-                self.stats.tasks_retried += 1
-                submit([t])
-            elif pending[t] == 0:
+            if not retryable or next_attempt[t] >= policy.max_attempts:
+                # raw by contract (e.g. InsufficientMemoryError), or the
+                # last attempt's TaskError once the budget is spent
                 raise error
+            failures[t] = error
+            ledgers[t].note_retry(next_attempt[t])
+            self.stats.tasks_retried += 1
+            submit([t])
 
         def recover_pool_death(dead: set[int]) -> None:
             nonlocal inline_mode
@@ -838,13 +763,10 @@ class PersistentExecutor:
                     dead_workers=sorted(dead),
                     respawns=self.stats.pool_respawns,
                 )
-            lost = [
-                t for t in order if t not in results and pending.get(t, 0) > 0
-            ]
-            for t in lost:
-                pending[t] = 0
-                ledgers[t].count(TASK_LOST)
-                self.stats.tasks_lost += 1
+            for flight in flights:
+                for t in flight.tasks:
+                    ledgers[t].count(TASK_LOST)
+                    self.stats.tasks_lost += 1
             flights.clear()
             self._teardown_pool()
             unsatisfied = [t for t in order if t not in results]
@@ -882,107 +804,72 @@ class PersistentExecutor:
             initial = [dispatch_order[i::n] for i in range(n)]
         else:
             initial = self._chunk(order)
-        for chunk in initial:
-            if chunk:
-                submit(chunk)
+        try:
+            for chunk in initial:
+                if chunk:
+                    submit(chunk)
 
-        while len(results) < len(order):
-            drain_heartbeats()
-            check_rss_pressure(hub, job, phase)
-            if not flights:
-                # inline submits are synchronous and every pooled flight
-                # came back: whatever is still unsatisfied exhausted its
-                # budget en route
-                t = next(t for t in order if t not in results)
-                raise failures.get(t) or TaskError(
-                    job.name, phase, t,
-                    attempt=max(0, next_attempt[t] - 1),
-                    cause=(
-                        "task never completed"
-                        if inline_mode
-                        else "every attempt was lost in flight"
-                    ),
-                )
-            progressed = False
-            for flight in list(flights):
-                if not flight.handle.ready():
-                    continue
-                flights.remove(flight)
-                progressed = True
-                try:
-                    result = flight.handle.get()
-                except NON_RETRYABLE:
-                    raise
-                except Exception as exc:
-                    # the chunk failed structurally (result would not
-                    # pickle, pool torn down under it); retry its tasks
-                    for t, _attempt in flight.tasks:
-                        if pending.get(t, 0) > 0:
-                            pending[t] -= 1
-                        if t in results:
-                            continue
-                        handle_failure(
-                            t, task_error_from(job.name, phase, t, exc), True
-                        )
-                    continue
-                absorb(result)
-            if len(results) >= len(order):
-                break
-            if progressed:
-                continue
-            dead = self._dead_workers()
-            if dead:
-                recover_pool_death(dead)
-                continue
-            if policy.speculative_after_s is not None:
-                now = time.perf_counter()
-                for flight in flights:
-                    if (
-                        flight.speculated
-                        or now - flight.started < policy.speculative_after_s
-                    ):
+            while len(results) < len(order):
+                if not flights:
+                    # inline submits are synchronous and every pooled
+                    # flight came back: whatever is still unsatisfied
+                    # exhausted its budget en route
+                    t = next(t for t in order if t not in results)
+                    raise failures.get(t) or TaskError(
+                        job.name, phase, t,
+                        attempt=max(0, next_attempt[t] - 1),
+                        cause=(
+                            "task never completed"
+                            if inline_mode
+                            else "every attempt was lost in flight"
+                        ),
+                    )
+                progressed = False
+                for flight in list(flights):
+                    if not flight.handle.ready():
                         continue
-                    flight.speculated = True
-                    for t, _attempt in flight.tasks:
-                        if (
-                            t in results
-                            or pending.get(t, 0) != 1
-                            or next_attempt[t] >= policy.max_attempts
-                        ):
-                            continue
-                        ledgers[t].count(
-                            TASK_SPECULATIVE, "task-speculative",
-                            attempt=next_attempt[t],
-                        )
-                        self.stats.tasks_speculated += 1
-                        submit([t])
-            if flights:
-                flights[0].handle.wait(_POLL_INTERVAL_S)
-
-        # final beats ride the queue's feeder thread, so they can trail
-        # the pool's own result delivery; give every pooled task's final
-        # beat a bounded grace window before the phase closes (after
-        # which the hub's finished-phase guard would drop them).  Tasks
-        # whose worker died without beating are covered by the deadline.
-        if hub is not None and self._hb_queue is not None and pooled:
-            deadline = time.perf_counter() + 1.0
-            while not pooled <= final_seen:
-                drain_heartbeats()
-                if pooled <= final_seen or time.perf_counter() >= deadline:
+                    flights.remove(flight)
+                    progressed = True
+                    try:
+                        result = flight.handle.get()
+                    except NON_RETRYABLE:
+                        raise
+                    except Exception as exc:
+                        # the chunk failed structurally (result would
+                        # not pickle, pool torn down under it); retry
+                        # its tasks
+                        for t in flight.tasks:
+                            handle_failure(
+                                t, task_error_from(job.name, phase, t, exc), True
+                            )
+                        continue
+                    absorb(result)
+                if len(results) >= len(order):
                     break
-                time.sleep(0.005)
-        drain_heartbeats()
-        if env_sanitize() and set(results) != set(order):
-            raise RuntimeError(
-                f"dispatch satisfied {len(results)} of {len(order)} tasks"
-            )
-        for t in order:
-            ledgers[t].settle(results[t], won_attempt[t])
-        # submit -> absorb -> handle_failure -> submit is a cycle of
-        # closure cells holding this phase's payloads and results; with
-        # one cell emptied, reference counting frees it all on return
-        del submit
-        return [results[t] for t in order], chunk_seq
+                if progressed:
+                    continue
+                dead = self._dead_workers()
+                if dead:
+                    recover_pool_death(dead)
+                elif flights:
+                    flights[0].handle.wait(_POLL_INTERVAL_S)
+
+            if env_sanitize() and set(results) != set(order):
+                raise RuntimeError(
+                    f"dispatch satisfied {len(results)} of {len(order)} tasks"
+                )
+            for t in order:
+                ledgers[t].settle(results[t], next_attempt[t] - 1)
+            return [results[t] for t in order], chunk_seq
+        finally:
+            # on every way out, reference counting must free the phase:
+            # submit -> absorb -> handle_failure -> submit is a cycle of
+            # closure cells holding its payloads and results, open once
+            # one cell is emptied; and an error leaving through the
+            # helpers would reach itself (traceback -> frame -> closure
+            # -> failures) if it stayed on file
+            del submit
+            failures.clear()
 
     def run_map_phase(
         self,
@@ -1115,7 +1002,6 @@ class PersistentExecutor:
             memory_limit,
             self.tracer is not None,
             self.fault_plan,
-            self.telemetry.interval_s if self.telemetry is not None else None,
         )
         try:
             with trace_span(
@@ -1126,12 +1012,16 @@ class PersistentExecutor:
                     job, phase, common, phase_args, task_payloads, dispatch_order,
                 )
                 span.set(chunks=ex.chunks)
-        except BaseException:
+        except BaseException as exc:
             # workers (possibly mid-straggler-sleep) must not keep the
             # fork pool, and no spill writer may outlive the caller's
             # removal of the phase directory — it could re-create a
             # file after it
             self._teardown_pool()
+            # the finished frames under this one hold the error in
+            # their locals (a chunk's results, handle_failure's
+            # argument) and the error's traceback holds them
+            traceback.clear_frames(exc.__traceback__)
             raise
         ex.busy_s = sum(core[0].cpu_seconds for core in cores)
         return cores
@@ -1238,22 +1128,15 @@ class PersistentParallelCluster(SimulatedCluster):
             and num_tasks >= self.min_tasks_for_pool
         )
 
-    @contextmanager
-    def _pooled(self) -> Iterator[PersistentExecutor]:
+    def _pooled(self) -> PersistentExecutor:
         """The executor, wired to this cluster's observers and fault
-        knobs, with the telemetry hub expecting mid-phase heartbeats."""
-        executor, hub = self.executor, self.telemetry
+        knobs."""
+        executor = self.executor
         executor.tracer = self.tracer
         executor.fault_plan = self.fault_plan
         executor.retry_policy = self.retry_policy
-        executor.telemetry = hub
-        if hub is not None:
-            hub.set_live(True)
-        try:
-            yield executor
-        finally:
-            if hub is not None:
-                hub.set_live(False)
+        executor.telemetry = self.telemetry
+        return executor
 
     def _run_map_phase(
         self, job: MapReduceJob, map_inputs: list, broadcast: tuple
@@ -1263,11 +1146,10 @@ class PersistentParallelCluster(SimulatedCluster):
             return results, shuffle, ExecutorPhaseStats(
                 mode="inline", tasks=len(map_inputs)
             )
-        with self._pooled() as executor:
-            return executor.run_map_phase(
-                job, map_inputs, *broadcast,
-                self.config.memory_per_task_bytes, self.config.map_slots,
-            )
+        return self._pooled().run_map_phase(
+            job, map_inputs, *broadcast,
+            self.config.memory_per_task_bytes, self.config.map_slots,
+        )
 
     def _run_reduce_phase(
         self, job: MapReduceJob, shuffle: object, partitions: list[int]
@@ -1281,9 +1163,8 @@ class PersistentParallelCluster(SimulatedCluster):
                 )
             return results, inline
         assert isinstance(shuffle, MapShuffle)
-        with self._pooled() as executor:
-            return executor.run_reduce_phase(
-                job,
-                [(p, shuffle.refs_for(p)) for p in partitions],
-                self.config.memory_per_task_bytes,
-            )
+        return self._pooled().run_reduce_phase(
+            job,
+            [(p, shuffle.refs_for(p)) for p in partitions],
+            self.config.memory_per_task_bytes,
+        )

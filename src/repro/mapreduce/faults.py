@@ -2,10 +2,9 @@
 
 The paper's pipeline ran on Hadoop and inherited its task-level fault
 tolerance for free: failed task attempts are retried a bounded number
-of times, straggling attempts get speculative duplicates, and dead
-TaskTrackers are blacklisted.  This module supplies the *vocabulary*
-both engines use to reproduce that behaviour — and, crucially, a way
-to test it deterministically.
+of times and dead TaskTrackers are blacklisted.  This module supplies
+the *vocabulary* both engines use to reproduce that behaviour — and,
+crucially, a way to test it deterministically.
 
 A :class:`FaultPlan` is a seeded, fully explicit schedule of faults
 keyed by ``(job, phase, task, attempt)``.  Running the same plan twice
@@ -26,9 +25,9 @@ Fault kinds (:data:`FAULT_KINDS`):
     (:class:`CorruptOutputError`) and discarded — models a bad disk or
     a poisoned pickle detected by checksum.
 ``sleep``
-    the attempt stalls for ``sleep_s`` seconds first (straggler);
-    with a :class:`RetryPolicy` speculation window this exercises
-    speculative duplicate attempts.
+    the attempt stalls for ``sleep_s`` seconds first (straggler): on
+    the pooled engine it finishes out of task order, which reassembly
+    must survive.
 ``squeeze``
     the attempt runs under a lowered simulated memory budget of
     ``cap_mb`` megabytes (:func:`squeezed_limit`), deterministically
@@ -65,7 +64,6 @@ __all__ = [
     "FAULT_COUNTER_PREFIXES",
     "FAULT_INJECTED",
     "TASK_RETRIES",
-    "TASK_SPECULATIVE",
     "TASK_LOST",
     "RESUME_STAGES_SKIPPED",
     "NON_RETRYABLE",
@@ -91,7 +89,6 @@ FAULT_KINDS = ("raise", "crash", "corrupt", "sleep", "squeeze")
 # -- counter names (merged into the winning attempt's task counters) -------
 FAULT_INJECTED = "fault.injected"
 TASK_RETRIES = "task.retries"
-TASK_SPECULATIVE = "task.speculative"
 TASK_LOST = "task.lost"
 RESUME_STAGES_SKIPPED = "resume.stages_skipped"
 
@@ -539,15 +536,12 @@ def strip_fault_counters(counters: dict[str, int]) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded-retry and speculation knobs shared by both engines.
+    """Bounded-retry knobs shared by both engines.
     Retries are immediate: attempts are deterministic, so waiting before
     one changes nothing it could observe."""
 
     #: total attempts per task (first run + retries)
     max_attempts: int = 4
-    #: launch a speculative duplicate of a still-running task after this
-    #: many seconds (None disables speculation); pooled phases only
-    speculative_after_s: float | None = None
     #: pool respawns tolerated before degrading to inline execution
     max_pool_respawns: int = 2
 

@@ -169,7 +169,7 @@ class ExecutorPhaseStats:
     workers: int = 0
     tasks: int = 0
     #: task chunks submitted to the pool (one ``apply_async`` each;
-    #: retries and speculative duplicates are chunks of one task)
+    #: a retry is a chunk of one task)
     chunks: int = 0
     #: approx bytes of task payloads crossing parent -> worker
     bytes_to_workers: int = 0

@@ -12,8 +12,8 @@ output with tracing on vs off).
   worker→parent counter merge path.
 * :mod:`repro.obs.report` — post-run critical-path and reduce-skew
   analyzer behind ``python -m repro trace-report``.
-* :mod:`repro.obs.telemetry` — live heartbeats, resource profiling,
-  straggler flags and the ``--progress`` view.
+* :mod:`repro.obs.telemetry` — per-phase task progress (the
+  ``--progress`` view) and the run's rusage watermarks.
 * :mod:`repro.obs.runs` — persistent run-manifest registry
   (``python -m repro runs ...``).
 * :mod:`repro.obs.atomicio` — atomic (tmp + rename) artifact writes.
@@ -43,11 +43,9 @@ from repro.obs.runs import (
     write_run_manifest,
 )
 from repro.obs.telemetry import (
-    HeartbeatEmitter,
     ProgressView,
     TelemetryHub,
     make_progress_view,
-    rusage_now,
     rusage_watermarks,
     strip_telemetry_counters,
 )
@@ -69,11 +67,9 @@ def __getattr__(name: str) -> Any:  # PEP 562: import on first use
 __all__ = [
     "atomic_write_json",
     "atomic_write_text",
-    "HeartbeatEmitter",
     "ProgressView",
     "TelemetryHub",
     "make_progress_view",
-    "rusage_now",
     "rusage_watermarks",
     "strip_telemetry_counters",
     "build_run_manifest",

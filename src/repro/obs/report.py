@@ -348,8 +348,8 @@ def digest_trace(doc: dict[str, Any], path: str = "<trace>") -> TraceDigest:
             # slots are imbalance
             per_slot = work + [0] * (partitions - len(work))
             total_work = sum(work)
-            # A route lives in one reduce task; retries/speculation
-            # re-report the same group, so keep the max over attempts.
+            # A route lives in one reduce task; a retried attempt
+            # re-reports the same group, so keep the max over attempts.
             merged_hot: dict[str, int] = {}
             for task in reduce_tasks:
                 for route, count in task.args.get("top_groups", ()):

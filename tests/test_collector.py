@@ -3,7 +3,8 @@
 Three things are pinned: the pause is in force wherever task code runs
 (driver, pool workers, a degraded engine's inline phases); whatever
 state the caller had comes back on every way out of ``run_job``; and
-the premise — a join leaves no cyclic garbage to collect.
+the premise — a join, finished or failed in a pooled phase, leaves no
+cyclic garbage to collect.
 """
 
 from __future__ import annotations
@@ -194,3 +195,45 @@ class TestTheDataPathIsAcyclic:
         assert self._unreachable_after(
             lambda cluster: set_similarity_rs_join(r, s, cluster=cluster), engine
         ) == 0
+
+
+class TestAFailedPooledPhaseIsAcyclic:
+    """A pooled phase that raises frees what it held — chunk results,
+    the abandoned flights, the error itself — without a collection."""
+
+    @staticmethod
+    def _unreachable_after(cluster, run, error) -> int:
+        gc.collect()
+        with collector_paused():
+            with closing(cluster):
+                try:
+                    run(cluster)
+                except error:
+                    pass
+                else:
+                    pytest.fail(f"{error.__name__} expected")
+            assert cluster.executor.stats.pools_created >= 1
+            return gc.collect()
+
+    def test_after_a_fault_exhausts_its_attempts(self):
+        def run(cluster):
+            cluster.dfs.write("numbers", list(range(400)))
+            cluster.run_job(probe_job())
+
+        cluster = make_cluster(
+            "pooled",
+            fault_plan=FaultPlan.parse("raise:probe:reduce:*:*"),
+            retry_policy=RetryPolicy(max_attempts=2),
+        )
+        assert self._unreachable_after(cluster, run, TaskError) == 0
+
+    def test_after_an_undegraded_memory_error(self, rng):
+        records = random_records(rng, 80, dup_rate=0.6)
+        config = JoinConfig(threshold=0.5, schema=SCHEMA_1, auto_degrade=False)
+
+        def run(cluster):
+            cluster.dfs.write("records", records)
+            ssjoin_self(cluster, "records", config)
+
+        cluster = make_cluster("pooled", memory_per_task_mb=0.0001)
+        assert self._unreachable_after(cluster, run, InsufficientMemoryError) == 0

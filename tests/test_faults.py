@@ -9,8 +9,8 @@ self and R-S joins.
 Also covers the fault vocabulary itself (plan parsing/serialization,
 first-match lookup, seeded generation), retry-budget exhaustion
 surfacing an actionable :class:`TaskError`, non-retryable exceptions
-crossing the retry layer raw, pool-worker crash recovery and
-speculation in the persistent engine, and stage checkpoint/resume
+crossing the retry layer raw, pool-worker crash recovery in the
+persistent engine, and stage checkpoint/resume
 (including identity mismatch and on-disk corruption refusal).
 """
 
@@ -314,7 +314,7 @@ class TestRetryExhaustion:
 
 
 # ---------------------------------------------------------------------------
-# persistent engine: crashes, speculation, degradation, cleanup
+# persistent engine: crashes, degradation, cleanup
 # ---------------------------------------------------------------------------
 
 
@@ -334,19 +334,6 @@ class TestExecutorChaos:
         assert stats.workers_blacklisted >= 1
         counters = report.counters()
         assert counters["fault.injected"] >= 1
-
-    def test_straggler_triggers_speculative_attempt(self, rng):
-        records = random_records(rng, 70)
-        clean_pairs, _ = run_self(make_seq(), records)
-        persistent = make_persistent(
-            fault_plan=FaultPlan.parse("sleep:stage2-*:map:0:0:0.6"),
-            retry_policy=RetryPolicy(speculative_after_s=0.1),
-        )
-        with persistent:
-            pairs, report = run_self(persistent, records)
-        assert pairs == clean_pairs
-        assert persistent.executor.stats.tasks_speculated >= 1
-        assert report.counters()["task.speculative"] >= 1
 
     def test_repeated_pool_death_degrades_to_inline(self, rng):
         records = random_records(rng, 70)

@@ -1,5 +1,5 @@
-"""Memory-pressure survival (ISSUE 10): the squeeze fault, the RSS
-watchdog, plan-time admission, the runtime degradation ladder, and the
+"""Memory-pressure survival (ISSUE 10): the squeeze fault, plan-time
+admission, the runtime degradation ladder, and the
 differential chaos matrix proving a squeezed join recovers with
 bit-identical output on both engines — including through a kill +
 ``--resume`` mid-degradation.
@@ -52,7 +52,6 @@ from repro.mapreduce.faults import (
 )
 from repro.mapreduce.job import Context
 from repro.mapreduce.types import InsufficientMemoryError
-from repro.obs.telemetry import TelemetryHub
 
 from tests.conftest import (
     SCHEMA_1,
@@ -206,40 +205,6 @@ class TestReleaseUnderflow:
         ctx.reserve_memory(10)
         ctx.release_memory(99)
         assert ctx.counters.get("sanitize.memory_over_release") == 0
-
-
-# ---------------------------------------------------------------------------
-# RSS watchdog (telemetry maxrss lane)
-# ---------------------------------------------------------------------------
-
-
-def _beat(maxrss_kb, records=5):
-    return ("stage2", "reduce", 0, 1, records, False, 0.0, 0.0, maxrss_kb, 0.0)
-
-
-class TestRssWatchdog:
-    def test_latch_ratchet_and_consume(self):
-        hub = TelemetryHub(interval_s=0.01, rss_cap_kb=1000)
-        hub.phase_started("stage2", "reduce", 1)
-        hub.heartbeat(_beat(500))
-        assert hub.consume_pressure() is None
-        hub.heartbeat(_beat(1500))
-        # latched once, popped once
-        assert hub.consume_pressure() == (1500, 1000)
-        assert hub.consume_pressure() is None
-        # the cap ratcheted above the watermark: maxrss never goes back
-        # down, so a static cap would re-trip forever
-        assert hub.rss_cap_kb == 3000
-        hub.heartbeat(_beat(2000))
-        assert hub.consume_pressure() is None
-        assert hub.counters()["telemetry.rss_pressure"] == 1
-
-    def test_unarmed_hub_never_trips(self):
-        hub = TelemetryHub(interval_s=0.01)
-        hub.phase_started("stage2", "reduce", 1)
-        hub.heartbeat(_beat(10**9))
-        assert hub.consume_pressure() is None
-        assert "telemetry.rss_pressure" not in hub.counters()
 
 
 # ---------------------------------------------------------------------------

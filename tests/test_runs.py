@@ -1,10 +1,15 @@
 """Run registry: manifests, listing and diffing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.data.synthetic import generate_dblp
 from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_self
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
@@ -232,6 +237,42 @@ def test_runs_subcommands_are_list_show_diff(capsys):
     with pytest.raises(SystemExit):
         main(["runs", "--help"])
     assert "{list,show,diff}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--speculate-after", "--rss-cap-mb"])
+def test_removed_executor_flags_are_rejected(flag, capsys):
+    """A task is never duplicated and real RSS is never policed
+    (DESIGN.md §5j): the flags that did are gone, not ignored."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["selfjoin", "in.tsv", "-o", "out.tsv", flag, "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "engine", [[], ["--parallel", "2"]], ids=["sequential", "parallel"]
+)
+def test_manifest_rusage_is_the_whole_process_trees(engine, tmp_path):
+    """``RUSAGE_CHILDREN`` counts a pool worker only once it is reaped,
+    so the pool is closed before the manifest is built: the recorded
+    CPU is what the OS bills the whole CLI process (driver plus
+    workers), not the driver's share of it."""
+    records_file = tmp_path / "records.tsv"
+    records_file.write_text("\n".join(generate_dblp(6000, seed=7)) + "\n")
+    registry = str(tmp_path / "reg")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "selfjoin", str(records_file),
+         "-o", str(tmp_path / "out.tsv"), "--runs-dir", registry, *engine],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        stderr=subprocess.DEVNULL,
+    )
+    _pid, status, billed = os.wait4(proc.pid, 0)
+    assert status == 0
+    (doc,) = list_runs(registry)
+    recorded = doc["rusage"]["utime_s"] + doc["rusage"]["stime_s"]
+    total = billed.ru_utime + billed.ru_stime
+    # only interpreter shutdown comes after the manifest
+    assert 0.8 * total <= recorded <= total
 
 
 def test_cli_selfjoin_writes_manifest_and_diff(tmp_path, capsys, rng):
