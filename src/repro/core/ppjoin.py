@@ -1,11 +1,13 @@
 """PPJoin / PPJoin+ — the indexed single-node kernel (Xiao et al. '08).
 
-The paper's PK kernel runs this algorithm inside each Stage-2 reducer:
-an inverted index over *prefix* tokens, probed record-by-record, with
-the length, positional and (optionally) suffix filters applied before
-merge-based verification.
+The paper's PK kernel runs this algorithm once per Stage-2 reduce group:
+an inverted index over *prefix* tokens, built and probed over the
+group's length-sorted stream, with the length, positional and
+(optionally) suffix filters applied before merge-based verification.
 
-:class:`PPJoinIndex` is the incremental index.  It supports the two
+:class:`PPJoinIndex` is the incremental index; :meth:`~PPJoinIndex.join_group`
+runs a whole stream through it in one loop (:meth:`~PPJoinIndex.probe` and
+:meth:`~PPJoinIndex.add` are that loop over one record), under the two
 usage patterns of the paper:
 
 * **self-join** — records arrive in ascending set-size order; each
@@ -14,9 +16,9 @@ usage patterns of the paper:
   length-filter lower bound of the current probe are evicted — the
   memory-footprint optimization Section 3.2.2 obtains via the composite
   ``(group, length)`` MapReduce key.
-* **R-S join** — all R records are added (ascending size), S records
-  only probe.  Eviction uses the probe's lower bound, which is why the
-  R-S kernel streams records in the length-class order of Section 4.
+* **R-S join** — R records are added (ascending size), S records only
+  probe.  Eviction uses the probe's lower bound, which is why the R-S
+  kernel streams records in the length-class order of Section 4.
 
 Verification merges the two tails after a candidate's first common
 prefix token (the heads before it are disjoint, so nothing is
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import chain, filterfalse
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis -> core)
@@ -46,7 +49,7 @@ from repro.core.filters import (
     positional_filter_passes,
     suffix_filter_passes,
 )
-from repro.core.prefixes import Projection, projection_bytes
+from repro.core.prefixes import REL_R, REL_S, Owner, Projection, projection_bytes, route_of
 from repro.core.similarity import SimilarityFunction, bounds_for
 from repro.core.verification import overlap
 
@@ -73,26 +76,26 @@ class PPJoinIndex:
     bitmap_width:
         Enable the bitmap filter (arXiv:1711.07295, see
         :mod:`repro.core.bitmaps`) with signatures of this many bits;
-        ``None`` disables it.  Signatures may be supplied precomputed to
-        :meth:`add`/:meth:`probe` (the Stage-2 mappers compute them once
-        per record) or are derived from the tokens on demand.
+        ``None`` disables it.  Signatures may be supplied precomputed
+        (the Stage-2 mappers compute them once per record) or are
+        derived from the tokens on demand.
     owner:
-        Restricts the index to the pairs it *owns* (DESIGN.md §5h): a
-        predicate on a prefix token saying whether that token routes to
-        the reducer running this index; ``None`` owns everything.  A
-        pair belongs to the route of the smallest token common to both
-        routing prefixes, so :meth:`add` posts a record under its owned
-        index-prefix tokens only (a record with none is not stored) and
-        a probe first meets a candidate at their smallest common *owned*
-        token ``t = x[i] = y[j]``.  The pair is this index's iff
-        ``x[:i]`` and ``y[:j]`` are disjoint: (1) every common token
-        below ``t`` lies in both heads, and the heads lie in the routing
-        prefixes (``y``'s index prefix is a down-closed prefix of its
-        routing prefix); (2) disjoint heads make ``t`` itself the
-        smallest common prefix token, and it is owned; (3) otherwise
-        that token is some ``s < t`` which cannot be owned — ``y`` would
-        be posted under it and the ascending scan would have met it
-        there — so the pair is another route's (``foreign``).
+        Restricts the index to the pairs it *owns* (DESIGN.md §5h): the
+        :class:`~repro.core.prefixes.Owner` of the reducer running this
+        index; ``None`` owns everything.  A pair belongs to the route of
+        the smallest token common to both routing prefixes, so a record
+        is posted under its owned index-prefix tokens only (a record
+        with none is not stored) and a probe first meets a candidate at
+        their smallest common *owned* token ``t = x[i] = y[j]``.  The
+        pair is this index's iff ``x[:i]`` and ``y[:j]`` are disjoint:
+        (1) every common token below ``t`` lies in both heads, and the
+        heads lie in the routing prefixes (``y``'s index prefix is a
+        down-closed prefix of its routing prefix); (2) disjoint heads
+        make ``t`` itself the smallest common prefix token, and it is
+        owned; (3) otherwise that token is some ``s < t`` which cannot
+        be owned — ``y`` would be posted under it and the ascending scan
+        would have met it there — so the pair is another route's
+        (``foreign``).
 
     ``filter_stats`` counts, under ``candidates``, the distinct entries
     per probe found inside the length window of an owned posting list,
@@ -103,7 +106,7 @@ class PPJoinIndex:
     ``sanitizer`` (see :mod:`repro.analysis.sanitize`) attaches the
     runtime admissibility oracle: a deterministic sample of pruned
     candidates is re-checked against the exact overlap.  Observe-only —
-    probe results are identical with or without it.
+    results are identical with or without it.
     """
 
     def __init__(
@@ -116,7 +119,7 @@ class PPJoinIndex:
         evict: bool = True,
         bitmap_width: int | None = None,
         sanitizer: "Sanitizer | None" = None,
-        owner: Callable[[Any], bool] | None = None,
+        owner: Owner | None = None,
     ) -> None:
         if mode not in ("self", "rs"):
             raise ValueError(f"mode must be 'self' or 'rs', got {mode!r}")
@@ -147,6 +150,24 @@ class PPJoinIndex:
         #: precomputed y-side term of the overlap upper bound)
         self._sigs: list[int] = []
         self._sig_slack: list[int] = []
+        # the owned-token test as data: owner-less owns the whole
+        # prefix, per-token routing one token (found by bisection),
+        # grouped routing the tokens dealt to this route
+        route = None if owner is None else owner.route
+        owns: Callable[[Any], bool] | None = None
+        if owner is not None and owner.num_groups is not None:
+            group_of = route_of(owner.num_groups)
+            owns = lambda token: group_of(token) == route  # noqa: E731
+        #: what the kernel loop reads and never rebinds — the settings
+        #: above are fixed at construction — unpacked in one step per call
+        self._kernel = (
+            sim.accepts_overlap, sim.similarity_from_overlap, threshold,
+            bounds.length_bounds, bounds.alpha_row, bounds.prefix_length,
+            self._index_prefix_length, use_positional, use_suffix, evict,
+            bitmap_width, bitmap_width is not None, sanitizer,
+            owner, route, owns, owner is not None and owns is None,
+            self._postings, self._rids, self._tokens, self._sizes, self._sigs, self._sig_slack,
+        )
         self._frontier = 0  # entries below this id are evicted
         #: entry sizes are non-decreasing (always, under ``evict``), so
         #: the length window of a posting list is one run
@@ -154,6 +175,8 @@ class PPJoinIndex:
         self._last_added_size = 0
         self._last_probe_size = 0
         self.peak_live_entries = 0
+        #: values consumed so far (a reduce group's record count)
+        self.records_seen = 0
         #: approximate bytes of live (non-evicted) entries, for memory metering
         self.live_bytes = 0
         #: in-window candidates, and where each of them ended
@@ -182,7 +205,7 @@ class PPJoinIndex:
             for entry_id in range(self._frontier, len(self._rids))
         )
 
-    # -- indexing ------------------------------------------------------
+    # -- one record ----------------------------------------------------
 
     def add(
         self, rid: int, tokens: Sequence[int], signature: int | None = None
@@ -195,63 +218,7 @@ class PPJoinIndex:
         when the index was built without ``bitmap_width``, computed from
         the tokens when bitmap filtering is on but none is given.
         """
-        n = len(tokens)
-        if n < self._last_added_size:
-            if self.evict:
-                raise ValueError(
-                    "eviction requires records added in non-decreasing size order "
-                    f"(got size {n} after {self._last_added_size}); "
-                    "construct with evict=False for unordered input"
-                )
-            self._size_ordered = False
-        else:
-            self._last_added_size = n
-        if n == 0:
-            return
-        owned = tokens[: self._index_prefix_length[n]]
-        if self.owner is not None:
-            owned = list(filter(self.owner, owned))
-            if not owned:
-                return
-        entry_id = len(self._rids)
-        self._rids.append(rid)
-        # tuples and array('i') are kept as-is (both slice cheaply);
-        # only mutable lists are defensively copied
-        self._tokens.append(
-            tokens if isinstance(tokens, (tuple, array)) else tuple(tokens)
-        )
-        self._sizes.append(n)
-        postings = self._postings
-        for token in owned:
-            posting = postings.get(token)
-            if posting is None:
-                postings[token] = [entry_id]
-            else:
-                posting.append(entry_id)
-        width = self.bitmap_width
-        if width is not None:
-            if signature is None:
-                signature = bitmap_signature(tokens, width)
-            self._sigs.append(signature)
-            self._sig_slack.append(n - signature.bit_count())
-        self.live_bytes += projection_bytes(n, width is not None)
-        live = entry_id + 1 - self._frontier
-        if live > self.peak_live_entries:
-            self.peak_live_entries = live
-
-    def _evict_below(self, min_size: int) -> None:
-        """Advance the eviction frontier past entries smaller than
-        *min_size* (valid because entry sizes are non-decreasing)."""
-        frontier = bisect_left(self._sizes, min_size, self._frontier)
-        # must release exactly what add() charged (signature word
-        # included) or live_bytes drifts and the reducer over-releases
-        has_sig = self.bitmap_width is not None
-        for entry_id in range(self._frontier, frontier):
-            self._tokens[entry_id] = None  # free the payload
-            self.live_bytes -= projection_bytes(self._sizes[entry_id], has_sig)
-        self._frontier = frontier
-
-    # -- probing ---------------------------------------------------------
+        self._join(((REL_R, rid, len(tokens), signature, tokens),), (), (REL_R,))
 
     def probe(
         self,
@@ -273,166 +240,269 @@ class PPJoinIndex:
         overlap are computed against the record's *original* set size
         so the reported similarity is exact.  ``signature`` is the
         probe's precomputed bitmap signature (see :meth:`add`).
-
-        Per prefix token with a posting list: cut the length window out
-        of it, drop the entries this probe already met, run the bitmap
-        bound over the rest — so the ~97% it rejects touch no container
-        — and take each survivor through ownership, the positional and
-        suffix filters and the merge at once: the heads are disjoint, so
-        the overlap is 1 plus that of the two tails.
         """
-        nx = len(tokens)
-        n_true = nx if true_size is None else true_size
-        if n_true < nx:
-            raise ValueError(f"true_size {n_true} smaller than token count {nx}")
-        if nx == 0 or not self._rids:
-            return []
-        if self.evict:
-            if n_true < self._last_probe_size:
-                raise ValueError(
-                    "eviction requires probes in non-decreasing size order "
-                    f"(got size {n_true} after {self._last_probe_size})"
-                )
-            self._last_probe_size = n_true
-        bounds = self._bounds
-        lo, hi = bounds.length_bounds[n_true]
-        sizes, frontier = self._sizes, self._frontier
-        if self.evict and frontier < len(sizes) and sizes[frontier] < lo:
-            self._evict_below(lo)
-            frontier = self._frontier
-        alpha_row = bounds.alpha_row[n_true]
-        # Bitmap filter setup: the bound on the merged (token-array)
-        # overlap is  popcount(sx & sy) + min(x_slack, y_slack)  with
-        # slack = len - popcount; x's term is fixed for the whole probe.
-        sig_x = None
-        x_slack = 0
-        if self.bitmap_width is not None:
-            sig_x = (
-                signature
-                if signature is not None
-                else bitmap_signature(tokens, self.bitmap_width)
-            )
-            x_slack = nx - sig_x.bit_count()
-        # hoist per-entry tables into locals and keep the tallies in
-        # locals too (attribute and dict lookups cost real time at this
-        # call rate)
-        entry_tokens, postings_of = self._tokens, self._postings
-        sigs, slack, sanitizer = self._sigs, self._sig_slack, self.sanitizer
-        seen: set[int] | None = None
-        met: list[int] | None = None  # the one window met so far, until a second
-        results: list[tuple[int, float]] = []
+        n_true = len(tokens) if true_size is None else true_size
+        probing = ((REL_S, rid, n_true, signature, tokens),)
+        found = self._join(probing, (REL_S,), ())
+        return [(other, sim) for other, _rid, sim in found] if found else []
+
+    # -- one reduce group ----------------------------------------------
+
+    def join_group(
+        self,
+        values: Iterable[tuple],
+        reserve: Callable[[int], Any] | None = None,
+        release: Callable[[int], Any] | None = None,
+    ) -> list[tuple[int, int, float]]:
+        """Run a size-ordered stream of ``(rel, rid, true_size,
+        signature, tokens)`` values — one Stage-2 reduce group — through
+        the index: in ``"self"`` mode every record probes, then is
+        stored; in ``"rs"`` mode ``REL_S`` records probe and ``REL_R``
+        records are stored.  Returns ``(stored_rid, rid, similarity)``
+        per answer, in stream order.
+
+        ``reserve`` / ``release`` meter the index's ``live_bytes`` as it
+        moves: after each record the change since the last one is
+        reserved (or released), and what is still charged is released
+        when the stream ends or raises.
+        """
+        if self.mode == "self":
+            return self._join(values, (REL_R, REL_S), (REL_R, REL_S), reserve, release)
+        return self._join(values, (REL_S,), (REL_R,), reserve, release)
+
+    def _join(
+        self,
+        values: Iterable[tuple],
+        probes: tuple[int, ...],
+        stores: tuple[int, ...],
+        reserve: Callable[[int], Any] | None = None,
+        release: Callable[[int], Any] | None = None,
+    ) -> list[tuple[int, int, float]]:
+        """The kernel, written once: records whose ``rel`` is in
+        *probes* probe, those in *stores* are stored.
+
+        Per probing record and prefix token with a posting list: cut the
+        length window out of it, drop the entries this probe already
+        met, run the bitmap bound over the rest — so the ~97% it rejects
+        touch no container — and take each survivor through ownership,
+        the positional and suffix filters and the merge at once: the
+        heads are disjoint, so the overlap is 1 plus that of the two
+        tails.  State and tallies live in locals until the stream ends.
+        """
+        (
+            accepts, similarity_of, threshold, length_bounds, alpha_rows, prefix_length,
+            index_prefix_length, use_positional, use_suffix, evict, width, has_sig,
+            sanitizer, owner, route, owns, per_token,
+            postings_of, rids, entry_tokens, sizes, sigs, slack,
+        ) = self._kernel
+        frontier, live_bytes, peak_live = self._frontier, self.live_bytes, self.peak_live_entries
+        size_ordered = self._size_ordered
+        last_added, last_probe = self._last_added_size, self._last_probe_size
+        charged = records = 0
+        results: list[tuple[int, int, float]] = []
         p_candidates = p_length = p_foreign = p_bitmap = 0
         p_positional = p_suffix = p_verified = 0
-        for i in range(bounds.prefix_length[nx]):
-            token = tokens[i]
-            posting = postings_of.get(token)
-            if not posting:
-                continue
-            if posting[0] < frontier:
-                # drop the evicted head for good (the frontier only advances)
-                del posting[: bisect_left(posting, frontier)]
-                if not posting:
-                    continue
-            if not self._size_ordered:
-                window = [e for e in posting if lo <= sizes[e] <= hi]
-            elif sizes[posting[0]] < lo or sizes[posting[-1]] > hi:
-                size_of = sizes.__getitem__
-                window = posting[
-                    bisect_left(posting, lo, key=size_of) : bisect_right(
-                        posting, hi, key=size_of
-                    )
-                ]
-            else:
-                window = posting
-            if len(window) < len(posting):
-                p_length += len(posting) - len(window)
-                if sanitizer is not None:
-                    for e in posting:
-                        if not lo <= sizes[e] <= hi:
-                            sanitizer.check_prune(
-                                "length", tokens, n_true, entry_tokens[e], sizes[e]
+        try:
+            for rel, rid, n_true, sig, x in values:
+                records += 1
+                nx = len(x)
+                if has_sig and nx:
+                    # the bitmap bound on the merged (token-array) overlap is
+                    # popcount(sx & sy) + min(x_slack, y_slack), slack = len -
+                    # popcount: x's term serves its probe and is stored with it
+                    if sig is None:
+                        sig = bitmap_signature(x, width)
+                    x_slack = nx - sig.bit_count()
+                if per_token:  # where x holds the one owned token, or nx
+                    at = bisect_left(x, route)
+                    if at < nx and x[at] != route:
+                        at = nx
+                if n_true < nx and rel in probes:
+                    raise ValueError(f"true_size {n_true} smaller than token count {nx}")
+                if nx and rids and rel in probes:
+                    if evict:
+                        if n_true < last_probe:
+                            raise ValueError(
+                                "eviction requires probes in non-decreasing size order "
+                                f"(got size {n_true} after {last_probe})"
                             )
-            # drop the entries this probe already met (a set is built
-            # only when a second posting list is hit)
-            if met is None:
-                met = fresh = window
-            else:
-                if seen is None:
-                    seen = set(met)
-                fresh = [e for e in window if e not in seen]
-                seen.update(fresh)
-            p_candidates += len(fresh)
-            if sig_x is None:
-                survivors = fresh
-            else:
-                survivors = [
-                    e
-                    for e in fresh
-                    if (sig_x & sigs[e]).bit_count()
-                    + (x_slack if x_slack < slack[e] else slack[e])
-                    >= alpha_row[sizes[e]]
-                ]
-                p_bitmap += len(fresh) - len(survivors)
-                if sanitizer is not None and len(survivors) < len(fresh):
-                    kept = set(survivors)
-                    for e in fresh:
-                        if e not in kept:
-                            sanitizer.check_prune(
-                                "bitmap", tokens, n_true, entry_tokens[e], sizes[e]
+                        last_probe = n_true
+                    lo, hi = length_bounds[n_true]
+                    if evict and frontier < len(sizes) and sizes[frontier] < lo:
+                        # sizes are non-decreasing: evict one run, releasing
+                        # exactly what the store charged (signature word included)
+                        passed = bisect_left(sizes, lo, frontier)
+                        for e in range(frontier, passed):
+                            entry_tokens[e] = None  # free the payload
+                            live_bytes -= projection_bytes(sizes[e], has_sig)
+                        frontier = passed
+                    alpha_row = alpha_rows[n_true]
+                    p = prefix_length[nx]
+                    positions: Iterable[int] = ((at,) if at < p else ()) if per_token else range(p)
+                    seen: set[int] | None = None
+                    met: list[int] | None = None  # the one window met so far, until a second
+                    for i in positions:
+                        token = x[i]
+                        posting = postings_of.get(token)
+                        if not posting:
+                            continue
+                        if posting[0] < frontier:
+                            # drop the evicted head for good (the frontier only advances)
+                            del posting[: bisect_left(posting, frontier)]
+                            if not posting:
+                                continue
+                        if not size_ordered:
+                            window = [e for e in posting if lo <= sizes[e] <= hi]
+                        elif sizes[posting[0]] < lo or sizes[posting[-1]] > hi:
+                            size_of = sizes.__getitem__
+                            window = posting[
+                                bisect_left(posting, lo, key=size_of) : bisect_right(
+                                    posting, hi, key=size_of
+                                )
+                            ]
+                        else:
+                            window = posting
+                        if len(window) < len(posting):
+                            p_length += len(posting) - len(window)
+                            if sanitizer is not None:
+                                for e in posting:
+                                    if not lo <= sizes[e] <= hi:
+                                        sanitizer.check_prune(
+                                            "length", x, n_true, entry_tokens[e], sizes[e]
+                                        )
+                        # drop the entries this probe already met (a set is
+                        # built only when a second posting list is hit)
+                        if met is None:
+                            met = fresh = window
+                        else:
+                            if seen is None:
+                                seen = set(met)
+                            fresh = list(filterfalse(seen.__contains__, window))
+                            seen.update(fresh)
+                        p_candidates += len(fresh)
+                        if not has_sig:
+                            survivors = fresh
+                        else:
+                            survivors = [
+                                e
+                                for e in fresh
+                                if (sig & sigs[e]).bit_count()
+                                + (x_slack if x_slack < slack[e] else slack[e])
+                                >= alpha_row[sizes[e]]
+                            ]
+                            p_bitmap += len(fresh) - len(survivors)
+                            if sanitizer is not None and len(survivors) < len(fresh):
+                                kept = set(survivors)
+                                for e in fresh:
+                                    if e not in kept:
+                                        sanitizer.check_prune(
+                                            "bitmap", x, n_true, entry_tokens[e], sizes[e]
+                                        )
+                        if not survivors:
+                            continue
+                        x_head, x_tail = set(x[:i]), x[i + 1 :]
+                        for e in survivors:
+                            y = entry_tokens[e]
+                            ny = sizes[e]
+                            alpha = alpha_row[ny]
+                            j = bisect_left(y, token)
+                            if j and not x_head.isdisjoint(y[:j]):
+                                # a smaller common prefix token routes elsewhere
+                                p_foreign += 1
+                                if sanitizer is not None:
+                                    sanitizer.check_owner(x, y, False)
+                                continue
+                            if use_positional and not positional_filter_passes(
+                                nx, ny, i, j, 0, alpha
+                            ):
+                                p_positional += 1
+                                if sanitizer is not None:
+                                    sanitizer.check_prune("positional", x, n_true, y, ny)
+                                continue
+                            y_tail = y[j + 1 :]
+                            if use_suffix and not suffix_filter_passes(
+                                x_tail, y_tail, alpha, overlap_so_far=1
+                            ):
+                                p_suffix += 1
+                                if sanitizer is not None:
+                                    sanitizer.check_prune("suffix", x, n_true, y, ny)
+                                continue
+                            p_verified += 1
+                            total = 1 + overlap(x_tail, y_tail, required=alpha - 1)
+                            if total >= alpha and accepts(n_true, ny, total, threshold):
+                                results.append((rids[e], rid, similarity_of(n_true, ny, total)))
+                                if sanitizer is not None:
+                                    sanitizer.check_owner(x, y, True, sample=False)
+                if rel in stores:
+                    if nx < last_added:
+                        if evict:
+                            raise ValueError(
+                                "eviction requires records added in non-decreasing size order "
+                                f"(got size {nx} after {last_added}); "
+                                "construct with evict=False for unordered input"
                             )
-            if not survivors:
-                continue
-            x_head, x_tail = set(tokens[:i]), tokens[i + 1 :]
-            for e in survivors:
-                y = entry_tokens[e]
-                ny = sizes[e]
-                alpha = alpha_row[ny]
-                j = bisect_left(y, token)
-                if j and not x_head.isdisjoint(y[:j]):
-                    # a smaller common prefix token routes elsewhere
-                    p_foreign += 1
-                    if sanitizer is not None:
-                        sanitizer.check_owner(tokens, y, False)
-                    continue
-                if self.use_positional and not positional_filter_passes(
-                    nx, ny, i, j, 0, alpha
-                ):
-                    p_positional += 1
-                    if sanitizer is not None:
-                        sanitizer.check_prune("positional", tokens, n_true, y, ny)
-                    continue
-                y_tail = y[j + 1 :]
-                if self.use_suffix and not suffix_filter_passes(
-                    x_tail, y_tail, alpha, overlap_so_far=1
-                ):
-                    p_suffix += 1
-                    if sanitizer is not None:
-                        sanitizer.check_prune("suffix", tokens, n_true, y, ny)
-                    continue
-                p_verified += 1
-                total = 1 + overlap(x_tail, y_tail, required=alpha - 1)
-                if total >= alpha and self.sim.accepts_overlap(
-                    n_true, ny, total, self.threshold
-                ):
-                    results.append(
-                        (self._rids[e], self.sim.similarity_from_overlap(n_true, ny, total))
-                    )
-                    if sanitizer is not None:
-                        sanitizer.check_owner(tokens, y, True, sample=False)
-        stats = self.filter_stats
-        stats["candidates"] += p_candidates
-        stats["length"] += p_length
-        stats["bitmap"] += p_bitmap
-        stats["foreign"] += p_foreign
-        stats["positional"] += p_positional
-        stats["suffix"] += p_suffix
-        stats["verified"] += p_verified
+                        size_ordered = False
+                    else:
+                        last_added = nx
+                    if nx:
+                        p = index_prefix_length[nx]
+                        if owner is None:
+                            owned: Sequence[Any] = x[:p]
+                        elif per_token:
+                            owned = (route,) if at < p else ()
+                        else:
+                            owned = list(filter(owns, x[:p]))
+                        if owned or owner is None:
+                            entry_id = len(rids)
+                            rids.append(rid)
+                            # tuples and array('i') are kept as-is (both slice
+                            # cheaply); only mutable lists are defensively copied
+                            entry_tokens.append(x if isinstance(x, (tuple, array)) else tuple(x))
+                            sizes.append(nx)
+                            for token in owned:
+                                posting = postings_of.get(token)
+                                if posting is None:
+                                    postings_of[token] = [entry_id]
+                                else:
+                                    posting.append(entry_id)
+                            if has_sig:
+                                sigs.append(sig)
+                                slack.append(x_slack)
+                            live_bytes += projection_bytes(nx, has_sig)
+                            if entry_id + 1 - frontier > peak_live:
+                                peak_live = entry_id + 1 - frontier
+                if reserve is not None and live_bytes != charged:
+                    if live_bytes > charged:
+                        reserve(live_bytes - charged)
+                    elif release is not None:
+                        release(charged - live_bytes)
+                    charged = live_bytes
+        finally:
+            self._frontier, self.live_bytes, self.peak_live_entries = frontier, live_bytes, peak_live
+            self._size_ordered = size_ordered
+            self._last_added_size, self._last_probe_size = last_added, last_probe
+            self.records_seen += records
+            if p_candidates or p_length:  # every other tally is a candidate's
+                stats = self.filter_stats
+                stats["candidates"] += p_candidates
+                stats["length"] += p_length
+                stats["bitmap"] += p_bitmap
+                stats["foreign"] += p_foreign
+                stats["positional"] += p_positional
+                stats["suffix"] += p_suffix
+                stats["verified"] += p_verified
+            if charged and release is not None:
+                release(charged)
         return results
 
 
-def _sorted_by_size(projections: Iterable[Projection]) -> list[Projection]:
-    """Ascending set-size order, ties broken by RID for determinism."""
-    return sorted(projections, key=lambda p: (p.size, p.rid))
+def _sorted_by_size(projections: Iterable[Projection], rel: int) -> Iterable[tuple]:
+    """Ascending set-size order, ties broken by RID for determinism, as
+    :meth:`PPJoinIndex.join_group` values tagged *rel*."""
+    return (
+        (rel, p.rid, p.size, p.signature, p.tokens)
+        for p in sorted(projections, key=lambda p: (p.size, p.rid))
+    )
 
 
 def ppjoin_self_join(
@@ -460,16 +530,10 @@ def ppjoin_self_join(
         use_suffix=use_suffix,
         bitmap_width=bitmap_width,
     )
-    results: list[tuple[int, int, float]] = []
-    for proj in _sorted_by_size(projections):
-        for other_rid, similarity in index.probe(
-            proj.rid, proj.tokens, signature=proj.signature
-        ):
-            low, high = sorted((proj.rid, other_rid))
-            results.append((low, high, similarity))
-        index.add(proj.rid, proj.tokens, signature=proj.signature)
-    results.sort()
-    return results
+    return sorted(
+        (min(a, b), max(a, b), similarity)
+        for a, b, similarity in index.join_group(_sorted_by_size(projections, REL_R))
+    )
 
 
 def ppjoin_rs_join(
@@ -497,13 +561,11 @@ def ppjoin_rs_join(
         evict=False,
         bitmap_width=bitmap_width,
     )
-    for proj in _sorted_by_size(r_projections):
-        index.add(proj.rid, proj.tokens, signature=proj.signature)
-    results: list[tuple[int, int, float]] = []
-    for proj in _sorted_by_size(s_projections):
-        for r_rid, similarity in index.probe(
-            proj.rid, proj.tokens, signature=proj.signature
-        ):
-            results.append((r_rid, proj.rid, similarity))
-    results.sort()
-    return results
+    return sorted(
+        index.join_group(
+            chain(
+                _sorted_by_size(r_projections, REL_R),
+                _sorted_by_size(s_projections, REL_S),
+            )
+        )
+    )

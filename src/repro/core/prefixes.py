@@ -20,6 +20,10 @@ from typing import Callable, Iterable, Sequence
 
 from repro.core.similarity import SimilarityFunction
 
+#: Relation tags inside Stage-2 keys and wire values (R sorts before S).
+REL_R = 0
+REL_S = 1
+
 
 @dataclass(frozen=True, slots=True)
 class Projection:
@@ -95,6 +99,19 @@ def routes_of(num_groups: int | None) -> Callable[[Iterable[int]], list[int]]:
         return lambda ranks: list(dict.fromkeys(ranks))
     route = route_of(num_groups)
     return lambda ranks: list(dict.fromkeys(map(route, ranks)))
+
+
+@dataclass(frozen=True, slots=True)
+class Owner:
+    """The prefix tokens a Stage-2 group owns, as data: those
+    ``route_of(num_groups)`` sends to *route*.  A call asks about one
+    token; :class:`repro.core.ppjoin.PPJoinIndex` reads the fields."""
+
+    route: int
+    num_groups: int | None = None
+
+    def __call__(self, token: int) -> bool:
+        return route_of(self.num_groups)(token) == self.route
 
 
 def projection_bytes(num_tokens: int, has_signature: bool = False) -> int:

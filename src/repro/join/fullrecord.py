@@ -22,6 +22,7 @@ from repro.core.prefixes import routes_of
 from repro.core.similarity import bounds_for
 from repro.join.config import JoinConfig
 from repro.join.driver import JoinReport, _num_reducers, _run_stage
+from repro.join.records import REL_R
 from repro.join.stage1 import stage1_jobs
 from repro.join.stage2 import (
     PAIRS_OUTPUT,
@@ -61,25 +62,20 @@ def full_record_job(
             ctx.emit((route, n, 0), (rid, ranks, line))
 
     def reducer(route: int, values: Iterator, ctx: Context) -> None:
-        index = PPJoinIndex(
-            sim, threshold, mode="self", evict=True, owner=owner_of(config, route)
-        )
+        index = PPJoinIndex(sim, threshold, owner=owner_of(config, route))
         lines: dict[int, str] = {}
+        group: list[tuple] = []
         charged = 0
         try:
+            # the lines are the group's whole memory charge, held to the
+            # end either way, so the PK group call runs once they are in
             for rid, ranks, line in values:
                 charged += ctx.reserve_memory_for(line, "full-record group")
-                for other_rid, similarity in index.probe(rid, ranks):
-                    first, second = sorted((rid, other_rid))
-                    this, other = (
-                        (line, lines[other_rid])
-                        if first == rid
-                        else (lines[other_rid], line)
-                    )
-                    ctx.write((this, other, similarity))
-                    ctx.counters.increment(PAIRS_OUTPUT)
-                index.add(rid, ranks)
                 lines[rid] = line
+                group.append((REL_R, rid, len(ranks), None, ranks))
+            for stored_rid, rid, similarity in index.join_group(group):
+                ctx.write((lines[min(rid, stored_rid)], lines[max(rid, stored_rid)], similarity))
+                ctx.counters.increment(PAIRS_OUTPUT)
         finally:
             ctx.release_memory(charged)
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-FIELD_SEP = "\t"
+from repro.core.prefixes import REL_R as REL_R
+from repro.core.prefixes import REL_S as REL_S
 
-#: Relation tags inside Stage-2 keys and wire values (R sorts before S).
-REL_R = 0
-REL_S = 1
+FIELD_SEP = "\t"
 
 
 @dataclass(frozen=True)

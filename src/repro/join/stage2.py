@@ -49,7 +49,7 @@ from repro.analysis.sanitize import Sanitizer, make_sanitizer
 from repro.core.bitmaps import overlap_upper_bound, signature as bitmap_signature
 from repro.core.ordering import TokenOrder
 from repro.core.ppjoin import PPJoinIndex
-from repro.core.prefixes import projection_bytes, route_of, routes_of
+from repro.core.prefixes import Owner, projection_bytes, routes_of
 from repro.core.similarity import Bounds, bounds_for
 from repro.core.verification import overlap
 from repro.join.blocks import (
@@ -89,39 +89,6 @@ FILTER_COUNTERS = {
 }
 
 
-def merge_index_filter_stats(ctx: Context, index: PPJoinIndex) -> None:
-    """Fold a PK index's candidate and per-filter prune tallies into the
-    job counters."""
-    for stage, count in index.filter_stats.items():
-        if count:
-            ctx.counters.increment(FILTER_COUNTERS[stage], count)
-
-
-def make_pk_index(
-    config: JoinConfig,
-    mode: str,
-    evict: bool,
-    sanitizer: Sanitizer | None = None,
-    owner: Callable[[int], bool] | None = None,
-) -> PPJoinIndex:
-    """The PK kernel's index under *config*: with the bitmap filter on,
-    the bitmap bound replaces the recursive suffix filter (which it
-    empirically subsumes at a fraction of the cost — both admissible,
-    identical output either way).  *owner* is the reduce group's
-    :func:`owner_of` predicate."""
-    width = config.bitmap_width if config.bitmap_filter else None
-    return PPJoinIndex(
-        config.sim,
-        config.threshold,
-        mode=mode,
-        evict=evict,
-        use_suffix=width is None,
-        bitmap_width=width,
-        sanitizer=sanitizer,
-        owner=owner,
-    )
-
-
 #: value layout shared by every Stage-2 projection:
 #: ``(rel, rid, true_size, signature, tokens)``
 def _projection_size(value: tuple) -> int:
@@ -146,19 +113,14 @@ def load_token_order(ctx: Context, token_order_file: str) -> TokenOrder:
     return TokenOrder(ctx.broadcast[token_order_file])
 
 
-def owner_of(config: JoinConfig, route: int) -> Callable[[int], bool]:
+def owner_of(config: JoinConfig, route: int) -> Owner:
     """The ownership rule, stated once: a RID pair belongs to the route
     that the **smallest token common to both records' routing prefixes**
     routes to.  Both records were sent there, so the owner always meets
-    the pair, and no other group may emit it.  Returns the predicate
-    "does this prefix token route to *route*" — the reduce-side inverse
-    of the mappers' :func:`repro.core.prefixes.routes_of`, specialised
-    once per reduce group (per-token routing: the route is the rank)."""
-    token_groups = config.token_groups
-    if token_groups is None:
-        return lambda token: token == route
-    group_of = route_of(token_groups)
-    return lambda token: group_of(token) == route
+    the pair, and no other group may emit it.  Returns the
+    :class:`~repro.core.prefixes.Owner` of *route*, the reduce-side
+    inverse of the mappers' :func:`repro.core.prefixes.routes_of`."""
+    return Owner(route, config.token_groups)
 
 
 def _owns_pair(owner: Callable[[int], bool], prefix_length, x: Sequence, y: Sequence) -> bool:
@@ -479,42 +441,33 @@ def make_pk_reducer(config: JoinConfig, rs: bool) -> Callable:
     what = "PK index (R partition)" if rs else "PK index"
     write_pair = _write_rs_pair if rs else _write_self_pair
     group_of = _projection_rel if rs else None
+    # with the bitmap filter on, its bound replaces the recursive suffix
+    # filter (it subsumes it at a fraction of the cost; output identical)
+    width = config.bitmap_width if config.bitmap_filter else None
 
     def reducer(route, values: Iterator, ctx: Context) -> None:
         sanitizer = make_sanitizer(config, ctx.counters, route)
-        index = make_pk_index(
-            config, mode=mode, evict=True, sanitizer=sanitizer,
-            owner=owner_of(config, route),
+        index = PPJoinIndex(
+            config.sim, config.threshold, mode=mode, use_suffix=width is None,
+            bitmap_width=width, sanitizer=sanitizer, owner=owner_of(config, route),
         )
         if sanitizer is not None:
             values = sanitizer.sorted_values(
                 values, _projection_size, group_of=group_of
             )
-        group_records = 0
-        charged = 0
-        try:
-            for rel, rid, true_size, sig, ranks in values:
-                group_records += 1
-                if not rs or rel == REL_S:
-                    for other_rid, similarity in index.probe(
-                        rid, ranks, true_size=true_size, signature=sig
-                    ):
-                        write_pair(ctx, other_rid, rid, similarity)
-                if not rs or rel == REL_R:
-                    index.add(rid, ranks, signature=sig)
-                delta = index.live_bytes - charged
-                if delta > 0:
-                    ctx.reserve_memory(delta, what)
-                elif delta < 0:
-                    ctx.release_memory(-delta)
-                charged += delta
-            ctx.observe("stage2.group_records", group_records)
-            ctx.observe("stage2.group_candidates", index.filter_stats["candidates"])
-            if sanitizer is not None:
-                sanitizer.check_index_accounting(index)
-            merge_index_filter_stats(ctx, index)
-        finally:
-            ctx.release_memory(charged)
+
+        def reserve(num_bytes: int) -> None:
+            ctx.reserve_memory(num_bytes, what)
+
+        for stored_rid, rid, similarity in index.join_group(values, reserve, ctx.release_memory):
+            write_pair(ctx, stored_rid, rid, similarity)
+        ctx.observe("stage2.group_records", index.records_seen)
+        ctx.observe("stage2.group_candidates", index.filter_stats["candidates"])
+        if sanitizer is not None:
+            sanitizer.check_index_accounting(index)
+        for stage, count in index.filter_stats.items():
+            if count:
+                ctx.counters.increment(FILTER_COUNTERS[stage], count)
 
     return reducer
 

@@ -208,6 +208,7 @@ def task_error_from(
     task: int,
     exc: BaseException,
     key_sample: object = None,
+    attempt: int = 0,
 ) -> TaskError:
     """Wrap a genuine task exception, sampling the offending input key."""
     sample = None
@@ -218,6 +219,7 @@ def task_error_from(
         job,
         phase,
         task,
+        attempt,
         key_sample=sample,
         cause=f"{type(exc).__name__}: {exc}",
     )
@@ -504,9 +506,9 @@ def run_attempt(
         error.attempt = attempt
         raise
     except Exception as exc:
-        error = task_error_from(job, phase, task, exc)
-        error.attempt = attempt
-        raise error from exc
+        # raised without a local name: a name in this frame would hold the
+        # error, whose traceback holds this frame — a cycle per attempt
+        raise task_error_from(job, phase, task, exc, attempt=attempt) from exc
 
 
 def strip_counters(

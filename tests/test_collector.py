@@ -197,9 +197,10 @@ class TestTheDataPathIsAcyclic:
         ) == 0
 
 
-class TestAFailedPooledPhaseIsAcyclic:
-    """A pooled phase that raises frees what it held — chunk results,
-    the abandoned flights, the error itself — without a collection."""
+class TestAFailedPhaseIsAcyclic:
+    """A phase that raises frees what it held — chunk results, the
+    abandoned flights, every attempt's error — without a collection, on
+    either engine."""
 
     @staticmethod
     def _unreachable_after(cluster, run, error) -> int:
@@ -212,22 +213,25 @@ class TestAFailedPooledPhaseIsAcyclic:
                     pass
                 else:
                     pytest.fail(f"{error.__name__} expected")
-            assert cluster.executor.stats.pools_created >= 1
+            if isinstance(cluster, PersistentParallelCluster):
+                assert cluster.executor.stats.pools_created >= 1
             return gc.collect()
 
-    def test_after_a_fault_exhausts_its_attempts(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_after_a_fault_exhausts_its_attempts(self, engine):
         def run(cluster):
             cluster.dfs.write("numbers", list(range(400)))
             cluster.run_job(probe_job())
 
         cluster = make_cluster(
-            "pooled",
+            engine,
             fault_plan=FaultPlan.parse("raise:probe:reduce:*:*"),
             retry_policy=RetryPolicy(max_attempts=2),
         )
         assert self._unreachable_after(cluster, run, TaskError) == 0
 
-    def test_after_an_undegraded_memory_error(self, rng):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_after_an_undegraded_memory_error(self, rng, engine):
         records = random_records(rng, 80, dup_rate=0.6)
         config = JoinConfig(threshold=0.5, schema=SCHEMA_1, auto_degrade=False)
 
@@ -235,5 +239,5 @@ class TestAFailedPooledPhaseIsAcyclic:
             cluster.dfs.write("records", records)
             ssjoin_self(cluster, "records", config)
 
-        cluster = make_cluster("pooled", memory_per_task_mb=0.0001)
+        cluster = make_cluster(engine, memory_per_task_mb=0.0001)
         assert self._unreachable_after(cluster, run, InsufficientMemoryError) == 0

@@ -15,19 +15,24 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.sanitize import make_sanitizer
 from repro.core.naive import naive_rs_join, naive_self_join
 from repro.core.ppjoin import PPJoinIndex
-from repro.core.prefixes import Projection, projection_bytes
+from repro.core.prefixes import Owner, Projection, projection_bytes
+from repro.core.prefixes import route_of as repro_route_of
 from repro.core.similarity import Jaccard
-from repro.data.synthetic import generate_dblp
+from repro.data.synthetic import generate_citeseerx, generate_dblp
 from repro.join.blocks import BlockPolicy
 from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_rs, ssjoin_self
 from repro.join.estimate import PrefixSample, sample_prefix_frequencies
 from repro.join.memory import estimate_group_footprints
 from repro.join.records import make_line
-from repro.join.stage2 import make_self_mapper, owner_of
+from repro.join.stage1 import stage1_jobs
+from repro.join.stage2 import make_pk_reducer, make_self_mapper, owner_of, stage2_self_job
+from repro.join.stage2_rs import stage2_rs_job
 from repro.mapreduce import PersistentParallelCluster, SimulatedCluster
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Context
+from repro.mapreduce.pipeline import run_pipeline
+from repro.mapreduce.types import InsufficientMemoryError
 
 from tests.conftest import (
     SCHEMA_1,
@@ -62,12 +67,15 @@ def _corpus(rng, count, vocab, base=0):
     return [Projection(base + i, tuple(sorted(s))) for i, s in enumerate(sets)]
 
 
-def _routed_probes(stored, probing, mode, route_of, true_size, shuffle=None, **index_options):
+def _routed_probes(
+    stored, probing, mode, num_groups, true_size, shuffle=None, **index_options
+):
     """One index per route, holding and probed by the records routed
     there — what Stage 2 distributes over reducers.  Yields
     ``(route, stored_rid, probing_rid, index)`` per emitted pair.
     *shuffle* (an R-S index that does not evict takes its records in any
     order) permutes both streams instead of sorting them by size."""
+    route_of = repro_route_of(num_groups)
     routes = sorted(
         {route_of(t) for p in (*stored, *probing) for t in _prefix(p.tokens)}
     )
@@ -80,7 +88,7 @@ def _routed_probes(stored, probing, mode, route_of, true_size, shuffle=None, **i
 
     for route in routes:
         here = lambda p: any(route_of(t) == route for t in _prefix(p.tokens))  # noqa: E731
-        owner = lambda token: route_of(token) == route  # noqa: E731
+        owner = Owner(route, num_groups)
         index = PPJoinIndex(SIM, THRESHOLD, mode=mode, owner=owner, **index_options)
         if mode == "rs":
             for proj in stream(filter(here, stored)):
@@ -123,7 +131,7 @@ class TestKernelOwnership:
         stored, probing, mode, oracle, true_size = case
         route_of = (lambda t: t) if num_groups is None else (lambda t: t % num_groups)
         emitted = list(
-            _routed_probes(stored, probing, mode, route_of, true_size, **index_options)
+            _routed_probes(stored, probing, mode, num_groups, true_size, **index_options)
         )
         # every answer pair exactly once in total ...
         assert sorted((min(a, b), max(a, b)) for _r, a, b, _i in emitted) == sorted(
@@ -184,7 +192,7 @@ def test_an_owned_index_stores_only_reachable_records():
         if route in p.tokens[: SIM.index_prefix_length(p.size, THRESHOLD)]
     ]
     assert 0 < len(reachable) < len(here)
-    owned = PPJoinIndex(SIM, THRESHOLD, evict=False, owner=lambda t: t == route)
+    owned = PPJoinIndex(SIM, THRESHOLD, evict=False, owner=Owner(route))
     full = PPJoinIndex(SIM, THRESHOLD, evict=False)
     for proj in here:
         assert set(owned.probe(proj.rid, proj.tokens)) <= set(
@@ -216,6 +224,64 @@ def test_footprint_estimate_bounds_the_metered_pk_peak():
     sample = sample_prefix_frequencies(records, config, sample_rate=1.0)
     largest_group = max(estimate_group_footprints(sample, config).values())
     assert 0 < max(peaks) <= largest_group
+
+
+def _largest_pk_group(rs: bool, config: JoinConfig):
+    """The route and values of the Stage-2 reduce group with the most
+    records on dblp-2000 (R-S: x citeseerx-2000)."""
+    cluster = SimulatedCluster()
+    r = generate_dblp(2000, 7)
+    cluster.dfs.write("r", r)
+    run_pipeline(cluster, stage1_jobs(config, ["r"], "tokens", 4))
+    if rs:
+        cluster.dfs.write("s", generate_citeseerx(2000, 9, shared_with=r))
+        job = stage2_rs_job(config, "r", "s", "tokens", "out", 4)
+    else:
+        job = stage2_self_job(config, "r", "tokens", "out", 4)
+    groups = []
+    job.reducer = lambda route, values, ctx: groups.append((route, list(values)))
+    cluster.run_job(job)
+    return max(groups, key=lambda group: (len(group[1]), -group[0]))
+
+
+@pytest.mark.parametrize(
+    "rs,expected",
+    [
+        # measured on the per-record reducer (probe + add per record, the
+        # live_bytes delta charged after each) that the group call replaced:
+        # route, group records, peak, the record that fails, error fields,
+        # bytes still reserved after the reducer returns
+        (False, (1570, 28, 744, 15, 1113, "PK index", 744, 743, 136)),
+        (True, (1570, 56, 3016, 40, 1987, "PK index (R partition)", 3016, 3015, 176)),
+    ],
+    ids=["self", "rs"],
+)
+def test_a_budget_just_below_a_pk_groups_peak_fails_at_the_same_record(rs, expected):
+    """Memory metering moved into the kernel loop without moving: the
+    same peak, and one byte less fails on the same record with the same
+    ``(what, needed, limit)``."""
+    config = JoinConfig(threshold=0.8)
+    route, values = _largest_pk_group(rs, config)
+    reducer = make_pk_reducer(config, rs=rs)
+    ctx = Context(Counters())
+    reducer(route, iter(values), ctx)
+    peak = ctx.peak_memory_bytes
+    assert ctx._reserved_bytes == 0
+    consumed = []
+
+    def counted():
+        for value in values:
+            consumed.append(value[1])
+            yield value
+
+    squeezed = Context(Counters(), memory_limit_bytes=peak - 1)
+    with pytest.raises(InsufficientMemoryError) as info:
+        reducer(route, counted(), squeezed)
+    error = info.value
+    assert (
+        route, len(values), peak, len(consumed), consumed[-1],
+        error.what, error.needed_bytes, error.limit_bytes, squeezed._reserved_bytes,
+    ) == expected
 
 
 def test_owner_rule_inverts_the_router():

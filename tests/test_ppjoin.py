@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.naive import naive_rs_join, naive_self_join
 from repro.core.ppjoin import PPJoinIndex, ppjoin_rs_join, ppjoin_self_join
-from repro.core.prefixes import Projection
-from repro.core.similarity import Cosine, Dice, Jaccard
+from repro.core.prefixes import REL_R, REL_S, Owner, Projection, routes_of
+from repro.core.similarity import Cosine, Dice, Jaccard, bounds_for
 
 
 def projections(list_of_sets, base=0):
@@ -265,3 +265,115 @@ class TestDeterminism:
         assert ppjoin_self_join(projs, Jaccard(), 0.5) == ppjoin_self_join(
             projs, Jaccard(), 0.5
         )
+
+
+class TestGroupCall:
+    """``join_group`` runs a whole reduce group in one loop; ``probe`` /
+    ``add`` are that loop over one record.  Driving a group either way
+    must leave the same answers, tallies and index state — and both
+    must agree with the naive oracle, under every owner shape and filter
+    set the Stage-2 reducers build."""
+
+    FUNNEL_ENDS = ("foreign", "bitmap", "positional", "suffix", "verified")
+
+    @staticmethod
+    def stream(projections, mode, threshold):
+        """One group's Stage-2 value stream, in reduce-key order: set size
+        for a self-join; for R-S, Section 4's length class (the lower
+        bound for R, the size for S), then the relation."""
+        lower = bounds_for(Jaccard(), threshold).length_bounds
+        values = []
+        for rel, proj in projections:
+            n = proj.size
+            cls = lower[n][0] if mode == "rs" and rel == REL_R else n
+            values.append(((cls, rel, n, proj.rid), (rel, proj.rid, n, None, proj.tokens)))
+        return [value for _key, value in sorted(values)]
+
+    @staticmethod
+    def routed(projections, routing, threshold):
+        """``(owner, the records routed to it)``: one owner-less index
+        over everything, or one per route as the Stage-2 mappers send."""
+        if routing is None:
+            return [(None, projections)]
+        num_groups = None if routing == "token" else routing
+        routes = routes_of(num_groups)
+        prefix_length = bounds_for(Jaccard(), threshold).prefix_length
+        groups: dict[int, list] = {}
+        for rel, proj in projections:
+            for route in routes(proj.tokens[: prefix_length[proj.size]]):
+                groups.setdefault(route, []).append((rel, proj))
+        return [(Owner(route, num_groups), groups[route]) for route in sorted(groups)]
+
+    @pytest.mark.parametrize("evict", [True, False])
+    @pytest.mark.parametrize("bitmap", [True, False], ids=["bitmap", "suffix"])
+    @pytest.mark.parametrize("routing", [None, "token", 3], ids=["ownerless", "token", "grouped3"])
+    @pytest.mark.parametrize("mode", ["self", "rs"])
+    @given(
+        r_sets=proj_sets, s_sets=proj_sets, threshold=st.sampled_from([0.5, 0.7, 0.9])
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_group_call_equals_per_record_calls_and_the_oracle(
+        self, mode, routing, bitmap, evict, r_sets, s_sets, threshold
+    ):
+        sim = Jaccard()
+        r = projections(r_sets)
+        s = projections(s_sets, base=1000) if mode == "rs" else []
+        tagged = [(REL_R, p) for p in r] + [(REL_S, p) for p in s]
+        options = dict(
+            mode=mode, evict=evict, use_suffix=not bitmap, bitmap_width=16 if bitmap else None
+        )
+        by_group, by_record = [], []
+        for owner, members in self.routed(tagged, routing, threshold):
+            values = self.stream(members, mode, threshold)
+            grouped = PPJoinIndex(sim, threshold, owner=owner, **options)
+            by_group += grouped.join_group(values)
+            single = PPJoinIndex(sim, threshold, owner=owner, **options)
+            for rel, rid, n, sig, tokens in values:
+                if mode == "self" or rel == REL_S:
+                    by_record += [
+                        (other, rid, similarity)
+                        for other, similarity in single.probe(rid, tokens, n, sig)
+                    ]
+                if mode == "self" or rel == REL_R:
+                    single.add(rid, tokens, sig)
+            assert grouped.filter_stats == single.filter_stats
+            stats = grouped.filter_stats
+            assert stats["candidates"] == sum(stats[end] for end in self.FUNNEL_ENDS)
+            if owner is None:
+                assert stats["foreign"] == 0
+            assert (grouped.live_bytes, grouped.peak_live_entries, grouped.live_entries) == (
+                single.live_bytes, single.peak_live_entries, single.live_entries
+            )
+            assert grouped.records_seen == len(values)
+        assert by_group == by_record
+        if mode == "self":
+            got = sorted((min(a, b), max(a, b)) for a, b, _s in by_group)
+            oracle = naive_self_join(r, sim, threshold)
+        else:
+            got = sorted((a, b) for a, b, _s in by_group)
+            oracle = naive_rs_join(r, s, sim, threshold)
+        assert got == [pair[:2] for pair in oracle]
+
+    def test_a_probe_on_an_empty_index_checks_nothing_else(self):
+        """As a one-record call, a probe that can meet nothing returns
+        before the size-order check — exactly what ``probe`` always did."""
+        index = PPJoinIndex(Jaccard(), 0.5)
+        assert index.probe(1, (1, 2, 3, 4)) == []
+        assert index.probe(2, (1,)) == []  # smaller, but nothing is stored yet
+        index.add(3, (1, 2))
+        with pytest.raises(ValueError, match="non-decreasing"):
+            index.join_group([(REL_R, 4, 3, None, (1, 2, 5)), (REL_R, 5, 1, None, (1,))])
+
+    def test_the_meter_follows_live_bytes_and_is_released(self):
+        """``reserve`` / ``release`` see every change of ``live_bytes``,
+        record by record, and the group's charge is returned at the end."""
+        events = []
+        index = PPJoinIndex(Jaccard(), 0.9)
+        values = [(REL_R, rid, n, None, tuple(range(n))) for rid, n in enumerate((2, 2, 20, 21))]
+        index.join_group(
+            values, lambda n: events.append(n), lambda n: events.append(-n)
+        )
+        # two 2-token entries (48 B each), evicted by the 20-token probe
+        # in the same step that stores its own 192 B entry, then 200 B
+        assert events == [48, 48, 192 - 96, 200, -392]
+        assert index.live_bytes == 392

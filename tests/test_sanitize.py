@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.analysis import Sanitizer, env_sanitize, make_sanitizer, sanitize_active
+from repro.core.prefixes import Owner
 from repro.core.similarity import Jaccard
 from repro.join.blocks import BlockPolicy
 from repro.join.config import JoinConfig
@@ -253,7 +254,8 @@ class TestEndToEnd:
         config = JoinConfig(threshold=0.5, schema=SCHEMA_1, kernel=kernel, sanitize=True)
         honest, stats = run_stage2(records, config)
         assert stats.counters.get("sanitize.violations", 0) == 0
-        monkeypatch.setattr(stage2, "owner_of", lambda config, route: lambda token: True)
+        # one group that every token routes to, claimed by every group
+        monkeypatch.setattr(stage2, "owner_of", lambda config, route: Owner(0, num_groups=1))
         pairs, stats = run_stage2(records, config)
         surplus = len(pairs) - len(honest)
         assert surplus > 0
