@@ -21,7 +21,6 @@ KNOWN_COUNTER_NAMES: frozenset[str] = frozenset(
         'framework.reduce_input_records',
         'framework.reduce_output_records',
         'framework.shuffle_bytes',
-        'memory.escalations',
         'memory.peak_bytes',
         'memory.replans',
         'reduce.group_records',

@@ -69,13 +69,6 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                              "filter admissibility (sampled oracle) and index "
                              "byte accounting; output is unchanged, counters "
                              "appear under --stats (also: REPRO_SANITIZE=1)")
-    parser.add_argument("--memory-budget-mb", type=float, default=None,
-                        metavar="MB",
-                        help="per-task memory budget for plan-time admission: "
-                             "estimate Stage-2 reducer footprints from the "
-                             "prefix sample and pre-select routing and "
-                             "Section-5 blocks to fit; pairs are identical "
-                             "with or without a budget")
     parser.add_argument("--no-auto-degrade", action="store_true",
                         help="fail fast on Stage-2 memory exhaustion instead "
                              "of degrading the plan down the escalation "
@@ -138,7 +131,6 @@ def _build_config(args: argparse.Namespace) -> JoinConfig:
         bitmap_filter=not args.no_bitmap_filter,
         bitmap_width=args.bitmap_width,
         sanitize=args.sanitize,
-        memory_budget_mb=args.memory_budget_mb,
         auto_degrade=not args.no_auto_degrade,
     )
 

@@ -118,7 +118,6 @@ def projection_bytes(num_tokens: int, has_signature: bool = False) -> int:
     """Approximate bytes of one resident record projection: the token
     array plus framing, plus one word for the bitmap signature when the
     join ships signatures.  The one per-record byte model — a PK index
-    entry (:class:`repro.core.ppjoin.PPJoinIndex` ``live_bytes``), a
-    projection spilled by reduce-based block processing, and the
-    plan-time footprint estimate all charge it."""
+    entry (:class:`repro.core.ppjoin.PPJoinIndex` ``live_bytes``) and a
+    projection spilled by reduce-based block processing both charge it."""
     return 8 * num_tokens + 32 + (8 if has_signature else 0)

@@ -80,15 +80,6 @@ class JoinConfig:
     #: is bit-identical with the flag on or off.  ``REPRO_SANITIZE=1``
     #: force-enables it regardless of this field.
     sanitize: bool = False
-    #: plan-time memory admission (see :mod:`repro.join.memory`): budget
-    #: in megabytes the Stage-2 plan must fit under.  The driver
-    #: estimates per-group reducer footprints from a seeded sample of
-    #: the input (:func:`repro.join.estimate.sample_prefix_frequencies`)
-    #: and pre-selects routing granularity and a Section-5
-    #: :class:`BlockPolicy` so the estimated peak stays below the budget.
-    #: ``None`` (default) skips admission; runtime degradation still
-    #: applies.  Pairs are identical with or without a budget.
-    memory_budget_mb: float | None = None
     #: runtime degradation: when ``True`` (default) the driver treats a
     #: Stage-2 :class:`repro.mapreduce.types.InsufficientMemoryError` as
     #: a plan fault and retries the stage down an escalation ladder
@@ -128,10 +119,6 @@ class JoinConfig:
             raise ValueError(
                 "length_class_width and blocks are alternative Section-5 "
                 "strategies; configure at most one"
-            )
-        if self.memory_budget_mb is not None and self.memory_budget_mb <= 0:
-            raise ValueError(
-                f"memory_budget_mb must be > 0 or None, got {self.memory_budget_mb}"
             )
 
     @property

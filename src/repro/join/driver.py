@@ -29,15 +29,12 @@ from repro.join.checkpoint import (
     checkpoint_identity,
 )
 from repro.join.config import JoinConfig
-from repro.join.estimate import sample_prefix_frequencies
 from repro.join.memory import (
     MAX_REPLANS,
-    MEMORY_ESCALATIONS,
     MEMORY_REPLANS,
     apply_degradations,
     apply_step,
     next_escalation,
-    plan_admission,
 )
 from repro.join.stage1 import stage1_jobs
 from repro.join.stage2 import stage2_self_job
@@ -59,6 +56,8 @@ from repro.obs.trace import trace_span
 class JoinReport:
     """Per-stage statistics of one end-to-end join run."""
 
+    #: paper-style label of the plan that ran, e.g. ``"BTO-BK-BRJ"``
+    #: after a memory fault degraded a PK plan
     combo: str
     output_file: str
     stage1: JobStats = field(default_factory=JobStats)
@@ -66,8 +65,7 @@ class JoinReport:
     stage3: JobStats = field(default_factory=JobStats)
     #: driver-level counters with no owning job:
     #: ``resume.stages_skipped`` (bumped once per stage restored from a
-    #: checkpoint instead of re-run) and the ``memory.*``
-    #: admission/replan bookkeeping
+    #: checkpoint instead of re-run) and ``memory.replans``
     extra_counters: dict[str, int] = field(default_factory=dict)
     #: runtime degradation-ladder steps applied after Stage-2 memory
     #: faults, in order (see :mod:`repro.join.memory`); empty for a run
@@ -229,31 +227,6 @@ def _num_reducers(config: JoinConfig, cluster: SimulatedCluster) -> int:
     return cluster.config.reduce_slots
 
 
-def _admit_memory(
-    cluster: SimulatedCluster,
-    config: JoinConfig,
-    r_file: str,
-    s_file: str | None = None,
-) -> tuple[JoinConfig, dict[str, int]]:
-    """Plan-time memory admission hook of the join drivers.
-
-    With ``config.memory_budget_mb`` the raw input is sampled *before
-    any job runs* (:func:`sample_prefix_frequencies`) and
-    :func:`repro.join.memory.plan_admission` degrades the config until
-    its estimated Stage-2 peak fits the budget; the returned config
-    carries the choices so every stage sees them.  Deterministic: the
-    sample is seeded, so a resumed run recomputes the identical plan.
-    Returns ``(config, {})`` untouched, reading nothing, without a
-    budget.
-    """
-    if config.memory_budget_mb is None:
-        return config, {}
-    r_lines = list(cluster.dfs.read_all(r_file))
-    s_lines = list(cluster.dfs.read_all(s_file)) if s_file is not None else None
-    sample = sample_prefix_frequencies(r_lines, config, s_lines=s_lines)
-    return plan_admission(sample, config)
-
-
 def _prepare(cluster: SimulatedCluster, stages: list) -> None:
     """Register a whole join's jobs with the cluster, so a persistent
     pool forks once for all of them (a no-op on the sequential engine)."""
@@ -290,9 +263,10 @@ def _run_stages(
     config: JoinConfig,
     build,
     stages: list,
-) -> None:
+) -> JoinConfig:
     """Run (or restore) the join's stages in order, surviving Stage-2
-    memory faults by degrading the plan.
+    memory faults by degrading the plan; return the config the join
+    finished with (*config* with every degradation step applied).
 
     *build(config)* returns the join's stage list
     ``[(name, jobs, output_files, span_args), ...]`` for one concrete
@@ -327,7 +301,6 @@ def _run_stages(
                 ) from exc
             report.memory_steps.extend(steps)
             report.extra_counters[MEMORY_REPLANS] = len(steps)
-            report.extra_counters[MEMORY_ESCALATIONS] = len(steps)
             if tracer is not None:
                 tracer.instant(
                     "memory-steps-replayed", "fault", steps=list(steps)
@@ -365,9 +338,6 @@ def _run_stages(
             report.extra_counters[MEMORY_REPLANS] = (
                 report.extra_counters.get(MEMORY_REPLANS, 0) + 1
             )
-            report.extra_counters[MEMORY_ESCALATIONS] = (
-                report.extra_counters.get(MEMORY_ESCALATIONS, 0) + 1
-            )
             if tracer is not None:
                 tracer.instant(
                     "memory-replan", "fault",
@@ -381,6 +351,7 @@ def _run_stages(
         if checkpoint is not None:
             checkpoint.save_stage(name, cluster.dfs, outputs)
         index += 1
+    return config
 
 
 def _merge_telemetry(cluster: SimulatedCluster, report: JoinReport) -> None:
@@ -412,7 +383,6 @@ def _ssjoin(
     config = config or JoinConfig()
     prefix = prefix or f"{files[0]}.{kind}join"
     reducers = _num_reducers(config, cluster)
-    config, admission = _admit_memory(cluster, config, *files)
 
     token_order_file = f"{prefix}.tokens"
     pairs_file = f"{prefix}.ridpairs"
@@ -448,24 +418,22 @@ def _ssjoin(
 
     done: list[str] = []
     if checkpoint is not None:
-        # identity is the *admitted* (pre-runtime-degradation) config:
-        # admission is deterministic, so a resumed run recomputes it and
-        # then replays the persisted degradation steps on top
+        # identity is the requested config: a resumed run replays the
+        # persisted degradation steps on top of it
         done = checkpoint.begin(
             checkpoint_identity(kind, config, prefix, cluster.dfs, files, reducers)
         )
 
     report = JoinReport(combo=config.combo_name, output_file=output_file)
-    report.extra_counters.update(admission)
     tracer = cluster.tracer
     with trace_span(
         tracer, f"ssjoin_{kind}:" + ":".join(files), "join",
         combo=config.combo_name, threshold=config.threshold,
         routing=config.routing, kernel=config.kernel,
     ):
-        _run_stages(
+        report.combo = _run_stages(
             cluster, report, tracer, checkpoint, done, config, build, stages
-        )
+        ).combo_name
     _merge_telemetry(cluster, report)
     return report
 

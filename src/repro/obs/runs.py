@@ -80,15 +80,20 @@ def build_run_manifest(
     if config is not None:
         # imported lazily: repro.join pulls in repro.obs at package init
         from repro.join.checkpoint import config_digest
+        from repro.join.memory import apply_degradations
 
         doc["config_digest"] = config_digest(config)
         doc["threshold"] = config.threshold
-        doc["kernel"] = config.kernel
+        # the kernel that ran: a memory fault may have degraded the plan
+        steps = report.memory_steps if report is not None else []
+        doc["kernel"] = apply_degradations(config, steps).kernel
     if report is not None:
         counters = report.counters()
         times = report.stage_times()
         times["total"] = report.total_simulated_s
         doc["combo"] = report.combo
+        if report.memory_steps:
+            doc["memory_steps"] = list(report.memory_steps)
         doc["stage_times_s"] = {k: round(v, 6) for k, v in times.items()}
         wall = dict(report.stage_wall_s)
         wall["total"] = sum(wall.values())

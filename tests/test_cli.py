@@ -84,8 +84,14 @@ class TestUserErrors:
     and exit status 2, with no output written."""
 
     def _error_line(self, argv, out, capsys):
-        assert main(argv + ["-o", str(out)]) == 2
-        (line,) = capsys.readouterr().err.splitlines()
+        try:
+            status = main(argv + ["-o", str(out)])
+        except SystemExit as exc:  # argparse: its usage, then the error
+            status, lines = exc.code, capsys.readouterr().err.splitlines()[-1:]
+        else:
+            lines = capsys.readouterr().err.splitlines()
+        assert status == 2
+        (line,) = lines
         assert not out.exists()
         return line
 
@@ -93,7 +99,8 @@ class TestUserErrors:
         (["--blocks", "4"], "block processing applies to the BK kernel"),
         (["--bitmap-width", "0"], "bitmap_width must be >= 1"),
         (["--routing", "grouped", "--num-groups", "0"], "num_groups must be >= 1"),
-        (["--memory-budget-mb", "0"], "memory_budget_mb must be > 0"),
+        # plan-time memory admission is gone, flag and all
+        (["--memory-budget-mb", "64"], "unrecognized arguments: --memory-budget-mb 64"),
         (["--threshold", "1.5"], "threshold must be at most 1.0 for jaccard"),
     ])
     def test_bad_config_is_reported_before_the_input_is_opened(
@@ -101,7 +108,8 @@ class TestUserErrors:
     ):
         argv = ["selfjoin", str(tmp_path / "nope.tsv")] + flags
         line = self._error_line(argv, tmp_path / "pairs.tsv", capsys)
-        assert line.startswith("repro selfjoin: error: ") and message in line
+        assert line.startswith(("repro selfjoin: error: ", "repro: error: "))
+        assert message in line
 
     @pytest.mark.parametrize("flags,message", [
         (["--nodes", "0"], "num_nodes must be >= 1"),
@@ -253,11 +261,19 @@ class TestMemoryPressure:
         clean = read_records(out)
         capsys.readouterr()
 
-        squeezed = args + ["--faults", self._squeeze(args[1])]
+        runs = tmp_path / "runs"
+        squeezed = args + ["--faults", self._squeeze(args[1]), "--runs-dir", str(runs)]
         assert main(squeezed) == 0
         err = capsys.readouterr().err
         assert "memory: replans=" in err
         assert read_records(out) == clean
+        # the manifest names the plan that ran, not the one requested
+        (manifest,) = runs.glob("*.json")
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        steps = doc["memory_steps"]
+        assert doc["kernel"] == "bk" and steps[0] == "kernel:bk"
+        assert doc["counters"]["memory.replans"] == len(steps)
+        assert "memory.escalations" not in doc["counters"]
 
     def test_no_auto_degrade_surfaces_the_error(self, tmp_path):
         from repro.mapreduce.types import InsufficientMemoryError
@@ -269,14 +285,3 @@ class TestMemoryPressure:
         ]
         with pytest.raises(InsufficientMemoryError):
             main(args)
-
-    def test_memory_budget_admits_the_plan(self, tmp_path, capsys):
-        out = tmp_path / "pairs.tsv"
-        args = self._args(self._skewed(tmp_path), out)
-        assert main(args) == 0
-        clean = read_records(out)
-        capsys.readouterr()
-
-        assert main(args + ["--memory-budget-mb", "0.01", "--stats"]) == 0
-        capsys.readouterr()
-        assert read_records(out) == clean

@@ -1,5 +1,4 @@
-"""Tests for sampling-based join-cardinality estimation and the
-plan-time prefix sampler memory admission reads."""
+"""Tests for sampling-based join-cardinality estimation."""
 
 import random
 
@@ -8,15 +7,7 @@ import pytest
 from repro.core.naive import naive_self_join
 from repro.core.prefixes import Projection
 from repro.core.similarity import Jaccard
-from repro.join.config import JoinConfig
-from repro.join.estimate import (
-    estimate_self_join_cardinality,
-    sample_prefix_frequencies,
-)
-
-from tests.conftest import SCHEMA_1, random_records
-
-CONFIG = dict(threshold=0.5, schema=SCHEMA_1)
+from repro.join.estimate import estimate_self_join_cardinality
 
 
 def duplicate_heavy_corpus(num_clusters=200, cluster_size=4, seed=3):
@@ -71,38 +62,3 @@ class TestEstimate:
         )
         assert sampled == 0
         assert estimate == 0
-
-
-class TestPrefixSampler:
-    def test_deterministic(self, rng):
-        records = random_records(rng, 300)
-        config = JoinConfig(**CONFIG)
-        a = sample_prefix_frequencies(records, config, seed=5)
-        b = sample_prefix_frequencies(records, config, seed=5)
-        assert a == b
-
-    def test_small_input_falls_back_to_prefix(self, rng):
-        records = random_records(rng, 20)
-        sample = sample_prefix_frequencies(records, JoinConfig(**CONFIG))
-        # Bernoulli at 10% would keep ~2 lines; the fallback takes all
-        assert sample.records_sampled == 20
-        assert sample.records_total == 20
-        assert sample.scale == 1.0
-
-    def test_scale_reflects_effective_rate(self, rng):
-        records = random_records(rng, 2000)
-        sample = sample_prefix_frequencies(records, JoinConfig(**CONFIG))
-        assert 0 < sample.records_sampled < 2000
-        assert sample.scale == 2000 / sample.records_sampled
-
-    def test_rs_order_is_built_on_r_only(self):
-        r = ["0\talpha beta\tx", "1\talpha gamma\tx"]
-        s = ["9\tzulu alpha\tx"]
-        sample = sample_prefix_frequencies(r, JoinConfig(**CONFIG), s_lines=s)
-        # R-sample order: beta, gamma, alpha; S-only "zulu" is dropped
-        assert sample.token_rank_lists == ((0, 2), (1, 2), (2,))
-        assert sample.records_sampled == len(r) + len(s)
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            sample_prefix_frequencies(["0\ta\tx"], JoinConfig(**CONFIG), sample_rate=0.0)

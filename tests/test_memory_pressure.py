@@ -1,8 +1,7 @@
-"""Memory-pressure survival (ISSUE 10): the squeeze fault, plan-time
-admission, the runtime degradation ladder, and the
-differential chaos matrix proving a squeezed join recovers with
-bit-identical output on both engines — including through a kill +
-``--resume`` mid-degradation.
+"""Memory-pressure survival: the squeeze fault, the runtime degradation
+ladder, and the differential chaos matrix proving a squeezed join
+recovers with bit-identical output on both engines — including through
+a kill + ``--resume`` mid-degradation — and reports the plan that ran.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.naive import naive_rs_join, naive_self_join
-from repro.core.prefixes import projection_bytes
 from repro.join.blocks import (
     MAP_BASED,
     REDUCE_BASED,
@@ -27,19 +25,7 @@ from repro.join.blocks import (
 from repro.join.checkpoint import CheckpointMismatchError, JoinCheckpoint
 from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_rs, ssjoin_self
-from repro.join.estimate import PrefixSample
-from repro.join.memory import (
-    MEMORY_ADMISSION_ADJUSTMENTS,
-    MEMORY_ADMITTED,
-    MEMORY_EST_PEAK,
-    apply_degradations,
-    apply_step,
-    choose_block_strategy,
-    estimate_group_footprints,
-    estimate_peak_bytes,
-    next_escalation,
-    plan_admission,
-)
+from repro.join.memory import apply_degradations, apply_step, next_escalation
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.dfs import InMemoryDFS
@@ -52,6 +38,7 @@ from repro.mapreduce.faults import (
 )
 from repro.mapreduce.job import Context
 from repro.mapreduce.types import InsufficientMemoryError
+from repro.obs.runs import build_run_manifest
 
 from tests.conftest import (
     SCHEMA_1,
@@ -133,15 +120,18 @@ def run_rs(cluster, r, s, config=None, **kwargs):
     return sorted(cluster.dfs.read_all(report.output_file)), report
 
 
-def make_sample(prefix_lists, token_lists, sampled=None, total=None):
-    sampled = len(prefix_lists) if sampled is None else sampled
-    total = sampled if total is None else total
-    return PrefixSample(
-        prefix_rank_lists=tuple(tuple(p) for p in prefix_lists),
-        token_rank_lists=tuple(tuple(t) for t in token_lists),
-        records_sampled=sampled,
-        records_total=total,
+def assert_names_the_plan_that_ran(config, report):
+    """The report, its summary header and the run manifest name the plan
+    the join finished with — *config* with every degradation step
+    applied — and the manifest lists the steps."""
+    ran = apply_degradations(config, report.memory_steps)
+    doc = build_run_manifest(
+        kind="selfjoin", workload="records", config=config, report=report
     )
+    assert report.combo == doc["combo"] == ran.combo_name
+    assert report.format_summary().startswith(f"{ran.combo_name}: ")
+    assert doc["kernel"] == ran.kernel
+    assert doc.get("memory_steps", []) == report.memory_steps
 
 
 # ---------------------------------------------------------------------------
@@ -208,109 +198,6 @@ class TestReleaseUnderflow:
 
 
 # ---------------------------------------------------------------------------
-# plan-time admission
-# ---------------------------------------------------------------------------
-
-
-class TestFootprintModel:
-    def test_individual_routing_footprints(self):
-        sample = make_sample(
-            prefix_lists=[(0,), (0,), (1,)],
-            token_lists=[(0, 1), (0, 2), (1, 3)],
-        )
-        config = JoinConfig(**CONFIG, kernel="bk")
-        per_record = projection_bytes(2, config.bitmap_filter)
-        footprints = estimate_group_footprints(sample, config)
-        assert footprints == {0: 2 * per_record, 1: per_record}
-        assert estimate_peak_bytes(sample, config) == 2 * per_record
-
-    def test_sample_scale_and_grouped_routing(self):
-        sample = make_sample(
-            prefix_lists=[(0, 2), (1,)],
-            token_lists=[(0, 2, 5), (1, 4)],
-            sampled=2,
-            total=8,  # scale 4x
-        )
-        config = JoinConfig(
-            **CONFIG, kernel="bk", routing="grouped", num_groups=2,
-        )
-        footprints = estimate_group_footprints(sample, config)
-        # ranks 0 and 2 collapse onto group 0; rank 1 routes to group 1
-        sig = config.bitmap_filter
-        assert footprints[0] == 4 * projection_bytes(3, sig)
-        assert footprints[1] == 4 * projection_bytes(2, sig)
-
-    def test_blocks_divide_peak(self):
-        sample = make_sample(
-            prefix_lists=[(0,)] * 8,
-            token_lists=[(0, 1, 2)] * 8,
-        )
-        base = JoinConfig(**CONFIG, kernel="bk")
-        peak = estimate_peak_bytes(sample, base)
-        blocked = base.with_options(
-            blocks=BlockPolicy(strategy=REDUCE_BASED, num_blocks=4)
-        )
-        # two resident blocks out of four: half the unblocked peak
-        assert estimate_peak_bytes(sample, blocked) == -(-peak // 2)
-
-    def test_empty_sample_estimates_zero(self):
-        sample = make_sample([], [])
-        config = JoinConfig(**CONFIG, kernel="bk")
-        assert estimate_peak_bytes(sample, config) == 0
-
-    def test_block_strategy_cost_crossover(self):
-        # map-based replication wins at small block counts; once the
-        # replication factor blows up, reduce-based spilling wins
-        for num_blocks in range(2, 8):
-            assert choose_block_strategy(10_000.0, num_blocks) == MAP_BASED
-        for num_blocks in (8, 16, 512):
-            assert choose_block_strategy(10_000.0, num_blocks) == REDUCE_BASED
-        assert choose_block_strategy(10_000.0, 1) == REDUCE_BASED
-
-
-class TestAdmission:
-    def test_no_budget_is_a_no_op(self):
-        sample = make_sample([(0,)], [(0, 1)])
-        config = JoinConfig(**CONFIG)
-        admitted, counters = plan_admission(sample, config)
-        assert admitted is config and counters == {}
-
-    def test_fitting_plan_is_untouched(self):
-        sample = make_sample([(0,)], [(0, 1)])
-        config = JoinConfig(**CONFIG, kernel="bk", memory_budget_mb=64.0)
-        admitted, counters = plan_admission(sample, config)
-        assert admitted.blocks is None and admitted.kernel == "bk"
-        assert counters[MEMORY_ADMITTED] == 1
-        assert counters[MEMORY_ADMISSION_ADJUSTMENTS] == 0
-
-    def test_oversized_group_is_pre_degraded_under_budget(self):
-        budget_mb = 0.001
-        sample = make_sample(
-            prefix_lists=[(0,)] * 64,
-            token_lists=[tuple(range(40))] * 64,
-            sampled=64,
-            total=640,
-        )
-        config = JoinConfig(**CONFIG, kernel="pk", memory_budget_mb=budget_mb)
-        admitted, counters = plan_admission(sample, config)
-        assert counters[MEMORY_ADMISSION_ADJUSTMENTS] >= 2
-        assert admitted.kernel == "bk" and admitted.blocks is not None
-        allowance = 0.8 * budget_mb * 1024 * 1024
-        assert counters[MEMORY_EST_PEAK] <= allowance
-        assert estimate_peak_bytes(sample, admitted) <= allowance
-
-    def test_admission_is_deterministic(self):
-        sample = make_sample(
-            prefix_lists=[(0,), (1,)] * 20,
-            token_lists=[tuple(range(30))] * 40,
-            sampled=40,
-            total=400,
-        )
-        config = JoinConfig(**CONFIG, kernel="pk", memory_budget_mb=0.002)
-        assert plan_admission(sample, config) == plan_admission(sample, config)
-
-
-# ---------------------------------------------------------------------------
 # the degradation ladder
 # ---------------------------------------------------------------------------
 
@@ -337,7 +224,7 @@ class TestLadder:
     def test_one_group_per_token_starts_at_the_kernel_rung(self):
         """Grouped routing with ``num_groups=None`` already is per-token
         routing: a ``routing:individual`` rung would re-run the identical
-        plan, so both ladders skip it."""
+        plan, so the ladder skips it."""
         config = JoinConfig(**CONFIG, kernel="pk", routing="grouped")
         assert next_escalation(config) == "kernel:bk"
         individual = JoinConfig(**CONFIG, kernel="pk")
@@ -364,23 +251,12 @@ class TestLadder:
         assert grouped_report.memory_steps == report.memory_steps
         assert grouped_pairs == pairs and pairs
 
-    def test_length_class_plan_takes_the_blocks_rung_on_both_ladders(self):
-        """Where the two ladder copies used to disagree: a BK plan with
-        ``length_class_width`` over budget engages blocks (clearing the
-        class width) at admission exactly as it does at runtime."""
+    def test_length_class_plan_takes_the_blocks_rung(self):
+        """A BK plan with ``length_class_width`` over budget engages
+        blocks, the stronger Section-5 strategy (the step clears the
+        class width: ``test_blocks_step_clears_length_classes``)."""
         config = JoinConfig(**CONFIG, kernel="bk", length_class_width=4)
         assert next_escalation(config) == "blocks:reduce:2"
-        sample = make_sample(
-            prefix_lists=[(0,)] * 64,
-            token_lists=[tuple(range(40))] * 64,
-            sampled=64,
-            total=640,
-        )
-        admitted, counters = plan_admission(
-            sample, config.with_options(memory_budget_mb=0.001)
-        )
-        assert admitted.blocks is not None and admitted.length_class_width is None
-        assert counters[MEMORY_ADMISSION_ADJUSTMENTS] == 1
 
     def test_apply_step_rejects_unknown(self):
         config = JoinConfig(**CONFIG)
@@ -423,9 +299,10 @@ class TestSqueezeRecoverySimulated:
         pairs, report = run_self(
             make_sim(fault_plan=FaultPlan.parse(squeeze_self(kernel))), records, config
         )
-        assert report.counters()["memory.replans"] >= 1
-        assert report.memory_steps
+        assert report.counters()["memory.replans"] == len(report.memory_steps) >= 1
+        assert "memory.escalations" not in report.counters()
         assert pairs == clean_pairs
+        assert_names_the_plan_that_ran(config, report)
 
     @pytest.mark.parametrize("kernel", ["bk", "pk"])
     def test_rs_join_recovers_bit_identical(self, kernel):
@@ -494,8 +371,9 @@ class TestSqueezeRecoverySimulated:
         assert report.counters()["resume.stages_skipped"] == 2
         # the degraded plan was replayed from the manifest, not
         # rediscovered: the replayed steps count as replans again
-        assert report.memory_steps
+        assert report.memory_steps[0] == "kernel:bk"
         assert report.counters()["memory.replans"] == len(report.memory_steps)
+        assert_names_the_plan_that_ran(config, report)
 
     def test_resume_refuses_retired_batch_step(self, tmp_path):
         """A manifest written before the batch rungs were retired is
@@ -525,6 +403,8 @@ class TestSqueezeRecoveryPersistent:
         )
         assert report.counters()["memory.replans"] >= 1
         assert pairs == clean_pairs
+        assert report.memory_steps[0] == "kernel:bk"
+        assert_names_the_plan_that_ran(config, report)
 
     def test_rs_join_recovers_bit_identical(self):
         r = skewed_records(160)
@@ -577,45 +457,7 @@ def test_checkpoint_resumes_on_the_other_engine(tmp_path, engines, squeezed):
     assert report.counters()["resume.stages_skipped"] == 2
     assert report.memory_steps == recorded
     assert report.counters().get("memory.replans", 0) == len(recorded)
-
-
-# ---------------------------------------------------------------------------
-# budget-driven admission end to end
-# ---------------------------------------------------------------------------
-
-
-class TestBudgetEndToEnd:
-    def test_budgeted_run_matches_unbudgeted(self):
-        records = skewed_records()
-        base = JoinConfig(**CONFIG, kernel="pk")
-        clean_pairs, _ = run_self(make_sim(), records, base)
-        # the hot group's estimated footprint is ~6 KB; 80% of 5 KB is not
-        budgeted = JoinConfig(**CONFIG, kernel="pk", memory_budget_mb=0.005)
-        pairs, report = run_self(make_sim(), records, budgeted)
-        counters = report.counters()
-        assert counters["memory.admitted"] == 1
-        assert counters["memory.admission_adjustments"] >= 1
-        assert pairs == clean_pairs
-
-    def test_unbudgeted_run_never_samples_the_input(self, monkeypatch):
-        def sampled(*args, **kwargs):
-            raise AssertionError("input sampled without a memory budget")
-
-        monkeypatch.setattr("repro.join.driver.sample_prefix_frequencies", sampled)
-        pairs, report = run_self(make_sim(), skewed_records(), JoinConfig(**CONFIG))
-        assert pairs and "memory.admitted" not in report.counters()
-
-    def test_admitted_plan_avoids_runtime_squeeze(self):
-        # admission under a budget at the squeeze cap means the squeezed
-        # run needs no (or strictly fewer) runtime replans
-        records = skewed_records()
-        config = JoinConfig(**CONFIG, kernel="pk", memory_budget_mb=0.005)
-        pairs, report = run_self(
-            make_sim(fault_plan=FaultPlan.parse(SQUEEZE)), records, config
-        )
-        clean_pairs, _ = run_self(make_sim(), records, JoinConfig(**CONFIG))
-        assert pairs == clean_pairs
-        assert report.counters().get("memory.replans", 0) == 0
+    assert_names_the_plan_that_ran(config, report)
 
 
 # ---------------------------------------------------------------------------

@@ -308,10 +308,10 @@ REAL_CODE_MUTATIONS = {
         "                lines[rid] = line",
         "                lines[rid] = line  # mrlint: disable=MR002",
     ),
-    "MR101": (  # the one bug found in tree (DESIGN.md section 5c), put back
-        ["join/memory.py", "join/driver.py"], "join/memory.py",
-        "        for route in sorted(routes(prefix_ranks)):",
-        "        for route in set(routes(prefix_ranks)):",
+    "MR101": (  # a helper the Stage-2 mapper calls iterates a set
+        ["core/bitmaps.py", "join/stage2.py"], "core/bitmaps.py",
+        "        for rank in tokens:",
+        "        for rank in set(tokens):",
     ),
     "MR102": (
         ["join/fullrecord.py"], "join/fullrecord.py",

@@ -22,8 +22,6 @@ from repro.data.synthetic import generate_citeseerx, generate_dblp
 from repro.join.blocks import BlockPolicy
 from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_rs, ssjoin_self
-from repro.join.estimate import PrefixSample, sample_prefix_frequencies
-from repro.join.memory import estimate_group_footprints
 from repro.join.records import make_line
 from repro.join.stage1 import stage1_jobs
 from repro.join.stage2 import make_pk_reducer, make_self_mapper, owner_of, stage2_self_job
@@ -208,24 +206,6 @@ def test_an_owned_index_stores_only_reachable_records():
     assert list(owned._postings) == [route]
 
 
-def test_footprint_estimate_bounds_the_metered_pk_peak():
-    """``estimate_group_footprints`` charges every record routed to a
-    group (BK's exact figure); the PK index stores a subset, so the
-    estimate stays an upper bound of every reduce task's metered peak."""
-    records = generate_dblp(600, 7)
-    config = JoinConfig(threshold=0.8)
-    cluster = SimulatedCluster()
-    cluster.dfs.write("records", records)
-    report = ssjoin_self(cluster, "records", config)
-    peaks = [
-        task.peak_memory_bytes
-        for phase in report.stage2.phases for task in phase.reduce_tasks
-    ]
-    sample = sample_prefix_frequencies(records, config, sample_rate=1.0)
-    largest_group = max(estimate_group_footprints(sample, config).values())
-    assert 0 < max(peaks) <= largest_group
-
-
 def _largest_pk_group(rs: bool, config: JoinConfig):
     """The route and values of the Stage-2 reduce group with the most
     records on dblp-2000 (R-S: x citeseerx-2000)."""
@@ -304,9 +284,9 @@ def test_every_reader_of_the_routing_decision_agrees(
     routing, num_groups, dictionary, data
 ):
     """token -> route is defined once (``repro.core.prefixes.route_of``
-    under ``JoinConfig.token_groups``): the mapper, the ownership rule
-    and the memory footprint model must place every rank on the same
-    route — the one the sanitizer derives on its own."""
+    under ``JoinConfig.token_groups``): the mapper and the ownership
+    rule must place every rank on the same route — the one the
+    sanitizer derives on its own."""
     prefix = tuple(sorted(data.draw(
         st.sets(st.integers(0, dictionary - 1), min_size=1, max_size=8)
     )))
@@ -339,12 +319,6 @@ def test_every_reader_of_the_routing_decision_agrees(
     assert [key[0] for key, _value in ctx._emitted] == list(
         dict.fromkeys(expected.values())
     )
-
-    sample = PrefixSample(
-        prefix_rank_lists=(prefix,), token_rank_lists=(prefix,),
-        records_sampled=1, records_total=1,
-    )
-    assert set(estimate_group_footprints(sample, config)) == set(expected.values())
 
 
 ROUTINGS = [("individual", None), ("grouped", 1), ("grouped", 3), ("grouped", 8)]
