@@ -37,7 +37,9 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threshold", type=float, default=0.8)
     parser.add_argument("--stage1", default="bto", choices=["bto", "opto"])
     parser.add_argument("--kernel", default="pk", choices=["bk", "pk"])
-    parser.add_argument("--stage3", default="brj", choices=["brj", "oprj"])
+    parser.add_argument("--stage3", default="oprj", choices=["brj", "oprj"],
+                        help="record join (default: oprj; a Stage-3 memory "
+                             "fault re-runs it as brj)")
     parser.add_argument("--routing", default="individual",
                         choices=["individual", "grouped"])
     parser.add_argument("--num-groups", type=int, default=None,
@@ -70,10 +72,10 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                              "byte accounting; output is unchanged, counters "
                              "appear under --stats (also: REPRO_SANITIZE=1)")
     parser.add_argument("--no-auto-degrade", action="store_true",
-                        help="fail fast on Stage-2 memory exhaustion instead "
+                        help="fail fast on Stage-2/3 memory exhaustion instead "
                              "of degrading the plan down the escalation "
-                             "ladder (finer routing -> BK kernel -> blocks) "
-                             "and re-running the stage")
+                             "ladder (finer routing -> BK kernel -> blocks; "
+                             "OPRJ -> BRJ) and re-running the stage")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="record a span timeline of the whole join and "
                              "write it as Chrome trace-event JSON (open in "

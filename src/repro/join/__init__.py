@@ -20,8 +20,6 @@ from repro.join.records import (
     parse_fields,
     rid_of,
 )
-from repro.join.estimate import estimate_self_join_cardinality
-from repro.join.planner import recommend_config
 from repro.join.driver import (
     JoinReport,
     set_similarity_self_join,
@@ -36,11 +34,9 @@ __all__ = [
     "JoinConfig",
     "JoinReport",
     "RecordSchema",
-    "estimate_self_join_cardinality",
     "join_value",
     "make_line",
     "parse_fields",
-    "recommend_config",
     "rid_of",
     "set_similarity_rs_join",
     "set_similarity_self_join",

@@ -16,9 +16,13 @@ stage3     ``"brj"``                   Basic Record Join
 stage3     ``"oprj"``                  One-Phase Record Join
 =========  ==========================  =========================
 
-So ``JoinConfig(stage1="bto", kernel="pk", stage3="oprj")`` is the
-paper's fastest self-join combination BTO-PK-OPRJ, and the recommended
-robust combination is BTO-PK-BRJ (Section 6.1.3/6.2.3).
+The default, ``JoinConfig()``, is BTO-PK-OPRJ: the paper's fastest
+combination whenever the RID-pair list fits in a map task.  The paper
+recommends BTO-PK-BRJ as the robust choice because OPRJ runs out of
+memory at scale (Section 6.1.3/6.2.3); here that choice is made at run
+time instead of up front — an OPRJ task that exceeds its memory budget
+re-runs Stage 3 as BRJ (the ``stage3:brj`` rung of
+:mod:`repro.join.memory`, with ``auto_degrade`` on).
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ class JoinConfig:
     routing: str = "individual"
     #: group count for ``routing="grouped"``; ``None`` = one group per token
     num_groups: int | None = None
-    stage3: str = "brj"
+    stage3: str = "oprj"
     #: reducers for data-parallel jobs; ``None`` = one per cluster reduce slot
     num_reducers: int | None = None
     #: Section 5 block processing for oversized kernel groups
@@ -81,10 +85,11 @@ class JoinConfig:
     #: force-enables it regardless of this field.
     sanitize: bool = False
     #: runtime degradation: when ``True`` (default) the driver treats a
-    #: Stage-2 :class:`repro.mapreduce.types.InsufficientMemoryError` as
-    #: a plan fault and retries the stage down an escalation ladder
-    #: (finer routing → BK kernel → engage/double blocks); ``False``
-    #: restores the raw fail-fast behaviour.
+    #: Stage-2 or Stage-3 :class:`repro.mapreduce.types.InsufficientMemoryError`
+    #: as a plan fault and retries the stage down an escalation ladder
+    #: (Stage 2: finer routing → BK kernel → engage/double blocks;
+    #: Stage 3: OPRJ → BRJ); ``False`` restores the raw fail-fast
+    #: behaviour.
     auto_degrade: bool = True
 
     def __post_init__(self) -> None:

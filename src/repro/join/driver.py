@@ -67,9 +67,9 @@ class JoinReport:
     #: ``resume.stages_skipped`` (bumped once per stage restored from a
     #: checkpoint instead of re-run) and ``memory.replans``
     extra_counters: dict[str, int] = field(default_factory=dict)
-    #: runtime degradation-ladder steps applied after Stage-2 memory
-    #: faults, in order (see :mod:`repro.join.memory`); empty for a run
-    #: that never hit a memory fault
+    #: runtime degradation-ladder steps applied after Stage-2 / Stage-3
+    #: memory faults, in order (see :mod:`repro.join.memory`); empty for
+    #: a run that never hit a memory fault
     memory_steps: list[str] = field(default_factory=list)
     #: measured wall seconds the driver spent running each stage — the
     #: real clock next to :meth:`stage_times`' simulated one.  Attempts a
@@ -265,8 +265,9 @@ def _run_stages(
     stages: list,
 ) -> JoinConfig:
     """Run (or restore) the join's stages in order, surviving Stage-2
-    memory faults by degrading the plan; return the config the join
-    finished with (*config* with every degradation step applied).
+    and Stage-3 memory faults by degrading the plan; return the config
+    the join finished with (*config* with every degradation step
+    applied).
 
     *build(config)* returns the join's stage list
     ``[(name, jobs, output_files, span_args), ...]`` for one concrete
@@ -279,14 +280,15 @@ def _run_stages(
     and ``resume.stages_skipped`` is bumped — and every freshly run
     stage is checkpointed before the next one starts.
 
-    A Stage-2 :class:`InsufficientMemoryError` is treated as a *plan
-    fault* when ``config.auto_degrade`` is on: the next escalation-
-    ladder rung (:func:`repro.join.memory.next_escalation`) is applied,
-    the stage jobs are rebuilt and the stage re-runs, bounded by
+    A Stage-2 or Stage-3 :class:`InsufficientMemoryError` is treated
+    as a *plan fault* when ``config.auto_degrade`` is on: the next
+    escalation-ladder rung (:func:`repro.join.memory.next_escalation`;
+    ``stage3:brj`` for an OPRJ Stage 3) is applied, the stage jobs are
+    rebuilt and the stage re-runs, bounded by
     :data:`repro.join.memory.MAX_REPLANS`.  Each applied step is persisted in
     the checkpoint manifest, so a killed-and-resumed run replays the
     degraded plan instead of rediscovering it rung by rung.  Memory
-    faults in other stages (and exhausted ladders) re-raise unchanged.
+    faults in Stage 1 (and exhausted ladders) re-raise unchanged.
     """
     steps: list[str] = []
     if checkpoint is not None:
@@ -327,10 +329,10 @@ def _run_stages(
             _run_stage(cluster, report, tracer, name, jobs, span_args)
         except InsufficientMemoryError as exc:
             step = None
-            if name == "stage2" and config.auto_degrade:
+            if config.auto_degrade:
                 replans = report.extra_counters.get(MEMORY_REPLANS, 0)
                 if replans < MAX_REPLANS:
-                    step = next_escalation(config)
+                    step = next_escalation(config, name)
             if step is None:
                 raise
             config = apply_step(config, step)

@@ -45,13 +45,10 @@ def full_record_job(
     sim, threshold = config.sim, config.threshold
     prefix_length = bounds_for(sim, threshold).prefix_length
     routes = routes_of(config.token_groups)
-    state: dict = {}
-
-    def map_setup(ctx: Context) -> None:
-        state["order"] = load_token_order(ctx, token_order_file)
 
     def mapper(line: str, ctx: Context) -> None:
-        rid, ranks, _true = project_record(line, config, state["order"], "error")
+        order = load_token_order(ctx, token_order_file)
+        rid, ranks, _true = project_record(line, config, order, "error")
         n = len(ranks)
         if n == 0:
             return
@@ -89,7 +86,6 @@ def full_record_job(
         partition=lambda key: key[0],
         group_key=lambda key: key[0],
         broadcast=[token_order_file],
-        map_setup=map_setup,
     )
 
 

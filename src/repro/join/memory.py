@@ -1,9 +1,11 @@
-"""The runtime degradation ladder: the one answer to a Stage-2 memory
-fault.
+"""The runtime degradation ladder: the one answer to a memory fault in
+Stage 2 or Stage 3.
 
 The paper's Section 5 answers "what if a token group does not fit in
 reducer memory?" with block processing; this module turns that answer
-into an *automatic OOM-recovery path*.  When a Stage-2 task raises
+into an *automatic OOM-recovery path*; Stage 3 has one rung of its own,
+OPRJ -> BRJ (the paper's answer when the RID-pair list does not fit a
+map task).  When a Stage-2 or Stage-3 task raises
 :class:`~repro.mapreduce.types.InsufficientMemoryError` — whether from
 the simulated byte meter or a ``squeeze`` fault — the driver treats it
 as a *plan fault*, not a task fault: the stage is re-planned one ladder
@@ -19,6 +21,11 @@ to most drastic::
     kernel:bk               PK -> BK (blocks are BK-only)
     blocks:<strategy>:<n>   engage block processing at 2 / double the count
     (None)                  ladder exhausted -> re-raise
+
+and for Stage 3::
+
+    stage3:brj              OPRJ -> BRJ (holds one record, not the pair list)
+    (None)                  already BRJ -> re-raise
 
 Every rung preserves bit-identical join output (each is an existing
 differentially-tested equivalence), so a degraded run's pairs match the
@@ -45,12 +52,13 @@ __all__ = [
     "next_escalation",
 ]
 
-#: stage replans the driver performed after Stage-2 memory faults
+#: stage replans the driver performed after memory faults
 MEMORY_REPLANS = "memory.replans"
 
-#: runtime replans of one join before the memory error is re-raised to
-#: the caller: two rungs to reach blocks, then up to 32 of them (the
-#: whole ladder is 14 rungs; why 6, DESIGN.md Section 5i)
+#: runtime replans of one join, Stage 2's and Stage 3's rungs together,
+#: before the memory error is re-raised to the caller: two rungs to
+#: reach blocks, then up to 32 of them (the whole Stage-2 ladder is 14
+#: rungs; why 6, DESIGN.md Section 5i)
 MAX_REPLANS = 6
 #: hard cap on the block count — beyond this, per-block metadata and
 #:  scheduling overhead dominate whatever memory the split still saves
@@ -67,7 +75,8 @@ def apply_step(config: "JoinConfig", step: str) -> "JoinConfig":
     * ``kernel:bk`` — PK -> BK kernel fallback;
     * ``blocks:<map|reduce>:<n>`` — engage / resize Section-5 block
       processing (clears ``length_class_width``, the alternative
-      Section-5 strategy).
+      Section-5 strategy);
+    * ``stage3:brj`` — OPRJ -> BRJ record join.
 
     Returns a new config; the input is never mutated.
     """
@@ -80,6 +89,10 @@ def apply_step(config: "JoinConfig", step: str) -> "JoinConfig":
         if arg != "bk":
             raise ValueError(f"unknown kernel degradation step {step!r}")
         return config.with_options(kernel="bk")
+    if kind == "stage3":
+        if arg != "brj":
+            raise ValueError(f"unknown stage3 degradation step {step!r}")
+        return config.with_options(stage3="brj")
     if kind == "blocks":
         strategy, _, count = arg.partition(":")
         if strategy not in (MAP_BASED, REDUCE_BASED) or not count.isdigit():
@@ -98,11 +111,15 @@ def apply_degradations(config: "JoinConfig", steps: list[str]) -> "JoinConfig":
     return config
 
 
-def next_escalation(config: "JoinConfig") -> str | None:
-    """The next ladder rung for *config*, or ``None`` when the ladder is
-    exhausted (the memory error must surface).
+def next_escalation(config: "JoinConfig", stage: str = "stage2") -> str | None:
+    """The next ladder rung for *config* after a memory fault in *stage*,
+    or ``None`` when the ladder is exhausted (the memory error must
+    surface).
 
-    The one definition of rung order and of each rung's precondition:
+    Stage 3 has one rung, ``stage3:brj``, from OPRJ: every OPRJ map task
+    holds the whole RID-pair list, a BRJ task one record.  Stage 1 has
+    none.  The one definition of the Stage-2 rung order and of each
+    rung's precondition:
 
     1. ``routing:individual`` — only from grouped routing with a finite
        group count; one group per token already *is* per-token routing,
@@ -114,6 +131,10 @@ def next_escalation(config: "JoinConfig") -> str | None:
        rung too: blocks are the stronger Section-5 strategy and
        :func:`apply_step` clears the class width.
     """
+    if stage == "stage3":
+        return "stage3:brj" if config.stage3 == "oprj" else None
+    if stage != "stage2":
+        return None
     if config.token_groups is not None:
         return "routing:individual"
     if config.kernel == "pk":

@@ -105,12 +105,11 @@ def _projection_rel(value: tuple) -> int:
 
 
 def load_token_order(ctx: Context, token_order_file: str) -> TokenOrder:
-    """Rebuild the global token order from the distributed cache.
-
-    This happens once per map task — the per-task constant cost the
-    paper attributes to loading the ordered tokens in Stage 2.
-    """
-    return TokenOrder(ctx.broadcast[token_order_file])
+    """The global token order, rebuilt from the distributed cache once
+    per process and billed to each map slot's first task — the per-task
+    constant cost the paper attributes to loading the ordered tokens in
+    Stage 2 (see :meth:`repro.mapreduce.job.Context.view`)."""
+    return ctx.view(token_order_file, TokenOrder)
 
 
 def owner_of(config: JoinConfig, route: int) -> Owner:
@@ -153,16 +152,12 @@ def make_self_mapper(
     bounds = bounds_for(config.sim, config.threshold)
     prefix_length, length_bounds = bounds.prefix_length, bounds.length_bounds
     routes = routes_of(config.token_groups)
-    state: dict = {}
-
-    def map_setup(ctx: Context) -> None:
-        state["order"] = load_token_order(ctx, token_order_file)
-
     width = config.length_class_width
     bitmap_width = config.bitmap_width if config.bitmap_filter else None
 
     def mapper(line: str, ctx: Context) -> None:
-        rid, ranks, _true = project_record(line, config, state["order"], "error")
+        order = load_token_order(ctx, token_order_file)
+        rid, ranks, _true = project_record(line, config, order, "error")
         n = len(ranks)
         if n == 0:
             return
@@ -194,7 +189,7 @@ def make_self_mapper(
             else:
                 ctx.emit((route, n, REL_R), value)
 
-    return map_setup, mapper
+    return mapper
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +497,6 @@ def assemble_stage2_job(
     token_order_file: str,
     output: str,
     num_reducers: int,
-    map_setup: Callable,
     mapper: Callable,
 ) -> MapReduceJob:
     """The one Stage-2 job shape: partition on the route, group on the
@@ -519,7 +513,6 @@ def assemble_stage2_job(
         partition=lambda key: key[0],
         group_key=lambda key: key[0],
         broadcast=[token_order_file],
-        map_setup=map_setup,
     )
 
 
@@ -533,5 +526,5 @@ def stage2_self_job(
     """Build the single Stage-2 job for a self-join."""
     return assemble_stage2_job(
         config, False, [records_file], token_order_file, output, num_reducers,
-        *make_self_mapper(config, config.blocks, token_order_file),
+        make_self_mapper(config, config.blocks, token_order_file),
     )

@@ -57,11 +57,6 @@ def make_rs_mapper(
     """R-S Stage-2 mapper: tags by input file, drops S-only tokens."""
     prefix_length = bounds_for(config.sim, config.threshold).prefix_length
     routes = routes_of(config.token_groups)
-    state: dict = {}
-
-    def map_setup(ctx: Context) -> None:
-        state["order"] = load_token_order(ctx, token_order_file)
-
     bitmap_width = config.bitmap_width if config.bitmap_filter else None
 
     def mapper(line: str, ctx: Context) -> None:
@@ -71,7 +66,8 @@ def make_rs_mapper(
             rel, unknown = REL_S, "drop"
         else:  # pragma: no cover - job wiring guarantees the inputs
             raise ValueError(f"unexpected input file {ctx.input_file!r}")
-        rid, ranks, true_size = project_record(line, config, state["order"], unknown)
+        order = load_token_order(ctx, token_order_file)
+        rid, ranks, true_size = project_record(line, config, order, unknown)
         n = len(ranks)
         if n == 0:
             return
@@ -103,7 +99,7 @@ def make_rs_mapper(
                 block = blocks.block_of(rid) if rel == REL_R else 0
                 ctx.emit((route, rel, block), (block,) + value)
 
-    return map_setup, mapper
+    return mapper
 
 
 # ---------------------------------------------------------------------------
@@ -122,5 +118,5 @@ def stage2_rs_job(
     """Build the single Stage-2 job for an R-S join."""
     return assemble_stage2_job(
         config, True, [r_file, s_file], token_order_file, output, num_reducers,
-        *make_rs_mapper(config, config.blocks, token_order_file, r_file, s_file),
+        make_rs_mapper(config, config.blocks, token_order_file, r_file, s_file),
     )

@@ -14,14 +14,18 @@ raises) rather than absorbing it.
   two groups the two half-filled pairs and outputs the complete record
   pair.
 * **OPRJ** (One-Phase Record Join) — the RID-pair list is broadcast
-  (distributed cache) and indexed by every map task; mappers emit the
-  same half-filled pairs directly from the record inputs (a map-side
-  join, cf. Pig's fragment-replicate join), and a single reduce phase
-  assembles them.  Loading the list costs every map task the same
+  (distributed cache) and indexed by RID; mappers emit the same
+  half-filled pairs directly from the record inputs (a map-side join,
+  cf. Pig's fragment-replicate join), and a single reduce phase
+  assembles them.  Loading the list costs every map slot the same
   constant time — the paper's explanation for OPRJ's limited speedup —
-  and its memory footprint grows with the dataset, which is what makes
-  OPRJ run out of memory at scale (Figure 14); both effects are
-  reproduced via the runtime's broadcast accounting.
+  and every map task holds it, so its memory footprint grows with the
+  dataset, which is what makes OPRJ run out of memory at scale (Figure
+  14); both effects are reproduced via the runtime's broadcast
+  accounting.  The index is built once per process
+  (:meth:`~repro.mapreduce.job.Context.view`), as Hadoop localises the
+  cache once per node.  OPRJ is the default; a Stage-3 memory fault
+  re-runs the stage as BRJ (:mod:`repro.join.memory`).
 
 Self-joins and R-S joins share the implementation: record halves are
 addressed by ``(relation, rid)`` with relation 0 for self-joins and
@@ -182,25 +186,33 @@ def oprj_jobs(
     is_rs: bool,
 ) -> list[MapReduceJob]:
     """The single OPRJ job: broadcast the RID pairs, join map-side."""
-    state: dict = {}
 
-    def map_setup(ctx: Context) -> None:
-        # Build rid -> pairs index from the broadcast list.  The raw
-        # list bytes are charged by the runtime; the index is charged
-        # here — this is the load whose cost is constant in the cluster
-        # size and whose footprint grows with the data (Section 6.1.1
-        # Stage 3, Figure 14).
+    def index_pairs(pairs: list) -> dict[tuple[int, int], list[tuple]]:
+        """The (relation, rid) -> pairs index every map task joins on."""
         by_rid: dict[tuple[int, int], list[tuple]] = {}
-        for pair in ctx.broadcast[pairs_file]:
+        for pair in pairs:
             for address, _side in _pair_targets(pair, is_rs):
                 by_rid.setdefault(address, []).append(pair)
-            ctx.reserve_memory(48, "OPRJ broadcast RID-pair index")
-        state["by_rid"] = by_rid
+        return by_rid
+
+    def map_setup(ctx: Context) -> None:
+        # Every task holds the index: the raw list bytes are charged by
+        # the runtime, the index here, 48 B per pair in one charge.
+        # This is the load whose cost is constant in the cluster size
+        # and whose footprint grows with the data (Section 6.1.1 Stage
+        # 3, Figure 14).  The index itself is built once per process
+        # (Context.view), and its build billed to each slot's first task.
+        ctx.reserve_memory(
+            48 * len(ctx.broadcast[pairs_file]), "OPRJ broadcast RID-pair index"
+        )
 
     def mapper(record, ctx: Context) -> None:
         rel = record_files[ctx.input_file]
         address = (rel, rid_of(record))
-        for pair in state["by_rid"].get(address, ()):
+        pairs = ctx.view(pairs_file, index_pairs).get(address, ())
+        # BRJ's fill reducer observes the same, once per record's RID
+        ctx.observe("stage3.pairs_per_rid", len(pairs))
+        for pair in pairs:
             side = _half_side(address, pair, is_rs)
             ctx.emit(pair, (side, record))
 

@@ -83,7 +83,7 @@ from repro.mapreduce.faults import (
     run_attempt,
     task_error_from,
 )
-from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.job import Broadcast, MapReduceJob
 from repro.mapreduce.types import ExecutorPhaseStats, approx_bytes
 from repro.obs.telemetry import TelemetryHub
 from repro.obs.trace import Tracer, trace_span
@@ -125,7 +125,7 @@ def _effective_cores() -> int:
 
 _W_JOBS: Sequence[MapReduceJob] = ()
 _W_DFS: InMemoryDFS | None = None
-_W_BCAST_CACHE: dict[str, dict] = {}
+_W_BCAST_CACHE: dict[str, Broadcast] = {}
 
 
 def _set_worker_globals(jobs: Sequence[MapReduceJob], dfs: InMemoryDFS | None) -> None:
@@ -163,16 +163,18 @@ def _resolve_records(spec: tuple) -> list:
     return _W_DFS.file(file_name).blocks[block_index].records
 
 
-def _broadcast_for(path: str | None) -> dict:
+def _broadcast_for(path: str | None) -> Broadcast:
     """Load (and cache) one phase's broadcast payload from its spill
     file.  The payload is written once by the parent and unpickled at
-    most once per worker process, instead of once per task."""
+    most once per worker process, instead of once per task; the views
+    its tasks derive are memoised on the cached payload, so they too
+    are built once per worker and freed with it."""
     if not path:
-        return {}
+        return Broadcast()
     cached = _W_BCAST_CACHE.get(path)
     if cached is None:
         with open(path, "rb") as handle:
-            cached = pickle.load(handle)
+            cached = Broadcast(pickle.load(handle))
         _W_BCAST_CACHE.clear()  # at most one phase's payload stays cached
         _W_BCAST_CACHE[path] = cached
     return cached
@@ -897,7 +899,7 @@ class PersistentExecutor:
             bcast_path = os.path.join(
                 self._spill_root, f"p{self._phase_seq}.bcast"
             )
-            blob = pickle.dumps(broadcast_data, _PICKLE)
+            blob = pickle.dumps(dict(broadcast_data), _PICKLE)
             with open(bcast_path, "wb") as handle:
                 handle.write(blob)
             ex.bytes_to_workers += len(blob)

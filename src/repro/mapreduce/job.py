@@ -23,6 +23,9 @@ phase, mirroring the knobs the paper relies on:
 * ``broadcast`` names DFS files loaded into every map task before any
   input is consumed (Hadoop's distributed cache; OPRJ's RID-pair
   list).  Broadcast payload size is charged against task memory.
+  :meth:`Context.view` derives a read-only structure from a broadcast
+  file once per process (the token order, OPRJ's by-RID index) instead
+  of once per task.
 
 Setup/teardown hooks correspond to Hadoop's configure/close:
 ``map_setup(ctx)``, ``map_teardown(ctx)``, ``reduce_setup(ctx)``,
@@ -32,6 +35,7 @@ counts in ``reduce_teardown``.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
@@ -42,6 +46,19 @@ from repro.mapreduce.types import InsufficientMemoryError, approx_bytes
 
 def _identity(key: Any) -> Any:
     return key
+
+
+class Broadcast(dict):
+    """One map phase's distributed cache as one process loaded it: file
+    name -> records, plus the views :meth:`Context.view` derived from
+    them.  The views live and die with this payload — one per
+    ``run_job`` on the sequential engine, one per phase in each pool
+    worker — so no two jobs, and no two joins, ever share one."""
+
+    def __init__(self, files: dict[str, list] | None = None) -> None:
+        super().__init__(files or {})
+        #: ``(file name, builder) -> (view, measured build seconds)``
+        self.views: dict[tuple[str, Callable], tuple[Any, float]] = {}
 
 
 class Context:
@@ -59,7 +76,9 @@ class Context:
     ) -> None:
         self.counters = counters
         self.memory_limit_bytes = memory_limit_bytes
-        self.broadcast = broadcast or {}
+        self.broadcast = (
+            broadcast if isinstance(broadcast, Broadcast) else Broadcast(broadcast)
+        )
         self.input_file: str | None = None
         self.current_key: Any = None
         self.task_id: int = -1
@@ -68,6 +87,39 @@ class Context:
         self._reserved_bytes = 0
         self.peak_memory_bytes = 0
         self._sanitize = env_sanitize()
+        #: the views this task used, by ``(file name, builder)``
+        self._views: dict[tuple[str, Callable], Any] = {}
+        #: build seconds of every view this task used / of those it built
+        self.view_s = 0.0
+        self.view_built_s = 0.0
+
+    # -- broadcast views ----------------------------------------------------
+
+    def view(self, name: str, build: Callable[[list], Any]) -> Any:
+        """``build(records)`` of broadcast file *name*, built on first use
+        in this process and memoised next to the loaded payload, keyed
+        by file *and* builder.  Every later task of the phase — a retry
+        included — reuses it; like Hadoop's distributed cache, which is
+        localised once per node, not once per task.  The view must be
+        read-only.  Its measured build seconds are billed like the
+        broadcast read itself (see
+        :func:`repro.mapreduce.cluster.execute_map_task`); its memory is
+        the caller's to charge."""
+        key = (name, build)
+        found = self._views.get(key)
+        if found is None:
+            found = self._views[key] = self._load_view(key)
+        return found
+
+    def _load_view(self, key: tuple[str, Callable]) -> Any:
+        entry = self.broadcast.views.get(key)
+        if entry is None:
+            started = time.perf_counter()
+            view = key[1](self.broadcast[key[0]])
+            entry = self.broadcast.views[key] = (view, time.perf_counter() - started)
+            self.view_built_s += entry[1]
+        self.view_s += entry[1]
+        return entry[0]
 
     # -- emission ---------------------------------------------------------
 

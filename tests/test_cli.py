@@ -154,7 +154,7 @@ class TestFailedJoin:
     def _args(self, catalog, tmp_path):
         return [
             "selfjoin", str(catalog), "-o", str(tmp_path / "pairs.tsv"),
-            "--faults", "raise:brj-*", "--max-task-retries", "1",
+            "--faults", "raise:oprj", "--max-task-retries", "1",
         ]
 
     def test_trace_is_exported(self, catalog, tmp_path):

@@ -268,7 +268,9 @@ class TestEngineParity:
         with persistent:
             for cluster in (sequential, persistent):
                 cluster.dfs.write("records", records)
-                report = ssjoin_self(cluster, "records", JoinConfig(threshold=0.8))
+                report = ssjoin_self(
+                    cluster, "records", JoinConfig(threshold=0.8, stage3="brj")
+                )
                 pinned = {
                     name: (
                         stats.counters()["framework.map_output_bytes"],
@@ -277,8 +279,9 @@ class TestEngineParity:
                     for name, stats in report.stages.items()
                 }
                 # Stages 1 and 2 are the recursive walk's numbers; Stage 3
-                # carries the 482 RID pairs once each (1_089_116 /
-                # 1_135_004 with one copy per shared prefix token)
+                # (BRJ pinned: the walk's numbers are BRJ's) carries the
+                # 482 RID pairs once each (1_089_116 / 1_135_004 with one
+                # copy per shared prefix token)
                 assert pinned == {
                     "stage1": (98_075, 132_003),
                     "stage2": (1_214_640, 1_265_712),

@@ -598,9 +598,11 @@ class TestEngineParity:
     def test_absorbed_plan_books_identically(self, rng, spec, prefixes):
         records = random_records(rng, 70, dup_rate=0.6)
         plan = FaultPlan.parse(spec)
-        seq_pairs, seq_report = run_self(make_seq(fault_plan=plan), records)
+        # BRJ, so that the plan naming its brj-join job has one to hit
+        config = JoinConfig(**CONFIG, stage3="brj")
+        seq_pairs, seq_report = run_self(make_seq(fault_plan=plan), records, config)
         with make_persistent(fault_plan=plan) as persistent:
-            pairs, report = run_self(persistent, records)
+            pairs, report = run_self(persistent, records, config)
             assert persistent.executor.stats.pools_created >= 1
         assert pairs == seq_pairs
         assert report.memory_steps == seq_report.memory_steps
@@ -644,8 +646,8 @@ class TestCheckpointResume:
         records = random_records(rng, 60)
         clean_pairs, _ = run_self(make_seq(), records)
 
-        # first run dies in Stage 3: every brj map attempt faults
-        fatal = make_seq(fault_plan=FaultPlan.parse("raise:brj-*:map:*:*"))
+        # first run dies in Stage 3: every oprj map attempt faults
+        fatal = make_seq(fault_plan=FaultPlan.parse("raise:oprj:map:*:*"))
         with pytest.raises(TaskError):
             run_self(fatal, records, checkpoint=JoinCheckpoint(tmp_path))
 

@@ -357,7 +357,7 @@ class TestSqueezeRecoverySimulated:
 
         # squeeze stage 2 into degradation, then kill the run in stage 3
         fatal = make_sim(
-            fault_plan=FaultPlan.parse(squeeze_self("pk") + ";raise:brj-*:map:*:*")
+            fault_plan=FaultPlan.parse(squeeze_self("pk") + ";raise:oprj:map:*:*")
         )
         with pytest.raises(TaskError):
             run_self(fatal, records, config, checkpoint=JoinCheckpoint(tmp_path))
@@ -433,7 +433,7 @@ def test_checkpoint_resumes_on_the_other_engine(tmp_path, engines, squeezed):
     config = JoinConfig(**CONFIG, kernel="pk")
     clean_pairs, _ = run_self(make_sim(), records, config)
 
-    faults = "raise:brj-*:map:*:*"
+    faults = "raise:oprj:map:*:*"
     if squeezed:
         faults = squeeze_self("pk") + ";" + faults
     writer = make_writer(fault_plan=FaultPlan.parse(faults))

@@ -569,17 +569,21 @@ class TestObserveOnly:
 #: ``hist.*`` counters of three histograms on ``generate_dblp(2000, 7)``
 #: (x ``generate_citeseerx(1000, 9)`` sharing its publications for R-S)
 #: at threshold 0.8, measured at the commit before observations were
-#: buffered: one made per record in the Stage-2 mapper, one per RID
-#: group in Stage 3's reducer, one per reduce group by the framework
+#: buffered: one made per record in the Stage-2 mapper, one per record
+#: in Stage 3 (OPRJ's mapper; BRJ's fill reducer makes the same, once
+#: per RID group), one per reduce group by the framework.  The last was
+#: re-pinned when OPRJ became the default: Stage 3 contributes one
+#: job's groups (one per RID pair) instead of BRJ's two, so the fill
+#: job's 2,000 / 3,000 RID groups (one per record) left
 PINNED_HISTOGRAMS = {
     "self": {
-        "hist.reduce.group_records.b1": 4233,
-        "hist.reduce.group_records.b2": 2501,
-        "hist.reduce.group_records.b3": 460,
+        "hist.reduce.group_records.b1": 2876,
+        "hist.reduce.group_records.b2": 1929,
+        "hist.reduce.group_records.b3": 389,
         "hist.reduce.group_records.b4": 188,
         "hist.reduce.group_records.b5": 40,
-        "hist.reduce.group_records.n": 7422,
-        "hist.reduce.group_records.sum": 14553,
+        "hist.reduce.group_records.n": 5422,
+        "hist.reduce.group_records.sum": 11589,
         "hist.stage2.record_routes.b2": 1306,
         "hist.stage2.record_routes.b3": 694,
         "hist.stage2.record_routes.n": 2000,
@@ -592,14 +596,14 @@ PINNED_HISTOGRAMS = {
         "hist.stage3.pairs_per_rid.sum": 964,
     },
     "rs": {
-        "hist.reduce.group_records.b1": 5337,
-        "hist.reduce.group_records.b2": 1923,
-        "hist.reduce.group_records.b3": 485,
+        "hist.reduce.group_records.b1": 2654,
+        "hist.reduce.group_records.b2": 1625,
+        "hist.reduce.group_records.b3": 466,
         "hist.reduce.group_records.b4": 297,
         "hist.reduce.group_records.b5": 102,
         "hist.reduce.group_records.b6": 9,
-        "hist.reduce.group_records.n": 8153,
-        "hist.reduce.group_records.sum": 17582,
+        "hist.reduce.group_records.n": 5153,
+        "hist.reduce.group_records.sum": 14158,
         "hist.stage2.record_routes.b1": 1,
         "hist.stage2.record_routes.b2": 2007,
         "hist.stage2.record_routes.b3": 992,
@@ -703,7 +707,7 @@ class TestTraceReport:
         job_names = [job.name for job in digest.jobs]
         assert "bto-count" in job_names
         assert "stage2-pk-self" in job_names
-        assert "brj-fill" in job_names
+        assert "oprj" in job_names
         for job in digest.jobs:
             assert set(job.phases) == {"map", "shuffle", "reduce"}
             for phase, (wall, tasks, busy, _straggler, straggler_us) in job.phases.items():

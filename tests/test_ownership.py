@@ -312,9 +312,8 @@ def test_every_reader_of_the_routing_decision_agrees(
         expected[rank] = route
 
     # the mapper: tau = 0.01 makes the whole record its routing prefix
-    map_setup, mapper = make_self_mapper(config, None, "tokens")
+    mapper = make_self_mapper(config, None, "tokens")
     ctx = Context(Counters(), broadcast={"tokens": tokens})
-    map_setup(ctx)
     mapper(make_line(1, [" ".join(tokens[rank] for rank in prefix)]), ctx)
     assert [key[0] for key, _value in ctx._emitted] == list(
         dict.fromkeys(expected.values())

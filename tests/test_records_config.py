@@ -52,7 +52,7 @@ class TestRecordLines:
 class TestJoinConfig:
     def test_defaults(self):
         config = JoinConfig()
-        assert config.combo_name == "BTO-PK-BRJ"
+        assert config.combo_name == "BTO-PK-OPRJ"
         assert config.sim.name == "jaccard"
         assert config.threshold == 0.8
 
@@ -96,9 +96,9 @@ class TestJoinConfig:
 
     def test_with_options(self):
         base = JoinConfig()
-        changed = base.with_options(kernel="bk", stage3="oprj")
-        assert changed.combo_name == "BTO-BK-OPRJ"
-        assert base.combo_name == "BTO-PK-BRJ"  # original untouched
+        changed = base.with_options(kernel="bk", stage3="brj")
+        assert changed.combo_name == "BTO-BK-BRJ"
+        assert base.combo_name == "BTO-PK-OPRJ"  # original untouched
 
     def test_combo_name_all(self):
         assert JoinConfig(stage1="opto", kernel="bk", stage3="oprj").combo_name == (

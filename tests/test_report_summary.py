@@ -12,7 +12,7 @@ def test_format_summary(rng):
         records, JoinConfig(threshold=0.5, schema=SCHEMA_1), cluster=make_cluster()
     )
     summary = report.format_summary()
-    assert "BTO-PK-BRJ" in summary
+    assert "BTO-PK-OPRJ" in summary
     assert "stage1" in summary and "stage2" in summary and "stage3" in summary
     assert "record pairs" in summary
     assert "shuffled" in summary

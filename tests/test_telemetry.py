@@ -90,7 +90,7 @@ def test_telemetry_is_observe_only(engine, kernel, join):
 #: CI's chaos plan (cli-smoke): a worker crash in Stage 2, a raise in
 #: Stage 1, a straggler in Stage 3 — attempts are lost and re-run
 CHAOS_PLAN = (
-    "crash:stage2-*:map:0:0;raise:bto-count:map:0:0;sleep:brj-join:reduce:0:0:0.4"
+    "crash:stage2-*:map:0:0;raise:bto-count:map:0:0;sleep:oprj:reduce:0:0:0.4"
 )
 
 
