@@ -229,7 +229,7 @@ class JoinCheckpoint:
         """Persist the runtime degradation-ladder steps applied so far.
 
         Written (atomically, like every manifest update) each time the
-        driver replans Stage 2 after a memory fault, so a resumed run
+        driver replans Stage 2 or 3 after a memory fault, so a resumed run
         replays the degraded plan via :meth:`memory_steps` instead of
         rediscovering it rung by rung.
         """
