@@ -37,12 +37,10 @@ def test_fig13_rsjoin_speedup(benchmark, record_result):
         stage3.setdefault(row["combo"], {})[row["key"]] = row["stage3_s"]
     for combo, series in by_combo.items():
         assert series[10] < series[2], combo
-    # BTO-PK-OPRJ starts fastest (paper Section 6.2.1)
-    assert min(by_combo, key=lambda combo: by_combo[combo][2]) == "BTO-PK-OPRJ"
-    # The paper's BRJ combinations then speed up better, because every
-    # OPRJ map slot loads the whole RID-pair list and its list is huge.
-    # Ours (2,540 pairs at x10) costs a slot about 10 simulated seconds
-    # against about 50 of parallel map work on 2 nodes, so OPRJ's Stage 3
-    # speeds up about as well as BRJ's, and that ordering is not asserted
-    # (EXPERIMENTS.md, Figure 13).
-    assert all(series[10] < series[2] for series in stage3.values())
+    # Stage 3: BRJ speeds up better than OPRJ, whose per-slot broadcast
+    # load does not parallelize (paper Section 6.2.1).  The paper sees
+    # this dominate the totals because its RID-pair list is huge; at
+    # our pair volume the effect is visible at the stage level.
+    brj3 = stage3["BTO-PK-BRJ"]
+    oprj3 = stage3["BTO-PK-OPRJ"]
+    assert brj3[2] / brj3[10] > oprj3[2] / oprj3[10]

@@ -22,7 +22,11 @@ recommends BTO-PK-BRJ as the robust choice because OPRJ runs out of
 memory at scale (Section 6.1.3/6.2.3); here that choice is made at run
 time instead of up front — an OPRJ task that exceeds its memory budget
 re-runs Stage 3 as BRJ (the ``stage3:brj`` rung of
-:mod:`repro.join.memory`, with ``auto_degrade`` on).
+:mod:`repro.join.memory`, with ``auto_degrade`` on).  The budget is the
+simulated per-task one (``ClusterConfig.memory_per_task_mb``, or a
+``squeeze`` fault).  Without one — the CLI sets none — OPRJ never
+degrades, and every process that runs its map tasks (the driver, each
+pool worker) holds the whole RID-pair list and its by-RID index.
 """
 
 from __future__ import annotations

@@ -284,8 +284,8 @@ def _run_stages(
     as a *plan fault* when ``config.auto_degrade`` is on: the next
     escalation-ladder rung (:func:`repro.join.memory.next_escalation`;
     ``stage3:brj`` for an OPRJ Stage 3) is applied, the stage jobs are
-    rebuilt and the stage re-runs, bounded by
-    :data:`repro.join.memory.MAX_REPLANS`.  Each applied step is persisted in
+    rebuilt and the stage re-runs, Stage 2 at most
+    :data:`repro.join.memory.MAX_REPLANS` times.  Each applied step is persisted in
     the checkpoint manifest, so a killed-and-resumed run replays the
     degraded plan instead of rediscovering it rung by rung.  Memory
     faults in Stage 1 (and exhausted ladders) re-raise unchanged.
@@ -331,7 +331,9 @@ def _run_stages(
             step = None
             if config.auto_degrade:
                 replans = report.extra_counters.get(MEMORY_REPLANS, 0)
-                if replans < MAX_REPLANS:
+                # Stage 3's one rung fires at most once, so only Stage 2's
+                # rungs are bounded
+                if name == "stage3" or replans < MAX_REPLANS:
                     step = next_escalation(config, name)
             if step is None:
                 raise

@@ -10,7 +10,7 @@ map task).  When a Stage-2 or Stage-3 task raises
 the simulated byte meter or a ``squeeze`` fault — the driver treats it
 as a *plan fault*, not a task fault: the stage is re-planned one ladder
 rung down (:func:`next_escalation` / :func:`apply_step`) and re-run, at
-most :data:`MAX_REPLANS` times.  The ladder acts on the budget that is
+most :data:`MAX_REPLANS` times in Stage 2 and once in Stage 3.  The ladder acts on the budget that is
 actually enforced and the bytes the reducer actually meters; no plan
 is predicted before a job runs.
 
@@ -55,10 +55,10 @@ __all__ = [
 #: stage replans the driver performed after memory faults
 MEMORY_REPLANS = "memory.replans"
 
-#: runtime replans of one join, Stage 2's and Stage 3's rungs together,
-#: before the memory error is re-raised to the caller: two rungs to
-#: reach blocks, then up to 32 of them (the whole Stage-2 ladder is 14
-#: rungs; why 6, DESIGN.md Section 5i)
+#: runtime replans of one join's Stage 2 before the memory error is
+#: re-raised to the caller: two rungs to reach blocks, then up to 32 of
+#: them (the whole Stage-2 ladder is 14 rungs; why 6, DESIGN.md Section
+#: 5i).  Stage 3's one rung is not counted against it.
 MAX_REPLANS = 6
 #: hard cap on the block count — beyond this, per-block metadata and
 #:  scheduling overhead dominate whatever memory the split still saves
@@ -111,7 +111,7 @@ def apply_degradations(config: "JoinConfig", steps: list[str]) -> "JoinConfig":
     return config
 
 
-def next_escalation(config: "JoinConfig", stage: str = "stage2") -> str | None:
+def next_escalation(config: "JoinConfig", stage: str) -> str | None:
     """The next ladder rung for *config* after a memory fault in *stage*,
     or ``None`` when the ladder is exhausted (the memory error must
     surface).

@@ -208,7 +208,7 @@ class TestLadder:
             **CONFIG, kernel="pk", routing="grouped", num_groups=8,
         )
         steps = []
-        while (step := next_escalation(config)) is not None:
+        while (step := next_escalation(config, "stage2")) is not None:
             steps.append(step)
             config = apply_step(config, step)
             assert len(steps) < 32, "ladder must terminate"
@@ -219,16 +219,16 @@ class TestLadder:
             "blocks:reduce:4",
         ]
         assert steps[-1] == "blocks:reduce:4096"
-        assert next_escalation(config) is None
+        assert next_escalation(config, "stage2") is None
 
     def test_one_group_per_token_starts_at_the_kernel_rung(self):
         """Grouped routing with ``num_groups=None`` already is per-token
         routing: a ``routing:individual`` rung would re-run the identical
         plan, so the ladder skips it."""
         config = JoinConfig(**CONFIG, kernel="pk", routing="grouped")
-        assert next_escalation(config) == "kernel:bk"
+        assert next_escalation(config, "stage2") == "kernel:bk"
         individual = JoinConfig(**CONFIG, kernel="pk")
-        assert next_escalation(individual) == "kernel:bk"
+        assert next_escalation(individual, "stage2") == "kernel:bk"
 
     def test_grouped_and_individual_degrade_alike_end_to_end(self):
         from repro.data.synthetic import generate_dblp
@@ -256,7 +256,7 @@ class TestLadder:
         blocks, the stronger Section-5 strategy (the step clears the
         class width: ``test_blocks_step_clears_length_classes``)."""
         config = JoinConfig(**CONFIG, kernel="bk", length_class_width=4)
-        assert next_escalation(config) == "blocks:reduce:2"
+        assert next_escalation(config, "stage2") == "blocks:reduce:2"
 
     def test_apply_step_rejects_unknown(self):
         config = JoinConfig(**CONFIG)
@@ -340,6 +340,27 @@ class TestSqueezeRecoverySimulated:
             run_self(
                 make_sim(fault_plan=FaultPlan.parse(squeeze_self("pk"))), records, config
             )
+
+    def test_stage3_rung_is_outside_the_replan_budget(self, monkeypatch):
+        """A Stage 2 that spent every replan still lets an OPRJ that does
+        not fit fall back to BRJ: Stage 3's one rung fires at most once,
+        so it is not counted against ``MAX_REPLANS``, and the join
+        finishes as it did when BRJ was the default plan."""
+        from repro.join import driver
+
+        records = skewed_records()
+        config = JoinConfig(**CONFIG, kernel="pk")
+        clean_pairs, _ = run_self(make_sim(), records, config)
+        _, stage2_only = run_self(
+            make_sim(fault_plan=FaultPlan.parse(squeeze_self("pk"))), records, config
+        )
+        monkeypatch.setattr(driver, "MAX_REPLANS", len(stage2_only.memory_steps))
+        plan = FaultPlan.parse(squeeze_self("pk") + ";squeeze:oprj:map:*:0:0.00001")
+        pairs, report = run_self(make_sim(fault_plan=plan), records, config)
+        assert report.memory_steps == stage2_only.memory_steps + ["stage3:brj"]
+        assert report.counters()["memory.replans"] == driver.MAX_REPLANS + 1
+        assert pairs == clean_pairs
+        assert_names_the_plan_that_ran(config, report)
 
     def test_memory_summary_line(self):
         records = skewed_records()
