@@ -40,7 +40,7 @@ from repro.mapreduce.pipeline import run_pipeline
 
 #: the pool engine drags in ``multiprocessing``: sequential joins skip it
 _LAZY = dict.fromkeys(
-    ("ExecutorStats", "PersistentExecutor", "PersistentParallelCluster"),
+    ("PersistentExecutor", "PersistentParallelCluster"),
     "repro.mapreduce.executor",
 )
 
@@ -55,7 +55,6 @@ __all__ = [
     "Context",
     "Counters",
     "ExecutorPhaseStats",
-    "ExecutorStats",
     "FaultPlan",
     "FaultSpec",
     "InMemoryDFS",

@@ -33,10 +33,14 @@ This module removes both costs:
   handle's ``cleanup()`` (also on phase failure), and the executor's
   ``close()`` / finalizer removes the whole spill root.
 
-Scheduling is chunked ``apply_async``: contiguous task chunks are
-dispatched to whichever worker is free, and results are reassembled in
-task order before anything is merged, so partition contents, reduce
-input order and therefore all outputs are **byte-identical** to
+The pool is a :class:`concurrent.futures.ProcessPoolExecutor` on the
+``fork`` context, and it is what notices a dead worker: the death fails
+every in-flight chunk with :class:`BrokenProcessPool` and kills the
+surviving workers, whose queue locks may be left dirty.  Scheduling is
+chunked ``submit``: contiguous task chunks go to whichever worker is
+free, and results are reassembled in task order before anything is
+merged, so partition contents, reduce input order and therefore all
+outputs are **byte-identical** to
 :class:`~repro.mapreduce.cluster.SimulatedCluster` (asserted by the
 determinism test suite).
 
@@ -44,7 +48,7 @@ determinism test suite).
 engine.  ``pipeline.run_pipeline`` and the ``join.driver`` entry points
 call :meth:`PersistentParallelCluster.prepare_jobs` with every job of
 an end-to-end join before the first phase runs, so one join forks
-exactly one pool (asserted via :class:`ExecutorStats` in the tests).
+exactly one pool (``JoinReport.executor_summary()["pools_created"]``).
 """
 
 from __future__ import annotations
@@ -54,12 +58,11 @@ import os
 import pickle
 import shutil
 import tempfile
-import threading
 import time
 import traceback
 import weakref
-from dataclasses import dataclass
-from multiprocessing.pool import AsyncResult
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import Iterable, Sequence
 
 from repro.analysis.sanitize import env_sanitize
@@ -99,9 +102,14 @@ _SHM_DIR = "/dev/shm"
 #: dispatch cost (one pickle round trip) a small share of the phase
 _CHUNKS_PER_WORKER = 2
 
-#: completion-poll interval of the dispatch loop, seconds — two orders
-#: of magnitude under the shortest pooled phase, so polling never shows
-_POLL_INTERVAL_S = 0.01
+#: fewest tasks a phase needs to be pooled; below it the dispatch round
+#: trip costs more than the second core earns
+MIN_TASKS_FOR_POOL = 4
+
+#: fewest effective cores for a phase to be pooled: on one core the
+#: workers merely time-slice it, so pooling only adds pickling and
+#: context switches
+MIN_CORES_FOR_POOL = 2
 
 
 def _effective_cores() -> int:
@@ -321,38 +329,6 @@ def _run_chunk(args: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Flight:
-    """One in-flight chunk: its pool handle and the tasks it carries."""
-
-    handle: AsyncResult
-    tasks: list[int]
-
-
-@dataclass
-class ExecutorStats:
-    """Lifetime statistics of one :class:`PersistentExecutor`."""
-
-    pools_created: int = 0
-    pool_generation: int = 0
-    jobs_registered: int = 0
-    phases_executed: int = 0
-    tasks_dispatched: int = 0
-    chunks_dispatched: int = 0
-    bytes_to_workers: int = 0
-    bytes_from_workers: int = 0
-    spill_bytes_written: int = 0
-    spill_bytes_read: int = 0
-    #: task attempts re-dispatched after a retryable failure
-    tasks_retried: int = 0
-    #: in-flight attempts abandoned when a worker process died
-    tasks_lost: int = 0
-    #: pools re-forked after detecting a dead worker
-    pool_respawns: int = 0
-    #: worker processes found dead and blacklisted (never reused)
-    workers_blacklisted: int = 0
-
-
 class MapShuffle:
     """Parent-side handle to one pooled map phase's shuffle output —
     the spill-file counterpart of
@@ -424,56 +400,6 @@ class MapShuffle:
                 pass
 
 
-#: how long a pool teardown waits on ``multiprocessing.Pool`` internals
-#: (and then on each worker's exit) before abandoning them
-_TEARDOWN_GRACE_S = 2.0
-
-
-def _terminate_pool(pool, grace_s: float = _TEARDOWN_GRACE_S) -> None:
-    """``pool.terminate()`` with a deadline.
-
-    ``Pool.terminate()`` SIGTERMs busy workers, then takes the queues'
-    process-shared locks and joins handler threads that need them.  A
-    worker killed mid-send (by that SIGTERM, a ``crash`` fault, or the
-    OOM killer) dies *holding* such a lock, and CPython then waits on
-    it forever.  So ``terminate()`` runs on a daemon helper: once the
-    grace period is over every worker still alive is SIGKILLed and
-    reaped, and the pool object — helper and handler threads included,
-    all daemons — is abandoned.
-    """
-    workers = list(getattr(pool, "_pool", None) or [])
-    helper = threading.Thread(
-        target=pool.terminate, name="repro-pool-terminate", daemon=True
-    )
-    try:
-        helper.start()
-    except RuntimeError:
-        # interpreter shutdown (3.12+ refuses new threads there): the
-        # finalizer has no later to protect, terminate directly
-        pool.terminate()
-        return
-    helper.join(grace_s)
-    # workers the pool's handler forked after the first snapshot
-    workers += [w for w in getattr(pool, "_pool", None) or [] if w not in workers]
-    for worker in workers:
-        if worker.is_alive():
-            worker.kill()
-        worker.join(grace_s)
-    # a result that never came back (its worker died, or its phase
-    # failed first) stays in the pool's cache, and each points back at
-    # the pool: drop them, or only a collection frees the pool
-    getattr(pool, "_cache", {}).clear()
-
-
-def _final_cleanup(holder: dict) -> None:
-    pool = holder.get("pool")
-    if pool is not None:
-        _terminate_pool(pool)
-    spill = holder.get("spill")
-    if spill:
-        shutil.rmtree(spill, ignore_errors=True)
-
-
 class PersistentExecutor:
     """A long-lived fork pool plus the job registry its workers inherit.
 
@@ -497,8 +423,7 @@ class PersistentExecutor:
             )
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers or os.cpu_count() or 2
-        self.stats = ExecutorStats()
+        self.workers = workers or _effective_cores()
         #: attach a :class:`repro.obs.trace.Tracer` to collect worker
         #: task spans (set by the owning cluster; observe-only)
         self.tracer: Tracer | None = None
@@ -512,6 +437,8 @@ class PersistentExecutor:
         #: True once repeated pool deaths exhausted the respawn budget;
         #: the engine then runs everything inline (sequential fallback)
         self.degraded = False
+        #: pools lost to a dead worker over this executor's life
+        self._respawns = 0
         self._jobs: list[MapReduceJob] = []
         self._job_ids: dict[int, int] = {}
         self._dfs = dfs
@@ -522,13 +449,14 @@ class PersistentExecutor:
         # lists so their ids cannot be recycled.
         self._block_refs: dict[int, tuple[str, int]] = {}
         self._snapshot_files: list = []
-        self._pool = None
-        self._worker_pids: set[int] = set()
+        self._pool: ProcessPoolExecutor | None = None
         self._stale = False
         self._spill_root: str | None = None
+        #: removes the spill root once: on close(), else when this
+        #: executor is collected or the interpreter exits (after
+        #: concurrent.futures has stopped the workers)
+        self._remove_spill_root: weakref.finalize | None = None
         self._phase_seq = 0
-        self._holder: dict = {}
-        self._finalizer = weakref.finalize(self, _final_cleanup, self._holder)
 
     # -- registry ---------------------------------------------------------
 
@@ -544,10 +472,8 @@ class PersistentExecutor:
                 self._job_ids[id(job)] = len(self._jobs)
                 self._jobs.append(job)
                 added = True
-        if added:
-            self.stats.jobs_registered = len(self._jobs)
-            if self._pool is not None:
-                self._stale = True
+        if added and self._pool is not None:
+            self._stale = True
 
     def _job_id(self, job: MapReduceJob) -> int:
         if id(job) not in self._job_ids:
@@ -578,9 +504,11 @@ class PersistentExecutor:
     # -- pool -------------------------------------------------------------
 
     def _ensure_pool(self) -> bool:
-        """Fork the pool if absent or stale; returns True on a fork."""
+        """Start the pool if absent or stale; returns True when it did.
+        The workers fork on the pool's first ``submit``, in the same
+        phase, so they inherit the DFS as snapshotted here."""
         if self._pool is not None and self._stale:
-            self._teardown_pool()
+            self._shutdown_pool()
         if self._pool is not None:
             return False
         if self._spill_root is None:
@@ -589,7 +517,9 @@ class PersistentExecutor:
             writable = os.path.isdir(_SHM_DIR) and os.access(_SHM_DIR, os.W_OK)
             spill_dir = _SHM_DIR if writable else None
             self._spill_root = tempfile.mkdtemp(prefix="repro-shuffle-", dir=spill_dir)
-            self._holder["spill"] = self._spill_root
+            self._remove_spill_root = weakref.finalize(
+                self, shutil.rmtree, self._spill_root, ignore_errors=True
+            )
         self._block_refs = {}
         self._snapshot_files = []
         if self._dfs is not None:
@@ -598,56 +528,31 @@ class PersistentExecutor:
                 self._snapshot_files.append(dfs_file)
                 for index, block in enumerate(dfs_file.blocks):
                     self._block_refs[id(block.records)] = (name, index)
-        ctx = multiprocessing.get_context("fork")
-        self._pool = ctx.Pool(
+        self._pool = ProcessPoolExecutor(
             self.workers,
+            mp_context=multiprocessing.get_context("fork"),
             initializer=_worker_init,
             initargs=(tuple(self._jobs), self._dfs),
         )
-        self._holder["pool"] = self._pool
-        self._worker_pids = {
-            proc.pid
-            for proc in getattr(self._pool, "_pool", None) or []
-            if proc.pid is not None
-        }
         self._stale = False
-        self.stats.pools_created += 1
-        self.stats.pool_generation += 1
         return True
 
-    def _teardown_pool(self) -> None:
-        """Stop the workers and drop the pool; bounded (see
-        :func:`_terminate_pool`) on every path that gets here —
-        ``close()``, stale re-fork, phase failure, pool-death recovery."""
-        if self._pool is not None:
-            _terminate_pool(self._pool)
-            self._pool = None
-            self._worker_pids = set()
-            self._holder["pool"] = None
-
-    def _dead_workers(self) -> set[int]:
-        """PIDs from the fork-time snapshot that are no longer alive.
-
-        ``multiprocessing.Pool`` replaces dead workers transparently,
-        but an attempt consumed by the dead worker is simply gone — its
-        ``AsyncResult`` never completes.  Comparing the snapshot against
-        the pool's live workers detects that silent loss."""
-        if self._pool is None:
-            return set()
-        alive = {
-            proc.pid
-            for proc in getattr(self._pool, "_pool", None) or []
-            if proc.exitcode is None
-        }
-        return {pid for pid in self._worker_pids if pid not in alive}
+    def _shutdown_pool(self) -> None:
+        """Drop the pool: cancel its queued chunks and wait for the
+        running ones, so no spill writer outlives its directory.  Every
+        path gets here — ``close()``, stale re-fork, phase failure,
+        pool-death recovery; on a broken pool the workers are already
+        killed and reaped."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def close(self) -> None:
-        """Terminate the pool and remove all spill files (idempotent)."""
-        self._teardown_pool()
-        if self._spill_root is not None:
-            shutil.rmtree(self._spill_root, ignore_errors=True)
-            self._spill_root = None
-            self._holder["spill"] = None
+        """Stop the pool and remove all spill files (idempotent)."""
+        self._shutdown_pool()
+        if self._remove_spill_root is not None:
+            self._remove_spill_root()
+            self._remove_spill_root = self._spill_root = None
 
     # -- phases -----------------------------------------------------------
 
@@ -661,25 +566,26 @@ class PersistentExecutor:
         self,
         job: MapReduceJob,
         phase: str,
+        ex: ExecutorPhaseStats,
         common: tuple,
         phase_args: tuple,
         task_payloads: dict[int, tuple],
         dispatch_order: list[int] | None = None,
-    ) -> tuple[list[tuple], int]:
+    ) -> list[tuple]:
         """Run every task of one phase on the pool, fault-tolerantly.
 
-        The engine dispatches contiguous task chunks as ``apply_async``
-        calls and polls for completion, which — unlike the blocking
-        ``imap_unordered`` it replaces — lets it react while attempts
-        are still in flight:
+        The engine submits contiguous task chunks and waits for the
+        first to complete, so it reacts while attempts are still in
+        flight:
 
         * **retries**: a failed attempt is re-dispatched (bounded by
           the :class:`RetryPolicy` attempt budget); the budget
           exhausting raises the last attempt's :class:`TaskError`.
-        * **pool-death recovery**: a worker found dead (``crash``
-          faults, real segfaults) blacklists its PID, abandons the
-          in-flight attempts, re-forks the pool and re-dispatches every
-          unsatisfied task.  Exhausting the respawn budget degrades the
+        * **pool-death recovery**: a dead worker (``crash`` faults,
+          real segfaults) breaks the pool, which fails every in-flight
+          chunk with :class:`BrokenProcessPool`.  Those attempts are
+          lost; a new pool is started and every unsatisfied task
+          re-dispatched.  Exhausting the respawn budget degrades the
           engine to inline execution in the parent — the sequential
           fallback — for the rest of its life.
 
@@ -696,6 +602,8 @@ class PersistentExecutor:
         must be satisfied exactly once.  A task never has two attempts
         in flight: a retry follows the failure it answers, and a pool
         death drops every flight before anything is re-dispatched.
+        Sets ``ex.chunks`` and counts respawned pools in
+        ``ex.pools_created``.
         """
         policy = self.retry_policy or DEFAULT_RETRY_POLICY
         plan = self.fault_plan
@@ -706,22 +614,21 @@ class PersistentExecutor:
         #: so the one that succeeds is the last one launched
         next_attempt: dict[int, int] = {t: 0 for t in order}
         failures: dict[int, TaskError] = {}
-        flights: list[_Flight] = []
-        chunk_seq = 0
+        #: in-flight chunks, in submission order, and the tasks each carries
+        flights: dict[Future, list[int]] = {}
         inline_mode = self.degraded
         hub = self.telemetry
         ledgers = {t: TaskLedger(plan, self.tracer, job.name, phase, t) for t in order}
 
         def build_payload(batch: list[int]) -> tuple:
-            nonlocal chunk_seq
             entries = []
             for t in batch:
                 attempt = next_attempt[t]
                 next_attempt[t] = attempt + 1
                 ledgers[t].note_fault(attempt)
                 entries.append((t, attempt, *task_payloads[t]))
-            payload = (chunk_seq, jid, phase, common, phase_args, entries)
-            chunk_seq += 1
+            payload = (ex.chunks, jid, phase, common, phase_args, entries)
+            ex.chunks += 1
             return payload
 
         def submit(batch: list[int]) -> None:
@@ -729,8 +636,14 @@ class PersistentExecutor:
             if inline_mode:
                 absorb(_run_chunk(payload))
                 return
-            handle = self._pool.apply_async(_run_chunk, (payload,))
-            flights.append(_Flight(handle, batch))
+            try:
+                future = self._pool.submit(_run_chunk, payload)
+            except BrokenProcessPool as exc:
+                # a worker died since the last wait: this chunk is lost
+                # with the pool's in-flight ones
+                future = Future()
+                future.set_exception(exc)
+            flights[future] = batch
 
         def absorb(result: tuple) -> None:
             _chunk_index, oks, errs, events = result
@@ -752,25 +665,21 @@ class PersistentExecutor:
                 raise error
             failures[t] = error
             ledgers[t].note_retry(next_attempt[t])
-            self.stats.tasks_retried += 1
             submit([t])
 
-        def recover_pool_death(dead: set[int]) -> None:
+        def recover_pool_death() -> None:
             nonlocal inline_mode
-            self.stats.workers_blacklisted += len(dead)
-            self.stats.pool_respawns += 1
+            self._respawns += 1
             if self.tracer is not None:
                 self.tracer.instant(
                     "pool-respawn", "fault", job=job.name, phase=phase,
-                    dead_workers=sorted(dead),
-                    respawns=self.stats.pool_respawns,
+                    respawns=self._respawns,
                 )
-            for flight in flights:
-                for t in flight.tasks:
+            self._shutdown_pool()
+            for batch in flights.values():
+                for t in batch:
                     ledgers[t].count(TASK_LOST)
-                    self.stats.tasks_lost += 1
             flights.clear()
-            self._teardown_pool()
             unsatisfied = [t for t in order if t not in results]
             exhausted = [
                 t for t in unsatisfied if next_attempt[t] >= policy.max_attempts
@@ -781,17 +690,17 @@ class PersistentExecutor:
                     job.name, phase, t, attempt=next_attempt[t] - 1,
                     cause="attempt lost to a dead worker, retry budget spent",
                 )
-            if self.stats.pool_respawns > policy.max_pool_respawns:
+            if self._respawns > policy.max_pool_respawns:
                 inline_mode = True
                 self.degraded = True
                 if self.tracer is not None:
                     self.tracer.instant(
                         "executor-degraded", "fault", job=job.name,
-                        phase=phase, respawns=self.stats.pool_respawns,
+                        phase=phase, respawns=self._respawns,
                     )
                 _set_worker_globals(tuple(self._jobs), self._dfs)
             else:
-                self._ensure_pool()
+                ex.pools_created += int(self._ensure_pool())
             for chunk in self._chunk(unsatisfied):
                 submit(chunk)
 
@@ -826,35 +735,28 @@ class PersistentExecutor:
                             else "every attempt was lost in flight"
                         ),
                     )
-                progressed = False
-                for flight in list(flights):
-                    if not flight.handle.ready():
+                done, _ = wait(flights, return_when=FIRST_COMPLETED)
+                broken = False
+                for future in [f for f in flights if f in done]:
+                    if isinstance(future.exception(), BrokenProcessPool):
+                        broken = True  # lost, with every chunk still out
                         continue
-                    flights.remove(flight)
-                    progressed = True
+                    batch = flights.pop(future)
                     try:
-                        result = flight.handle.get()
+                        result = future.result()
                     except NON_RETRYABLE:
                         raise
                     except Exception as exc:
-                        # the chunk failed structurally (result would
-                        # not pickle, pool torn down under it); retry
-                        # its tasks
-                        for t in flight.tasks:
+                        # the chunk failed structurally (e.g. its result
+                        # would not pickle); retry its tasks
+                        for t in batch:
                             handle_failure(
                                 t, task_error_from(job.name, phase, t, exc), True
                             )
                         continue
                     absorb(result)
-                if len(results) >= len(order):
-                    break
-                if progressed:
-                    continue
-                dead = self._dead_workers()
-                if dead:
-                    recover_pool_death(dead)
-                elif flights:
-                    flights[0].handle.wait(_POLL_INTERVAL_S)
+                if broken:
+                    recover_pool_death()
 
             if env_sanitize() and set(results) != set(order):
                 raise RuntimeError(
@@ -862,7 +764,7 @@ class PersistentExecutor:
                 )
             for t in order:
                 ledgers[t].settle(results[t], next_attempt[t] - 1)
-            return [results[t] for t in order], chunk_seq
+            return [results[t] for t in order]
         finally:
             # on every way out, reference counting must free the phase:
             # submit -> absorb -> handle_failure -> submit is a cycle of
@@ -927,8 +829,8 @@ class PersistentExecutor:
             )
         except BaseException:
             # leak fix: a failing phase must not orphan the spill files
-            # of its completed attempts (the pool, with any writer still
-            # running, is already gone — see _dispatch_phase)
+            # of its completed attempts (the pool, and with it every
+            # spill writer, has stopped — see _dispatch_phase)
             shuffle.cleanup()
             raise
         for stats, path, segments, counters in cores:
@@ -936,7 +838,7 @@ class PersistentExecutor:
             ex.bytes_from_workers += approx_bytes(counters) + 96
             task_results.append((stats, counters))
         ex.spill_bytes_written = shuffle.spilled_bytes
-        self._end_phase(ex, t0)
+        ex.wall_s = time.perf_counter() - t0
         return task_results, shuffle, ex
 
     def run_reduce_phase(
@@ -975,7 +877,7 @@ class PersistentExecutor:
         )
         for stats, _written, counters in task_results:
             ex.bytes_from_workers += approx_bytes(counters) + stats.output_bytes + 96
-        self._end_phase(ex, t0)
+        ex.wall_s = time.perf_counter() - t0
         return task_results, ex
 
     def _begin_phase(
@@ -984,8 +886,7 @@ class PersistentExecutor:
         self._job_id(job)  # a late registration must precede the fork check
         ex = ExecutorPhaseStats(mode="pool", workers=self.workers, tasks=num_tasks)
         t0 = time.perf_counter()
-        ex.pool_created = self._ensure_pool()
-        ex.pool_generation = self.stats.pool_generation
+        ex.pools_created = int(self._ensure_pool())
         return ex, t0
 
     def _dispatch_phase(
@@ -1010,16 +911,15 @@ class PersistentExecutor:
                 self.tracer, f"dispatch-{phase}:{job.name}", "dispatch",
                 job=job.name, workers=self.workers,
             ) as span:
-                cores, ex.chunks = self._dispatch(
-                    job, phase, common, phase_args, task_payloads, dispatch_order,
+                cores = self._dispatch(
+                    job, phase, ex, common, phase_args, task_payloads,
+                    dispatch_order,
                 )
                 span.set(chunks=ex.chunks)
         except BaseException as exc:
-            # workers (possibly mid-straggler-sleep) must not keep the
-            # fork pool, and no spill writer may outlive the caller's
-            # removal of the phase directory — it could re-create a
-            # file after it
-            self._teardown_pool()
+            # no spill writer may outlive the caller's removal of the
+            # phase directory — it could re-create a file after it
+            self._shutdown_pool()
             # the finished frames under this one hold the error in
             # their locals (a chunk's results, handle_failure's
             # argument) and the error's traceback holds them
@@ -1027,17 +927,6 @@ class PersistentExecutor:
             raise
         ex.busy_s = sum(core[0].cpu_seconds for core in cores)
         return cores
-
-    def _end_phase(self, ex: ExecutorPhaseStats, t0: float) -> None:
-        ex.wall_s = time.perf_counter() - t0
-        s = self.stats
-        s.phases_executed += 1
-        s.tasks_dispatched += ex.tasks
-        s.chunks_dispatched += ex.chunks
-        s.bytes_to_workers += ex.bytes_to_workers
-        s.bytes_from_workers += ex.bytes_from_workers
-        s.spill_bytes_written += ex.spill_bytes_written
-        s.spill_bytes_read += ex.spill_bytes_read
 
 
 # ---------------------------------------------------------------------------
@@ -1052,17 +941,14 @@ class PersistentParallelCluster(SimulatedCluster):
     engine; only the physical execution differs: the job loop is the
     inherited :meth:`SimulatedCluster.run_job`, and this class overrides
     just its two phase runners (pool when ``_use_*_pool`` says so, else
-    the inherited in-driver runner).  ``workers`` defaults to the
-    machine's CPU count; phases with fewer tasks than
-    ``min_tasks_for_pool`` run inline, where forking never pays.
+    the inherited in-driver runner).  ``workers`` defaults to the cores
+    this process may run on; phases with fewer tasks than
+    :data:`MIN_TASKS_FOR_POOL` run inline, where forking never pays.
 
-    Pooling is also gated on the *effective core count*: when the host
-    exposes a single core, worker processes merely time-slice it, so
-    dispatching can only add pickling and context-switch overhead —
-    every phase then runs inline and the engine degrades gracefully to
-    (almost) sequential cost.  ``assume_cores`` overrides detection;
-    tests and micro-benchmarks pass a value > 1 to exercise the pooled
-    spill path deterministically regardless of host shape.
+    Pooling is also gated on the *effective core count*: below
+    :data:`MIN_CORES_FOR_POOL` worker processes merely time-slice one
+    core, so every phase runs inline and the engine degrades gracefully
+    to (almost) sequential cost.
 
     Use as a context manager (or call :meth:`close`) to release the
     pool and spill files eagerly; a finalizer covers the rest.
@@ -1073,8 +959,6 @@ class PersistentParallelCluster(SimulatedCluster):
         config: ClusterConfig | None = None,
         dfs: InMemoryDFS | None = None,
         workers: int | None = None,
-        min_tasks_for_pool: int = 4,
-        assume_cores: int | None = None,
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
@@ -1083,8 +967,6 @@ class PersistentParallelCluster(SimulatedCluster):
         )
         self.executor = PersistentExecutor(workers=workers, dfs=self.dfs)
         self.workers = self.executor.workers
-        self.min_tasks_for_pool = min_tasks_for_pool
-        self.effective_cores = assume_cores or _effective_cores()
 
     # -- life cycle -------------------------------------------------------
 
@@ -1113,8 +995,8 @@ class PersistentParallelCluster(SimulatedCluster):
         return (
             not self.executor.degraded
             and self.workers > 1
-            and self.effective_cores > 1
-            and len(map_inputs) >= self.min_tasks_for_pool
+            and _effective_cores() >= MIN_CORES_FOR_POOL
+            and len(map_inputs) >= MIN_TASKS_FOR_POOL
             and self.executor.map_ref_fraction(map_inputs) >= 0.5
         )
 
@@ -1127,7 +1009,7 @@ class PersistentParallelCluster(SimulatedCluster):
             isinstance(shuffle, MapShuffle)
             and not self.executor.degraded
             and self.workers > 1
-            and num_tasks >= self.min_tasks_for_pool
+            and num_tasks >= MIN_TASKS_FOR_POOL
         )
 
     def _pooled(self) -> PersistentExecutor:

@@ -162,14 +162,13 @@ class ExecutorPhaseStats:
 
     #: ``"inline"`` (ran in the driver process) or ``"pool"``
     mode: str = "inline"
-    #: generation of the worker pool that served this phase
-    pool_generation: int = 0
-    #: True when serving this phase forked a fresh pool (cold start)
-    pool_created: bool = False
+    #: worker pools this phase forked: 1 for a cold start, plus one per
+    #: respawn after a dead worker
+    pools_created: int = 0
     workers: int = 0
     tasks: int = 0
-    #: task chunks submitted to the pool (one ``apply_async`` each;
-    #: a retry is a chunk of one task)
+    #: task chunks submitted to the pool (one ``submit`` each; a
+    #: retry is a chunk of one task)
     chunks: int = 0
     #: approx bytes of task payloads crossing parent -> worker
     bytes_to_workers: int = 0
@@ -235,7 +234,7 @@ def merge_executor_stats(
             continue
         if ex.mode == "pool":
             summary["pooled_phases"] += 1
-            summary["pools_created"] += int(ex.pool_created)
+            summary["pools_created"] += ex.pools_created
             summary["busy_s"] += ex.busy_s
             summary["pool_wall_s"] += ex.wall_s
             summary["pool_capacity_s"] += ex.workers * ex.wall_s

@@ -23,8 +23,9 @@ SCHEMA_1 = RecordSchema((1,))
 _TOKENIZER = WordTokenizer()
 
 
-def make_cluster(num_nodes: int = 4, **config_overrides) -> SimulatedCluster:
-    """A small, fast test cluster with tiny DFS blocks (more tasks)."""
+def small_config(num_nodes: int = 4, **overrides) -> ClusterConfig:
+    """A cluster config without startup costs and at unit scales, so
+    simulated seconds are the measured ones."""
     defaults = dict(
         num_nodes=num_nodes,
         job_startup_s=0.0,
@@ -32,8 +33,13 @@ def make_cluster(num_nodes: int = 4, **config_overrides) -> SimulatedCluster:
         cpu_scale=1.0,
         data_scale=1.0,
     )
-    defaults.update(config_overrides)
-    config = ClusterConfig(**defaults)
+    defaults.update(overrides)
+    return ClusterConfig(**defaults)
+
+
+def make_cluster(num_nodes: int = 4, **config_overrides) -> SimulatedCluster:
+    """A small, fast test cluster with tiny DFS blocks (more tasks)."""
+    config = small_config(num_nodes, **config_overrides)
     return SimulatedCluster(config, InMemoryDFS(num_nodes=num_nodes, block_bytes=512))
 
 
@@ -163,3 +169,36 @@ def rng() -> random.Random:
 @pytest.fixture
 def small_cluster() -> SimulatedCluster:
     return make_cluster()
+
+
+@pytest.fixture
+def make_engine(monkeypatch):
+    """``make_engine(kind="persistent", config=None, dfs=None, **kwargs)``
+    builds either engine of a differential test: ``"sequential"`` is a
+    :class:`SimulatedCluster`, any other kind a two-worker
+    ``PersistentParallelCluster`` (closed at teardown).  The config
+    defaults to :func:`small_config`, the DFS to 512-byte blocks.
+
+    The executor's pooling thresholds are set to 1, so every phase runs
+    on the pool, however few tasks it has and however many cores the
+    host exposes.
+    """
+    from repro.mapreduce import executor
+
+    monkeypatch.setattr(executor, "MIN_TASKS_FOR_POOL", 1)
+    monkeypatch.setattr(executor, "MIN_CORES_FOR_POOL", 1)
+    pooled = []
+
+    def make(kind="persistent", config=None, dfs=None, **kwargs):
+        config = config or small_config()
+        if dfs is None:
+            dfs = InMemoryDFS(num_nodes=config.num_nodes, block_bytes=512)
+        if kind == "sequential":
+            return SimulatedCluster(config, dfs, **kwargs)
+        cluster = executor.PersistentParallelCluster(config, dfs, workers=2, **kwargs)
+        pooled.append(cluster)
+        return cluster
+
+    yield make
+    for cluster in pooled:
+        cluster.close()

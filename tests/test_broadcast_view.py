@@ -10,9 +10,8 @@ import pytest
 from repro.data.synthetic import generate_dblp
 from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_self
-from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
+from repro.mapreduce.cluster import ClusterConfig
 from repro.mapreduce.dfs import InMemoryDFS
-from repro.mapreduce.executor import PersistentParallelCluster
 from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.job import MapReduceJob
 
@@ -25,15 +24,9 @@ ENGINES = [
 ]
 
 
-def make_engine(engine, fault_plan=None, **config):
-    cluster_config = ClusterConfig(**config)
-    dfs = InMemoryDFS(num_nodes=cluster_config.num_nodes, block_bytes=64)
-    if engine == "sequential":
-        return SimulatedCluster(cluster_config, dfs, fault_plan=fault_plan)
-    return PersistentParallelCluster(
-        cluster_config, dfs, workers=2, min_tasks_for_pool=1, assume_cores=2,
-        fault_plan=fault_plan,
-    )
+def tiny_blocks(num_nodes=4):
+    """A DFS of 64-byte blocks: one task per few records."""
+    return InMemoryDFS(num_nodes=num_nodes, block_bytes=64)
 
 
 def counting_builder(log_path, delay_s=0.0):
@@ -76,9 +69,9 @@ RECORDS = [f"record-{i:03d}" for i in range(40)]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_built_once_per_process(engine, tmp_path):
+def test_built_once_per_process(make_engine, engine, tmp_path):
     log = tmp_path / "builds"
-    cluster = make_engine(engine)
+    cluster = make_engine(engine, ClusterConfig(), tiny_blocks())
     try:
         fill(cluster, RECORDS[::2], RECORDS)
         stats = cluster.run_job(view_job(counting_builder(log)))
@@ -99,10 +92,10 @@ def test_built_once_per_process(engine, tmp_path):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_a_retried_task_reuses_the_view(engine, tmp_path):
+def test_a_retried_task_reuses_the_view(make_engine, engine, tmp_path):
     log = tmp_path / "builds"
     plan = FaultPlan.parse("raise:viewer:map:1:0")
-    cluster = make_engine(engine, fault_plan=plan)
+    cluster = make_engine(engine, ClusterConfig(), tiny_blocks(), fault_plan=plan)
     try:
         fill(cluster, RECORDS, RECORDS)
         stats = cluster.run_job(view_job(counting_builder(log)))
@@ -113,11 +106,11 @@ def test_a_retried_task_reuses_the_view(engine, tmp_path):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_two_jobs_over_the_same_file_name_never_share_a_view(engine, tmp_path):
+def test_two_jobs_over_the_same_file_name_never_share_a_view(make_engine, engine, tmp_path):
     """Same file name, same builder object, different contents: the view
     lives with one job's payload, so the second job sees its own file."""
     build = counting_builder(tmp_path / "builds")
-    cluster = make_engine(engine)
+    cluster = make_engine(engine, ClusterConfig(), tiny_blocks())
     try:
         fill(cluster, ["a"], ["a", "bb"])
         cluster.run_job(view_job(build))
@@ -132,18 +125,18 @@ def test_two_jobs_over_the_same_file_name_never_share_a_view(engine, tmp_path):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_two_joins_in_one_process_never_share_a_pair_index(engine):
+def test_two_joins_in_one_process_never_share_a_pair_index(make_engine, engine):
     """Two OPRJ joins whose RID-pair lists differ but share a file name
     (same input name, same prefix) each equal a join on a fresh cluster."""
     corpora = [generate_dblp(300, seed=7), generate_dblp(300, seed=8)]
     expected = []
     for records in corpora:
-        fresh = make_engine("sequential")
+        fresh = make_engine("sequential", ClusterConfig(), tiny_blocks())
         fresh.dfs.write("records", records)
         report = ssjoin_self(fresh, "records", JoinConfig())
         expected.append(sorted(fresh.dfs.read_all(report.output_file)))
     assert expected[0] != expected[1]
-    cluster = make_engine(engine)
+    cluster = make_engine(engine, ClusterConfig(), tiny_blocks())
     try:
         for records, pairs in zip(corpora, expected):
             cluster.dfs.write("records", records)
@@ -155,11 +148,13 @@ def test_two_joins_in_one_process_never_share_a_pair_index(engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_each_slots_first_task_bills_the_build(engine, tmp_path):
+def test_each_slots_first_task_bills_the_build(make_engine, engine, tmp_path):
     """The view's build is billed like the broadcast read: to each task
     ``< map_slots`` whichever task built it, and to no later task."""
     delay_s = 0.2
-    cluster = make_engine(engine, num_nodes=1, map_slots_per_node=2)
+    cluster = make_engine(
+        engine, ClusterConfig(num_nodes=1, map_slots_per_node=2), tiny_blocks(1)
+    )
     try:
         fill(cluster, RECORDS, RECORDS)
         stats = cluster.run_job(

@@ -3,16 +3,19 @@
 Covers the tentpole guarantees: byte-identical output to
 :class:`SimulatedCluster` across every stage combo for self- and R-S
 joins, one pool per end-to-end join, `InsufficientMemoryError`
-propagating out of pool workers, `ClusterConfig.with_nodes` preserving
-new fields, and the rank-vs-string encoding differential.
+propagating out of pool workers, pool-death recovery with a leaked
+queue lock, `ClusterConfig.with_nodes` preserving new fields, and the
+rank-vs-string encoding differential.
 
-``assume_cores`` is pinned > 1 so the pooled spill path is exercised
-regardless of the host's core count (the engine would otherwise run
-inline on single-core machines).
+The ``make_engine`` fixture pools every phase, so the pooled spill path
+is exercised regardless of the host's core count (the engine would
+otherwise run inline on single-core machines).
 """
 
 import multiprocessing
 import os
+import signal
+import threading
 import time
 
 import pytest
@@ -39,12 +42,13 @@ from repro.mapreduce.executor import (
     PersistentExecutor,
     PersistentParallelCluster,
 )
+from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import InsufficientMemoryError, approx_bytes
 from repro.obs.telemetry import strip_telemetry_counters
 from repro.obs.trace import Tracer
 
-from tests.conftest import SCHEMA_1, random_records
+from tests.conftest import SCHEMA_1, random_records, small_config
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -57,29 +61,6 @@ COMBOS = [
     for kernel in ("bk", "pk")
     for stage3 in ("brj", "oprj")
 ]
-
-
-def cluster_config(**cfg):
-    defaults = dict(
-        num_nodes=4, job_startup_s=0, task_startup_s=0,
-        cpu_scale=1.0, data_scale=1.0,
-    )
-    defaults.update(cfg)
-    return ClusterConfig(**defaults)
-
-
-def make_pair(workers=2, assume_cores=4, **cfg):
-    sequential = SimulatedCluster(
-        cluster_config(**cfg), InMemoryDFS(num_nodes=4, block_bytes=512)
-    )
-    persistent = PersistentParallelCluster(
-        cluster_config(**cfg),
-        InMemoryDFS(num_nodes=4, block_bytes=512),
-        workers=workers,
-        min_tasks_for_pool=1,
-        assume_cores=assume_cores,
-    )
-    return sequential, persistent
 
 
 def word_count_job():
@@ -100,9 +81,9 @@ def word_count_job():
 
 
 class TestDeterminism:
-    def test_word_count_identical(self):
+    def test_word_count_identical(self, make_engine):
         """A plain combiner job (no join driver) through the pool."""
-        sequential, persistent = make_pair()
+        sequential, persistent = make_engine("sequential"), make_engine()
         docs = [f"w{i % 17} w{i % 5} w{i % 3}" for i in range(300)]
         with persistent:
             sequential.dfs.write("docs", docs)
@@ -116,9 +97,9 @@ class TestDeterminism:
             assert seq_stats.counters == per_stats.counters
 
     @pytest.mark.parametrize("stage1,kernel,stage3", COMBOS)
-    def test_selfjoin_identical(self, rng, stage1, kernel, stage3):
+    def test_selfjoin_identical(self, rng, make_engine, stage1, kernel, stage3):
         records = random_records(rng, 70)
-        sequential, persistent = make_pair()
+        sequential, persistent = make_engine("sequential"), make_engine()
         config = JoinConfig(
             threshold=0.5, schema=SCHEMA_1,
             stage1=stage1, kernel=kernel, stage3=stage3,
@@ -133,10 +114,10 @@ class TestDeterminism:
             ) == persistent.dfs.read_all(per_report.output_file)
 
     @pytest.mark.parametrize("stage1,kernel,stage3", COMBOS)
-    def test_rsjoin_identical(self, rng, stage1, kernel, stage3):
+    def test_rsjoin_identical(self, rng, make_engine, stage1, kernel, stage3):
         r = random_records(rng, 40)
         s = random_records(rng, 40, rid_base=1000)
-        sequential, persistent = make_pair()
+        sequential, persistent = make_engine("sequential"), make_engine()
         config = JoinConfig(
             threshold=0.5, schema=SCHEMA_1,
             stage1=stage1, kernel=kernel, stage3=stage3,
@@ -151,9 +132,9 @@ class TestDeterminism:
                 seq_report.output_file
             ) == persistent.dfs.read_all(per_report.output_file)
 
-    def test_counters_identical(self, rng):
+    def test_counters_identical(self, rng, make_engine):
         records = random_records(rng, 70)
-        sequential, persistent = make_pair()
+        sequential, persistent = make_engine("sequential"), make_engine()
         with persistent:
             sequential.dfs.write("records", records)
             persistent.dfs.write("records", records)
@@ -181,11 +162,11 @@ class TestEngineParity:
         return tree
 
     @pytest.mark.parametrize("join", ["self", "rs"])
-    def test_same_spans_shuffle_bytes_and_counters(self, rng, join):
+    def test_same_spans_shuffle_bytes_and_counters(self, rng, make_engine, join):
         r = random_records(rng, 60)
         s = random_records(rng, 40, rid_base=1000)
         config = JoinConfig(threshold=0.5, schema=SCHEMA_1)
-        sequential, persistent = make_pair(assume_cores=2)
+        sequential, persistent = make_engine("sequential"), make_engine()
         reports, trees = [], []
         with persistent:
             for cluster in (sequential, persistent):
@@ -197,7 +178,7 @@ class TestEngineParity:
                 else:
                     reports.append(ssjoin_rs(cluster, "r", "s", config))
                 trees.append(self._span_tree(cluster.tracer))
-        assert persistent.executor.stats.pools_created == 1  # really pooled
+        assert reports[1].executor_summary()["pools_created"] == 1  # really pooled
         assert trees[0] == trees[1]
         assert trees[0] and all(
             phases == ["map", "shuffle", "reduce"] for _job, phases in trees[0]
@@ -244,7 +225,7 @@ class TestEngineParity:
 
         monkeypatch.setattr(cluster_module, "execute_map_task", checking_map_task)
         cluster = SimulatedCluster(
-            cluster_config(), InMemoryDFS(num_nodes=4, block_bytes=512)
+            small_config(), InMemoryDFS(num_nodes=4, block_bytes=512)
         )
         cluster.dfs.write("r", r)
         cluster.dfs.write("s", s)
@@ -256,15 +237,13 @@ class TestEngineParity:
         assert {name for name, _c, nonempty in checked if nonempty} == jobs
         assert any(combiner for _n, combiner, _e in checked)
 
-    def test_shuffle_bytes_pinned_to_the_recursive_walk(self):
+    def test_shuffle_bytes_pinned_to_the_recursive_walk(self, make_engine):
         """Absolute byte totals of a fixed corpus, measured with the
         two-walk recursive accounting this replaced — "identical to the
         parent" has to outlive the parent."""
         records = generate_dblp(2000, 7)
         sequential = SimulatedCluster()
-        persistent = PersistentParallelCluster(
-            workers=2, min_tasks_for_pool=1, assume_cores=2
-        )
+        persistent = make_engine(config=ClusterConfig(), dfs=InMemoryDFS())
         with persistent:
             for cluster in (sequential, persistent):
                 cluster.dfs.write("records", records)
@@ -287,7 +266,7 @@ class TestEngineParity:
                     "stage2": (1_214_640, 1_265_712),
                     "stage3": (958_940, 990_364),
                 }
-            assert persistent.executor.stats.pools_created == 1  # really pooled
+            assert report.executor_summary()["pools_created"] == 1  # really pooled
 
     def test_shuffle_handles_size_nothing(self, tmp_path, monkeypatch):
         """Shuffled bytes are computed in ``execute_map_task`` only: the
@@ -318,34 +297,38 @@ class TestEngineParity:
 
 
 class TestPoolLifecycle:
-    def test_one_pool_per_join(self, rng):
+    def test_one_pool_per_join(self, rng, make_engine):
         """The acceptance criterion: a 3-stage pipeline (up to five
         MapReduce jobs) forks exactly one pool."""
         records = random_records(rng, 70)
-        _sequential, persistent = make_pair()
+        persistent = make_engine()
         with persistent:
             persistent.dfs.write("records", records)
-            ssjoin_self(persistent, "records", JoinConfig(threshold=0.5, schema=SCHEMA_1))
-            stats = persistent.executor.stats
-            assert stats.pools_created == 1
-            assert stats.phases_executed > 1  # the pool really was reused
+            report = ssjoin_self(
+                persistent, "records", JoinConfig(threshold=0.5, schema=SCHEMA_1)
+            )
+            summary = report.executor_summary()
+            assert summary["pools_created"] == 1
+            assert summary["pooled_phases"] > 1  # the pool really was reused
 
-    def test_pool_reused_across_joins(self, rng):
+    def test_pool_reused_across_joins(self, rng, make_engine):
         """Same registered jobs -> the second run re-uses the pool."""
         records = random_records(rng, 70)
-        _sequential, persistent = make_pair()
+        persistent = make_engine()
         config = JoinConfig(threshold=0.5, schema=SCHEMA_1)
         with persistent:
             persistent.dfs.write("records", records)
-            ssjoin_self(persistent, "records", config, prefix="a")
-            ssjoin_self(persistent, "records", config, prefix="b")
+            reports = [
+                ssjoin_self(persistent, "records", config, prefix=prefix)
+                for prefix in ("a", "b")
+            ]
             # the second join's jobs are new closures, so one re-fork is
             # allowed — but never one pool per phase
-            assert persistent.executor.stats.pools_created <= 2
+            assert sum(r.executor_summary()["pools_created"] for r in reports) <= 2
 
-    def test_executor_summary_in_report(self, rng):
+    def test_executor_summary_in_report(self, rng, make_engine):
         records = random_records(rng, 70)
-        _sequential, persistent = make_pair()
+        persistent = make_engine()
         with persistent:
             persistent.dfs.write("records", records)
             report = ssjoin_self(
@@ -362,19 +345,34 @@ class TestPoolLifecycle:
         util = float(format_executor_summary(summary).split()[-1])
         assert 0.0 <= util <= 1.0
 
-    def test_single_core_host_runs_inline(self, rng):
+    def test_single_core_host_runs_inline(self, rng, monkeypatch):
         """On a 1-core host worker processes only time-slice, so the
         engine degrades to inline execution — same answers, no pool."""
         records = random_records(rng, 70)
-        _sequential, persistent = make_pair(assume_cores=1)
+        monkeypatch.setattr(executor_module, "_effective_cores", lambda: 1)
+        monkeypatch.setattr(executor_module, "MIN_TASKS_FOR_POOL", 1)
+        persistent = PersistentParallelCluster(
+            small_config(), InMemoryDFS(num_nodes=4, block_bytes=512), workers=2
+        )
         with persistent:
             persistent.dfs.write("records", records)
-            ssjoin_self(persistent, "records", JoinConfig(threshold=0.5, schema=SCHEMA_1))
-            assert persistent.executor.stats.pools_created == 0
+            report = ssjoin_self(
+                persistent, "records", JoinConfig(threshold=0.5, schema=SCHEMA_1)
+            )
+        summary = report.executor_summary()
+        assert summary["pools_created"] == summary["pooled_phases"] == 0
+        assert summary["inline_phases"] > 0
 
-    def test_memory_error_propagates_from_pool_worker(self, rng):
+    def test_workers_default_to_the_effective_cores(self, monkeypatch):
+        """Under a CPU-affinity limit the default pool is no larger than
+        the cores this process may run on."""
+        monkeypatch.setattr(executor_module, "_effective_cores", lambda: 3)
+        assert PersistentExecutor().workers == 3
+        assert PersistentParallelCluster().workers == 3
+
+    def test_memory_error_propagates_from_pool_worker(self, rng, make_engine):
         records = random_records(rng, 80, dup_rate=0.6)
-        _sequential, persistent = make_pair(memory_per_task_mb=0.0001)
+        persistent = make_engine(config=small_config(memory_per_task_mb=0.0001))
         with persistent:
             persistent.dfs.write("records", records)
             with pytest.raises(InsufficientMemoryError) as exc_info:
@@ -385,29 +383,54 @@ class TestPoolLifecycle:
             # the engine stays usable after a failed phase
             persistent.dfs.write("more", records)
 
-
-    def test_teardown_survives_a_leaked_queue_lock(self):
+    def test_teardown_survives_a_leaked_queue_lock(self, make_engine):
         """A worker killed mid-send dies holding the result queue's
-        process-shared write lock; ``Pool.terminate()`` then blocks on
-        it forever.  Teardown must return anyway, with every worker
-        dead.  (Holding the lock in the parent reproduces the leak
-        deterministically; at the parent commit this never returns.)"""
-        executor = PersistentExecutor(workers=2)
-        executor._ensure_pool()
-        pids = set(executor._worker_pids)
-        leaked = executor._pool._outqueue._wlock
-        leaked.acquire()
+        process-shared write lock, and no other worker can then report
+        a result.  The pool must still break, be replaced, and the phase
+        finish, with every worker of the broken pool reaped.  (Holding
+        the lock in the parent and SIGKILLing a worker reproduces this
+        deterministically.)"""
+        docs = [f"w{i % 17} w{i % 5} w{i % 3}" for i in range(300)]
+        sequential = make_engine("sequential")
+        sequential.dfs.write("docs", docs)
+        sequential.run_job(word_count_job())
+        # every first map attempt dawdles, so the phase is mid-flight
+        # when the worker dies; the re-dispatched attempts do not
+        persistent = make_engine(fault_plan=FaultPlan.parse("sleep:wc:map:*:0:0.2"))
+        persistent.dfs.write("docs", docs)
+        sabotaged = threading.Event()
+        broken: dict = {}
+
+        def sabotage():
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                pool = persistent.executor._pool
+                if pool is not None and len(pool._processes or ()) == 2:
+                    broken["pids"] = list(pool._processes)
+                    broken["lock"] = pool._result_queue._wlock
+                    broken["lock"].acquire()
+                    os.kill(broken["pids"][0], signal.SIGKILL)
+                    sabotaged.set()
+                    return
+                time.sleep(0.001)
+
+        saboteur = threading.Thread(target=sabotage, daemon=True)
+        saboteur.start()
+        started = time.monotonic()
         try:
-            started = time.monotonic()
-            executor._teardown_pool()
+            stats = persistent.run_job(word_count_job())
             assert time.monotonic() - started < 10
-            assert executor._pool is None
-            for pid in pids:
-                with pytest.raises(ProcessLookupError):
-                    os.kill(pid, 0)
         finally:
-            leaked.release()  # lets the abandoned helper thread finish
-            executor.close()
+            saboteur.join(10)
+            if "lock" in broken:
+                broken["lock"].release()
+        assert not saboteur.is_alive() and sabotaged.is_set()
+        assert stats.map_executor.pools_created == 2  # the first one broke
+        assert stats.counters["task.lost"] >= 1
+        assert persistent.dfs.read_all("counts") == sequential.dfs.read_all("counts")
+        for pid in broken["pids"]:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestWithNodes:

@@ -32,7 +32,6 @@ from repro.join.driver import ssjoin_rs, ssjoin_self
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.diskdfs import LocalDiskDFS
-from repro.mapreduce.executor import PersistentParallelCluster
 from repro.mapreduce.faults import (
     FAULT_KINDS,
     FaultInjected,
@@ -69,20 +68,6 @@ def make_seq(fault_plan=None, retry_policy=None, **cfg) -> SimulatedCluster:
     return SimulatedCluster(
         cluster_config(**cfg),
         InMemoryDFS(num_nodes=4, block_bytes=512),
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
-    )
-
-
-def make_persistent(
-    fault_plan=None, retry_policy=None, workers=2, assume_cores=4, **cfg
-) -> PersistentParallelCluster:
-    return PersistentParallelCluster(
-        cluster_config(**cfg),
-        InMemoryDFS(num_nodes=4, block_bytes=512),
-        workers=workers,
-        min_tasks_for_pool=1,
-        assume_cores=assume_cores,
         fault_plan=fault_plan,
         retry_policy=retry_policy,
     )
@@ -320,25 +305,46 @@ class TestRetryExhaustion:
 
 @fork_only
 class TestExecutorChaos:
-    def test_worker_crash_respawns_pool_and_matches_sequential(self, rng):
+    def test_worker_crash_respawns_pool_and_matches_sequential(self, make_engine, rng):
         records = random_records(rng, 70)
         clean_pairs, _ = run_self(make_seq(), records)
-        persistent = make_persistent(
+        persistent = make_engine(
             fault_plan=FaultPlan.parse("crash:stage2-*:map:1:0")
         )
         with persistent:
             pairs, report = run_self(persistent, records)
         assert pairs == clean_pairs
-        stats = persistent.executor.stats
-        assert stats.pool_respawns >= 1
-        assert stats.workers_blacklisted >= 1
+        # the crash broke the first pool; the respawn forked a second
+        assert report.executor_summary()["pools_created"] == 2
         counters = report.counters()
         assert counters["fault.injected"] >= 1
+        assert counters["task.lost"] >= 1
 
-    def test_repeated_pool_death_degrades_to_inline(self, rng):
+    def test_crash_while_other_chunks_are_in_flight(self, make_engine, rng):
+        """Task 0's worker dies at once while the other worker is still
+        inside its chunk (every other first attempt dawdles): the pool
+        fails both, and the respawn re-runs them.  Nothing outlives
+        ``close()``: no spill root, no worker process."""
         records = random_records(rng, 70)
         clean_pairs, _ = run_self(make_seq(), records)
-        persistent = make_persistent(
+        roots_before = _spill_roots()
+        children_before = set(multiprocessing.active_children())
+        persistent = make_engine(
+            fault_plan=FaultPlan.parse(
+                "crash:stage2-*:map:0:0;sleep:stage2-*:map:*:0:0.05"
+            )
+        )
+        with persistent:
+            pairs, report = run_self(persistent, records)
+        assert pairs == clean_pairs
+        assert report.counters()["task.lost"] >= 1
+        assert _spill_roots() - roots_before == set()
+        assert set(multiprocessing.active_children()) <= children_before
+
+    def test_repeated_pool_death_degrades_to_inline(self, make_engine, rng):
+        records = random_records(rng, 70)
+        clean_pairs, _ = run_self(make_seq(), records)
+        persistent = make_engine(
             fault_plan=FaultPlan.parse("crash:*:map:*:0"),
             retry_policy=RetryPolicy(max_pool_respawns=0),
         )
@@ -347,10 +353,10 @@ class TestExecutorChaos:
             assert persistent.executor.degraded
         assert pairs == clean_pairs
 
-    def test_exhaustion_tears_pool_down_and_engine_stays_usable(self, rng):
+    def test_exhaustion_tears_pool_down_and_engine_stays_usable(self, make_engine, rng):
         records = random_records(rng, 70)
         clean_pairs, _ = run_self(make_seq(), records)
-        persistent = make_persistent(
+        persistent = make_engine(
             fault_plan=FaultPlan.parse("raise:stage2-*:map:*:*"),
             retry_policy=RetryPolicy(max_attempts=2),
         )
@@ -399,11 +405,11 @@ class TestSpillHygiene:
         for root in _spill_roots() - before:
             assert os.listdir(root) == []
 
-    def test_clean_run_and_close_leave_no_segments(self, rng):
+    def test_clean_run_and_close_leave_no_segments(self, make_engine, rng):
         records = random_records(rng, 70)
         clean_pairs, _ = run_self(make_seq(), records)
         before = _spill_roots()
-        persistent = make_persistent()
+        persistent = make_engine()
         with persistent:
             pairs, report = run_self(persistent, records)
             assert len(_spill_roots() - before) == 1
@@ -414,11 +420,11 @@ class TestSpillHygiene:
         persistent.close()  # idempotent
 
     @pytest.mark.parametrize("spec", CHAOS_SPECS)
-    def test_chaos_run_leaks_no_segments(self, rng, spec):
+    def test_chaos_run_leaks_no_segments(self, make_engine, rng, spec):
         records = random_records(rng, 70)
         clean_pairs, _ = run_self(make_seq(), records)
         before = _spill_roots()
-        persistent = make_persistent(fault_plan=FaultPlan.parse(spec))
+        persistent = make_engine(fault_plan=FaultPlan.parse(spec))
         with persistent:
             pairs, report = run_self(persistent, records)
             self._assert_roots_empty(before)
@@ -427,10 +433,10 @@ class TestSpillHygiene:
         # the shuffle really ran through spill files
         assert report.executor_summary()["spill_bytes_written"] > 0
 
-    def test_failed_phase_sweeps_its_segments(self, rng):
+    def test_failed_phase_sweeps_its_segments(self, make_engine, rng):
         records = random_records(rng, 70)
         before = _spill_roots()
-        persistent = make_persistent(
+        persistent = make_engine(
             fault_plan=FaultPlan.parse("raise:stage2-*:map:*:*"),
             retry_policy=RetryPolicy(max_attempts=2),
         )
@@ -440,11 +446,27 @@ class TestSpillHygiene:
             self._assert_roots_empty(before)
         assert _spill_roots() - before == set()
 
-    def test_degraded_engine_leaks_no_segments(self, rng):
+    @pytest.mark.parametrize(
+        "spec", ["squeeze:oprj:map:*:0:0.00001", "squeeze:stage2-*:reduce:*:0:0.00001"]
+    )
+    def test_memory_error_sweeps_its_segments(self, make_engine, rng, spec):
+        """A pooled phase that dies of ``InsufficientMemoryError`` (no
+        ladder to catch it) leaves no spill file: neither its own nor
+        those of the map phase feeding it."""
+        records = random_records(rng, 70)
+        before = _spill_roots()
+        persistent = make_engine(fault_plan=FaultPlan.parse(spec))
+        with persistent:
+            with pytest.raises(InsufficientMemoryError):
+                run_self(persistent, records, JoinConfig(auto_degrade=False, **CONFIG))
+            self._assert_roots_empty(before)
+        assert _spill_roots() - before == set()
+
+    def test_degraded_engine_leaks_no_segments(self, make_engine, rng):
         records = random_records(rng, 70)
         clean_pairs, _ = run_self(make_seq(), records)
         before = _spill_roots()
-        persistent = make_persistent(
+        persistent = make_engine(
             fault_plan=FaultPlan.parse("crash:*:map:*:0"),
             retry_policy=RetryPolicy(max_pool_respawns=0),
         )
@@ -456,7 +478,7 @@ class TestSpillHygiene:
         assert _spill_roots() - before == set()
 
     def test_spill_falls_back_when_shm_dir_missing(
-        self, rng, tmp_path, monkeypatch
+        self, make_engine, rng, tmp_path, monkeypatch
     ):
         from repro.mapreduce import executor as ex_mod
 
@@ -465,7 +487,7 @@ class TestSpillHygiene:
         records = random_records(rng, 70)
         clean_pairs, _ = run_self(make_seq(), records)
         shm_before = _spill_roots()
-        persistent = make_persistent()
+        persistent = make_engine()
         with persistent:
             pairs, report = run_self(persistent, records)
             # the spill root landed in the temp directory, not /dev/shm
@@ -529,9 +551,9 @@ class TestDifferentialChaos:
 
     @fork_only
     @pytest.mark.parametrize("kernel", ["bk", "pk"])
-    def test_random_plan_self_join_persistent(self, kernel):
+    def test_random_plan_self_join_persistent(self, make_engine, kernel):
         (records,), clean_pairs, _ = _reference("self", kernel)
-        persistent = make_persistent(fault_plan=FaultPlan.random(11))
+        persistent = make_engine(fault_plan=FaultPlan.random(11))
         with persistent:
             pairs, _report = run_self(
                 persistent, records, JoinConfig(kernel=kernel, **CONFIG)
@@ -539,9 +561,9 @@ class TestDifferentialChaos:
         assert pairs == clean_pairs
 
     @fork_only
-    def test_random_plan_rs_join_persistent(self):
+    def test_random_plan_rs_join_persistent(self, make_engine):
         (r, s), clean_pairs, _ = _reference("rs", "bk")
-        persistent = make_persistent(fault_plan=FaultPlan.random(12))
+        persistent = make_engine(fault_plan=FaultPlan.random(12))
         with persistent:
             pairs, _report = run_rs(
                 persistent, r, s, JoinConfig(kernel="bk", **CONFIG)
@@ -595,15 +617,15 @@ class TestEngineParity:
             ("crash:stage2-*:map:1:0", ("fault.",)),
         ],
     )
-    def test_absorbed_plan_books_identically(self, rng, spec, prefixes):
+    def test_absorbed_plan_books_identically(self, make_engine, rng, spec, prefixes):
         records = random_records(rng, 70, dup_rate=0.6)
         plan = FaultPlan.parse(spec)
         # BRJ, so that the plan naming its brj-join job has one to hit
         config = JoinConfig(**CONFIG, stage3="brj")
         seq_pairs, seq_report = run_self(make_seq(fault_plan=plan), records, config)
-        with make_persistent(fault_plan=plan) as persistent:
+        with make_engine(fault_plan=plan) as persistent:
             pairs, report = run_self(persistent, records, config)
-            assert persistent.executor.stats.pools_created >= 1
+        assert report.executor_summary()["pools_created"] >= 1
         assert pairs == seq_pairs
         assert report.memory_steps == seq_report.memory_steps
         booked = _bookkeeping(seq_report, prefixes)
@@ -611,13 +633,13 @@ class TestEngineParity:
         assert _bookkeeping(report, prefixes) == booked
 
     @pytest.mark.parametrize("poisoned", [False, True])
-    def test_exhausted_budget_raises_the_same_task_error(self, poisoned):
+    def test_exhausted_budget_raises_the_same_task_error(self, make_engine, poisoned):
         def poison(line, ctx):  # one bad record, so exactly one task fails
             if line.startswith("w7 "):
                 raise ValueError("cannot parse record")
 
         errors = []
-        for make in (make_seq, make_persistent):
+        for make in (make_seq, make_engine):
             cluster = make(
                 fault_plan=None if poisoned else FaultPlan.parse("raise:wc:map:1:*"),
                 retry_policy=RetryPolicy(max_attempts=3),

@@ -12,29 +12,17 @@ from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_rs, ssjoin_self
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.dfs import InMemoryDFS
-from repro.mapreduce.executor import PersistentParallelCluster
 from repro.mapreduce.faults import FaultPlan, TaskError
 from repro.mapreduce.types import InsufficientMemoryError, approx_bytes
 
-from tests.conftest import SCHEMA_1, random_records
+from tests.conftest import SCHEMA_1, random_records, small_config
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
-def cluster_with(records, memory_mb=None, num_nodes=4, engine="sequential", faults=None):
-    config = ClusterConfig(
-        num_nodes=num_nodes, job_startup_s=0, task_startup_s=0,
-        cpu_scale=1.0, data_scale=1.0, memory_per_task_mb=memory_mb,
-    )
-    dfs = InMemoryDFS(num_nodes=num_nodes, block_bytes=512)
-    plan = FaultPlan.parse(faults) if faults else None
-    if engine == "sequential":
-        cluster = SimulatedCluster(config, dfs, fault_plan=plan)
-    else:
-        cluster = PersistentParallelCluster(
-            config, dfs, workers=2, min_tasks_for_pool=1, assume_cores=2,
-            fault_plan=plan,
-        )
+def cluster_with(records, memory_mb=None, num_nodes=4):
+    config = small_config(num_nodes, memory_per_task_mb=memory_mb)
+    cluster = SimulatedCluster(config, InMemoryDFS(num_nodes=num_nodes, block_bytes=512))
     cluster.dfs.write("records", records)
     return cluster
 
@@ -156,7 +144,7 @@ class TestBudgetEnforcement:
         ["sequential", pytest.param("persistent", marks=pytest.mark.skipif(
             not HAVE_FORK, reason="the persistent engine needs fork"))],
     )
-    def test_oprj_degrades_to_brj(self, rng, engine, tmp_path):
+    def test_oprj_degrades_to_brj(self, rng, make_engine, engine, tmp_path):
         """The same budget with the ladder on (the default): the OPRJ
         memory fault re-runs Stage 3 as BRJ, one ``stage3:brj`` step,
         same output; a run killed after the step resumes by replaying
@@ -165,11 +153,12 @@ class TestBudgetEnforcement:
         config = JoinConfig(threshold=0.4, schema=SCHEMA_1)
         budget_mb, _ = oprj_only_budget(records, config)
 
-        def join(**kwargs):
-            cluster = cluster_with(
-                records, memory_mb=kwargs.pop("memory_mb", budget_mb),
-                engine=engine, faults=kwargs.pop("faults", None),
+        def join(memory_mb=budget_mb, faults=None, **kwargs):
+            cluster = make_engine(
+                engine, small_config(memory_per_task_mb=memory_mb),
+                fault_plan=FaultPlan.parse(faults) if faults else None,
             )
+            cluster.dfs.write("records", records)
             try:
                 report = ssjoin_self(cluster, "records", config, **kwargs)
                 return sorted(cluster.dfs.read_all(report.output_file)), report

@@ -29,7 +29,6 @@ from repro.join.memory import apply_degradations, apply_step, next_escalation
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.dfs import InMemoryDFS
-from repro.mapreduce.executor import PersistentParallelCluster
 from repro.mapreduce.faults import (
     FaultPlan,
     FaultSpec,
@@ -89,20 +88,6 @@ def make_sim(fault_plan=None, **cfg) -> SimulatedCluster:
     return SimulatedCluster(
         ClusterConfig(**defaults),
         InMemoryDFS(num_nodes=4, block_bytes=512),
-        fault_plan=fault_plan,
-    )
-
-
-def make_pp(fault_plan=None) -> PersistentParallelCluster:
-    return PersistentParallelCluster(
-        ClusterConfig(
-            num_nodes=4, job_startup_s=0, task_startup_s=0,
-            cpu_scale=1.0, data_scale=1.0,
-        ),
-        InMemoryDFS(num_nodes=4, block_bytes=512),
-        workers=2,
-        min_tasks_for_pool=1,
-        assume_cores=4,
         fault_plan=fault_plan,
     )
 
@@ -415,25 +400,25 @@ class TestSqueezeRecoverySimulated:
 
 @fork_only
 class TestSqueezeRecoveryPersistent:
-    def test_self_join_recovers_bit_identical(self):
+    def test_self_join_recovers_bit_identical(self, make_engine):
         records = skewed_records()
         config = JoinConfig(**CONFIG, kernel="pk")
-        clean_pairs, _ = run_self(make_pp(), records, config)
+        clean_pairs, _ = run_self(make_engine(), records, config)
         pairs, report = run_self(
-            make_pp(fault_plan=FaultPlan.parse(squeeze_self("pk"))), records, config
+            make_engine(fault_plan=FaultPlan.parse(squeeze_self("pk"))), records, config
         )
         assert report.counters()["memory.replans"] >= 1
         assert pairs == clean_pairs
         assert report.memory_steps[0] == "kernel:bk"
         assert_names_the_plan_that_ran(config, report)
 
-    def test_rs_join_recovers_bit_identical(self):
+    def test_rs_join_recovers_bit_identical(self, make_engine):
         r = skewed_records(160)
         s = skewed_records(120)
         config = JoinConfig(**CONFIG, kernel="pk")
-        clean_pairs, _ = run_rs(make_pp(), r, s, config)
+        clean_pairs, _ = run_rs(make_engine(), r, s, config)
         pairs, report = run_rs(
-            make_pp(fault_plan=FaultPlan.parse(SQUEEZE_RS)), r, s, config
+            make_engine(fault_plan=FaultPlan.parse(SQUEEZE_RS)), r, s, config
         )
         assert report.counters()["memory.replans"] >= 1
         assert pairs == clean_pairs
@@ -442,13 +427,13 @@ class TestSqueezeRecoveryPersistent:
 @fork_only
 @pytest.mark.parametrize("squeezed", [False, True], ids=["plain", "squeeze"])
 @pytest.mark.parametrize("engines", ["sim-to-pool", "pool-to-sim"])
-def test_checkpoint_resumes_on_the_other_engine(tmp_path, engines, squeezed):
+def test_checkpoint_resumes_on_the_other_engine(tmp_path, make_engine, engines, squeezed):
     """A checkpoint one engine wrote, killed after Stage 2, resumes on
     the other to the clean run's output; memory steps the writer
     recorded are replayed from the manifest (the reader has no fault
     plan to rediscover them with)."""
     make_writer, make_reader = (
-        (make_sim, make_pp) if engines == "sim-to-pool" else (make_pp, make_sim)
+        (make_sim, make_engine) if engines == "sim-to-pool" else (make_engine, make_sim)
     )
     records = skewed_records()
     config = JoinConfig(**CONFIG, kernel="pk")

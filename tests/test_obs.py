@@ -48,7 +48,7 @@ from repro.obs.report import (
 )
 from repro.obs.trace import NULL_SPAN, Tracer, trace_span
 
-from tests.conftest import random_records
+from tests.conftest import make_cluster, random_records
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -482,48 +482,23 @@ class TestTracer:
 # ---------------------------------------------------------------------------
 
 
-def _engine(kind: str):
-    cfg = ClusterConfig(
-        num_nodes=4, job_startup_s=0.0, task_startup_s=0.0,
-        cpu_scale=1.0, data_scale=1.0,
-    )
-    dfs = InMemoryDFS(num_nodes=4, block_bytes=512)
-    if kind == "persistent":
-        from repro.mapreduce.executor import PersistentParallelCluster
-
-        return PersistentParallelCluster(
-            cfg, dfs, workers=2, min_tasks_for_pool=1, assume_cores=2
-        )
-    return SimulatedCluster(cfg, dfs)
+def _run_self(cluster, config: JoinConfig, records, traced: bool):
+    if traced:
+        cluster.tracer = Tracer()
+    cluster.dfs.write("input", records)
+    report = ssjoin_self(cluster, "input", config)
+    pairs = sorted(cluster.dfs.read_all(report.output_file))
+    return pairs, report.counters(), cluster.tracer
 
 
-def _run_self(kind: str, config: JoinConfig, records, traced: bool):
-    cluster = _engine(kind)
-    try:
-        if traced:
-            cluster.tracer = Tracer()
-        cluster.dfs.write("input", records)
-        report = ssjoin_self(cluster, "input", config)
-        pairs = sorted(cluster.dfs.read_all(report.output_file))
-        return pairs, report.counters(), cluster.tracer
-    finally:
-        if hasattr(cluster, "close"):
-            cluster.close()
-
-
-def _run_rs(kind: str, config: JoinConfig, r_records, s_records, traced: bool):
-    cluster = _engine(kind)
-    try:
-        if traced:
-            cluster.tracer = Tracer()
-        cluster.dfs.write("r", r_records)
-        cluster.dfs.write("s", s_records)
-        report = ssjoin_rs(cluster, "r", "s", config)
-        pairs = sorted(cluster.dfs.read_all(report.output_file))
-        return pairs, report.counters(), cluster.tracer
-    finally:
-        if hasattr(cluster, "close"):
-            cluster.close()
+def _run_rs(cluster, config: JoinConfig, r_records, s_records, traced: bool):
+    if traced:
+        cluster.tracer = Tracer()
+    cluster.dfs.write("r", r_records)
+    cluster.dfs.write("s", s_records)
+    report = ssjoin_rs(cluster, "r", "s", config)
+    pairs = sorted(cluster.dfs.read_all(report.output_file))
+    return pairs, report.counters(), cluster.tracer
 
 
 ENGINES = ["sequential"] + (["persistent"] if HAVE_FORK else [])
@@ -532,35 +507,39 @@ ENGINES = ["sequential"] + (["persistent"] if HAVE_FORK else [])
 class TestObserveOnly:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("kernel", ["bk", "pk"])
-    def test_self_join_bit_identical_with_tracing(self, rng, engine, kernel):
+    def test_self_join_bit_identical_with_tracing(self, rng, make_engine, engine, kernel):
         records = random_records(rng, 60)
         config = JoinConfig(threshold=0.5, kernel=kernel)
-        plain_pairs, plain_counters, _ = _run_self(engine, config, records, False)
-        traced_pairs, traced_counters, tracer = _run_self(engine, config, records, True)
+        plain_pairs, plain_counters, _ = _run_self(
+            make_engine(engine), config, records, False
+        )
+        traced_pairs, traced_counters, tracer = _run_self(
+            make_engine(engine), config, records, True
+        )
         assert traced_pairs == plain_pairs
         assert traced_counters == plain_counters
         assert len(tracer) > 0
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_rs_join_bit_identical_with_tracing(self, rng, engine):
+    def test_rs_join_bit_identical_with_tracing(self, rng, make_engine, engine):
         r_records = random_records(rng, 40)
         s_records = random_records(rng, 40, rid_base=1000)
         config = JoinConfig(threshold=0.5, kernel="pk")
-        plain = _run_rs(engine, config, r_records, s_records, False)
-        traced = _run_rs(engine, config, r_records, s_records, True)
+        plain = _run_rs(make_engine(engine), config, r_records, s_records, False)
+        traced = _run_rs(make_engine(engine), config, r_records, s_records, True)
         assert traced[0] == plain[0]
         assert traced[1] == plain[1]
 
     @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
-    def test_engines_agree_on_histogram_counters(self, rng):
+    def test_engines_agree_on_histogram_counters(self, rng, make_engine):
         """The per-partition byte histogram (driver-side) and the task
         histograms (worker-side) merge to the same totals on both
         engines — the cross-engine determinism contract extends to the
         ``hist.*`` namespace."""
         records = random_records(rng, 60)
         config = JoinConfig(threshold=0.5)
-        _, seq_counters, _ = _run_self("sequential", config, records, False)
-        _, pool_counters, _ = _run_self("persistent", config, records, False)
+        _, seq_counters, _ = _run_self(make_engine("sequential"), config, records, False)
+        _, pool_counters, _ = _run_self(make_engine(), config, records, False)
         assert {k: v for k, v in seq_counters.items() if k.startswith(HIST_PREFIX)} == {
             k: v for k, v in pool_counters.items() if k.startswith(HIST_PREFIX)
         }
@@ -624,34 +603,23 @@ class TestDblpCounters:
     agree on every entry, and the histograms are the parent commit's."""
 
     @staticmethod
-    def _report(join: str, persistent: bool):
-        if persistent:
-            from repro.mapreduce.executor import PersistentParallelCluster
-
-            cluster = PersistentParallelCluster(
-                workers=2, min_tasks_for_pool=1, assume_cores=2
-            )
-        else:
-            cluster = SimulatedCluster()
-        try:
-            dblp = generate_dblp(2000, 7)
-            cluster.dfs.write("r", dblp)
-            if join == "self":
-                return ssjoin_self(cluster, "r", JoinConfig())
-            cluster.dfs.write(
-                "s",
-                generate_citeseerx(
-                    1000, seed=9, rid_base=10_000_000, shared_with=dblp
-                ),
-            )
-            return ssjoin_rs(cluster, "r", "s", JoinConfig())
-        finally:
-            if persistent:
-                cluster.close()
+    def _report(join: str, cluster=None):
+        """The join on *cluster*, by default a default-sized sequential
+        one."""
+        cluster = cluster or SimulatedCluster()
+        dblp = generate_dblp(2000, 7)
+        cluster.dfs.write("r", dblp)
+        if join == "self":
+            return ssjoin_self(cluster, "r", JoinConfig())
+        cluster.dfs.write(
+            "s",
+            generate_citeseerx(1000, seed=9, rid_base=10_000_000, shared_with=dblp),
+        )
+        return ssjoin_rs(cluster, "r", "s", JoinConfig())
 
     @pytest.mark.parametrize("join", ["self", "rs"])
-    def test_histograms_pinned_and_engines_agree(self, join):
-        report = self._report(join, persistent=False)
+    def test_histograms_pinned_and_engines_agree(self, make_engine, join):
+        report = self._report(join)
         counters = report.counters()
         pinned = PINNED_HISTOGRAMS[join]
         prefixes = tuple({key.rsplit(".", 1)[0] + "." for key in pinned})
@@ -659,14 +627,16 @@ class TestDblpCounters:
             k: v for k, v in counters.items() if k.startswith(prefixes)
         } == pinned
         if HAVE_FORK:
-            pooled = self._report(join, persistent=True)
+            pooled = self._report(
+                join, make_engine(config=ClusterConfig(), dfs=InMemoryDFS())
+            )
             assert pooled.executor_summary()["pooled_phases"] > 0
             assert pooled.counters() == counters
 
     def test_stage2_replication_and_max_reducer_input(self):
         """The two Stage-2 shape numbers of arXiv:1204.1754, as the
         wall benchmark computes them outside the program."""
-        report = self._report("self", persistent=False)
+        report = self._report("self")
         assert report.stage2_replication == 6384 / 2000 == 3.192
         assert report.stage2_max_reducer_input == 256
         fresh = type(report)(combo="-", output_file="-")
@@ -687,7 +657,7 @@ class TestTraceReport:
         records = random_records(_random.Random(0xC0FFEE), 80)
         out = {}
         for routing, num_groups in (("individual", None), ("grouped", 3)):
-            cluster = _engine("sequential")
+            cluster = make_cluster()
             cluster.tracer = Tracer()
             cluster.dfs.write("input", records)
             config = JoinConfig(
@@ -754,7 +724,7 @@ class TestTraceReport:
 class TestJoinReportMetrics:
     def test_metrics_snapshot_has_all_three_kinds(self, rng):
         records = random_records(rng, 50)
-        cluster = _engine("sequential")
+        cluster = make_cluster()
         cluster.dfs.write("input", records)
         report = ssjoin_self(cluster, "input", JoinConfig(threshold=0.5))
         registry = report.metrics()

@@ -26,7 +26,7 @@ from repro.join.records import make_line
 from repro.join.stage1 import stage1_jobs
 from repro.join.stage2 import make_pk_reducer, make_self_mapper, owner_of, stage2_self_job
 from repro.join.stage2_rs import stage2_rs_job
-from repro.mapreduce import PersistentParallelCluster, SimulatedCluster
+from repro.mapreduce import ClusterConfig, InMemoryDFS, SimulatedCluster
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Context
 from repro.mapreduce.pipeline import run_pipeline
@@ -371,16 +371,9 @@ class TestStage2JobOwnership:
             assert_pk_funnel_closes(stats.counters)
 
 
-def _engines():
-    return [
-        make_cluster(),
-        PersistentParallelCluster(workers=2, min_tasks_for_pool=1, assume_cores=4),
-    ]
-
-
 @pytest.mark.parametrize("stage3", ["brj", "oprj"])
 @pytest.mark.parametrize("kernel", ["bk", "pk"])
-def test_stage2_output_is_the_answer_end_to_end(rng, kernel, stage3):
+def test_stage2_output_is_the_answer_end_to_end(rng, make_engine, kernel, stage3):
     """``stage2.pairs_output == stage3.record_pairs_output`` on both
     engines: nothing is left for Stage 3 to deduplicate."""
     config = JoinConfig(
@@ -389,28 +382,25 @@ def test_stage2_output_is_the_answer_end_to_end(rng, kernel, stage3):
     )
     records = random_records(rng, 70)
     s_records = random_records(rng, 50, rid_base=1000)
-    for cluster in _engines():
-        try:
-            cluster.dfs.write("r", records)
-            cluster.dfs.write("s", s_records)
-            for report, expected in (
-                (ssjoin_self(cluster, "r", config), oracle_self_pairs(records, config)),
-                (
-                    ssjoin_rs(cluster, "r", "s", config),
-                    oracle_rs_pairs(records, s_records, config),
-                ),
-            ):
-                counters = report.counters()
-                assert (
-                    counters["stage2.pairs_output"]
-                    == counters["stage3.record_pairs_output"]
-                    == len(cluster.dfs.read_all(report.output_file))
-                    == len(expected)
-                    > 0
-                )
-        finally:
-            if hasattr(cluster, "close"):
-                cluster.close()
+    pooled = make_engine(config=ClusterConfig(), dfs=InMemoryDFS())
+    for cluster in (make_cluster(), pooled):
+        cluster.dfs.write("r", records)
+        cluster.dfs.write("s", s_records)
+        for report, expected in (
+            (ssjoin_self(cluster, "r", config), oracle_self_pairs(records, config)),
+            (
+                ssjoin_rs(cluster, "r", "s", config),
+                oracle_rs_pairs(records, s_records, config),
+            ),
+        ):
+            counters = report.counters()
+            assert (
+                counters["stage2.pairs_output"]
+                == counters["stage3.record_pairs_output"]
+                == len(cluster.dfs.read_all(report.output_file))
+                == len(expected)
+                > 0
+            )
 
 
 def test_pinned_stage2_pairs_of_dblp_2000():

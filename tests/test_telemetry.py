@@ -15,9 +15,8 @@ import pytest
 from repro.data.synthetic import generate_citeseerx, generate_dblp
 from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_rs, ssjoin_self
-from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
+from repro.mapreduce.cluster import ClusterConfig
 from repro.mapreduce.dfs import InMemoryDFS
-from repro.mapreduce.executor import PersistentParallelCluster
 from repro.mapreduce.faults import FaultPlan
 from repro.obs.telemetry import (
     ProgressView,
@@ -30,39 +29,30 @@ DBLP = generate_dblp(150, seed=7)
 CITESEERX = generate_citeseerx(100, seed=11, rid_base=10_000_000, shared_with=DBLP)
 
 
-def _make_cluster(engine: str, fault_plan: FaultPlan | None = None):
-    dfs = InMemoryDFS(num_nodes=4, block_bytes=2048)
-    config = ClusterConfig(num_nodes=4)
-    if engine == "persistent":
-        return PersistentParallelCluster(
-            config, dfs, workers=2, assume_cores=4, fault_plan=fault_plan
-        )
-    return SimulatedCluster(config, dfs, fault_plan=fault_plan)
+def _cluster(make_engine, engine: str, fault_plan: FaultPlan | None = None):
+    return make_engine(
+        engine, ClusterConfig(num_nodes=4), InMemoryDFS(num_nodes=4, block_bytes=2048),
+        fault_plan=fault_plan,
+    )
 
 
 def _run_join(
-    engine: str, kernel: str, join: str, telemetry: bool,
-    fault_plan: FaultPlan | None = None,
+    cluster, kernel: str, join: str, telemetry: bool,
 ):
-    cluster = _make_cluster(engine, fault_plan)
     hub = None
     if telemetry:
         stream = io.StringIO()
         hub = TelemetryHub(view=ProgressView(stream=stream, interval_s=0.0))
         cluster.telemetry = hub
     config = JoinConfig(threshold=0.8, kernel=kernel)
-    try:
-        if join == "self":
-            cluster.dfs.write("records", DBLP)
-            report = ssjoin_self(cluster, "records", config)
-        else:
-            cluster.dfs.write("r", CITESEERX)
-            cluster.dfs.write("s", DBLP)
-            report = ssjoin_rs(cluster, "r", "s", config)
-        pairs = sorted(cluster.dfs.read_all(report.output_file))
-    finally:
-        if hasattr(cluster, "close"):
-            cluster.close()
+    if join == "self":
+        cluster.dfs.write("records", DBLP)
+        report = ssjoin_self(cluster, "records", config)
+    else:
+        cluster.dfs.write("r", CITESEERX)
+        cluster.dfs.write("s", DBLP)
+        report = ssjoin_rs(cluster, "r", "s", config)
+    pairs = sorted(cluster.dfs.read_all(report.output_file))
     if hub is not None:
         hub.close()
     return pairs, report.counters(), hub
@@ -71,9 +61,13 @@ def _run_join(
 @pytest.mark.parametrize("engine", ["sequential", "persistent"])
 @pytest.mark.parametrize("kernel", ["bk", "pk"])
 @pytest.mark.parametrize("join", ["self", "rs"])
-def test_telemetry_is_observe_only(engine, kernel, join):
-    pairs_off, counters_off, _ = _run_join(engine, kernel, join, telemetry=False)
-    pairs_on, counters_on, hub = _run_join(engine, kernel, join, telemetry=True)
+def test_telemetry_is_observe_only(make_engine, engine, kernel, join):
+    pairs_off, counters_off, _ = _run_join(
+        _cluster(make_engine, engine), kernel, join, telemetry=False
+    )
+    pairs_on, counters_on, hub = _run_join(
+        _cluster(make_engine, engine), kernel, join, telemetry=True
+    )
     assert pairs_on == pairs_off
     assert strip_telemetry_counters(counters_on) == strip_telemetry_counters(
         counters_off
@@ -95,12 +89,15 @@ CHAOS_PLAN = (
 
 
 @pytest.mark.parametrize("engine", ["sequential", "persistent"])
-def test_every_task_is_credited_once_under_chaos(engine):
-    """Telemetry under pool respawn and bounded teardown: whatever
-    happened to a task's attempts, the hub hears of the task once."""
-    pairs_clean, _counters, clean = _run_join(engine, "pk", "self", telemetry=True)
+def test_every_task_is_credited_once_under_chaos(make_engine, engine):
+    """Telemetry under pool respawn: whatever happened to a task's
+    attempts, the hub hears of the task once."""
+    pairs_clean, _counters, clean = _run_join(
+        _cluster(make_engine, engine), "pk", "self", telemetry=True
+    )
     pairs, counters, hub = _run_join(
-        engine, "pk", "self", telemetry=True, fault_plan=FaultPlan.parse(CHAOS_PLAN)
+        _cluster(make_engine, engine, FaultPlan.parse(CHAOS_PLAN)),
+        "pk", "self", telemetry=True,
     )
     assert pairs == pairs_clean
     assert counters["fault.injected"] == 3 and counters["task.retries"] >= 1
@@ -189,12 +186,12 @@ def test_progress_view_tty_redraws_in_place():
 
 
 @pytest.mark.parametrize("engine", ["sequential", "persistent"])
-def test_progress_advances_per_finished_task(engine):
+def test_progress_advances_per_finished_task(make_engine, engine):
     """Both engines report every finished task, so a phase with several
     tasks shows intermediate ``k/N`` lines between ``0/N`` and the
     closing ``N/N ... done``."""
     stream = io.StringIO()
-    cluster = _make_cluster(engine)
+    cluster = _cluster(make_engine, engine)
     cluster.telemetry = TelemetryHub(
         view=ProgressView(stream=stream, interval_s=0.0, is_tty=False)
     )
