@@ -107,7 +107,7 @@ class TokenOrder:
         * ``"drop"`` — silently discard (R-S join: S-only tokens cannot
           produce candidates with R, Section 4 Stage 1).
         """
-        return tuple(self._sorted_ranks(tokens, unknown))
+        return tuple(self.ranks(tokens, unknown))
 
     def encode_array(
         self, tokens: Iterable[str], unknown: str = "error"
@@ -119,9 +119,13 @@ class TokenOrder:
         inner loops on machine integers.  Slicing and comparisons behave
         exactly like the tuple form.
         """
-        return array("i", self._sorted_ranks(tokens, unknown))
+        return array("i", self.ranks(tokens, unknown))
 
-    def _sorted_ranks(self, tokens: Iterable[str], unknown: str) -> list[int]:
+    def ranks(self, tokens: Iterable[str], unknown: str = "error") -> list[int]:
+        """Like :meth:`encode` but returns a list of the order's *own*
+        rank ints: a rank shared by many records is one object, so keys
+        built from this list allocate no ``int`` per record (iterating
+        an ``array('i')`` creates a new one per element)."""
         if unknown not in ("error", "drop"):
             raise ValueError(f"unknown= must be 'error' or 'drop', got {unknown!r}")
         ranks: list[int] = []

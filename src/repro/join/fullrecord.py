@@ -48,7 +48,7 @@ def full_record_job(
 
     def mapper(line: str, ctx: Context) -> None:
         order = load_token_order(ctx, token_order_file)
-        rid, ranks, _true = project_record(line, config, order, "error")
+        rid, ranks, tokens, _true = project_record(line, config, order, "error")
         n = len(ranks)
         if n == 0:
             return
@@ -56,7 +56,7 @@ def full_record_job(
         for route in routes(prefix):
             # the value carries the complete record — the whole point
             # of the ablation: payload bytes ride the shuffle
-            ctx.emit((route, n, 0), (rid, ranks, line))
+            ctx.emit((route, n, 0), (rid, tokens, line))
 
     def reducer(route: int, values: Iterator, ctx: Context) -> None:
         index = PPJoinIndex(sim, threshold, owner=owner_of(config, route))

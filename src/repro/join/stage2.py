@@ -43,6 +43,7 @@ holds one class).
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Iterator, Sequence
 
 from repro.analysis.sanitize import Sanitizer, make_sanitizer
@@ -131,16 +132,21 @@ def _owns_pair(owner: Callable[[int], bool], prefix_length, x: Sequence, y: Sequ
 
 def project_record(
     line: str, config: JoinConfig, order: TokenOrder, unknown: str
-) -> tuple[int, "Sequence", int]:
-    """Parse a record line into (rid, rank-encoded tokens, true size).
+) -> tuple[int, list[int], array, int]:
+    """Parse a record line into (rid, ranks, rank-encoded tokens, true
+    size).
 
-    The token array is globally ordered: ascending frequency ranks in a
-    compact ``array('i')``.  ``true size`` counts tokens *before*
-    dropping unknowns — for R and self-join inputs it equals
-    ``len(tokens)``.
+    *ranks* are the record's global frequency ranks, ascending, as the
+    order's own ints (:meth:`~repro.core.ordering.TokenOrder.ranks`):
+    mappers build routing keys from them, so the ~3.2 keys of a record
+    share their route ints with every other record's.  The token array
+    holds the same ranks in a compact ``array('i')`` — what a value
+    ships.  ``true size`` counts tokens *before* dropping unknowns —
+    for R and self-join inputs it equals ``len(tokens)``.
     """
     raw = config.tokenizer.tokenize(join_value(line, config.schema))
-    return rid_of(line), order.encode_array(raw, unknown=unknown), len(raw)
+    ranks = order.ranks(raw, unknown=unknown)
+    return rid_of(line), ranks, array("i", ranks), len(raw)
 
 
 def make_self_mapper(
@@ -157,13 +163,13 @@ def make_self_mapper(
 
     def mapper(line: str, ctx: Context) -> None:
         order = load_token_order(ctx, token_order_file)
-        rid, ranks, _true = project_record(line, config, order, "error")
+        rid, ranks, tokens, _true = project_record(line, config, order, "error")
         n = len(ranks)
         if n == 0:
             return
         prefix = ranks[: prefix_length[n]]
         sig = bitmap_signature(ranks, bitmap_width) if bitmap_width else None
-        value = (REL_R, rid, n, sig, ranks)
+        value = (REL_R, rid, n, sig, tokens)
         route_list = routes(prefix)
         ctx.observe("stage2.prefix_tokens", len(prefix))
         ctx.observe("stage2.record_routes", len(route_list))

@@ -67,7 +67,7 @@ def make_rs_mapper(
         else:  # pragma: no cover - job wiring guarantees the inputs
             raise ValueError(f"unexpected input file {ctx.input_file!r}")
         order = load_token_order(ctx, token_order_file)
-        rid, ranks, true_size = project_record(line, config, order, unknown)
+        rid, ranks, tokens, true_size = project_record(line, config, order, unknown)
         n = len(ranks)
         if n == 0:
             return
@@ -75,7 +75,7 @@ def make_rs_mapper(
         # The signature covers the *shipped* (S-filtered) token array —
         # exactly the elements the kernels' overlap() merges.
         sig = bitmap_signature(ranks, bitmap_width) if bitmap_width else None
-        value = (rel, rid, true_size, sig, ranks)
+        value = (rel, rid, true_size, sig, tokens)
         cls = _length_class(rel, true_size, config)
         route_list = routes(prefix)
         ctx.observe("stage2.prefix_tokens", len(prefix))
