@@ -3,19 +3,19 @@
 :mod:`repro.analysis.mrlint`
     The static analyzer, ``python -m repro lint``: one load of the
     source tree, one rule table — deterministic, pure, fork-safe
-    mapper/reducer/kernel code (through the call graph too), emit-shape
-    vs reducer/partitioner agreement, counter-name registry,
-    task-memory release.
+    mapper/reducer/kernel code (through the call graph too) and
+    task-memory release — plus the counter-name registry check.
 
 :mod:`repro.analysis.common`
-    Its AST infrastructure: function discovery, import bindings, inline
-    ``# mrlint: disable=...`` suppressions, the program model.
+    Its AST infrastructure: function discovery, import bindings, the
+    program model.
 
 :mod:`repro.analysis.counter_names`
-    The generated counter-name registry rule MR104 checks against.
+    The generated counter-name registry ``lint --check-registry``
+    compares with the source tree.
 
 :mod:`repro.analysis.reporting`
-    text/json/SARIF rendering of findings.
+    text/SARIF rendering of findings.
 
 :mod:`repro.analysis.sanitize`
     Runtime sanitizer mode (``JoinConfig.sanitize`` /
@@ -40,8 +40,8 @@ from repro.analysis.sanitize import (
 #: the static analyzer is a tool, not part of a join
 _LAZY = {
     **dict.fromkeys(
-        ("DYNAMIC_COUNTER_PREFIXES", "RULES", "Finding", "build_counter_registry",
-         "lint_file", "lint_paths", "lint_source", "render_counter_registry"),
+        ("RULES", "Finding", "build_counter_registry", "lint_file",
+         "lint_paths", "lint_source", "render_counter_registry"),
         "repro.analysis.mrlint",
     ),
     "render_findings": "repro.analysis.reporting",
@@ -56,7 +56,6 @@ def __getattr__(name: str) -> Any:  # PEP 562: import on first use
 
 __all__ = [
     "RULES",
-    "DYNAMIC_COUNTER_PREFIXES",
     "Finding",
     "lint_file",
     "lint_paths",

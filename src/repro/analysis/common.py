@@ -4,9 +4,8 @@ What :mod:`repro.analysis.mrlint` builds its rules on: the
 :class:`Finding` record type, scope/binding helpers, MR/kernel function
 discovery, an import-binding pass that resolves aliases (``import time
 as t``, ``from random import random as rnd``) to canonical dotted
-origins, the inline-suppression (``# mrlint: disable=MR003``)
-machinery, and the program model — every file under the analyzed paths
-read, parsed, function-discovered and pragma-scanned exactly once
+origins, and the program model — every file under the analyzed paths
+read, parsed and function-discovered exactly once
 (:func:`load_program`), so every rule looks at the same picture.
 
 Everything in this module is stdlib-:mod:`ast` only — the analyzer
@@ -16,24 +15,19 @@ must run in a bare checkout with no third-party dependencies.
 from __future__ import annotations
 
 import ast
-import io
 import os
 import re
-import tokenize
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 __all__ = [
     "PARSE_ERROR",
-    "SUPPRESS_RULE",
     "Finding",
     "FunctionInfo",
     "FunctionNode",
     "ImportBindings",
     "Module",
     "Program",
-    "Suppressions",
-    "apply_suppressions",
     "assigned_locals",
     "discover_functions",
     "iter_py_files",
@@ -49,10 +43,6 @@ __all__ = [
 
 #: pseudo-rule for files that do not parse
 PARSE_ERROR = "MR000"
-
-#: rule id for a suppression pragma that matched no finding
-SUPPRESS_RULE = "MR009"
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -394,79 +384,6 @@ class ImportBindings:
 
 
 # ---------------------------------------------------------------------------
-# inline suppressions
-# ---------------------------------------------------------------------------
-
-_SUPPRESS_RE = re.compile(r"#\s*mrlint:\s*disable=([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)")
-
-
-@dataclass(frozen=True)
-class Suppressions:
-    """Per-line ``# mrlint: disable=...`` pragmas of one source file."""
-
-    by_line: dict[int, tuple[str, ...]]
-
-    @classmethod
-    def parse(cls, source: str) -> Suppressions:
-        by_line: dict[int, tuple[str, ...]] = {}
-        try:
-            tokens = list(
-                tokenize.generate_tokens(io.StringIO(source).readline)
-            )
-        except (tokenize.TokenError, IndentationError, SyntaxError):
-            return cls(by_line)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            match = _SUPPRESS_RE.search(token.string)
-            if match is None:
-                continue
-            names = tuple(
-                dict.fromkeys(
-                    part.strip() for part in match.group(1).split(",") if part.strip()
-                )
-            )
-            if names:
-                by_line[token.start[0]] = names
-        return cls(by_line)
-
-
-def apply_suppressions(
-    findings: list[Finding], suppressions: Suppressions, path: str
-) -> list[Finding]:
-    """Drop findings silenced by an inline pragma on their line; add an
-    :data:`SUPPRESS_RULE` finding for every pragma name that silenced
-    nothing."""
-    kept: list[Finding] = []
-    used: set[tuple[int, str]] = set()
-    for finding in findings:
-        names = suppressions.by_line.get(finding.line)
-        if names is None or ("all" not in names and finding.rule not in names):
-            kept.append(finding)
-            continue
-        if finding.rule in names:
-            used.add((finding.line, finding.rule))
-        if "all" in names:
-            used.add((finding.line, "all"))
-    for lineno in sorted(suppressions.by_line):
-        for name in suppressions.by_line[lineno]:
-            if (lineno, name) in used:
-                continue
-            kept.append(
-                Finding(
-                    SUPPRESS_RULE,
-                    path,
-                    lineno,
-                    0,
-                    "",
-                    f"unused suppression: no {name} finding on this line "
-                    "— remove the stale pragma",
-                )
-            )
-    return kept
-
-
-# ---------------------------------------------------------------------------
 # program model
 # ---------------------------------------------------------------------------
 
@@ -509,7 +426,6 @@ class Module:
     bindings: ImportBindings
     functions: dict[str, FunctionInfo]  # by qualname
     constants: dict[str, str]
-    suppressions: Suppressions
 
 
 @dataclass
@@ -546,7 +462,7 @@ def _module_name(path: str) -> str:
 
 def load_program(files: Iterable[tuple[str, str]]) -> Program:
     """Build the program model from ``(path, source text)`` pairs: each
-    file is parsed, function-discovered and pragma-scanned here, once;
+    file is parsed and function-discovered here, once;
     a file that does not parse becomes a :data:`PARSE_ERROR` finding."""
     modules: list[Module] = []
     by_name: dict[str, Module] = {}
@@ -578,7 +494,6 @@ def load_program(files: Iterable[tuple[str, str]]) -> Program:
             bindings=ImportBindings.collect(tree, module_name=name),
             functions={fn.qualname: fn for fn in discover_functions(tree)},
             constants=module_constants(tree),
-            suppressions=Suppressions.parse(source),
         )
         modules.append(by_name[name])
     functions: dict[str, tuple[Module, FunctionInfo]] = {}

@@ -3,8 +3,7 @@
 Regenerate with ``python -m repro lint src/ --write-counter-registry``
 after adding a counter; CI asserts this file matches the source tree
 (``--check-registry``), so a typo'd counter name at an increment site
-shows up either as an MR104 finding or as a registry diff a reviewer
-sees.  Do not edit by hand.
+shows up as a registry diff a reviewer sees.  Do not edit by hand.
 """
 
 from __future__ import annotations

@@ -7,18 +7,15 @@ flow into ``emit()`` (partition contents must be byte-identical across
 the sequential engine and the pooled one), kernel code must be
 deterministic (no unseeded randomness, no wall-clock reads), closures must
 not capture handles or locks that ``fork`` would duplicate into every
-pool worker, and the contracts *between* stages must hold: emit shapes
-against reducer destructuring and key selectors — the Stage-2
-composite keys keep their ``(group, length, ...)`` shape because the
-length component is what lets the PK kernel evict index entries
-(Section 3.2.2) and the R-S kernel stream R before S (Section 4) —
-counter names against the generated registry, and charged task memory
-against its release.
+pool worker, and charged task memory must be released.  The contracts
+*between* stages (emit shapes, the Stage-2 ``(group, length)`` keys,
+counter names) are held at run time and by ``--check-registry``
+(DESIGN.md §5c).
 
-``mrlint`` loads a source tree once (every file read, parsed,
-function-discovered and pragma-scanned one time — stdlib :mod:`ast`
-only, no third-party dependency), builds a module-level call graph,
-and enforces those invariants mechanically:
+``mrlint`` loads a source tree once (every file read, parsed and
+function-discovered one time — stdlib :mod:`ast` only, no third-party
+dependency), builds a module-level call graph, and enforces those
+invariants mechanically:
 
 =======  ==============================================================
 rule     violation
@@ -38,29 +35,15 @@ MR004    MR closure captures a file handle, a ``threading``/
          workers by ``fork`` (nothing pickles a closure), which
          duplicates the object into every worker: handles share one
          file offset, locks are copied in whatever state they were in
-MR005    Stage-2 ``emit()`` key is not an inline composite tuple of at
-         least two components (``(group, length, ...)`` shape)
 MR006    MR function declares a mutable default argument (hidden
          cross-task state)
 MR007    silent exception swallowing in MR/kernel code (bare
          ``except:`` or ``except Exception: pass``) — a swallowed task
          failure looks like success, defeating the retry layer and
          corrupting output silently
-MR009    unused ``# mrlint: disable=...`` suppression pragma (the
-         pragma silenced nothing on its line; remove it)
 MR101    an MR002/MR003 source reaches a mapper/reducer/kernel sink
          *through the call graph* — it sits in a helper one or more
          calls away; the message names the whole chain
-MR102    a reducer destructures its value stream into a tuple arity no
-         mapper in the module ever emits (``for a, b, c in values``
-         against 4-tuple emits) — records would unpack-error or,
-         worse, silently bind shifted fields
-MR103    a ``partition``/``sort_key``/``group_key`` selector (or a
-         reducer's ``key[i]``) indexes beyond every emitted key arity
-MR104    a counter/metric name at an ``increment``/``observe``/
-         ``counters[...]`` site is not in the generated registry
-         (:mod:`repro.analysis.counter_names`) — a typo'd name merges
-         into nothing and the counter silently reads zero
 MR106    simulated task memory charged via ``reserve_memory_for`` (the
          charged byte count captured into a variable) is not
          ``release_memory``-ed on every exception edge — an exception
@@ -81,20 +64,6 @@ spans, stage wall seconds); the analyzer cannot tell a measurement
 that feeds a report from one that feeds ``emit()``, so it leaves the
 second to the engine-differential tests (DESIGN.md §5c).
 
-Shapes use a constant-arity tuple abstraction: emit keys/values are
-tracked as sets of possible tuple arities through local assignments,
-tuple concatenation (``(step, role) + value``) and constant slices
-(``value[1:]``), which covers every composite-key shape the Stage-2
-mappers emit.  Whenever any emit
-shape in a module is not statically known, the shape rules stand down
-for that module rather than guess (documented approximation; see
-DESIGN.md).
-
-A finding can be silenced in place with a trailing comment on the
-flagged line — ``# mrlint: disable=MR003`` (several rules
-comma-separated, or ``disable=all``); a pragma name that silenced
-nothing on its line is itself a finding (MR009).
-
 Function discovery is structural, not configured:
 
 * functions named ``mapper``/``reducer``/``combiner`` (or ending in
@@ -113,8 +82,7 @@ programmatically via :func:`lint_paths`.
 from __future__ import annotations
 
 import ast
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.analysis.common import (
@@ -123,7 +91,6 @@ from repro.analysis.common import (
     ImportBindings,
     Module,
     Program,
-    apply_suppressions,
     assigned_locals,
     load_program,
     local_bindings,
@@ -133,10 +100,8 @@ from repro.analysis.common import (
     shallow_nodes,
     target_names,
 )
-from repro.analysis.counter_names import KNOWN_COUNTER_NAMES
 
 __all__ = [
-    "DYNAMIC_COUNTER_PREFIXES",
     "RULES",
     "Finding",
     "build_counter_registry",
@@ -153,20 +118,11 @@ RULES: dict[str, str] = {
     "MR002": "set iteration on a path that feeds emit()/returned pairs",
     "MR003": "unseeded randomness or wall-clock read in MR/kernel code",
     "MR004": "MR closure captures a handle/lock/pool that fork duplicates into every worker",
-    "MR005": "Stage-2 emit key is not a composite (group, length, ...) tuple",
     "MR006": "MR function declares a mutable default argument",
     "MR007": "MR/kernel code silently swallows exceptions (defeats retry layer)",
-    "MR009": "unused mrlint suppression pragma (silenced nothing on its line)",
     "MR101": "nondeterminism reaches an MR/kernel sink through the call graph",
-    "MR102": "reducer destructures a value-tuple arity no mapper emits",
-    "MR103": "key selector indexes beyond every emitted key shape",
-    "MR104": "counter/metric name not in the generated registry",
     "MR106": "charged task memory not released on every exception edge",
 }
-
-#: counter-name families built dynamically at runtime (f-strings); names
-#: under these prefixes are exempt from the registry check
-DYNAMIC_COUNTER_PREFIXES: tuple[str, ...] = ("hist.", "sanitize.false_negative.")
 
 #: methods whose call mutates the receiver in place
 _MUTATORS = frozenset(
@@ -225,11 +181,9 @@ _COMMON_METHOD_NAMES = frozenset(
     }
 )
 
-_SELECTOR_KWARGS = ("partition", "sort_key", "group_key")
-
 
 # ---------------------------------------------------------------------------
-# MR001, MR004-MR007: per-function rules
+# MR001, MR004, MR006, MR007: per-function rules
 # ---------------------------------------------------------------------------
 
 
@@ -376,32 +330,6 @@ def _check_mr004(
                 "were in)",
             )
         )
-
-
-def _check_mr005(fn: FunctionInfo, emit: list[Finding], path: str) -> None:
-    """Stage-2 emit keys must be inline composite tuples (>= 2 parts)."""
-    for node in shallow_nodes(fn.node):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "emit"
-            and node.args
-        ):
-            continue
-        key = node.args[0]
-        if not (isinstance(key, ast.Tuple) and len(key.elts) >= 2):
-            emit.append(
-                Finding(
-                    "MR005",
-                    path,
-                    node.lineno,
-                    node.col_offset,
-                    fn.qualname,
-                    "Stage-2 emit key must be an inline (group, length, ...) "
-                    "tuple — the length component drives PK eviction and R-S "
-                    "streaming order",
-                )
-            )
 
 
 def _check_mr006(fn: FunctionInfo, emit: list[Finding], path: str) -> None:
@@ -773,241 +701,7 @@ def _check_nondeterminism(
 
 
 # ---------------------------------------------------------------------------
-# MR102/MR103: emit key/value shape contracts
-# ---------------------------------------------------------------------------
-
-
-def _tuple_arity(
-    expr: ast.expr, env: dict[str, frozenset[int] | None]
-) -> frozenset[int] | None:
-    """Possible tuple arities of *expr* under the constant-arity
-    abstraction, or ``None`` when not statically known."""
-    if isinstance(expr, ast.Tuple):
-        if any(isinstance(elt, ast.Starred) for elt in expr.elts):
-            return None
-        return frozenset({len(expr.elts)})
-    if isinstance(expr, ast.Name):
-        return env.get(expr.id)
-    if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add):
-        left = _tuple_arity(expr.left, env)
-        right = _tuple_arity(expr.right, env)
-        if left is None or right is None:
-            return None
-        return frozenset({a + b for a in left for b in right})
-    if isinstance(expr, ast.Subscript) and isinstance(expr.slice, ast.Slice):
-        sl = expr.slice
-        if sl.step is not None:
-            return None
-        base = _tuple_arity(expr.value, env)
-        if base is None:
-            return None
-        if sl.lower is None:
-            lower = 0
-        elif isinstance(sl.lower, ast.Constant) and isinstance(sl.lower.value, int):
-            lower = sl.lower.value
-        else:
-            return None
-        if sl.upper is not None and not (
-            isinstance(sl.upper, ast.Constant) and isinstance(sl.upper.value, int)
-        ):
-            return None
-        arities: set[int] = set()
-        for n in base:
-            lo = lower if lower >= 0 else max(0, n + lower)
-            if sl.upper is None:
-                hi = n
-            else:
-                upper = sl.upper.value  # type: ignore[union-attr]
-                assert isinstance(upper, int)
-                hi = min(n, upper) if upper >= 0 else max(0, n + upper)
-            arities.add(max(0, hi - lo))
-        return frozenset(arities)
-    return None
-
-
-def _arity_env(fn: FunctionInfo) -> dict[str, frozenset[int] | None]:
-    """Name -> possible tuple arities, from assignments in *fn* and its
-    enclosing scopes.  Two fixpoint passes handle forward references
-    between assignments; a name with any unknown assignment is poisoned
-    to ``None``."""
-    assigns: dict[str, list[ast.expr]] = {}
-    for scope in (*fn.enclosing, fn.node):
-        for node in shallow_nodes(scope):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-            ):
-                assigns.setdefault(node.targets[0].id, []).append(node.value)
-    env: dict[str, frozenset[int] | None] = {}
-    for _ in range(2):
-        for name in sorted(assigns):
-            arities: set[int] = set()
-            unknown = False
-            for value in assigns[name]:
-                result = _tuple_arity(value, env)
-                if result is None:
-                    unknown = True
-                    break
-                arities.update(result)
-            env[name] = None if unknown else frozenset(arities)
-    return env
-
-
-@dataclass
-class _EmitShapes:
-    key_arities: set[int] = field(default_factory=set)
-    keys_known: bool = True
-    value_arities: set[int] = field(default_factory=set)
-    values_known: bool = True
-    sites: int = 0
-
-
-def _emit_shapes(mod: Module) -> _EmitShapes:
-    """Union of key/value tuple arities over every ``ctx.emit`` site in
-    the module's mapper/combiner functions."""
-    shapes = _EmitShapes()
-    for fn in mod.functions.values():
-        if fn.role not in ("mapper", "combiner"):
-            continue
-        env = _arity_env(fn)
-        for node in shallow_nodes(fn.node):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "emit"
-                and len(node.args) >= 2
-            ):
-                continue
-            shapes.sites += 1
-            key_arity = _tuple_arity(node.args[0], env)
-            if key_arity is None:
-                shapes.keys_known = False
-            else:
-                shapes.key_arities.update(key_arity)
-            value_arity = _tuple_arity(node.args[1], env)
-            if value_arity is None:
-                shapes.values_known = False
-            else:
-                shapes.value_arities.update(value_arity)
-    return shapes
-
-
-def _positional_params(fn: FunctionInfo) -> list[str]:
-    args = fn.node.args
-    return [a.arg for a in (*args.posonlyargs, *args.args)]
-
-
-def _check_mr102(mod: Module, shapes: _EmitShapes, findings: list[Finding]) -> None:
-    if not shapes.values_known or not shapes.value_arities:
-        return
-    emitted = sorted(shapes.value_arities)
-    for fn in mod.functions.values():
-        if fn.role not in ("reducer", "combiner"):
-            continue
-        params = _positional_params(fn)
-        if len(params) < 2:
-            continue
-        values_param = params[1]
-        for node in shallow_nodes(fn.node):
-            if not isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
-                continue
-            target, iterable = node.target, node.iter
-            if (
-                not isinstance(iterable, ast.Name)
-                or iterable.id != values_param
-                or not isinstance(target, ast.Tuple)
-                or any(isinstance(elt, ast.Starred) for elt in target.elts)
-            ):
-                continue
-            arity = len(target.elts)
-            if arity not in shapes.value_arities:
-                findings.append(
-                    Finding(
-                        "MR102",
-                        mod.path,
-                        target.lineno,
-                        target.col_offset,
-                        fn.qualname,
-                        f"reducer destructures {arity}-tuples from the value "
-                        f"stream, but mappers in this module emit value "
-                        f"arities {emitted} — records would unpack-error or "
-                        "bind shifted fields",
-                    )
-                )
-
-
-def _key_subscripts(body: ast.AST, key_name: str) -> list[tuple[int, ast.Subscript]]:
-    """Constant integer subscripts of *key_name* within *body*."""
-    found: list[tuple[int, ast.Subscript]] = []
-    for node in ast.walk(body):
-        if (
-            isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == key_name
-            and isinstance(node.slice, ast.Constant)
-            and isinstance(node.slice.value, int)
-        ):
-            found.append((node.slice.value, node))
-    return found
-
-
-def _check_mr103(mod: Module, shapes: _EmitShapes, findings: list[Finding]) -> None:
-    if not shapes.keys_known or not shapes.key_arities:
-        return
-    max_arity = max(shapes.key_arities)
-    emitted = sorted(shapes.key_arities)
-
-    def check_body(body: ast.AST, key_name: str, function: str) -> None:
-        for index, node in _key_subscripts(body, key_name):
-            if -max_arity <= index < max_arity:
-                continue
-            findings.append(
-                Finding(
-                    "MR103",
-                    mod.path,
-                    node.lineno,
-                    node.col_offset,
-                    function,
-                    f"indexes key[{index}] but every emitted key in this "
-                    f"module has at most {max_arity} components "
-                    f"(emitted arities: {emitted})",
-                )
-            )
-
-    # reducers subscripting their key parameter
-    for fn in mod.functions.values():
-        if fn.role not in ("reducer", "combiner"):
-            continue
-        params = _positional_params(fn)
-        if not params:
-            continue
-        check_body(fn.node, params[0], fn.qualname)
-
-    # partition/sort/group selectors on *Job(...) constructions
-    for node in ast.walk(mod.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        callee = node.func
-        callee_name = (
-            callee.id
-            if isinstance(callee, ast.Name)
-            else callee.attr if isinstance(callee, ast.Attribute) else ""
-        )
-        if not callee_name.endswith("Job"):
-            continue
-        for kw in node.keywords:
-            if kw.arg not in _SELECTOR_KWARGS or not isinstance(kw.value, ast.Lambda):
-                continue
-            lam = kw.value
-            lam_params = [a.arg for a in (*lam.args.posonlyargs, *lam.args.args)]
-            if not lam_params:
-                continue
-            check_body(lam.body, lam_params[0], f"{kw.arg} lambda")
-
-
-# ---------------------------------------------------------------------------
-# MR104: counter-name registry
+# the counter-name registry (--check-registry)
 # ---------------------------------------------------------------------------
 
 
@@ -1116,29 +810,6 @@ def _iter_counter_sites(
         yield arg, _resolve_counter_name(arg, mod, {}, program), ""
 
 
-def _check_mr104(mod: Module, program: Program, findings: list[Finding]) -> None:
-    for arg, name, function in _iter_counter_sites(mod, program):
-        if name is None:  # dynamic name (f-string, parameter) — out of scope
-            continue
-        if name in KNOWN_COUNTER_NAMES:
-            continue
-        if any(name.startswith(prefix) for prefix in DYNAMIC_COUNTER_PREFIXES):
-            continue
-        findings.append(
-            Finding(
-                "MR104",
-                mod.path,
-                arg.lineno,
-                arg.col_offset,
-                function,
-                f"counter/metric name {name!r} is not in the generated "
-                "registry (repro.analysis.counter_names) — a typo'd name "
-                "merges into nothing and silently reads zero; fix the name "
-                "or regenerate with --write-counter-registry",
-            )
-        )
-
-
 def build_counter_registry(paths: Iterable[str]) -> frozenset[str]:
     """Every statically-resolvable counter/metric name used at a
     counter site under *paths*."""
@@ -1159,8 +830,7 @@ def render_counter_registry(names: frozenset[str]) -> str:
         "Regenerate with ``python -m repro lint src/ --write-counter-registry``",
         "after adding a counter; CI asserts this file matches the source tree",
         "(``--check-registry``), so a typo'd counter name at an increment site",
-        "shows up either as an MR104 finding or as a registry diff a reviewer",
-        "sees.  Do not edit by hand.",
+        "shows up as a registry diff a reviewer sees.  Do not edit by hand.",
         '"""',
         "",
         "from __future__ import annotations",
@@ -1365,7 +1035,6 @@ def _analyze(program: Program) -> list[Finding]:
     for mod in program.modules:
         found: list[Finding] = []
         module_names = module_bindings(mod.tree)
-        is_stage2 = "stage2" in os.path.basename(mod.path)
         for fn in mod.functions.values():
             if not (fn.is_mr or fn.is_kernel):
                 continue
@@ -1377,20 +1046,11 @@ def _analyze(program: Program) -> list[Finding]:
                 _check_mr001(fn, module_names, local_names, enclosing_names, found, mod.path)
                 _check_mr004(fn, mod, local_names, found)
                 _check_mr006(fn, found, mod.path)
-                if is_stage2:
-                    _check_mr005(fn, found, mod.path)
             fn_taint = taint.get(f"{mod.name}::{fn.qualname}")
             if fn_taint is not None:
                 _check_nondeterminism(mod, fn, fn_taint, found)
             _check_mr007(fn, found, mod.path)
-        shapes = _emit_shapes(mod)
-        if shapes.sites:
-            _check_mr102(mod, shapes, found)
-            _check_mr103(mod, shapes, found)
-        _check_mr104(mod, program, found)
         _check_mr106(mod, found)
-        if mod.suppressions.by_line:
-            found = apply_suppressions(found, mod.suppressions, mod.path)
         findings.extend(found)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings

@@ -5,7 +5,6 @@
 
 * ``text`` — one ``path:line:col: RULE [func] message`` line per
   finding (the format the GitHub problem matcher parses);
-* ``json`` — a stable machine-readable envelope;
 * ``sarif`` — minimal SARIF 2.1.0, uploadable as a code-scanning
   artifact.
 """
@@ -20,7 +19,6 @@ from repro.analysis.common import Finding
 
 __all__ = [
     "render_findings",
-    "render_json",
     "render_sarif",
     "render_text",
 ]
@@ -28,21 +26,6 @@ __all__ = [
 
 def render_text(findings: Iterable[Finding]) -> str:
     return "\n".join(finding.format() for finding in findings)
-
-
-def render_json(findings: Iterable[Finding]) -> str:
-    items = [
-        {
-            "rule": f.rule,
-            "path": f.path,
-            "line": f.line,
-            "col": f.col,
-            "function": f.function,
-            "message": f.message,
-        }
-        for f in findings
-    ]
-    return json.dumps({"findings": items, "count": len(items)}, indent=2)
 
 
 def _rel_uri(path: str) -> str:
@@ -104,8 +87,6 @@ def render_sarif(
 def render_findings(
     findings: list[Finding], fmt: str, rules: dict[str, str], tool: str
 ) -> str:
-    if fmt == "json":
-        return render_json(findings)
     if fmt == "sarif":
         return render_sarif(findings, rules, tool)
     return render_text(findings)

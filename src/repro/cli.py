@@ -521,13 +521,13 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="statically check the MR contract (repro.analysis.mrlint): "
              "pure, deterministic, fork-safe mapper/reducer/kernel code "
-             "— through the call graph too —, emit shapes vs reducer/"
-             "partitioner, counter-name registry, task-memory release",
+             "— through the call graph too — and task-memory release; "
+             "the counter-name registry",
     )
     p_lint.add_argument("paths", nargs="+",
                         help="python files or directory trees to analyze "
                              "as one program")
-    p_lint.add_argument("--format", choices=["text", "json", "sarif"],
+    p_lint.add_argument("--format", choices=["text", "sarif"],
                         default="text",
                         help="finding output format (default: text)")
     p_lint.add_argument("--write-counter-registry", action="store_true",

@@ -603,19 +603,20 @@ class TestDblpCounters:
     agree on every entry, and the histograms are the parent commit's."""
 
     @staticmethod
-    def _report(join: str, cluster=None):
+    def _report(join: str, cluster=None, config=None):
         """The join on *cluster*, by default a default-sized sequential
         one."""
         cluster = cluster or SimulatedCluster()
+        config = config or JoinConfig()
         dblp = generate_dblp(2000, 7)
         cluster.dfs.write("r", dblp)
         if join == "self":
-            return ssjoin_self(cluster, "r", JoinConfig())
+            return ssjoin_self(cluster, "r", config)
         cluster.dfs.write(
             "s",
             generate_citeseerx(1000, seed=9, rid_base=10_000_000, shared_with=dblp),
         )
-        return ssjoin_rs(cluster, "r", "s", JoinConfig())
+        return ssjoin_rs(cluster, "r", "s", config)
 
     @pytest.mark.parametrize("join", ["self", "rs"])
     def test_histograms_pinned_and_engines_agree(self, make_engine, join):
@@ -632,6 +633,12 @@ class TestDblpCounters:
             )
             assert pooled.executor_summary()["pooled_phases"] > 0
             assert pooled.counters() == counters
+        # BRJ's fill reducer records OPRJ's Stage-3 histogram, once per RID
+        brj = self._report(join, config=JoinConfig(stage3="brj")).counters()
+        per_rid = "hist.stage3.pairs_per_rid."
+        assert {k: v for k, v in brj.items() if k.startswith(per_rid)} == {
+            k: v for k, v in pinned.items() if k.startswith(per_rid)
+        }
 
     def test_stage2_replication_and_max_reducer_input(self):
         """The two Stage-2 shape numbers of arXiv:1204.1754, as the
