@@ -347,7 +347,12 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
     digests = []
     status = 0
     for path in args.traces:
-        doc = load_trace(path)
+        try:
+            doc = load_trace(path)
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            status = 1
+            print(f"{path}: cannot read: {exc}", file=sys.stderr)
+            continue
         problems = validate_trace(doc)
         if problems:
             status = 1
@@ -450,23 +455,39 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_runs(args: argparse.Namespace, *refs: str) -> list[dict] | None:
+    """The manifests *refs* name, or ``None`` after printing why one
+    cannot be loaded (unknown or ambiguous ref, empty registry,
+    unreadable manifest file)."""
+    from repro.obs.runs import load_run
+
+    directory = _runs_dir(args)
+    try:
+        return [load_run(directory, ref) for ref in refs]
+    except (KeyError, OSError, ValueError) as exc:
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"repro runs: error: {message}", file=sys.stderr)
+        return None
+
+
 def _cmd_runs_show(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs.runs import load_run
-
-    doc = load_run(_runs_dir(args), args.run)
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    docs = _load_runs(args, args.run)
+    if docs is None:
+        return 2
+    print(json.dumps(docs[0], indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_runs_diff(args: argparse.Namespace) -> int:
     from repro.bench.reporting import format_runs_diff
-    from repro.obs.runs import diff_runs, load_run
+    from repro.obs.runs import diff_runs
 
-    directory = _runs_dir(args)
-    diff = diff_runs(load_run(directory, args.a), load_run(directory, args.b))
-    print(format_runs_diff(diff))
+    docs = _load_runs(args, args.a, args.b)
+    if docs is None:
+        return 2
+    print(format_runs_diff(diff_runs(*docs)))
     return 0
 
 

@@ -54,8 +54,7 @@ from repro.obs.trace import NULL_SPAN, Span, Tracer, trace_span
 #: the post-run trace analyzer serves ``repro trace-report`` only
 _LAZY = dict.fromkeys(
     ("TraceDigest", "digest_trace", "format_routing_comparison",
-     "format_trace_report", "gini", "load_trace", "p99_over_median",
-     "validate_trace"),
+     "format_trace_report", "load_trace", "validate_trace"),
     "repro.obs.report",
 )
 def __getattr__(name: str) -> Any:  # PEP 562: import on first use
@@ -89,9 +88,7 @@ __all__ = [
     "digest_trace",
     "format_routing_comparison",
     "format_trace_report",
-    "gini",
     "load_trace",
-    "p99_over_median",
     "validate_trace",
     "NULL_SPAN",
     "Span",

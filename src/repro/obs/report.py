@@ -28,12 +28,9 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 __all__ = [
-    "gini",
-    "p99_over_median",
     "load_trace",
     "validate_trace",
     "TraceSpan",
-    "build_span_forest",
     "JobDigest",
     "SkewDigest",
     "TraceDigest",
@@ -48,7 +45,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def gini(values: Sequence[float]) -> float:
+def _gini(values: Sequence[float]) -> float:
     """Gini coefficient of a load distribution (0 = perfectly even,
     → 1 = one reducer holds everything).  0 for empty/all-zero input."""
     n = len(values)
@@ -71,7 +68,7 @@ def _quantile(ordered: Sequence[float], q: float) -> float:
     return ordered[rank]
 
 
-def p99_over_median(values: Sequence[float]) -> float:
+def _p99_over_median(values: Sequence[float]) -> float:
     """p99-to-median load ratio; 0 when the median load is 0."""
     ordered = sorted(values)
     median = _quantile(ordered, 0.5)
@@ -95,7 +92,7 @@ def load_trace(path: str) -> dict[str, Any]:
     if isinstance(doc, list):  # bare-array variant of the format
         doc = {"traceEvents": doc}
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: not a Chrome trace-event document")
+        raise ValueError("not a Chrome trace-event document")
     return doc
 
 
@@ -177,7 +174,7 @@ class TraceSpan:
         return [span for span in self.walk() if span.cat == cat]
 
 
-def build_span_forest(doc: dict[str, Any]) -> list[TraceSpan]:
+def _build_span_forest(doc: dict[str, Any]) -> list[TraceSpan]:
     """Nest complete events by interval containment, per thread lane.
 
     Events come back ts-sorted from :func:`validate_trace`-conformant
@@ -297,7 +294,7 @@ def _phase_digest(phase: TraceSpan, tasks: list[TraceSpan]) -> tuple[float, int,
 
 def digest_trace(doc: dict[str, Any], path: str = "<trace>") -> TraceDigest:
     """Reduce a trace document to the numbers the report prints."""
-    roots = build_span_forest(doc)
+    roots = _build_span_forest(doc)
     all_spans = [span for root in roots for span in root.walk()]
     wall = max((s.end for s in all_spans), default=0.0) - min(
         (s.ts for s in all_spans), default=0.0
@@ -373,8 +370,8 @@ def digest_trace(doc: dict[str, Any], path: str = "<trace>") -> TraceDigest:
                     partitions=partitions,
                     loads=loads,
                     work=work,
-                    gini=gini(per_slot),
-                    p99_over_median=p99_over_median(work),
+                    gini=_gini(per_slot),
+                    p99_over_median=_p99_over_median(work),
                     straggler_share=(
                         max(work) / total_work if total_work else 0.0
                     ),

@@ -160,7 +160,10 @@ def load_run(directory: str, ref: str) -> dict[str, Any]:
     id prefix, or a path to a manifest JSON file."""
     if os.path.isfile(ref):
         with open(ref, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{ref}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValueError(f"{ref}: not a JSON object")
         doc.setdefault("id", os.path.basename(ref))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 
 import pytest
@@ -20,6 +21,12 @@ from repro.mapreduce.pipeline import run_pipeline
 
 #: single-field schema used by most small-record tests
 SCHEMA_1 = RecordSchema((1,))
+
+#: marks a test that needs the persistent engine's ``fork`` pool
+fork_only = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable",
+)
 _TOKENIZER = WordTokenizer()
 
 
@@ -78,10 +85,11 @@ def oracle_projections(records: list[str], schema: RecordSchema = SCHEMA_1) -> l
     ]
 
 
-def run_stage2(records, config, num_reducers=4):
-    """Stages 1 + 2 of a self-join: the Stage-2 output *list* (one entry
-    per emitted RID pair, in DFS order) and the Stage-2 job stats."""
-    cluster = make_cluster()
+def run_stage2(records, config, num_reducers=4, **cluster_kwargs):
+    """Stages 1 + 2 of a self-join on ``make_cluster(**cluster_kwargs)``:
+    the Stage-2 output *list* (one entry per emitted RID pair, in DFS
+    order) and the Stage-2 job stats."""
+    cluster = make_cluster(**cluster_kwargs)
     cluster.dfs.write("records", records)
     run_pipeline(cluster, stage1_jobs(config, ["records"], "tokens", num_reducers))
     stats = cluster.run_job(
@@ -90,9 +98,9 @@ def run_stage2(records, config, num_reducers=4):
     return cluster.dfs.read_all("ridpairs"), stats
 
 
-def run_stage2_rs(r_records, s_records, config, num_reducers=4):
+def run_stage2_rs(r_records, s_records, config, num_reducers=4, **cluster_kwargs):
     """Stages 1 + 2 of an R-S join, as :func:`run_stage2`."""
-    cluster = make_cluster()
+    cluster = make_cluster(**cluster_kwargs)
     cluster.dfs.write("r", r_records)
     cluster.dfs.write("s", s_records)
     run_pipeline(cluster, stage1_jobs(config, ["r"], "tokens", num_reducers))
@@ -111,7 +119,11 @@ def stage2_squeeze(records, config, fraction=0.5) -> str:
     (A task's peak is its largest group's, whatever the cluster shape.)"""
     cluster = SimulatedCluster()
     cluster.dfs.write("records", records)
-    report = ssjoin_self(cluster, "records", config)
+    return squeeze_below(ssjoin_self(cluster, "records", config), fraction)
+
+
+def squeeze_below(report, fraction=0.5) -> str:
+    """The :func:`stage2_squeeze` plan sized from the clean *report*."""
     peak = max(
         task.peak_memory_bytes
         for phase in report.stage2.phases for task in phase.reduce_tasks

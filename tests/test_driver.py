@@ -1,12 +1,13 @@
-"""End-to-end driver tests: every stage combination must agree with the
-record-level oracle, and reports must carry coherent stats."""
+"""End-to-end driver tests: every stage combination's matrix reference
+(tests/matrix.py) must agree with the record-level oracle, and reports
+must carry coherent stats."""
 
 import itertools
 import time
 
 import pytest
 
-from repro.core.naive import naive_rs_join, naive_self_join
+from repro.core.naive import naive_self_join
 from repro.join.config import JoinConfig
 from repro.join.driver import (
     set_similarity_rs_join,
@@ -22,6 +23,7 @@ from tests.conftest import (
     pair_keys,
     random_records,
 )
+from tests.matrix import BASE, assert_same_join, reference
 
 ALL_SELF_COMBOS = list(
     itertools.product(("bto", "opto"), ("bk", "pk"), ("brj", "oprj"))
@@ -30,18 +32,9 @@ ALL_SELF_COMBOS = list(
 
 class TestSelfJoinEndToEnd:
     @pytest.mark.parametrize("stage1,kernel,stage3", ALL_SELF_COMBOS)
-    def test_all_combos_match_oracle(self, rng, stage1, kernel, stage3):
-        records = random_records(rng, 50)
-        config = JoinConfig(
-            threshold=0.5, schema=SCHEMA_1, stage1=stage1, kernel=kernel, stage3=stage3
-        )
-        pairs, report = set_similarity_self_join(records, config, cluster=make_cluster())
-        got = pair_keys((rid_of(a), rid_of(b), s) for a, b, s in pairs)
-        expected = pair_keys(
-            naive_self_join(oracle_projections(records), config.sim, 0.5)
-        )
-        assert got == expected
-        assert report.combo == config.combo_name
+    def test_all_combos_match_oracle(self, stage1, kernel, stage3):
+        config = BASE.with_options(stage1=stage1, kernel=kernel, stage3=stage3)
+        assert_same_join(reference("self", config), "self", config)
 
     def test_no_duplicate_record_pairs(self, rng):
         """Stage 3 must deduplicate what Stage 2 multiplied."""
@@ -102,21 +95,9 @@ class TestSelfJoinEndToEnd:
 
 class TestRSJoinEndToEnd:
     @pytest.mark.parametrize("kernel,stage3", itertools.product(("bk", "pk"), ("brj", "oprj")))
-    def test_combos_match_oracle(self, rng, kernel, stage3):
-        r = random_records(rng, 35)
-        s = random_records(rng, 35, rid_base=1000)
-        config = JoinConfig(
-            threshold=0.5, schema=SCHEMA_1, kernel=kernel, stage3=stage3
-        )
-        pairs, _ = set_similarity_rs_join(r, s, config, cluster=make_cluster())
-        got = sorted({(rid_of(a), rid_of(b)) for a, b, _ in pairs})
-        expected = sorted(
-            p[:2]
-            for p in naive_rs_join(
-                oracle_projections(r), oracle_projections(s), config.sim, 0.5
-            )
-        )
-        assert got == expected
+    def test_combos_match_oracle(self, kernel, stage3):
+        config = BASE.with_options(kernel=kernel, stage3=stage3)
+        assert_same_join(reference("rs", config), "rs", config)
 
     def test_r_record_first_in_output(self, rng):
         r = random_records(rng, 25)

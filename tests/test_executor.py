@@ -2,7 +2,8 @@
 
 Covers the tentpole guarantees: byte-identical output to
 :class:`SimulatedCluster` across every stage combo for self- and R-S
-joins, one pool per end-to-end join, `InsufficientMemoryError`
+joins (differential-matrix cells, ``tests/matrix.py``), one pool per
+end-to-end join, `InsufficientMemoryError`
 propagating out of pool workers, pool-death recovery with a leaked
 queue lock, `ClusterConfig.with_nodes` preserving new fields, and the
 rank-vs-string encoding differential.
@@ -12,7 +13,6 @@ is exercised regardless of the host's core count (the engine would
 otherwise run inline on single-core machines).
 """
 
-import multiprocessing
 import os
 import signal
 import threading
@@ -29,7 +29,7 @@ from repro.core.prefixes import Projection
 from repro.core.similarity import Jaccard
 from repro.data.synthetic import generate_dblp
 from repro.join.config import JoinConfig
-from repro.join.driver import ssjoin_rs, ssjoin_self
+from repro.join.driver import ssjoin_self
 from repro.mapreduce import cluster as cluster_module, executor as executor_module
 from repro.mapreduce.cluster import (
     ClusterConfig,
@@ -49,12 +49,10 @@ from repro.mapreduce.types import InsufficientMemoryError, approx_bytes
 from repro.obs.telemetry import strip_telemetry_counters
 from repro.obs.trace import Tracer
 
-from tests.conftest import SCHEMA_1, random_records, small_config
+from tests.conftest import fork_only, make_cluster, small_config
+from tests.matrix import BASE, cell, reference, run_join
 
-pytestmark = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fork start method unavailable",
-)
+pytestmark = fork_only
 
 COMBOS = [
     (stage1, kernel, stage3)
@@ -98,54 +96,19 @@ class TestDeterminism:
             assert seq_stats.counters == per_stats.counters
 
     @pytest.mark.parametrize("stage1,kernel,stage3", COMBOS)
-    def test_selfjoin_identical(self, rng, make_engine, stage1, kernel, stage3):
-        records = random_records(rng, 70)
-        sequential, persistent = make_engine("sequential"), make_engine()
-        config = JoinConfig(
-            threshold=0.5, schema=SCHEMA_1,
-            stage1=stage1, kernel=kernel, stage3=stage3,
-        )
-        with persistent:
-            sequential.dfs.write("records", records)
-            persistent.dfs.write("records", records)
-            seq_report = ssjoin_self(sequential, "records", config)
-            per_report = ssjoin_self(persistent, "records", config)
-            assert sequential.dfs.read_all(
-                seq_report.output_file
-            ) == persistent.dfs.read_all(per_report.output_file)
+    def test_selfjoin_identical(self, make_engine, stage1, kernel, stage3):
+        config = BASE.with_options(stage1=stage1, kernel=kernel, stage3=stage3)
+        cell(make_engine, "self", config, engine="persistent")
 
     @pytest.mark.parametrize("stage1,kernel,stage3", COMBOS)
-    def test_rsjoin_identical(self, rng, make_engine, stage1, kernel, stage3):
-        r = random_records(rng, 40)
-        s = random_records(rng, 40, rid_base=1000)
-        sequential, persistent = make_engine("sequential"), make_engine()
-        config = JoinConfig(
-            threshold=0.5, schema=SCHEMA_1,
-            stage1=stage1, kernel=kernel, stage3=stage3,
-        )
-        with persistent:
-            for cluster in (sequential, persistent):
-                cluster.dfs.write("r", r)
-                cluster.dfs.write("s", s)
-            seq_report = ssjoin_rs(sequential, "r", "s", config)
-            per_report = ssjoin_rs(persistent, "r", "s", config)
-            assert sequential.dfs.read_all(
-                seq_report.output_file
-            ) == persistent.dfs.read_all(per_report.output_file)
+    def test_rsjoin_identical(self, make_engine, stage1, kernel, stage3):
+        config = BASE.with_options(stage1=stage1, kernel=kernel, stage3=stage3)
+        cell(make_engine, "rs", config, engine="persistent")
 
-    def test_counters_identical(self, rng, make_engine):
-        records = random_records(rng, 70)
-        sequential, persistent = make_engine("sequential"), make_engine()
-        with persistent:
-            sequential.dfs.write("records", records)
-            persistent.dfs.write("records", records)
-            config = JoinConfig(threshold=0.5, schema=SCHEMA_1)
-            seq_report = ssjoin_self(sequential, "records", config)
-            per_report = ssjoin_self(persistent, "records", config)
-            for stage in seq_report.stages:
-                assert seq_report.stages[stage].counters() == per_report.stages[
-                    stage
-                ].counters()
+    def test_counters_identical(self, make_engine):
+        stages = cell(make_engine, engine="persistent").report.stages
+        for name, stats in reference("self").report.stages.items():
+            assert stages[name].counters() == stats.counters()
 
 
 class TestEngineParity:
@@ -163,21 +126,13 @@ class TestEngineParity:
         return tree
 
     @pytest.mark.parametrize("join", ["self", "rs"])
-    def test_same_spans_shuffle_bytes_and_counters(self, rng, make_engine, join):
-        r = random_records(rng, 60)
-        s = random_records(rng, 40, rid_base=1000)
-        config = JoinConfig(threshold=0.5, schema=SCHEMA_1)
+    def test_same_spans_shuffle_bytes_and_counters(self, make_engine, join):
         sequential, persistent = make_engine("sequential"), make_engine()
         reports, trees = [], []
         with persistent:
             for cluster in (sequential, persistent):
                 cluster.tracer = Tracer()
-                cluster.dfs.write("r", r)
-                cluster.dfs.write("s", s)
-                if join == "self":
-                    reports.append(ssjoin_self(cluster, "r", config))
-                else:
-                    reports.append(ssjoin_rs(cluster, "r", "s", config))
+                reports.append(run_join(cluster, join).report)
                 trees.append(self._span_tree(cluster.tracer))
         assert reports[1].executor_summary()["pools_created"] == 1  # really pooled
         assert trees[0] == trees[1]
@@ -200,14 +155,11 @@ class TestEngineParity:
         )
 
     @pytest.mark.parametrize("join", ["self", "rs"], ids=["self-static", "rs-static"])
-    def test_map_tasks_size_each_pair_once(self, rng, monkeypatch, join):
+    def test_map_tasks_size_each_pair_once(self, monkeypatch, join):
         """``TaskStats.partition_bytes`` is the per-bucket walk it
         replaced, for every map task of every job of a join: Stage 1
         (combiner), Stage 2 (a record's routes share one value object)
         and Stage 3."""
-        r = random_records(rng, 60)
-        s = random_records(rng, 40, rid_base=1000)
-        config = JoinConfig(threshold=0.5, schema=SCHEMA_1)
         checked = []
 
         def checking_map_task(job, *args, **kwargs):
@@ -225,15 +177,7 @@ class TestEngineParity:
             return stats, partitioned, counters
 
         monkeypatch.setattr(cluster_module, "execute_map_task", checking_map_task)
-        cluster = SimulatedCluster(
-            small_config(), InMemoryDFS(num_nodes=4, block_bytes=512)
-        )
-        cluster.dfs.write("r", r)
-        cluster.dfs.write("s", s)
-        if join == "self":
-            report = ssjoin_self(cluster, "r", config)
-        else:
-            report = ssjoin_rs(cluster, "r", "s", config)
+        report = run_join(make_cluster(), join).report
         jobs = {p.job_name for stats in report.stages.values() for p in stats.phases}
         assert {name for name, _c, nonempty in checked if nonempty} == jobs
         assert any(combiner for _n, combiner, _e in checked)
@@ -329,44 +273,28 @@ class TestEngineParity:
 
 
 class TestPoolLifecycle:
-    def test_one_pool_per_join(self, rng, make_engine):
+    def test_one_pool_per_join(self, make_engine):
         """The acceptance criterion: a 3-stage pipeline (up to five
         MapReduce jobs) forks exactly one pool."""
-        records = random_records(rng, 70)
-        persistent = make_engine()
-        with persistent:
-            persistent.dfs.write("records", records)
-            report = ssjoin_self(
-                persistent, "records", JoinConfig(threshold=0.5, schema=SCHEMA_1)
-            )
-            summary = report.executor_summary()
-            assert summary["pools_created"] == 1
-            assert summary["pooled_phases"] > 1  # the pool really was reused
+        with make_engine() as persistent:
+            summary = run_join(persistent, "self").report.executor_summary()
+        assert summary["pools_created"] == 1
+        assert summary["pooled_phases"] > 1  # the pool really was reused
 
-    def test_pool_reused_across_joins(self, rng, make_engine):
+    def test_pool_reused_across_joins(self, make_engine):
         """Same registered jobs -> the second run re-uses the pool."""
-        records = random_records(rng, 70)
-        persistent = make_engine()
-        config = JoinConfig(threshold=0.5, schema=SCHEMA_1)
-        with persistent:
-            persistent.dfs.write("records", records)
+        with make_engine() as persistent:
             reports = [
-                ssjoin_self(persistent, "records", config, prefix=prefix)
+                run_join(persistent, "self", prefix=prefix).report
                 for prefix in ("a", "b")
             ]
-            # the second join's jobs are new closures, so one re-fork is
-            # allowed — but never one pool per phase
-            assert sum(r.executor_summary()["pools_created"] for r in reports) <= 2
+        # the second join's jobs are new closures, so one re-fork is
+        # allowed — but never one pool per phase
+        assert sum(r.executor_summary()["pools_created"] for r in reports) <= 2
 
-    def test_executor_summary_in_report(self, rng, make_engine):
-        records = random_records(rng, 70)
-        persistent = make_engine()
-        with persistent:
-            persistent.dfs.write("records", records)
-            report = ssjoin_self(
-                persistent, "records", JoinConfig(threshold=0.5, schema=SCHEMA_1)
-            )
-        summary = report.executor_summary()
+    def test_executor_summary_in_report(self, make_engine):
+        with make_engine() as persistent:
+            summary = run_join(persistent, "self").report.executor_summary()
         assert summary["pools_created"] == 1
         assert summary["pooled_phases"] > 0
         assert summary["spill_bytes_written"] == summary["spill_bytes_read"]
@@ -377,21 +305,18 @@ class TestPoolLifecycle:
         util = float(format_executor_summary(summary).split()[-1])
         assert 0.0 <= util <= 1.0
 
-    def test_single_core_host_runs_inline(self, rng, monkeypatch):
+    def test_single_core_host_runs_inline(self, monkeypatch):
         """On a 1-core host worker processes only time-slice, so the
         engine degrades to inline execution — same answers, no pool."""
-        records = random_records(rng, 70)
         monkeypatch.setattr(executor_module, "_effective_cores", lambda: 1)
         monkeypatch.setattr(executor_module, "MIN_TASKS_FOR_POOL", 1)
         persistent = PersistentParallelCluster(
             small_config(), InMemoryDFS(num_nodes=4, block_bytes=512), workers=2
         )
         with persistent:
-            persistent.dfs.write("records", records)
-            report = ssjoin_self(
-                persistent, "records", JoinConfig(threshold=0.5, schema=SCHEMA_1)
-            )
-        summary = report.executor_summary()
+            run = run_join(persistent, "self")
+        assert run.pairs == reference("self").pairs
+        summary = run.report.executor_summary()
         assert summary["pools_created"] == summary["pooled_phases"] == 0
         assert summary["inline_phases"] > 0
 
@@ -402,18 +327,14 @@ class TestPoolLifecycle:
         assert PersistentExecutor().workers == 3
         assert PersistentParallelCluster().workers == 3
 
-    def test_memory_error_propagates_from_pool_worker(self, rng, make_engine):
-        records = random_records(rng, 80, dup_rate=0.6)
+    def test_memory_error_propagates_from_pool_worker(self, make_engine):
         persistent = make_engine(config=small_config(memory_per_task_mb=0.0001))
         with persistent:
-            persistent.dfs.write("records", records)
             with pytest.raises(InsufficientMemoryError) as exc_info:
-                ssjoin_self(
-                    persistent, "records", JoinConfig(threshold=0.5, schema=SCHEMA_1)
-                )
+                run_join(persistent, "self")
             assert exc_info.value.limit_bytes > 0  # fields survived pickling
             # the engine stays usable after a failed phase
-            persistent.dfs.write("more", records)
+            persistent.dfs.write("more", ["0\tx"])
 
     def test_teardown_survives_a_leaked_queue_lock(self, make_engine):
         """A worker killed mid-send dies holding the result queue's

@@ -1,14 +1,13 @@
 """Memory-pressure survival: the squeeze fault, the runtime degradation
-ladder, and the differential chaos matrix proving a squeezed join
-recovers with bit-identical output on both engines — including through
-a kill + ``--resume`` mid-degradation — and reports the plan that ran.
+ladder, and the differential-matrix cells (``tests/matrix.py``) proving
+a squeezed join recovers with the clean join's output on both engines —
+including through a kill + ``--resume`` mid-degradation — and reports
+the plan that ran.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-import multiprocessing
 import random
 
 import pytest
@@ -24,11 +23,9 @@ from repro.join.blocks import (
 )
 from repro.join.checkpoint import CheckpointMismatchError, JoinCheckpoint
 from repro.join.config import JoinConfig
-from repro.join.driver import ssjoin_rs, ssjoin_self
 from repro.join.memory import apply_degradations, apply_step, next_escalation
-from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
+from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.faults import (
     FaultPlan,
     FaultSpec,
@@ -40,69 +37,29 @@ from repro.mapreduce.types import InsufficientMemoryError
 from repro.obs.runs import build_run_manifest
 
 from tests.conftest import (
-    SCHEMA_1,
+    fork_only,
     oracle_projections,
     pair_keys,
     random_records,
+    run_stage2,
+    run_stage2_rs,
     stage2_squeeze,
 )
+from tests.matrix import BASE, cell, inputs, reference, run_join, squeeze
 
-fork_only = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fork start method unavailable",
-)
 
-CONFIG = dict(threshold=0.5, schema=SCHEMA_1)
-
-#: squeeze every first stage-2 reduce attempt down to 5 KB — below what
-#: a BK group of the workloads below reserves
-SQUEEZE = "squeeze:stage2-*:reduce:*:0:0.005"
 #: the R-S reducers hold only the R partition, so their peak is lower;
-#: a tighter cap is needed to force degradation
+#: a tighter cap than a self-join's is needed to force degradation
 SQUEEZE_RS = "squeeze:stage2-*:reduce:*:0:0.002"
 
-
-def skewed_records(n=200):
-    """A workload with one hot token shared by every record, so some
-    Stage-2 group is guaranteed to outgrow a squeezed budget."""
-    return [
-        f"{i}\tword{i % 7} word{i % 11} word{i % 13} word{i % 3} common"
-        for i in range(n)
-    ]
+PK = BASE.with_options(kernel="pk")
 
 
-@functools.lru_cache(maxsize=None)
 def squeeze_self(kernel: str) -> str:
     """Half the Stage-2 reduce peak the clean skewed self-join meters
     under *kernel* (PK indexes only what its group owns, so its peak is
-    well below BK's and below :data:`SQUEEZE`): the ladder must engage."""
-    return stage2_squeeze(skewed_records(), JoinConfig(**CONFIG, kernel=kernel))
-
-
-def make_sim(fault_plan=None, **cfg) -> SimulatedCluster:
-    defaults = dict(
-        num_nodes=4, job_startup_s=0, task_startup_s=0,
-        cpu_scale=1.0, data_scale=1.0,
-    )
-    defaults.update(cfg)
-    return SimulatedCluster(
-        ClusterConfig(**defaults),
-        InMemoryDFS(num_nodes=4, block_bytes=512),
-        fault_plan=fault_plan,
-    )
-
-
-def run_self(cluster, records, config=None, **kwargs):
-    cluster.dfs.write("records", records)
-    report = ssjoin_self(cluster, "records", config or JoinConfig(**CONFIG), **kwargs)
-    return sorted(cluster.dfs.read_all(report.output_file)), report
-
-
-def run_rs(cluster, r, s, config=None, **kwargs):
-    cluster.dfs.write("r", r)
-    cluster.dfs.write("s", s)
-    report = ssjoin_rs(cluster, "r", "s", config or JoinConfig(**CONFIG), **kwargs)
-    return sorted(cluster.dfs.read_all(report.output_file)), report
+    well below BK's): the ladder must engage."""
+    return squeeze("skewed", BASE.with_options(kernel=kernel))
 
 
 def assert_names_the_plan_that_ran(config, report):
@@ -126,7 +83,7 @@ def assert_names_the_plan_that_ran(config, report):
 
 class TestSqueezeFault:
     def test_parse_compact_and_json_roundtrip(self):
-        plan = FaultPlan.parse(SQUEEZE)
+        plan = FaultPlan.parse("squeeze:stage2-*:reduce:*:0:0.005")
         (spec,) = plan.specs
         assert spec.kind == "squeeze"
         assert (spec.job, spec.phase, spec.task, spec.attempt) == (
@@ -189,9 +146,7 @@ class TestReleaseUnderflow:
 
 class TestLadder:
     def test_escalation_order(self):
-        config = JoinConfig(
-            **CONFIG, kernel="pk", routing="grouped", num_groups=8,
-        )
+        config = BASE.with_options(kernel="pk", routing="grouped", num_groups=8)
         steps = []
         while (step := next_escalation(config, "stage2")) is not None:
             steps.append(step)
@@ -210,61 +165,56 @@ class TestLadder:
         """Grouped routing with ``num_groups=None`` already is per-token
         routing: a ``routing:individual`` rung would re-run the identical
         plan, so the ladder skips it."""
-        config = JoinConfig(**CONFIG, kernel="pk", routing="grouped")
+        config = PK.with_options(routing="grouped")
         assert next_escalation(config, "stage2") == "kernel:bk"
-        individual = JoinConfig(**CONFIG, kernel="pk")
-        assert next_escalation(individual, "stage2") == "kernel:bk"
+        assert next_escalation(PK, "stage2") == "kernel:bk"
 
     def test_grouped_and_individual_degrade_alike_end_to_end(self):
-        from repro.data.synthetic import generate_dblp
-
-        records = generate_dblp(2000, 7)
         # just under the PK peak: BK then holds ~4x that per group, and a
         # much lower cap leaves no block count a dblp record pair fits in
         plan = FaultPlan.parse(
-            stage2_squeeze(records, JoinConfig(threshold=0.8), fraction=0.9)
+            stage2_squeeze(inputs("dblp")[0], JoinConfig(threshold=0.8), fraction=0.9)
         )
-        runs = {}
-        for routing in ("individual", "grouped"):
-            cluster = SimulatedCluster(fault_plan=plan)
-            runs[routing] = run_self(
-                cluster, records, JoinConfig(threshold=0.8, routing=routing)
+        individual, grouped = (
+            run_join(
+                SimulatedCluster(fault_plan=plan), "dblp",
+                JoinConfig(threshold=0.8, routing=routing),
             )
-        pairs, report = runs["individual"]
-        grouped_pairs, grouped_report = runs["grouped"]
-        assert report.memory_steps and report.memory_steps[0] == "kernel:bk"
-        assert grouped_report.memory_steps == report.memory_steps
-        assert grouped_pairs == pairs and pairs
+            for routing in ("individual", "grouped")
+        )
+        steps = individual.report.memory_steps
+        assert steps and steps[0] == "kernel:bk"
+        assert grouped.report.memory_steps == steps
+        assert sorted(grouped.pairs) == sorted(individual.pairs) and individual.pairs
 
     def test_length_class_plan_takes_the_blocks_rung(self):
         """A BK plan with ``length_class_width`` over budget engages
         blocks, the stronger Section-5 strategy (the step clears the
         class width: ``test_blocks_step_clears_length_classes``)."""
-        config = JoinConfig(**CONFIG, kernel="bk", length_class_width=4)
+        config = BASE.with_options(kernel="bk", length_class_width=4)
         assert next_escalation(config, "stage2") == "blocks:reduce:2"
 
     def test_apply_step_rejects_unknown(self):
-        config = JoinConfig(**CONFIG)
+        config = BASE
         for bad in ("routing:grouped", "kernel:gpu", "blocks:weird:3",
                     "blocks:reduce:x", "batch:32", "batch:none", "frobnicate"):
             with pytest.raises(ValueError):
                 apply_step(config, bad)
 
     def test_routing_step_drops_the_group_count(self):
-        config = JoinConfig(**CONFIG, routing="grouped", num_groups=4)
+        config = BASE.with_options(routing="grouped", num_groups=4)
         config = apply_step(config, "routing:individual")
         assert config.routing == "individual" and config.num_groups is None
 
     def test_blocks_step_clears_length_classes(self):
-        config = JoinConfig(**CONFIG, kernel="bk", length_class_width=4)
+        config = BASE.with_options(kernel="bk", length_class_width=4)
         config = apply_step(config, "blocks:map:4")
         assert config.blocks == BlockPolicy(strategy=MAP_BASED, num_blocks=4)
         assert config.length_class_width is None
 
     def test_apply_degradations_folds_in_order(self):
-        config = JoinConfig(**CONFIG, kernel="pk")
         config = apply_degradations(
-            config, ["kernel:bk", "blocks:reduce:2", "blocks:reduce:4"]
+            PK, ["kernel:bk", "blocks:reduce:2", "blocks:reduce:4"]
         )
         assert config.kernel == "bk"
         assert config.blocks.num_blocks == 4
@@ -277,123 +227,95 @@ class TestLadder:
 
 class TestSqueezeRecoverySimulated:
     @pytest.mark.parametrize("kernel", ["bk", "pk"])
-    def test_self_join_recovers_bit_identical(self, kernel):
-        records = skewed_records()
-        config = JoinConfig(**CONFIG, kernel=kernel)
-        clean_pairs, _ = run_self(make_sim(), records, config)
-        pairs, report = run_self(
-            make_sim(fault_plan=FaultPlan.parse(squeeze_self(kernel))), records, config
-        )
-        assert report.counters()["memory.replans"] == len(report.memory_steps) >= 1
-        assert "memory.escalations" not in report.counters()
-        assert pairs == clean_pairs
-        assert_names_the_plan_that_ran(config, report)
+    def test_self_join_recovers_bit_identical(self, make_engine, kernel):
+        config = BASE.with_options(kernel=kernel)
+        run = cell(make_engine, "skewed", config, faults=squeeze_self(kernel))
+        assert run.counters["memory.replans"] == len(run.report.memory_steps) >= 1
+        assert "memory.escalations" not in run.counters
+        assert_names_the_plan_that_ran(config, run.report)
 
     @pytest.mark.parametrize("kernel", ["bk", "pk"])
-    def test_rs_join_recovers_bit_identical(self, kernel):
-        r = skewed_records(160)
-        s = skewed_records(120)
-        config = JoinConfig(**CONFIG, kernel=kernel)
-        clean_pairs, _ = run_rs(make_sim(), r, s, config)
-        pairs, report = run_rs(
-            make_sim(fault_plan=FaultPlan.parse(SQUEEZE_RS)), r, s, config
-        )
-        assert report.counters()["memory.replans"] >= 1
-        assert pairs == clean_pairs
+    def test_rs_join_recovers_bit_identical(self, make_engine, kernel):
+        config = BASE.with_options(kernel=kernel)
+        run = cell(make_engine, "skewed-rs", config, faults=SQUEEZE_RS)
+        assert run.counters["memory.replans"] >= 1
 
-    def test_no_auto_degrade_surfaces_raw_error(self):
-        records = skewed_records()
-        config = JoinConfig(**CONFIG, kernel="pk", auto_degrade=False)
+    def test_no_auto_degrade_surfaces_raw_error(self, make_engine):
+        cluster = make_engine("sequential", fault_plan=FaultPlan.parse(squeeze_self("pk")))
         with pytest.raises(InsufficientMemoryError) as excinfo:
-            run_self(
-                make_sim(fault_plan=FaultPlan.parse(squeeze_self("pk"))), records, config
-            )
+            run_join(cluster, "skewed", PK.with_options(auto_degrade=False))
         err = excinfo.value
         assert err.job and err.job.startswith("stage2-")
         assert err.phase == "reduce"
         assert err.needed_bytes > err.limit_bytes
 
-    def test_replan_budget_bounds_the_ladder(self, monkeypatch):
+    def test_replan_budget_bounds_the_ladder(self, make_engine, monkeypatch):
         from repro.join import driver
 
-        records = skewed_records()
         # one replan is never enough for this squeeze: the first rung
         # (pk -> bk) still holds the whole hot group in memory
         monkeypatch.setattr(driver, "MAX_REPLANS", 1)
-        config = JoinConfig(**CONFIG, kernel="pk")
+        cluster = make_engine("sequential", fault_plan=FaultPlan.parse(squeeze_self("pk")))
         with pytest.raises(InsufficientMemoryError):
-            run_self(
-                make_sim(fault_plan=FaultPlan.parse(squeeze_self("pk"))), records, config
-            )
+            run_join(cluster, "skewed", PK)
 
-    def test_stage3_rung_is_outside_the_replan_budget(self, monkeypatch):
+    def test_stage3_rung_is_outside_the_replan_budget(self, make_engine, monkeypatch):
         """A Stage 2 that spent every replan still lets an OPRJ that does
         not fit fall back to BRJ: Stage 3's one rung fires at most once,
         so it is not counted against ``MAX_REPLANS``, and the join
         finishes as it did when BRJ was the default plan."""
         from repro.join import driver
 
-        records = skewed_records()
-        config = JoinConfig(**CONFIG, kernel="pk")
-        clean_pairs, _ = run_self(make_sim(), records, config)
-        _, stage2_only = run_self(
-            make_sim(fault_plan=FaultPlan.parse(squeeze_self("pk"))), records, config
+        stage2_steps = cell(
+            make_engine, "skewed", PK, faults=squeeze_self("pk")
+        ).report.memory_steps
+        monkeypatch.setattr(driver, "MAX_REPLANS", len(stage2_steps))
+        run = cell(
+            make_engine, "skewed", PK,
+            faults=squeeze_self("pk") + ";squeeze:oprj:map:*:0:0.00001",
         )
-        monkeypatch.setattr(driver, "MAX_REPLANS", len(stage2_only.memory_steps))
-        plan = FaultPlan.parse(squeeze_self("pk") + ";squeeze:oprj:map:*:0:0.00001")
-        pairs, report = run_self(make_sim(fault_plan=plan), records, config)
-        assert report.memory_steps == stage2_only.memory_steps + ["stage3:brj"]
-        assert report.counters()["memory.replans"] == driver.MAX_REPLANS + 1
-        assert pairs == clean_pairs
-        assert_names_the_plan_that_ran(config, report)
+        assert run.report.memory_steps == stage2_steps + ["stage3:brj"]
+        assert run.counters["memory.replans"] == driver.MAX_REPLANS + 1
+        assert_names_the_plan_that_ran(PK, run.report)
 
-    def test_memory_summary_line(self):
-        records = skewed_records()
-        config = JoinConfig(**CONFIG, kernel="pk")
-        _, report = run_self(
-            make_sim(fault_plan=FaultPlan.parse(squeeze_self("pk"))), records, config
-        )
-        summary = report.format_summary()
+    def test_memory_summary_line(self, make_engine):
+        run = cell(make_engine, "skewed", PK, faults=squeeze_self("pk"))
+        summary = run.report.format_summary()
         assert "memory:" in summary and "replan" in summary
 
-    def test_kill_and_resume_replays_degraded_plan(self, tmp_path):
-        records = skewed_records()
-        config = JoinConfig(**CONFIG, kernel="pk")
-        clean_pairs, _ = run_self(make_sim(), records, config)
-
+    def test_kill_and_resume_replays_degraded_plan(self, make_engine, tmp_path):
         # squeeze stage 2 into degradation, then kill the run in stage 3
-        fatal = make_sim(
-            fault_plan=FaultPlan.parse(squeeze_self("pk") + ";raise:oprj:map:*:*")
+        fatal = make_engine(
+            "sequential",
+            fault_plan=FaultPlan.parse(squeeze_self("pk") + ";raise:oprj:map:*:*"),
         )
         with pytest.raises(TaskError):
-            run_self(fatal, records, config, checkpoint=JoinCheckpoint(tmp_path))
+            run_join(fatal, "skewed", PK, checkpoint=JoinCheckpoint(tmp_path))
 
-        resumed = make_sim()
-        pairs, report = run_self(
-            resumed, records, config,
+        run = run_join(
+            make_engine("sequential"), "skewed", PK,
             checkpoint=JoinCheckpoint(tmp_path, resume=True),
         )
-        assert pairs == clean_pairs
+        assert run.pairs == reference("skewed", PK).pairs
+        report = run.report
         assert report.counters()["resume.stages_skipped"] == 2
         # the degraded plan was replayed from the manifest, not
         # rediscovered: the replayed steps count as replans again
         assert report.memory_steps[0] == "kernel:bk"
         assert report.counters()["memory.replans"] == len(report.memory_steps)
-        assert_names_the_plan_that_ran(config, report)
+        assert_names_the_plan_that_ran(PK, report)
 
-    def test_resume_refuses_retired_batch_step(self, tmp_path):
+    def test_resume_refuses_retired_batch_step(self, make_engine, tmp_path):
         """A manifest written before the batch rungs were retired is
         refused by name instead of failing deep inside the ladder."""
-        records = skewed_records()
-        config = JoinConfig(**CONFIG, kernel="pk")
-        run_self(make_sim(), records, config, checkpoint=JoinCheckpoint(tmp_path))
+        run_join(make_engine("sequential"), "skewed", PK, checkpoint=JoinCheckpoint(tmp_path))
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["memory_steps"] = ["kernel:bk", "batch:32"]
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointMismatchError, match="batch:32"):
-            run_self(
-                make_sim(), records, config,
+            run_join(
+                make_engine("sequential"), "skewed", PK,
                 checkpoint=JoinCheckpoint(tmp_path, resume=True),
             )
 
@@ -401,27 +323,16 @@ class TestSqueezeRecoverySimulated:
 @fork_only
 class TestSqueezeRecoveryPersistent:
     def test_self_join_recovers_bit_identical(self, make_engine):
-        records = skewed_records()
-        config = JoinConfig(**CONFIG, kernel="pk")
-        clean_pairs, _ = run_self(make_engine(), records, config)
-        pairs, report = run_self(
-            make_engine(fault_plan=FaultPlan.parse(squeeze_self("pk"))), records, config
+        run = cell(
+            make_engine, "skewed", PK, engine="persistent", faults=squeeze_self("pk")
         )
-        assert report.counters()["memory.replans"] >= 1
-        assert pairs == clean_pairs
-        assert report.memory_steps[0] == "kernel:bk"
-        assert_names_the_plan_that_ran(config, report)
+        assert run.counters["memory.replans"] >= 1
+        assert run.report.memory_steps[0] == "kernel:bk"
+        assert_names_the_plan_that_ran(PK, run.report)
 
     def test_rs_join_recovers_bit_identical(self, make_engine):
-        r = skewed_records(160)
-        s = skewed_records(120)
-        config = JoinConfig(**CONFIG, kernel="pk")
-        clean_pairs, _ = run_rs(make_engine(), r, s, config)
-        pairs, report = run_rs(
-            make_engine(fault_plan=FaultPlan.parse(SQUEEZE_RS)), r, s, config
-        )
-        assert report.counters()["memory.replans"] >= 1
-        assert pairs == clean_pairs
+        run = cell(make_engine, "skewed-rs", PK, engine="persistent", faults=SQUEEZE_RS)
+        assert run.counters["memory.replans"] >= 1
 
 
 @fork_only
@@ -432,38 +343,31 @@ def test_checkpoint_resumes_on_the_other_engine(tmp_path, make_engine, engines, 
     the other to the clean run's output; memory steps the writer
     recorded are replayed from the manifest (the reader has no fault
     plan to rediscover them with)."""
-    make_writer, make_reader = (
-        (make_sim, make_engine) if engines == "sim-to-pool" else (make_engine, make_sim)
+    writer, reader = (
+        ("sequential", "persistent") if engines == "sim-to-pool"
+        else ("persistent", "sequential")
     )
-    records = skewed_records()
-    config = JoinConfig(**CONFIG, kernel="pk")
-    clean_pairs, _ = run_self(make_sim(), records, config)
-
     faults = "raise:oprj:map:*:*"
     if squeezed:
         faults = squeeze_self("pk") + ";" + faults
-    writer = make_writer(fault_plan=FaultPlan.parse(faults))
-    try:
-        with pytest.raises(TaskError):
-            run_self(writer, records, config, checkpoint=JoinCheckpoint(tmp_path))
-    finally:
-        writer.close()
+    with pytest.raises(TaskError):
+        run_join(
+            make_engine(writer, fault_plan=FaultPlan.parse(faults)), "skewed", PK,
+            checkpoint=JoinCheckpoint(tmp_path),
+        )
     recorded = json.loads((tmp_path / "manifest.json").read_text()).get("memory_steps", [])
     assert bool(recorded) == squeezed
 
-    reader = make_reader()
-    try:
-        pairs, report = run_self(
-            reader, records, config,
-            checkpoint=JoinCheckpoint(tmp_path, resume=True),
-        )
-    finally:
-        reader.close()
-    assert pairs == clean_pairs
+    run = run_join(
+        make_engine(reader), "skewed", PK,
+        checkpoint=JoinCheckpoint(tmp_path, resume=True),
+    )
+    assert run.pairs == reference("skewed", PK).pairs
+    report = run.report
     assert report.counters()["resume.stages_skipped"] == 2
     assert report.memory_steps == recorded
     assert report.counters().get("memory.replans", 0) == len(recorded)
-    assert_names_the_plan_that_ran(config, report)
+    assert_names_the_plan_that_ran(PK, report)
 
 
 # ---------------------------------------------------------------------------
@@ -471,38 +375,27 @@ def test_checkpoint_resumes_on_the_other_engine(tmp_path, make_engine, engines, 
 # ---------------------------------------------------------------------------
 
 
-def _stage2_self(records, config):
-    from repro.join.stage1 import stage1_jobs
-    from repro.join.stage2 import stage2_self_job
-    from repro.mapreduce.pipeline import run_pipeline
-
-    cluster = make_sim()
-    cluster.dfs.write("records", records)
-    run_pipeline(cluster, stage1_jobs(config, ["records"], "tokens", 4))
-    stats = cluster.run_job(stage2_self_job(config, "records", "tokens", "pairs", 4))
-    return cluster.dfs.read_all("pairs"), stats
-
-
-def _stage2_rs(r, s, config):
-    from repro.join.stage1 import stage1_jobs
-    from repro.join.stage2_rs import stage2_rs_job
-    from repro.mapreduce.pipeline import run_pipeline
-
-    cluster = make_sim()
-    cluster.dfs.write("r", r)
-    cluster.dfs.write("s", s)
-    run_pipeline(cluster, stage1_jobs(config, ["r"], "tokens", 4))
-    stats = cluster.run_job(stage2_rs_job(config, "r", "s", "tokens", "pairs", 4))
-    return cluster.dfs.read_all("pairs"), stats
-
-
-def _block_config(strategy, num_blocks):
-    return JoinConfig(
-        **CONFIG, kernel="bk",
-        blocks=None if strategy is None else BlockPolicy(
-            strategy=strategy, num_blocks=num_blocks
-        ),
+def _assert_strategies_agree(run, num_blocks, oracle):
+    """*run(config)* under no blocks, map-based and reduce-based blocks
+    emits the *oracle* pairs; only reduce-based blocks spill."""
+    (plain, _), (mapped, map_stats), (reduced, red_stats) = (
+        run(BASE.with_options(kernel="bk", blocks=blocks))
+        for blocks in (
+            None,
+            BlockPolicy(strategy=MAP_BASED, num_blocks=num_blocks),
+            BlockPolicy(strategy=REDUCE_BASED, num_blocks=num_blocks),
+        )
     )
+    assert pair_keys(plain) == pair_keys(mapped) == pair_keys(reduced)
+    assert pair_keys(plain) == pair_keys(oracle)
+    # map-based never touches local disk; reduce-based reads every
+    # spilled byte back at least once — exactly once when only one
+    # block spills (num_blocks == 2), more when later blocks are
+    # re-read once per earlier block's pass
+    assert map_stats.counters.get(SPILL_WRITTEN, 0) == 0
+    written = red_stats.counters.get(SPILL_WRITTEN, 0)
+    read = red_stats.counters.get(SPILL_READ, 0)
+    assert read == written if num_blocks == 2 else read >= written
 
 
 class TestBlockEquivalenceProperty:
@@ -510,30 +403,10 @@ class TestBlockEquivalenceProperty:
     @given(num_blocks=st.integers(2, 6), seed=st.integers(0, 2**16))
     def test_self_join_strategies_agree(self, num_blocks, seed):
         records = random_records(random.Random(seed), 40)
-        plain, _ = _stage2_self(records, _block_config(None, 0))
-        mapped, map_stats = _stage2_self(
-            records, _block_config(MAP_BASED, num_blocks)
+        _assert_strategies_agree(
+            lambda config: run_stage2(records, config), num_blocks,
+            naive_self_join(oracle_projections(records), BASE.sim, 0.5),
         )
-        reduced, red_stats = _stage2_self(
-            records, _block_config(REDUCE_BASED, num_blocks)
-        )
-        assert pair_keys(mapped) == pair_keys(plain)
-        assert pair_keys(reduced) == pair_keys(plain)
-        oracle = naive_self_join(
-            oracle_projections(records), _block_config(None, 0).sim, 0.5
-        )
-        assert pair_keys(plain) == pair_keys(oracle)
-        # map-based never touches local disk; reduce-based reads every
-        # spilled byte back at least once — exactly once when only one
-        # block spills (num_blocks == 2), more when later blocks are
-        # re-read once per earlier block's pass
-        assert map_stats.counters.get(SPILL_WRITTEN, 0) == 0
-        written = red_stats.counters.get(SPILL_WRITTEN, 0)
-        read = red_stats.counters.get(SPILL_READ, 0)
-        if num_blocks == 2:
-            assert read == written
-        else:
-            assert read >= written
 
     @settings(max_examples=12, deadline=None)
     @given(num_blocks=st.integers(2, 6), seed=st.integers(0, 2**16))
@@ -541,22 +414,7 @@ class TestBlockEquivalenceProperty:
         rng = random.Random(seed)
         r = random_records(rng, 30)
         s = random_records(rng, 25)
-        plain, _ = _stage2_rs(r, s, _block_config(None, 0))
-        mapped, map_stats = _stage2_rs(r, s, _block_config(MAP_BASED, num_blocks))
-        reduced, red_stats = _stage2_rs(
-            r, s, _block_config(REDUCE_BASED, num_blocks)
+        _assert_strategies_agree(
+            lambda config: run_stage2_rs(r, s, config), num_blocks,
+            naive_rs_join(oracle_projections(r), oracle_projections(s), BASE.sim, 0.5),
         )
-        assert pair_keys(mapped) == pair_keys(plain)
-        assert pair_keys(reduced) == pair_keys(plain)
-        oracle = naive_rs_join(
-            oracle_projections(r), oracle_projections(s),
-            _block_config(None, 0).sim, 0.5,
-        )
-        assert pair_keys(plain) == pair_keys(oracle)
-        assert map_stats.counters.get(SPILL_WRITTEN, 0) == 0
-        written = red_stats.counters.get(SPILL_WRITTEN, 0)
-        read = red_stats.counters.get(SPILL_READ, 0)
-        if num_blocks == 2:
-            assert read == written
-        else:
-            assert read >= written

@@ -2,9 +2,9 @@
 
 Covers the histogram-over-counters encoding, the metrics registry, the
 span tracer and its Chrome-trace-event export, the trace-report
-analyzer, and — most importantly — the observe-only guarantee: a traced
-join produces bit-identical pairs and counters to an untraced one, on
-both execution engines.
+analyzer, and — as differential-matrix cells (``tests/matrix.py``) —
+the observe-only guarantee: a traced join produces bit-identical pairs
+and counters to an untraced one, on both execution engines.
 """
 
 import json
@@ -14,9 +14,7 @@ from itertools import groupby
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.data.synthetic import generate_citeseerx, generate_dblp
 from repro.join.config import JoinConfig
-from repro.join.driver import ssjoin_rs, ssjoin_self
 from repro.mapreduce import cluster as cluster_module
 from repro.mapreduce.cluster import (
     ClusterConfig,
@@ -37,18 +35,19 @@ from repro.obs.metrics import (
     observe_into,
 )
 from repro.obs.report import (
-    build_span_forest,
+    _build_span_forest,
+    _gini,
+    _p99_over_median,
     digest_trace,
     format_routing_comparison,
     format_trace_report,
-    gini,
     load_trace,
-    p99_over_median,
     validate_trace,
 )
 from repro.obs.trace import NULL_SPAN, Tracer, trace_span
 
 from tests.conftest import make_cluster, random_records
+from tests.matrix import BASE, cell, run_join
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -154,7 +153,7 @@ class TestHistogramEncoding:
         assert list(counters.as_dict()) == ["aa", "mm", "zz"]
 
 
-def _reference(ops) -> Counters:
+def _unbuffered(ops) -> Counters:
     """*ops* applied the unbuffered way: every observation is three
     ``observe_into`` increments at the moment it is made."""
     counters = Counters()
@@ -185,7 +184,7 @@ class TestBufferedObserve:
         buffered = Counters()
         for name, value in observations:
             buffered.observe(name, value)
-        reference = _reference([("observe", n, v) for n, v in observations])
+        reference = _unbuffered([("observe", n, v) for n, v in observations])
         assert json.dumps(buffered.as_dict()) == json.dumps(reference.as_dict())
         assert list(buffered.as_dict()) == sorted(buffered.as_dict())
 
@@ -216,7 +215,7 @@ class TestBufferedObserve:
             elif op == "merge_dict":
                 counters.merge_dict({name: value})
             else:  # a read in mid-stream, through whichever reader
-                expected = _reference(ops[:position]).as_dict()
+                expected = _unbuffered(ops[:position]).as_dict()
                 key = f"{HIST_PREFIX}{name}.sum"
                 if reader == "get":
                     assert counters.get(key) == expected.get(key, 0)
@@ -231,7 +230,7 @@ class TestBufferedObserve:
                     into = Counters()
                     into.merge(counters)
                     assert into.as_dict() == expected
-        assert counters.as_dict() == _reference(ops).as_dict()
+        assert counters.as_dict() == _unbuffered(ops).as_dict()
 
     def test_context_observe_reaches_the_counters(self):
         ctx = Context(Counters())
@@ -346,21 +345,21 @@ class TestPerRecordCost:
 
 class TestSkewStats:
     def test_gini_even_and_degenerate(self):
-        assert gini([]) == 0.0
-        assert gini([0, 0, 0]) == 0.0
-        assert gini([5, 5, 5, 5]) == 0.0
+        assert _gini([]) == 0.0
+        assert _gini([0, 0, 0]) == 0.0
+        assert _gini([5, 5, 5, 5]) == 0.0
 
     def test_gini_concentrated(self):
         # one reducer holds everything: (n-1)/n
-        assert gini([0, 0, 0, 9]) == pytest.approx(0.75)
-        assert gini([1, 9]) > gini([4, 6])
+        assert _gini([0, 0, 0, 9]) == pytest.approx(0.75)
+        assert _gini([1, 9]) > _gini([4, 6])
 
     def test_p99_over_median(self):
-        assert p99_over_median([]) == 0.0
-        assert p99_over_median([0, 0, 5]) == 0.0  # median 0
-        assert p99_over_median([2, 2, 2, 2]) == 1.0
+        assert _p99_over_median([]) == 0.0
+        assert _p99_over_median([0, 0, 5]) == 0.0  # median 0
+        assert _p99_over_median([2, 2, 2, 2]) == 1.0
         # nearest-rank on 1..100: p99 = 99th value, median = 51st value
-        assert p99_over_median(list(range(1, 101))) == pytest.approx(99 / 51)
+        assert _p99_over_median(list(range(1, 101))) == pytest.approx(99 / 51)
 
 
 class TestUtilizationEdgeCases:
@@ -454,7 +453,7 @@ class TestTracer:
                     pass
             with tracer.span("reduce", "phase"):
                 pass
-        roots = build_span_forest(tracer.to_json())
+        roots = _build_span_forest(tracer.to_json())
         assert [r.name for r in roots] == ["job"]
         assert [c.name for c in roots[0].children] == ["map", "reduce"]
         assert roots[0].children[0].children[0].name == "map:0"
@@ -482,67 +481,33 @@ class TestTracer:
 # ---------------------------------------------------------------------------
 
 
-def _run_self(cluster, config: JoinConfig, records, traced: bool):
-    if traced:
-        cluster.tracer = Tracer()
-    cluster.dfs.write("input", records)
-    report = ssjoin_self(cluster, "input", config)
-    pairs = sorted(cluster.dfs.read_all(report.output_file))
-    return pairs, report.counters(), cluster.tracer
-
-
-def _run_rs(cluster, config: JoinConfig, r_records, s_records, traced: bool):
-    if traced:
-        cluster.tracer = Tracer()
-    cluster.dfs.write("r", r_records)
-    cluster.dfs.write("s", s_records)
-    report = ssjoin_rs(cluster, "r", "s", config)
-    pairs = sorted(cluster.dfs.read_all(report.output_file))
-    return pairs, report.counters(), cluster.tracer
-
-
 ENGINES = ["sequential"] + (["persistent"] if HAVE_FORK else [])
 
 
 class TestObserveOnly:
+    """Differential-matrix cells (``tests/matrix.py``) with a tracer."""
+
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("kernel", ["bk", "pk"])
-    def test_self_join_bit_identical_with_tracing(self, rng, make_engine, engine, kernel):
-        records = random_records(rng, 60)
-        config = JoinConfig(threshold=0.5, kernel=kernel)
-        plain_pairs, plain_counters, _ = _run_self(
-            make_engine(engine), config, records, False
+    def test_self_join_bit_identical_with_tracing(self, make_engine, engine, kernel):
+        run = cell(
+            make_engine, "self", BASE.with_options(kernel=kernel),
+            engine=engine, observer="trace",
         )
-        traced_pairs, traced_counters, tracer = _run_self(
-            make_engine(engine), config, records, True
-        )
-        assert traced_pairs == plain_pairs
-        assert traced_counters == plain_counters
-        assert len(tracer) > 0
+        assert len(run.observer) > 0
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_rs_join_bit_identical_with_tracing(self, rng, make_engine, engine):
-        r_records = random_records(rng, 40)
-        s_records = random_records(rng, 40, rid_base=1000)
-        config = JoinConfig(threshold=0.5, kernel="pk")
-        plain = _run_rs(make_engine(engine), config, r_records, s_records, False)
-        traced = _run_rs(make_engine(engine), config, r_records, s_records, True)
-        assert traced[0] == plain[0]
-        assert traced[1] == plain[1]
+    def test_rs_join_bit_identical_with_tracing(self, make_engine, engine):
+        assert len(cell(make_engine, "rs", engine=engine, observer="trace").observer) > 0
 
     @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
-    def test_engines_agree_on_histogram_counters(self, rng, make_engine):
+    def test_engines_agree_on_histogram_counters(self, make_engine):
         """The per-partition byte histogram (driver-side) and the task
         histograms (worker-side) merge to the same totals on both
         engines — the cross-engine determinism contract extends to the
-        ``hist.*`` namespace."""
-        records = random_records(rng, 60)
-        config = JoinConfig(threshold=0.5)
-        _, seq_counters, _ = _run_self(make_engine("sequential"), config, records, False)
-        _, pool_counters, _ = _run_self(make_engine(), config, records, False)
-        assert {k: v for k, v in seq_counters.items() if k.startswith(HIST_PREFIX)} == {
-            k: v for k, v in pool_counters.items() if k.startswith(HIST_PREFIX)
-        }
+        ``hist.*`` namespace (the universal assertion compares them)."""
+        counters = cell(make_engine, engine="persistent").counters
+        assert any(name.startswith(HIST_PREFIX) for name in counters)
 
 
 #: ``hist.*`` counters of three histograms on ``generate_dblp(2000, 7)``
@@ -606,17 +571,10 @@ class TestDblpCounters:
     def _report(join: str, cluster=None, config=None):
         """The join on *cluster*, by default a default-sized sequential
         one."""
-        cluster = cluster or SimulatedCluster()
-        config = config or JoinConfig()
-        dblp = generate_dblp(2000, 7)
-        cluster.dfs.write("r", dblp)
-        if join == "self":
-            return ssjoin_self(cluster, "r", config)
-        cluster.dfs.write(
-            "s",
-            generate_citeseerx(1000, seed=9, rid_base=10_000_000, shared_with=dblp),
-        )
-        return ssjoin_rs(cluster, "r", "s", config)
+        workload = "dblp" if join == "self" else "dblp-csx"
+        return run_join(
+            cluster or SimulatedCluster(), workload, config or JoinConfig()
+        ).report
 
     @pytest.mark.parametrize("join", ["self", "rs"])
     def test_histograms_pinned_and_engines_agree(self, make_engine, join):
@@ -659,18 +617,13 @@ class TestTraceReport:
     @pytest.fixture(scope="class")
     def traced_digests(self, tmp_path_factory):
         """One individual-routing and one grouped-routing traced join."""
-        import random as _random
-
-        records = random_records(_random.Random(0xC0FFEE), 80)
         out = {}
         for routing, num_groups in (("individual", None), ("grouped", 3)):
             cluster = make_cluster()
             cluster.tracer = Tracer()
-            cluster.dfs.write("input", records)
-            config = JoinConfig(
-                threshold=0.5, routing=routing, num_groups=num_groups
+            run_join(
+                cluster, "self", BASE.with_options(routing=routing, num_groups=num_groups)
             )
-            ssjoin_self(cluster, "input", config)
             path = tmp_path_factory.mktemp("traces") / f"{routing}.json"
             cluster.tracer.export(str(path))
             doc = load_trace(str(path))
@@ -729,12 +682,8 @@ class TestTraceReport:
 
 
 class TestJoinReportMetrics:
-    def test_metrics_snapshot_has_all_three_kinds(self, rng):
-        records = random_records(rng, 50)
-        cluster = make_cluster()
-        cluster.dfs.write("input", records)
-        report = ssjoin_self(cluster, "input", JoinConfig(threshold=0.5))
-        registry = report.metrics()
+    def test_metrics_snapshot_has_all_three_kinds(self):
+        registry = run_join(make_cluster(), "self").report.metrics()
         snap = registry.snapshot()
         assert "stage2.pairs_output" in snap["counters"]
         assert "total.simulated_s" in snap["gauges"]
@@ -782,9 +731,28 @@ class TestTraceCli:
         assert main(["trace-report", str(trace), str(trace)]) == 0
         assert "routing balance comparison" in capsys.readouterr().out
 
-    def test_trace_report_rejects_invalid_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content, problem, lines",
+        [
+            ('{"traceEvents": [{"ph": "X", "ts": -3}]}', "missing 'name'", 5),
+            ('{"traceEvents": [{"ph": "X", "ts"', "cannot read: Expecting", 1),
+            (None, "cannot read: [Errno 2]", 1),
+        ],
+        ids=["invalid", "truncated", "missing"],
+    )
+    @pytest.mark.parametrize("validate_only", [True, False], ids=["validate", "report"])
+    def test_trace_report_rejects_invalid_file(
+        self, tmp_path, capsys, content, problem, lines, validate_only
+    ):
+        """A file that cannot be read, parsed or validated is a problem
+        of that file: ``path: ...`` lines, exit 1, no traceback."""
         from repro.cli import main
 
         bad = tmp_path / "bad.json"
-        bad.write_text('{"traceEvents": [{"ph": "X", "ts": -3}]}', encoding="utf-8")
-        assert main(["trace-report", "--validate-only", str(bad)]) == 1
+        if content is not None:
+            bad.write_text(content, encoding="utf-8")
+        flags = ["--validate-only"] if validate_only else []
+        assert main(["trace-report", *flags, str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == lines and problem in err[0]
+        assert all(line.startswith(f"{bad}: ") for line in err)

@@ -21,12 +21,12 @@ from repro.core.similarity import Jaccard
 from repro.data.synthetic import generate_citeseerx, generate_dblp
 from repro.join.blocks import BlockPolicy
 from repro.join.config import JoinConfig
-from repro.join.driver import ssjoin_rs, ssjoin_self
+from repro.join.driver import ssjoin_self
 from repro.join.records import make_line
 from repro.join.stage1 import stage1_jobs
 from repro.join.stage2 import make_pk_reducer, make_self_mapper, owner_of, stage2_self_job
 from repro.join.stage2_rs import stage2_rs_job
-from repro.mapreduce import ClusterConfig, InMemoryDFS, SimulatedCluster
+from repro.mapreduce import SimulatedCluster
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Context
 from repro.mapreduce.pipeline import run_pipeline
@@ -35,7 +35,6 @@ from repro.mapreduce.types import InsufficientMemoryError
 from tests.conftest import (
     SCHEMA_1,
     assert_pk_funnel_closes,
-    make_cluster,
     oracle_rs_pairs,
     oracle_self_pairs,
     pair_keys,
@@ -43,6 +42,7 @@ from tests.conftest import (
     run_stage2,
     run_stage2_rs,
 )
+from tests.matrix import BASE, cell
 
 SIM = Jaccard()
 THRESHOLD = 0.5  # long prefixes: most answer pairs share several tokens
@@ -373,34 +373,16 @@ class TestStage2JobOwnership:
 
 @pytest.mark.parametrize("stage3", ["brj", "oprj"])
 @pytest.mark.parametrize("kernel", ["bk", "pk"])
-def test_stage2_output_is_the_answer_end_to_end(rng, make_engine, kernel, stage3):
+def test_stage2_output_is_the_answer_end_to_end(make_engine, kernel, stage3):
     """``stage2.pairs_output == stage3.record_pairs_output`` on both
-    engines: nothing is left for Stage 3 to deduplicate."""
-    config = JoinConfig(
-        threshold=THRESHOLD, schema=SCHEMA_1, kernel=kernel, stage3=stage3,
-        routing="grouped", num_groups=5,
+    engines (the matrix's universal assertion, on the sequential
+    reference and the pooled cell): nothing is left for Stage 3 to
+    deduplicate."""
+    config = BASE.with_options(
+        kernel=kernel, stage3=stage3, routing="grouped", num_groups=5
     )
-    records = random_records(rng, 70)
-    s_records = random_records(rng, 50, rid_base=1000)
-    pooled = make_engine(config=ClusterConfig(), dfs=InMemoryDFS())
-    for cluster in (make_cluster(), pooled):
-        cluster.dfs.write("r", records)
-        cluster.dfs.write("s", s_records)
-        for report, expected in (
-            (ssjoin_self(cluster, "r", config), oracle_self_pairs(records, config)),
-            (
-                ssjoin_rs(cluster, "r", "s", config),
-                oracle_rs_pairs(records, s_records, config),
-            ),
-        ):
-            counters = report.counters()
-            assert (
-                counters["stage2.pairs_output"]
-                == counters["stage3.record_pairs_output"]
-                == len(cluster.dfs.read_all(report.output_file))
-                == len(expected)
-                > 0
-            )
+    for workload in ("self", "rs"):
+        assert cell(make_engine, workload, config, engine="persistent").pairs
 
 
 def test_pinned_stage2_pairs_of_dblp_2000():

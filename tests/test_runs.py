@@ -96,6 +96,34 @@ def test_load_run_errors(tmp_path):
         load_run(directory, "20260101")
 
 
+@pytest.mark.parametrize(
+    "registry, ref, message",
+    [
+        (True, "zzz", "no run matching 'zzz'"),
+        (True, "20260101", "ambiguous run ref '20260101'"),
+        (False, "latest", "no runs recorded under"),
+        (True, "truncated.json", "truncated.json: Unterminated string"),
+    ],
+    ids=["unknown", "ambiguous", "empty-registry", "truncated-manifest"],
+)
+@pytest.mark.parametrize("command", ["show", "diff"])
+def test_cli_runs_user_errors_exit_2(
+    tmp_path, monkeypatch, capsys, registry, ref, message, command
+):
+    """A ref that names no single readable manifest is the user's error:
+    one ``repro runs: error:`` line and exit 2, as ``selfjoin`` does."""
+    directory = str(tmp_path / "reg")
+    if registry:
+        write_run_manifest(directory, {"id": "20260101-000000-aaaa"})
+        write_run_manifest(directory, {"id": "20260101-000000-bbbb"})
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "truncated.json").write_text('{"id": "2026', encoding="utf-8")
+    refs = [ref] if command == "show" else ["20260101-000000-aaaa", ref]
+    assert main(["runs", command, *refs, "--runs-dir", directory]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("repro runs: error: ") and message in line
+
+
 def test_diff_runs(rng):
     config, report = _join_report(rng)
     a = build_run_manifest(

@@ -1,10 +1,11 @@
 """Live telemetry: hub mechanics, progress rendering, the observe-only
 differential guarantee, and task credit under injected faults.
 
-The differential matrix is the tentpole contract: with a TelemetryHub
-(and progress view) attached, every engine must produce bit-identical
-join output and identical telemetry-stripped counters versus the same
-run with telemetry off — across both kernels, self and R-S joins.
+The observe-only contract is a set of differential-matrix cells
+(``tests/matrix.py``): with a TelemetryHub (and progress view) attached,
+every engine must produce bit-identical join output and identical
+telemetry-stripped counters versus the same run with telemetry off —
+across both kernels, self and R-S joins.
 """
 
 import io
@@ -12,12 +13,6 @@ import re
 
 import pytest
 
-from repro.data.synthetic import generate_citeseerx, generate_dblp
-from repro.join.config import JoinConfig
-from repro.join.driver import ssjoin_rs, ssjoin_self
-from repro.mapreduce.cluster import ClusterConfig
-from repro.mapreduce.dfs import InMemoryDFS
-from repro.mapreduce.faults import FaultPlan
 from repro.obs.telemetry import (
     ProgressView,
     TelemetryHub,
@@ -25,60 +20,23 @@ from repro.obs.telemetry import (
     strip_telemetry_counters,
 )
 
-DBLP = generate_dblp(150, seed=7)
-CITESEERX = generate_citeseerx(100, seed=11, rid_base=10_000_000, shared_with=DBLP)
-
-
-def _cluster(make_engine, engine: str, fault_plan: FaultPlan | None = None):
-    return make_engine(
-        engine, ClusterConfig(num_nodes=4), InMemoryDFS(num_nodes=4, block_bytes=2048),
-        fault_plan=fault_plan,
-    )
-
-
-def _run_join(
-    cluster, kernel: str, join: str, telemetry: bool,
-):
-    hub = None
-    if telemetry:
-        stream = io.StringIO()
-        hub = TelemetryHub(view=ProgressView(stream=stream, interval_s=0.0))
-        cluster.telemetry = hub
-    config = JoinConfig(threshold=0.8, kernel=kernel)
-    if join == "self":
-        cluster.dfs.write("records", DBLP)
-        report = ssjoin_self(cluster, "records", config)
-    else:
-        cluster.dfs.write("r", CITESEERX)
-        cluster.dfs.write("s", DBLP)
-        report = ssjoin_rs(cluster, "r", "s", config)
-    pairs = sorted(cluster.dfs.read_all(report.output_file))
-    if hub is not None:
-        hub.close()
-    return pairs, report.counters(), hub
-
+from tests.matrix import BASE, cell, run_join
 
 @pytest.mark.parametrize("engine", ["sequential", "persistent"])
 @pytest.mark.parametrize("kernel", ["bk", "pk"])
 @pytest.mark.parametrize("join", ["self", "rs"])
 def test_telemetry_is_observe_only(make_engine, engine, kernel, join):
-    pairs_off, counters_off, _ = _run_join(
-        _cluster(make_engine, engine), kernel, join, telemetry=False
-    )
-    pairs_on, counters_on, hub = _run_join(
-        _cluster(make_engine, engine), kernel, join, telemetry=True
-    )
-    assert pairs_on == pairs_off
-    assert strip_telemetry_counters(counters_on) == strip_telemetry_counters(
-        counters_off
+    run = cell(
+        make_engine, join, BASE.with_options(kernel=kernel),
+        engine=engine, observer="telemetry",
     )
     # the run was actually observed, not silently unplugged
-    hub_counters = hub.counters()
+    hub_counters = run.observer.counters()
     assert hub_counters["telemetry.phases"] > 0
     assert hub_counters["telemetry.tasks"] > 0
     # driver folded the hub's counters into the report
-    assert counters_on["telemetry.tasks"] == hub_counters["telemetry.tasks"]
-    assert pairs_off, "matrix case produced no pairs; weak test"
+    assert run.counters["telemetry.tasks"] == hub_counters["telemetry.tasks"]
+    assert run.pairs, "matrix case produced no pairs; weak test"
 
 
 #: CI's chaos plan (cli-smoke): a worker crash in Stage 2, a raise in
@@ -92,14 +50,11 @@ CHAOS_PLAN = (
 def test_every_task_is_credited_once_under_chaos(make_engine, engine):
     """Telemetry under pool respawn: whatever happened to a task's
     attempts, the hub hears of the task once."""
-    pairs_clean, _counters, clean = _run_join(
-        _cluster(make_engine, engine), "pk", "self", telemetry=True
+    clean, chaos = (
+        cell(make_engine, engine=engine, faults=faults, observer="telemetry")
+        for faults in (None, CHAOS_PLAN)
     )
-    pairs, counters, hub = _run_join(
-        _cluster(make_engine, engine, FaultPlan.parse(CHAOS_PLAN)),
-        "pk", "self", telemetry=True,
-    )
-    assert pairs == pairs_clean
+    counters, hub = chaos.counters, chaos.observer
     assert counters["fault.injected"] == 3 and counters["task.retries"] >= 1
     if engine == "persistent":
         assert counters["task.lost"] >= 1
@@ -108,7 +63,7 @@ def test_every_task_is_credited_once_under_chaos(make_engine, engine):
         assert state.finished is not None
         assert state.done_tasks == state.total_tasks, state.key
     for name in ("telemetry.tasks", "telemetry.phases"):
-        assert hub.counters()[name] == clean.counters()[name]
+        assert hub.counters()[name] == clean.observer.counters()[name]
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +146,12 @@ def test_progress_advances_per_finished_task(make_engine, engine):
     tasks shows intermediate ``k/N`` lines between ``0/N`` and the
     closing ``N/N ... done``."""
     stream = io.StringIO()
-    cluster = _cluster(make_engine, engine)
+    cluster = make_engine(engine)
     cluster.telemetry = TelemetryHub(
         view=ProgressView(stream=stream, interval_s=0.0, is_tty=False)
     )
-    cluster.dfs.write("records", DBLP)
     try:
-        ssjoin_self(cluster, "records", JoinConfig(threshold=0.8, kernel="pk"))
+        run_join(cluster, "self")
     finally:
         cluster.close()
     cluster.telemetry.close()
