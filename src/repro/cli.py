@@ -62,8 +62,6 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-bitmap-filter", action="store_true",
                         help="disable bitmap-signature candidate pruning "
                              "(on by default; output is identical either way)")
-    parser.add_argument("--bitmap-width", type=int, default=64,
-                        help="bitmap signature width in bits (default: 64)")
     parser.add_argument("--dfs-dir", default=None, metavar="PATH",
                         help="back the DFS with this directory instead of RAM")
     parser.add_argument("--sanitize", action="store_true",
@@ -90,10 +88,11 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                              "'squeeze' lowers the simulated memory budget to "
                              "cap_mb MB and is absorbed by the degradation "
                              "ladder, not by task retries")
-    parser.add_argument("--max-task-retries", type=int, default=None,
+    parser.add_argument("--max-task-attempts", type=int, default=None,
                         metavar="N",
-                        help="attempts allowed per task before the join "
-                             "fails (default: 4)")
+                        help="attempts allowed per task, the first run "
+                             "included, before the join fails (default: 4; "
+                             "1 = no retries)")
     parser.add_argument("--progress", action="store_true",
                         help="live progress on stderr: a per-phase bar of "
                              "finished tasks with throughput and ETA; "
@@ -131,7 +130,6 @@ def _build_config(args: argparse.Namespace) -> JoinConfig:
         stage3=args.stage3,
         blocks=blocks,
         bitmap_filter=not args.no_bitmap_filter,
-        bitmap_width=args.bitmap_width,
         sanitize=args.sanitize,
         auto_degrade=not args.no_auto_degrade,
     )
@@ -143,11 +141,15 @@ def _fault_options(args: argparse.Namespace) -> dict:
 
     fault_plan = FaultPlan.load(args.faults) if args.faults else None
     retry_policy = None
-    if args.max_task_retries is not None:
+    if args.max_task_attempts is not None:
         import dataclasses
 
+        if args.max_task_attempts < 1:
+            raise ValueError(
+                f"--max-task-attempts must be >= 1, got {args.max_task_attempts}"
+            )
         retry_policy = dataclasses.replace(
-            DEFAULT_RETRY_POLICY, max_attempts=args.max_task_retries
+            DEFAULT_RETRY_POLICY, max_attempts=args.max_task_attempts
         )
     return {"fault_plan": fault_plan, "retry_policy": retry_policy}
 

@@ -32,6 +32,7 @@ pool worker) holds the whole RID-pair list and its by-RID index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 from repro.core.similarity import SimilarityFunction, get_similarity_function
 from repro.core.tokenizers import Tokenizer, WordTokenizer
@@ -77,9 +78,9 @@ class JoinConfig:
     #: *replaces* the recursive suffix filter, which it empirically
     #: subsumes at a fraction of the cost; the positional filter stays.
     bitmap_filter: bool = True
-    #: signature width in bits for ``bitmap_filter`` (wider = fewer
-    #: collisions = more pruning, slightly larger shuffle records)
-    bitmap_width: int = 64
+    #: signature width in bits for ``bitmap_filter`` — a constant, not
+    #: a field: no run uses another width (the kernels still take one)
+    bitmap_width: ClassVar[int] = 64
     #: runtime sanitizer mode (see :mod:`repro.analysis.sanitize`):
     #: wraps the Stage-2 kernels and shuffle with observe-only invariant
     #: checks — reduce-input length sortedness, a sampled filter
@@ -113,10 +114,6 @@ class JoinConfig:
             raise ValueError(
                 f"threshold must be at most {self.sim.max_threshold} for "
                 f"{self.sim.name} similarity, got {self.threshold}"
-            )
-        if self.bitmap_width < 1:
-            raise ValueError(
-                f"bitmap_width must be >= 1, got {self.bitmap_width}"
             )
         if self.num_groups is not None and self.num_groups < 1:
             raise ValueError(f"num_groups must be >= 1, got {self.num_groups}")

@@ -39,10 +39,7 @@ from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.pipeline import run_pipeline
 
 #: the pool engine drags in ``multiprocessing``: sequential joins skip it
-_LAZY = dict.fromkeys(
-    ("PersistentExecutor", "PersistentParallelCluster"),
-    "repro.mapreduce.executor",
-)
+_LAZY = {"PersistentParallelCluster": "repro.mapreduce.executor"}
 
 
 def __getattr__(name: str) -> Any:  # PEP 562: import on first use
@@ -62,7 +59,6 @@ __all__ = [
     "JobStats",
     "LocalDiskDFS",
     "MapReduceJob",
-    "PersistentExecutor",
     "PersistentParallelCluster",
     "PhaseStats",
     "RetryPolicy",

@@ -37,6 +37,7 @@ import gc
 import heapq
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import groupby
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, TypeVar
@@ -460,11 +461,14 @@ class TaskLedger:
     """What the parent books for one task across its attempts: the
     ``fault.*`` / ``task.*`` counters and their trace instants.
 
-    The retry loops differ per engine (one task at a time here, chunks
-    in flight in the executor); what an attempt *is* they share through
-    :func:`repro.mapreduce.faults.run_attempt`, and what they book per
-    task through one ledger each, settled into the winning attempt's
-    counters — so chaos bookkeeping rides the existing counter path.
+    There are two retry loops: one task at a time in the driver
+    (:meth:`SimulatedCluster._attempt_task`), chunks in flight in the
+    pooled dispatch loop, which hands a degraded phase's tasks to the
+    driver's loop with their ledgers.  What an attempt *is* they share
+    through :func:`repro.mapreduce.faults.run_attempt`, and what they
+    book per task through one ledger each, settled once into the
+    winning attempt's counters — so chaos bookkeeping rides the existing
+    counter path.
     """
 
     def __init__(
@@ -684,6 +688,7 @@ class SimulatedCluster:
 
             def run(
                 limit: int | None,
+                attempt: int,
                 task_id: int = task_id,
                 input_name: str = input_name,
                 records: list = records,
@@ -712,6 +717,7 @@ class SimulatedCluster:
 
             def run(
                 limit: int | None,
+                attempt: int,
                 partition: int = partition,
                 bucket: list = bucket,
             ) -> tuple:
@@ -727,28 +733,33 @@ class SimulatedCluster:
         job: MapReduceJob,
         phase: str,
         task_id: int,
-        run: Callable[[int | None], _TaskResult],
+        run: Callable[[int | None, int], _TaskResult],
+        ledger: TaskLedger | None = None,
+        attempt: int = 0,
     ) -> _TaskResult:
         """Run one task under the cluster's fault plan and retry policy.
 
-        ``run(memory_limit)`` executes one attempt
+        ``run(memory_limit, attempt)`` executes one attempt
         (:func:`repro.mapreduce.faults.run_attempt` wraps it).  Injected
         faults and genuine failures are retried up to the policy's
         attempt budget; fault and retry tallies are merged into the
         winning attempt's counters.  Non-retryable errors (the simulated
         memory budget) propagate raw; an exhausted budget raises the
-        last attempt's :class:`TaskError`.
+        last attempt's :class:`TaskError`.  A task a pooled phase hands
+        over brings its *ledger* and starts at its next *attempt*.
         """
         plan, hub = self.fault_plan, self.telemetry
         policy = self.retry_policy or DEFAULT_RETRY_POLICY
         limit = self.config.memory_per_task_bytes
         where = (job.name, phase, task_id)
-        ledger = TaskLedger(plan, self.tracer, *where)
-        attempt = 0
+        if ledger is None:
+            ledger = TaskLedger(plan, self.tracer, *where)
         while True:
             ledger.note_fault(attempt)
             try:
-                result = run_attempt(plan, *where, attempt, limit, run)
+                result = run_attempt(
+                    plan, *where, attempt, limit, partial(run, attempt=attempt)
+                )
             except TaskError:
                 attempt += 1
                 if attempt >= policy.max_attempts:

@@ -8,8 +8,8 @@ parent → worker again for the reduce phase.
 
 This module removes both costs:
 
-* :class:`PersistentExecutor` owns **one long-lived fork pool** that
-  survives across phases and across the chained jobs of a pipeline.
+* :class:`PersistentParallelCluster` owns **one long-lived fork pool**
+  that survives across phases and across the chained jobs of a pipeline.
   Job specifications carry closures (mappers capture the
   :class:`~repro.join.config.JoinConfig`, reducers capture kernels) and
   cannot be pickled, so jobs are handed to workers through an explicit
@@ -30,7 +30,7 @@ This module removes both costs:
   The spill directory is created under ``/dev/shm`` when that is
   writable, so the files are RAM-backed tmpfs pages with an ordinary
   file lifecycle: each phase's directory is removed by the shuffle
-  handle's ``cleanup()`` (also on phase failure), and the executor's
+  handle's ``cleanup()`` (also on phase failure), and the cluster's
   ``close()`` / finalizer removes the whole spill root.
 
 The pool is a :class:`concurrent.futures.ProcessPoolExecutor` on the
@@ -44,11 +44,10 @@ outputs are **byte-identical** to
 :class:`~repro.mapreduce.cluster.SimulatedCluster` (asserted by the
 determinism test suite).
 
-:class:`PersistentParallelCluster` is the drop-in cluster built on the
-engine.  ``pipeline.run_pipeline`` and the ``join.driver`` entry points
-call :meth:`PersistentParallelCluster.prepare_jobs` with every job of
-an end-to-end join before the first phase runs, so one join forks
-exactly one pool (``JoinReport.executor_summary()["pools_created"]``).
+``pipeline.run_pipeline`` and the ``join.driver`` entry points call
+:meth:`PersistentParallelCluster.prepare_jobs` with every job of an
+end-to-end join before the first phase runs, so one join forks exactly
+one pool (``JoinReport.executor_summary()["pools_created"]``).
 """
 
 from __future__ import annotations
@@ -63,7 +62,8 @@ import traceback
 import weakref
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from repro.analysis.sanitize import env_sanitize
 from repro.mapreduce.cluster import (
@@ -88,7 +88,6 @@ from repro.mapreduce.faults import (
 )
 from repro.mapreduce.job import Broadcast, MapReduceJob
 from repro.mapreduce.types import ExecutorPhaseStats, approx_bytes
-from repro.obs.telemetry import TelemetryHub
 from repro.obs.trace import Tracer, trace_span
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
@@ -127,27 +126,21 @@ def _effective_cores() -> int:
 # worker side
 # ---------------------------------------------------------------------------
 # These globals exist only inside worker processes; the parent never
-# assigns them.  They are populated by the pool initializer, whose
-# arguments are fork-inherited (not pickled), which is what allows the
-# registry to hold closures.
+# reads or assigns them.  They are populated by the pool initializer,
+# whose arguments are fork-inherited (not pickled), which is what allows
+# the registry to hold closures.
 
 _W_JOBS: Sequence[MapReduceJob] = ()
 _W_DFS: InMemoryDFS | None = None
 _W_BCAST_CACHE: dict[str, Broadcast] = {}
 
 
-def _set_worker_globals(jobs: Sequence[MapReduceJob], dfs: InMemoryDFS | None) -> None:
+def _worker_init(jobs: Sequence[MapReduceJob], dfs: InMemoryDFS | None) -> None:
     global _W_JOBS, _W_DFS
     _W_JOBS = jobs
     _W_DFS = dfs
-    _W_BCAST_CACHE.clear()
-
-
-def _worker_init(jobs: Sequence[MapReduceJob], dfs: InMemoryDFS | None) -> None:
-    _set_worker_globals(jobs, dfs)
-    # lets 'crash' faults really kill the process; the parent uses
-    # _set_worker_globals directly for degraded inline execution, where
-    # a crash fault must raise instead
+    # lets 'crash' faults really kill the process; in the driver a crash
+    # fault raises instead
     mark_worker_process()
     # entered and never left: a worker runs nothing but tasks and exits
     # with the pool
@@ -253,22 +246,34 @@ def _read_segments(refs: list[SegmentRef]) -> list:
 
 def _map_attempt(
     job: MapReduceJob, task_id: int, attempt: int, limit: int | None,
-    tracer: Tracer | None, phase_args: tuple, input_name: str, spec: tuple,
+    tracer: Tracer | None, phase_args: tuple, input_name: str, records: list,
+    broadcast: Broadcast,
 ) -> tuple:
-    """One map attempt: run the task, spill its partitioned output.
-    Returns ``(stats, path, segments, counters)`` — the shuffled bytes
-    ride in ``stats.partition_bytes``, and the counters come last, as in
-    every task result."""
-    phase_dir, bcast_path, broadcast_bytes, broadcast_cpu, map_slots = phase_args
+    """One map attempt, in a worker or in the driver: run the task,
+    spill its partitioned output.  Returns ``(stats, path, segments,
+    counters)`` — the shuffled bytes ride in ``stats.partition_bytes``,
+    and the counters come last, as in every task result."""
+    phase_dir, _bcast_path, broadcast_bytes, broadcast_cpu, map_slots = phase_args
     stats, partitioned, counters = execute_map_task(
-        job, task_id, input_name, _resolve_records(spec),
-        _broadcast_for(bcast_path), broadcast_bytes, broadcast_cpu,
-        limit, map_slots, tracer=tracer,
+        job, task_id, input_name, records, broadcast, broadcast_bytes,
+        broadcast_cpu, limit, map_slots, tracer=tracer,
     )
     path, segments = _spill_map_output(
         phase_dir, f"m{task_id}a{attempt}", partitioned, job.num_reducers
     )
     return stats, path, segments, counters
+
+
+def _map_in_worker(
+    job: MapReduceJob, task_id: int, attempt: int, limit: int | None,
+    tracer: Tracer | None, phase_args: tuple, input_name: str, spec: tuple,
+) -> tuple:
+    """A worker's map attempt: the records come from the fork-inherited
+    DFS snapshot or the payload, the broadcast from its spill file."""
+    return _map_attempt(
+        job, task_id, attempt, limit, tracer, phase_args, input_name,
+        _resolve_records(spec), _broadcast_for(phase_args[1]),
+    )
 
 
 def _reduce_attempt(
@@ -281,7 +286,7 @@ def _reduce_attempt(
     )
 
 
-_ATTEMPT = {"map": _map_attempt, "reduce": _reduce_attempt}
+_ATTEMPT = {"map": _map_in_worker, "reduce": _reduce_attempt}
 
 
 def _run_chunk(args: tuple) -> tuple:
@@ -292,7 +297,7 @@ def _run_chunk(args: tuple) -> tuple:
     for a reduce task.  Per-task failures never poison the chunk: the
     return value separates successful attempts (``oks``) from failed
     ones (``errs``), each tagged with its task id and attempt, so the
-    parent's retry engine can act per task.
+    parent's dispatch loop can act per task.
     """
     chunk_index, jid, phase, common, phase_args, tasks = args
     memory_limit, trace, plan = common
@@ -388,7 +393,7 @@ class MapShuffle:
         return sum(length for _path, _off, length in self.refs_for(partition))
 
     def load(self, partition: int) -> list:
-        """Read one partition's bucket in the parent (inline-reduce path)."""
+        """Read one partition's bucket in the driver (inline reduce)."""
         return _read_segments(self.refs_for(partition))
 
     def cleanup(self) -> None:
@@ -400,48 +405,64 @@ class MapShuffle:
                 pass
 
 
-class PersistentExecutor:
-    """A long-lived fork pool plus the job registry its workers inherit.
+# ---------------------------------------------------------------------------
+# the cluster
+# ---------------------------------------------------------------------------
 
-    Life cycle: :meth:`register_jobs` is called with every job of an
-    end-to-end pipeline *before* the first phase executes; the pool
+
+class PersistentParallelCluster(SimulatedCluster):
+    """A :class:`SimulatedCluster` running on a persistent worker pool.
+
+    Semantics, stats and outputs are byte-identical to the sequential
+    engine; only the physical execution differs: the job loop is the
+    inherited :meth:`SimulatedCluster.run_job`, and this class overrides
+    just its two phase runners (pool when ``_use_*_pool`` says so, else
+    the inherited in-driver runner).  ``workers`` defaults to the cores
+    this process may run on; phases with fewer tasks than
+    :data:`MIN_TASKS_FOR_POOL` run inline, where forking never pays.
+
+    Pooling is also gated on the *effective core count*: below
+    :data:`MIN_CORES_FOR_POOL` worker processes merely time-slice one
+    core, so every phase runs inline and the engine degrades gracefully
+    to (almost) sequential cost.
+
+    Life cycle of the pool: :meth:`prepare_jobs` registers every job of
+    an end-to-end pipeline *before* the first phase executes; the pool
     forks lazily on the first pooled phase and is reused by every later
     phase of every registered job.  Registering a genuinely new job
     after the fork marks the pool stale and the next phase re-forks —
     correctness is never at risk, only the reuse win.
+
+    Use as a context manager (or call :meth:`close`) to release the
+    pool and spill files eagerly; a finalizer covers the rest.
     """
 
     def __init__(
         self,
-        workers: int | None = None,
+        config: ClusterConfig | None = None,
         dfs: InMemoryDFS | None = None,
+        workers: int | None = None,
+        fault_plan: FaultPlan | None = None,
+        retry_policy: RetryPolicy | None = None,
     ) -> None:
+        super().__init__(
+            config, dfs, fault_plan=fault_plan, retry_policy=retry_policy
+        )
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
-                "PersistentExecutor requires the 'fork' start method; "
+                "PersistentParallelCluster requires the 'fork' start method; "
                 "use SimulatedCluster on this platform"
             )
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers or _effective_cores()
-        #: attach a :class:`repro.obs.trace.Tracer` to collect worker
-        #: task spans (set by the owning cluster; observe-only)
-        self.tracer: Tracer | None = None
-        #: deterministic fault-injection schedule (set by the cluster)
-        self.fault_plan: FaultPlan | None = None
-        #: retry knobs (set by the cluster; None = defaults)
-        self.retry_policy: RetryPolicy | None = None
-        #: progress collector, told of every finished task (set by the
-        #: cluster; observe-only)
-        self.telemetry: TelemetryHub | None = None
         #: True once repeated pool deaths exhausted the respawn budget;
-        #: the engine then runs everything inline (sequential fallback)
+        #: every later phase then runs in the driver (sequential fallback)
         self.degraded = False
-        #: pools lost to a dead worker over this executor's life
+        #: pools lost to a dead worker over this cluster's life
         self._respawns = 0
         self._jobs: list[MapReduceJob] = []
         self._job_ids: dict[int, int] = {}
-        self._dfs = dfs
         # DFS state captured at fork time: block-record-list identity ->
         # (file, block index) so map inputs already present in the
         # workers' inherited snapshot cross as tiny references instead
@@ -453,19 +474,18 @@ class PersistentExecutor:
         self._stale = False
         self._spill_root: str | None = None
         #: removes the spill root once: on close(), else when this
-        #: executor is collected or the interpreter exits (after
+        #: cluster is collected or the interpreter exits (after
         #: concurrent.futures has stopped the workers)
         self._remove_spill_root: weakref.finalize | None = None
         self._phase_seq = 0
 
-    # -- registry ---------------------------------------------------------
+    # -- life cycle -------------------------------------------------------
 
-    def register_jobs(self, jobs: Iterable[MapReduceJob]) -> None:
-        """Add *jobs* to the registry (idempotent per job object).
-
-        Must be called before the pool forks for the jobs to ride the
-        fork; late registrations still work but force a pool re-fork.
-        """
+    def prepare_jobs(self, jobs: Iterable[MapReduceJob]) -> None:
+        """Add *jobs* to the registry the workers inherit (idempotent per
+        job object), so one pool serves them all.  Called by
+        ``run_pipeline`` and the join drivers; a job registered after
+        the fork forces a re-fork."""
         added = False
         for job in jobs:
             if id(job) not in self._job_ids:
@@ -477,31 +497,8 @@ class PersistentExecutor:
 
     def _job_id(self, job: MapReduceJob) -> int:
         if id(job) not in self._job_ids:
-            self.register_jobs([job])
+            self.prepare_jobs([job])
         return self._job_ids[id(job)]
-
-    def map_ref_fraction(self, map_inputs: list[tuple[int, str, list]]) -> float:
-        """Fraction of *map_inputs* the workers can read from their
-        fork-inherited DFS snapshot (shipped as references, not data).
-
-        When the pool does not exist yet (or is stale) the next phase
-        re-forks and snapshots the current DFS, so every block of an
-        existing file will be reference-reachable — the fraction is 1.
-        """
-        if self._dfs is None:
-            return 0.0
-        if self._pool is None or self._stale:
-            return 1.0
-        if not map_inputs:
-            return 1.0
-        hits = 0
-        for _task_id, input_name, records in map_inputs:
-            ref = self._block_refs.get(id(records))
-            if ref is not None and ref[0] == input_name:
-                hits += 1
-        return hits / len(map_inputs)
-
-    # -- pool -------------------------------------------------------------
 
     def _ensure_pool(self) -> bool:
         """Start the pool if absent or stale; returns True when it did.
@@ -522,17 +519,16 @@ class PersistentExecutor:
             )
         self._block_refs = {}
         self._snapshot_files = []
-        if self._dfs is not None:
-            for name in self._dfs.listdir():
-                dfs_file = self._dfs.file(name)
-                self._snapshot_files.append(dfs_file)
-                for index, block in enumerate(dfs_file.blocks):
-                    self._block_refs[id(block.records)] = (name, index)
+        for name in self.dfs.listdir():
+            dfs_file = self.dfs.file(name)
+            self._snapshot_files.append(dfs_file)
+            for index, block in enumerate(dfs_file.blocks):
+                self._block_refs[id(block.records)] = (name, index)
         self._pool = ProcessPoolExecutor(
             self.workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_worker_init,
-            initargs=(tuple(self._jobs), self._dfs),
+            initargs=(tuple(self._jobs), self.dfs),
         )
         self._stale = False
         return True
@@ -554,7 +550,190 @@ class PersistentExecutor:
             self._remove_spill_root()
             self._remove_spill_root = self._spill_root = None
 
-    # -- phases -----------------------------------------------------------
+    def __enter__(self) -> "PersistentParallelCluster":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # -- phase runners ----------------------------------------------------
+
+    def _use_map_pool(self, map_inputs: list[tuple[int, str, list]]) -> bool:
+        """Pool the map phase when it has enough tasks *and* its inputs
+        are mostly readable from the workers' fork-inherited DFS
+        snapshot — when most blocks would have to be pickled into the
+        task payloads instead, shipping costs more than the cores earn
+        (the seed executor's failure mode this engine exists to fix).
+        When the pool does not exist yet (or is stale) the phase re-forks
+        and snapshots the current DFS, so every input is reachable."""
+        if (
+            self.degraded
+            or self.workers < 2
+            or _effective_cores() < MIN_CORES_FOR_POOL
+            or len(map_inputs) < MIN_TASKS_FOR_POOL
+        ):
+            return False
+        if self._pool is None or self._stale:
+            return True
+        hits = sum(
+            self._snapshot_ref(input_name, records) is not None
+            for _task_id, input_name, records in map_inputs
+        )
+        return hits / len(map_inputs) >= 0.5
+
+    def _snapshot_ref(self, input_name: str, records: list) -> tuple[str, int] | None:
+        """``(file, block index)`` of *records* in the workers'
+        fork-inherited DFS snapshot, or None when they are not in it."""
+        ref = self._block_refs.get(id(records))
+        return ref if ref is not None and ref[0] == input_name else None
+
+    def _use_reduce_pool(self, shuffle: object, num_tasks: int) -> bool:
+        """Pool the reduce phase only behind a pooled map: the buckets
+        then stream worker→disk→worker without the driver re-pickling a
+        single pair.  After an inline map the buckets live in driver
+        memory and shipping them out is pure overhead."""
+        return (
+            isinstance(shuffle, MapShuffle)
+            and not self.degraded
+            and self.workers > 1
+            and num_tasks >= MIN_TASKS_FOR_POOL
+        )
+
+    def _begin_phase(
+        self, job: MapReduceJob, num_tasks: int
+    ) -> tuple[ExecutorPhaseStats, float]:
+        self._job_id(job)  # a late registration must precede the fork check
+        ex = ExecutorPhaseStats(mode="pool", workers=self.workers, tasks=num_tasks)
+        t0 = time.perf_counter()
+        ex.pools_created = int(self._ensure_pool())
+        return ex, t0
+
+    def _run_map_phase(
+        self,
+        job: MapReduceJob,
+        map_inputs: list[tuple[int, str, list]],
+        broadcast: tuple[Broadcast, int, float],
+    ) -> tuple[list, object, ExecutorPhaseStats]:
+        """Run one map phase on the pool with spilled shuffle output
+        (else in the driver); returns ``(task_results, shuffle,
+        phase_stats)``, the shuffle referencing the spilled partitions."""
+        if not self._use_map_pool(map_inputs):
+            results, shuffle, _ = super()._run_map_phase(job, map_inputs, broadcast)
+            return results, shuffle, ExecutorPhaseStats(
+                mode="inline", tasks=len(map_inputs)
+            )
+        ex, t0 = self._begin_phase(job, len(map_inputs))
+        self._phase_seq += 1
+        assert self._spill_root is not None
+        phase_dir = os.path.join(self._spill_root, f"p{self._phase_seq}")
+        broadcast_data, broadcast_bytes, broadcast_cpu = broadcast
+
+        bcast_path = None
+        if broadcast_data:
+            bcast_path = os.path.join(
+                self._spill_root, f"p{self._phase_seq}.bcast"
+            )
+            blob = pickle.dumps(dict(broadcast_data), _PICKLE)
+            with open(bcast_path, "wb") as handle:
+                handle.write(blob)
+            ex.bytes_to_workers += len(blob)
+
+        task_payloads: dict[int, tuple] = {}
+        inputs: dict[int, tuple[str, list]] = {}
+        for task_id, input_name, records in map_inputs:
+            ref = self._snapshot_ref(input_name, records)
+            if ref is not None:
+                # the block is part of the workers' fork-inherited DFS
+                # snapshot — ship a reference, not the records
+                spec: tuple = ("ref", ref[0], ref[1])
+                ex.bytes_to_workers += 24
+            else:
+                spec = ("data", records)
+                ex.bytes_to_workers += 8 + sum(approx_bytes(r) for r in records)
+            task_payloads[task_id] = (input_name, spec)
+            inputs[task_id] = (input_name, records)
+        phase_args = (
+            phase_dir, bcast_path, broadcast_bytes, broadcast_cpu,
+            self.config.map_slots,
+        )
+
+        def in_driver(task_id: int, limit: int | None, attempt: int) -> tuple:
+            return _map_attempt(
+                job, task_id, attempt, limit, self.tracer, phase_args,
+                *inputs[task_id], broadcast_data,
+            )
+
+        shuffle = MapShuffle(job.num_reducers, phase_dir, bcast_path)
+        task_results = []
+        try:
+            cores = self._dispatch(
+                job, "map", ex, phase_args, task_payloads, in_driver
+            )
+        except BaseException:
+            # leak fix: a failing phase must not orphan the spill files
+            # of its completed attempts (the pool, and with it every
+            # spill writer, has stopped — see _dispatch)
+            shuffle.cleanup()
+            raise
+        for stats, path, segments, counters in cores:
+            shuffle.add_task(path, segments, stats.partition_bytes)
+            ex.bytes_from_workers += approx_bytes(counters) + 96
+            task_results.append((stats, counters))
+        ex.spill_bytes_written = shuffle.spilled_bytes
+        ex.wall_s = time.perf_counter() - t0
+        return task_results, shuffle, ex
+
+    def _run_reduce_phase(
+        self, job: MapReduceJob, shuffle: object, partitions: list[int]
+    ) -> tuple[list, ExecutorPhaseStats]:
+        """Run one reduce task per partition on the pool (else in the
+        driver): each reduce worker reads its partition's spill-file
+        segments straight from the map output — the zero-repickle path;
+        the driver only routes the references.  Returns ``([(TaskStats,
+        written, counters), ...], phase_stats)`` in partition order."""
+        if not self._use_reduce_pool(shuffle, len(partitions)):
+            results, _ = super()._run_reduce_phase(job, shuffle, partitions)
+            inline = ExecutorPhaseStats(mode="inline", tasks=len(partitions))
+            if isinstance(shuffle, MapShuffle):
+                inline.spill_bytes_read = sum(
+                    shuffle.segment_bytes(p) for p in partitions
+                )
+            return results, inline
+        assert isinstance(shuffle, MapShuffle)
+        ex, t0 = self._begin_phase(job, len(partitions))
+        task_payloads = {p: (shuffle.refs_for(p),) for p in partitions}
+        bucket_bytes = {
+            p: sum(length for _path, _off, length in refs)
+            for p, (refs,) in task_payloads.items()
+        }
+        ex.spill_bytes_read = sum(bucket_bytes.values())
+        ex.bytes_to_workers += 24 * sum(
+            len(refs) for (refs,) in task_payloads.values()
+        )
+
+        def in_driver(partition: int, limit: int | None, attempt: int) -> tuple:
+            return _reduce_attempt(
+                job, partition, attempt, limit, self.tracer, (),
+                *task_payloads[partition],
+            )
+
+        # LPT scheduling: submit the heaviest partitions (by shuffled
+        # bytes) first so a hot bucket never queues behind a full wave
+        # of small ones.  Only the submission order changes — results
+        # are reassembled in partition order, so output bytes are
+        # unaffected.
+        dispatch_order = sorted(bucket_bytes, key=lambda p: (-bucket_bytes[p], p))
+        # on failure the map spill files feeding this phase are cleaned
+        # by the caller's shuffle handle
+        task_results = self._dispatch(
+            job, "reduce", ex, (), task_payloads, in_driver, dispatch_order
+        )
+        for stats, _written, counters in task_results:
+            ex.bytes_from_workers += approx_bytes(counters) + stats.output_bytes + 96
+        ex.wall_s = time.perf_counter() - t0
+        return task_results, ex
+
+    # -- the pooled dispatch loop -----------------------------------------
 
     def _chunk(self, tasks: list) -> list[list]:
         """Split *tasks* into contiguous chunks (order-preserving)."""
@@ -567,16 +746,16 @@ class PersistentExecutor:
         job: MapReduceJob,
         phase: str,
         ex: ExecutorPhaseStats,
-        common: tuple,
         phase_args: tuple,
         task_payloads: dict[int, tuple],
+        in_driver: Callable[[int, int | None, int], tuple],
         dispatch_order: list[int] | None = None,
     ) -> list[tuple]:
-        """Run every task of one phase on the pool, fault-tolerantly.
+        """Run every task of one phase on the pool, fault-tolerantly,
+        under a trace span.
 
-        The engine submits contiguous task chunks and waits for the
-        first to complete, so it reacts while attempts are still in
-        flight:
+        The loop submits contiguous task chunks and waits for the first
+        to complete, so it reacts while attempts are still in flight:
 
         * **retries**: a failed attempt is re-dispatched (bounded by
           the :class:`RetryPolicy` attempt budget); the budget
@@ -586,8 +765,10 @@ class PersistentExecutor:
           chunk with :class:`BrokenProcessPool`.  Those attempts are
           lost; a new pool is started and every unsatisfied task
           re-dispatched.  Exhausting the respawn budget degrades the
-          engine to inline execution in the parent — the sequential
-          fallback — for the rest of its life.
+          cluster: the driver's retry loop (:meth:`_attempt_task`, over
+          ``in_driver(task, limit, attempt)``) finishes each unsatisfied
+          task from its next attempt on, and every later phase runs in
+          the driver.
 
         *dispatch_order*, when given, reorders only the **initial chunk
         submission** (longest-processing-time-first for skewed reduce
@@ -602,11 +783,12 @@ class PersistentExecutor:
         must be satisfied exactly once.  A task never has two attempts
         in flight: a retry follows the failure it answers, and a pool
         death drops every flight before anything is re-dispatched.
-        Sets ``ex.chunks`` and counts respawned pools in
-        ``ex.pools_created``.
+        Sets ``ex.chunks`` and ``ex.busy_s`` and counts respawned pools
+        in ``ex.pools_created``.
         """
         policy = self.retry_policy or DEFAULT_RETRY_POLICY
-        plan = self.fault_plan
+        plan, hub, tracer = self.fault_plan, self.telemetry, self.tracer
+        common = (self.config.memory_per_task_bytes, tracer is not None, plan)
         jid = self._job_id(job)
         order = list(task_payloads)  # task order: reassembly follows it
         results: dict[int, tuple] = {}
@@ -616,11 +798,10 @@ class PersistentExecutor:
         failures: dict[int, TaskError] = {}
         #: in-flight chunks, in submission order, and the tasks each carries
         flights: dict[Future, list[int]] = {}
-        inline_mode = self.degraded
-        hub = self.telemetry
-        ledgers = {t: TaskLedger(plan, self.tracer, job.name, phase, t) for t in order}
+        #: the tasks this loop settles; the driver's loop settles the rest
+        ledgers = {t: TaskLedger(plan, tracer, job.name, phase, t) for t in order}
 
-        def build_payload(batch: list[int]) -> tuple:
+        def submit(batch: list[int]) -> None:
             entries = []
             for t in batch:
                 attempt = next_attempt[t]
@@ -629,13 +810,6 @@ class PersistentExecutor:
                 entries.append((t, attempt, *task_payloads[t]))
             payload = (ex.chunks, jid, phase, common, phase_args, entries)
             ex.chunks += 1
-            return payload
-
-        def submit(batch: list[int]) -> None:
-            payload = build_payload(batch)
-            if inline_mode:
-                absorb(_run_chunk(payload))
-                return
             try:
                 future = self._pool.submit(_run_chunk, payload)
             except BrokenProcessPool as exc:
@@ -647,14 +821,12 @@ class PersistentExecutor:
 
         def absorb(result: tuple) -> None:
             _chunk_index, oks, errs, events = result
-            if events and self.tracer is not None:
-                self.tracer.absorb(events)
+            if events and tracer is not None:
+                tracer.absorb(events)
             for t, _attempt, core in oks:
                 results[t] = core
                 if hub is not None:
-                    hub.task_finished(
-                        job.name, phase, t, core[0].input_records
-                    )
+                    hub.task_finished(job.name, phase, t, core[0].input_records)
             for t, _attempt, exc, retryable in errs:
                 handle_failure(t, exc, retryable)
 
@@ -668,10 +840,9 @@ class PersistentExecutor:
             submit([t])
 
         def recover_pool_death() -> None:
-            nonlocal inline_mode
             self._respawns += 1
-            if self.tracer is not None:
-                self.tracer.instant(
+            if tracer is not None:
+                tracer.instant(
                     "pool-respawn", "fault", job=job.name, phase=phase,
                     respawns=self._respawns,
                 )
@@ -690,50 +861,45 @@ class PersistentExecutor:
                     job.name, phase, t, attempt=next_attempt[t] - 1,
                     cause="attempt lost to a dead worker, retry budget spent",
                 )
-            if self._respawns > policy.max_pool_respawns:
-                inline_mode = True
-                self.degraded = True
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "executor-degraded", "fault", job=job.name,
-                        phase=phase, respawns=self._respawns,
-                    )
-                _set_worker_globals(tuple(self._jobs), self._dfs)
-            else:
+            if self._respawns <= policy.max_pool_respawns:
                 ex.pools_created += int(self._ensure_pool())
-            for chunk in self._chunk(unsatisfied):
-                submit(chunk)
+                for chunk in self._chunk(unsatisfied):
+                    submit(chunk)
+                return
+            self.degraded = True
+            if tracer is not None:
+                tracer.instant(
+                    "executor-degraded", "fault", job=job.name,
+                    phase=phase, respawns=self._respawns,
+                )
+            for t in unsatisfied:
+                results[t] = self._attempt_task(
+                    job, phase, t, partial(in_driver, t), ledgers.pop(t),
+                    next_attempt[t],
+                )
 
-        if inline_mode:
-            _set_worker_globals(tuple(self._jobs), self._dfs)
-        if dispatch_order is not None:
-            # deal the size-sorted tasks round-robin over the chunk
-            # budget: contiguous chunking would put every heavy task in
-            # the same chunk (one worker), defeating the LPT order
-            target = max(1, self.workers * _CHUNKS_PER_WORKER)
-            n = max(1, min(target, len(dispatch_order)))
-            initial = [dispatch_order[i::n] for i in range(n)]
-        else:
-            initial = self._chunk(order)
-        try:
+        def run_phase() -> None:
+            if dispatch_order is not None:
+                # deal the size-sorted tasks round-robin over the chunk
+                # budget: contiguous chunking would put every heavy task
+                # in the same chunk (one worker), defeating the LPT order
+                target = max(1, self.workers * _CHUNKS_PER_WORKER)
+                n = max(1, min(target, len(dispatch_order)))
+                initial = [dispatch_order[i::n] for i in range(n)]
+            else:
+                initial = self._chunk(order)
             for chunk in initial:
                 if chunk:
                     submit(chunk)
 
             while len(results) < len(order):
                 if not flights:
-                    # inline submits are synchronous and every pooled
-                    # flight came back: whatever is still unsatisfied
-                    # exhausted its budget en route
+                    # every flight came back: whatever is still
+                    # unsatisfied exhausted its budget en route
                     t = next(t for t in order if t not in results)
                     raise failures.get(t) or TaskError(
-                        job.name, phase, t,
-                        attempt=max(0, next_attempt[t] - 1),
-                        cause=(
-                            "task never completed"
-                            if inline_mode
-                            else "every attempt was lost in flight"
-                        ),
+                        job.name, phase, t, attempt=max(0, next_attempt[t] - 1),
+                        cause="every attempt was lost in flight",
                     )
                 done, _ = wait(flights, return_when=FIRST_COMPLETED)
                 broken = False
@@ -762,159 +928,15 @@ class PersistentExecutor:
                 raise RuntimeError(
                     f"dispatch satisfied {len(results)} of {len(order)} tasks"
                 )
-            for t in order:
-                ledgers[t].settle(results[t], next_attempt[t] - 1)
-            return [results[t] for t in order]
-        finally:
-            # on every way out, reference counting must free the phase:
-            # submit -> absorb -> handle_failure -> submit is a cycle of
-            # closure cells holding its payloads and results, open once
-            # one cell is emptied; and an error leaving through the
-            # helpers would reach itself (traceback -> frame -> closure
-            # -> failures) if it stayed on file
-            del submit
-            failures.clear()
+            for t, ledger in ledgers.items():
+                ledger.settle(results[t], next_attempt[t] - 1)
 
-    def run_map_phase(
-        self,
-        job: MapReduceJob,
-        map_inputs: list[tuple[int, str, list]],
-        broadcast_data: dict[str, list],
-        broadcast_bytes: int,
-        broadcast_cpu: float,
-        memory_limit: int | None,
-        map_slots: int,
-    ) -> tuple[list, MapShuffle, ExecutorPhaseStats]:
-        """Execute one map phase on the pool with spilled shuffle output.
-
-        Returns ``(task_results, shuffle, phase_stats)`` where
-        ``task_results`` is ``[(TaskStats, counters), ...]`` in task
-        order and ``shuffle`` references the spilled partitions.
-        """
-        ex, t0 = self._begin_phase(job, len(map_inputs))
-        self._phase_seq += 1
-        assert self._spill_root is not None
-        phase_dir = os.path.join(self._spill_root, f"p{self._phase_seq}")
-
-        bcast_path = None
-        if broadcast_data:
-            bcast_path = os.path.join(
-                self._spill_root, f"p{self._phase_seq}.bcast"
-            )
-            blob = pickle.dumps(dict(broadcast_data), _PICKLE)
-            with open(bcast_path, "wb") as handle:
-                handle.write(blob)
-            ex.bytes_to_workers += len(blob)
-
-        task_payloads: dict[int, tuple] = {}
-        for task_id, input_name, records in map_inputs:
-            ref = self._block_refs.get(id(records))
-            if ref is not None and ref[0] == input_name:
-                # the block is part of the workers' fork-inherited DFS
-                # snapshot — ship a reference, not the records
-                spec: tuple = ("ref", ref[0], ref[1])
-                ex.bytes_to_workers += 24
-            else:
-                spec = ("data", records)
-                ex.bytes_to_workers += 8 + sum(approx_bytes(r) for r in records)
-            task_payloads[task_id] = (input_name, spec)
-
-        shuffle = MapShuffle(job.num_reducers, phase_dir, bcast_path)
-        task_results = []
-        try:
-            cores = self._dispatch_phase(
-                job, "map", ex, memory_limit,
-                (phase_dir, bcast_path, broadcast_bytes, broadcast_cpu, map_slots),
-                task_payloads,
-            )
-        except BaseException:
-            # leak fix: a failing phase must not orphan the spill files
-            # of its completed attempts (the pool, and with it every
-            # spill writer, has stopped — see _dispatch_phase)
-            shuffle.cleanup()
-            raise
-        for stats, path, segments, counters in cores:
-            shuffle.add_task(path, segments, stats.partition_bytes)
-            ex.bytes_from_workers += approx_bytes(counters) + 96
-            task_results.append((stats, counters))
-        ex.spill_bytes_written = shuffle.spilled_bytes
-        ex.wall_s = time.perf_counter() - t0
-        return task_results, shuffle, ex
-
-    def run_reduce_phase(
-        self,
-        job: MapReduceJob,
-        reduce_tasks: list[tuple[int, list[SegmentRef]]],
-        memory_limit: int | None,
-    ) -> tuple[list, ExecutorPhaseStats]:
-        """Execute one reduce phase on the pool.
-
-        ``reduce_tasks`` is ``[(partition_index, segment_refs), ...]``:
-        each reduce worker reads its partition's spill-file segments
-        straight from the map output — the zero-repickle path; the
-        parent only routes the references.  Returns
-        ``([(TaskStats, written, counters), ...], phase_stats)`` in
-        partition order.
-        """
-        ex, t0 = self._begin_phase(job, len(reduce_tasks))
-        bucket_bytes = {
-            p: sum(length for _path, _off, length in refs)
-            for p, refs in reduce_tasks
-        }
-        ex.spill_bytes_read = sum(bucket_bytes.values())
-        ex.bytes_to_workers += 24 * sum(len(refs) for _p, refs in reduce_tasks)
-        # LPT scheduling: submit the heaviest partitions (by shuffled
-        # bytes) first so a hot bucket never queues behind a full wave
-        # of small ones.  Only the submission order changes — results
-        # are reassembled in partition order, so output bytes are
-        # unaffected.
-        dispatch_order = sorted(bucket_bytes, key=lambda p: (-bucket_bytes[p], p))
-        # on failure the map spill files feeding this phase are cleaned
-        # by the caller's shuffle handle
-        task_results = self._dispatch_phase(
-            job, "reduce", ex, memory_limit, (),
-            {p: (refs,) for p, refs in reduce_tasks}, dispatch_order,
-        )
-        for stats, _written, counters in task_results:
-            ex.bytes_from_workers += approx_bytes(counters) + stats.output_bytes + 96
-        ex.wall_s = time.perf_counter() - t0
-        return task_results, ex
-
-    def _begin_phase(
-        self, job: MapReduceJob, num_tasks: int
-    ) -> tuple[ExecutorPhaseStats, float]:
-        self._job_id(job)  # a late registration must precede the fork check
-        ex = ExecutorPhaseStats(mode="pool", workers=self.workers, tasks=num_tasks)
-        t0 = time.perf_counter()
-        ex.pools_created = int(self._ensure_pool())
-        return ex, t0
-
-    def _dispatch_phase(
-        self,
-        job: MapReduceJob,
-        phase: str,
-        ex: ExecutorPhaseStats,
-        memory_limit: int | None,
-        phase_args: tuple,
-        task_payloads: dict[int, tuple],
-        dispatch_order: list[int] | None = None,
-    ) -> list[tuple]:
-        """Dispatch one phase's tasks under a trace span; returns the
-        task results in task order (the order of *task_payloads*)."""
-        common = (
-            memory_limit,
-            self.tracer is not None,
-            self.fault_plan,
-        )
         try:
             with trace_span(
-                self.tracer, f"dispatch-{phase}:{job.name}", "dispatch",
+                tracer, f"dispatch-{phase}:{job.name}", "dispatch",
                 job=job.name, workers=self.workers,
             ) as span:
-                cores = self._dispatch(
-                    job, phase, ex, common, phase_args, task_payloads,
-                    dispatch_order,
-                )
+                run_phase()
                 span.set(chunks=ex.chunks)
         except BaseException as exc:
             # no spill writer may outlive the caller's removal of the
@@ -925,130 +947,15 @@ class PersistentExecutor:
             # argument) and the error's traceback holds them
             traceback.clear_frames(exc.__traceback__)
             raise
+        finally:
+            # on every way out, reference counting must free the phase:
+            # submit -> absorb -> handle_failure -> submit is a cycle of
+            # closure cells holding its payloads and results, open once
+            # one cell is emptied; and an error leaving through the
+            # helpers would reach itself (traceback -> frame -> closure
+            # -> failures) if it stayed on file
+            del submit
+            failures.clear()
+        cores = [results[t] for t in order]
         ex.busy_s = sum(core[0].cpu_seconds for core in cores)
         return cores
-
-
-# ---------------------------------------------------------------------------
-# the cluster
-# ---------------------------------------------------------------------------
-
-
-class PersistentParallelCluster(SimulatedCluster):
-    """A :class:`SimulatedCluster` running on a persistent worker pool.
-
-    Semantics, stats and outputs are byte-identical to the sequential
-    engine; only the physical execution differs: the job loop is the
-    inherited :meth:`SimulatedCluster.run_job`, and this class overrides
-    just its two phase runners (pool when ``_use_*_pool`` says so, else
-    the inherited in-driver runner).  ``workers`` defaults to the cores
-    this process may run on; phases with fewer tasks than
-    :data:`MIN_TASKS_FOR_POOL` run inline, where forking never pays.
-
-    Pooling is also gated on the *effective core count*: below
-    :data:`MIN_CORES_FOR_POOL` worker processes merely time-slice one
-    core, so every phase runs inline and the engine degrades gracefully
-    to (almost) sequential cost.
-
-    Use as a context manager (or call :meth:`close`) to release the
-    pool and spill files eagerly; a finalizer covers the rest.
-    """
-
-    def __init__(
-        self,
-        config: ClusterConfig | None = None,
-        dfs: InMemoryDFS | None = None,
-        workers: int | None = None,
-        fault_plan: FaultPlan | None = None,
-        retry_policy: RetryPolicy | None = None,
-    ) -> None:
-        super().__init__(
-            config, dfs, fault_plan=fault_plan, retry_policy=retry_policy
-        )
-        self.executor = PersistentExecutor(workers=workers, dfs=self.dfs)
-        self.workers = self.executor.workers
-
-    # -- life cycle -------------------------------------------------------
-
-    def prepare_jobs(self, jobs: Iterable[MapReduceJob]) -> None:
-        """Register the jobs of an upcoming pipeline so one pool serves
-        them all.  Called by ``run_pipeline`` and the join drivers."""
-        self.executor.register_jobs(jobs)
-
-    def close(self) -> None:
-        self.executor.close()
-
-    def __enter__(self) -> "PersistentParallelCluster":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- execution --------------------------------------------------------
-
-    def _use_map_pool(self, map_inputs: list) -> bool:
-        """Pool the map phase when it has enough tasks *and* its inputs
-        are mostly readable from the workers' fork-inherited DFS
-        snapshot — when most blocks would have to be pickled into the
-        task payloads instead, shipping costs more than the cores earn
-        (the seed executor's failure mode this engine exists to fix)."""
-        return (
-            not self.executor.degraded
-            and self.workers > 1
-            and _effective_cores() >= MIN_CORES_FOR_POOL
-            and len(map_inputs) >= MIN_TASKS_FOR_POOL
-            and self.executor.map_ref_fraction(map_inputs) >= 0.5
-        )
-
-    def _use_reduce_pool(self, shuffle: object, num_tasks: int) -> bool:
-        """Pool the reduce phase only behind a pooled map: the buckets
-        then stream worker→disk→worker without the parent re-pickling a
-        single pair.  After an inline map the buckets live in parent
-        memory and shipping them out is pure overhead."""
-        return (
-            isinstance(shuffle, MapShuffle)
-            and not self.executor.degraded
-            and self.workers > 1
-            and num_tasks >= MIN_TASKS_FOR_POOL
-        )
-
-    def _pooled(self) -> PersistentExecutor:
-        """The executor, wired to this cluster's observers and fault
-        knobs."""
-        executor = self.executor
-        executor.tracer = self.tracer
-        executor.fault_plan = self.fault_plan
-        executor.retry_policy = self.retry_policy
-        executor.telemetry = self.telemetry
-        return executor
-
-    def _run_map_phase(
-        self, job: MapReduceJob, map_inputs: list, broadcast: tuple
-    ) -> tuple[list, object, ExecutorPhaseStats]:
-        if not self._use_map_pool(map_inputs):
-            results, shuffle, _ = super()._run_map_phase(job, map_inputs, broadcast)
-            return results, shuffle, ExecutorPhaseStats(
-                mode="inline", tasks=len(map_inputs)
-            )
-        return self._pooled().run_map_phase(
-            job, map_inputs, *broadcast,
-            self.config.memory_per_task_bytes, self.config.map_slots,
-        )
-
-    def _run_reduce_phase(
-        self, job: MapReduceJob, shuffle: object, partitions: list[int]
-    ) -> tuple[list, ExecutorPhaseStats]:
-        if not self._use_reduce_pool(shuffle, len(partitions)):
-            results, _ = super()._run_reduce_phase(job, shuffle, partitions)
-            inline = ExecutorPhaseStats(mode="inline", tasks=len(partitions))
-            if isinstance(shuffle, MapShuffle):
-                inline.spill_bytes_read = sum(
-                    shuffle.segment_bytes(p) for p in partitions
-                )
-            return results, inline
-        assert isinstance(shuffle, MapShuffle)
-        return self._pooled().run_reduce_phase(
-            job,
-            [(p, shuffle.refs_for(p)) for p in partitions],
-            self.config.memory_per_task_bytes,
-        )

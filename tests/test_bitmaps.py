@@ -158,10 +158,9 @@ class TestPipelineDifferential:
         corpora,
         st.sampled_from([0.5, 0.8]),
         st.sampled_from(["bk", "pk"]),
-        st.sampled_from([1, 64]),
     )
     @heavy
-    def test_self_join_on_equals_off(self, titles_list, threshold, kernel, width):
+    def test_self_join_on_equals_off(self, titles_list, threshold, kernel):
         records = to_records(titles_list)
         base = JoinConfig(
             threshold=threshold,
@@ -169,25 +168,20 @@ class TestPipelineDifferential:
             kernel=kernel,
             bitmap_filter=False,
         )
-        on = base.with_options(bitmap_filter=True, bitmap_width=width)
+        on = base.with_options(bitmap_filter=True)
         p_off, _ = set_similarity_self_join(records, base, cluster=make_cluster())
         p_on, _ = set_similarity_self_join(records, on, cluster=make_cluster())
         assert sorted(p_on) == sorted(p_off)
 
-    @given(
-        corpora,
-        corpora,
-        st.sampled_from(["bk", "pk"]),
-        st.sampled_from([1, 64]),
-    )
+    @given(corpora, corpora, st.sampled_from(["bk", "pk"]))
     @heavy
-    def test_rs_join_on_equals_off(self, r_titles, s_titles, kernel, width):
+    def test_rs_join_on_equals_off(self, r_titles, s_titles, kernel):
         r = to_records(r_titles)
         s = to_records(s_titles, base=1000)
         base = JoinConfig(
             threshold=0.5, schema=SCHEMA_1, kernel=kernel, bitmap_filter=False
         )
-        on = base.with_options(bitmap_filter=True, bitmap_width=width)
+        on = base.with_options(bitmap_filter=True)
         p_off, _ = set_similarity_rs_join(r, s, base, cluster=make_cluster())
         p_on, _ = set_similarity_rs_join(r, s, on, cluster=make_cluster())
         assert sorted(p_on) == sorted(p_off)

@@ -97,11 +97,14 @@ class TestUserErrors:
 
     @pytest.mark.parametrize("flags,message", [
         (["--blocks", "4"], "block processing applies to the BK kernel"),
-        (["--bitmap-width", "0"], "bitmap_width must be >= 1"),
+        # the signature width is a constant now, flag and all
+        (["--bitmap-width", "0"], "unrecognized arguments: --bitmap-width 0"),
         (["--routing", "grouped", "--num-groups", "0"], "num_groups must be >= 1"),
         # plan-time memory admission is gone, flag and all
         (["--memory-budget-mb", "64"], "unrecognized arguments: --memory-budget-mb 64"),
         (["--threshold", "1.5"], "threshold must be at most 1.0 for jaccard"),
+        # renamed to --max-task-attempts: it always counted attempts
+        (["--max-task-retries", "1"], "unrecognized arguments: --max-task-retries 1"),
     ])
     def test_bad_config_is_reported_before_the_input_is_opened(
         self, tmp_path, capsys, flags, message
@@ -114,6 +117,7 @@ class TestUserErrors:
     @pytest.mark.parametrize("flags,message", [
         (["--nodes", "0"], "num_nodes must be >= 1"),
         (["--parallel", "-1"], "workers must be >= 1"),
+        (["--max-task-attempts", "0"], "--max-task-attempts must be >= 1"),
     ])
     def test_bad_cluster_shape(self, catalog, tmp_path, capsys, flags, message):
         argv = ["selfjoin", str(catalog)] + flags
@@ -154,7 +158,7 @@ class TestFailedJoin:
     def _args(self, catalog, tmp_path):
         return [
             "selfjoin", str(catalog), "-o", str(tmp_path / "pairs.tsv"),
-            "--faults", "raise:oprj", "--max-task-retries", "1",
+            "--faults", "raise:oprj", "--max-task-attempts", "1",
         ]
 
     def test_trace_is_exported(self, catalog, tmp_path):

@@ -98,7 +98,7 @@ class TestPausedWhereTasksRun:
         with closing(cluster):
             cluster.dfs.write("records", records)
             ssjoin_self(cluster, "records", JoinConfig(threshold=0.5, schema=SCHEMA_1))
-            assert cluster.executor.degraded
+            assert cluster.degraded
             assert gc.isenabled() == caller_state
             stats, flags = run_probe(cluster)
             assert stats.map_executor.mode == stats.reduce_executor.mode == "inline"
@@ -194,7 +194,7 @@ class TestAFailedPhaseIsAcyclic:
                     pytest.fail(f"{error.__name__} expected")
                 if isinstance(cluster, PersistentParallelCluster):
                     # a pool was started: the failed phase was pooled
-                    assert cluster.executor._spill_root is not None
+                    assert cluster._spill_root is not None
             return gc.collect()
 
     @pytest.mark.parametrize("engine", ENGINES)

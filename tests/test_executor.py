@@ -40,7 +40,6 @@ from repro.mapreduce.cluster import (
 from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.executor import (
     MapShuffle,
-    PersistentExecutor,
     PersistentParallelCluster,
 )
 from repro.mapreduce.faults import FaultPlan
@@ -324,7 +323,6 @@ class TestPoolLifecycle:
         """Under a CPU-affinity limit the default pool is no larger than
         the cores this process may run on."""
         monkeypatch.setattr(executor_module, "_effective_cores", lambda: 3)
-        assert PersistentExecutor().workers == 3
         assert PersistentParallelCluster().workers == 3
 
     def test_memory_error_propagates_from_pool_worker(self, make_engine):
@@ -357,7 +355,7 @@ class TestPoolLifecycle:
         def sabotage():
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
-                pool = persistent.executor._pool
+                pool = persistent._pool
                 if pool is not None and len(pool._processes or ()) == 2:
                     broken["pids"] = list(pool._processes)
                     broken["lock"] = pool._result_queue._wlock

@@ -16,16 +16,21 @@ persistent engine, and stage checkpoint/resume
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
+import random
 import re
 import tempfile
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.join.checkpoint import CheckpointMismatchError, JoinCheckpoint
+from repro.join.driver import ssjoin_self
+from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.diskdfs import LocalDiskDFS
 from repro.mapreduce.faults import (
     FAULT_KINDS,
@@ -38,7 +43,7 @@ from repro.mapreduce.faults import (
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import InsufficientMemoryError
 
-from tests.conftest import fork_only, small_config
+from tests.conftest import fork_only, random_records, small_config
 from tests.matrix import (
     BASE,
     WORKLOADS,
@@ -281,7 +286,59 @@ class TestExecutorChaos:
             make_engine, engine="persistent", faults="crash:*:map:*:0",
             retry_policy=RetryPolicy(max_pool_respawns=0),
         )
-        assert run.cluster.executor.degraded
+        assert run.cluster.degraded
+
+    def test_degraded_phase_bookkeeping(self, make_engine):
+        """The first map phase loses its pool (5 attempts in flight), the
+        budget is spent, and the phase finishes in the driver, where each
+        crash fault fails its attempt instead of killing a worker: 12
+        retries, every task of the join on its second attempt."""
+        run = cell(
+            make_engine, engine="persistent", faults="crash:*:map:*:0",
+            retry_policy=RetryPolicy(max_pool_respawns=0), observer="trace",
+        )
+        booked = {
+            name: value
+            for name, value in run.counters.items()
+            if name.startswith(("fault.injected", "task.", "hist.task.attempts."))
+        }
+        assert booked == {
+            "fault.injected": 17,
+            "task.lost": 5,
+            "task.retries": 12,
+            "hist.task.attempts.b2": 17,
+            "hist.task.attempts.n": 17,
+            "hist.task.attempts.sum": 34,
+        }
+        instants = [
+            event["name"] for event in run.observer.raw_events()
+            if event["ph"] == "i" and event["cat"] == "fault"
+        ]
+        assert instants.count("pool-respawn") == 1
+        assert instants.count("executor-degraded") == 1
+        assert run.report.executor_summary()["pools_created"] == 1
+
+    def test_degraded_engine_frees_its_dfs_after_close(self, monkeypatch):
+        """Nothing of a degraded engine's last phase stays pinned in the
+        driver: once the cluster is closed and dropped, so is its DFS."""
+        from repro.mapreduce import executor
+
+        monkeypatch.setattr(executor, "MIN_TASKS_FOR_POOL", 1)
+        monkeypatch.setattr(executor, "MIN_CORES_FOR_POOL", 1)
+        dfs = InMemoryDFS(num_nodes=4, block_bytes=512)
+        cluster = executor.PersistentParallelCluster(
+            small_config(), dfs, workers=2,
+            fault_plan=FaultPlan.parse("crash:*:map:*:0"),
+            retry_policy=RetryPolicy(max_pool_respawns=0),
+        )
+        with cluster:
+            dfs.write("r", random_records(random.Random(3), 300))
+            report = ssjoin_self(cluster, "r", BASE)
+            assert cluster.degraded
+        dfs_ref = weakref.ref(dfs)
+        del cluster, dfs, report
+        gc.collect()
+        assert dfs_ref() is None
 
     def test_exhaustion_tears_pool_down_and_engine_stays_usable(self, make_engine):
         persistent = make_engine(
@@ -293,7 +350,7 @@ class TestExecutorChaos:
                 run_join(persistent, "self")
             assert exc_info.value.phase == "map"
             # the failed phase tore the pool down (no orphaned workers)
-            assert persistent.executor._pool is None
+            assert persistent._pool is None
             # and a fault-free rerun on the same engine still succeeds
             persistent.fault_plan = None
             assert_same_join(run_join(persistent, "self", prefix="retry"), "self")
@@ -389,7 +446,7 @@ class TestSpillHygiene:
         )
         with persistent:
             run = run_join(persistent, "self")
-            assert persistent.executor.degraded
+            assert persistent.degraded
             self._assert_roots_empty(before)
         assert_same_join(run, "self")
         assert _spill_roots() - before == set()
