@@ -297,8 +297,8 @@ def _check_mr004(
 ) -> None:
     """Closure capture of handles/locks/pools in MR functions.
 
-    Jobs are handed to pool workers through the fork-inherited job
-    registry (``executor._W_JOBS``): a closure is never pickled, it is
+    A job reaches its pool's workers as a fork-inherited initializer
+    argument (``executor._W_JOB``): a closure is never pickled, it is
     duplicated, and so is everything it captured.
     """
     outer: dict[str, str] = {}

@@ -58,7 +58,7 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                         help="print per-stage simulated times to stderr")
     parser.add_argument("--parallel", type=int, metavar="WORKERS", default=None,
                         help="run map/reduce tasks on this many worker processes "
-                             "(persistent pool, one fork per join)")
+                             "(one pool per job that pools)")
     parser.add_argument("--no-bitmap-filter", action="store_true",
                         help="disable bitmap-signature candidate pruning "
                              "(on by default; output is identical either way)")

@@ -227,14 +227,6 @@ def _num_reducers(config: JoinConfig, cluster: SimulatedCluster) -> int:
     return cluster.config.reduce_slots
 
 
-def _prepare(cluster: SimulatedCluster, stages: list) -> None:
-    """Register a whole join's jobs with the cluster, so a persistent
-    pool forks once for all of them (a no-op on the sequential engine)."""
-    cluster.prepare_jobs(
-        [job for _, stage_jobs, _, _ in stages for job in stage_jobs]
-    )
-
-
 def _run_stage(
     cluster: SimulatedCluster,
     report: JoinReport,
@@ -243,9 +235,9 @@ def _run_stage(
     jobs: list,
     span_args: dict,
 ) -> None:
-    """Run one stage's jobs (already registered, see :func:`_prepare`)
-    into ``report.<name>``, adding the measured wall seconds to
-    ``report.stage_wall_s`` (also when the stage raises)."""
+    """Run one stage's jobs into ``report.<name>``, adding the measured
+    wall seconds to ``report.stage_wall_s`` (also when the stage
+    raises)."""
     started = time.perf_counter()
     try:
         with trace_span(tracer, name, "stage", **span_args):
@@ -262,7 +254,6 @@ def _run_stages(
     done: list[str],
     config: JoinConfig,
     build,
-    stages: list,
 ) -> JoinConfig:
     """Run (or restore) the join's stages in order, surviving Stage-2
     and Stage-3 memory faults by degrading the plan; return the config
@@ -271,14 +262,12 @@ def _run_stages(
 
     *build(config)* returns the join's stage list
     ``[(name, jobs, output_files, span_args), ...]`` for one concrete
-    config; *stages* is the list the caller already built (and whose
-    jobs it registered with the persistent pool — re-invoking *build*
-    would mint fresh job objects and force a pool respawn per stage).
-    *build* is re-invoked only when the config actually changes.  A
-    stage already recorded in the checkpoint is restored into the
-    cluster DFS instead of re-run — its :class:`JobStats` stays empty
-    and ``resume.stages_skipped`` is bumped — and every freshly run
-    stage is checkpointed before the next one starts.
+    config; it is invoked once for the starting config and again
+    whenever a memory step changes it.  A stage already recorded in the
+    checkpoint is restored into the cluster DFS instead of re-run — its
+    :class:`JobStats` stays empty and ``resume.stages_skipped`` is
+    bumped — and every freshly run stage is checkpointed before the
+    next one starts.
 
     A Stage-2 or Stage-3 :class:`InsufficientMemoryError` is treated
     as a *plan fault* when ``config.auto_degrade`` is on: the next
@@ -307,9 +296,7 @@ def _run_stages(
                 tracer.instant(
                     "memory-steps-replayed", "fault", steps=list(steps)
                 )
-    if steps:
-        stages = build(config)
-        _prepare(cluster, stages)
+    stages = build(config)
     index = 0
     while index < len(stages):
         name, jobs, outputs, span_args = stages[index]
@@ -350,7 +337,6 @@ def _run_stages(
             if checkpoint is not None:
                 checkpoint.save_memory_steps(report.memory_steps)
             stages = build(config)
-            _prepare(cluster, stages)
             continue
         if checkpoint is not None:
             checkpoint.save_stage(name, cluster.dfs, outputs)
@@ -393,10 +379,7 @@ def _ssjoin(
     output_file = f"{prefix}.joined"
     stage2_job = stage2_rs_job if is_rs else stage2_self_job
 
-    # Every stage's jobs are constructible from DFS file names alone, so
-    # build them all before anything runs: clusters with a persistent
-    # worker pool then fork exactly once for the whole join.  The
-    # builder is re-invoked whenever a memory fault degrades the plan.
+    # re-invoked whenever a memory fault degrades the plan
     def build(cfg: JoinConfig) -> list:
         s1 = stage1_jobs(cfg, files[:1], token_order_file, reducers)
         s2 = [stage2_job(cfg, *files, token_order_file, pairs_file, reducers)]
@@ -417,9 +400,6 @@ def _ssjoin(
             ("stage3", s3, [output_file], {"algorithm": cfg.stage3}),
         ]
 
-    stages = build(config)
-    _prepare(cluster, stages)
-
     done: list[str] = []
     if checkpoint is not None:
         # identity is the requested config: a resumed run replays the
@@ -436,7 +416,7 @@ def _ssjoin(
         routing=config.routing, kernel=config.kernel,
     ):
         report.combo = _run_stages(
-            cluster, report, tracer, checkpoint, done, config, build, stages
+            cluster, report, tracer, checkpoint, done, config, build
         ).combo_name
     _merge_telemetry(cluster, report)
     return report

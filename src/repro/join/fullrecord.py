@@ -112,7 +112,6 @@ def full_record_self_join(
     tracer = cluster.tracer
     stage1 = stage1_jobs(config, [records_file], token_order_file, reducers)
     stage2 = full_record_job(config, records_file, token_order_file, output_file, reducers)
-    cluster.prepare_jobs([*stage1, stage2])
     _run_stage(cluster, report, tracer, "stage1", stage1, {"algorithm": config.stage1})
     _run_stage(cluster, report, tracer, "stage2", [stage2], {"kernel": "fullrecord"})
     return report

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterator, TypeVar
 
 from repro.mapreduce.counters import (
     COMBINE_INPUT_RECORDS,
@@ -561,14 +561,9 @@ class SimulatedCluster:
 
     # -- public API ---------------------------------------------------------
 
-    def prepare_jobs(self, jobs: Iterable[MapReduceJob]) -> None:
-        """Announce the jobs of an upcoming pipeline.  Nothing to do
-        here; a cluster with a worker pool forks it once for all of
-        them (see :mod:`repro.mapreduce.executor`)."""
-
     def close(self) -> None:
         """Release what the cluster holds outside the DFS (idempotent):
-        nothing here, the worker pool and spill files of a pooled one."""
+        nothing here, the spill files of a pooled one."""
 
     def run_job(self, job: MapReduceJob) -> PhaseStats:
         """Run one job; writes ``job.output`` to the DFS and returns stats.

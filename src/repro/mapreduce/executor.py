@@ -1,4 +1,4 @@
-"""Persistent multi-core execution engine.
+"""Pooled multi-core execution engine.
 
 Forking a fresh process pool for every map and reduce phase makes a
 three-stage BTO-PK-BRJ pipeline (five MapReduce jobs) pay pool startup
@@ -6,20 +6,18 @@ up to ten times, and sends every intermediate ``(key, value)`` pair
 across two pickle boundaries: worker → parent after the map phase and
 parent → worker again for the reduce phase.
 
-This module removes both costs:
+This module pays the first cost once per job and the second never:
 
-* :class:`PersistentParallelCluster` owns **one long-lived fork pool**
-  that survives across phases and across the chained jobs of a pipeline.
-  Job specifications carry closures (mappers capture the
-  :class:`~repro.join.config.JoinConfig`, reducers capture kernels) and
-  cannot be pickled, so jobs are handed to workers through an explicit
-  **per-pool job registry** passed as the pool initializer argument —
-  with the ``fork`` start method initializer arguments are inherited
-  through process memory, never pickled.  The registry is a plain
-  instance attribute: unlike the module-global handoff it replaces,
-  abandoning a phase mid-iteration or raising out of one cannot leak
-  or corrupt parent-side state.  Registering new jobs after the pool
-  forked marks it stale; the next phase transparently re-forks.
+* :class:`PersistentParallelCluster` forks **one pool per job** whose
+  map phase pools, the way Hadoop reuses a task JVM across the tasks
+  of one job, and reuses it for that job's reduce phase.  Jobs carry
+  closures (mappers capture the :class:`~repro.join.config.JoinConfig`,
+  reducers capture kernels) and cannot be pickled, so the job, its map
+  inputs and its loaded broadcast are the pool initializer's arguments
+  — with the ``fork`` start method those are inherited through process
+  memory, never pickled.  A map task's dispatch entry is then just
+  ``(task_id, attempt)``.  The pool is shut down when ``run_job``
+  returns or raises, so no job's state outlives it.
 
 * A **zero-repickle shuffle path**: map workers serialize their
   partition buckets exactly once (one pickle blob per partition) into
@@ -43,11 +41,6 @@ merged, so partition contents, reduce input order and therefore all
 outputs are **byte-identical** to
 :class:`~repro.mapreduce.cluster.SimulatedCluster` (asserted by the
 determinism test suite).
-
-``pipeline.run_pipeline`` and the ``join.driver`` entry points call
-:meth:`PersistentParallelCluster.prepare_jobs` with every job of an
-end-to-end join before the first phase runs, so one join forks exactly
-one pool (``JoinReport.executor_summary()["pools_created"]``).
 """
 
 from __future__ import annotations
@@ -63,7 +56,7 @@ import weakref
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from repro.analysis.sanitize import env_sanitize
 from repro.mapreduce.cluster import (
@@ -87,7 +80,7 @@ from repro.mapreduce.faults import (
     task_error_from,
 )
 from repro.mapreduce.job import Broadcast, MapReduceJob
-from repro.mapreduce.types import ExecutorPhaseStats, approx_bytes
+from repro.mapreduce.types import ExecutorPhaseStats, PhaseStats, approx_bytes
 from repro.obs.trace import Tracer, trace_span
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
@@ -100,6 +93,11 @@ _SHM_DIR = "/dev/shm"
 #: drew a light chunk pick up a second one, while keeping the per-chunk
 #: dispatch cost (one pickle round trip) a small share of the phase
 _CHUNKS_PER_WORKER = 2
+
+#: bytes a dispatch entry is counted as sending a worker: one map task's
+#: ``(task_id, attempt)``, or one reduce segment's ``(path, offset,
+#: length)`` reference
+_ENTRY_BYTES = 24
 
 #: fewest tasks a phase needs to be pooled; below it the dispatch round
 #: trip costs more than the second core earns
@@ -128,57 +126,28 @@ def _effective_cores() -> int:
 # These globals exist only inside worker processes; the parent never
 # reads or assigns them.  They are populated by the pool initializer,
 # whose arguments are fork-inherited (not pickled), which is what allows
-# the registry to hold closures.
+# them to hold the job's closures, its map inputs and its broadcast.
 
-_W_JOBS: Sequence[MapReduceJob] = ()
-_W_DFS: InMemoryDFS | None = None
-_W_BCAST_CACHE: dict[str, Broadcast] = {}
+_W_JOB: MapReduceJob | None = None
+#: the job's ``(task_id, input_name, records)`` triples, by task id
+_W_INPUTS: list[tuple[int, str, list]] = []
+#: the job's loaded distributed cache: ``(payload, bytes, load seconds)``
+_W_BROADCAST: tuple[Broadcast, int, float] = (Broadcast(), 0, 0.0)
 
 
-def _worker_init(jobs: Sequence[MapReduceJob], dfs: InMemoryDFS | None) -> None:
-    global _W_JOBS, _W_DFS
-    _W_JOBS = jobs
-    _W_DFS = dfs
+def _worker_init(
+    job: MapReduceJob,
+    map_inputs: list[tuple[int, str, list]],
+    broadcast: tuple[Broadcast, int, float],
+) -> None:
+    global _W_JOB, _W_INPUTS, _W_BROADCAST
+    _W_JOB, _W_INPUTS, _W_BROADCAST = job, map_inputs, broadcast
     # lets 'crash' faults really kill the process; in the driver a crash
     # fault raises instead
     mark_worker_process()
     # entered and never left: a worker runs nothing but tasks and exits
     # with the pool
     collector_paused().__enter__()
-
-
-def _resolve_records(spec: tuple) -> list:
-    """Materialize one map task's input records.
-
-    ``("data", records)`` carries the records in the task payload;
-    ``("ref", file_name, block_index)`` points into the DFS snapshot the
-    worker inherited at fork time — the zero-copy path for files that
-    already existed when the pool was created (notably the original
-    input file, which every stage's map phase re-reads).
-    """
-    kind, *rest = spec
-    if kind == "data":
-        return rest[0]
-    file_name, block_index = rest
-    assert _W_DFS is not None
-    return _W_DFS.file(file_name).blocks[block_index].records
-
-
-def _broadcast_for(path: str | None) -> Broadcast:
-    """Load (and cache) one phase's broadcast payload from its spill
-    file.  The payload is written once by the parent and unpickled at
-    most once per worker process, instead of once per task; the views
-    its tasks derive are memoised on the cached payload, so they too
-    are built once per worker and freed with it."""
-    if not path:
-        return Broadcast()
-    cached = _W_BCAST_CACHE.get(path)
-    if cached is None:
-        with open(path, "rb") as handle:
-            cached = Broadcast(pickle.load(handle))
-        _W_BCAST_CACHE.clear()  # at most one phase's payload stays cached
-        _W_BCAST_CACHE[path] = cached
-    return cached
 
 
 #: partition -> (offset, length) of its pickle blob in the spill file
@@ -247,16 +216,16 @@ def _read_segments(refs: list[SegmentRef]) -> list:
 def _map_attempt(
     job: MapReduceJob, task_id: int, attempt: int, limit: int | None,
     tracer: Tracer | None, phase_args: tuple, input_name: str, records: list,
-    broadcast: Broadcast,
+    broadcast: tuple[Broadcast, int, float],
 ) -> tuple:
     """One map attempt, in a worker or in the driver: run the task,
     spill its partitioned output.  Returns ``(stats, path, segments,
     counters)`` — the shuffled bytes ride in ``stats.partition_bytes``,
     and the counters come last, as in every task result."""
-    phase_dir, _bcast_path, broadcast_bytes, broadcast_cpu, map_slots = phase_args
+    phase_dir, map_slots = phase_args
     stats, partitioned, counters = execute_map_task(
-        job, task_id, input_name, records, broadcast, broadcast_bytes,
-        broadcast_cpu, limit, map_slots, tracer=tracer,
+        job, task_id, input_name, records, *broadcast, limit, map_slots,
+        tracer=tracer,
     )
     path, segments = _spill_map_output(
         phase_dir, f"m{task_id}a{attempt}", partitioned, job.num_reducers
@@ -266,13 +235,14 @@ def _map_attempt(
 
 def _map_in_worker(
     job: MapReduceJob, task_id: int, attempt: int, limit: int | None,
-    tracer: Tracer | None, phase_args: tuple, input_name: str, spec: tuple,
+    tracer: Tracer | None, phase_args: tuple,
 ) -> tuple:
-    """A worker's map attempt: the records come from the fork-inherited
-    DFS snapshot or the payload, the broadcast from its spill file."""
+    """A worker's map attempt over the records and broadcast it
+    inherited from the driver when it forked."""
+    _task_id, input_name, records = _W_INPUTS[task_id]
     return _map_attempt(
         job, task_id, attempt, limit, tracer, phase_args, input_name,
-        _resolve_records(spec), _broadcast_for(phase_args[1]),
+        records, _W_BROADCAST,
     )
 
 
@@ -293,15 +263,16 @@ def _run_chunk(args: tuple) -> tuple:
     """Run one chunk of task attempts of one phase.
 
     Each entry of *tasks* is ``(task_id, attempt, *payload)`` — the
-    payload is ``(input_name, spec)`` for a map task, ``(segment_refs,)``
-    for a reduce task.  Per-task failures never poison the chunk: the
-    return value separates successful attempts (``oks``) from failed
-    ones (``errs``), each tagged with its task id and attempt, so the
-    parent's dispatch loop can act per task.
+    payload is empty for a map task (the worker inherited its input),
+    ``(segment_refs,)`` for a reduce task.  Per-task failures never
+    poison the chunk: the return value separates successful attempts
+    (``oks``) from failed ones (``errs``), each tagged with its task id
+    and attempt, so the parent's dispatch loop can act per task.
     """
-    chunk_index, jid, phase, common, phase_args, tasks = args
+    chunk_index, phase, common, phase_args, tasks = args
     memory_limit, trace, plan = common
-    job = _W_JOBS[jid]
+    job = _W_JOB
+    assert job is not None
     attempt_fn = _ATTEMPT[phase]
     # When the parent traces, each chunk records its task spans into a
     # worker-local tracer whose raw events ride back with the results
@@ -346,12 +317,9 @@ class MapShuffle:
     worker).
     """
 
-    def __init__(
-        self, num_reducers: int, phase_dir: str, bcast_path: str | None
-    ) -> None:
+    def __init__(self, num_reducers: int, phase_dir: str) -> None:
         self.num_reducers = num_reducers
         self._phase_dir = phase_dir
-        self._bcast_path = bcast_path
         #: (spill path, segments) per map task, in task order
         self._tasks: list[tuple[str, Segments]] = []
         self._part_bytes: dict[int, int] = {}
@@ -398,11 +366,6 @@ class MapShuffle:
 
     def cleanup(self) -> None:
         shutil.rmtree(self._phase_dir, ignore_errors=True)
-        if self._bcast_path:
-            try:
-                os.remove(self._bcast_path)
-            except OSError:
-                pass
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +374,7 @@ class MapShuffle:
 
 
 class PersistentParallelCluster(SimulatedCluster):
-    """A :class:`SimulatedCluster` running on a persistent worker pool.
+    """A :class:`SimulatedCluster` running on a worker pool per job.
 
     Semantics, stats and outputs are byte-identical to the sequential
     engine; only the physical execution differs: the job loop is the
@@ -426,15 +389,15 @@ class PersistentParallelCluster(SimulatedCluster):
     core, so every phase runs inline and the engine degrades gracefully
     to (almost) sequential cost.
 
-    Life cycle of the pool: :meth:`prepare_jobs` registers every job of
-    an end-to-end pipeline *before* the first phase executes; the pool
-    forks lazily on the first pooled phase and is reused by every later
-    phase of every registered job.  Registering a genuinely new job
-    after the fork marks the pool stale and the next phase re-forks —
-    correctness is never at risk, only the reuse win.
+    Life cycle of the pool: a job whose map phase pools forks it at the
+    start of that phase, handing the workers the job, its map inputs
+    and its loaded broadcast; the job's reduce phase reuses it, a dead
+    worker replaces it (within the respawn budget), and it is shut down
+    when :meth:`run_job` returns or raises.  A job whose map phase runs
+    inline forks nothing.
 
-    Use as a context manager (or call :meth:`close`) to release the
-    pool and spill files eagerly; a finalizer covers the rest.
+    Use as a context manager (or call :meth:`close`) to remove the
+    spill root eagerly; a finalizer covers the rest.
     """
 
     def __init__(
@@ -461,17 +424,10 @@ class PersistentParallelCluster(SimulatedCluster):
         self.degraded = False
         #: pools lost to a dead worker over this cluster's life
         self._respawns = 0
-        self._jobs: list[MapReduceJob] = []
-        self._job_ids: dict[int, int] = {}
-        # DFS state captured at fork time: block-record-list identity ->
-        # (file, block index) so map inputs already present in the
-        # workers' inherited snapshot cross as tiny references instead
-        # of pickled record lists.  _snapshot_files pins the referenced
-        # lists so their ids cannot be recycled.
-        self._block_refs: dict[int, tuple[str, int]] = {}
-        self._snapshot_files: list = []
         self._pool: ProcessPoolExecutor | None = None
-        self._stale = False
+        #: the running job's ``(job, map_inputs, broadcast)``, which a
+        #: pool forked for it (or respawned) hands its workers
+        self._initargs: tuple | None = None
         self._spill_root: str | None = None
         #: removes the spill root once: on close(), else when this
         #: cluster is collected or the interpreter exits (after
@@ -481,31 +437,18 @@ class PersistentParallelCluster(SimulatedCluster):
 
     # -- life cycle -------------------------------------------------------
 
-    def prepare_jobs(self, jobs: Iterable[MapReduceJob]) -> None:
-        """Add *jobs* to the registry the workers inherit (idempotent per
-        job object), so one pool serves them all.  Called by
-        ``run_pipeline`` and the join drivers; a job registered after
-        the fork forces a re-fork."""
-        added = False
-        for job in jobs:
-            if id(job) not in self._job_ids:
-                self._job_ids[id(job)] = len(self._jobs)
-                self._jobs.append(job)
-                added = True
-        if added and self._pool is not None:
-            self._stale = True
-
-    def _job_id(self, job: MapReduceJob) -> int:
-        if id(job) not in self._job_ids:
-            self.prepare_jobs([job])
-        return self._job_ids[id(job)]
+    def run_job(self, job: MapReduceJob) -> PhaseStats:
+        """The inherited job loop; the pool its map phase may fork, and
+        the job state handed to it, end with the job."""
+        try:
+            return super().run_job(job)
+        finally:
+            self._shutdown_pool()
+            self._initargs = None
 
     def _ensure_pool(self) -> bool:
-        """Start the pool if absent or stale; returns True when it did.
-        The workers fork on the pool's first ``submit``, in the same
-        phase, so they inherit the DFS as snapshotted here."""
-        if self._pool is not None and self._stale:
-            self._shutdown_pool()
+        """Start the running job's pool if absent; returns True when it
+        did.  The workers fork on the pool's first ``submit``."""
         if self._pool is not None:
             return False
         if self._spill_root is None:
@@ -517,26 +460,19 @@ class PersistentParallelCluster(SimulatedCluster):
             self._remove_spill_root = weakref.finalize(
                 self, shutil.rmtree, self._spill_root, ignore_errors=True
             )
-        self._block_refs = {}
-        self._snapshot_files = []
-        for name in self.dfs.listdir():
-            dfs_file = self.dfs.file(name)
-            self._snapshot_files.append(dfs_file)
-            for index, block in enumerate(dfs_file.blocks):
-                self._block_refs[id(block.records)] = (name, index)
+        assert self._initargs is not None
         self._pool = ProcessPoolExecutor(
             self.workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_worker_init,
-            initargs=(tuple(self._jobs), self.dfs),
+            initargs=self._initargs,
         )
-        self._stale = False
         return True
 
     def _shutdown_pool(self) -> None:
         """Drop the pool: cancel its queued chunks and wait for the
         running ones, so no spill writer outlives its directory.  Every
-        path gets here — ``close()``, stale re-fork, phase failure,
+        path gets here — the end of a job, ``close()``, phase failure,
         pool-death recovery; on a broken pool the workers are already
         killed and reaped."""
         pool, self._pool = self._pool, None
@@ -544,7 +480,7 @@ class PersistentParallelCluster(SimulatedCluster):
             pool.shutdown(wait=True, cancel_futures=True)
 
     def close(self) -> None:
-        """Stop the pool and remove all spill files (idempotent)."""
+        """Stop any pool and remove all spill files (idempotent)."""
         self._shutdown_pool()
         if self._remove_spill_root is not None:
             self._remove_spill_root()
@@ -558,34 +494,15 @@ class PersistentParallelCluster(SimulatedCluster):
 
     # -- phase runners ----------------------------------------------------
 
-    def _use_map_pool(self, map_inputs: list[tuple[int, str, list]]) -> bool:
-        """Pool the map phase when it has enough tasks *and* its inputs
-        are mostly readable from the workers' fork-inherited DFS
-        snapshot — when most blocks would have to be pickled into the
-        task payloads instead, shipping costs more than the cores earn
-        (the seed executor's failure mode this engine exists to fix).
-        When the pool does not exist yet (or is stale) the phase re-forks
-        and snapshots the current DFS, so every input is reachable."""
-        if (
-            self.degraded
-            or self.workers < 2
-            or _effective_cores() < MIN_CORES_FOR_POOL
-            or len(map_inputs) < MIN_TASKS_FOR_POOL
-        ):
-            return False
-        if self._pool is None or self._stale:
-            return True
-        hits = sum(
-            self._snapshot_ref(input_name, records) is not None
-            for _task_id, input_name, records in map_inputs
+    def _use_map_pool(self, num_tasks: int) -> bool:
+        """Pool the map phase when it has enough tasks and the host
+        enough cores for the workers to earn their fork."""
+        return (
+            not self.degraded
+            and self.workers > 1
+            and _effective_cores() >= MIN_CORES_FOR_POOL
+            and num_tasks >= MIN_TASKS_FOR_POOL
         )
-        return hits / len(map_inputs) >= 0.5
-
-    def _snapshot_ref(self, input_name: str, records: list) -> tuple[str, int] | None:
-        """``(file, block index)`` of *records* in the workers'
-        fork-inherited DFS snapshot, or None when they are not in it."""
-        ref = self._block_refs.get(id(records))
-        return ref if ref is not None and ref[0] == input_name else None
 
     def _use_reduce_pool(self, shuffle: object, num_tasks: int) -> bool:
         """Pool the reduce phase only behind a pooled map: the buckets
@@ -599,10 +516,7 @@ class PersistentParallelCluster(SimulatedCluster):
             and num_tasks >= MIN_TASKS_FOR_POOL
         )
 
-    def _begin_phase(
-        self, job: MapReduceJob, num_tasks: int
-    ) -> tuple[ExecutorPhaseStats, float]:
-        self._job_id(job)  # a late registration must precede the fork check
+    def _begin_phase(self, num_tasks: int) -> tuple[ExecutorPhaseStats, float]:
         ex = ExecutorPhaseStats(mode="pool", workers=self.workers, tasks=num_tasks)
         t0 = time.perf_counter()
         ex.pools_created = int(self._ensure_pool())
@@ -614,56 +528,35 @@ class PersistentParallelCluster(SimulatedCluster):
         map_inputs: list[tuple[int, str, list]],
         broadcast: tuple[Broadcast, int, float],
     ) -> tuple[list, object, ExecutorPhaseStats]:
-        """Run one map phase on the pool with spilled shuffle output
-        (else in the driver); returns ``(task_results, shuffle,
-        phase_stats)``, the shuffle referencing the spilled partitions."""
-        if not self._use_map_pool(map_inputs):
+        """Run one map phase on a pool forked for *job* with spilled
+        shuffle output (else in the driver); returns ``(task_results,
+        shuffle, phase_stats)``, the shuffle referencing the spilled
+        partitions."""
+        if not self._use_map_pool(len(map_inputs)):
             results, shuffle, _ = super()._run_map_phase(job, map_inputs, broadcast)
             return results, shuffle, ExecutorPhaseStats(
                 mode="inline", tasks=len(map_inputs)
             )
-        ex, t0 = self._begin_phase(job, len(map_inputs))
+        # task ids number the job's blocks from 0, so a worker finds its
+        # input by indexing the list it inherited
+        self._initargs = (job, map_inputs, broadcast)
+        ex, t0 = self._begin_phase(len(map_inputs))
         self._phase_seq += 1
         assert self._spill_root is not None
         phase_dir = os.path.join(self._spill_root, f"p{self._phase_seq}")
-        broadcast_data, broadcast_bytes, broadcast_cpu = broadcast
-
-        bcast_path = None
-        if broadcast_data:
-            bcast_path = os.path.join(
-                self._spill_root, f"p{self._phase_seq}.bcast"
-            )
-            blob = pickle.dumps(dict(broadcast_data), _PICKLE)
-            with open(bcast_path, "wb") as handle:
-                handle.write(blob)
-            ex.bytes_to_workers += len(blob)
-
-        task_payloads: dict[int, tuple] = {}
-        inputs: dict[int, tuple[str, list]] = {}
-        for task_id, input_name, records in map_inputs:
-            ref = self._snapshot_ref(input_name, records)
-            if ref is not None:
-                # the block is part of the workers' fork-inherited DFS
-                # snapshot — ship a reference, not the records
-                spec: tuple = ("ref", ref[0], ref[1])
-                ex.bytes_to_workers += 24
-            else:
-                spec = ("data", records)
-                ex.bytes_to_workers += 8 + sum(approx_bytes(r) for r in records)
-            task_payloads[task_id] = (input_name, spec)
-            inputs[task_id] = (input_name, records)
-        phase_args = (
-            phase_dir, bcast_path, broadcast_bytes, broadcast_cpu,
-            self.config.map_slots,
-        )
+        # a task's entry is its id and attempt number
+        task_payloads: dict[int, tuple] = {t: () for t, _name, _r in map_inputs}
+        ex.bytes_to_workers += _ENTRY_BYTES * len(task_payloads)
+        phase_args = (phase_dir, self.config.map_slots)
 
         def in_driver(task_id: int, limit: int | None, attempt: int) -> tuple:
+            _task_id, input_name, records = map_inputs[task_id]
             return _map_attempt(
                 job, task_id, attempt, limit, self.tracer, phase_args,
-                *inputs[task_id], broadcast_data,
+                input_name, records, broadcast,
             )
 
-        shuffle = MapShuffle(job.num_reducers, phase_dir, bcast_path)
+        shuffle = MapShuffle(job.num_reducers, phase_dir)
         task_results = []
         try:
             cores = self._dispatch(
@@ -700,14 +593,14 @@ class PersistentParallelCluster(SimulatedCluster):
                 )
             return results, inline
         assert isinstance(shuffle, MapShuffle)
-        ex, t0 = self._begin_phase(job, len(partitions))
+        ex, t0 = self._begin_phase(len(partitions))
         task_payloads = {p: (shuffle.refs_for(p),) for p in partitions}
         bucket_bytes = {
             p: sum(length for _path, _off, length in refs)
             for p, (refs,) in task_payloads.items()
         }
         ex.spill_bytes_read = sum(bucket_bytes.values())
-        ex.bytes_to_workers += 24 * sum(
+        ex.bytes_to_workers += _ENTRY_BYTES * sum(
             len(refs) for (refs,) in task_payloads.values()
         )
 
@@ -789,7 +682,6 @@ class PersistentParallelCluster(SimulatedCluster):
         policy = self.retry_policy or DEFAULT_RETRY_POLICY
         plan, hub, tracer = self.fault_plan, self.telemetry, self.tracer
         common = (self.config.memory_per_task_bytes, tracer is not None, plan)
-        jid = self._job_id(job)
         order = list(task_payloads)  # task order: reassembly follows it
         results: dict[int, tuple] = {}
         #: attempts launched per task; at most one of them is in flight,
@@ -808,7 +700,7 @@ class PersistentParallelCluster(SimulatedCluster):
                 next_attempt[t] = attempt + 1
                 ledgers[t].note_fault(attempt)
                 entries.append((t, attempt, *task_payloads[t]))
-            payload = (ex.chunks, jid, phase, common, phase_args, entries)
+            payload = (ex.chunks, phase, common, phase_args, entries)
             ex.chunks += 1
             try:
                 future = self._pool.submit(_run_chunk, payload)

@@ -52,7 +52,7 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, TypeVar
 
 from repro.mapreduce.types import InsufficientMemoryError
@@ -235,14 +235,15 @@ class FaultSpec:
     """One fault rule: which attempts it matches and what happens.
 
     ``job`` is an ``fnmatch`` pattern against the job name; ``task``
-    and ``attempt`` are exact integers or ``"*"``.
+    and ``attempt`` are exact integers or ``"*"``.  Every coordinate
+    left out is a wildcard.
     """
 
     kind: str
     job: str = "*"
     phase: str = "*"
     task: int | str = "*"
-    attempt: int | str = 0
+    attempt: int | str = "*"
     sleep_s: float = 0.05
     #: lowered simulated budget (megabytes) applied by ``squeeze``
     cap_mb: float = 0.05
@@ -367,21 +368,24 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
+        """Parse the JSON form :meth:`to_json` writes.  As in the
+        compact form, an omitted coordinate (``job``, ``phase``,
+        ``task``, ``attempt``) is a wildcard; a document of another
+        shape raises :class:`ValueError` saying what is wrong."""
         doc = json.loads(text)
-        return cls(
-            tuple(
-                FaultSpec(
-                    kind=entry["kind"],
-                    job=entry.get("job", "*"),
-                    phase=entry.get("phase", "*"),
-                    task=entry.get("task", "*"),
-                    attempt=entry.get("attempt", 0),
-                    sleep_s=entry.get("sleep_s", 0.05),
-                    cap_mb=entry.get("cap_mb", 0.05),
-                )
-                for entry in doc["faults"]
+        if not isinstance(doc, dict) or not isinstance(doc.get("faults"), list):
+            raise ValueError(
+                'a JSON fault plan must be an object with a "faults" list'
             )
-        )
+        names = [f.name for f in fields(FaultSpec)]
+        specs = []
+        for index, entry in enumerate(doc["faults"]):
+            if not isinstance(entry, dict) or "kind" not in entry:
+                raise ValueError(
+                    f'fault {index} of the JSON plan must be an object with a "kind"'
+                )
+            specs.append(FaultSpec(**{n: entry[n] for n in names if n in entry}))
+        return cls(tuple(specs))
 
     @classmethod
     def load(cls, spec: str) -> "FaultPlan":

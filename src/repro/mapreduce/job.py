@@ -52,8 +52,9 @@ class Broadcast(dict):
     """One map phase's distributed cache as one process loaded it: file
     name -> records, plus the views :meth:`Context.view` derived from
     them.  The views live and die with this payload — one per
-    ``run_job`` on the sequential engine, one per phase in each pool
-    worker — so no two jobs, and no two joins, ever share one."""
+    ``run_job``, which each worker of the job's pool inherits by fork
+    and extends with the views its own tasks build — so no two jobs,
+    and no two joins, ever share one."""
 
     def __init__(self, files: dict[str, list] | None = None) -> None:
         super().__init__(files or {})

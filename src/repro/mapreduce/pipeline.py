@@ -18,12 +18,5 @@ def run_pipeline(
     cluster: SimulatedCluster, jobs: Iterable[MapReduceJob]
 ) -> JobStats:
     """Run *jobs* in order on *cluster*; each job reads what earlier
-    jobs wrote to the DFS.  Returns the aggregated :class:`JobStats`.
-
-    The whole chain is announced up front (``prepare_jobs``), so a
-    cluster with a persistent worker pool (see
-    :mod:`repro.mapreduce.executor`) serves every phase from one fork.
-    """
-    job_list = list(jobs)
-    cluster.prepare_jobs(job_list)
-    return JobStats([cluster.run_job(job) for job in job_list])
+    jobs wrote to the DFS.  Returns the aggregated :class:`JobStats`."""
+    return JobStats([cluster.run_job(job) for job in jobs])

@@ -304,7 +304,7 @@ def digest_trace(doc: dict[str, Any], path: str = "<trace>") -> TraceDigest:
     join_spans = [s for s in all_spans if s.cat == "join"]
     combo = str(join_spans[0].args.get("combo", "?")) if join_spans else "?"
 
-    # Tasks execute on worker lanes under the persistent pool, so match
+    # Tasks execute on worker lanes under the job's pool, so match
     # them to jobs by name prefix, not by tree containment.
     tasks_by_job: dict[str, list[TraceSpan]] = {}
     for span in all_spans:

@@ -21,11 +21,11 @@ sanitizer).
 Cross-process collection
 ------------------------
 
-Worker processes (the persistent executor's pool, the fork cluster's
-per-phase pools) build their *own* ``Tracer``, and their raw events
+Worker processes (the pool the pooled executor forks per job) build
+their *own* ``Tracer``, and their raw events
 travel back to the parent alongside task results; the parent calls
 :meth:`Tracer.absorb`.  ``time.perf_counter()`` is CLOCK_MONOTONIC on
-the platforms the fork executors support, so parent and child
+the platforms the fork executor supports, so parent and child
 timestamps share one timebase.  At export, each distinct worker PID is
 mapped to a stable ``tid`` lane ("worker-1", "worker-2", …) under one
 process, which is what makes pool utilization and stragglers visible

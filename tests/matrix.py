@@ -113,6 +113,16 @@ def run_join(cluster, workload: str, config: JoinConfig = BASE, **driver_kwargs)
     return Run(cluster.dfs.read_all(report.output_file), report, cluster)
 
 
+def pooled_jobs(report: JoinReport) -> int:
+    """Jobs of *report* whose map phase ran on a pool: each forked one,
+    so a run's ``pools_created`` is this plus its pool respawns."""
+    return sum(
+        phase.map_executor is not None and phase.map_executor.mode == "pool"
+        for stats in report.stages.values()
+        for phase in stats.phases
+    )
+
+
 _REFERENCES: dict[tuple[str, str], Run] = {}
 
 

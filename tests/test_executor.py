@@ -3,7 +3,7 @@
 Covers the tentpole guarantees: byte-identical output to
 :class:`SimulatedCluster` across every stage combo for self- and R-S
 joins (differential-matrix cells, ``tests/matrix.py``), one pool per
-end-to-end join, `InsufficientMemoryError`
+pooled job that never outlives it, `InsufficientMemoryError`
 propagating out of pool workers, pool-death recovery with a leaked
 queue lock, `ClusterConfig.with_nodes` preserving new fields, and the
 rank-vs-string encoding differential.
@@ -13,11 +13,14 @@ is exercised regardless of the host's core count (the engine would
 otherwise run inline on single-core machines).
 """
 
+import gc
+import multiprocessing
 import os
 import signal
 import threading
 import time
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,18 +41,19 @@ from repro.mapreduce.cluster import (
     execute_map_task,
 )
 from repro.mapreduce.dfs import InMemoryDFS
+from repro.mapreduce.diskdfs import LocalDiskDFS
 from repro.mapreduce.executor import (
     MapShuffle,
     PersistentParallelCluster,
 )
-from repro.mapreduce.faults import FaultPlan
+from repro.mapreduce.faults import FaultPlan, TaskError
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import InsufficientMemoryError, approx_bytes
 from repro.obs.telemetry import strip_telemetry_counters
 from repro.obs.trace import Tracer
 
 from tests.conftest import fork_only, make_cluster, small_config
-from tests.matrix import BASE, cell, reference, run_join
+from tests.matrix import BASE, cell, pooled_jobs, reference, run_join
 
 pytestmark = fork_only
 
@@ -133,7 +137,9 @@ class TestEngineParity:
                 cluster.tracer = Tracer()
                 reports.append(run_join(cluster, join).report)
                 trees.append(self._span_tree(cluster.tracer))
-        assert reports[1].executor_summary()["pools_created"] == 1  # really pooled
+        # really pooled: one pool per pooled job, no respawn
+        pooled = reports[1]
+        assert pooled.executor_summary()["pools_created"] == pooled_jobs(pooled) > 0
         assert trees[0] == trees[1]
         assert trees[0] and all(
             phases == ["map", "shuffle", "reduce"] for _job, phases in trees[0]
@@ -210,7 +216,8 @@ class TestEngineParity:
                     "stage2": (1_214_640, 1_265_712),
                     "stage3": (958_940, 990_364),
                 }
-            assert report.executor_summary()["pools_created"] == 1  # really pooled
+            # really pooled: one pool per pooled job, no respawn
+            assert report.executor_summary()["pools_created"] == pooled_jobs(report) > 0
 
     def test_shuffle_handles_size_nothing(self, tmp_path, monkeypatch):
         """Shuffled bytes are computed in ``execute_map_task`` only: the
@@ -229,7 +236,7 @@ class TestEngineParity:
         monkeypatch.setattr(cluster_module, "approx_bytes", no_sizing)
         monkeypatch.setattr(executor_module, "approx_bytes", no_sizing)
         driver = DriverShuffle(job.num_reducers)
-        spilled = MapShuffle(job.num_reducers, str(tmp_path), None)
+        spilled = MapShuffle(job.num_reducers, str(tmp_path))
         for task_id, (stats, partitioned) in enumerate(tasks):
             driver.add_task(partitioned, stats.partition_bytes)
             path, segments = executor_module._spill_map_output(
@@ -272,29 +279,95 @@ class TestEngineParity:
 
 
 class TestPoolLifecycle:
-    def test_one_pool_per_join(self, make_engine):
-        """The acceptance criterion: a 3-stage pipeline (up to five
-        MapReduce jobs) forks exactly one pool."""
+    def test_one_pool_per_pooled_job(self, make_engine):
+        """A job whose map phase pools forks one pool, and its reduce
+        phase runs on that same pool — never one pool per phase."""
         with make_engine() as persistent:
-            summary = run_join(persistent, "self").report.executor_summary()
-        assert summary["pools_created"] == 1
-        assert summary["pooled_phases"] > 1  # the pool really was reused
+            report = run_join(persistent, "self").report
+        summary = report.executor_summary()
+        assert summary["pools_created"] == pooled_jobs(report) > 1
+        assert summary["pooled_phases"] == 2 * pooled_jobs(report)
 
-    def test_pool_reused_across_joins(self, make_engine):
-        """Same registered jobs -> the second run re-uses the pool."""
-        with make_engine() as persistent:
+    def test_no_pool_outlives_its_job(self, make_engine):
+        """Whether ``run_job`` returns or raises, it leaves no pool, no
+        worker and no reference to the job's inputs or broadcast in the
+        driver — across two joins on one cluster and a failed one."""
+        children_before = set(multiprocessing.active_children())
+        persistent = make_engine()
+        ends, broadcasts = [], []
+        run_job, load_broadcast = persistent.run_job, persistent._load_broadcast
+
+        def checked_run_job(job):
+            try:
+                return run_job(job)
+            finally:
+                ends.append((job.name, persistent._pool, persistent._initargs))
+
+        def kept_broadcast(job):
+            loaded = load_broadcast(job)
+            broadcasts.append(weakref.ref(loaded[0]))
+            return loaded
+
+        persistent.run_job = checked_run_job
+        persistent._load_broadcast = kept_broadcast
+        with persistent:
             reports = [
                 run_join(persistent, "self", prefix=prefix).report
                 for prefix in ("a", "b")
             ]
-        # the second join's jobs are new closures, so one re-fork is
-        # allowed — but never one pool per phase
-        assert sum(r.executor_summary()["pools_created"] for r in reports) <= 2
+            persistent.fault_plan = FaultPlan.parse("raise:oprj:map:0:*")
+            with pytest.raises(TaskError):
+                run_join(persistent, "self", prefix="c")
+        jobs = sum(len(stats.phases) for r in reports for stats in r.stages.values())
+        assert len(ends) == jobs + 4  # and the failed join's four, OPRJ raising
+        assert all(pool is None and state is None for _n, pool, state in ends)
+        assert set(multiprocessing.active_children()) <= children_before
+        gc.collect()
+        assert broadcasts and all(ref() is None for ref in broadcasts)
+        for report in reports:
+            assert report.executor_summary()["pools_created"] == pooled_jobs(report)
+
+    @pytest.mark.parametrize("stage3", ["oprj", "brj"])
+    @pytest.mark.parametrize("disk", [False, True], ids=["memory-dfs", "disk-dfs"])
+    def test_every_phase_pools_under_make_engine(
+        self, make_engine, tmp_path, stage3, disk
+    ):
+        """The fixture's promise holds on either DFS: every phase of
+        every job runs on the pool, each pooled job forks one, and a map
+        task's dispatch entry costs the same bytes whatever the job's
+        records or broadcast — none of them crosses a pickle boundary."""
+        config = BASE.with_options(stage3=stage3)
+        cluster_config = small_config()
+        dfs = (
+            LocalDiskDFS(tmp_path, num_nodes=cluster_config.num_nodes, block_bytes=512)
+            if disk
+            else None
+        )
+        with make_engine(config=cluster_config, dfs=dfs) as persistent:
+            run = run_join(persistent, "self", config)
+        phases = [p for stats in run.report.stages.values() for p in stats.phases]
+        assert [p.job_name for p in phases] == [
+            p.job_name
+            for stats in reference("self", config).report.stages.values()
+            for p in stats.phases
+        ]
+        modes = {
+            (p.job_name, side): ex.mode
+            for p in phases
+            for side, ex in (("map", p.map_executor), ("reduce", p.reduce_executor))
+        }
+        assert set(modes.values()) == {"pool"}, modes
+        summary = run.report.executor_summary()
+        assert summary["pools_created"] == pooled_jobs(run.report) == len(phases)
+        per_task = {p.map_executor.bytes_to_workers / p.map_executor.tasks for p in phases}
+        assert len(per_task) == 1, per_task
+        assert run.pairs == reference("self", config).pairs
 
     def test_executor_summary_in_report(self, make_engine):
         with make_engine() as persistent:
-            summary = run_join(persistent, "self").report.executor_summary()
-        assert summary["pools_created"] == 1
+            report = run_join(persistent, "self").report
+        summary = report.executor_summary()
+        assert summary["pools_created"] == pooled_jobs(report)
         assert summary["pooled_phases"] > 0
         assert summary["spill_bytes_written"] == summary["spill_bytes_read"]
         # one definition of utilisation: busy / (workers x pool wall)

@@ -50,6 +50,7 @@ from tests.matrix import (
     assert_same_join,
     cell,
     inputs,
+    pooled_jobs,
     reference,
     run_join,
 )
@@ -85,6 +86,13 @@ class TestFaultPlan:
     def test_json_roundtrip(self):
         plan = FaultPlan.parse("crash:*:map:1:0;sleep:stage2-*:reduce:*:0:0.3")
         assert FaultPlan.from_json(plan.to_json()) == plan
+
+    def test_json_omitted_coordinates_are_wildcards_too(self, tmp_path):
+        """One rule for both forms: ``raise:oprj`` written as JSON
+        still matches every attempt."""
+        path = tmp_path / "plan.json"
+        path.write_text('{"faults": [{"kind": "raise", "job": "oprj"}]}')
+        assert FaultPlan.load(str(path)) == FaultPlan.parse("raise:oprj")
 
     def test_load_inline_and_file(self, tmp_path):
         plan = FaultPlan.parse("raise:bto-*:map:0:0")
@@ -261,8 +269,10 @@ class TestRetryExhaustion:
 class TestExecutorChaos:
     def test_worker_crash_respawns_pool_and_matches_sequential(self, make_engine):
         run = cell(make_engine, engine="persistent", faults="crash:stage2-*:map:1:0")
-        # the crash broke the first pool; the respawn forked a second
-        assert run.report.executor_summary()["pools_created"] == 2
+        # one pool per pooled job, plus the respawn after the crash
+        # broke stage 2's
+        pools = run.report.executor_summary()["pools_created"]
+        assert pools == pooled_jobs(run.report) + 1
         assert run.counters["fault.injected"] >= 1
         assert run.counters["task.lost"] >= 1
 
