@@ -51,8 +51,5 @@ KNOWN_COUNTER_NAMES: frozenset[str] = frozenset(
         'task.attempts',
         'task.lost',
         'task.retries',
-        'telemetry.maxrss_kb',
-        'telemetry.phases',
-        'telemetry.tasks',
     }
 )

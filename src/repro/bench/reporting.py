@@ -88,7 +88,7 @@ def format_filter_counters(pruned: dict, title: str = "stage2 filters") -> str:
 
 
 def format_histograms(histograms: dict, title: str = "histograms") -> str:
-    """Render a :meth:`MetricsRegistry.histograms` dict, one row per
+    """Render a :func:`repro.obs.metrics.histograms` dict, one row per
     histogram: observation count, sum, mean, p50, p99 and the largest
     power-of-two bucket bound."""
     headers = ["histogram", "n", "sum", "mean", "p50", "p99", "max<"]

@@ -283,14 +283,15 @@ def _emit(args: argparse.Namespace, pairs: list, report: JoinReport) -> None:
             format_filter_counters,
             format_histograms,
         )
+        from repro.obs.metrics import histograms
 
         print(format_filter_counters(report.filter_counters()), file=sys.stderr)
         summary = report.executor_summary()
         if summary.get("pooled_phases") or summary.get("inline_phases"):
             print(format_executor_summary(summary), file=sys.stderr)
-        histograms = report.metrics().histograms()
-        if histograms:
-            print(format_histograms(histograms), file=sys.stderr)
+        decoded = histograms(report.counters())
+        if decoded:
+            print(format_histograms(decoded), file=sys.stderr)
 
 
 def _cmd_join(args: argparse.Namespace) -> int:
@@ -360,8 +361,9 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
             status = 1
             for problem in problems:
                 print(f"{path}: {problem}", file=sys.stderr)
-            if args.validate_only:
-                continue
+        # a document with no event list is not a trace: nothing to report
+        if args.validate_only or not isinstance(doc.get("traceEvents"), list):
+            continue
         digests.append(digest_trace(doc, path=path))
     if args.validate_only:
         if status == 0:
@@ -473,12 +475,19 @@ def _load_runs(args: argparse.Namespace, *refs: str) -> list[dict] | None:
 
 
 def _cmd_runs_show(args: argparse.Namespace) -> int:
+    """The stored manifest plus a ``histograms`` entry derived from its
+    ``counters`` (the manifest stores each number once)."""
     import json
+
+    from repro.obs.metrics import histograms
 
     docs = _load_runs(args, args.run)
     if docs is None:
         return 2
-    print(json.dumps(docs[0], indent=2, sort_keys=True))
+    doc = docs[0]
+    decoded = histograms(doc.get("counters", {}))
+    shown = {**doc, "histograms": {n: h.as_dict() for n, h in decoded.items()}}
+    print(json.dumps(shown, indent=2, sort_keys=True))
     return 0
 
 

@@ -48,7 +48,6 @@ from repro.mapreduce.types import (
     JobStats,
     merge_executor_stats,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import trace_span
 
 
@@ -164,26 +163,6 @@ class JoinReport:
                 ],
             )
         return summary
-
-    def metrics(self) -> MetricsRegistry:
-        """Unified metrics view of this run: the merged job counters
-        (with ``hist.*`` keys decoded back into histograms — reduce
-        group sizes, per-partition shuffle bytes, kernel observations),
-        per-stage simulated times as gauges, and the executor summary
-        as ``executor.*`` gauges.  Deterministic: two identical runs
-        snapshot byte-identically."""
-        registry = MetricsRegistry()
-        registry.merge_counters(self.counters())
-        for name, stats in self.stages.items():
-            registry.gauge(f"{name}.simulated_s", stats.simulated_total_s)
-            registry.gauge(f"{name}.shuffle_bytes", stats.shuffle_bytes)
-        registry.gauge("total.simulated_s", self.total_simulated_s)
-        summary = self.executor_summary()
-        registry.merge_gauges(
-            {k: float(v) for k, v in summary.items()},
-            prefix="executor.",
-        )
-        return registry
 
     def format_summary(self) -> str:
         """Multi-line human-readable run summary."""
@@ -344,20 +323,6 @@ def _run_stages(
     return config
 
 
-def _merge_telemetry(cluster: SimulatedCluster, report: JoinReport) -> None:
-    """Fold the cluster's telemetry-hub counters into the report.
-
-    The ``telemetry.*`` keys describe the observation machinery, not
-    the workload — differential comparisons strip them (see
-    :func:`repro.obs.telemetry.strip_telemetry_counters`).
-    """
-    hub = cluster.telemetry
-    if hub is None:
-        return
-    for name, value in hub.counters().items():
-        report.extra_counters[name] = report.extra_counters.get(name, 0) + value
-
-
 def _ssjoin(
     cluster: SimulatedCluster,
     files: list[str],
@@ -418,7 +383,6 @@ def _ssjoin(
         report.combo = _run_stages(
             cluster, report, tracer, checkpoint, done, config, build
         ).combo_name
-    _merge_telemetry(cluster, report)
     return report
 
 

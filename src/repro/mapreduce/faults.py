@@ -520,7 +520,7 @@ def strip_counters(
 ) -> dict[str, int]:
     """Counters without any key under *prefixes* (or their ``hist.``
     histogram-encoded variants) — the shared helper behind the fault
-    and telemetry differential comparisons."""
+    and sanitizer differential comparisons."""
     excluded = prefixes + tuple(f"hist.{prefix}" for prefix in prefixes)
     return {
         name: value

@@ -1,21 +1,22 @@
-"""Observability layer: span tracing, metrics registry, skew reports.
+"""Observability layer: span tracing, counter histograms, skew reports.
 
-``repro.obs`` is strictly observe-only — attaching a tracer or reading
-metrics never changes partitioning, ordering or emitted pairs (the
-differential tests in ``tests/test_obs.py`` enforce bit-identical
-output with tracing on vs off).
+``repro.obs`` is strictly observe-only — attaching a tracer or a
+telemetry hub never changes partitioning, ordering, emitted pairs or
+counters (the differential matrix, ``tests/matrix.py``, checks pairs
+and every counter with each observer on against it off).
 
 * :mod:`repro.obs.trace` — zero-dependency nested-span tracer with
   Chrome-trace-event JSON export (Perfetto-loadable).
-* :mod:`repro.obs.metrics` — counters/gauges/log-scale histograms
-  behind one :class:`MetricsRegistry`; histograms ride the existing
-  worker→parent counter merge path.
+* :mod:`repro.obs.metrics` — log-scale histograms encoded in the job
+  counters (they ride the worker→parent counter merge path) and
+  decoded from them by one function, :func:`histograms`.
 * :mod:`repro.obs.report` — post-run critical-path and reduce-skew
   analyzer behind ``python -m repro trace-report``.
 * :mod:`repro.obs.telemetry` — per-phase task progress (the
-  ``--progress`` view) and the run's rusage watermarks.
+  ``--progress`` view, which writes nothing into the join's counters)
+  and the run's rusage watermarks.
 * :mod:`repro.obs.runs` — persistent run-manifest registry
-  (``python -m repro runs ...``).
+  (``python -m repro runs ...``); a manifest stores each number once.
 * :mod:`repro.obs.atomicio` — atomic (tmp + rename) artifact writes.
 """
 
@@ -28,10 +29,10 @@ from repro.obs.atomicio import atomic_write_json, atomic_write_text
 from repro.obs.metrics import (
     HIST_PREFIX,
     HistogramSnapshot,
-    MetricsRegistry,
     bucket_bounds,
     bucket_of,
     hist_counter,
+    histograms,
     observe_into,
 )
 from repro.obs.runs import (
@@ -47,7 +48,6 @@ from repro.obs.telemetry import (
     TelemetryHub,
     make_progress_view,
     rusage_watermarks,
-    strip_telemetry_counters,
 )
 from repro.obs.trace import NULL_SPAN, Span, Tracer, trace_span
 
@@ -70,7 +70,6 @@ __all__ = [
     "TelemetryHub",
     "make_progress_view",
     "rusage_watermarks",
-    "strip_telemetry_counters",
     "build_run_manifest",
     "diff_runs",
     "list_runs",
@@ -79,10 +78,10 @@ __all__ = [
     "write_run_manifest",
     "HIST_PREFIX",
     "HistogramSnapshot",
-    "MetricsRegistry",
     "bucket_bounds",
     "bucket_of",
     "hist_counter",
+    "histograms",
     "observe_into",
     "TraceDigest",
     "digest_trace",

@@ -1,4 +1,4 @@
-"""Unified metrics registry: counters, gauges and log-scale histograms.
+"""Log-scale histograms encoded in, and decoded from, plain counters.
 
 The MapReduce runtime already moves *counters* from every task back to
 the driver (:class:`repro.mapreduce.counters.Counters` snapshots merge
@@ -17,11 +17,10 @@ module layers two things on top without inventing a second transport:
   free with task counters.  :meth:`Context.observe
   <repro.mapreduce.job.Context.observe>` is the runtime entry point.
 
-* **:class:`MetricsRegistry`** — one read-side view that splits a
-  merged counter snapshot into plain counters and
-  :class:`HistogramSnapshot` objects, folds in gauges (e.g. the
-  executor summary), and renders a deterministic, sorted, JSON-safe
-  :meth:`MetricsRegistry.snapshot`.
+* **:func:`histograms`** — the read side: one pure function from a
+  merged counter snapshot to sorted :class:`HistogramSnapshot` objects.
+  Nothing else is stored; ``--stats`` and ``repro runs show`` both
+  derive their histograms from the counters with it.
 
 Everything here is observe-only bookkeeping: histogram counters ride
 the same merge path as the pre-existing framework counters and never
@@ -39,7 +38,7 @@ __all__ = [
     "hist_counter",
     "observe_into",
     "HistogramSnapshot",
-    "MetricsRegistry",
+    "histograms",
 ]
 
 #: namespace prefix marking histogram-encoded counters
@@ -102,8 +101,9 @@ class HistogramSnapshot:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Approximate q-quantile: the geometric midpoint of the bucket
-        containing the q-th observation (exact for 0/1-valued data)."""
+        """Approximate q-quantile: the arithmetic midpoint
+        ``(low + high - 1) / 2`` of the bucket ``[low, high)`` holding
+        the q-th observation (exact for 0/1-valued data)."""
         if not self.count:
             return 0.0
         q = min(1.0, max(0.0, q))
@@ -151,83 +151,26 @@ class HistogramSnapshot:
         )
 
 
-class MetricsRegistry:
-    """One mergeable registry over counters, gauges and histograms.
-
-    Build it from merged job counters (:meth:`merge_counters` splits
-    the ``hist.*`` namespace back into histograms) plus any gauge dicts
-    (executor summaries, cluster shape).  ``snapshot()`` is
-    deterministic — keys sorted at every level — so two identical runs
-    produce byte-identical JSON.
-    """
-
-    def __init__(self) -> None:
-        self._counters: dict[str, int] = {}
-        self._gauges: dict[str, float] = {}
-        #: name -> (buckets, count, sum)
-        self._hists: dict[str, tuple[dict[int, int], int, int]] = {}
-
-    # -- write side -------------------------------------------------------
-
-    def increment(self, name: str, amount: int = 1) -> None:
-        self._counters[name] = self._counters.get(name, 0) + amount
-
-    def gauge(self, name: str, value: float) -> None:
-        self._gauges[name] = value
-
-    def observe(self, name: str, value: int) -> None:
-        """Record one histogram observation directly (driver-side)."""
-        buckets, count, total = self._hists.setdefault(name, ({}, 0, 0))
-        bucket = bucket_of(value)
-        buckets[bucket] = buckets.get(bucket, 0) + 1
-        self._hists[name] = (buckets, count + 1, total + value)
-
-    def merge_counters(self, counters: Mapping[str, int]) -> None:
-        """Fold a merged counter snapshot in, decoding ``hist.*`` keys."""
-        for key, value in counters.items():
-            if not key.startswith(HIST_PREFIX):
-                self.increment(key, value)
-                continue
-            name, _, field = key[len(HIST_PREFIX):].rpartition(".")
-            if not name:  # malformed: keep it visible as a plain counter
-                self.increment(key, value)
-                continue
-            buckets, count, total = self._hists.setdefault(name, ({}, 0, 0))
-            if field == "n":
-                self._hists[name] = (buckets, count + value, total)
-            elif field == "sum":
-                self._hists[name] = (buckets, count, total + value)
-            elif field.startswith("b") and field[1:].isdigit():
-                bucket = int(field[1:])
-                buckets[bucket] = buckets.get(bucket, 0) + value
-            else:
-                self.increment(key, value)
-
-    def merge_gauges(self, gauges: Mapping[str, float], prefix: str = "") -> None:
-        for key, value in gauges.items():
-            self.gauge(f"{prefix}{key}", value)
-
-    # -- read side --------------------------------------------------------
-
-    def counters(self) -> dict[str, int]:
-        return dict(sorted(self._counters.items()))
-
-    def gauges(self) -> dict[str, float]:
-        return dict(sorted(self._gauges.items()))
-
-    def histograms(self) -> dict[str, HistogramSnapshot]:
-        out = {}
-        for name in sorted(self._hists):
-            buckets, count, total = self._hists[name]
-            out[name] = HistogramSnapshot(name, dict(buckets), count, total)
-        return out
-
-    def snapshot(self) -> dict[str, Any]:
-        """Deterministic JSON-safe dump of everything in the registry."""
-        return {
-            "counters": self.counters(),
-            "gauges": {k: round(v, 6) for k, v in self.gauges().items()},
-            "histograms": {
-                name: hist.as_dict() for name, hist in self.histograms().items()
-            },
-        }
+def histograms(counters: Mapping[str, int]) -> dict[str, HistogramSnapshot]:
+    """Decode the well-formed ``hist.<name>.{n,sum,b<digits>}`` keys of a
+    counter snapshot into one :class:`HistogramSnapshot` per name, sorted
+    by name.  Every other key, plain or malformed, is skipped: a counter
+    snapshot is the one stored account, this is a view of it."""
+    found: dict[str, HistogramSnapshot] = {}
+    for key, value in counters.items():
+        if not key.startswith(HIST_PREFIX):
+            continue
+        name, _, field = key[len(HIST_PREFIX):].rpartition(".")
+        digits = field[1:]
+        if not name or not (
+            field in ("n", "sum") or (field[:1] == "b" and digits.isdecimal())
+        ):
+            continue
+        hist = found.setdefault(name, HistogramSnapshot(name, {}, 0, 0))
+        if field == "n":
+            hist.count += value
+        elif field == "sum":
+            hist.total += value
+        else:
+            hist.buckets[int(digits)] = hist.buckets.get(int(digits), 0) + value
+    return dict(sorted(found.items()))

@@ -2,10 +2,12 @@
 
 Every join CLI run writes a **run manifest** — a small JSON document
 with the run's identity (kind, workload, config digest), its merged
-counters and metrics snapshot, per-stage timings on both clocks
-(measured ``wall_times_s``, simulated ``stage_times_s``), and process
-rusage watermarks — into a ``.repro-runs/`` directory (one file per
-run, written atomically).  ``python -m repro runs list|show|diff``
+counters (histograms included, as ``hist.*`` keys), per-stage timings
+on both clocks (measured ``wall_times_s``, simulated
+``stage_times_s``), the executor summary and process rusage watermarks
+— into a ``.repro-runs/`` directory (one file per run, written
+atomically).  Each number is stored once; ``runs show`` derives the
+histograms from the counters.  ``python -m repro runs list|show|diff``
 browses the registry.  Performance is gated elsewhere, on the wall
 clock: ``benchmarks/wall/README.md``.
 """
@@ -102,7 +104,6 @@ def build_run_manifest(
         doc["stage2_replication"] = round(report.stage2_replication, 6)
         doc["stage2_max_reducer_input"] = report.stage2_max_reducer_input
         doc["counters"] = dict(sorted(counters.items()))
-        doc["metrics"] = report.metrics().snapshot()
         doc["executor"] = report.executor_summary()
     identity = doc.get("config_digest") or _digest_of(doc)
     doc["id"] = f"{created.strftime('%Y%m%d-%H%M%S')}-{identity[:8]}"
@@ -149,7 +150,9 @@ def list_runs(directory: str) -> list[dict[str, Any]]:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError):
             continue
-        if isinstance(doc, dict) and "id" in doc:
+        # the id is matched by prefix: a document without a string one
+        # is not a manifest
+        if isinstance(doc, dict) and isinstance(doc.get("id"), str):
             runs.append(doc)
     runs.sort(key=lambda d: (d.get("created", ""), d.get("id", "")))
     return runs

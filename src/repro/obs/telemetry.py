@@ -8,9 +8,9 @@ it finishes; this module watches it *while it runs*.  Two pieces:
     task completions to it — a task's result is the only thing it sends
     the driver, so a finished task is what progress is counted in.  The
     hub aggregates throughput/ETA per phase, exports a queue-depth
-    counter lane into the Chrome trace (when one is attached),
-    accumulates ``telemetry.*`` counters, and drives an optional
-    :class:`ProgressView`.
+    counter lane into the Chrome trace (when one is attached), tallies
+    ``tasks`` and ``phases`` as plain ints of its own, and drives an
+    optional :class:`ProgressView`.
 
 :class:`ProgressView`
     ``--progress`` rendering.  On a TTY it redraws a single live bar
@@ -18,12 +18,11 @@ it finishes; this module watches it *while it runs*.  Two pieces:
     plain ``progress: ...`` log lines with no ANSI codes.
 
 Everything here is **observe-only**: the hub never influences
-scheduling, partitioning, counters that describe the workload, or any
-output byte.  A run with telemetry on is bit-identical (pairs and
-telemetry-stripped counters) to a run with it off — differential-tested
-across both engines, both kernels, self and R-S joins.  Which task of a
-phase ran longest is read off the trace afterwards
-(``repro trace-report``).
+scheduling, partitioning, the join's counters, or any output byte.  A
+run with telemetry on is bit-identical (pairs and every counter) to a
+run with it off — differential-tested across both engines, both
+kernels, self and R-S joins.  Which task of a phase ran longest is
+read off the trace afterwards (``repro trace-report``).
 """
 
 from __future__ import annotations
@@ -33,31 +32,13 @@ import sys
 import time
 from typing import TextIO
 
-from repro.mapreduce.faults import strip_counters
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
-__all__ = [
-    "ProgressView",
-    "TELEMETRY_COUNTER_PREFIXES",
-    "TelemetryHub",
-    "strip_telemetry_counters",
-]
-
-#: counter-key prefixes produced only by the telemetry machinery —
-#: excluded when differentially comparing telemetry-on versus
-#: telemetry-off runs
-TELEMETRY_COUNTER_PREFIXES = ("telemetry.",)
+__all__ = ["ProgressView", "TelemetryHub"]
 
 #: ``ru_maxrss`` is kilobytes on Linux but bytes on macOS; dividing by
 #: this gives kilobytes, so manifests agree across platforms
 _MAXRSS_UNITS_PER_KB = 1024 if sys.platform == "darwin" else 1
-
-
-def strip_telemetry_counters(counters: dict[str, int]) -> dict[str, int]:
-    """Counters without telemetry bookkeeping keys — what must be
-    identical between a telemetry-on and telemetry-off run."""
-    return strip_counters(counters, TELEMETRY_COUNTER_PREFIXES)
 
 
 def rusage_watermarks() -> dict[str, float]:
@@ -117,7 +98,10 @@ class TelemetryHub:
         self.view = view
         self.tracer = tracer
         self._phases: dict[str, _PhaseState] = {}
-        self._metrics = MetricsRegistry()
+        #: phases started and tasks credited: the hub's own tallies,
+        #: never written into the join's counters
+        self.phases = 0
+        self.tasks = 0
 
     # -- events from the engines -------------------------------------------
 
@@ -125,7 +109,7 @@ class TelemetryHub:
         now = time.perf_counter()
         state = _PhaseState(job, phase, total_tasks, now)
         self._phases[state.key] = state
-        self._metrics.increment("telemetry.phases", 1)
+        self.phases += 1
         if self.tracer is not None:
             self.tracer.counter("telemetry.queue_depth", tasks=total_tasks)
         if self.view is not None:
@@ -136,7 +120,7 @@ class TelemetryHub:
         state = self._phases.get(f"{job}/{phase}")
         if state is None:
             return
-        self._metrics.increment("telemetry.tasks", 1)
+        self.tasks += 1
         state.done_tasks += 1
         state.records += records
         if self.tracer is not None:
@@ -158,23 +142,14 @@ class TelemetryHub:
 
     # -- read side ----------------------------------------------------------
 
-    def counters(self) -> dict[str, int]:
-        """The ``telemetry.*`` tallies, with the driver process's own RSS
-        watermark as of this call (the workers' is in the manifest's
-        ``rusage``)."""
-        counters = self._metrics.counters()
-        own = resource.getrusage(resource.RUSAGE_SELF)
-        counters["telemetry.maxrss_kb"] = int(own.ru_maxrss) // _MAXRSS_UNITS_PER_KB
-        return counters
-
     def summary_line(self) -> str:
-        """One greppable line for ``--stats`` / CI assertions."""
-        counters = self.counters()
+        """One greppable line for ``--progress`` / CI assertions: the
+        tallies and the driver process's own RSS watermark as of this
+        call (the workers' is in the manifest's ``rusage``)."""
+        own = resource.getrusage(resource.RUSAGE_SELF)
         return (
-            "telemetry: "
-            f"tasks={counters.get('telemetry.tasks', 0)} "
-            f"phases={counters.get('telemetry.phases', 0)} "
-            f"maxrss_kb={counters['telemetry.maxrss_kb']}"
+            f"telemetry: tasks={self.tasks} phases={self.phases} "
+            f"maxrss_kb={int(own.ru_maxrss) // _MAXRSS_UNITS_PER_KB}"
         )
 
     def close(self) -> None:

@@ -29,7 +29,7 @@ from repro.mapreduce.faults import (
     strip_counters,
     strip_fault_counters,
 )
-from repro.obs.telemetry import ProgressView, TelemetryHub, strip_telemetry_counters
+from repro.obs.telemetry import ProgressView, TelemetryHub
 from repro.obs.trace import Tracer
 
 from tests.conftest import (
@@ -155,11 +155,10 @@ def _rid_pairs(pairs) -> list[tuple[int, int]]:
 
 
 def _comparable(counters: dict[str, int]) -> dict[str, int]:
-    """*counters* without what an absorbed fault, a replan, an observer
-    or the sanitizer adds; every other counter is the reference's."""
-    return strip_counters(
-        strip_telemetry_counters(strip_fault_counters(counters)), ("sanitize.",)
-    )
+    """*counters* without what an absorbed fault, a replan or the
+    sanitizer adds; every other counter, with any observer attached, is
+    the reference's."""
+    return strip_counters(strip_fault_counters(counters), ("sanitize.",))
 
 
 def assert_same_join(

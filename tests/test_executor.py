@@ -49,7 +49,6 @@ from repro.mapreduce.executor import (
 from repro.mapreduce.faults import FaultPlan, TaskError
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import InsufficientMemoryError, approx_bytes
-from repro.obs.telemetry import strip_telemetry_counters
 from repro.obs.trace import Tracer
 
 from tests.conftest import fork_only, make_cluster, small_config
@@ -151,9 +150,7 @@ class TestEngineParity:
             assert [p.shuffle_bytes for p in seq_phases] == [
                 p.shuffle_bytes for p in per_phases
             ]
-        assert strip_telemetry_counters(seq.counters()) == strip_telemetry_counters(
-            per.counters()
-        )
+        assert seq.counters() == per.counters()
         # ... which includes every bucket of the per-partition histogram
         assert any(
             name.startswith("hist.shuffle.partition_bytes.") for name in per.counters()

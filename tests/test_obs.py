@@ -1,6 +1,6 @@
 """Tests for the observability layer (``repro.obs``).
 
-Covers the histogram-over-counters encoding, the metrics registry, the
+Covers the histogram-over-counters encoding and its decoding, the
 span tracer and its Chrome-trace-event export, the trace-report
 analyzer, and — as differential-matrix cells (``tests/matrix.py``) —
 the observe-only guarantee: a traced join produces bit-identical pairs
@@ -28,10 +28,10 @@ from repro.mapreduce.job import Context, MapReduceJob
 from repro.mapreduce.types import ExecutorPhaseStats
 from repro.obs.metrics import (
     HIST_PREFIX,
-    MetricsRegistry,
     bucket_bounds,
     bucket_of,
     hist_counter,
+    histograms,
     observe_into,
 )
 from repro.obs.report import (
@@ -53,7 +53,7 @@ HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 # ---------------------------------------------------------------------------
-# histogram encoding / metrics registry
+# histogram encoding / decoding
 # ---------------------------------------------------------------------------
 
 
@@ -90,60 +90,68 @@ class TestHistogramEncoding:
         }
 
     def test_merge_counters_roundtrip(self):
-        """Encoding through counters and decoding through the registry
-        reproduces direct driver-side observation."""
-        direct = MetricsRegistry()
-        counters = Counters()
-        for value in (0, 1, 1, 3, 9, 200):
-            direct.observe("v", value)
-            observe_into(counters.increment, "v", value)
-        decoded = MetricsRegistry()
-        decoded.merge_counters(counters.as_dict())
-        assert decoded.histograms()["v"].as_dict() == direct.histograms()["v"].as_dict()
+        """Encoding through counters and decoding through
+        :func:`histograms` gives back the observations' buckets, count
+        and sum, on the unbuffered and the buffered path alike."""
+        values = (0, 1, 1, 3, 9, 200)
+        unbuffered, buffered = Counters(), Counters()
+        for value in values:
+            observe_into(unbuffered.increment, "v", value)
+            buffered.observe("v", value)
+        expected = {
+            "buckets": {"0": 1, "1": 2, "2": 1, "4": 1, "8": 1},
+            "count": 6,
+            "sum": 214,
+            "mean": 35.667,
+            "p50": 1.0,
+            "p99": 191.5,
+        }
+        for counters in (unbuffered, buffered):
+            assert histograms(counters.as_dict())["v"].as_dict() == expected
 
-    def test_merge_keeps_plain_and_malformed_counters(self):
-        registry = MetricsRegistry()
-        registry.merge_counters(
+    def test_histograms_skip_plain_and_malformed_counters(self):
+        """Only well-formed ``hist.<name>.{n,sum,b<digits>}`` keys make a
+        histogram; a stray key never conjures an empty one."""
+        decoded = histograms(
             {
                 "stage2.pairs": 7,
                 HIST_PREFIX + "x.n": 1,
                 HIST_PREFIX + "x.sum": 4,
                 HIST_PREFIX + "x.b3": 1,
-                HIST_PREFIX + "weird": 2,  # no name part: stays a counter
-                HIST_PREFIX + "y.bogus": 3,  # unknown field: stays a counter
+                HIST_PREFIX + "weird": 2,  # no name part
+                HIST_PREFIX + "y.bogus": 3,  # unknown field
+                HIST_PREFIX + "z.b": 1,  # bucket without digits
+                HIST_PREFIX + "z.b²": 1,  # not a decimal digit
             }
         )
-        assert registry.counters() == {
-            "hist.weird": 2,
-            "hist.y.bogus": 3,
-            "stage2.pairs": 7,
-        }
-        assert set(registry.histograms()) == {"x", "y"}
+        assert list(decoded) == ["x"]
+        assert (decoded["x"].buckets, decoded["x"].count, decoded["x"].total) == (
+            {3: 1}, 1, 4,
+        )
 
     def test_quantiles_and_mean(self):
-        registry = MetricsRegistry()
+        counters = Counters()
         for value in (1, 2, 4, 8):
-            registry.observe("v", value)
-        hist = registry.histograms()["v"]
+            observe_into(counters.increment, "v", value)
+        hist = histograms(counters.as_dict())["v"]
         assert hist.count == 4
         assert hist.total == 15
         assert hist.mean == pytest.approx(3.75)
         assert hist.p50 == pytest.approx(2.5)  # midpoint of bucket [2, 4)
         assert hist.max_bound == 16
-        empty = MetricsRegistry().observe  # noqa: F841 - just API presence
-        assert MetricsRegistry().histograms() == {}
+        assert histograms({}) == {}
 
     def test_snapshot_is_sorted_and_deterministic(self):
-        registry = MetricsRegistry()
-        registry.increment("zeta", 2)
-        registry.increment("alpha")
-        registry.gauge("g2", 1.5)
-        registry.gauge("g1", 0.25)
-        registry.observe("h", 3)
-        snap = registry.snapshot()
-        assert list(snap["counters"]) == ["alpha", "zeta"]
-        assert list(snap["gauges"]) == ["g1", "g2"]
-        assert json.dumps(snap) == json.dumps(registry.snapshot())
+        counters = Counters()
+        for name, value in (("zeta", 900), ("alpha", 1), ("zeta", 3)):
+            observe_into(counters.increment, name, value)
+        shuffled = dict(reversed(list(counters.as_dict().items())))
+        decoded = histograms(shuffled)
+        assert list(decoded) == ["alpha", "zeta"]
+        snap = {name: hist.as_dict() for name, hist in decoded.items()}
+        assert list(snap["zeta"]["buckets"]) == ["2", "10"]
+        again = {name: hist.as_dict() for name, hist in histograms(shuffled).items()}
+        assert json.dumps(snap) == json.dumps(again)
 
     def test_counters_as_dict_sorted(self):
         counters = Counters()
@@ -682,11 +690,9 @@ class TestTraceReport:
 
 
 class TestJoinReportMetrics:
-    def test_metrics_snapshot_has_all_three_kinds(self):
-        registry = run_join(make_cluster(), "self").report.metrics()
-        snap = registry.snapshot()
-        assert "stage2.pairs_output" in snap["counters"]
-        assert "total.simulated_s" in snap["gauges"]
+    def test_join_counters_decode_into_histograms(self):
+        counters = run_join(make_cluster(), "self").report.counters()
+        decoded = histograms(counters)
         for name in (
             "reduce.group_records",
             "shuffle.partition_bytes",
@@ -695,10 +701,12 @@ class TestJoinReportMetrics:
             "stage2.record_routes",
             "stage2.group_records",
         ):
-            assert name in snap["histograms"], name
-            assert snap["histograms"][name]["count"] > 0
-        # every histogram key decoded: none leak into plain counters
-        assert not any(k.startswith(HIST_PREFIX) for k in snap["counters"])
+            assert decoded[name].count > 0, name
+        # every hist.* key of the join is a field of one histogram:
+        # n, sum and one per occupied bucket
+        assert sum(len(h.buckets) + 2 for h in decoded.values()) == sum(
+            key.startswith(HIST_PREFIX) for key in counters
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -732,20 +740,23 @@ class TestTraceCli:
         assert "routing balance comparison" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "content, problem, lines",
+        "content, problem, lines, reported",
         [
-            ('{"traceEvents": [{"ph": "X", "ts": -3}]}', "missing 'name'", 5),
-            ('{"traceEvents": [{"ph": "X", "ts"', "cannot read: Expecting", 1),
-            (None, "cannot read: [Errno 2]", 1),
+            ('{"traceEvents": [{"ph": "X", "ts": -3}]}', "missing 'name'", 5, True),
+            ('{"traceEvents": [{"ph": "X", "ts"', "cannot read: Expecting", 1, False),
+            (None, "cannot read: [Errno 2]", 1, False),
+            ('{"id": 5}', "traceEvents: missing or not a list", 1, False),
         ],
-        ids=["invalid", "truncated", "missing"],
+        ids=["invalid", "truncated", "missing", "not-a-trace"],
     )
     @pytest.mark.parametrize("validate_only", [True, False], ids=["validate", "report"])
     def test_trace_report_rejects_invalid_file(
-        self, tmp_path, capsys, content, problem, lines, validate_only
+        self, tmp_path, capsys, content, problem, lines, reported, validate_only
     ):
         """A file that cannot be read, parsed or validated is a problem
-        of that file: ``path: ...`` lines, exit 1, no traceback."""
+        of that file: ``path: ...`` lines, exit 1, no traceback.  What
+        parsed of a trace is still reported; a document with no event
+        list is not a trace and gets no report."""
         from repro.cli import main
 
         bad = tmp_path / "bad.json"
@@ -753,6 +764,8 @@ class TestTraceCli:
             bad.write_text(content, encoding="utf-8")
         flags = ["--validate-only"] if validate_only else []
         assert main(["trace-report", *flags, str(bad)]) == 1
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
         assert len(err) == lines and problem in err[0]
         assert all(line.startswith(f"{bad}: ") for line in err)
+        assert bool(captured.out) == (reported and not validate_only)

@@ -15,7 +15,8 @@ from repro.bench.reporting import (
     format_table,
     rows_to_table,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.mapreduce.counters import Counters
+from repro.obs.metrics import histograms, observe_into
 
 
 def test_format_table_golden():
@@ -160,11 +161,11 @@ def test_format_runs_diff_identical_counters_golden():
 
 
 def test_format_histograms_golden():
-    registry = MetricsRegistry()
+    counters = Counters()
     for value in (1, 2, 4, 8):
-        registry.observe("stage2.group_records", value)
-    registry.observe("shuffle.partition_bytes", 900)
-    assert format_histograms(registry.histograms()) == (
+        observe_into(counters.increment, "stage2.group_records", value)
+    observe_into(counters.increment, "shuffle.partition_bytes", 900)
+    assert format_histograms(histograms(counters.as_dict())) == (
         "histograms\n"
         "histogram                n  sum  mean    p50     p99     max<\n"
         "-----------------------  -  ---  ------  ------  ------  ----\n"

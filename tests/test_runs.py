@@ -14,6 +14,7 @@ from repro.join.config import JoinConfig
 from repro.join.driver import ssjoin_self
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.dfs import InMemoryDFS
+from repro.obs.metrics import histograms
 from repro.obs.runs import (
     build_run_manifest,
     diff_runs,
@@ -84,6 +85,40 @@ def test_manifest_id_collisions_get_suffixed(tmp_path, rng):
     assert len(set(ids)) == 3
 
 
+def test_manifest_stores_each_number_once(tmp_path, capsys, rng):
+    """No ``metrics`` block repeats the counters, stage times or executor
+    summary; ``runs show`` derives the histograms from ``counters``."""
+    config, report = _join_report(rng)
+    doc = build_run_manifest(
+        kind="selfjoin", workload="records", config=config, report=report
+    )
+    assert "metrics" not in doc
+    assert doc["counters"] == dict(sorted(report.counters().items()))
+    assert doc["executor"] == report.executor_summary()
+    directory = str(tmp_path / "reg")
+    write_run_manifest(directory, doc)
+    assert main(["runs", "show", doc["id"], "--runs-dir", directory]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert shown.pop("histograms") == {
+        name: hist.as_dict() for name, hist in histograms(doc["counters"]).items()
+    }
+    assert shown == doc
+    assert shown["counters"]["hist.stage2.group_records.n"] > 0
+
+
+def test_runs_show_skips_a_document_without_a_string_id(tmp_path, capsys):
+    """A JSON file whose ``id`` is not a string is not a manifest: refs
+    are matched against the manifests around it."""
+    directory = tmp_path / "reg"
+    write_run_manifest(str(directory), {"id": "20260101-000000-aaaa"})
+    (directory / "stray.json").write_text('{"id": 5}', encoding="utf-8")
+    assert [doc["id"] for doc in list_runs(str(directory))] == [
+        "20260101-000000-aaaa"
+    ]
+    assert main(["runs", "show", "2026", "--runs-dir", str(directory)]) == 0
+    assert json.loads(capsys.readouterr().out)["id"] == "20260101-000000-aaaa"
+
+
 def test_load_run_errors(tmp_path):
     directory = str(tmp_path / "reg")
     with pytest.raises(FileNotFoundError):
@@ -145,7 +180,8 @@ def test_diff_runs(rng):
 def _registry_with_pre_retirement_run(tmp_path, rng):
     """A registry holding one current manifest and one written before
     the batch kernels and the shm transport were retired (it still
-    carries their counters and gauges)."""
+    carries their counters, and the ``metrics`` block manifests of its
+    day stored beside ``counters``, with their gauges)."""
     config, report = _join_report(rng)
     current = build_run_manifest(
         kind="selfjoin", workload="records", config=config, report=report
@@ -153,9 +189,11 @@ def _registry_with_pre_retirement_run(tmp_path, rng):
     old = json.loads(json.dumps(current))
     old["id"] = "20250101-000000-" + current["config_digest"][:8]
     old["counters"].update({"plan.batch_size": 64, "stage2.batches": 12})
-    old["metrics"]["gauges"].update(
-        {"shuffle.shm_bytes": 4096.0, "shuffle.fallback_disk": 1.0}
-    )
+    old["metrics"] = {
+        "counters": {"plan.batch_size": 64, "stage2.batches": 12},
+        "gauges": {"shuffle.shm_bytes": 4096.0, "shuffle.fallback_disk": 1.0},
+        "histograms": {},
+    }
     directory = str(tmp_path / "reg")
     write_run_manifest(directory, old)
     write_run_manifest(directory, current)

@@ -4,8 +4,8 @@ differential guarantee, and task credit under injected faults.
 The observe-only contract is a set of differential-matrix cells
 (``tests/matrix.py``): with a TelemetryHub (and progress view) attached,
 every engine must produce bit-identical join output and identical
-telemetry-stripped counters versus the same run with telemetry off —
-across both kernels, self and R-S joins.
+counters versus the same run with telemetry off — across both kernels,
+self and R-S joins.  The hub keeps its tallies to itself.
 """
 
 import io
@@ -13,12 +13,9 @@ import re
 
 import pytest
 
-from repro.obs.telemetry import (
-    ProgressView,
-    TelemetryHub,
-    rusage_watermarks,
-    strip_telemetry_counters,
-)
+from repro.cli import main
+from repro.data.synthetic import generate_dblp
+from repro.obs.telemetry import ProgressView, TelemetryHub, rusage_watermarks
 
 from tests.matrix import BASE, cell, run_join
 
@@ -30,13 +27,34 @@ def test_telemetry_is_observe_only(make_engine, engine, kernel, join):
         make_engine, join, BASE.with_options(kernel=kernel),
         engine=engine, observer="telemetry",
     )
-    # the run was actually observed, not silently unplugged
-    hub_counters = run.observer.counters()
-    assert hub_counters["telemetry.phases"] > 0
-    assert hub_counters["telemetry.tasks"] > 0
-    # driver folded the hub's counters into the report
-    assert run.counters["telemetry.tasks"] == hub_counters["telemetry.tasks"]
+    # the run was actually observed, not silently unplugged ...
+    assert run.observer.phases > 0 and run.observer.tasks > 0
+    # ... and the observation stayed out of the join's counters
+    assert not any(name.startswith("telemetry.") for name in run.counters)
     assert run.pairs, "matrix case produced no pairs; weak test"
+
+
+def test_runs_diff_of_a_progress_run_finds_identical_counters(
+    tmp_path, capsys
+):
+    """``--progress`` is observe-only on the CLI too: its run manifest's
+    counters are a plain run's, so ``runs diff`` says so."""
+    records = tmp_path / "records.tsv"
+    records.write_text("\n".join(generate_dblp(300, seed=7)) + "\n")
+    registry = str(tmp_path / "reg")
+    ids = []
+    for flags in ([], ["--progress"]):
+        assert main([
+            "selfjoin", str(records), "-o", str(tmp_path / "out.tsv"),
+            "--threshold", "0.8", "--runs-dir", registry, *flags,
+        ]) == 0
+        (ids_line,) = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("run ")
+        ]
+        ids.append(ids_line.split()[1])
+    assert main(["runs", "diff", *ids, "--runs-dir", registry]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "counters: identical"
 
 
 #: CI's chaos plan (cli-smoke): a worker crash in Stage 2, a raise in
@@ -58,12 +76,11 @@ def test_every_task_is_credited_once_under_chaos(make_engine, engine):
     assert counters["fault.injected"] == 3 and counters["task.retries"] >= 1
     if engine == "persistent":
         assert counters["task.lost"] >= 1
-    assert len(hub._phases) == hub.counters()["telemetry.phases"]
+    assert len(hub._phases) == hub.phases
     for state in hub._phases.values():
         assert state.finished is not None
         assert state.done_tasks == state.total_tasks, state.key
-    for name in ("telemetry.tasks", "telemetry.phases"):
-        assert hub.counters()[name] == clean.observer.counters()[name]
+    assert (hub.tasks, hub.phases) == (clean.observer.tasks, clean.observer.phases)
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +94,7 @@ def test_hub_tracks_phase_progress_and_records():
     hub.task_finished("job", "map", 0, records=10)
     hub.task_finished("other", "map", 0, records=10)  # phase never started
     hub.phase_finished("job", "map")
-    counters = hub.counters()
-    assert counters["telemetry.phases"] == 1
-    assert counters["telemetry.tasks"] == 1
-    assert counters["telemetry.maxrss_kb"] > 0
+    assert (hub.phases, hub.tasks) == (1, 1)
     assert re.fullmatch(
         r"telemetry: tasks=1 phases=1 maxrss_kb=[1-9]\d*", hub.summary_line()
     )
@@ -91,15 +105,6 @@ def test_rusage_helpers():
     assert marks["utime_s"] >= 0.0 and marks["stime_s"] >= 0.0
     assert marks["maxrss_kb"] > 0
     assert set(marks) == {"utime_s", "stime_s", "maxrss_kb"}
-
-
-def test_strip_telemetry_counters():
-    counters = {
-        "stage2.pairs_output": 5,
-        "telemetry.tasks": 9,
-        "hist.telemetry.x.b3": 2,
-    }
-    assert strip_telemetry_counters(counters) == {"stage2.pairs_output": 5}
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +167,7 @@ def test_progress_advances_per_finished_task(make_engine, engine):
         by_phase.setdefault(match[1], []).append(
             (int(match[2]), int(match[3]), "done in" in line)
         )
-    assert len(by_phase) == cluster.telemetry.counters()["telemetry.phases"]
+    assert len(by_phase) == cluster.telemetry.phases
     for lines in by_phase.values():
         done, total, closed = lines[-1]
         assert done == total and closed
