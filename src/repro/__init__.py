@@ -19,45 +19,41 @@ paper-to-module map.
 
 from __future__ import annotations
 
-from repro.core import (
-    Cosine,
-    EditDistanceQGrams,
-    edit_distance_self_join,
-    levenshtein,
-    Dice,
-    Jaccard,
-    Overlap,
-    QGramTokenizer,
-    SimilarityFunction,
-    TokenOrder,
-    Tokenizer,
-    WordTokenizer,
-    get_similarity_function,
-    naive_rs_join,
-    naive_self_join,
-    ppjoin_rs_join,
-    ppjoin_self_join,
-)
-from repro.core.prefixes import Projection
-from repro.join import (
-    JoinConfig,
-    JoinReport,
-    RecordSchema,
-    set_similarity_rs_join,
-    set_similarity_self_join,
-    ssjoin_rs,
-    ssjoin_self,
-)
-from repro.join.blocks import BlockPolicy
-from repro.core.lsh import MinHasher, minhash_lsh_self_join
-from repro.mapreduce import (
-    ClusterConfig,
-    InMemoryDFS,
-    InsufficientMemoryError,
-    LocalDiskDFS,
-    MapReduceJob,
-    SimulatedCluster,
-)
+from importlib import import_module
+from typing import Any
+
+#: every public name resolves on first use, through the subpackage that
+#: exports it, so ``python -m repro`` loads only the modules it runs
+_LAZY = {
+    **dict.fromkeys(
+        ("Cosine", "Dice", "EditDistanceQGrams", "Jaccard", "MinHasher",
+         "Overlap", "QGramTokenizer", "SimilarityFunction", "TokenOrder",
+         "Tokenizer", "WordTokenizer", "edit_distance_self_join",
+         "get_similarity_function", "levenshtein", "minhash_lsh_self_join",
+         "naive_rs_join", "naive_self_join", "ppjoin_rs_join",
+         "ppjoin_self_join"),
+        "repro.core",
+    ),
+    "Projection": "repro.core.prefixes",
+    **dict.fromkeys(
+        ("JoinConfig", "JoinReport", "RecordSchema", "set_similarity_rs_join",
+         "set_similarity_self_join", "ssjoin_rs", "ssjoin_self"),
+        "repro.join",
+    ),
+    "BlockPolicy": "repro.join.blocks",
+    **dict.fromkeys(
+        ("ClusterConfig", "InMemoryDFS", "InsufficientMemoryError",
+         "LocalDiskDFS", "MapReduceJob", "SimulatedCluster"),
+        "repro.mapreduce",
+    ),
+}
+
+
+def __getattr__(name: str) -> Any:  # PEP 562: import on first use
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_LAZY[name]), name)
+
 
 __version__ = "1.0.0"
 

@@ -17,11 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.data.increase import increase_dataset
 from repro.data.loaders import read_records, write_records
-from repro.data.synthetic import generate_citeseerx, generate_dblp, generate_skewed
 from repro.join.blocks import BlockPolicy
-from repro.join.checkpoint import JoinCheckpoint
 from repro.join.config import JoinConfig
 from repro.join.driver import JoinReport, ssjoin_rs, ssjoin_self
 from repro.join.records import FIELD_SEP, RecordSchema, rid_of
@@ -178,6 +175,8 @@ def _make_checkpoint(args: argparse.Namespace):
     root = args.resume if args.resume is not None else args.checkpoint
     if root is None:
         return None
+    from repro.join.checkpoint import JoinCheckpoint
+
     return JoinCheckpoint(root, resume=args.resume is not None)
 
 
@@ -503,6 +502,9 @@ def _cmd_runs_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.data.increase import increase_dataset
+    from repro.data.synthetic import generate_citeseerx, generate_dblp, generate_skewed
+
     if args.corpus == "dblp":
         records = generate_dblp(args.num_records, seed=args.seed)
     elif args.corpus == "skewed":

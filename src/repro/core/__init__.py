@@ -10,37 +10,51 @@ All-Pairs baseline, and a brute-force oracle used by the test suite.
 
 from __future__ import annotations
 
-from repro.core.tokenizers import (
-    Tokenizer,
-    WordTokenizer,
-    QGramTokenizer,
-    clean_text,
-)
-from repro.core.similarity import (
-    SimilarityFunction,
-    Jaccard,
-    Cosine,
-    Dice,
-    Overlap,
-    get_similarity_function,
-)
-from repro.core.ordering import TokenOrder, count_token_frequencies
-from repro.core.verification import overlap, verify_pair
-from repro.core.bitmaps import overlap_upper_bound, signature as bitmap_signature
-from repro.core.filters import (
-    length_bounds,
-    positional_filter_passes,
-    suffix_filter_passes,
-)
-from repro.core.ppjoin import PPJoinIndex, ppjoin_self_join, ppjoin_rs_join
-from repro.core.editdist import (
-    EditDistanceQGrams,
-    edit_distance_self_join,
-    levenshtein,
-)
-from repro.core.lsh import MinHasher, candidate_probability, minhash_lsh_self_join
-from repro.core.allpairs import allpairs_self_join
-from repro.core.naive import naive_self_join, naive_rs_join
+from importlib import import_module
+from typing import Any
+
+#: resolved on first use: a join imports the kernel modules it runs,
+#: never the baselines (All-Pairs, LSH, edit distance, the oracle)
+_LAZY = {
+    **dict.fromkeys(
+        ("QGramTokenizer", "Tokenizer", "WordTokenizer", "clean_text"),
+        "repro.core.tokenizers",
+    ),
+    **dict.fromkeys(
+        ("Cosine", "Dice", "Jaccard", "Overlap", "SimilarityFunction",
+         "get_similarity_function"),
+        "repro.core.similarity",
+    ),
+    **dict.fromkeys(("TokenOrder", "count_token_frequencies"), "repro.core.ordering"),
+    **dict.fromkeys(("overlap", "verify_pair"), "repro.core.verification"),
+    **dict.fromkeys(("bitmap_signature", "overlap_upper_bound"), "repro.core.bitmaps"),
+    **dict.fromkeys(
+        ("length_bounds", "positional_filter_passes", "suffix_filter_passes"),
+        "repro.core.filters",
+    ),
+    **dict.fromkeys(
+        ("PPJoinIndex", "ppjoin_rs_join", "ppjoin_self_join"), "repro.core.ppjoin"
+    ),
+    **dict.fromkeys(
+        ("EditDistanceQGrams", "edit_distance_self_join", "levenshtein"),
+        "repro.core.editdist",
+    ),
+    **dict.fromkeys(
+        ("MinHasher", "candidate_probability", "minhash_lsh_self_join"),
+        "repro.core.lsh",
+    ),
+    "allpairs_self_join": "repro.core.allpairs",
+    **dict.fromkeys(("naive_rs_join", "naive_self_join"), "repro.core.naive"),
+}
+#: package names that differ from the defining module's
+_RENAMED = {"bitmap_signature": "signature"}
+
+
+def __getattr__(name: str) -> Any:  # PEP 562: import on first use
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_LAZY[name]), _RENAMED.get(name, name))
+
 
 __all__ = [
     "Cosine",

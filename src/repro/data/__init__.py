@@ -3,16 +3,26 @@ dataset-increase technique (Section 6)."""
 
 from __future__ import annotations
 
-from repro.data.synthetic import (
-    CorpusSpec,
-    DBLP_SPEC,
-    CITESEERX_SPEC,
-    generate_corpus,
-    generate_dblp,
-    generate_citeseerx,
-)
-from repro.data.increase import increase_dataset
-from repro.data.loaders import read_records, write_records
+from importlib import import_module
+from typing import Any
+
+#: resolved on first use: a join reads records and never generates them
+_LAZY = {
+    **dict.fromkeys(
+        ("CITESEERX_SPEC", "CorpusSpec", "DBLP_SPEC", "generate_citeseerx",
+         "generate_corpus", "generate_dblp"),
+        "repro.data.synthetic",
+    ),
+    "increase_dataset": "repro.data.increase",
+    **dict.fromkeys(("read_records", "write_records"), "repro.data.loaders"),
+}
+
+
+def __getattr__(name: str) -> Any:  # PEP 562: import on first use
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_LAZY[name]), name)
+
 
 __all__ = [
     "CITESEERX_SPEC",

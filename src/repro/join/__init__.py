@@ -11,22 +11,33 @@ End-to-end drivers live in :mod:`repro.join.driver`.
 
 from __future__ import annotations
 
-from repro.join.checkpoint import CheckpointMismatchError, JoinCheckpoint
-from repro.join.config import JoinConfig
-from repro.join.records import (
-    RecordSchema,
-    join_value,
-    make_line,
-    parse_fields,
-    rid_of,
-)
-from repro.join.driver import (
-    JoinReport,
-    set_similarity_self_join,
-    set_similarity_rs_join,
-    ssjoin_self,
-    ssjoin_rs,
-)
+from importlib import import_module
+from typing import Any
+
+#: resolved on first use: a run without ``--checkpoint`` never loads
+#: the checkpoint store (nor ``pickle``)
+_LAZY = {
+    **dict.fromkeys(
+        ("CheckpointMismatchError", "JoinCheckpoint"), "repro.join.checkpoint"
+    ),
+    "JoinConfig": "repro.join.config",
+    **dict.fromkeys(
+        ("RecordSchema", "join_value", "make_line", "parse_fields", "rid_of"),
+        "repro.join.records",
+    ),
+    **dict.fromkeys(
+        ("JoinReport", "set_similarity_rs_join", "set_similarity_self_join",
+         "ssjoin_rs", "ssjoin_self"),
+        "repro.join.driver",
+    ),
+}
+
+
+def __getattr__(name: str) -> Any:  # PEP 562: import on first use
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_LAZY[name]), name)
+
 
 __all__ = [
     "CheckpointMismatchError",

@@ -34,18 +34,15 @@ block) as :class:`CheckpointMismatchError` naming the file.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import pickle
 import shutil
 from pathlib import Path
-from typing import TYPE_CHECKING
 
+from repro.join.config import JoinConfig, config_digest
 from repro.mapreduce.diskdfs import LocalDiskDFS
+from repro.mapreduce.hashing import sha256
 from repro.obs.atomicio import atomic_write_json
-
-if TYPE_CHECKING:
-    from repro.join.config import JoinConfig
 
 __all__ = [
     "CheckpointMismatchError",
@@ -70,49 +67,9 @@ class CheckpointMismatchError(RuntimeError):
     """
 
 
-def _sha256(parts: list[str]) -> str:
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part.encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
-
-
-def config_digest(config: JoinConfig) -> str:
-    """Deterministic digest of every output-affecting config field.
-
-    Built by hand rather than from ``repr(config)`` because tokenizer
-    and similarity objects are plain classes whose default repr embeds
-    a memory address.  Observe-only fields (``sanitize``) are excluded:
-    toggling them between runs cannot change any stage output.
-    """
-    tokenizer = config.tokenizer
-    tokenizer_desc = type(tokenizer).__name__ + json.dumps(
-        {k: repr(v) for k, v in sorted(vars(tokenizer).items())},
-        sort_keys=True,
-    )
-    descriptor = {
-        "similarity": config.sim.name,
-        "threshold": repr(config.threshold),
-        "tokenizer": tokenizer_desc,
-        "schema": repr(config.schema.join_fields),
-        "stage1": config.stage1,
-        "kernel": config.kernel,
-        "routing": config.routing,
-        "num_groups": repr(config.num_groups),
-        "stage3": config.stage3,
-        "num_reducers": repr(config.num_reducers),
-        "blocks": repr(config.blocks),
-        "length_class_width": repr(config.length_class_width),
-        "bitmap_filter": repr(config.bitmap_filter),
-        "bitmap_width": repr(config.bitmap_width),
-    }
-    return _sha256([json.dumps(descriptor, sort_keys=True)])
-
-
 def file_fingerprint(dfs, name: str) -> str:
     """Order-sensitive streaming fingerprint of one DFS file."""
-    digest = hashlib.sha256()
+    digest = sha256()
     count = 0
     for record in dfs.read(name):
         digest.update(repr(record).encode("utf-8"))

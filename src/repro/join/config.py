@@ -31,6 +31,7 @@ pool worker) holds the whole RID-pair list and its by-RID index.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -38,6 +39,7 @@ from repro.core.similarity import SimilarityFunction, get_similarity_function
 from repro.core.tokenizers import Tokenizer, WordTokenizer
 from repro.join.blocks import BlockPolicy
 from repro.join.records import RecordSchema
+from repro.mapreduce.hashing import sha256
 
 STAGE1_ALGORITHMS = ("bto", "opto")
 KERNELS = ("bk", "pk")
@@ -152,3 +154,37 @@ class JoinConfig:
     def with_options(self, **changes) -> "JoinConfig":
         """Copy with the given fields replaced."""
         return replace(self, **changes)
+
+
+def config_digest(config: JoinConfig) -> str:
+    """Deterministic digest of every output-affecting config field.
+
+    Built by hand rather than from ``repr(config)`` because tokenizer
+    and similarity objects are plain classes whose default repr embeds
+    a memory address.  Observe-only fields (``sanitize``) are excluded:
+    toggling them between runs cannot change any stage output.  Run
+    manifests and checkpoints both record it, so it must not move.
+    """
+    tokenizer = config.tokenizer
+    tokenizer_desc = type(tokenizer).__name__ + json.dumps(
+        {k: repr(v) for k, v in sorted(vars(tokenizer).items())},
+        sort_keys=True,
+    )
+    descriptor = {
+        "similarity": config.sim.name,
+        "threshold": repr(config.threshold),
+        "tokenizer": tokenizer_desc,
+        "schema": repr(config.schema.join_fields),
+        "stage1": config.stage1,
+        "kernel": config.kernel,
+        "routing": config.routing,
+        "num_groups": repr(config.num_groups),
+        "stage3": config.stage3,
+        "num_reducers": repr(config.num_reducers),
+        "blocks": repr(config.blocks),
+        "length_class_width": repr(config.length_class_width),
+        "bitmap_filter": repr(config.bitmap_filter),
+        "bitmap_width": repr(config.bitmap_width),
+    }
+    text = json.dumps(descriptor, sort_keys=True)
+    return sha256(text.encode("utf-8") + b"\x00").hexdigest()

@@ -22,12 +22,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.join.checkpoint import (
-    CheckpointMismatchError,
-    JoinCheckpoint,
-    checkpoint_identity,
-)
 from repro.join.config import JoinConfig
 from repro.join.memory import (
     MAX_REPLANS,
@@ -38,7 +34,6 @@ from repro.join.memory import (
 )
 from repro.join.stage1 import stage1_jobs
 from repro.join.stage2 import stage2_self_job
-from repro.join.stage2_rs import stage2_rs_job
 from repro.join.stage3 import stage3_jobs
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.dfs import InMemoryDFS
@@ -49,6 +44,10 @@ from repro.mapreduce.types import (
     merge_executor_stats,
 )
 from repro.obs.trace import trace_span
+
+if TYPE_CHECKING:
+    # a join without ``--checkpoint`` never loads the checkpoint store
+    from repro.join.checkpoint import JoinCheckpoint
 
 
 @dataclass
@@ -265,6 +264,8 @@ def _run_stages(
             try:
                 config = apply_degradations(config, steps)
             except ValueError as exc:
+                from repro.join.checkpoint import CheckpointMismatchError
+
                 raise CheckpointMismatchError(
                     "checkpoint manifest records a memory step this "
                     f"version cannot replay: {exc}"
@@ -342,6 +343,8 @@ def _ssjoin(
     token_order_file = f"{prefix}.tokens"
     pairs_file = f"{prefix}.ridpairs"
     output_file = f"{prefix}.joined"
+    if is_rs:
+        from repro.join.stage2_rs import stage2_rs_job
     stage2_job = stage2_rs_job if is_rs else stage2_self_job
 
     # re-invoked whenever a memory fault degrades the plan
@@ -367,6 +370,8 @@ def _ssjoin(
 
     done: list[str] = []
     if checkpoint is not None:
+        from repro.join.checkpoint import checkpoint_identity
+
         # identity is the requested config: a resumed run replays the
         # persisted degradation steps on top of it
         done = checkpoint.begin(

@@ -33,13 +33,16 @@ from repro.mapreduce.faults import (
 )
 from repro.mapreduce.hashing import stable_hash
 from repro.mapreduce.dfs import InMemoryDFS
-from repro.mapreduce.diskdfs import LocalDiskDFS
 from repro.mapreduce.job import Context, MapReduceJob
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.pipeline import run_pipeline
 
-#: the pool engine drags in ``multiprocessing``: sequential joins skip it
-_LAZY = {"PersistentParallelCluster": "repro.mapreduce.executor"}
+#: the pool engine drags in ``multiprocessing`` and the on-disk DFS
+#: serves checkpoints and ``--dfs-dir``: a plain sequential join skips both
+_LAZY = {
+    "LocalDiskDFS": "repro.mapreduce.diskdfs",
+    "PersistentParallelCluster": "repro.mapreduce.executor",
+}
 
 
 def __getattr__(name: str) -> Any:  # PEP 562: import on first use

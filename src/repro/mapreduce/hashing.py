@@ -1,15 +1,38 @@
-"""Process-stable hashing for partitioning.
+"""Process-stable hashing: partitioning and content digests.
 
 Python's built-in ``hash`` for strings is salted per process
 (``PYTHONHASHSEED``), which would make partition assignment — and
 therefore per-reducer workloads and any skew-sensitive measurement —
 non-reproducible.  Map tasks partition by :func:`stable_hash` of the
 job's ``partition(key)`` instead.
+
+:data:`sha256` is the one SHA-256 constructor of the package (config
+digests, checkpoint fingerprints, run-manifest ids).
 """
 
 from __future__ import annotations
 
+from importlib import import_module
+from typing import Any, Callable
 from zlib import crc32
+
+
+def _sha256_constructor() -> Callable[..., Any]:
+    # ``hashlib`` loads OpenSSL's libcrypto (a few MiB of RSS) to offer
+    # what CPython's built-in module computes bit for bit; like
+    # ``random.py``, fall back to it only where the built-in is missing
+    for name in ("_sha2", "_sha256"):  # CPython 3.12+, 3.10/3.11
+        try:
+            return import_module(name).sha256
+        except ImportError:
+            continue
+    from hashlib import sha256
+
+    return sha256
+
+
+#: ``hashlib.sha256``'s digests without loading OpenSSL
+sha256: Callable[..., Any] = _sha256_constructor()
 
 
 def stable_hash(key: object) -> int:

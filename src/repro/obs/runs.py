@@ -80,8 +80,9 @@ def build_run_manifest(
     if argv is not None:
         doc["argv"] = list(argv)
     if config is not None:
-        # imported lazily: repro.join pulls in repro.obs at package init
-        from repro.join.checkpoint import config_digest
+        # imported here: repro.join.config pulls in repro.mapreduce,
+        # whose package init imports repro.obs
+        from repro.join.config import config_digest
         from repro.join.memory import apply_degradations
 
         doc["config_digest"] = config_digest(config)
@@ -111,9 +112,9 @@ def build_run_manifest(
 
 
 def _digest_of(doc: dict[str, Any]) -> str:
-    import hashlib
+    from repro.mapreduce.hashing import sha256
 
-    return hashlib.sha256(
+    return sha256(
         json.dumps(doc, sort_keys=True, default=str).encode("utf-8")
     ).hexdigest()
 
@@ -150,11 +151,16 @@ def list_runs(directory: str) -> list[dict[str, Any]]:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError):
             continue
-        # the id is matched by prefix: a document without a string one
-        # is not a manifest
-        if isinstance(doc, dict) and isinstance(doc.get("id"), str):
+        # the id is matched by prefix and the list sorts on (created,
+        # id): a document whose id is not a string, or whose created is
+        # present but not one, is not a manifest
+        if (
+            isinstance(doc, dict)
+            and isinstance(doc.get("id"), str)
+            and isinstance(doc.get("created", ""), str)
+        ):
             runs.append(doc)
-    runs.sort(key=lambda d: (d.get("created", ""), d.get("id", "")))
+    runs.sort(key=lambda d: (d.get("created", ""), d["id"]))
     return runs
 
 

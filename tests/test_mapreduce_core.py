@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.dfs import Block, InMemoryDFS
-from repro.mapreduce.hashing import stable_hash
+from repro.mapreduce import hashing
+from repro.mapreduce.hashing import sha256, stable_hash
 from repro.mapreduce.types import (
     InsufficientMemoryError,
     JobStats,
@@ -223,6 +224,29 @@ class TestCounters:
         c.increment("b")
         c.increment("a")
         assert [name for name, _ in c] == ["a", "b"]
+
+
+class TestSha256:
+    @pytest.mark.parametrize(
+        "data", [b"", b"token\x00", bytes(range(256)) * 4096], ids=["empty", "short", "1MiB"]
+    )
+    def test_equals_hashlib(self, data):
+        import hashlib
+
+        assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+        streamed = sha256()
+        streamed.update(data)
+        streamed.update(b"tail")
+        assert streamed.hexdigest() == hashlib.sha256(data + b"tail").hexdigest()
+
+    def test_falls_back_to_hashlib_without_a_builtin_module(self, monkeypatch):
+        import hashlib
+
+        def no_builtin(name):
+            raise ModuleNotFoundError(name)
+
+        monkeypatch.setattr(hashing, "import_module", no_builtin)
+        assert hashing._sha256_constructor() is hashlib.sha256
 
 
 class TestStableHash:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.join.blocks import BlockPolicy
-from repro.join.config import JoinConfig
+from repro.join.config import JoinConfig, config_digest
 from repro.join.records import (
     RecordSchema,
     join_value,
@@ -103,6 +103,16 @@ class TestJoinConfig:
     def test_combo_name_all(self):
         assert JoinConfig(stage1="opto", kernel="bk", stage3="oprj").combo_name == (
             "OPTO-BK-OPRJ"
+        )
+
+    def test_config_digest_does_not_move(self):
+        # run manifests diff as ``same_config`` and checkpoints resume
+        # across versions only while this value holds
+        from repro.join import checkpoint
+
+        assert checkpoint.config_digest is config_digest
+        assert config_digest(JoinConfig(threshold=0.8)) == (
+            "29c0c5603aca4f4fef40610156e04c8975ccf142f80deedde69399ad7ee000b0"
         )
 
 

@@ -119,6 +119,24 @@ def test_runs_show_skips_a_document_without_a_string_id(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["id"] == "20260101-000000-aaaa"
 
 
+def test_runs_list_skips_a_document_whose_created_is_not_a_string(tmp_path, capsys):
+    """The list sorts on ``(created, id)``: a stray document with a
+    numeric ``created`` is not a manifest and must not break the sort."""
+    directory = tmp_path / "reg"
+    directory.mkdir()
+    (directory / "a.json").write_text(
+        '{"id": "20260101-000000-aaaa", "created": "2026-01-01T00:00:00Z"}',
+        encoding="utf-8",
+    )
+    (directory / "b.json").write_text(
+        '{"id": "20260101-000000-bbbb", "created": 5}', encoding="utf-8"
+    )
+    assert main(["runs", "list", "--runs-dir", str(directory)]) == 0
+    out = capsys.readouterr().out
+    assert "20260101-000000-aaaa" in out
+    assert "20260101-000000-bbbb" not in out
+
+
 def test_load_run_errors(tmp_path):
     directory = str(tmp_path / "reg")
     with pytest.raises(FileNotFoundError):
