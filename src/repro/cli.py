@@ -434,7 +434,7 @@ def _runs_dir(args: argparse.Namespace) -> str:
 
 def _cmd_runs_list(args: argparse.Namespace) -> int:
     from repro.bench.reporting import format_table
-    from repro.obs.runs import list_runs
+    from repro.obs.runs import dict_field, list_runs
 
     runs = list_runs(_runs_dir(args))
     if not runs:
@@ -447,8 +447,8 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
             doc.get("workload", "?"),
             doc.get("combo", "-"),
             doc.get("pairs", "-"),
-            doc.get("wall_times_s", {}).get("total", "-"),
-            doc.get("stage_times_s", {}).get("total", "-"),
+            dict_field(doc, "wall_times_s").get("total", "-"),
+            dict_field(doc, "stage_times_s").get("total", "-"),
         ]
         for doc in runs
     ]
@@ -479,12 +479,13 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs.metrics import histograms
+    from repro.obs.runs import dict_field
 
     docs = _load_runs(args, args.run)
     if docs is None:
         return 2
     doc = docs[0]
-    decoded = histograms(doc.get("counters", {}))
+    decoded = histograms(dict_field(doc, "counters"))
     shown = {**doc, "histograms": {n: h.as_dict() for n, h in decoded.items()}}
     print(json.dumps(shown, indent=2, sort_keys=True))
     return 0

@@ -171,6 +171,7 @@ def execute_map_task(
     map_slots: int,
     *,
     tracer: Tracer | None = None,
+    key_memo: dict | None = None,
 ) -> tuple[TaskStats, list[tuple[int, tuple, tuple]], dict[str, int]]:
     """Run one map task (+ combiner + partitioning).
 
@@ -179,6 +180,13 @@ def execute_map_task(
     order and ``counters`` is the task's counter snapshot.  When a
     *tracer* is attached, the task records a span — observe-only, the
     returned triple is identical either way.
+
+    *key_memo* maps each key already seen to ``(partition, framed key
+    bytes, canonical key)``.  The engines pass one dict to every task
+    of a map phase in a process, so a key is partitioned and sized
+    once per phase and every triple carries that key's one canonical
+    object; omitted, the task gets a fresh dict.  The result is equal
+    either way.
     """
     span = trace_span(tracer, f"map:{task_id}", "task", job=job.name, task=task_id)
     ctx = Context(
@@ -216,25 +224,28 @@ def execute_map_task(
     # per partition the way approx_bytes((key, value)) counts it — key
     # + value + 8 bytes of pair framing; the shuffle handles only add
     # these totals up.
-    # Two hot-loop memos.  Keys repeat across records (route x length
-    # is a small domain) and a key's partition and size are pure
-    # functions of it, so cache both instead of re-hashing and
-    # re-sizing per emission.  Mappers that fan one record out to
-    # several routes emit the *same* value object back-to-back, so
-    # byte-account it once per object, not once per copy.
+    # Two hot-loop memos.  Keys repeat across records and across the
+    # tasks of a phase (route x length is a small domain) and a key's
+    # partition and size are pure functions of it, so *key_memo* holds
+    # both, once per distinct key per map phase and process, with the
+    # key object every later equal key is replaced by: the shuffle then
+    # holds one object per distinct key.  Mappers that fan one record
+    # out to several routes emit the *same* value object back-to-back,
+    # so byte-account it once per object, not once per copy.
+    if key_memo is None:
+        key_memo = {}
     partition_bytes: dict[int, int] = {}
-    partition_cache: dict = {}
     last_value_id = 0
     last_value_bytes = 0
     num_reducers = job.num_reducers
     append = partitioned.append
     partition = job.partition
     for key, value in pairs:
-        cached = partition_cache.get(key)
+        cached = key_memo.get(key)
         if cached is None:
             p = stable_hash(partition(key)) % num_reducers
-            cached = partition_cache[key] = (p, approx_bytes(key) + 8)
-        p, framed_key_bytes = cached
+            cached = key_memo[key] = (p, approx_bytes(key) + 8, key)
+        p, framed_key_bytes, key = cached
         append((p, key, value))
         if id(value) != last_value_id:
             last_value_bytes = approx_bytes(value)
@@ -678,6 +689,8 @@ class SimulatedCluster:
         """
         slots = self.config.map_slots
         shuffle = DriverShuffle(job.num_reducers)
+        # one key memo for the phase; it goes when the phase returns
+        key_memo: dict = {}
         results = []
         for task_id, input_name, records in map_inputs:
 
@@ -690,7 +703,7 @@ class SimulatedCluster:
             ) -> tuple:
                 return execute_map_task(
                     job, task_id, input_name, records, *broadcast, limit, slots,
-                    tracer=self.tracer,
+                    tracer=self.tracer, key_memo=key_memo,
                 )
 
             task_stats, partitioned, counters = self._attempt_task(

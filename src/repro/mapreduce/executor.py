@@ -133,6 +133,8 @@ _W_JOB: MapReduceJob | None = None
 _W_INPUTS: list[tuple[int, str, list]] = []
 #: the job's loaded distributed cache: ``(payload, bytes, load seconds)``
 _W_BROADCAST: tuple[Broadcast, int, float] = (Broadcast(), 0, 0.0)
+#: the ``key_memo`` of this worker's map tasks (one map phase per pool)
+_W_KEY_MEMO: dict = {}
 
 
 def _worker_init(
@@ -140,8 +142,9 @@ def _worker_init(
     map_inputs: list[tuple[int, str, list]],
     broadcast: tuple[Broadcast, int, float],
 ) -> None:
-    global _W_JOB, _W_INPUTS, _W_BROADCAST
+    global _W_JOB, _W_INPUTS, _W_BROADCAST, _W_KEY_MEMO
     _W_JOB, _W_INPUTS, _W_BROADCAST = job, map_inputs, broadcast
+    _W_KEY_MEMO = {}
     # lets 'crash' faults really kill the process; in the driver a crash
     # fault raises instead
     mark_worker_process()
@@ -216,7 +219,7 @@ def _read_segments(refs: list[SegmentRef]) -> list:
 def _map_attempt(
     job: MapReduceJob, task_id: int, attempt: int, limit: int | None,
     tracer: Tracer | None, phase_args: tuple, input_name: str, records: list,
-    broadcast: tuple[Broadcast, int, float],
+    broadcast: tuple[Broadcast, int, float], key_memo: dict,
 ) -> tuple:
     """One map attempt, in a worker or in the driver: run the task,
     spill its partitioned output.  Returns ``(stats, path, segments,
@@ -225,7 +228,7 @@ def _map_attempt(
     phase_dir, map_slots = phase_args
     stats, partitioned, counters = execute_map_task(
         job, task_id, input_name, records, *broadcast, limit, map_slots,
-        tracer=tracer,
+        tracer=tracer, key_memo=key_memo,
     )
     path, segments = _spill_map_output(
         phase_dir, f"m{task_id}a{attempt}", partitioned, job.num_reducers
@@ -242,7 +245,7 @@ def _map_in_worker(
     _task_id, input_name, records = _W_INPUTS[task_id]
     return _map_attempt(
         job, task_id, attempt, limit, tracer, phase_args, input_name,
-        records, _W_BROADCAST,
+        records, _W_BROADCAST, _W_KEY_MEMO,
     )
 
 
@@ -548,12 +551,14 @@ class PersistentParallelCluster(SimulatedCluster):
         task_payloads: dict[int, tuple] = {t: () for t, _name, _r in map_inputs}
         ex.bytes_to_workers += _ENTRY_BYTES * len(task_payloads)
         phase_args = (phase_dir, self.config.map_slots)
+        # the driver's own memo for the tasks a degraded phase hands it
+        key_memo: dict = {}
 
         def in_driver(task_id: int, limit: int | None, attempt: int) -> tuple:
             _task_id, input_name, records = map_inputs[task_id]
             return _map_attempt(
                 job, task_id, attempt, limit, self.tracer, phase_args,
-                input_name, records, broadcast,
+                input_name, records, broadcast, key_memo,
             )
 
         shuffle = MapShuffle(job.num_reducers, phase_dir)

@@ -31,6 +31,7 @@ __all__ = [
     "RUNS_DIR_DEFAULT",
     "build_run_manifest",
     "diff_runs",
+    "dict_field",
     "list_runs",
     "load_run",
     "resolve_runs_dir",
@@ -164,6 +165,13 @@ def list_runs(directory: str) -> list[dict[str, Any]]:
     return runs
 
 
+def dict_field(doc: dict[str, Any], key: str) -> dict[str, Any]:
+    """Manifest field *key* when it is a JSON object, else ``{}``: a
+    field of another type reads as absent."""
+    value = doc.get(key)
+    return value if isinstance(value, dict) else {}
+
+
 def load_run(directory: str, ref: str) -> dict[str, Any]:
     """Resolve *ref* to one manifest: ``latest``, an exact id, a unique
     id prefix, or a path to a manifest JSON file."""
@@ -211,8 +219,8 @@ def diff_runs(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
 
     def time_rows(key: str) -> list[tuple[str, float, float, float]]:
         rows: list[tuple[str, float, float, float]] = []
-        times_a = a.get(key, {})
-        times_b = b.get(key, {})
+        times_a = dict_field(a, key)
+        times_b = dict_field(b, key)
         for stage in sorted(set(times_a) | set(times_b)):
             va = float(times_a.get(stage, 0.0))
             vb = float(times_b.get(stage, 0.0))
@@ -220,8 +228,8 @@ def diff_runs(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
             rows.append((stage, va, vb, delta_pct))
         return rows
 
-    counters_a = a.get("counters", {})
-    counters_b = b.get("counters", {})
+    counters_a = dict_field(a, "counters")
+    counters_b = dict_field(b, "counters")
     counter_rows: list[tuple[str, int, int]] = []
     for name in sorted(set(counters_a) | set(counters_b)):
         va = int(counters_a.get(name, 0))
@@ -238,8 +246,8 @@ def diff_runs(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
         "same_config": a.get("config_digest") == b.get("config_digest"),
         "pairs": (a.get("pairs"), b.get("pairs")),
         "maxrss_kb": (
-            a.get("rusage", {}).get("maxrss_kb"),
-            b.get("rusage", {}).get("maxrss_kb"),
+            dict_field(a, "rusage").get("maxrss_kb"),
+            dict_field(b, "rusage").get("maxrss_kb"),
         ),
         **{
             key: (a.get(key), b.get(key))

@@ -21,6 +21,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,8 +47,8 @@ from repro.mapreduce.executor import (
     MapShuffle,
     PersistentParallelCluster,
 )
-from repro.mapreduce.faults import FaultPlan, TaskError
-from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.faults import FaultPlan, RetryPolicy, TaskError
+from repro.mapreduce.job import Broadcast, MapReduceJob
 from repro.mapreduce.types import InsufficientMemoryError, approx_bytes
 from repro.obs.trace import Tracer
 
@@ -273,6 +274,124 @@ class TestEngineParity:
         # eighth); one tuple per pair would add 56 bytes more
         assert grown <= 2 * 8 * n * 1.25
         assert shuffle.load(1) == [(k, v) for p, k, v in partitioned if p == 1]
+
+
+class _Canary:
+    """A key that tells, by weak reference, whether a memo is alive."""
+
+
+def _recording_jobs(cluster) -> list[MapReduceJob]:
+    """Make *cluster* record every job it runs; returns the list."""
+    jobs: list[MapReduceJob] = []
+    run_job = cluster.run_job
+
+    def recording_run_job(job):
+        jobs.append(job)
+        return run_job(job)
+
+    cluster.run_job = recording_run_job
+    return jobs
+
+
+class TestKeyMemo:
+    """One key memo per map phase per process: a key is partitioned and
+    sized once, every triple carries its one canonical object, and the
+    memo goes with its phase."""
+
+    @pytest.mark.parametrize("join", ["self", "rs"])
+    def test_a_shared_memo_changes_no_result(self, join):
+        """Every map task of every job (Stage 1 with its combiner, Stage
+        2, Stage 3) returns the same triples, ``TaskStats`` and counters
+        under one shared memo as under a fresh one per call — the
+        positional call ``benchmarks/wall/probes.py`` makes."""
+        cluster = make_cluster()
+        jobs = _recording_jobs(cluster)
+        run_join(cluster, join)
+        dfs, slots = cluster.dfs, cluster.config.map_slots
+        assert {job.name for job in jobs} >= {"bto-count", "bto-sort"}
+        assert any(job.name.startswith("stage2-") for job in jobs)
+        for job in jobs:
+            broadcast = Broadcast({name: dfs.read_all(name) for name in job.broadcast})
+            memo: dict = {}
+            blocks = [
+                (name, block.records)
+                for name in job.inputs
+                for block in dfs.file(name).blocks
+            ]
+            for task_id, (name, records) in enumerate(blocks):
+                args = (job, task_id, name, records, broadcast, 0, 0.0, None, slots)
+                fresh = execute_map_task(*args)
+                shared = execute_map_task(*args, key_memo=memo)
+                assert shared[1] == fresh[1]
+                assert shared[2] == fresh[2]
+                assert replace(shared[0], cpu_seconds=0.0) == replace(
+                    fresh[0], cpu_seconds=0.0
+                )
+                # interned: each triple carries the memo's own key object
+                assert all(key is memo[key][2] for _p, key, _v in shared[1])
+
+    def test_the_driver_shuffle_holds_one_object_per_key(self):
+        """After a sequential Stage-2 map phase, equal keys in the
+        ``DriverShuffle`` are one object."""
+        cluster = make_cluster()
+        shuffles = []
+        run_map_phase = cluster._run_map_phase
+
+        def keeping_map_phase(job, map_inputs, broadcast):
+            results, shuffle, ex = run_map_phase(job, map_inputs, broadcast)
+            if job.name.startswith("stage2-"):
+                shuffles.append(shuffle)
+            return results, shuffle, ex
+
+        cluster._run_map_phase = keeping_map_phase
+        run_join(cluster, "self")
+        (shuffle,) = shuffles
+        held = [key for keys in shuffle._keys for key in keys]
+        assert len(held) > len(set(held)) > 0
+        assert len({id(key) for key in held}) == len(set(held))
+
+    @pytest.mark.parametrize(
+        "engine, faults, policy",
+        [
+            ("sequential", "corrupt:stage2-*:map:*:0", None),
+            ("persistent", "crash:stage2-*:map:1:0", None),
+            ("persistent", "crash:*:map:*:0", RetryPolicy(max_pool_respawns=0)),
+        ],
+        ids=["sequential-corrupt", "pooled-crash", "pooled-degraded"],
+    )
+    def test_the_memo_lives_for_one_phase(
+        self, make_engine, monkeypatch, engine, faults, policy
+    ):
+        """Every memo a map task of the driver is handed is gone before
+        the job's reduce phase starts, so neither the job nor the cluster
+        holds one after ``run_job``; a failed or lost attempt, whose
+        keys stay memoised, leaves the join equal to the reference."""
+        canaries: list[weakref.ref] = []
+
+        def tagging_map_task(*args, key_memo, **kwargs):
+            canary = _Canary()
+            key_memo[canary] = (0, 0, canary)
+            canaries.append(weakref.ref(canary))
+            return execute_map_task(*args, key_memo=key_memo, **kwargs)
+
+        for module in (cluster_module, executor_module):
+            monkeypatch.setattr(module, "execute_map_task", tagging_map_task)
+        reduce_starts = []
+        run_reduce_phase = SimulatedCluster._run_reduce_phase
+
+        def checking_reduce_phase(cluster, *args):
+            reduce_starts.append(all(ref() is None for ref in canaries))
+            return run_reduce_phase(cluster, *args)
+
+        monkeypatch.setattr(SimulatedCluster, "_run_reduce_phase", checking_reduce_phase)
+        kwargs = {} if policy is None else {"retry_policy": policy}
+        run = cell(make_engine, engine=engine, faults=faults, **kwargs)
+        assert run.counters["fault.injected"] >= 1
+        if engine == "sequential" or policy is not None:
+            # the driver ran map tasks (a crashed worker's memo died with it)
+            assert canaries and reduce_starts
+        assert all(reduce_starts) and all(ref() is None for ref in canaries)
+        assert executor_module._W_KEY_MEMO == {}
 
 
 class TestPoolLifecycle:

@@ -137,6 +137,45 @@ def test_runs_list_skips_a_document_whose_created_is_not_a_string(tmp_path, caps
     assert "20260101-000000-bbbb" not in out
 
 
+def _wrongly_typed_manifest(tmp_path) -> str:
+    """A registry holding one manifest whose dict fields are not dicts."""
+    directory = tmp_path / "reg"
+    write_run_manifest(str(directory), {
+        "id": "20260101-000000-aaaa",
+        "created": "2026-01-01T00:00:00Z",
+        "wall_times_s": "x",
+        "stage_times_s": 5,
+        "rusage": [1],
+        "counters": [1],
+    })
+    return str(directory)
+
+
+def test_runs_list_reads_a_wrongly_typed_field_as_absent(tmp_path, capsys):
+    directory = _wrongly_typed_manifest(tmp_path)
+    assert main(["runs", "list", "--runs-dir", directory]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split()
+    assert row[0] == "20260101-000000-aaaa"
+    assert row[-2:] == ["-", "-"]
+
+
+def test_runs_diff_reads_a_wrongly_typed_field_as_absent(tmp_path, capsys):
+    directory = _wrongly_typed_manifest(tmp_path)
+    assert main(["runs", "diff", "latest", "latest", "--runs-dir", directory]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("counters: identical")
+    diff = diff_runs(*[load_run(directory, "latest")] * 2)
+    assert diff["stage_rows"] == diff["wall_rows"] == diff["counter_rows"] == []
+    assert diff["maxrss_kb"] == (None, None)
+
+
+def test_runs_show_reads_a_wrongly_typed_field_as_absent(tmp_path, capsys):
+    directory = _wrongly_typed_manifest(tmp_path)
+    assert main(["runs", "show", "latest", "--runs-dir", directory]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert shown["histograms"] == {}
+    assert shown["counters"] == [1]
+
+
 def test_load_run_errors(tmp_path):
     directory = str(tmp_path / "reg")
     with pytest.raises(FileNotFoundError):
