@@ -77,9 +77,8 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                              "Perfetto; analyze with 'repro trace-report'); "
                              "observe-only, output is unchanged")
     parser.add_argument("--faults", default=None, metavar="SPEC",
-                        help="deterministic fault injection: a plan file "
-                             "(JSON) or inline spec list like "
-                             "'crash:*:map:1:0;sleep:*:reduce:0:0:0.3' "
+                        help="deterministic fault injection: a spec list "
+                             "like 'crash:*:map:1:0;sleep:*:reduce:0:0:0.3' "
                              "(kind:job:phase:task:attempt[:sleep_s|cap_mb]); "
                              "absorbable plans leave the output bit-identical; "
                              "'squeeze' lowers the simulated memory budget to "
@@ -134,20 +133,16 @@ def _build_config(args: argparse.Namespace) -> JoinConfig:
 
 def _fault_options(args: argparse.Namespace) -> dict:
     """``fault_plan``/``retry_policy`` kwargs shared by every engine."""
-    from repro.mapreduce.faults import DEFAULT_RETRY_POLICY, FaultPlan
+    from repro.mapreduce.faults import FaultPlan, RetryPolicy
 
-    fault_plan = FaultPlan.load(args.faults) if args.faults else None
+    fault_plan = FaultPlan.parse(args.faults) if args.faults else None
     retry_policy = None
     if args.max_task_attempts is not None:
-        import dataclasses
-
         if args.max_task_attempts < 1:
             raise ValueError(
                 f"--max-task-attempts must be >= 1, got {args.max_task_attempts}"
             )
-        retry_policy = dataclasses.replace(
-            DEFAULT_RETRY_POLICY, max_attempts=args.max_task_attempts
-        )
+        retry_policy = RetryPolicy(max_attempts=args.max_task_attempts)
     return {"fault_plan": fault_plan, "retry_policy": retry_policy}
 
 

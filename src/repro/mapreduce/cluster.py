@@ -472,14 +472,13 @@ class TaskLedger:
     """What the parent books for one task across its attempts: the
     ``fault.*`` / ``task.*`` counters and their trace instants.
 
-    There are two retry loops: one task at a time in the driver
-    (:meth:`SimulatedCluster._attempt_task`), chunks in flight in the
-    pooled dispatch loop, which hands a degraded phase's tasks to the
-    driver's loop with their ledgers.  What an attempt *is* they share
-    through :func:`repro.mapreduce.faults.run_attempt`, and what they
-    book per task through one ledger each, settled once into the
-    winning attempt's counters — so chaos bookkeeping rides the existing
-    counter path.
+    A task's first attempt runs in the driver's retry loop
+    (:meth:`SimulatedCluster._attempt_task`) or in a pool chunk, which
+    settles the ledger itself on success and otherwise hands it, with
+    the task, to that loop — where every retry runs.  What an attempt
+    *is* both share through :func:`repro.mapreduce.faults.run_attempt`;
+    the ledger is settled once, into the winning attempt's counters, so
+    chaos bookkeeping rides the existing counter path.
     """
 
     def __init__(
@@ -744,8 +743,10 @@ class SimulatedCluster:
         run: Callable[[int | None, int], _TaskResult],
         ledger: TaskLedger | None = None,
         attempt: int = 0,
+        failure: TaskError | None = None,
     ) -> _TaskResult:
-        """Run one task under the cluster's fault plan and retry policy.
+        """Run one task under the cluster's fault plan and retry policy —
+        the one retry loop of both engines.
 
         ``run(memory_limit, attempt)`` executes one attempt
         (:func:`repro.mapreduce.faults.run_attempt` wraps it).  Injected
@@ -753,8 +754,10 @@ class SimulatedCluster:
         attempt budget; fault and retry tallies are merged into the
         winning attempt's counters.  Non-retryable errors (the simulated
         memory budget) propagate raw; an exhausted budget raises the
-        last attempt's :class:`TaskError`.  A task a pooled phase hands
-        over brings its *ledger* and starts at its next *attempt*.
+        last attempt's :class:`TaskError`.  A task whose first attempt
+        ran on a pool comes with its *ledger* at ``attempt=1`` and that
+        attempt's *failure*, or none when the attempt was lost with its
+        worker: a lost attempt is not a retry.
         """
         plan, hub = self.fault_plan, self.telemetry
         policy = self.retry_policy or DEFAULT_RETRY_POLICY
@@ -763,16 +766,26 @@ class SimulatedCluster:
         if ledger is None:
             ledger = TaskLedger(plan, self.tracer, *where)
         while True:
+            # past attempt 0, *failure* is the last attempt's error (none
+            # when a pool lost that attempt with its worker)
+            if attempt >= policy.max_attempts:
+                try:
+                    raise failure or TaskError(
+                        *where, attempt=attempt - 1,
+                        cause="attempt lost to a dead worker, retry budget spent",
+                    )
+                finally:
+                    failure = None  # the error's traceback holds this frame
+            if failure is not None:
+                ledger.note_retry(attempt)
+                failure = None
             ledger.note_fault(attempt)
             try:
                 result = run_attempt(
                     plan, *where, attempt, limit, partial(run, attempt=attempt)
                 )
-            except TaskError:
-                attempt += 1
-                if attempt >= policy.max_attempts:
-                    raise
-                ledger.note_retry(attempt)
+            except TaskError as error:
+                attempt, failure = attempt + 1, error
                 continue
             ledger.settle(result, attempt)
             if hub is not None:

@@ -16,8 +16,9 @@ This module pays the first cost once per job and the second never:
   inputs and its loaded broadcast are the pool initializer's arguments
   — with the ``fork`` start method those are inherited through process
   memory, never pickled.  A map task's dispatch entry is then just
-  ``(task_id, attempt)``.  The pool is shut down when ``run_job``
-  returns or raises, so no job's state outlives it.
+  its id.  The pool is shut down when ``run_job`` returns or raises,
+  so no job's state outlives it.  The pool runs each task's first
+  attempt only; every retry runs in the driver.
 
 * A **zero-repickle shuffle path**: map workers serialize their
   partition buckets exactly once (one pickle blob per partition) into
@@ -69,7 +70,6 @@ from repro.mapreduce.cluster import (
 )
 from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.faults import (
-    DEFAULT_RETRY_POLICY,
     NON_RETRYABLE,
     TASK_LOST,
     FaultPlan,
@@ -95,8 +95,7 @@ _SHM_DIR = "/dev/shm"
 _CHUNKS_PER_WORKER = 2
 
 #: bytes a dispatch entry is counted as sending a worker: one map task's
-#: ``(task_id, attempt)``, or one reduce segment's ``(path, offset,
-#: length)`` reference
+#: id, or one reduce segment's ``(path, offset, length)`` reference
 _ENTRY_BYTES = 24
 
 #: fewest tasks a phase needs to be pooled; below it the dispatch round
@@ -190,8 +189,9 @@ def _spill_map_output(
 ) -> tuple[str, Segments]:
     """Write one map task's partitioned output to its spill file.
 
-    ``stem`` names the attempt (``m<task>a<attempt>``) so a retry never
-    reopens the file of an attempt that was lost with its worker.
+    ``stem`` names the attempt (``m<task>a<attempt>``) so a retry in
+    the driver never reopens the file of an attempt that was lost with
+    its worker.
     Returns ``(path, segments)``; the path is ``""`` for a task that
     emitted nothing.
     """
@@ -263,14 +263,14 @@ _ATTEMPT = {"map": _map_in_worker, "reduce": _reduce_attempt}
 
 
 def _run_chunk(args: tuple) -> tuple:
-    """Run one chunk of task attempts of one phase.
+    """Run the first attempt of each task of one chunk of one phase.
 
-    Each entry of *tasks* is ``(task_id, attempt, *payload)`` — the
-    payload is empty for a map task (the worker inherited its input),
+    Each entry of *tasks* is ``(task_id, *payload)`` — the payload is
+    empty for a map task (the worker inherited its input),
     ``(segment_refs,)`` for a reduce task.  Per-task failures never
     poison the chunk: the return value separates successful attempts
-    (``oks``) from failed ones (``errs``), each tagged with its task id
-    and attempt, so the parent's dispatch loop can act per task.
+    (``oks``) from failed ones (``errs``), each tagged with its task
+    id, so the parent's dispatch loop can act per task.
     """
     chunk_index, phase, common, phase_args, tasks = args
     memory_limit, trace, plan = common
@@ -281,24 +281,20 @@ def _run_chunk(args: tuple) -> tuple:
     # worker-local tracer whose raw events ride back with the results
     # (perf_counter is CLOCK_MONOTONIC, shared across the fork).
     tracer = Tracer() if trace else None
-    oks: list[tuple[int, int, tuple]] = []
-    errs: list[tuple[int, int, BaseException, bool]] = []
-    for task_id, attempt, *payload in tasks:
+    oks: list[tuple[int, tuple]] = []
+    errs: list[tuple[int, BaseException]] = []
+    for task_id, *payload in tasks:
 
         def run(limit: int | None) -> tuple:
-            return attempt_fn(
-                job, task_id, attempt, limit, tracer, phase_args, *payload
-            )
+            return attempt_fn(job, task_id, 0, limit, tracer, phase_args, *payload)
 
         try:
-            result = run_attempt(
-                plan, job.name, phase, task_id, attempt, memory_limit, run
-            )
-            oks.append((task_id, attempt, result))
-        except NON_RETRYABLE as exc:
-            errs.append((task_id, attempt, exc, False))
-        except TaskError as error:
-            errs.append((task_id, attempt, error, True))
+            oks.append((
+                task_id,
+                run_attempt(plan, job.name, phase, task_id, 0, memory_limit, run),
+            ))
+        except (TaskError, *NON_RETRYABLE) as error:
+            errs.append((task_id, error))
     events = tracer.raw_events() if tracer is not None else []
     return chunk_index, oks, errs, events
 
@@ -394,8 +390,8 @@ class PersistentParallelCluster(SimulatedCluster):
 
     Life cycle of the pool: a job whose map phase pools forks it at the
     start of that phase, handing the workers the job, its map inputs
-    and its loaded broadcast; the job's reduce phase reuses it, a dead
-    worker replaces it (within the respawn budget), and it is shut down
+    and its loaded broadcast; the job's reduce phase reuses it, or
+    forks a fresh one when a dead worker broke it, and it is shut down
     when :meth:`run_job` returns or raises.  A job whose map phase runs
     inline forks nothing.
 
@@ -422,14 +418,9 @@ class PersistentParallelCluster(SimulatedCluster):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers or _effective_cores()
-        #: True once repeated pool deaths exhausted the respawn budget;
-        #: every later phase then runs in the driver (sequential fallback)
-        self.degraded = False
-        #: pools lost to a dead worker over this cluster's life
-        self._respawns = 0
         self._pool: ProcessPoolExecutor | None = None
         #: the running job's ``(job, map_inputs, broadcast)``, which a
-        #: pool forked for it (or respawned) hands its workers
+        #: pool forked for it hands its workers
         self._initargs: tuple | None = None
         self._spill_root: str | None = None
         #: removes the spill root once: on close(), else when this
@@ -476,8 +467,8 @@ class PersistentParallelCluster(SimulatedCluster):
         """Drop the pool: cancel its queued chunks and wait for the
         running ones, so no spill writer outlives its directory.  Every
         path gets here — the end of a job, ``close()``, phase failure,
-        pool-death recovery; on a broken pool the workers are already
-        killed and reaped."""
+        a dead worker; on a broken pool the workers are already killed
+        and reaped."""
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
@@ -501,8 +492,7 @@ class PersistentParallelCluster(SimulatedCluster):
         """Pool the map phase when it has enough tasks and the host
         enough cores for the workers to earn their fork."""
         return (
-            not self.degraded
-            and self.workers > 1
+            self.workers > 1
             and _effective_cores() >= MIN_CORES_FOR_POOL
             and num_tasks >= MIN_TASKS_FOR_POOL
         )
@@ -514,7 +504,6 @@ class PersistentParallelCluster(SimulatedCluster):
         memory and shipping them out is pure overhead."""
         return (
             isinstance(shuffle, MapShuffle)
-            and not self.degraded
             and self.workers > 1
             and num_tasks >= MIN_TASKS_FOR_POOL
         )
@@ -547,11 +536,11 @@ class PersistentParallelCluster(SimulatedCluster):
         self._phase_seq += 1
         assert self._spill_root is not None
         phase_dir = os.path.join(self._spill_root, f"p{self._phase_seq}")
-        # a task's entry is its id and attempt number
+        # a task's entry is its id
         task_payloads: dict[int, tuple] = {t: () for t, _name, _r in map_inputs}
         ex.bytes_to_workers += _ENTRY_BYTES * len(task_payloads)
         phase_args = (phase_dir, self.config.map_slots)
-        # the driver's own memo for the tasks a degraded phase hands it
+        # the driver's own memo for the retries it runs
         key_memo: dict = {}
 
         def in_driver(task_id: int, limit: int | None, attempt: int) -> tuple:
@@ -649,26 +638,24 @@ class PersistentParallelCluster(SimulatedCluster):
         in_driver: Callable[[int, int | None, int], tuple],
         dispatch_order: list[int] | None = None,
     ) -> list[tuple]:
-        """Run every task of one phase on the pool, fault-tolerantly,
-        under a trace span.
+        """Run every task of one phase under a trace span: its first
+        attempt on the pool, any later one in the driver.
 
-        The loop submits contiguous task chunks and waits for the first
-        to complete, so it reacts while attempts are still in flight:
+        The first attempts go out as contiguous task chunks, and the
+        loop waits for the first chunk to complete, settling each task
+        whose attempt succeeded.  Every other outcome goes to the
+        driver's retry loop (:meth:`_attempt_task` over ``in_driver(task,
+        limit, attempt)``) from attempt 1, with the task's ledger:
 
-        * **retries**: a failed attempt is re-dispatched (bounded by
-          the :class:`RetryPolicy` attempt budget); the budget
-          exhausting raises the last attempt's :class:`TaskError`.
-        * **pool-death recovery**: a dead worker (``crash`` faults,
-          real segfaults) breaks the pool, which fails every in-flight
-          chunk with :class:`BrokenProcessPool`.  Those attempts are
-          lost; a new pool is started and every unsatisfied task
-          re-dispatched.  Exhausting the respawn budget degrades the
-          cluster: the driver's retry loop (:meth:`_attempt_task`, over
-          ``in_driver(task, limit, attempt)``) finishes each unsatisfied
-          task from its next attempt on, and every later phase runs in
-          the driver.
+        * a **failed** attempt — a :class:`TaskError` in the worker, or
+          a chunk that failed structurally — at once, with its error;
+        * a **lost** one: a dead worker (``crash`` faults, real
+          segfaults) breaks the pool, which fails every chunk in flight
+          with :class:`BrokenProcessPool`.  The pool is shut down, and
+          each task still unsatisfied is run in the driver; the job's
+          next pooled phase forks a fresh pool.
 
-        *dispatch_order*, when given, reorders only the **initial chunk
+        *dispatch_order*, when given, reorders only the **chunk
         submission** (longest-processing-time-first for skewed reduce
         partitions, so a hot bucket starts immediately instead of
         queueing behind a full wave).  Reassembly — and therefore every
@@ -678,102 +665,22 @@ class PersistentParallelCluster(SimulatedCluster):
         fault/retry tallies merged into its counters (the last element),
         so chaos bookkeeping rides the existing counter path.  Under
         ``REPRO_SANITIZE=1`` the reassembly is cross-checked: every task
-        must be satisfied exactly once.  A task never has two attempts
-        in flight: a retry follows the failure it answers, and a pool
-        death drops every flight before anything is re-dispatched.
-        Sets ``ex.chunks`` and ``ex.busy_s`` and counts respawned pools
-        in ``ex.pools_created``.
+        must be satisfied exactly once.  Sets ``ex.chunks`` and
+        ``ex.busy_s``.
         """
-        policy = self.retry_policy or DEFAULT_RETRY_POLICY
         plan, hub, tracer = self.fault_plan, self.telemetry, self.tracer
         common = (self.config.memory_per_task_bytes, tracer is not None, plan)
         order = list(task_payloads)  # task order: reassembly follows it
         results: dict[int, tuple] = {}
-        #: attempts launched per task; at most one of them is in flight,
-        #: so the one that succeeds is the last one launched
-        next_attempt: dict[int, int] = {t: 0 for t in order}
-        failures: dict[int, TaskError] = {}
         #: in-flight chunks, in submission order, and the tasks each carries
         flights: dict[Future, list[int]] = {}
-        #: the tasks this loop settles; the driver's loop settles the rest
+        #: the ledgers of the tasks no attempt has settled yet
         ledgers = {t: TaskLedger(plan, tracer, job.name, phase, t) for t in order}
 
-        def submit(batch: list[int]) -> None:
-            entries = []
-            for t in batch:
-                attempt = next_attempt[t]
-                next_attempt[t] = attempt + 1
-                ledgers[t].note_fault(attempt)
-                entries.append((t, attempt, *task_payloads[t]))
-            payload = (ex.chunks, phase, common, phase_args, entries)
-            ex.chunks += 1
-            try:
-                future = self._pool.submit(_run_chunk, payload)
-            except BrokenProcessPool as exc:
-                # a worker died since the last wait: this chunk is lost
-                # with the pool's in-flight ones
-                future = Future()
-                future.set_exception(exc)
-            flights[future] = batch
-
-        def absorb(result: tuple) -> None:
-            _chunk_index, oks, errs, events = result
-            if events and tracer is not None:
-                tracer.absorb(events)
-            for t, _attempt, core in oks:
-                results[t] = core
-                if hub is not None:
-                    hub.task_finished(job.name, phase, t, core[0].input_records)
-            for t, _attempt, exc, retryable in errs:
-                handle_failure(t, exc, retryable)
-
-        def handle_failure(t: int, error: BaseException, retryable: bool) -> None:
-            if not retryable or next_attempt[t] >= policy.max_attempts:
-                # raw by contract (e.g. InsufficientMemoryError), or the
-                # last attempt's TaskError once the budget is spent
-                raise error
-            failures[t] = error
-            ledgers[t].note_retry(next_attempt[t])
-            submit([t])
-
-        def recover_pool_death() -> None:
-            self._respawns += 1
-            if tracer is not None:
-                tracer.instant(
-                    "pool-respawn", "fault", job=job.name, phase=phase,
-                    respawns=self._respawns,
-                )
-            self._shutdown_pool()
-            for batch in flights.values():
-                for t in batch:
-                    ledgers[t].count(TASK_LOST)
-            flights.clear()
-            unsatisfied = [t for t in order if t not in results]
-            exhausted = [
-                t for t in unsatisfied if next_attempt[t] >= policy.max_attempts
-            ]
-            if exhausted:
-                t = exhausted[0]
-                raise failures.get(t) or TaskError(
-                    job.name, phase, t, attempt=next_attempt[t] - 1,
-                    cause="attempt lost to a dead worker, retry budget spent",
-                )
-            if self._respawns <= policy.max_pool_respawns:
-                ex.pools_created += int(self._ensure_pool())
-                for chunk in self._chunk(unsatisfied):
-                    submit(chunk)
-                return
-            self.degraded = True
-            if tracer is not None:
-                tracer.instant(
-                    "executor-degraded", "fault", job=job.name,
-                    phase=phase, respawns=self._respawns,
-                )
-            for t in unsatisfied:
-                results[t] = self._attempt_task(
-                    job, phase, t, partial(in_driver, t), ledgers.pop(t),
-                    next_attempt[t],
-                )
+        def retry(t: int, failure: TaskError | None = None) -> None:
+            results[t] = self._attempt_task(
+                job, phase, t, partial(in_driver, t), ledgers.pop(t), 1, failure
+            )
 
         def run_phase() -> None:
             if dispatch_order is not None:
@@ -782,51 +689,69 @@ class PersistentParallelCluster(SimulatedCluster):
                 # in the same chunk (one worker), defeating the LPT order
                 target = max(1, self.workers * _CHUNKS_PER_WORKER)
                 n = max(1, min(target, len(dispatch_order)))
-                initial = [dispatch_order[i::n] for i in range(n)]
+                chunks = [dispatch_order[i::n] for i in range(n)]
             else:
-                initial = self._chunk(order)
-            for chunk in initial:
-                if chunk:
-                    submit(chunk)
+                chunks = self._chunk(order)
+            for batch in chunks:
+                for t in batch:
+                    ledgers[t].note_fault(0)
+                entries = [(t, *task_payloads[t]) for t in batch]
+                payload = (ex.chunks, phase, common, phase_args, entries)
+                ex.chunks += 1
+                try:
+                    future = self._pool.submit(_run_chunk, payload)
+                except BrokenProcessPool as exc:
+                    # a worker already died: this chunk is lost with the
+                    # pool's in-flight ones
+                    future = Future()
+                    future.set_exception(exc)
+                flights[future] = batch
 
-            while len(results) < len(order):
-                if not flights:
-                    # every flight came back: whatever is still
-                    # unsatisfied exhausted its budget en route
-                    t = next(t for t in order if t not in results)
-                    raise failures.get(t) or TaskError(
-                        job.name, phase, t, attempt=max(0, next_attempt[t] - 1),
-                        cause="every attempt was lost in flight",
-                    )
+            broken = False
+            while flights and not broken:
                 done, _ = wait(flights, return_when=FIRST_COMPLETED)
-                broken = False
                 for future in [f for f in flights if f in done]:
-                    if isinstance(future.exception(), BrokenProcessPool):
+                    error = future.exception()
+                    if isinstance(error, BrokenProcessPool):
                         broken = True  # lost, with every chunk still out
                         continue
                     batch = flights.pop(future)
-                    try:
-                        result = future.result()
-                    except NON_RETRYABLE:
-                        raise
-                    except Exception as exc:
+                    if isinstance(error, NON_RETRYABLE):
+                        raise error
+                    if error is not None:
                         # the chunk failed structurally (e.g. its result
-                        # would not pickle); retry its tasks
+                        # would not pickle)
                         for t in batch:
-                            handle_failure(
-                                t, task_error_from(job.name, phase, t, exc), True
-                            )
+                            retry(t, task_error_from(job.name, phase, t, error))
                         continue
-                    absorb(result)
-                if broken:
-                    recover_pool_death()
+                    _chunk_index, oks, errs, events = future.result()
+                    if events and tracer is not None:
+                        tracer.absorb(events)
+                    for t, core in oks:
+                        ledgers.pop(t).settle(core, 0)
+                        results[t] = core
+                        if hub is not None:
+                            hub.task_finished(job.name, phase, t, core[0].input_records)
+                    for t, error in errs:
+                        if isinstance(error, NON_RETRYABLE):
+                            raise error
+                        retry(t, error)
+            if broken:
+                for batch in flights.values():
+                    for t in batch:
+                        ledgers[t].count(TASK_LOST)
+                flights.clear()
+                self._shutdown_pool()
+                if tracer is not None:
+                    tracer.instant("pool-lost", "fault", job=job.name, phase=phase)
+                for t in order:
+                    if t not in results:
+                        retry(t)
 
             if env_sanitize() and set(results) != set(order):
                 raise RuntimeError(
                     f"dispatch satisfied {len(results)} of {len(order)} tasks"
                 )
-            for t, ledger in ledgers.items():
-                ledger.settle(results[t], next_attempt[t] - 1)
 
         try:
             with trace_span(
@@ -840,19 +765,10 @@ class PersistentParallelCluster(SimulatedCluster):
             # phase directory — it could re-create a file after it
             self._shutdown_pool()
             # the finished frames under this one hold the error in
-            # their locals (a chunk's results, handle_failure's
-            # argument) and the error's traceback holds them
+            # their locals (a chunk's results, the retried failure) and
+            # the error's traceback holds them
             traceback.clear_frames(exc.__traceback__)
             raise
-        finally:
-            # on every way out, reference counting must free the phase:
-            # submit -> absorb -> handle_failure -> submit is a cycle of
-            # closure cells holding its payloads and results, open once
-            # one cell is emptied; and an error leaving through the
-            # helpers would reach itself (traceback -> frame -> closure
-            # -> failures) if it stayed on file
-            del submit
-            failures.clear()
         cores = [results[t] for t in order]
         ex.busy_s = sum(core[0].cpu_seconds for core in cores)
         return cores

@@ -48,11 +48,10 @@ budget) always propagate raw.
 from __future__ import annotations
 
 import fnmatch
-import json
 import os
 import random
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from repro.mapreduce.types import InsufficientMemoryError
@@ -306,7 +305,7 @@ class FaultPlan:
     def __bool__(self) -> bool:
         return bool(self.specs)
 
-    # -- serialization -----------------------------------------------------
+    # -- parsing -----------------------------------------------------------
 
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
@@ -346,54 +345,6 @@ class FaultPlan:
                 )
             )
         return cls(tuple(specs))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "faults": [
-                    {
-                        "kind": s.kind,
-                        "job": s.job,
-                        "phase": s.phase,
-                        "task": s.task,
-                        "attempt": s.attempt,
-                        "sleep_s": s.sleep_s,
-                        "cap_mb": s.cap_mb,
-                    }
-                    for s in self.specs
-                ]
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Parse the JSON form :meth:`to_json` writes.  As in the
-        compact form, an omitted coordinate (``job``, ``phase``,
-        ``task``, ``attempt``) is a wildcard; a document of another
-        shape raises :class:`ValueError` saying what is wrong."""
-        doc = json.loads(text)
-        if not isinstance(doc, dict) or not isinstance(doc.get("faults"), list):
-            raise ValueError(
-                'a JSON fault plan must be an object with a "faults" list'
-            )
-        names = [f.name for f in fields(FaultSpec)]
-        specs = []
-        for index, entry in enumerate(doc["faults"]):
-            if not isinstance(entry, dict) or "kind" not in entry:
-                raise ValueError(
-                    f'fault {index} of the JSON plan must be an object with a "kind"'
-                )
-            specs.append(FaultSpec(**{n: entry[n] for n in names if n in entry}))
-        return cls(tuple(specs))
-
-    @classmethod
-    def load(cls, spec: str) -> "FaultPlan":
-        """Load a plan from a JSON file path or the compact inline form."""
-        if os.path.exists(spec):
-            with open(spec, "r", encoding="utf-8") as handle:
-                return cls.from_json(handle.read())
-        return cls.parse(spec)
 
     # -- generation --------------------------------------------------------
 
@@ -490,7 +441,7 @@ def run_attempt(
     result of a ``corrupt`` attempt.  Every failure leaves as one of two
     things: a :data:`NON_RETRYABLE` error, raw but annotated with the
     attempt, or a :class:`TaskError` carrying the attempt number — what
-    the retry loops catch.
+    the retry loop catches.
     """
     spec = None if plan is None else plan.lookup(job, phase, task, attempt)
     try:
@@ -548,8 +499,6 @@ class RetryPolicy:
 
     #: total attempts per task (first run + retries)
     max_attempts: int = 4
-    #: pool respawns tolerated before degrading to inline execution
-    max_pool_respawns: int = 2
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:

@@ -162,13 +162,12 @@ class ExecutorPhaseStats:
 
     #: ``"inline"`` (ran in the driver process) or ``"pool"``
     mode: str = "inline"
-    #: worker pools this phase forked: 1 for a cold start, plus one per
-    #: respawn after a dead worker
+    #: worker pools this phase forked: 1 when it started the job's pool
+    #: (or a fresh one after a dead worker broke it), else 0
     pools_created: int = 0
     workers: int = 0
     tasks: int = 0
-    #: task chunks submitted to the pool (one ``submit`` each; a
-    #: retry is a chunk of one task)
+    #: task chunks submitted to the pool (one ``submit`` each)
     chunks: int = 0
     #: approx bytes of task payloads crossing parent -> worker
     bytes_to_workers: int = 0

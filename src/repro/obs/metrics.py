@@ -154,11 +154,12 @@ class HistogramSnapshot:
 def histograms(counters: Mapping[str, int]) -> dict[str, HistogramSnapshot]:
     """Decode the well-formed ``hist.<name>.{n,sum,b<digits>}`` keys of a
     counter snapshot into one :class:`HistogramSnapshot` per name, sorted
-    by name.  Every other key, plain or malformed, is skipped: a counter
-    snapshot is the one stored account, this is a view of it."""
+    by name.  Every other key, plain or malformed, is skipped, and so is
+    a key whose value is not an int: a counter snapshot is the one
+    stored account, this is a view of it."""
     found: dict[str, HistogramSnapshot] = {}
     for key, value in counters.items():
-        if not key.startswith(HIST_PREFIX):
+        if not key.startswith(HIST_PREFIX) or type(value) is not int:
             continue
         name, _, field = key[len(HIST_PREFIX):].rpartition(".")
         digits = field[1:]

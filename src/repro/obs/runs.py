@@ -172,6 +172,16 @@ def dict_field(doc: dict[str, Any], key: str) -> dict[str, Any]:
     return value if isinstance(value, dict) else {}
 
 
+def _numbers(doc: dict[str, Any], key: str, kind: type | tuple) -> dict[str, Any]:
+    """The entries of :func:`dict_field` *key* whose value is a *kind*
+    (never a bool): a value of another type reads as absent."""
+    return {
+        name: value
+        for name, value in dict_field(doc, key).items()
+        if isinstance(value, kind) and not isinstance(value, bool)
+    }
+
+
 def load_run(directory: str, ref: str) -> dict[str, Any]:
     """Resolve *ref* to one manifest: ``latest``, an exact id, a unique
     id prefix, or a path to a manifest JSON file."""
@@ -219,8 +229,8 @@ def diff_runs(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
 
     def time_rows(key: str) -> list[tuple[str, float, float, float]]:
         rows: list[tuple[str, float, float, float]] = []
-        times_a = dict_field(a, key)
-        times_b = dict_field(b, key)
+        times_a = _numbers(a, key, (int, float))
+        times_b = _numbers(b, key, (int, float))
         for stage in sorted(set(times_a) | set(times_b)):
             va = float(times_a.get(stage, 0.0))
             vb = float(times_b.get(stage, 0.0))
@@ -228,12 +238,12 @@ def diff_runs(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
             rows.append((stage, va, vb, delta_pct))
         return rows
 
-    counters_a = dict_field(a, "counters")
-    counters_b = dict_field(b, "counters")
+    counters_a = _numbers(a, "counters", int)
+    counters_b = _numbers(b, "counters", int)
     counter_rows: list[tuple[str, int, int]] = []
     for name in sorted(set(counters_a) | set(counters_b)):
-        va = int(counters_a.get(name, 0))
-        vb = int(counters_b.get(name, 0))
+        va = counters_a.get(name, 0)
+        vb = counters_b.get(name, 0)
         if va != vb:
             counter_rows.append((name, va, vb))
 

@@ -115,7 +115,8 @@ def run_join(cluster, workload: str, config: JoinConfig = BASE, **driver_kwargs)
 
 def pooled_jobs(report: JoinReport) -> int:
     """Jobs of *report* whose map phase ran on a pool: each forked one,
-    so a run's ``pools_created`` is this plus its pool respawns."""
+    so a run's ``pools_created`` is this plus the fresh pools of reduce
+    phases whose map phase lost its pool."""
     return sum(
         phase.map_executor is not None and phase.map_executor.mode == "pool"
         for stats in report.stages.values()

@@ -102,7 +102,10 @@ def test_a_retried_task_reuses_the_view(make_engine, engine, tmp_path):
     finally:
         cluster.close()
     assert stats.counters["task.retries"] == 1
-    assert 1 <= len(builds(log)) <= (1 if engine == "sequential" else 2)
+    # the pool's retry runs in the driver, which builds the view once more
+    pids = builds(log)
+    assert 1 <= len(pids) <= (1 if engine == "sequential" else cluster.workers + 1)
+    assert len(set(pids)) == len(pids)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -129,20 +129,12 @@ class TestUserErrors:
         line = self._error_line(argv, tmp_path / "pairs.tsv", capsys)
         assert line.startswith("repro rsjoin: error: ") and "nope.tsv" in line
 
-    @pytest.mark.parametrize("document,message", [
-        (
-            '{"faults": [{"job": "oprj"}]}',
-            'fault 0 of the JSON plan must be an object with a "kind"',
-        ),
-        ('{"plan": []}', 'must be an object with a "faults" list'),
-        ("[1]", 'must be an object with a "faults" list'),
+    @pytest.mark.parametrize("spec,message", [
+        ("raise:*:map:x:0", "task must be an integer or '*', got 'x'"),
+        ("explode:oprj", "unknown fault kind 'explode'"),
     ])
-    def test_malformed_json_fault_plan(
-        self, catalog, tmp_path, capsys, document, message
-    ):
-        plan = tmp_path / "plan.json"
-        plan.write_text(document)
-        argv = ["selfjoin", str(catalog), "--faults", str(plan)]
+    def test_malformed_fault_plan(self, catalog, tmp_path, capsys, spec, message):
+        argv = ["selfjoin", str(catalog), "--faults", spec]
         line = self._error_line(argv, tmp_path / "pairs.tsv", capsys)
         assert line.startswith("repro selfjoin: error: ") and message in line
 

@@ -1,7 +1,7 @@
 """The cyclic collector is paused while a job runs (DESIGN.md §5).
 
 Three things are pinned: the pause is in force wherever task code runs
-(driver, pool workers, a degraded engine's inline phases); whatever
+(driver, pool workers, the driver's retries of a pooled phase); whatever
 state the caller had comes back on every way out of ``run_job``; and
 the premise — a join, finished or failed in a pooled phase, leaves no
 cyclic garbage to collect.
@@ -89,19 +89,17 @@ class TestPausedWhereTasksRun:
         assert gc.isenabled() == caller_state
 
     def test_off_inside_a_degraded_engines_inline_phases(self, make_engine, rng, caller_state):
+        """Every first map attempt crashes its worker, so the driver maps
+        every record: the flags the mapper carries out are the driver's."""
         records = random_records(rng, 70)
-        cluster = make_engine(
-            "pooled",
-            fault_plan=FaultPlan.parse("crash:*:map:*:0"),
-            retry_policy=RetryPolicy(max_pool_respawns=0),
-        )
+        cluster = make_engine("pooled", fault_plan=FaultPlan.parse("crash:*:map:*:0"))
         with closing(cluster):
             cluster.dfs.write("records", records)
             ssjoin_self(cluster, "records", JoinConfig(threshold=0.5, schema=SCHEMA_1))
-            assert cluster.degraded
             assert gc.isenabled() == caller_state
             stats, flags = run_probe(cluster)
-            assert stats.map_executor.mode == stats.reduce_executor.mode == "inline"
+            assert stats.map_executor.mode == "pool"
+            assert stats.counters["task.lost"] == len(stats.map_tasks)
         assert not any(flags)
         assert gc.isenabled() == caller_state
 
@@ -163,6 +161,19 @@ class TestTheDataPathIsAcyclic:
         assert self._unreachable_after(
             lambda cluster: set_similarity_self_join(records, cluster=cluster),
             make_engine(engine),
+        ) == 0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_retried_attempts_leave_nothing_to_collect(self, make_engine, engine):
+        """Every task fails twice (its pooled first attempt, if any, and
+        its first retry in the driver): no attempt's error outlives it."""
+        records = generate_dblp(500, 7)
+        cluster = make_engine(
+            engine, fault_plan=FaultPlan.parse("raise:*:*:*:0;crash:*:*:*:1")
+        )
+        assert self._unreachable_after(
+            lambda cluster: set_similarity_self_join(records, cluster=cluster),
+            cluster,
         ) == 0
 
     @pytest.mark.parametrize("engine", ENGINES)

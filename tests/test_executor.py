@@ -47,7 +47,7 @@ from repro.mapreduce.executor import (
     MapShuffle,
     PersistentParallelCluster,
 )
-from repro.mapreduce.faults import FaultPlan, RetryPolicy, TaskError
+from repro.mapreduce.faults import FaultPlan, TaskError
 from repro.mapreduce.job import Broadcast, MapReduceJob
 from repro.mapreduce.types import InsufficientMemoryError, approx_bytes
 from repro.obs.trace import Tracer
@@ -137,7 +137,7 @@ class TestEngineParity:
                 cluster.tracer = Tracer()
                 reports.append(run_join(cluster, join).report)
                 trees.append(self._span_tree(cluster.tracer))
-        # really pooled: one pool per pooled job, no respawn
+        # really pooled: one pool per pooled job, none lost
         pooled = reports[1]
         assert pooled.executor_summary()["pools_created"] == pooled_jobs(pooled) > 0
         assert trees[0] == trees[1]
@@ -214,7 +214,7 @@ class TestEngineParity:
                     "stage2": (1_214_640, 1_265_712),
                     "stage3": (958_940, 990_364),
                 }
-            # really pooled: one pool per pooled job, no respawn
+            # really pooled: one pool per pooled job, none lost
             assert report.executor_summary()["pools_created"] == pooled_jobs(report) > 0
 
     def test_shuffle_handles_size_nothing(self, tmp_path, monkeypatch):
@@ -351,21 +351,23 @@ class TestKeyMemo:
         assert len({id(key) for key in held}) == len(set(held))
 
     @pytest.mark.parametrize(
-        "engine, faults, policy",
+        "engine, faults",
         [
-            ("sequential", "corrupt:stage2-*:map:*:0", None),
-            ("persistent", "crash:stage2-*:map:1:0", None),
-            ("persistent", "crash:*:map:*:0", RetryPolicy(max_pool_respawns=0)),
+            ("sequential", "corrupt:stage2-*:map:*:0"),
+            ("persistent", "crash:stage2-*:map:1:0"),
+            ("persistent", "crash:*:map:*:0"),
+            ("persistent", "raise:stage2-*:map:1:0"),
         ],
-        ids=["sequential-corrupt", "pooled-crash", "pooled-degraded"],
+        ids=["sequential-corrupt", "pooled-crash", "pooled-degraded", "pooled-raise"],
     )
-    def test_the_memo_lives_for_one_phase(
-        self, make_engine, monkeypatch, engine, faults, policy
-    ):
+    def test_the_memo_lives_for_one_phase(self, make_engine, monkeypatch, engine, faults):
         """Every memo a map task of the driver is handed is gone before
         the job's reduce phase starts, so neither the job nor the cluster
         holds one after ``run_job``; a failed or lost attempt, whose
-        keys stay memoised, leaves the join equal to the reference."""
+        keys stay memoised, leaves the join equal to the reference.  On
+        the pool, a lost or failed first attempt is retried in the
+        driver, with the phase's driver memo ("degraded": every map
+        phase loses its pool and the driver runs all of its tasks)."""
         canaries: list[weakref.ref] = []
 
         def tagging_map_task(*args, key_memo, **kwargs):
@@ -377,19 +379,17 @@ class TestKeyMemo:
         for module in (cluster_module, executor_module):
             monkeypatch.setattr(module, "execute_map_task", tagging_map_task)
         reduce_starts = []
-        run_reduce_phase = SimulatedCluster._run_reduce_phase
+        for engine_class in (SimulatedCluster, executor_module.PersistentParallelCluster):
 
-        def checking_reduce_phase(cluster, *args):
-            reduce_starts.append(all(ref() is None for ref in canaries))
-            return run_reduce_phase(cluster, *args)
+            def checking_reduce_phase(cluster, *args, _run=engine_class._run_reduce_phase):
+                reduce_starts.append(all(ref() is None for ref in canaries))
+                return _run(cluster, *args)
 
-        monkeypatch.setattr(SimulatedCluster, "_run_reduce_phase", checking_reduce_phase)
-        kwargs = {} if policy is None else {"retry_policy": policy}
-        run = cell(make_engine, engine=engine, faults=faults, **kwargs)
+            monkeypatch.setattr(engine_class, "_run_reduce_phase", checking_reduce_phase)
+        run = cell(make_engine, engine=engine, faults=faults)
         assert run.counters["fault.injected"] >= 1
-        if engine == "sequential" or policy is not None:
-            # the driver ran map tasks (a crashed worker's memo died with it)
-            assert canaries and reduce_starts
+        # the driver ran map tasks (a crashed worker's memo died with it)
+        assert canaries and reduce_starts
         assert all(reduce_starts) and all(ref() is None for ref in canaries)
         assert executor_module._W_KEY_MEMO == {}
 
@@ -526,8 +526,8 @@ class TestPoolLifecycle:
     def test_teardown_survives_a_leaked_queue_lock(self, make_engine):
         """A worker killed mid-send dies holding the result queue's
         process-shared write lock, and no other worker can then report
-        a result.  The pool must still break, be replaced, and the phase
-        finish, with every worker of the broken pool reaped.  (Holding
+        a result.  The pool must still break, the driver finish the
+        phase, and every worker of the broken pool be reaped.  (Holding
         the lock in the parent and SIGKILLing a worker reproduces this
         deterministically.)"""
         docs = [f"w{i % 17} w{i % 5} w{i % 3}" for i in range(300)]
@@ -535,7 +535,7 @@ class TestPoolLifecycle:
         sequential.dfs.write("docs", docs)
         sequential.run_job(word_count_job())
         # every first map attempt dawdles, so the phase is mid-flight
-        # when the worker dies; the re-dispatched attempts do not
+        # when the worker dies; the driver's retries do not
         persistent = make_engine(fault_plan=FaultPlan.parse("sleep:wc:map:*:0:0.2"))
         persistent.dfs.write("docs", docs)
         sabotaged = threading.Event()
@@ -565,8 +565,12 @@ class TestPoolLifecycle:
             if "lock" in broken:
                 broken["lock"].release()
         assert not saboteur.is_alive() and sabotaged.is_set()
-        assert stats.map_executor.pools_created == 2  # the first one broke
-        assert stats.counters["task.lost"] >= 1
+        # the map phase forked one pool, lost it, and ran every lost
+        # task in the driver, from its second attempt
+        assert stats.map_executor.pools_created == 1
+        lost = stats.counters["task.lost"]
+        assert lost >= 1 and "task.retries" not in stats.counters
+        assert stats.counters["hist.task.attempts.b2"] == lost
         assert persistent.dfs.read_all("counts") == sequential.dfs.read_all("counts")
         for pid in broken["pids"]:
             with pytest.raises(ProcessLookupError):

@@ -6,11 +6,11 @@ fault-tolerance bookkeeping is stripped — versus a fault-free run, on
 both engines, both kernels, self and R-S joins.  Each such run is a
 cell of the differential matrix (``tests/matrix.py``).
 
-Also covers the fault vocabulary itself (plan parsing/serialization,
-first-match lookup, seeded generation), retry-budget exhaustion
-surfacing an actionable :class:`TaskError`, non-retryable exceptions
-crossing the retry layer raw, pool-worker crash recovery in the
-persistent engine, and stage checkpoint/resume
+Also covers the fault vocabulary itself (plan parsing, first-match
+lookup, seeded generation), retry-budget exhaustion surfacing an
+actionable :class:`TaskError`, non-retryable exceptions crossing the
+retry layer raw, the persistent engine's hand-over of failed and lost
+first attempts to the driver's retry loop, and stage checkpoint/resume
 (including identity mismatch and on-disk corruption refusal).
 """
 
@@ -43,6 +43,7 @@ from repro.mapreduce.faults import (
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import InsufficientMemoryError
 from repro.obs.metrics import histograms
+from repro.obs.trace import Tracer
 
 from tests.conftest import fork_only, random_records, small_config
 from tests.matrix import (
@@ -83,24 +84,6 @@ class TestFaultPlan:
     def test_parse_rejects_bad_specs(self, text):
         with pytest.raises(ValueError):
             FaultPlan.parse(text)
-
-    def test_json_roundtrip(self):
-        plan = FaultPlan.parse("crash:*:map:1:0;sleep:stage2-*:reduce:*:0:0.3")
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_json_omitted_coordinates_are_wildcards_too(self, tmp_path):
-        """One rule for both forms: ``raise:oprj`` written as JSON
-        still matches every attempt."""
-        path = tmp_path / "plan.json"
-        path.write_text('{"faults": [{"kind": "raise", "job": "oprj"}]}')
-        assert FaultPlan.load(str(path)) == FaultPlan.parse("raise:oprj")
-
-    def test_load_inline_and_file(self, tmp_path):
-        plan = FaultPlan.parse("raise:bto-*:map:0:0")
-        path = tmp_path / "plan.json"
-        path.write_text(plan.to_json())
-        assert FaultPlan.load(str(path)) == plan
-        assert FaultPlan.load("raise:bto-*:map:0:0") == plan
 
     def test_lookup_first_match_wins(self):
         plan = FaultPlan.parse("raise:stage2-*:map:*:*;sleep:*:map:*:*")
@@ -262,16 +245,23 @@ class TestRetryExhaustion:
 
 
 # ---------------------------------------------------------------------------
-# persistent engine: crashes, degradation, cleanup
+# persistent engine: crashes, retries in the driver, cleanup
 # ---------------------------------------------------------------------------
+
+
+def _fault_instants(tracer) -> list[str]:
+    return [
+        event["name"] for event in tracer.raw_events()
+        if event["ph"] == "i" and event["cat"] == "fault"
+    ]
 
 
 @fork_only
 class TestExecutorChaos:
-    def test_worker_crash_respawns_pool_and_matches_sequential(self, make_engine):
+    def test_worker_crash_forks_a_fresh_pool_and_matches_sequential(self, make_engine):
         run = cell(make_engine, engine="persistent", faults="crash:stage2-*:map:1:0")
-        # one pool per pooled job, plus the respawn after the crash
-        # broke stage 2's
+        # one pool per pooled job, plus the fresh one stage 2's reduce
+        # phase forks after the crash broke its map phase's
         pools = run.report.executor_summary()["pools_created"]
         assert pools == pooled_jobs(run.report) + 1
         assert run.counters["fault.injected"] >= 1
@@ -280,7 +270,7 @@ class TestExecutorChaos:
     def test_crash_while_other_chunks_are_in_flight(self, make_engine):
         """Task 0's worker dies at once while the other worker is still
         inside its chunk (every other first attempt dawdles): the pool
-        fails both, and the respawn re-runs them.  Nothing outlives
+        fails both, and the driver re-runs them.  Nothing outlives
         ``close()``: no spill root, no worker process."""
         roots_before = _spill_roots()
         children_before = set(multiprocessing.active_children())
@@ -292,21 +282,116 @@ class TestExecutorChaos:
         assert _spill_roots() - roots_before == set()
         assert set(multiprocessing.active_children()) <= children_before
 
+    def test_a_failed_first_attempt_is_retried_in_the_driver(self, make_engine):
+        """The pool runs first attempts only: task 1's failed one is
+        retried by the driver's loop, which books it as the sequential
+        engine does."""
+
+        def where_mapped(line, ctx):
+            ctx.emit(line, os.getpid())
+
+        def keep(line, pids, ctx):
+            ctx.write((line, *pids))
+
+        job = MapReduceJob(
+            name="wc", inputs=["docs"], output="pids",
+            mapper=where_mapped, reducer=keep, num_reducers=2,
+        )
+        booked = []
+        for engine in ("sequential", "persistent"):
+            cluster = make_engine(
+                engine, fault_plan=FaultPlan.parse("raise:wc:map:1:0")
+            )
+            cluster.dfs.write("docs", [f"line {i:02d} {'x' * 40}" for i in range(40)])
+            try:
+                stats = cluster.run_job(job)
+            finally:
+                cluster.close()
+            booked.append({
+                name: value for name, value in stats.counters.items()
+                if name.startswith(("fault.", "task.", "hist.task."))
+            })
+        assert booked[0] == booked[1]
+        assert booked[0]["task.retries"] == 1 and "task.lost" not in booked[0]
+        assert stats.map_executor.mode == "pool"
+        # only task 1's lines were mapped in the driver
+        blocks = cluster.dfs.file("docs").blocks
+        assert len(blocks) > 2
+        in_driver = {
+            line for line, pid in cluster.dfs.read_all("pids") if pid == os.getpid()
+        }
+        assert in_driver == set(blocks[1].records)
+
+    def test_a_map_phase_pool_death_leaves_the_reduce_phase_a_fresh_pool(
+        self, make_engine
+    ):
+        """The driver finishes the map phase whose pool died; the job's
+        reduce phase forks a fresh one — at most one pool per phase."""
+        persistent = make_engine(fault_plan=FaultPlan.parse("crash:wc:map:0:0"))
+        persistent.dfs.write("docs", [f"w{i} w{i + 1} " * 40 for i in range(40)])
+        stats = persistent.run_job(word_count_job())
+        assert stats.counters["task.lost"] >= 1
+        assert (stats.map_executor.mode, stats.map_executor.pools_created) == ("pool", 1)
+        assert (stats.reduce_executor.mode, stats.reduce_executor.pools_created) == (
+            "pool", 1,
+        )
+        assert persistent._pool is None
+
+    @pytest.mark.parametrize(
+        "spec, cause",
+        [
+            ("raise:wc:map:1:0", "injected fault"),
+            ("crash:wc:map:1:0", "attempt lost to a dead worker, retry budget spent"),
+        ],
+        ids=["failed", "lost"],
+    )
+    def test_max_attempts_one_never_retries_a_pooled_first_attempt(
+        self, make_engine, spec, cause
+    ):
+        tracer = Tracer()
+        persistent = make_engine(
+            fault_plan=FaultPlan.parse(spec), retry_policy=RetryPolicy(max_attempts=1)
+        )
+        persistent.tracer = tracer
+        persistent.dfs.write("docs", [f"w{i} w{i + 1} " * 40 for i in range(40)])
+        with pytest.raises(TaskError) as exc_info:
+            persistent.run_job(word_count_job())
+        err = exc_info.value
+        assert (err.job, err.phase, err.attempt) == ("wc", "map", 0)
+        assert cause in err.cause
+        assert "task-retry" not in _fault_instants(tracer)
+        assert persistent._pool is None
+
     def test_repeated_pool_death_degrades_to_inline(self, make_engine):
+        """Every pooled map phase loses its pool and is finished inline,
+        by the driver; no state outlives the phase, so each job forks a
+        fresh pool and every later phase is pooled again."""
         run = cell(
             make_engine, engine="persistent", faults="crash:*:map:*:0",
-            retry_policy=RetryPolicy(max_pool_respawns=0),
+            observer="trace",
         )
-        assert run.cluster.degraded
+        jobs = pooled_jobs(run.report)
+        assert jobs > 1
+        assert _fault_instants(run.observer).count("pool-lost") == jobs
+        phases = [
+            phase
+            for stats in run.report.stages.values()
+            for job in stats.phases
+            for phase in (job.map_executor, job.reduce_executor)
+        ]
+        assert all(phase.pools_created <= 1 for phase in phases)
+        assert run.report.executor_summary()["pooled_phases"] == 2 * jobs
+        assert run.cluster._pool is None
 
     def test_degraded_phase_bookkeeping(self, make_engine):
-        """The first map phase loses its pool (5 attempts in flight), the
-        budget is spent, and the phase finishes in the driver, where each
-        crash fault fails its attempt instead of killing a worker: 12
-        retries, every task of the join on its second attempt."""
+        """A map phase that loses its pool is finished by the driver:
+        every first map attempt crashes its worker, so each of the 4
+        pooled map phases loses every task in flight (17 in all), and
+        the driver runs each from its second attempt — a lost attempt is
+        no retry.  Each task books its crash fault once, at submission."""
         run = cell(
             make_engine, engine="persistent", faults="crash:*:map:*:0",
-            retry_policy=RetryPolicy(max_pool_respawns=0), observer="trace",
+            observer="trace",
         )
         booked = {
             name: value
@@ -315,23 +400,21 @@ class TestExecutorChaos:
         }
         assert booked == {
             "fault.injected": 17,
-            "task.lost": 5,
-            "task.retries": 12,
+            "task.lost": 17,
             "hist.task.attempts.b2": 17,
             "hist.task.attempts.n": 17,
             "hist.task.attempts.sum": 34,
         }
-        instants = [
-            event["name"] for event in run.observer.raw_events()
-            if event["ph"] == "i" and event["cat"] == "fault"
-        ]
-        assert instants.count("pool-respawn") == 1
-        assert instants.count("executor-degraded") == 1
-        assert run.report.executor_summary()["pools_created"] == 1
+        instants = _fault_instants(run.observer)
+        assert instants.count("pool-lost") == 4
+        assert "task-retry" not in instants
+        # each map phase forked its job's pool, each reduce phase a fresh one
+        assert run.report.executor_summary()["pools_created"] == 8
 
     def test_degraded_engine_frees_its_dfs_after_close(self, monkeypatch):
-        """Nothing of a degraded engine's last phase stays pinned in the
-        driver: once the cluster is closed and dropped, so is its DFS."""
+        """Nothing of the last phase the driver finished after a pool
+        death stays pinned in the driver: once the cluster is closed and
+        dropped, so is its DFS."""
         from repro.mapreduce import executor
 
         monkeypatch.setattr(executor, "MIN_TASKS_FOR_POOL", 1)
@@ -340,12 +423,11 @@ class TestExecutorChaos:
         cluster = executor.PersistentParallelCluster(
             small_config(), dfs, workers=2,
             fault_plan=FaultPlan.parse("crash:*:map:*:0"),
-            retry_policy=RetryPolicy(max_pool_respawns=0),
         )
         with cluster:
             dfs.write("r", random_records(random.Random(3), 300))
             report = ssjoin_self(cluster, "r", BASE)
-            assert cluster.degraded
+            assert report.counters()["task.lost"] > 0
         dfs_ref = weakref.ref(dfs)
         del cluster, dfs, report
         gc.collect()
@@ -382,7 +464,7 @@ def _spill_roots(base: str | None = None) -> set[str]:
 @fork_only
 class TestSpillHygiene:
     """``/dev/shm`` hygiene of the spill shuffle: every scenario — clean,
-    chaos, failed phase, degraded engine — must leave no shuffle segment
+    chaos, failed phase, phases the driver finished — must leave no shuffle segment
     file behind while the engine lives and no spill root after
     ``close()``."""
 
@@ -450,14 +532,14 @@ class TestSpillHygiene:
         assert _spill_roots() - before == set()
 
     def test_degraded_engine_leaks_no_segments(self, make_engine):
+        """Every first attempt, map and reduce, crashes its worker: the
+        driver finishes every pooled phase, reading and writing the same
+        spill files the workers do."""
         before = _spill_roots()
-        persistent = make_engine(
-            fault_plan=FaultPlan.parse("crash:*:map:*:0"),
-            retry_policy=RetryPolicy(max_pool_respawns=0),
-        )
+        persistent = make_engine(fault_plan=FaultPlan.parse("crash:*:*:*:0"))
         with persistent:
             run = run_join(persistent, "self")
-            assert persistent.degraded
+            assert run.counters["task.lost"] > 0
             self._assert_roots_empty(before)
         assert_same_join(run, "self")
         assert _spill_roots() - before == set()
@@ -524,7 +606,7 @@ class TestDifferentialChaos:
 
 
 # ---------------------------------------------------------------------------
-# engine parity: one attempt contract, two retry loops
+# engine parity: one attempt contract, one retry loop
 # ---------------------------------------------------------------------------
 
 
@@ -541,8 +623,9 @@ def _bookkeeping(report, prefixes):
 @fork_only
 class TestEngineParity:
     """What a fault does to an attempt and how a failure is reported is
-    ``faults.run_attempt`` on both engines; the sequential loop and the
-    pooled dispatch loop must therefore book the same plan identically."""
+    ``faults.run_attempt`` on both engines, and every retry runs in the
+    driver's loop; a plan must therefore book identically whether a
+    task's first attempt ran in the driver or on the pool."""
 
     @pytest.mark.parametrize(
         "spec, prefixes",

@@ -82,7 +82,7 @@ def assert_names_the_plan_that_ran(config, report):
 
 
 class TestSqueezeFault:
-    def test_parse_compact_and_json_roundtrip(self):
+    def test_parse_compact_roundtrip(self):
         plan = FaultPlan.parse("squeeze:stage2-*:reduce:*:0:0.005")
         (spec,) = plan.specs
         assert spec.kind == "squeeze"
@@ -91,7 +91,6 @@ class TestSqueezeFault:
         )
         assert spec.cap_mb == 0.005
         assert FaultPlan.parse(spec.compact()).specs == (spec,)
-        assert FaultPlan.from_json(plan.to_json()) == plan
 
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -176,6 +176,37 @@ def test_runs_show_reads_a_wrongly_typed_field_as_absent(tmp_path, capsys):
     assert shown["counters"] == [1]
 
 
+def _manifest_with_counters(tmp_path, counters: dict) -> str:
+    directory = tmp_path / "reg"
+    write_run_manifest(str(directory), {
+        "id": "20260101-000000-aaaa",
+        "created": "2026-01-01T00:00:00Z",
+        "wall_times_s": {"total": "y", "stage1": 1.5},
+        "counters": counters,
+    })
+    return str(directory)
+
+
+def test_runs_diff_reads_a_non_int_counter_as_absent(tmp_path, capsys):
+    directory = _manifest_with_counters(tmp_path, {"a": "y", "b": 3, "c": True})
+    assert main(["runs", "diff", "latest", "latest", "--runs-dir", directory]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("counters: identical")
+    run = load_run(directory, "latest")
+    other = {**run, "counters": {"a": 1, "b": 3, "c": 1}}
+    assert diff_runs(run, other)["counter_rows"] == [("a", 0, 1), ("c", 0, 1)]
+    assert [row[:3] for row in diff_runs(run, run)["wall_rows"]] == [("stage1", 1.5, 1.5)]
+
+
+def test_runs_show_reads_a_non_int_counter_as_absent(tmp_path, capsys):
+    directory = _manifest_with_counters(
+        tmp_path, {"hist.x.n": "y", "hist.x.sum": 4, "hist.x.b4": 1}
+    )
+    assert main(["runs", "show", "latest", "--runs-dir", directory]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert shown["histograms"]["x"]["count"] == 0
+    assert shown["histograms"]["x"]["sum"] == 4
+
+
 def test_load_run_errors(tmp_path):
     directory = str(tmp_path / "reg")
     with pytest.raises(FileNotFoundError):

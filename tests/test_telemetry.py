@@ -66,7 +66,7 @@ CHAOS_PLAN = (
 
 @pytest.mark.parametrize("engine", ["sequential", "persistent"])
 def test_every_task_is_credited_once_under_chaos(make_engine, engine):
-    """Telemetry under pool respawn: whatever happened to a task's
+    """Telemetry under a pool death: whatever happened to a task's
     attempts, the hub hears of the task once."""
     clean, chaos = (
         cell(make_engine, engine=engine, faults=faults, observer="telemetry")
