@@ -296,11 +296,13 @@ def _cmd_join(args: argparse.Namespace) -> int:
         paths, names, join = [args.r_input, args.s_input], ["r", "s"], ssjoin_rs
     try:
         # everything the user can get wrong is checked here, before any
-        # input is read or worker forked
+        # worker forks: the inputs stay in their files, and registering
+        # one reads it through once (missing, or not UTF-8)
         config = _build_config(args)
         check_stage2_plan(config, rs=args.command == "rsjoin")
-        inputs = [read_records(path) for path in paths]
         cluster = _make_cluster(args)
+        for name, path in zip(names, paths):
+            cluster.dfs.put_lines(name, path)
     except (ValueError, FileNotFoundError) as exc:
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)
         return 2
@@ -308,8 +310,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
     hub = _attach_telemetry(args, cluster, tracer)
     try:
         try:
-            for name, records in zip(names, inputs):
-                cluster.dfs.write(name, records)
             report = join(
                 cluster, *names, config,
                 checkpoint=_make_checkpoint(args),

@@ -54,7 +54,7 @@ from repro.mapreduce.counters import (
     SHUFFLE_BYTES,
     Counters,
 )
-from repro.mapreduce.dfs import InMemoryDFS
+from repro.mapreduce.dfs import DFSBlock, InMemoryDFS
 from repro.mapreduce.faults import (
     DEFAULT_RETRY_POLICY,
     FAULT_INJECTED,
@@ -79,6 +79,8 @@ from repro.obs.telemetry import TelemetryHub
 from repro.obs.trace import Tracer, trace_span
 
 _TaskResult = TypeVar("_TaskResult", bound=tuple)
+#: one map task's ``(task_id, input_name, block)``
+MapInput = tuple[int, str, DFSBlock]
 
 
 @dataclass
@@ -248,7 +250,8 @@ def execute_map_task(
         p, framed_key_bytes, key = cached
         append((p, key, value))
         if id(value) != last_value_id:
-            last_value_bytes = approx_bytes(value)
+            # a combiner's counts are ints: approx_bytes' 8, no call
+            last_value_bytes = 8 if type(value) is int else approx_bytes(value)
             last_value_id = id(value)
         partition_bytes[p] = (
             partition_bytes.get(p, 0) + framed_key_bytes + last_value_bytes
@@ -661,13 +664,17 @@ class SimulatedCluster:
             )
         return stats
 
-    def _collect_map_inputs(self, job: MapReduceJob) -> list[tuple[int, str, list]]:
-        """One ``(task_id, input_name, records)`` triple per DFS block."""
-        map_inputs: list[tuple[int, str, list]] = []
+    def _collect_map_inputs(self, job: MapReduceJob) -> list[MapInput]:
+        """One ``(task_id, input_name, block)`` triple per DFS block.  A
+        task reads its block's ``records`` inside each of its attempts,
+        so a map phase holds the input of its running tasks only (a
+        :class:`~repro.mapreduce.dfs.LineBlock` or a disk block reads
+        them from its file; an in-memory block holds them)."""
+        map_inputs: list[MapInput] = []
         task_id = 0
         for input_name in job.inputs:
             for block in self.dfs.file(input_name).blocks:
-                map_inputs.append((task_id, input_name, block.records))
+                map_inputs.append((task_id, input_name, block))
                 task_id += 1
         return map_inputs
 
@@ -676,7 +683,7 @@ class SimulatedCluster:
     def _run_map_phase(
         self,
         job: MapReduceJob,
-        map_inputs: list[tuple[int, str, list]],
+        map_inputs: list[MapInput],
         broadcast: tuple[dict[str, list], int, float],
     ) -> tuple[list[tuple[TaskStats, dict[str, int]]], DriverShuffle, None]:
         """Run every map task in the driver, in task order.
@@ -691,18 +698,18 @@ class SimulatedCluster:
         # one key memo for the phase; it goes when the phase returns
         key_memo: dict = {}
         results = []
-        for task_id, input_name, records in map_inputs:
+        for task_id, input_name, block in map_inputs:
 
             def run(
                 limit: int | None,
                 attempt: int,
                 task_id: int = task_id,
                 input_name: str = input_name,
-                records: list = records,
+                block: DFSBlock = block,
             ) -> tuple:
                 return execute_map_task(
-                    job, task_id, input_name, records, *broadcast, limit, slots,
-                    tracer=self.tracer, key_memo=key_memo,
+                    job, task_id, input_name, block.records, *broadcast, limit,
+                    slots, tracer=self.tracer, key_memo=key_memo,
                 )
 
             task_stats, partitioned, counters = self._attempt_task(

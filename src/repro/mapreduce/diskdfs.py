@@ -7,7 +7,10 @@ output) should not live in RAM, or when intermediate stage outputs
 should survive the process (resume a pipeline after inspecting the
 RID pairs, for example).  Blocks are pickled lists of records, loaded
 lazily one block at a time — exactly the granularity map tasks consume
-them at, so peak memory stays one block per in-flight task.
+them at, so peak memory stays one block per in-flight task.  A user's
+line file registered with :meth:`LocalDiskDFS.put_lines` is not copied:
+its block index names the file (``"source"``) and where each block
+starts, and each block is re-read from it.
 
 Layout on disk::
 
@@ -26,11 +29,17 @@ names.
 from __future__ import annotations
 
 import json
+import os
 import pickle
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.mapreduce.dfs import DEFAULT_BLOCK_BYTES, split_into_blocks
+from repro.mapreduce.dfs import (
+    DEFAULT_BLOCK_BYTES,
+    LineBlock,
+    index_line_file,
+    split_into_blocks,
+)
 from repro.obs.atomicio import atomic_write_json
 
 #: same wire protocol as the executor's shuffle path (protocol 5), so a
@@ -90,7 +99,7 @@ class DiskFile:
     """A disk-backed DFS file (duck-typed like
     :class:`~repro.mapreduce.dfs.DFSFile`)."""
 
-    def __init__(self, name: str, blocks: list[DiskBlock]) -> None:
+    def __init__(self, name: str, blocks: list[DiskBlock | LineBlock]) -> None:
         self.name = name
         self.blocks = blocks
 
@@ -161,29 +170,50 @@ class LocalDiskDFS:
                 }
             )
             self._next_node = (self._next_node + 1) % self.num_nodes
-        self._write_meta(name, meta_blocks)
+        self._write_meta({"name": name, "blocks": meta_blocks})
         return self.file(name)
 
-    def _write_meta(self, name: str, meta_blocks: list[dict]) -> None:
-        atomic_write_json(
-            str(self._meta_path(name)), {"name": name, "blocks": meta_blocks}
-        )
+    def put_lines(self, name: str, path: str | os.PathLike[str]) -> DiskFile:
+        """Register the line file *path* as file *name* without copying
+        it: the blocks are those of ``write(name, read_records(path))``,
+        and the block index records where each starts in *path*
+        (:meth:`repro.mapreduce.dfs.InMemoryDFS.put_lines`)."""
+        self.delete(name)
+        source = os.path.abspath(path)
+        meta_blocks: list[dict] = []
+        for index, (start, num_records, num_bytes) in enumerate(
+            index_line_file(path, self.block_bytes)
+        ):
+            meta_blocks.append(
+                {
+                    "index": index,
+                    "node": self._next_node,
+                    "num_records": num_records,
+                    "num_bytes": num_bytes,
+                    "start": start,
+                }
+            )
+            self._next_node = (self._next_node + 1) % self.num_nodes
+        self._write_meta({"name": name, "source": source, "blocks": meta_blocks})
+        return self.file(name)
+
+    def _write_meta(self, meta: dict) -> None:
+        atomic_write_json(str(self._meta_path(meta["name"])), meta)
 
     def file(self, name: str) -> DiskFile:
         meta_path = self._meta_path(name)
         if not meta_path.exists():
             raise FileNotFoundError(f"no such DFS file: {name!r}")
         meta = _read_meta(meta_path)
-        blocks = [
-            DiskBlock(
-                self._block_path(name, entry["index"]),
-                entry["index"],
-                entry["node"],
-                entry["num_records"],
-                entry["num_bytes"],
-            )
-            for entry in meta["blocks"]
-        ]
+        source = meta.get("source")
+        blocks: list[DiskBlock | LineBlock] = []
+        for entry in meta["blocks"]:
+            index, node = entry["index"], entry["node"]
+            counts = entry["num_records"], entry["num_bytes"]
+            if source is None:
+                blocks.append(DiskBlock(self._block_path(name, index), index, node, *counts))
+            else:
+                blocks.append(LineBlock(source, entry["start"], index, node, *counts))
         return DiskFile(name, blocks)
 
     def read(self, name: str) -> Iterator:
@@ -218,9 +248,9 @@ class LocalDiskDFS:
         self.num_nodes = num_nodes
         node = 0
         for name in self.listdir():
-            blocks = _read_meta(self._meta_path(name))["blocks"]
-            for entry in blocks:
+            meta = _read_meta(self._meta_path(name))
+            for entry in meta["blocks"]:
                 entry["node"] = node
                 node = (node + 1) % num_nodes
-            self._write_meta(name, blocks)
+            self._write_meta(meta)
         self._next_node = node

@@ -13,12 +13,13 @@ This module pays the first cost once per job and the second never:
   of one job, and reuses it for that job's reduce phase.  Jobs carry
   closures (mappers capture the :class:`~repro.join.config.JoinConfig`,
   reducers capture kernels) and cannot be pickled, so the job, its map
-  inputs and its loaded broadcast are the pool initializer's arguments
-  — with the ``fork`` start method those are inherited through process
-  memory, never pickled.  A map task's dispatch entry is then just
-  its id.  The pool is shut down when ``run_job`` returns or raises,
-  so no job's state outlives it.  The pool runs each task's first
-  attempt only; every retry runs in the driver.
+  inputs' blocks and its loaded broadcast are the pool initializer's
+  arguments — with the ``fork`` start method those are inherited
+  through process memory, never pickled.  A map task's dispatch entry
+  is then just its id, and the worker reads the task's block itself.
+  The pool is shut down when ``run_job`` returns or raises, so no
+  job's state outlives it.  The pool runs each task's first attempt
+  only; every retry runs in the driver.
 
 * A **zero-repickle shuffle path**: map workers serialize their
   partition buckets exactly once (one pickle blob per partition) into
@@ -62,6 +63,7 @@ from typing import Callable
 from repro.analysis.sanitize import env_sanitize
 from repro.mapreduce.cluster import (
     ClusterConfig,
+    MapInput,
     SimulatedCluster,
     TaskLedger,
     collector_paused,
@@ -125,11 +127,12 @@ def _effective_cores() -> int:
 # These globals exist only inside worker processes; the parent never
 # reads or assigns them.  They are populated by the pool initializer,
 # whose arguments are fork-inherited (not pickled), which is what allows
-# them to hold the job's closures, its map inputs and its broadcast.
+# them to hold the job's closures, its map inputs' blocks and its
+# broadcast.
 
 _W_JOB: MapReduceJob | None = None
-#: the job's ``(task_id, input_name, records)`` triples, by task id
-_W_INPUTS: list[tuple[int, str, list]] = []
+#: the job's ``(task_id, input_name, block)`` triples, by task id
+_W_INPUTS: list[MapInput] = []
 #: the job's loaded distributed cache: ``(payload, bytes, load seconds)``
 _W_BROADCAST: tuple[Broadcast, int, float] = (Broadcast(), 0, 0.0)
 #: the ``key_memo`` of this worker's map tasks (one map phase per pool)
@@ -138,7 +141,7 @@ _W_KEY_MEMO: dict = {}
 
 def _worker_init(
     job: MapReduceJob,
-    map_inputs: list[tuple[int, str, list]],
+    map_inputs: list[MapInput],
     broadcast: tuple[Broadcast, int, float],
 ) -> None:
     global _W_JOB, _W_INPUTS, _W_BROADCAST, _W_KEY_MEMO
@@ -240,12 +243,12 @@ def _map_in_worker(
     job: MapReduceJob, task_id: int, attempt: int, limit: int | None,
     tracer: Tracer | None, phase_args: tuple,
 ) -> tuple:
-    """A worker's map attempt over the records and broadcast it
-    inherited from the driver when it forked."""
-    _task_id, input_name, records = _W_INPUTS[task_id]
+    """A worker's map attempt over the block it reads and the broadcast
+    it inherited from the driver when it forked."""
+    _task_id, input_name, block = _W_INPUTS[task_id]
     return _map_attempt(
         job, task_id, attempt, limit, tracer, phase_args, input_name,
-        records, _W_BROADCAST, _W_KEY_MEMO,
+        block.records, _W_BROADCAST, _W_KEY_MEMO,
     )
 
 
@@ -266,7 +269,7 @@ def _run_chunk(args: tuple) -> tuple:
     """Run the first attempt of each task of one chunk of one phase.
 
     Each entry of *tasks* is ``(task_id, *payload)`` — the payload is
-    empty for a map task (the worker inherited its input),
+    empty for a map task (the worker inherited its input's block),
     ``(segment_refs,)`` for a reduce task.  Per-task failures never
     poison the chunk: the return value separates successful attempts
     (``oks``) from failed ones (``errs``), each tagged with its task
@@ -389,8 +392,8 @@ class PersistentParallelCluster(SimulatedCluster):
     to (almost) sequential cost.
 
     Life cycle of the pool: a job whose map phase pools forks it at the
-    start of that phase, handing the workers the job, its map inputs
-    and its loaded broadcast; the job's reduce phase reuses it, or
+    start of that phase, handing the workers the job, its map inputs'
+    blocks and its loaded broadcast; the job's reduce phase reuses it, or
     forks a fresh one when a dead worker broke it, and it is shut down
     when :meth:`run_job` returns or raises.  A job whose map phase runs
     inline forks nothing.
@@ -517,7 +520,7 @@ class PersistentParallelCluster(SimulatedCluster):
     def _run_map_phase(
         self,
         job: MapReduceJob,
-        map_inputs: list[tuple[int, str, list]],
+        map_inputs: list[MapInput],
         broadcast: tuple[Broadcast, int, float],
     ) -> tuple[list, object, ExecutorPhaseStats]:
         """Run one map phase on a pool forked for *job* with spilled
@@ -537,17 +540,17 @@ class PersistentParallelCluster(SimulatedCluster):
         assert self._spill_root is not None
         phase_dir = os.path.join(self._spill_root, f"p{self._phase_seq}")
         # a task's entry is its id
-        task_payloads: dict[int, tuple] = {t: () for t, _name, _r in map_inputs}
+        task_payloads: dict[int, tuple] = {t: () for t, _name, _b in map_inputs}
         ex.bytes_to_workers += _ENTRY_BYTES * len(task_payloads)
         phase_args = (phase_dir, self.config.map_slots)
         # the driver's own memo for the retries it runs
         key_memo: dict = {}
 
         def in_driver(task_id: int, limit: int | None, attempt: int) -> tuple:
-            _task_id, input_name, records = map_inputs[task_id]
+            _task_id, input_name, block = map_inputs[task_id]
             return _map_attempt(
                 job, task_id, attempt, limit, self.tracer, phase_args,
-                input_name, records, broadcast, key_memo,
+                input_name, block.records, broadcast, key_memo,
             )
 
         shuffle = MapShuffle(job.num_reducers, phase_dir)

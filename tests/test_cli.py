@@ -40,6 +40,14 @@ class TestSelfJoin:
         assert (rid1, rid2) == ("1", "2")
         assert float(similarity) == 1.0
 
+    def test_output_may_name_the_input(self, catalog, tmp_path):
+        """The input is read by the join's map tasks, all of them done
+        before the output is written over it."""
+        expected = tmp_path / "pairs.tsv"
+        assert main(["selfjoin", str(catalog), "-o", str(expected)]) == 0
+        assert main(["selfjoin", str(catalog), "-o", str(catalog)]) == 0
+        assert catalog.read_bytes() == expected.read_bytes()
+
     def test_full_records(self, catalog, tmp_path):
         out = tmp_path / "pairs.tsv"
         main(["selfjoin", str(catalog), "-o", str(out), "--full-records"])
@@ -128,6 +136,14 @@ class TestUserErrors:
         argv = ["rsjoin", str(catalog), str(tmp_path / "nope.tsv")]
         line = self._error_line(argv, tmp_path / "pairs.tsv", capsys)
         assert line.startswith("repro rsjoin: error: ") and "nope.tsv" in line
+
+    def test_input_that_is_not_utf8(self, catalog, tmp_path, capsys):
+        bad = tmp_path / "latin1.tsv"
+        bad.write_bytes(b"1\tcaf\xe9 au lait\n")
+        argv = ["rsjoin", str(catalog), str(bad)]
+        line = self._error_line(argv, tmp_path / "pairs.tsv", capsys)
+        assert line.startswith("repro rsjoin: error: ")
+        assert "'utf-8' codec can't decode byte 0xe9" in line
 
     @pytest.mark.parametrize("spec,message", [
         ("raise:*:map:x:0", "task must be an integer or '*', got 'x'"),

@@ -41,6 +41,7 @@ from repro.mapreduce.cluster import (
     SimulatedCluster,
     execute_map_task,
 )
+from repro.mapreduce.counters import Counters
 from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.diskdfs import LocalDiskDFS
 from repro.mapreduce.executor import (
@@ -50,6 +51,7 @@ from repro.mapreduce.executor import (
 from repro.mapreduce.faults import FaultPlan, TaskError
 from repro.mapreduce.job import Broadcast, MapReduceJob
 from repro.mapreduce.types import InsufficientMemoryError, approx_bytes
+from repro.obs.metrics import observe_into
 from repro.obs.trace import Tracer
 
 from tests.conftest import fork_only, make_cluster, small_config
@@ -329,6 +331,65 @@ class TestKeyMemo:
                 )
                 # interned: each triple carries the memo's own key object
                 assert all(key is memo[key][2] for _p, key, _v in shared[1])
+
+    def test_a_combined_count_is_sized_without_a_call(self, monkeypatch):
+        """bto-count's combiner emits ``(token, int)``: an exact ``int``
+        value is billed approx_bytes' 8 bytes without calling it, and
+        the per-task partition sizes, ``framework.map_output_bytes`` and
+        the job's ``shuffle.partition_bytes`` histogram are those of a
+        call per pair."""
+        int_calls: list[str] = []
+        running: list[str] = []
+        sized = cluster_module.approx_bytes
+
+        def counting_approx_bytes(obj):
+            if type(obj) is int and running:
+                int_calls.append(running[-1])
+            return sized(obj)
+
+        monkeypatch.setattr(cluster_module, "approx_bytes", counting_approx_bytes)
+        cluster = make_cluster()
+        jobs, stats = [], {}
+        run_job = cluster.run_job
+
+        def tracking_run_job(job):
+            jobs.append(job)
+            running.append(job.name)
+            try:
+                stats[job.name] = run_job(job)
+                return stats[job.name]
+            finally:
+                running.pop()
+
+        cluster.run_job = tracking_run_job
+        run_join(cluster, "self")
+        assert "bto-count" not in int_calls
+        (job,) = [job for job in jobs if job.name == "bto-count"]
+        assert job.combiner is not None
+        dfs, slots = cluster.dfs, cluster.config.map_slots
+        totals = [0] * job.num_reducers
+        output_bytes = 0
+        blocks = [block.records for block in dfs.file(job.inputs[0]).blocks]
+        for task_id, records in enumerate(blocks):
+            task_stats, partitioned, counters = execute_map_task(
+                job, task_id, job.inputs[0], records, Broadcast(), 0, 0.0, None, slots
+            )
+            assert any(type(value) is int for _p, _k, value in partitioned)
+            expected: dict[int, int] = {}
+            for p, key, value in partitioned:
+                expected[p] = expected.get(p, 0) + sized((key, value))
+                output_bytes += sized(key) + sized(value)
+                totals[p] += sized((key, value))
+            assert task_stats.partition_bytes == expected
+        job_counters = stats["bto-count"].counters
+        assert job_counters["framework.map_output_bytes"] == output_bytes
+        reference = Counters()
+        for total in totals:
+            observe_into(reference.increment, "shuffle.partition_bytes", total)
+        assert {
+            name: count for name, count in job_counters.items()
+            if name.startswith("hist.shuffle.partition_bytes")
+        } == reference.as_dict()
 
     def test_the_driver_shuffle_holds_one_object_per_key(self):
         """After a sequential Stage-2 map phase, equal keys in the
