@@ -3,8 +3,8 @@
 :mod:`repro.analysis.mrlint`
     The static analyzer, ``python -m repro lint``: one load of the
     source tree, one rule table — deterministic, pure, fork-safe
-    mapper/reducer/kernel code (through the call graph too) and
-    task-memory release — plus the counter-name registry check.
+    mapper/reducer/kernel code (through the call graph too) — plus
+    the counter-name registry check.
 
 :mod:`repro.analysis.common`
     Its AST infrastructure: function discovery, import bindings, the

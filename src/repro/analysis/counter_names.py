@@ -26,7 +26,6 @@ KNOWN_COUNTER_NAMES: frozenset[str] = frozenset(
         'resume.stages_skipped',
         'sanitize.checks',
         'sanitize.index_bytes_drift',
-        'sanitize.memory_over_release',
         'sanitize.misowned_pair',
         'sanitize.unsorted_reduce_input',
         'sanitize.violations',

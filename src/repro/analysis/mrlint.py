@@ -7,7 +7,7 @@ flow into ``emit()`` (partition contents must be byte-identical across
 the sequential engine and the pooled one), kernel code must be
 deterministic (no unseeded randomness, no wall-clock reads), closures must
 not capture handles or locks that ``fork`` would duplicate into every
-pool worker, and charged task memory must be released.  The contracts
+pool worker.  The contracts
 *between* stages (emit shapes, the Stage-2 ``(group, length)`` keys,
 counter names) are held at run time and by ``--check-registry``
 (DESIGN.md §5c).
@@ -44,11 +44,6 @@ MR007    silent exception swallowing in MR/kernel code (bare
 MR101    an MR002/MR003 source reaches a mapper/reducer/kernel sink
          *through the call graph* — it sits in a helper one or more
          calls away; the message names the whole chain
-MR106    simulated task memory charged via ``reserve_memory_for`` (the
-         charged byte count captured into a variable) is not
-         ``release_memory``-ed on every exception edge — an exception
-         mid-group leaves the byte meter inflated, so every later
-         reservation in the task sees a phantom budget deficit
 =======  ==============================================================
 
 What is nondeterministic is decided in one place
@@ -121,7 +116,6 @@ RULES: dict[str, str] = {
     "MR006": "MR function declares a mutable default argument",
     "MR007": "MR/kernel code silently swallows exceptions (defeats retry layer)",
     "MR101": "nondeterminism reaches an MR/kernel sink through the call graph",
-    "MR106": "charged task memory not released on every exception edge",
 }
 
 #: methods whose call mutates the receiver in place
@@ -850,180 +844,6 @@ def render_counter_registry(names: frozenset[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# MR106: charged-memory release discipline
-# ---------------------------------------------------------------------------
-
-
-def _ancestors(
-    node: ast.AST, parents: dict[ast.AST, ast.AST]
-) -> Iterable[ast.AST]:
-    current = parents.get(node)
-    while current is not None:
-        yield current
-        current = parents.get(current)
-
-
-def _contains(haystack: Iterable[ast.stmt], needle: ast.AST) -> bool:
-    for stmt in haystack:
-        for node in ast.walk(stmt):
-            if node is needle:
-                return True
-    return False
-
-
-def _charge_sites(fn: FunctionInfo) -> dict[str, list[ast.stmt]]:
-    """Variables capturing charged bytes: ``Assign``/``AugAssign``
-    statements whose RHS calls ``reserve_memory_for``.
-
-    Bare ``reserve_memory(...)`` expression statements (the PK kernels'
-    delta metering against an index's live bytes) have no captured
-    balance to leak and are deliberately not anchored.
-    """
-    sites: dict[str, list[ast.stmt]] = {}
-    for node in shallow_nodes(fn.node):
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-        ):
-            var, value = node.targets[0].id, node.value
-        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
-            var, value = node.target.id, node.value
-        else:
-            continue
-        if any(
-            isinstance(call, ast.Call)
-            and isinstance(call.func, ast.Attribute)
-            and call.func.attr == "reserve_memory_for"
-            for call in ast.walk(value)
-        ):
-            sites.setdefault(var, []).append(node)
-    return sites
-
-
-def _check_mr106(mod: Module, findings: list[Finding]) -> None:
-    for fn in sorted(mod.functions.values(), key=lambda f: f.qualname):
-        charges = _charge_sites(fn)
-        if not charges:
-            continue
-        parents: dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(fn.node):
-            for child in ast.iter_child_nodes(parent):
-                parents[child] = parent
-        release_calls = [
-            node
-            for node in ast.walk(fn.node)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "release_memory"
-        ]
-
-        def owning_release(name_node: ast.Name) -> ast.Call | None:
-            for call in release_calls:
-                if any(sub is name_node for sub in ast.walk(call)):
-                    return call
-            return None
-
-        releases: dict[str, list[ast.AST]] = {var: [] for var in charges}
-        escaped: set[str] = set()
-        for use in ast.walk(fn.node):
-            if (
-                isinstance(use, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-                and use is not fn.node
-            ):
-                for name in ast.walk(use):
-                    if isinstance(name, ast.Name) and name.id in charges:
-                        # captured by a closure: ownership unclear
-                        escaped.add(name.id)
-            if not (
-                isinstance(use, ast.Name)
-                and use.id in charges
-                and isinstance(use.ctx, ast.Load)
-            ):
-                continue
-            call = owning_release(use)
-            if call is not None:
-                releases[use.id].append(call)
-                continue
-            # the balance handed to another call, or returned/yielded,
-            # transfers ownership out of this function — stand down
-            cursor = parents.get(use)
-            while cursor is not None and not isinstance(cursor, ast.stmt):
-                if isinstance(cursor, (ast.Call, ast.Yield, ast.YieldFrom)):
-                    escaped.add(use.id)
-                    break
-                cursor = parents.get(cursor)
-            if isinstance(cursor, ast.Return):
-                escaped.add(use.id)
-
-        for var in sorted(charges):
-            if var in escaped:
-                continue
-            sites = charges[var]
-            var_releases = releases[var]
-            if not var_releases:
-                findings.append(
-                    Finding(
-                        "MR106",
-                        mod.path,
-                        sites[0].lineno,
-                        sites[0].col_offset,
-                        fn.qualname,
-                        f"task memory charged into {var!r} via "
-                        "reserve_memory_for is never released in this "
-                        "function — the byte meter stays inflated for the "
-                        "rest of the task",
-                    )
-                )
-                continue
-            for site in sites:
-                protected = False
-                for release in var_releases:
-                    for ancestor in _ancestors(release, parents):
-                        if not isinstance(ancestor, ast.Try):
-                            continue
-                        in_final = _contains(ancestor.finalbody, release)
-                        in_handler = any(
-                            _contains(handler.body, release)
-                            for handler in ancestor.handlers
-                        )
-                        if (in_final or in_handler) and _contains(
-                            ancestor.body, site
-                        ):
-                            protected = True
-                            break
-                    if protected:
-                        break
-                if not protected:
-                    # charge immediately followed by its release leaves no
-                    # raising statement in between; treat as safe
-                    holder = parents.get(site)
-                    body = getattr(holder, "body", None)
-                    if isinstance(body, list) and site in body:
-                        index = body.index(site)
-                        if index + 1 < len(body) and any(
-                            release in ast.walk(body[index + 1])
-                            for release in var_releases
-                        ):
-                            protected = True
-                if not protected:
-                    findings.append(
-                        Finding(
-                            "MR106",
-                            mod.path,
-                            site.lineno,
-                            site.col_offset,
-                            fn.qualname,
-                            f"task memory charged into {var!r} is not "
-                            "released on every exception edge — an exception "
-                            "between reserve_memory_for and release_memory "
-                            "leaves the bytes charged; release in a finally "
-                            "block",
-                        )
-                    )
-
-
-# ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
 
@@ -1050,7 +870,6 @@ def _analyze(program: Program) -> list[Finding]:
             if fn_taint is not None:
                 _check_nondeterminism(mod, fn, fn_taint, found)
             _check_mr007(fn, found, mod.path)
-        _check_mr106(mod, found)
         findings.extend(found)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings

@@ -501,17 +501,22 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.data.increase import increase_dataset
     from repro.data.synthetic import generate_citeseerx, generate_dblp, generate_skewed
 
-    if args.corpus == "dblp":
-        records = generate_dblp(args.num_records, seed=args.seed)
-    elif args.corpus == "skewed":
-        records = generate_skewed(args.num_records, seed=args.seed)
-    else:
-        shared = read_records(args.shared_with) if args.shared_with else None
-        records = generate_citeseerx(
-            args.num_records, seed=args.seed, rid_base=10_000_000, shared_with=shared
-        )
-    if args.increase > 1:
+    try:
+        if args.num_records < 0:
+            raise ValueError(f"record count must be >= 0, got {args.num_records}")
+        if args.corpus == "dblp":
+            records = generate_dblp(args.num_records, seed=args.seed)
+        elif args.corpus == "skewed":
+            records = generate_skewed(args.num_records, seed=args.seed)
+        else:
+            shared = read_records(args.shared_with) if args.shared_with else None
+            records = generate_citeseerx(
+                args.num_records, seed=args.seed, rid_base=10_000_000, shared_with=shared
+            )
         records = increase_dataset(records, args.increase)
+    except (ValueError, FileNotFoundError) as exc:
+        print(f"repro generate: error: {exc}", file=sys.stderr)
+        return 2
     write_records(args.output, records)
     print(f"{len(records)} records -> {args.output}", file=sys.stderr)
     return 0
@@ -551,8 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="statically check the MR contract (repro.analysis.mrlint): "
              "pure, deterministic, fork-safe mapper/reducer/kernel code "
-             "— through the call graph too — and task-memory release; "
-             "the counter-name registry",
+             "— through the call graph too; the counter-name registry",
     )
     p_lint.add_argument("paths", nargs="+",
                         help="python files or directory trees to analyze "

@@ -251,8 +251,7 @@ class PPJoinIndex:
     def join_group(
         self,
         values: Iterable[tuple],
-        reserve: Callable[[int], Any] | None = None,
-        release: Callable[[int], Any] | None = None,
+        hold: Callable[[int], Any] | None = None,
     ) -> list[tuple[int, int, float]]:
         """Run a size-ordered stream of ``(rel, rid, true_size,
         signature, tokens)`` values — one Stage-2 reduce group — through
@@ -261,22 +260,20 @@ class PPJoinIndex:
         records are stored.  Returns ``(stored_rid, rid, similarity)``
         per answer, in stream order.
 
-        ``reserve`` / ``release`` meter the index's ``live_bytes`` as it
-        moves: after each record the change since the last one is
-        reserved (or released), and what is still charged is released
-        when the stream ends or raises.
+        ``hold`` meters the index's ``live_bytes``: it is called with
+        the group's high-water mark each time that rises, after the
+        record that raised it, and with 0 when the stream ends or raises.
         """
         if self.mode == "self":
-            return self._join(values, (REL_R, REL_S), (REL_R, REL_S), reserve, release)
-        return self._join(values, (REL_S,), (REL_R,), reserve, release)
+            return self._join(values, (REL_R, REL_S), (REL_R, REL_S), hold)
+        return self._join(values, (REL_S,), (REL_R,), hold)
 
     def _join(
         self,
         values: Iterable[tuple],
         probes: tuple[int, ...],
         stores: tuple[int, ...],
-        reserve: Callable[[int], Any] | None = None,
-        release: Callable[[int], Any] | None = None,
+        hold: Callable[[int], Any] | None = None,
     ) -> list[tuple[int, int, float]]:
         """The kernel, written once: records whose ``rel`` is in
         *probes* probe, those in *stores* are stored.
@@ -298,7 +295,7 @@ class PPJoinIndex:
         frontier, live_bytes, peak_live = self._frontier, self.live_bytes, self.peak_live_entries
         size_ordered = self._size_ordered
         last_added, last_probe = self._last_added_size, self._last_probe_size
-        charged = records = 0
+        held = records = 0
         results: list[tuple[int, int, float]] = []
         p_candidates = p_length = p_foreign = p_bitmap = 0
         p_positional = p_suffix = p_verified = 0
@@ -471,12 +468,9 @@ class PPJoinIndex:
                             live_bytes += projection_bytes(nx, has_sig)
                             if entry_id + 1 - frontier > peak_live:
                                 peak_live = entry_id + 1 - frontier
-                if reserve is not None and live_bytes != charged:
-                    if live_bytes > charged:
-                        reserve(live_bytes - charged)
-                    elif release is not None:
-                        release(charged - live_bytes)
-                    charged = live_bytes
+                if live_bytes > held and hold is not None:
+                    held = live_bytes
+                    hold(held)
         finally:
             self._frontier, self.live_bytes, self.peak_live_entries = frontier, live_bytes, peak_live
             self._size_ordered = size_ordered
@@ -491,8 +485,8 @@ class PPJoinIndex:
                 stats["positional"] += p_positional
                 stats["suffix"] += p_suffix
                 stats["verified"] += p_verified
-            if charged and release is not None:
-                release(charged)
+            if held:
+                hold(0)
         return results
 
 

@@ -32,6 +32,7 @@ from repro.join.stage2 import (
 )
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.job import Context, MapReduceJob
+from repro.mapreduce.types import approx_bytes
 
 
 def full_record_job(
@@ -62,19 +63,18 @@ def full_record_job(
         index = PPJoinIndex(sim, threshold, owner=owner_of(config, route))
         lines: dict[int, str] = {}
         group: list[tuple] = []
-        charged = 0
-        try:
-            # the lines are the group's whole memory charge, held to the
-            # end either way, so the PK group call runs once they are in
-            for rid, ranks, line in values:
-                charged += ctx.reserve_memory_for(line, "full-record group")
-                lines[rid] = line
-                group.append((REL_R, rid, len(ranks), None, ranks))
-            for stored_rid, rid, similarity in index.join_group(group):
-                ctx.write((lines[min(rid, stored_rid)], lines[max(rid, stored_rid)], similarity))
-                ctx.counters.increment(PAIRS_OUTPUT)
-        finally:
-            ctx.release_memory(charged)
+        held = 0
+        # the lines are the group's whole memory, held to the end either
+        # way, so the PK group call runs once they are in
+        for rid, ranks, line in values:
+            held += approx_bytes(line)
+            ctx.hold("full-record group", held)
+            lines[rid] = line
+            group.append((REL_R, rid, len(ranks), None, ranks))
+        for stored_rid, rid, similarity in index.join_group(group):
+            ctx.write((lines[min(rid, stored_rid)], lines[max(rid, stored_rid)], similarity))
+            ctx.counters.increment(PAIRS_OUTPUT)
+        ctx.hold("full-record group", 0)
 
     return MapReduceJob(
         name="fullrecord-self",

@@ -94,12 +94,14 @@ def opto_jobs(
 
     def reduce_setup(ctx: Context) -> None:
         ctx.token_counts = {}
+        ctx.token_counts_bytes = 0
 
     def reducer(token: str, counts: Iterator, ctx: Context) -> None:
         total = sum(counts)
         ctx.observe("stage1.token_frequency", total)
         ctx.token_counts[token] = ctx.token_counts.get(token, 0) + total
-        ctx.reserve_memory(len(token) + 16, "OPTO token counts")
+        ctx.token_counts_bytes += len(token) + 16
+        ctx.hold("OPTO token counts", ctx.token_counts_bytes)
 
     def reduce_teardown(ctx: Context) -> None:
         ordered = sorted(ctx.token_counts.items(), key=lambda kv: (kv[1], kv[0]))

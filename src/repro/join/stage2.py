@@ -46,7 +46,7 @@ from __future__ import annotations
 from array import array
 from typing import Callable, Iterator, Sequence
 
-from repro.analysis.sanitize import Sanitizer, make_sanitizer
+from repro.analysis.sanitize import Sanitizer, make_sanitizer, sanitize_active
 from repro.core.bitmaps import overlap_upper_bound, signature as bitmap_signature
 from repro.core.ordering import TokenOrder
 from repro.core.ppjoin import PPJoinIndex
@@ -64,6 +64,7 @@ from repro.join.blocks import (
 from repro.join.config import JoinConfig
 from repro.join.records import REL_R, REL_S, join_value, rid_of
 from repro.mapreduce.job import Context, MapReduceJob
+from repro.mapreduce.types import approx_bytes
 
 #: user counters
 CANDIDATE_PAIRS = "stage2.candidate_pairs"
@@ -381,10 +382,11 @@ def make_bk_reducer(config: JoinConfig, rs: bool) -> Callable:
     group_of = _projection_rel if rs else None
     bounds = bounds_for(config.sim, config.threshold)
     prefix_length = bounds.prefix_length
+    sanitized = sanitize_active(config)
 
     def reducer(route, values: Iterator, ctx: Context) -> None:
         owner = owner_of(config, route)
-        sanitizer = make_sanitizer(config, ctx.counters, route)
+        sanitizer = make_sanitizer(config, ctx.counters, route) if sanitized else None
         if sanitizer is not None and stream_of is _whole_group:
             # block streams are ordered by step/block, not by size
             values = sanitizer.sorted_values(
@@ -392,41 +394,40 @@ def make_bk_reducer(config: JoinConfig, rs: bool) -> Callable:
             )
         counters = ctx.counters
         stored: list[tuple] = []
-        charged = 0
+        held = 0
         group_records = 0
         group_candidates = 0
-        try:
-            for projection, probes, stores in stream_of(values, rs, ctx):
-                if projection is None:
-                    ctx.release_memory(charged)
-                    charged = 0
-                    stored = []
-                    continue
-                group_records += 1
-                if probes:
-                    group_candidates += len(stored)
-                    for other in stored:
-                        counters.increment(CANDIDATE_PAIRS)
-                        similarity = bk_verify(
-                            other, projection, config, bounds, counters, sanitizer
-                        )
-                        if similarity is None:
-                            continue
-                        x, y = other[4], projection[4]
-                        owned = _owns_pair(owner, prefix_length, x, y)
-                        if owned:
-                            write_pair(ctx, other[1], projection[1], similarity)
-                        else:
-                            counters.increment(PRUNED_FOREIGN)
-                        if sanitizer is not None:
-                            sanitizer.check_owner(x, y, owned, sample=not owned)
-                if stores:
-                    charged += ctx.reserve_memory_for(projection, what)
-                    stored.append(projection)
-            ctx.observe("stage2.group_records", group_records)
-            ctx.observe("stage2.group_candidates", group_candidates)
-        finally:
-            ctx.release_memory(charged)
+        for projection, probes, stores in stream_of(values, rs, ctx):
+            if projection is None:
+                held = 0
+                ctx.hold(what, 0)
+                stored = []
+                continue
+            group_records += 1
+            if probes:
+                group_candidates += len(stored)
+                for other in stored:
+                    counters.increment(CANDIDATE_PAIRS)
+                    similarity = bk_verify(
+                        other, projection, config, bounds, counters, sanitizer
+                    )
+                    if similarity is None:
+                        continue
+                    x, y = other[4], projection[4]
+                    owned = _owns_pair(owner, prefix_length, x, y)
+                    if owned:
+                        write_pair(ctx, other[1], projection[1], similarity)
+                    else:
+                        counters.increment(PRUNED_FOREIGN)
+                    if sanitizer is not None:
+                        sanitizer.check_owner(x, y, owned, sample=not owned)
+            if stores:
+                held += approx_bytes(projection)
+                ctx.hold(what, held)
+                stored.append(projection)
+        ctx.observe("stage2.group_records", group_records)
+        ctx.observe("stage2.group_candidates", group_candidates)
+        ctx.hold(what, 0)
 
     return reducer
 
@@ -445,9 +446,10 @@ def make_pk_reducer(config: JoinConfig, rs: bool) -> Callable:
     # with the bitmap filter on, its bound replaces the recursive suffix
     # filter (it subsumes it at a fraction of the cost; output identical)
     width = config.bitmap_width if config.bitmap_filter else None
+    sanitized = sanitize_active(config)
 
     def reducer(route, values: Iterator, ctx: Context) -> None:
-        sanitizer = make_sanitizer(config, ctx.counters, route)
+        sanitizer = make_sanitizer(config, ctx.counters, route) if sanitized else None
         index = PPJoinIndex(
             config.sim, config.threshold, mode=mode, use_suffix=width is None,
             bitmap_width=width, sanitizer=sanitizer, owner=owner_of(config, route),
@@ -457,10 +459,10 @@ def make_pk_reducer(config: JoinConfig, rs: bool) -> Callable:
                 values, _projection_size, group_of=group_of
             )
 
-        def reserve(num_bytes: int) -> None:
-            ctx.reserve_memory(num_bytes, what)
+        def hold(num_bytes: int) -> None:
+            ctx.hold(what, num_bytes)
 
-        for stored_rid, rid, similarity in index.join_group(values, reserve, ctx.release_memory):
+        for stored_rid, rid, similarity in index.join_group(values, hold):
             write_pair(ctx, stored_rid, rid, similarity)
         ctx.observe("stage2.group_records", index.records_seen)
         ctx.observe("stage2.group_candidates", index.filter_stats["candidates"])

@@ -40,6 +40,7 @@ from typing import Callable, Iterator
 
 from repro.join.records import rid_of
 from repro.mapreduce.job import Context, MapReduceJob
+from repro.mapreduce.types import approx_bytes
 
 #: value tags inside phase-1 keys: the record sorts before its pairs.
 _TAG_RECORD = 0
@@ -92,24 +93,21 @@ def _brj_fill_reducer(is_rs: bool) -> Callable:
     def reducer(group_key: tuple[int, int], values: Iterator, ctx: Context) -> None:
         record_line: str | None = None
         pairs = 0
-        charged = 0
-        try:
-            for value in values:
-                if isinstance(value, str):
-                    # the (rid, tag) sort delivers the record first
-                    record_line = value
-                    charged = ctx.reserve_memory_for(value, "BRJ record half")
-                    continue
-                if record_line is None:
-                    raise ValueError(
-                        f"RID pair {value!r} references RID {group_key[1]} "
-                        "which has no record in the Stage-3 input"
-                    )
-                pairs += 1
-                ctx.write((value, _half_side(group_key, value, is_rs), record_line))
-            ctx.observe("stage3.pairs_per_rid", pairs)
-        finally:
-            ctx.release_memory(charged)
+        for value in values:
+            if isinstance(value, str):
+                # the (rid, tag) sort delivers the record first
+                record_line = value
+                ctx.hold("BRJ record half", approx_bytes(value))
+                continue
+            if record_line is None:
+                raise ValueError(
+                    f"RID pair {value!r} references RID {group_key[1]} "
+                    "which has no record in the Stage-3 input"
+                )
+            pairs += 1
+            ctx.write((value, _half_side(group_key, value, is_rs), record_line))
+        ctx.observe("stage3.pairs_per_rid", pairs)
+        ctx.hold("BRJ record half", 0)
 
     return reducer
 
@@ -196,15 +194,13 @@ def oprj_jobs(
         return by_rid
 
     def map_setup(ctx: Context) -> None:
-        # Every task holds the index: the raw list bytes are charged by
-        # the runtime, the index here, 48 B per pair in one charge.
+        # Every task holds the index: the runtime holds the raw list
+        # bytes, this the index's, 48 B per pair.
         # This is the load whose cost is constant in the cluster size
         # and whose footprint grows with the data (Section 6.1.1 Stage
         # 3, Figure 14).  The index itself is built once per process
         # (Context.view), and its build billed to each slot's first task.
-        ctx.reserve_memory(
-            48 * len(ctx.broadcast[pairs_file]), "OPRJ broadcast RID-pair index"
-        )
+        ctx.hold("OPRJ broadcast RID-pair index", 48 * len(ctx.broadcast[pairs_file]))
 
     def mapper(record, ctx: Context) -> None:
         rel = record_files[ctx.input_file]

@@ -198,7 +198,7 @@ def execute_map_task(
     ctx.input_file = input_name
     t0 = time.perf_counter()
     if broadcast_bytes:
-        ctx.reserve_memory(broadcast_bytes, "broadcast (distributed cache)")
+        ctx.hold("broadcast (distributed cache)", broadcast_bytes)
     if job.map_setup is not None:
         job.map_setup(ctx)
     setup_cpu = time.perf_counter() - t0 - ctx.view_built_s

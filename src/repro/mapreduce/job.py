@@ -39,9 +39,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.analysis.sanitize import VIOLATIONS, env_sanitize
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.types import InsufficientMemoryError, approx_bytes
+from repro.mapreduce.types import InsufficientMemoryError
 
 
 def _identity(key: Any) -> Any:
@@ -85,9 +84,11 @@ class Context:
         self.task_id: int = -1
         self._emitted: list[tuple[Any, Any]] = []
         self._written: list[Any] = []
-        self._reserved_bytes = 0
+        #: simulated task memory: what each holder holds now, their sum
+        #: and the largest sum so far
+        self._held: dict[str, int] = {}
+        self.held_bytes = 0
         self.peak_memory_bytes = 0
-        self._sanitize = env_sanitize()
         #: the views this task used, by ``(file name, builder)``
         self._views: dict[tuple[str, Callable], Any] = {}
         #: build seconds of every view this task used / of those it built
@@ -105,7 +106,7 @@ class Context:
         read-only.  Its measured build seconds are billed like the
         broadcast read itself (see
         :func:`repro.mapreduce.cluster.execute_map_task`); its memory is
-        the caller's to charge."""
+        the caller's to hold."""
         key = (name, build)
         found = self._views.get(key)
         if found is None:
@@ -148,51 +149,23 @@ class Context:
 
     # -- memory metering ----------------------------------------------------
 
-    def reserve_memory(self, num_bytes: int, what: str = "task state") -> None:
-        """Charge *num_bytes* of simulated task memory.
+    def hold(self, what: str, num_bytes: int) -> None:
+        """Set the simulated task memory holder *what* holds now to
+        *num_bytes* (0: it holds nothing).
 
-        Raises :class:`InsufficientMemoryError` when the cumulative
-        reservation exceeds the per-task budget.  Algorithms call this
-        when they materialize state (an in-memory candidate list, a
-        broadcast join table); releasing is per-block via
-        :meth:`release_memory`.
+        The task's level is the sum over its holders.  A sum over the
+        per-task budget raises :class:`InsufficientMemoryError` from
+        this call, naming *what*; :attr:`peak_memory_bytes` is the
+        largest sum.
         """
-        self._reserved_bytes += num_bytes
-        if self._reserved_bytes > self.peak_memory_bytes:
-            self.peak_memory_bytes = self._reserved_bytes
-        if (
-            self.memory_limit_bytes is not None
-            and self._reserved_bytes > self.memory_limit_bytes
-        ):
-            raise InsufficientMemoryError(
-                what, self._reserved_bytes, self.memory_limit_bytes
-            )
-
-    def release_memory(self, num_bytes: int) -> None:
-        """Return *num_bytes* of simulated task memory.
-
-        Releasing more than is currently reserved is an accounting bug
-        in the caller (charged bytes released twice, or a release that
-        does not match its reserve).  The balance still clamps at zero
-        so the byte meter cannot go negative, but the underflow is no
-        longer silent: under sanitizer mode (``REPRO_SANITIZE=1``) each
-        over-release counts into ``sanitize.violations`` and
-        ``sanitize.memory_over_release``.
-        """
-        remaining = self._reserved_bytes - num_bytes
-        if remaining < 0:
-            remaining = 0
-            if self._sanitize:
-                self.counters.increment(VIOLATIONS)
-                self.counters.increment("sanitize.memory_over_release")
-        self._reserved_bytes = remaining
-
-    def reserve_memory_for(self, obj: Any, what: str = "task state") -> int:
-        """Charge the approximate size of *obj*; returns the bytes charged
-        so the caller can release them later."""
-        num_bytes = approx_bytes(obj)
-        self.reserve_memory(num_bytes, what)
-        return num_bytes
+        total = self.held_bytes + num_bytes - self._held.get(what, 0)
+        self._held[what] = num_bytes
+        self.held_bytes = total
+        if total > self.peak_memory_bytes:
+            self.peak_memory_bytes = total
+            limit = self.memory_limit_bytes
+            if limit is not None and total > limit:
+                raise InsufficientMemoryError(what, total, limit)
 
 
 Mapper = Callable[[Any, Context], None]

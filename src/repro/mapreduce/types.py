@@ -10,7 +10,7 @@ from typing import Any
 class InsufficientMemoryError(MemoryError):
     """A task exceeded its simulated per-task memory budget.
 
-    Raised by :meth:`repro.mapreduce.job.Context.reserve_memory`;
+    Raised by :meth:`repro.mapreduce.job.Context.hold`;
     reproduces the paper's OPRJ out-of-memory failures (Sections 6.2,
     6.2.2) without exhausting real RAM.
     """

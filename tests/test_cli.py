@@ -154,6 +154,17 @@ class TestUserErrors:
         line = self._error_line(argv, tmp_path / "pairs.tsv", capsys)
         assert line.startswith("repro selfjoin: error: ") and message in line
 
+    @pytest.mark.parametrize("argv,message", [
+        (["dblp", "-5"], "record count must be >= 0, got -5"),
+        (["dblp", "10", "--increase", "0"], "factor must be >= 1, got 0"),
+        (["skewed", "10", "--increase", "-1"], "factor must be >= 1, got -1"),
+        (["citeseerx", "10", "--shared-with", "nope.tsv"], "nope.tsv"),
+    ])
+    def test_bad_generate_input(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        line = self._error_line(["generate"] + argv, tmp_path / "corpus.tsv", capsys)
+        assert line.startswith("repro generate: error: ") and message in line
+
 
 class TestRunManifest:
     def test_unwritable_runs_dir_warns_but_the_join_succeeds(

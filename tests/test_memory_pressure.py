@@ -25,14 +25,12 @@ from repro.join.checkpoint import CheckpointMismatchError, JoinCheckpoint
 from repro.join.config import JoinConfig
 from repro.join.memory import apply_degradations, apply_step, next_escalation
 from repro.mapreduce.cluster import SimulatedCluster
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.faults import (
     FaultPlan,
     FaultSpec,
     TaskError,
     squeezed_limit,
 )
-from repro.mapreduce.job import Context
 from repro.mapreduce.types import InsufficientMemoryError
 from repro.obs.runs import build_run_manifest
 
@@ -110,32 +108,6 @@ class TestSqueezeFault:
         assert squeezed_limit(FaultSpec(kind="raise"), 123) == 123
         assert squeezed_limit(None, 123) == 123
         assert squeezed_limit(None, None) is None
-
-
-# ---------------------------------------------------------------------------
-# accounting-underflow clamp (satellite: release_memory)
-# ---------------------------------------------------------------------------
-
-
-class TestReleaseUnderflow:
-    def test_over_release_counts_under_sanitizer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        ctx = Context(Counters())
-        ctx.reserve_memory(100)
-        ctx.release_memory(150)
-        assert ctx.counters.get("sanitize.violations") == 1
-        assert ctx.counters.get("sanitize.memory_over_release") == 1
-        # the meter clamped at zero: a fresh reserve starts from scratch
-        ctx.reserve_memory(40)
-        ctx.release_memory(40)
-        assert ctx.counters.get("sanitize.memory_over_release") == 1
-
-    def test_underflow_is_silent_without_sanitizer(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        ctx = Context(Counters())
-        ctx.reserve_memory(10)
-        ctx.release_memory(99)
-        assert ctx.counters.get("sanitize.memory_over_release") == 0
 
 
 # ---------------------------------------------------------------------------

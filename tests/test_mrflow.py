@@ -47,13 +47,6 @@ class TestRuleFixtures:
         assert "_jittered_weight" in findings[0].message
         assert "random.random" in findings[0].message
 
-    def test_mr106_memory_charge_leak(self):
-        findings = lint_paths([str(FIXTURES / "mr106_memory_leak.py")])
-        assert rules_fired(findings) == ["MR106"]
-        assert findings[0].function == "buffered_reducer"
-        assert "'charged'" in findings[0].message
-        assert "exception edge" in findings[0].message
-
     def test_every_flow_rule_has_a_fixture(self):
         covered = set()
         for path in sorted(FIXTURES.glob("*.py")):
@@ -203,92 +196,6 @@ class TestCounterRegistry:
             )
         )
         assert build_counter_registry([str(path)]) == {"stage2.pairs_outptu"}
-
-
-class TestMemoryChargeLifecycle:
-    def test_finally_release_is_clean(self, tmp_path):
-        findings = analyze_source(
-            """
-            def buffered_reducer(route, values, ctx):
-                held = []
-                charged = 0
-                try:
-                    for value in values:
-                        charged += ctx.reserve_memory_for(value, "buffered group")
-                        held.append(value)
-                    for value in held:
-                        ctx.write(value)
-                finally:
-                    ctx.release_memory(charged)
-            """,
-            tmp_path,
-        )
-        assert findings == []
-
-    def test_adjacent_release_is_clean(self, tmp_path):
-        # charge/release as back-to-back statements cannot leak — no
-        # user code runs between them
-        findings = analyze_source(
-            """
-            def metered_reducer(route, values, ctx):
-                for value in values:
-                    charged = ctx.reserve_memory_for(value, "one record")
-                    ctx.release_memory(charged)
-                    ctx.write(value)
-            """,
-            tmp_path,
-        )
-        assert findings == []
-
-    def test_bare_delta_metering_stands_down(self, tmp_path):
-        # PK-style delta metering charges/releases through bare calls —
-        # no variable carries the outstanding balance, so there is no
-        # anchor for the rule to track
-        findings = analyze_source(
-            """
-            def indexed_reducer(route, values, ctx):
-                live = 0
-                for value in values:
-                    delta = len(value) - live
-                    if delta >= 0:
-                        ctx.reserve_memory(delta, "index")
-                    else:
-                        ctx.release_memory(-delta)
-                    live = len(value)
-                    ctx.write(value)
-            """,
-            tmp_path,
-        )
-        assert findings == []
-
-    def test_escaped_charge_is_not_flagged(self, tmp_path):
-        # returning the outstanding balance hands release duty to the
-        # caller
-        findings = analyze_source(
-            """
-            def load_group(values, ctx):
-                charged = 0
-                for value in values:
-                    charged += ctx.reserve_memory_for(value, "group buffer")
-                return charged
-            """,
-            tmp_path,
-        )
-        assert findings == []
-
-    def test_never_released_fires(self, tmp_path):
-        findings = analyze_source(
-            """
-            def leaky_reducer(route, values, ctx):
-                charged = 0
-                for value in values:
-                    charged += ctx.reserve_memory_for(value, "group buffer")
-                    ctx.write(value)
-            """,
-            tmp_path,
-        )
-        assert rules_fired(findings) == ["MR106"]
-        assert "never" in findings[0].message
 
 
 class TestReportingAndBaseline:

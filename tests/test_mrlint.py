@@ -215,8 +215,8 @@ REAL_CODE_MUTATIONS = {
     ),
     "MR001": (  # a reducer memoises on a module-level function object
         ["join/stage3.py"], "join/stage3.py",
-        '            ctx.observe("stage3.pairs_per_rid", pairs)',
-        "            _half_side.last_pairs = pairs",
+        '        ctx.observe("stage3.pairs_per_rid", pairs)',
+        "        _half_side.last_pairs = pairs",
     ),
     "MR002": (  # "dedupe the tokens" with a set, straight into emit()
         ["join/stage1.py"], "join/stage1.py",
@@ -238,8 +238,8 @@ REAL_CODE_MUTATIONS = {
         "    def mapper(line: str, ctx: Context) -> None:",
         "    def mapper(line: str, ctx: Context, seen: list = []) -> None:",
     ),
-    "MR007": (  # try/finally "simplified" into a catch-all
-        ["join/fullrecord.py"], "join/fullrecord.py",
+    "MR007": (  # the kernel's try/finally "simplified" into a catch-all
+        ["core/ppjoin.py"], "core/ppjoin.py",
         "        finally:",
         "        except:",
     ),
@@ -247,11 +247,6 @@ REAL_CODE_MUTATIONS = {
         ["core/bitmaps.py", "join/stage2.py"], "core/bitmaps.py",
         "        for rank in tokens:",
         "        for rank in set(tokens):",
-    ),
-    "MR106": (  # the release in the reducer's finally block is dropped
-        ["join/fullrecord.py"], "join/fullrecord.py",
-        "            ctx.release_memory(charged)",
-        "            pass",
     ),
 }
 
@@ -304,8 +299,8 @@ RUNTIME_GUARDED_MUTATIONS = {
     ),
     "MR102": (  # a reducer destructures one field fewer than is emitted
         "join/fullrecord.py",
-        "            for rid, ranks, line in values:",
-        "            for rid, ranks in values:",
+        "        for rid, ranks, line in values:",
+        "        for rid, ranks in values:",
         "fullrecord",
     ),
     "MR103": (  # a partitioner indexes past the emitted key
@@ -423,8 +418,8 @@ class TestCli:
             tree = copy_src(tmp_path)
             edit_line(
                 tree / "repro" / "join" / "stage3.py",
-                '            ctx.observe("stage3.pairs_per_rid", pairs)',
-                '            ctx.observe("stage3.pairs_per_rdi", pairs)',
+                '        ctx.observe("stage3.pairs_per_rid", pairs)',
+                '        ctx.observe("stage3.pairs_per_rdi", pairs)',
             )
             added = "+ stage3.pairs_per_rdi"
         assert main(["lint", str(tree), "--check-registry"]) == 1

@@ -230,9 +230,9 @@ def _largest_pk_group(rs: bool, config: JoinConfig):
         # measured on the per-record reducer (probe + add per record, the
         # live_bytes delta charged after each) that the group call replaced:
         # route, group records, peak, the record that fails, error fields,
-        # bytes still reserved after the reducer returns
-        (False, (1570, 28, 744, 15, 1113, "PK index", 744, 743, 136)),
-        (True, (1570, 56, 3016, 40, 1987, "PK index (R partition)", 3016, 3015, 176)),
+        # bytes still held after the raise
+        (False, (1570, 28, 744, 15, 1113, "PK index", 744, 743, 0)),
+        (True, (1570, 56, 3016, 40, 1987, "PK index (R partition)", 3016, 3015, 0)),
     ],
     ids=["self", "rs"],
 )
@@ -246,7 +246,7 @@ def test_a_budget_just_below_a_pk_groups_peak_fails_at_the_same_record(rs, expec
     ctx = Context(Counters())
     reducer(route, iter(values), ctx)
     peak = ctx.peak_memory_bytes
-    assert ctx._reserved_bytes == 0
+    assert ctx.held_bytes == 0
     consumed = []
 
     def counted():
@@ -260,7 +260,7 @@ def test_a_budget_just_below_a_pk_groups_peak_fails_at_the_same_record(rs, expec
     error = info.value
     assert (
         route, len(values), peak, len(consumed), consumed[-1],
-        error.what, error.needed_bytes, error.limit_bytes, squeezed._reserved_bytes,
+        error.what, error.needed_bytes, error.limit_bytes, squeezed.held_bytes,
     ) == expected
 
 

@@ -365,15 +365,25 @@ class TestGroupCall:
             index.join_group([(REL_R, 4, 3, None, (1, 2, 5)), (REL_R, 5, 1, None, (1,))])
 
     def test_the_meter_follows_live_bytes_and_is_released(self):
-        """``reserve`` / ``release`` see every change of ``live_bytes``,
-        record by record, and the group's charge is returned at the end."""
+        """``hold`` sees the group's high-water mark of ``live_bytes``
+        each time it rises, record by record, and 0 at the end."""
         events = []
         index = PPJoinIndex(Jaccard(), 0.9)
         values = [(REL_R, rid, n, None, tuple(range(n))) for rid, n in enumerate((2, 2, 20, 21))]
-        index.join_group(
-            values, lambda n: events.append(n), lambda n: events.append(-n)
-        )
+        index.join_group(values, events.append)
         # two 2-token entries (48 B each), evicted by the 20-token probe
         # in the same step that stores its own 192 B entry, then 200 B
-        assert events == [48, 48, 192 - 96, 200, -392]
+        assert events == [48, 96, 192, 392, 0]
         assert index.live_bytes == 392
+
+    def test_the_meter_holds_the_high_water_mark_through_an_eviction(self):
+        """An eviction lowers ``live_bytes`` but not what is held: the
+        group's peak is its high-water mark."""
+        events = []
+        index = PPJoinIndex(Jaccard(), 0.9)
+        values = [(REL_R, rid, n, None, tuple(range(n))) for rid, n in enumerate((8, 8, 20))]
+        index.join_group(values, events.append)
+        # two 8-token entries (96 B each) make 192 B; the 20-token probe
+        # evicts both and stores its own 192 B entry: no rise, no call
+        assert events == [96, 192, 0]
+        assert index.live_bytes == 192

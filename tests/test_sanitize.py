@@ -22,6 +22,7 @@ from repro.join.records import make_line
 from repro.mapreduce.counters import Counters
 
 from tests.conftest import SCHEMA_1, make_cluster, run_stage2
+from tests.matrix import BASE, run_join
 
 
 def make_sanitizer_for_test(threshold=0.8, sample_every=1):
@@ -49,6 +50,19 @@ class TestActivation:
         config = JoinConfig(threshold=0.8, schema=SCHEMA_1)
         assert env_sanitize() is active
         assert sanitize_active(config) is active
+
+    @pytest.mark.parametrize("kernel", ["pk", "bk"])
+    @pytest.mark.parametrize("engine", ["sequential", "persistent"])
+    def test_env_flag_set_before_the_join_reaches_every_group(
+        self, make_engine, monkeypatch, engine, kernel
+    ):
+        """The Stage-2 reducer factories read the flag once, when the job
+        is built; the reducers they make sanitize every group, in the
+        driver and in pool workers alike."""
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        run = run_join(make_engine(engine), "self", BASE.with_options(kernel=kernel))
+        assert run.counters.get("sanitize.checks", 0) > 0
+        assert run.counters.get("sanitize.violations", 0) == 0
 
     def test_no_counters_no_sanitizer(self):
         config = JoinConfig(threshold=0.8, schema=SCHEMA_1, sanitize=True)
