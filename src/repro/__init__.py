@@ -26,10 +26,9 @@ from typing import Any
 #: exports it, so ``python -m repro`` loads only the modules it runs
 _LAZY = {
     **dict.fromkeys(
-        ("Cosine", "Dice", "EditDistanceQGrams", "Jaccard", "MinHasher",
-         "Overlap", "QGramTokenizer", "SimilarityFunction", "TokenOrder",
-         "Tokenizer", "WordTokenizer", "edit_distance_self_join",
-         "get_similarity_function", "levenshtein", "minhash_lsh_self_join",
+        ("Cosine", "Dice", "Jaccard", "MinHasher", "Overlap",
+         "QGramTokenizer", "SimilarityFunction", "TokenOrder", "Tokenizer",
+         "WordTokenizer", "get_similarity_function", "minhash_lsh_self_join",
          "naive_rs_join", "naive_self_join", "ppjoin_rs_join",
          "ppjoin_self_join"),
         "repro.core",
@@ -62,7 +61,6 @@ __all__ = [
     "ClusterConfig",
     "Cosine",
     "Dice",
-    "EditDistanceQGrams",
     "InMemoryDFS",
     "InsufficientMemoryError",
     "Jaccard",
@@ -80,9 +78,7 @@ __all__ = [
     "TokenOrder",
     "Tokenizer",
     "WordTokenizer",
-    "edit_distance_self_join",
     "get_similarity_function",
-    "levenshtein",
     "minhash_lsh_self_join",
     "naive_rs_join",
     "naive_self_join",

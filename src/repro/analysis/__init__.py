@@ -14,9 +14,6 @@
     The generated counter-name registry ``lint --check-registry``
     compares with the source tree.
 
-:mod:`repro.analysis.reporting`
-    text/SARIF rendering of findings.
-
 :mod:`repro.analysis.sanitize`
     Runtime sanitizer mode (``JoinConfig.sanitize`` /
     ``REPRO_SANITIZE=1``): reduce-input sortedness, sampled filter
@@ -38,14 +35,11 @@ from repro.analysis.sanitize import (
 )
 
 #: the static analyzer is a tool, not part of a join
-_LAZY = {
-    **dict.fromkeys(
-        ("RULES", "Finding", "build_counter_registry", "lint_file",
-         "lint_paths", "lint_source", "render_counter_registry"),
-        "repro.analysis.mrlint",
-    ),
-    "render_findings": "repro.analysis.reporting",
-}
+_LAZY = dict.fromkeys(
+    ("RULES", "Finding", "build_counter_registry", "lint_file",
+     "lint_paths", "lint_source", "render_counter_registry"),
+    "repro.analysis.mrlint",
+)
 
 
 def __getattr__(name: str) -> Any:  # PEP 562: import on first use
@@ -62,7 +56,6 @@ __all__ = [
     "lint_source",
     "build_counter_registry",
     "render_counter_registry",
-    "render_findings",
     "CHECKS",
     "VIOLATIONS",
     "Sanitizer",

@@ -373,12 +373,10 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import counter_names
     from repro.analysis.mrlint import (
-        RULES,
         build_counter_registry,
         lint_paths,
         render_counter_registry,
     )
-    from repro.analysis.reporting import render_findings
 
     if args.write_counter_registry or args.check_registry:
         registry = build_counter_registry(args.paths)
@@ -411,9 +409,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 0
 
     findings = lint_paths(args.paths)
-    output = render_findings(findings, args.format, RULES, "mrlint")
-    if output:
-        print(output)
+    for finding in findings:
+        print(finding.format())
     if findings:
         print(f"{len(findings)} finding(s)", file=sys.stderr)
         return 1
@@ -561,9 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("paths", nargs="+",
                         help="python files or directory trees to analyze "
                              "as one program")
-    p_lint.add_argument("--format", choices=["text", "sarif"],
-                        default="text",
-                        help="finding output format (default: text)")
     p_lint.add_argument("--write-counter-registry", action="store_true",
                         help="regenerate repro/analysis/counter_names.py "
                              "from the counter sites under PATHS")

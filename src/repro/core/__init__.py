@@ -14,7 +14,7 @@ from importlib import import_module
 from typing import Any
 
 #: resolved on first use: a join imports the kernel modules it runs,
-#: never the baselines (All-Pairs, LSH, edit distance, the oracle)
+#: never the baselines (All-Pairs, LSH, the oracle)
 _LAZY = {
     **dict.fromkeys(
         ("QGramTokenizer", "Tokenizer", "WordTokenizer", "clean_text"),
@@ -36,10 +36,6 @@ _LAZY = {
         ("PPJoinIndex", "ppjoin_rs_join", "ppjoin_self_join"), "repro.core.ppjoin"
     ),
     **dict.fromkeys(
-        ("EditDistanceQGrams", "edit_distance_self_join", "levenshtein"),
-        "repro.core.editdist",
-    ),
-    **dict.fromkeys(
         ("MinHasher", "candidate_probability", "minhash_lsh_self_join"),
         "repro.core.lsh",
     ),
@@ -59,7 +55,6 @@ def __getattr__(name: str) -> Any:  # PEP 562: import on first use
 __all__ = [
     "Cosine",
     "Dice",
-    "EditDistanceQGrams",
     "Jaccard",
     "MinHasher",
     "Overlap",
@@ -74,10 +69,8 @@ __all__ = [
     "candidate_probability",
     "clean_text",
     "count_token_frequencies",
-    "edit_distance_self_join",
     "get_similarity_function",
     "length_bounds",
-    "levenshtein",
     "minhash_lsh_self_join",
     "naive_rs_join",
     "naive_self_join",

@@ -83,7 +83,6 @@ def full_record_job(
         mapper=mapper,
         reducer=reducer,
         num_reducers=num_reducers,
-        partition=lambda key: key[0],
         group_key=lambda key: key[0],
         broadcast=[token_order_file],
     )

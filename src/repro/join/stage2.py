@@ -507,8 +507,8 @@ def assemble_stage2_job(
     num_reducers: int,
     mapper: Callable,
 ) -> MapReduceJob:
-    """The one Stage-2 job shape: partition on the route, group on the
-    route, sort on the full composite key."""
+    """The one Stage-2 job shape: route and group on the route, sort on
+    the full composite key."""
     check_stage2_plan(config, rs)
     make_reducer = make_pk_reducer if config.kernel == "pk" else make_bk_reducer
     return MapReduceJob(
@@ -518,7 +518,6 @@ def assemble_stage2_job(
         mapper=mapper,
         reducer=make_reducer(config, rs=rs),
         num_reducers=num_reducers,
-        partition=lambda key: key[0],
         group_key=lambda key: key[0],
         broadcast=[token_order_file],
     )

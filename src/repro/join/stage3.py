@@ -157,7 +157,6 @@ def brj_jobs(
         mapper=_make_brj_fill_mapper(record_files, pairs_file, is_rs),
         reducer=_brj_fill_reducer(is_rs),
         num_reducers=num_reducers,
-        partition=lambda key: key[0],
         group_key=lambda key: key[0],
     )
     join_job = MapReduceJob(

@@ -2,8 +2,8 @@
 
 :class:`SimulatedCluster` executes a :class:`MapReduceJob` with full
 MapReduce semantics (one map task per DFS block, per-task combiners,
-hash partitioning on the job's partition key, per-partition sort with
-the job's sort key, grouping-comparator reduce calls with lazy value
+hash partitioning on the job's group key, per-partition sort on the
+whole key, grouping-comparator reduce calls with lazy value
 iterators) while *measuring* the CPU work of every task.
 
 Wall-clock is then *simulated*: tasks are packed onto
@@ -241,11 +241,11 @@ def execute_map_task(
     last_value_bytes = 0
     num_reducers = job.num_reducers
     append = partitioned.append
-    partition = job.partition
+    group_key = job.group_key
     for key, value in pairs:
         cached = key_memo.get(key)
         if cached is None:
-            p = stable_hash(partition(key)) % num_reducers
+            p = stable_hash(group_key(key)) % num_reducers
             cached = key_memo[key] = (p, approx_bytes(key) + 8, key)
         p, framed_key_bytes, key = cached
         append((p, key, value))
@@ -331,7 +331,7 @@ def execute_reduce_task(
     ctx = Context(Counters(), memory_limit_bytes=memory_limit_bytes)
     ctx.task_id = partition_index
     t0 = time.perf_counter()
-    bucket.sort(key=_of_key(job.sort_key))
+    bucket.sort(key=itemgetter(0))
     if job.reduce_setup is not None:
         job.reduce_setup(ctx)
     group_sizes: list[tuple[Any, int]] = []
@@ -399,8 +399,8 @@ def execute_reduce_task(
 
 
 def _of_key(selector: Callable[[Any], Any]) -> Callable[[tuple], Any]:
-    """*selector* (a job's ``sort_key``/``group_key``) lifted from keys
-    to ``(key, value)`` pairs; the default selector costs no call."""
+    """*selector* (a job's ``group_key``) lifted from keys to ``(key,
+    value)`` pairs; the default selector costs no call."""
     if selector is _identity:
         return itemgetter(0)
     return lambda pair: selector(pair[0])

@@ -4,7 +4,7 @@ Python's built-in ``hash`` for strings is salted per process
 (``PYTHONHASHSEED``), which would make partition assignment — and
 therefore per-reducer workloads and any skew-sensitive measurement —
 non-reproducible.  Map tasks partition by :func:`stable_hash` of the
-job's ``partition(key)`` instead.
+job's ``group_key(key)`` instead.
 
 :data:`sha256` is the one SHA-256 constructor of the package (config
 digests, checkpoint fingerprints, run-manifest ids).

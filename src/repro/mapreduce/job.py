@@ -7,16 +7,14 @@ phase, mirroring the knobs the paper relies on:
   :meth:`Context.emit`;
 * ``combiner(key, values, ctx)`` optionally pre-aggregates per map
   task (BTO/OPTO token counting);
-* ``partition(key)`` selects the *part of the key* used for hash
-  partitioning — the paper's custom partitioner that routes on the
-  token group but not on the length or relation tag (Sections 3.2.2
-  and 4);
-* ``sort_key(key)`` orders pairs inside a partition (composite keys:
-  length classes, relation tags);
-* ``group_key(key)`` is the grouping comparator: consecutive sorted
-  pairs with equal group keys form one ``reducer(key, values, ctx)``
-  call, with values delivered lazily in sort order (the length-sorted
-  streams PPJoin+ needs);
+* ``group_key(key)`` selects the *part of the key* that both routes
+  and groups: map output is hash-partitioned on it — the paper's
+  custom partitioner that routes on the token group but not on the
+  length or relation tag (Sections 3.2.2 and 4) — and, after each
+  partition is sorted on the whole key (secondary sort through a
+  composite key), consecutive pairs with equal group keys form one
+  ``reducer(key, values, ctx)`` call, with values delivered lazily in
+  key order (the length-sorted streams PPJoin+ needs);
 * ``inputs`` may name several DFS files; ``ctx.input_file`` tells a
   mapper which one the current record came from (the R-S relation
   tagging trick of Section 4);
@@ -185,8 +183,6 @@ class MapReduceJob:
     reducer: Reducer
     num_reducers: int = 1
     combiner: Combiner | None = None
-    partition: Callable[[Any], Any] = _identity
-    sort_key: Callable[[Any], Any] = _identity
     group_key: Callable[[Any], Any] = _identity
     broadcast: Sequence[str] = field(default_factory=tuple)
     map_setup: Hook | None = None

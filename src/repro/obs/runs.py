@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from datetime import datetime, timezone
+import time
 from typing import Any, TYPE_CHECKING
 
 from repro.obs.atomicio import atomic_write_json
@@ -70,10 +70,10 @@ def build_run_manifest(
     Rusage watermarks are sampled here, at end of run, so they reflect
     the whole process tree's peak.
     """
-    created = datetime.now(timezone.utc)
+    created = time.gmtime()
     doc: dict[str, Any] = {
         "version": MANIFEST_VERSION,
-        "created": created.strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", created),
         "kind": kind,
         "workload": workload,
         "rusage": rusage_watermarks(),
@@ -108,7 +108,7 @@ def build_run_manifest(
         doc["counters"] = dict(sorted(counters.items()))
         doc["executor"] = report.executor_summary()
     identity = doc.get("config_digest") or _digest_of(doc)
-    doc["id"] = f"{created.strftime('%Y%m%d-%H%M%S')}-{identity[:8]}"
+    doc["id"] = f"{time.strftime('%Y%m%d-%H%M%S', created)}-{identity[:8]}"
     return doc
 
 

@@ -2,8 +2,11 @@
 
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,8 @@ from repro.join.records import RecordSchema, make_line
 from repro.mapreduce.faults import TaskError
 
 from tests.conftest import stage2_squeeze
+
+SRC = Path(__file__).parent.parent / "src"
 
 
 @pytest.fixture
@@ -244,6 +249,43 @@ class TestRSJoin:
         lines = read_records(out)
         rids = {tuple(l.split("\t")[1:]) for l in lines}
         assert rids == {("1", "9"), ("2", "9")}
+
+
+class TestHashSeed:
+    """A join's output bytes depend on neither the interpreter's string
+    hash salt nor the engine: map output is partitioned by a stable
+    hash, and the pooled engine reassembles its tasks in partition
+    order.  Each run is its own process, so each draws its own salt."""
+
+    @pytest.fixture(scope="class")
+    def corpora(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("hashseed")
+        dblp, cx = root / "dblp.tsv", root / "cx.tsv"
+        assert main(["generate", "dblp", "1000", "-o", str(dblp), "--seed", "7"]) == 0
+        assert main(["generate", "citeseerx", "1000", "-o", str(cx), "--seed", "9",
+                     "--shared-with", str(dblp)]) == 0
+        return root, dblp, cx
+
+    # the self-join reads the CITESEERX file: its longer records fill
+    # enough blocks for --parallel 2 to fork a pool on a 2-core host
+    @pytest.mark.parametrize("join", ["selfjoin", "rsjoin"])
+    def test_output_is_the_same_under_every_hash_seed_and_engine(self, corpora, join):
+        root, dblp, cx = corpora
+        inputs = [cx] if join == "selfjoin" else [dblp, cx]
+        outputs = set()
+        for seed in ("0", "1"):
+            for engine in ([], ["--parallel", "2"]):
+                out = root / f"{join}-{seed}-{len(engine)}.tsv"
+                subprocess.run(
+                    [sys.executable, "-m", "repro", join, *map(str, inputs),
+                     "-o", str(out), "--no-run-manifest", *engine],
+                    env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed},
+                    capture_output=True,
+                    check=True,
+                )
+                outputs.add(out.read_bytes())
+        assert len(outputs) == 1
+        assert outputs.pop().count(b"\n") > 0
 
 
 class TestGenerate:

@@ -79,7 +79,7 @@ class TestBasicExecution:
 
 class TestKeyMachinery:
     def test_custom_partition_groups_route_together(self, small_cluster):
-        """Partitioning on key[0] must send equal routes to one reducer."""
+        """Grouping on key[0] must send equal routes to one reducer."""
         small_cluster.dfs.write("in", [("g1", i) for i in range(10)] + [("g2", i) for i in range(10)])
 
         def mapper(record, ctx):
@@ -94,7 +94,7 @@ class TestKeyMachinery:
         job = MapReduceJob(
             name="part", inputs=["in"], output="out",
             mapper=mapper, reducer=reducer, num_reducers=4,
-            partition=lambda k: k[0], group_key=lambda k: k[0],
+            group_key=lambda k: k[0],
         )
         small_cluster.run_job(job)
         # exactly one reduce call per route
@@ -114,7 +114,7 @@ class TestKeyMachinery:
         job = MapReduceJob(
             name="sec", inputs=["in"], output="out",
             mapper=mapper, reducer=reducer, num_reducers=2,
-            partition=lambda k: k[0], sort_key=lambda k: k, group_key=lambda k: k[0],
+            group_key=lambda k: k[0],
         )
         small_cluster.run_job(job)
         assert small_cluster.dfs.read_all("out") == [["a", "b", "c"]]

@@ -25,12 +25,12 @@ SRC = Path(__file__).parent.parent / "src"
 #: single-node baselines, never by a plain join
 NOT_LOADED_BY_A_JOIN = (
     "pickle",
+    "datetime",
     "multiprocessing",
     "repro.join.checkpoint",
     "repro.mapreduce.diskdfs",
     "repro.mapreduce.executor",
     "repro.data.synthetic",
-    "repro.core.editdist",
     "repro.core.lsh",
     "repro.core.naive",
 )

@@ -303,10 +303,10 @@ RUNTIME_GUARDED_MUTATIONS = {
         "        for rid, ranks in values:",
         "fullrecord",
     ),
-    "MR103": (  # a partitioner indexes past the emitted key
+    "MR103": (  # a grouping key indexes past the emitted key
         "join/fullrecord.py",
-        "        partition=lambda key: key[0],",
-        "        partition=lambda key: key[3],",
+        "        group_key=lambda key: key[0],",
+        "        group_key=lambda key: key[3],",
         "fullrecord",
     ),
 }
@@ -328,7 +328,7 @@ print(len(list(cluster.dfs.read_all(report.output_file))))
 
 
 class TestRuntimeGuards:
-    """A Stage-2 key without its length, or a reducer or partitioner
+    """A Stage-2 key without its length, or a reducer or grouping key
     that disagrees with the emitted shape, fails the join it touches —
     the suite, not the analyzer, holds those contracts."""
 
@@ -378,11 +378,11 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "invalid choice: 'flow'" in capsys.readouterr().err
 
-    def test_format_is_text_or_sarif(self, capsys):
+    def test_format_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["lint", str(SRC), "--format", "json"])
+            main(["lint", str(SRC), "--format", "sarif"])
         assert exit_info.value.code == 2
-        assert "invalid choice: 'json'" in capsys.readouterr().err
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
     def test_each_file_is_parsed_once(self, monkeypatch, capsys):
         parsed = []
